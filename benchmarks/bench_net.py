@@ -1,7 +1,7 @@
 """D7 — The wire: editors in separate processes over TCP (§1, §3).
 
 The paper's editors reach the database over a LAN; ``repro.net`` is
-that hop over real loopback sockets.  Three measurements:
+that hop over real loopback sockets.  Measurements:
 
 * **connect storm** — N clients handshake and open the shared document
   at once (the start of a LAN-party);
@@ -12,27 +12,39 @@ that hop over real loopback sockets.  Three measurements:
   against a file-backed WAL, every ACK carrying the durable LSN;
 * **stats scrape** — a full STATS round-trip (connect + telemetry
   snapshot + parse) with N labelled series live, while an editor keeps
-  typing — the cost a monitoring poller imposes on a busy server.
+  typing — the cost a monitoring poller imposes on a busy server;
+* **mirror lookup scaling** — what one remote keystroke costs the
+  *client*: the delta spliced into the replica, then the reads an
+  editor makes around it (length, position→oid, oid→position, cursor
+  anchor resolution), at 1k and 64k characters.  The replica is an
+  order index, so the cost must stay flat where a per-call chain walk
+  grew 64×.
 
-All benches run the server on its own thread (``ServerThread``) with
-real TCP clients, so the numbers include framing, syscalls and the
+All wire benches run the server on its own thread (``ServerThread``)
+with real TCP clients, so the numbers include framing, syscalls and the
 event loop — the honest cost of leaving the process.
 """
 
 from __future__ import annotations
 
-from time import monotonic
+import statistics
+from time import monotonic, perf_counter
+from typing import Iterator
 
 import pytest
 
 from repro.collab import CollaborationServer
-from repro.net import NetworkClient, ServerThread
+from repro.ids import Oid
+from repro.net import DocMirror, NetworkClient, ServerThread
 
 SETTLE_SECONDS = 10.0
 STORM_SIZES = [8]
 FANOUT_SIZES = [2, 4]
 THROUGHPUT_KEYS = 50
 SCRAPE_SERIES = [32]
+MIRROR_SIZES = {"1k": 1_000, "64k": 64_000}
+#: How much dearer the 64x larger replica may be per keystroke.
+MIRROR_FLAT_RATIO = 8.0
 
 
 def _server(n_users: int, wal_path: str | None = None):
@@ -175,3 +187,87 @@ def test_stats_scrape(benchmark, n_series):
     assert payload["metrics"], "scrape returned no metrics"
     # Ride the time-series snapshot into BENCH_obs.json (v2 block).
     benchmark.extra_info["telemetry"] = snapshot
+
+
+# ---------------------------------------------------------------------------
+# The client replica (no sockets: what happens after the frame is decoded)
+# ---------------------------------------------------------------------------
+
+_DOC = Oid("bench", 0)
+
+
+def _char_row(seq: int, ch: str, prev, nxt, *, deleted: bool = False) -> dict:
+    return {"char": Oid("char", seq), "doc": _DOC, "ch": ch, "prev": prev,
+            "next": nxt, "author": "ana", "deleted": deleted, "style": None}
+
+
+def _mirror(size: int) -> DocMirror:
+    """A replica of ``size`` characters, every tenth logically deleted
+    (cursor anchors must slide over those)."""
+    last = size + 1
+    rows = [_char_row(0, "", None, Oid("char", 1))]
+    rows += [_char_row(i, "x", Oid("char", i - 1), Oid("char", i + 1),
+                       deleted=i % 10 == 0) for i in range(1, last)]
+    rows.append(_char_row(last, "", Oid("char", last - 1), None))
+    return DocMirror.from_snapshot({
+        "doc": _DOC, "begin": rows[0]["char"], "end": rows[-1]["char"],
+        "rep_seq": 0, "rows": rows})
+
+
+def _keystroke_and_lookups(mirror: DocMirror,
+                           fresh: Iterator[int]) -> None:
+    """One remote keystroke mid-document, then an editor's reads."""
+    seq = mirror.last_seq + 1
+    anchor = mirror.oid_at((seq * 7919) % mirror.length())
+    before = mirror.rows[anchor]
+    after = mirror.rows[before["next"]]
+    typed = _char_row(next(fresh), "k", anchor, after["char"])
+    mirror.apply(seq, (typed, dict(before, next=typed["char"]),
+                       dict(after, prev=typed["char"])))
+    n = mirror.length()
+    position = mirror.position_of(typed["char"])
+    assert mirror.oid_at(position) == typed["char"]
+    assert mirror.visible_position_after(typed["char"]) == position + 1
+    # A deleted anchor far from the edit: the cursor slides left.
+    deleted = Oid("char", 10 * (1 + seq % (n // 20)))
+    assert mirror.position_of(deleted) is None
+    assert 0 < mirror.visible_position_after(deleted) < n
+    mirror.oid_at(n - 1)
+
+
+def _median_seconds(mirror: DocMirror, fresh: Iterator[int],
+                    rounds: int = 200) -> float:
+    samples = []
+    for __ in range(rounds):
+        started = perf_counter()
+        _keystroke_and_lookups(mirror, fresh)
+        samples.append(perf_counter() - started)
+    return statistics.median(samples)
+
+
+@pytest.mark.parametrize("label", list(MIRROR_SIZES))
+def test_mirror_lookup_scaling(benchmark, label):
+    """Applied delta + mixed lookups on the client replica.
+
+    Carries its own flat-shape gate (it is part of the smoke slice,
+    which skips the non-benchmark ``test_shape_*`` nodes): the same
+    round on this replica and on a 1k one, timed the same way, may
+    differ by at most ``MIRROR_FLAT_RATIO``.
+    """
+    size = MIRROR_SIZES[label]
+    mirror = _mirror(size)
+    fresh = iter(range(10 * size, 20 * size))
+
+    benchmark.group = "D7 mirror lookup scaling (delta + reads)"
+    benchmark.extra_info["doc_size"] = size
+    benchmark.pedantic(_keystroke_and_lookups, args=(mirror, fresh),
+                       rounds=200, iterations=1, warmup_rounds=5)
+    assert mirror.check_integrity() == []
+
+    small = _median_seconds(_mirror(MIRROR_SIZES["1k"]),
+                            iter(range(10**6, 2 * 10**6)))
+    here = _median_seconds(mirror, fresh)
+    benchmark.extra_info["ratio_to_1k"] = round(here / small, 2)
+    assert here <= MIRROR_FLAT_RATIO * small, (
+        f"mirror lookups not flat: {small * 1e6:.0f}us at 1k -> "
+        f"{here * 1e6:.0f}us at {label}")

@@ -15,7 +15,8 @@ package is the actual wire:
   let the existing :class:`~repro.collab.editor.EditorClient` ride the
   network unchanged;
 * :mod:`repro.net.mirror` — :class:`DocMirror`, the client-side replica
-  of a document's character rows, maintained from NOTIFY deltas with
+  of a document's character rows plus an order index over the visible
+  ones (every read is O(1)/O(√n)), maintained from NOTIFY deltas with
   sequence-gap detection and anti-entropy resync;
 * :mod:`repro.net.replica` — the WAL-shipping wire endpoints:
   :class:`ReplicationClient` (SUBSCRIBE/WAL_SEGMENT/REPL_ACK pull

@@ -34,7 +34,7 @@ import socket
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from time import time
+from time import monotonic, time
 from typing import Any, Sequence
 
 from ..errors import InvalidPositionError, NetError, UnknownDocumentError
@@ -59,6 +59,7 @@ from .protocol import (
     Welcome,
     encode_frame,
     error_class,
+    open_connection,
 )
 
 __all__ = ["NetNotification", "NetworkClient", "RemoteHandle",
@@ -83,7 +84,7 @@ def scrape(host: str, port: int, *, kind: str = "stats",
     else:
         raise ValueError(f"scrape kind must be stats|health, not {kind!r}")
     decoder = FrameDecoder()
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    with open_connection(host, port, timeout) as sock:
         sock.sendall(encode_frame(request))
         while True:
             data = sock.recv(65536)
@@ -170,9 +171,7 @@ class NetworkClient:
     # ------------------------------------------------------------------
 
     def _connect(self) -> None:
-        self._sock = socket.create_connection((self.host, self.port),
-                                              timeout=self.timeout)
-        self._sock.settimeout(self.timeout)
+        self._sock = open_connection(self.host, self.port, self.timeout)
         self._decoder = FrameDecoder()
         self._inbound.clear()
         self._send(Hello(user=self.user, token=self.token,
@@ -367,9 +366,9 @@ class NetworkClient:
         ``timeout`` > 0 waits up to that long for the *first* frame,
         then keeps draining whatever is immediately available.
         """
-        deadline = time() + timeout
+        deadline = monotonic() + timeout
         while self._sock is not None:
-            wait = max(0.0, deadline - time())
+            wait = max(0.0, deadline - monotonic())
             ready, _, _ = select.select([self._sock], [], [], wait)
             if not ready:
                 break
@@ -384,7 +383,7 @@ class NetworkClient:
             for envelope in self._decoder.feed(data):
                 self._inbound.append(envelope)
             # Got something; subsequent rounds only sweep what's queued.
-            deadline = time()
+            deadline = monotonic()
         while self._inbound:
             self._handle_async(self._inbound.popleft())
         self._run_due_resyncs()
@@ -401,13 +400,13 @@ class NetworkClient:
 
     def ping(self) -> float:
         """Round-trip the control lane; returns elapsed seconds."""
-        started = time()
+        started = monotonic()
         nonce = next(self._op_seq)
-        self._send(Ping(nonce=nonce, at=started))
+        self._send(Ping(nonce=nonce, at=time()))
         while True:
             envelope = self._recv_blocking()
             if isinstance(envelope, Pong) and envelope.nonce == nonce:
-                return time() - started
+                return monotonic() - started
             self._handle_async(envelope)
 
     def publish_cursor(self, doc, anchor, selection: tuple = ()) -> None:

@@ -2,10 +2,20 @@
 
 TeNDaX editors keep a cached view of the document that the database
 maintains for them; across a network, that cache becomes a *replica*.
-:class:`DocMirror` holds the full ``tx_chars`` row set of one document
-(sentinels and logically deleted rows included — the chain needs them)
-and applies the per-commit row deltas that ride on NOTIFY envelopes /
-ACK echoes.
+:class:`DocMirror` holds two structures over one document:
+
+* the **chain** — ``rows``, the full ``tx_chars`` row set (sentinels
+  and logically deleted rows included: anchors resolve through them and
+  undo resurrects them), exactly as the server sent it;
+* the **index** — a :class:`~repro.text.ordercache.ChunkedOrderCache`
+  of the *visible* characters in document order, built by one chain
+  walk per snapshot and spliced per delta, the same structure (and the
+  same splice rule, :func:`~repro.text.ordercache.splice_row`) a
+  :class:`~repro.text.document.DocumentHandle` keeps over the database.
+
+Every read API is answered from the index, so its cost does not grow
+with the document; nothing re-walks the chain per call.
+:meth:`check_integrity` walks it once more and proves the two agree.
 
 Ordering and loss are handled with a per-document replication sequence:
 
@@ -17,6 +27,11 @@ Ordering and loss are handled with a per-document replication sequence:
   out of order — and requests a full ``resync`` snapshot, which
   replaces the mirror wholesale.
 
+Row dicts are adopted, not copied: a snapshot or delta handed to the
+mirror belongs to it (the frame decoder allocated them for exactly this
+purpose), and the mirror itself never mutates a row — it only replaces
+one by its successor.
+
 All read APIs mirror :class:`~repro.text.document.DocumentHandle`'s
 (text, positions, anchors, styled runs, integrity) so the editor client
 cannot tell a replica from a live handle.
@@ -27,6 +42,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..ids import Oid
+from ..text.ordercache import ChunkedOrderCache, position_after, splice_row
 
 __all__ = ["DocMirror"]
 
@@ -41,6 +57,8 @@ class DocMirror:
         self.end = end
         #: char oid -> full tx_chars row (deleted rows and sentinels too).
         self.rows: dict[Oid, dict] = {}
+        #: Visible characters in document order (derived from ``rows``).
+        self._index = ChunkedOrderCache()
         #: Highest rep_seq applied, contiguously, to ``rows``.
         self.last_seq = rep_seq
         #: Out-of-order deltas waiting for their gap to fill.
@@ -57,15 +75,14 @@ class DocMirror:
         """Build a mirror from a server ``resync``/``open`` snapshot."""
         mirror = cls(snapshot["doc"], snapshot["begin"], snapshot["end"],
                      rep_seq=snapshot["rep_seq"])
-        for row in snapshot["rows"]:
-            mirror.rows[row["char"]] = dict(row)
+        mirror._adopt(snapshot["rows"])
         return mirror
 
     def load(self, snapshot: dict) -> None:
         """Replace the replica's state from a fresh snapshot."""
-        self.rows = {row["char"]: dict(row) for row in snapshot["rows"]}
         self.begin = snapshot["begin"]
         self.end = snapshot["end"]
+        self._adopt(snapshot["rows"])
         seq = snapshot["rep_seq"]
         self.last_seq = seq
         self.resyncs += 1
@@ -74,6 +91,26 @@ class DocMirror:
         self.pending = {s: rows for s, rows in self.pending.items()
                         if s > seq}
         self._drain_pending()
+
+    def _adopt(self, rows) -> None:
+        """Take over a snapshot's rows and index them (one chain walk)."""
+        self.rows = {row["char"]: row for row in rows}
+        self._index.rebuild(row for row in self._chain()
+                            if row["ch"] and not row["deleted"])
+
+    def _chain(self) -> Iterator[dict]:
+        """Walk every row begin→end in chain order (cycle-guarded)."""
+        seen = 0
+        current: Any = self.begin
+        while current is not None:
+            row = self.rows.get(current)
+            if row is None:
+                return
+            yield row
+            seen += 1
+            if seen > len(self.rows):
+                return  # cycle: integrity check reports it
+            current = row["next"]
 
     def apply(self, rep_seq: int, rows: tuple) -> str:
         """Apply one delta; returns ``applied``/``buffered``/``stale``.
@@ -99,8 +136,22 @@ class DocMirror:
             self._upsert(self.pending.pop(self.last_seq))
 
     def _upsert(self, rows: tuple) -> None:
+        """One commit's rows: chain first, then the index splices.
+
+        A delta lists its rows in commit order, not document order, so
+        every row lands in the chain before any splice asks it for a
+        predecessor; each splice then reads the row's final state.
+        """
+        chain = self.rows
         for row in rows:
-            self.rows[row["char"]] = dict(row)
+            chain[row["char"]] = row
+        index, begin, prev_of = self._index, self.begin, self._prev_of
+        for row in rows:
+            splice_row(index, chain[row["char"]], begin, prev_of)
+
+    def _prev_of(self, oid: Oid) -> Oid | None:
+        row = self.rows.get(oid)
+        return None if row is None else row["prev"]
 
     @property
     def gap(self) -> bool:
@@ -108,50 +159,28 @@ class DocMirror:
         return bool(self.pending)
 
     # ------------------------------------------------------------------
-    # DocumentHandle-compatible reads
+    # DocumentHandle-compatible reads (all from the index)
     # ------------------------------------------------------------------
 
-    def _chain(self) -> Iterator[dict]:
-        """Walk every row begin→end in chain order (cycle-guarded)."""
-        seen = 0
-        current: Any = self.begin
-        while current is not None:
-            row = self.rows.get(current)
-            if row is None:
-                return
-            yield row
-            seen += 1
-            if seen > len(self.rows):
-                return  # cycle: integrity check reports it
-            current = row["next"]
-
-    def _visible(self) -> list[dict]:
-        return [row for row in self._chain()
-                if row["ch"] and not row["deleted"]]
-
     def text(self) -> str:
-        return "".join(row["ch"] for row in self._visible())
+        return self._index.text()
 
     def length(self) -> int:
-        return len(self._visible())
+        return len(self._index)
 
     def char_oids(self) -> list[Oid]:
-        return [row["char"] for row in self._visible()]
+        return self._index.oids()
 
     def oid_slice(self, start: int, stop: int) -> list[Oid]:
-        return [row["char"] for row in self._visible()[start:stop]]
+        return self._index.oid_slice(start, stop)
 
     def oid_at(self, pos: int) -> Oid:
-        visible = self._visible()
-        if pos < 0 or pos >= len(visible):
-            raise IndexError(pos)
-        return visible[pos]["char"]
+        return self._index.oid_at(pos)
 
     def position_of(self, oid: Oid) -> int | None:
-        for index, row in enumerate(self._visible()):
-            if row["char"] == oid:
-                return index
-        return None
+        if oid not in self._index:
+            return None
+        return self._index.index_of(oid)
 
     def visible_position_after(self, anchor: Oid) -> int:
         """Position after ``anchor``, sliding left over deleted rows —
@@ -160,54 +189,34 @@ class DocMirror:
         """
         if anchor == self.begin:
             return 0
-        positions = {row["char"]: index
-                     for index, row in enumerate(self._visible())}
-        current: Any = anchor
-        hops = 0
-        while current is not None and current != self.begin:
-            index = positions.get(current)
-            if index is not None:
-                return index + 1
-            row = self.rows.get(current)
-            if row is None:
-                return 0
-            current = row["prev"]
-            hops += 1
-            if hops > len(self.rows):
-                return 0
-        return 0
+        return position_after(self._index, anchor, self.begin,
+                              self._prev_of)
 
     def text_of(self, oids) -> str:
-        chars = {row["char"]: row["ch"] for row in self._visible()}
-        return "".join(chars[oid] for oid in oids if oid in chars)
+        index = self._index
+        return "".join(index.char_of(oid) for oid in oids if oid in index)
 
     def contains(self, oid: Oid) -> bool:
-        row = self.rows.get(oid)
-        return bool(row and row["ch"] and not row["deleted"])
+        return oid in self._index
 
     def styled_runs(self) -> list[tuple[str, Oid | None]]:
-        runs: list[tuple[str, Oid | None]] = []
-        for row in self._visible():
-            style = row.get("style")
-            if runs and runs[-1][1] == style:
-                runs[-1] = (runs[-1][0] + row["ch"], style)
-            else:
-                runs.append((row["ch"], style))
-        return runs
+        return self._index.styled_runs()
 
     def authors(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self._visible():
-            counts[row["author"]] = counts.get(row["author"], 0) + 1
-        return counts
+        return self._index.authors()
+
+    # ------------------------------------------------------------------
+    # Integrity
+    # ------------------------------------------------------------------
 
     def check_integrity(self) -> list[str]:
-        """Chain invariants on the replica (empty list = healthy)."""
+        """Chain invariants, and index ≡ chain (empty list = healthy)."""
         problems: list[str] = []
         reached = 0
         previous: Oid | None = None
         current: Any = self.begin
         seen: set[Oid] = set()
+        visible: list[dict] = []
         while current is not None:
             if current in seen:
                 problems.append(f"cycle at {current}")
@@ -220,6 +229,8 @@ class DocMirror:
             if row["prev"] != previous:
                 problems.append(
                     f"{current}: prev={row['prev']} expected {previous}")
+            if row["ch"] and not row["deleted"]:
+                visible.append(row)
             reached += 1
             previous = current
             current = row["next"]
@@ -228,6 +239,26 @@ class DocMirror:
         if reached != len(self.rows):
             problems.append(
                 f"{len(self.rows) - reached} row(s) unreachable from BEGIN")
+        problems.extend(self._check_index(visible))
+        return problems
+
+    def _check_index(self, visible: list[dict]) -> list[str]:
+        """The index against the visible rows of a fresh chain walk."""
+        index = self._index
+        problems = [f"index: {problem}" for problem in index.check()]
+        if index.oids() != [row["char"] for row in visible]:
+            problems.append(
+                f"index order differs from the chain ({len(index)} indexed, "
+                f"{len(visible)} visible)")
+            return problems
+        if index.text() != "".join(row["ch"] for row in visible):
+            problems.append("index text differs from the chain")
+        for row in visible:
+            oid = row["char"]
+            if index.style_of(oid) != row["style"] \
+                    or index.author_of(oid) != row["author"]:
+                problems.append(f"index payload of {oid} is stale")
+                break
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -65,6 +65,7 @@ fatal ERROR envelope and a connection close — never a crash or a hang
 from __future__ import annotations
 
 import json
+import socket
 import struct
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Iterator
@@ -99,6 +100,7 @@ __all__ = [
     "decode_envelope",
     "encode_frame",
     "error_class",
+    "open_connection",
 ]
 
 #: Bumped on incompatible envelope changes; HELLO carries the client's.
@@ -522,6 +524,23 @@ def encode_frame(envelope: Envelope) -> bytes:
             f"frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit")
     return _HEADER.pack(len(payload)) + payload
+
+
+def open_connection(host: str, port: int,
+                    timeout: float) -> socket.socket:
+    """A blocking client-side TCP connection for this protocol.
+
+    ``TCP_NODELAY`` is part of the protocol's latency contract, not a
+    tunable: frames are small and a conversation writes several before
+    it reads (OP, then after the ACK a fire-and-forget AWARENESS, then
+    the next OP).  Under Nagle the second small write waits for the ACK
+    of the first, which the peer's delayed-ACK timer holds back ~40 ms —
+    a stall per keystroke that no amount of server speed removes.
+    asyncio sets the option on the server's transports already.
+    """
+    sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def decode_envelope(obj: Any) -> Envelope:

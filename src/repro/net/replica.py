@@ -45,6 +45,7 @@ from .protocol import (
     WalSegment,
     encode_frame,
     error_class,
+    open_connection,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,8 +99,7 @@ class ReplicationClient:
         """
         decoder = FrameDecoder()
         try:
-            sock = socket.create_connection((self._host, self._port),
-                                            timeout=self._timeout)
+            sock = open_connection(self._host, self._port, self._timeout)
         except OSError as exc:
             raise NetError(
                 f"cannot reach leader at {self._host}:{self._port}: "
@@ -145,8 +145,8 @@ class ReplicationClient:
         number of records the segment carried.
         """
         decoder = FrameDecoder()
-        with socket.create_connection((self._host, self._port),
-                                      timeout=self._timeout) as sock:
+        with open_connection(self._host, self._port,
+                             self._timeout) as sock:
             sock.sendall(encode_frame(Subscribe(
                 from_lsn=self._follower.applied_lsn + 1,
                 node=self._follower.db.node, token=self._token)))

@@ -119,7 +119,11 @@ class _Connection:
         self.sender_task: asyncio.Task | None = None
         self.window: list[Envelope] = []
         self.faultable_sent = 0
+        #: No more traffic in either direction (shed, or being reaped).
         self.closing = False
+        #: ``_close_connection`` has run (it must run once per
+        #: connection, and a shed only *requests* it).
+        self.reaped = False
 
 
 class CollabNetServer:
@@ -499,9 +503,9 @@ class CollabNetServer:
 
     async def _close_connection(self, conn: _Connection,
                                 *, reason: str = "") -> None:
-        if conn.closing:
+        if conn.reaped:
             return
-        conn.closing = True
+        conn.reaped = conn.closing = True
         self._release_batch(conn)
         if self._connections.pop(conn.id, None) is not None:
             self._m_connections.dec()
@@ -571,13 +575,30 @@ class CollabNetServer:
     def _write(self, conn: _Connection, envelope: Envelope) -> None:
         if isinstance(envelope, Notify):
             envelope = replace(envelope, sent_at=time())
-        frame = encode_frame(envelope)
+        try:
+            frame = encode_frame(envelope)
+        except ProtocolError as exc:
+            if not isinstance(envelope, Ack):
+                raise
+            # A snapshot or echo over MAX_FRAME_BYTES.  The verb ran;
+            # fail the caller's RPC at once with a non-fatal ERROR for
+            # the same op_seq and let the connection live on.
+            self._m_protocol_errors.inc()
+            frame = encode_frame(Error(
+                code="ProtocolError", op_seq=envelope.op_seq,
+                message=f"the operation ran, but its reply cannot be "
+                        f"sent: {exc}"))
         conn.writer.write(frame)
         self._m_frames_out.inc()
         self._m_bytes_out.inc(len(frame))
 
     async def _sender(self, conn: _Connection) -> None:
-        """Drain the send queue, applying socket faults to change frames."""
+        """Drain the send queue, applying socket faults to change frames.
+
+        However this task ends, the connection ends with it: a live
+        connection without a sender would leave its client waiting for
+        replies that are never written.
+        """
         try:
             while True:
                 if conn.window:
@@ -597,10 +618,16 @@ class CollabNetServer:
                 else:
                     self._write(conn, envelope)
                     await conn.writer.drain()
+        except ProtocolError:
+            # A frame other than an ACK over MAX_FRAME_BYTES (a huge
+            # paste's NOTIFY) has no reply slot to fail: drop the
+            # connection, the client resyncs when it reconnects.
+            self._m_protocol_errors.inc()
         except (ConnectionError, RuntimeError):
             pass
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            raise
+        finally:
+            if not conn.closing:
+                self._shed(conn)
 
     async def _send_faultable(self, conn: _Connection,
                               envelope: Envelope) -> None:

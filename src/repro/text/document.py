@@ -28,7 +28,7 @@ from ..errors import InvalidPositionError, UnknownDocumentError
 from ..ids import Oid
 from . import chars as C
 from . import dbschema as S
-from .ordercache import make_order_cache
+from .ordercache import make_order_cache, position_after, splice_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..feed.changefeed import CommitBatch
@@ -289,69 +289,27 @@ class DocumentHandle:
     def _on_batch(self, batch: "CommitBatch") -> None:
         cache = self._cache
         for event in batch.events:
-            row = event.row
             if event.kind == "delete":
                 # Physical char removal (document purge / archival): the
                 # before-image names the vanished character.
                 before = event.before
                 if before is not None and before.get("doc") == self.doc \
                         and before.get("ch") and before["char"] in cache:
-                    self._splice_out(before["char"])
+                    started = perf_counter()
+                    cache.remove(before["char"])
+                    self._m_splice.observe(perf_counter() - started)
                 continue
-            if row is None or row["doc"] != self.doc or not row["ch"]:
+            row = event.row
+            if row is None or row["doc"] != self.doc:
                 continue
-            oid = row["char"]
-            if event.kind == "insert":
-                if not row["deleted"] and oid not in cache:
-                    self._splice_in(row)
-            elif event.kind == "update":
-                if row["deleted"] and oid in cache:
-                    self._splice_out(oid)
-                elif not row["deleted"] and oid not in cache:
-                    self._splice_in(row)
-                else:
-                    # Pointer/style update of an already-visible char:
-                    # keep the render payload current (O(1)).
-                    cache.set_style(oid, row["style"])
+            started = perf_counter()
+            if splice_row(cache, row, self.begin_char, self._prev_of):
+                self._m_splice.observe(perf_counter() - started)
 
-    def _splice_in(self, row: dict) -> None:
-        started = perf_counter()
-        index = self._position_after(row["prev"])
-        self._cache.insert(index, row["char"], row["ch"], row["style"],
-                           row["author"])
-        self._m_splice.observe(perf_counter() - started)
-
-    def _splice_out(self, oid: Oid) -> None:
-        started = perf_counter()
-        self._cache.remove(oid)
-        self._m_splice.observe(perf_counter() - started)
-
-    def _position_after(self, prev: Oid | None) -> int:
-        """Cache position just after ``prev``, skipping deleted ancestors.
-
-        The common cases are O(1): appending after the current last
-        character (bulk loads, typing at the end), or inserting after a
-        visible character (one oid→chunk probe).  Otherwise the walk may
-        cross arbitrarily many deleted predecessors (far more than the
-        cache holds visible characters), so the only stop conditions are
-        reaching a visible character, reaching the BEGIN sentinel, or
-        detecting a cycle (corrupt chain).
-        """
-        cache = self._cache
-        if prev is not None and prev == cache.last_oid():
-            return len(cache)
-        current = prev
-        seen: set[Oid] = set()
-        while current is not None and current != self.begin_char:
-            if current in cache:
-                return cache.index_of(current) + 1
-            if current in seen:
-                break  # corrupt chain; fall back to the front
-            seen.add(current)
-            # A deleted (or not-yet-spliced) predecessor: walk left.
-            __, row = C.char_row(self.db, current)
-            current = row["prev"]
-        return 0
+    def _prev_of(self, oid: Oid) -> Oid | None:
+        """Chain predecessor of a character the cache does not hold (a
+        deleted or not-yet-spliced one): one indexed database read."""
+        return C.char_row(self.db, oid)[1]["prev"]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -410,7 +368,8 @@ class DocumentHandle:
         *after* its anchor; deleting the anchor slides the cursor left)."""
         if anchor == self.begin_char:
             return 0
-        return self._position_after(anchor)
+        return position_after(self._cache, anchor, self.begin_char,
+                              self._prev_of)
 
     def text_of(self, oids: Sequence[Oid]) -> str:
         """The text of still-visible characters among ``oids``."""

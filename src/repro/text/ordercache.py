@@ -25,6 +25,14 @@ exists as the measured baseline for the large-document benchmarks
 Both caches maintain, per visible character, the payload the rendering
 paths need (character, style, author); style changes are O(1) updates.
 
+:func:`splice_row` and :func:`position_after` are how a cache follows
+the chain: which committed row splices in, out or only restyles, and
+where "after this anchor" is when the anchor itself is hidden.  Both
+replicas of a document use them — the in-process
+:class:`~repro.text.document.DocumentHandle` and the wire client's
+:class:`~repro.net.mirror.DocMirror` — differing only in how a
+character's chain predecessor is looked up.
+
 Complexity (n visible characters, chunk target B, so ~n/B chunks):
 
 =================  ==================  =================
@@ -49,7 +57,7 @@ Invariants (checked by :meth:`ChunkedOrderCache.check`):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..ids import Oid
 
@@ -506,6 +514,71 @@ class FlatOrderCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlatOrderCache(len={len(self._order)})"
+
+
+def position_after(cache, anchor: Oid | None, begin: Oid,
+                   prev_of: Callable[[Oid], Oid | None]) -> int:
+    """Cache position just after ``anchor``, skipping hidden predecessors.
+
+    The cursor-anchor rule and the splice rule in one place: a position
+    sits *after* its anchor, and an anchor that is not in ``cache``
+    (logically deleted, or not spliced in yet) slides it left to the
+    nearest character that is.  ``prev_of(oid)`` names a character's
+    chain predecessor (``None`` if unknown) — a database lookup for a
+    :class:`~repro.text.document.DocumentHandle`, a dict probe for a
+    :class:`~repro.net.mirror.DocMirror`.
+
+    The common cases are O(1): appending after the current last
+    character (bulk loads, typing at the end), or an anchor that is
+    visible (one oid→chunk probe).  Otherwise the walk may cross
+    arbitrarily many deleted predecessors (far more than the cache
+    holds visible characters), so the only stop conditions are reaching
+    a visible character, reaching the BEGIN sentinel, or detecting a
+    cycle (corrupt chain).
+    """
+    if anchor is not None and anchor == cache.last_oid():
+        return len(cache)
+    current = anchor
+    seen: set[Oid] = set()
+    while current is not None and current != begin:
+        if current in cache:
+            return cache.index_of(current) + 1
+        if current in seen:
+            break  # corrupt chain; fall back to the front
+        seen.add(current)
+        current = prev_of(current)
+    return 0
+
+
+def splice_row(cache, row: dict, begin: Oid,
+               prev_of: Callable[[Oid], Oid | None]) -> bool:
+    """Bring ``cache`` in line with one committed ``tx_chars`` row.
+
+    A visible row the cache lacks (insert, undelete) is spliced in after
+    its nearest cached predecessor; a deleted row the cache holds is
+    spliced out; a row that is visible on both sides only refreshes the
+    style payload.  Sentinels never enter the cache.  Returns whether
+    the sequence changed.
+
+    Rows of one commit may be applied in any order as long as
+    ``prev_of`` already answers from the post-commit chain: each splice
+    lands directly after the nearest predecessor *present in the cache*,
+    so a later-applied character in between slots in before it.
+    """
+    if not row["ch"]:
+        return False
+    oid = row["char"]
+    if oid in cache:
+        if row["deleted"]:
+            cache.remove(oid)
+            return True
+        cache.set_style(oid, row["style"])
+        return False
+    if row["deleted"]:
+        return False
+    cache.insert(position_after(cache, row["prev"], begin, prev_of),
+                 oid, row["ch"], row["style"], row["author"])
+    return True
 
 
 #: Cache kinds selectable when opening a handle (benchmarks use "flat").

@@ -70,6 +70,8 @@ SMOKE_NODES = (
     "benchmarks/bench_net.py::test_connect_storm[8]",
     "benchmarks/bench_net.py::test_fanout_latency[2]",
     "benchmarks/bench_net.py::test_stats_scrape[32]",
+    "benchmarks/bench_net.py::test_mirror_lookup_scaling[1k]",
+    "benchmarks/bench_net.py::test_mirror_lookup_scaling[64k]",
     "benchmarks/bench_repl.py::test_follower_apply_throughput[300]",
     "benchmarks/bench_repl.py::test_replica_scan_offload[leader]",
     "benchmarks/bench_repl.py::test_replica_scan_offload[replica]",
@@ -102,6 +104,10 @@ TREND_NODES = {
         "d7_fanout_latency_2",
     "benchmarks/bench_net.py::test_stats_scrape[32]":
         "d7_stats_scrape_32",
+    "benchmarks/bench_net.py::test_mirror_lookup_scaling[1k]":
+        "d7_mirror_lookup_1k",
+    "benchmarks/bench_net.py::test_mirror_lookup_scaling[64k]":
+        "d7_mirror_lookup_64k",
     "benchmarks/bench_repl.py::test_follower_apply_throughput[300]":
         "d8_follower_apply_300",
     "benchmarks/bench_repl.py::test_replica_scan_offload[replica]":
