@@ -680,7 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--token", default=None,
                        help="require this shared secret in HELLO")
     serve.add_argument("--wal", default=None,
-                       help="mirror the WAL to this file for durability")
+                       help="mirror the WAL to this file for durability; "
+                            "an existing file is recovered and extended")
     serve.add_argument("--net-seed", type=int, default=None,
                        help="inject a seeded socket fault plan "
                             "(drop/delay/reorder on change frames)")

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..clock import Clock
 from ..db import Database
+from ..db.recovery import restart
 from ..security import AccessController, PrincipalRegistry
 from ..text import (
     DocumentStore,
@@ -50,9 +51,11 @@ class CollaborationServer:
                  clock: Clock | None = None,
                  wal_path: str | None = None,
                  faults=None) -> None:
-        self.db = db if db is not None else Database(
-            node, clock=clock, wal_path=wal_path, faults=faults,
-        )
+        # An existing ``wal_path`` is this server's own history: resume
+        # it (recover, then extend the same log), never start a second
+        # history at LSN 1 behind it.
+        self.db = db if db is not None else restart(
+            wal_path, node=node, clock=clock, faults=faults)[0]
         self.faults = faults if faults is not None else self.db.faults
         #: Collab metrics live in the database's registry, so one
         #: ``Database.metrics_snapshot()`` covers the whole server.

@@ -153,18 +153,8 @@ class Database:
             table = Table(schema, metrics=self.txn_metrics)
             self._tables[name] = table
         if log:
-            self.wal.append(
-                walmod.CREATE_TABLE, 0, table=name, key=key,
-                columns=[
-                    {
-                        "name": c.name,
-                        "type": c.type.value,
-                        "nullable": c.nullable,
-                        "default": walmod.encode_value(c.default),
-                    }
-                    for c in schema.columns
-                ],
-            )
+            self.wal.append(walmod.CREATE_TABLE, 0, table=name, key=key,
+                            columns=walmod.columns_payload(schema))
         return table
 
     def drop_table(self, name: str, *, log: bool = True) -> None:
@@ -507,15 +497,7 @@ class Database:
             snapshot[name] = {
                 "schema": {
                     "key": table.schema.key,
-                    "columns": [
-                        {
-                            "name": c.name,
-                            "type": c.type.value,
-                            "nullable": c.nullable,
-                            "default": walmod.encode_value(c.default),
-                        }
-                        for c in table.schema.columns
-                    ],
+                    "columns": walmod.columns_payload(table.schema),
                 },
                 "indexes": [
                     {

@@ -4,7 +4,9 @@ Recovery is redo-only: starting from the latest CHECKPOINT (or from an
 empty engine), records of *committed* transactions are replayed in LSN
 order; records of transactions without a COMMIT are discarded.  This gives
 the paper's promise — a crash mid-keystroke loses at most the uncommitted
-keystroke, never an acknowledged one.
+keystroke, never an acknowledged one.  The redo algorithm itself is
+:class:`~repro.db.replay.WalReplay`; this module is its crash-recovery
+sink (collapsed rows) plus the one restart path.
 
 Under group commit the acknowledgement point is the *group fsync*, not the
 COMMIT append: ``power_off(lose_unsynced=True)`` truncates the file back
@@ -18,161 +20,130 @@ recovery and need no log records of their own: a fresh process has no live
 snapshots, so :meth:`~repro.db.table.Table.load_row` collapses every row
 back to a single committed version visible to all future snapshots.
 
-Use :func:`recover` with an in-memory record list (tests) or
-:func:`recover_file` with a mirrored WAL file (process-crash simulation).
+Use :func:`recover` with an in-memory record list (tests),
+:func:`recover_file` with a mirrored WAL file (process-crash simulation)
+or :func:`restart` to reopen an engine on its own log and keep writing —
+"a leader is a follower with nobody to follow": leaders
+(``repro serve --wal``) and replication followers restart through the
+same function.  Every one of them leaves the rebuilt engine's LSN,
+transaction-id and object-id allocators past everything replayed, so the
+log it goes on to extend stays one strictly increasing history.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import os
+from typing import Iterable
 
-from ..clock import Clock
 from ..errors import RecoveryError
+from ..ids import Oid
 from . import wal as walmod
 from .engine import Database
-from .schema import Column, ColumnType
-from .wal import WalRecord, committed_txn_ids, decode_value
+from .replay import DDL, WalReplay, apply_ddl, restore_checkpoint
+from .wal import WalRecord, decode_value, read_log
 
 
-def _columns_from_payload(raw_columns: Sequence[dict]) -> list[Column]:
-    return [
-        Column(
-            name=c["name"],
-            type=ColumnType(c["type"]),
-            nullable=c["nullable"],
-            default=decode_value(c.get("default")),
-        )
-        for c in raw_columns
-    ]
+def _rebuild(log: tuple[list[WalRecord], bool],
+             **engine) -> tuple[Database, WalReplay]:
+    """A fresh ``Database(**engine)`` holding what ``log`` committed.
 
-
-def _find_checkpoint(records: Sequence[WalRecord]) -> int | None:
-    """Index of the last CHECKPOINT record, or None."""
-    last = None
-    for i, record in enumerate(records):
+    ``log`` is ``(records, torn)`` as :func:`~repro.db.wal.read_log`
+    returns it.  One pass through the replay core.  Table state starts
+    from the last CHECKPOINT; the records before it still pass through
+    the core, but buffer-only — the snapshot already holds their
+    committed effects, while a transaction left open across the
+    checkpoint keeps its early DML for the COMMIT that follows it.
+    """
+    records, torn = log
+    db = Database(**engine)
+    core = WalReplay()
+    start = next((i for i in range(len(records) - 1, -1, -1)
+                  if records[i].type == walmod.CHECKPOINT), 0)
+    for record in records[:start]:
+        core.feed(record)
+    for record in records[start:]:
         if record.type == walmod.CHECKPOINT:
-            last = i
-    return last
+            restore_checkpoint(db, record)
+        elif record.type in DDL:
+            apply_ddl(db, record)
+        for op in core.feed(record) or ():
+            # Collapsed chains: a fresh process has no live snapshots.
+            payload = op.payload
+            name = payload["table"]
+            if op.type == walmod.DELETE:
+                if db.has_table(name):  # else: dropped later in history
+                    db.table(name).load_delete(payload["rowid"])
+            elif not db.has_table(name):
+                raise RecoveryError(f"WAL references unknown table "
+                                    f"{name!r} at LSN {op.lsn}")
+            else:
+                db.table(name).load_row(payload["rowid"],
+                                        decode_value(payload["values"]))
+    # Everything the rebuilt engine allocates from now on lies past what
+    # was replayed: LSNs, transaction ids, and the object ids found in
+    # surviving rows (ids are never reused, across restarts included).
+    db.wal.advance_lsn(core.applied_lsn)
+    db.advance_txn_ids(core.max_txn_id)
+    newest: dict[str, int] = {}
+    for name in db.tables():
+        for _, row in db.table(name).committed_items():
+            for value in row:
+                if value.__class__ is Oid \
+                        and value.seq > newest.get(value.node, 0):
+                    newest[value.node] = value.seq
+    for oid_node, seq in newest.items():
+        db.ids.advance_past(oid_node, seq)
+    if torn:
+        db.obs.registry.counter("wal.torn_tail_recoveries").inc()
+    return db, core
 
 
-def _restore_checkpoint(db: Database, record: WalRecord) -> None:
-    tables = decode_value(record.payload.get("tables", {}))
-    for name, spec in tables.items():
-        columns = _columns_from_payload(spec["schema"]["columns"])
-        table = db.create_table(name, columns, key=spec["schema"]["key"],
-                                log=False)
-        key_index = f"{name}_key"
-        for idx in spec.get("indexes", ()):
-            if idx["name"] == key_index:
-                continue  # created automatically with the table
-            table.create_index(idx["name"], idx["column"], kind=idx["kind"],
-                               unique=idx["unique"])
-        for rowid_str, values in spec.get("rows", {}).items():
-            table.load_row(int(rowid_str), values)
-
-
-def recover(
-    records: Iterable[WalRecord],
-    *,
-    node: str = "db",
-    clock: Clock | None = None,
-    wal_path: str | None = None,
-    faults=None,
-    obs=None,
-    wal_group_commit: bool = True,
-    wal_group_window: float = 0.0,
-    wal_group_max: int = 64,
-) -> Database:
+def recover(records: Iterable[WalRecord], **engine) -> Database:
     """Build a fresh :class:`Database` from WAL records.
 
     Only effects of committed transactions survive.  DDL records
     (txn id 0) are always applied — the engine logs them after the fact,
     so they describe objects that really existed.
 
-    The ``wal_group_*`` knobs carry the crashed engine's commit policy
-    onto the recovered one, so a configured group window or group-size
-    bound is not silently reset to defaults by the crash.  ``faults``
-    and ``obs`` thread an injector / observability into the rebuilt
-    engine (a resumed replication follower keeps its torture plan and
-    metric registry across restarts).
+    ``engine`` keyword arguments go to the :class:`Database`
+    constructor: pass the crashed engine's ``wal_group_*`` knobs to
+    carry its commit policy onto the recovered one, so a configured
+    group window or group-size bound is not silently reset to defaults
+    by the crash.
     """
-    records = list(records)
-    db = Database(node, clock=clock, wal_path=wal_path,
-                  faults=faults, obs=obs,
-                  wal_group_commit=wal_group_commit,
-                  wal_group_window=wal_group_window,
-                  wal_group_max=wal_group_max)
-    committed = committed_txn_ids(records)
-
-    start = 0
-    checkpoint_idx = _find_checkpoint(records)
-    if checkpoint_idx is not None:
-        _restore_checkpoint(db, records[checkpoint_idx])
-        start = checkpoint_idx + 1
-
-    for record in records[start:]:
-        payload = record.payload
-        if record.type == walmod.CREATE_TABLE:
-            if db.has_table(payload["table"]):
-                continue  # checkpoint overlap: the table already exists
-            columns = _columns_from_payload(decode_value(payload["columns"]))
-            db.create_table(payload["table"], columns,
-                            key=payload.get("key"), log=False)
-        elif record.type == walmod.DROP_TABLE:
-            if db.has_table(payload["table"]):
-                db.drop_table(payload["table"], log=False)
-        elif record.type == walmod.CREATE_INDEX:
-            table = db.table(payload["table"])
-            if payload["name"] not in table.indexes():
-                table.create_index(
-                    payload["name"], payload["column"],
-                    kind=payload["kind"], unique=payload["unique"],
-                )
-        elif record.type in (walmod.INSERT, walmod.UPDATE):
-            if record.txn_id not in committed:
-                continue
-            table_name = payload["table"]
-            if not db.has_table(table_name):
-                raise RecoveryError(
-                    f"WAL references unknown table {table_name!r} "
-                    f"at LSN {record.lsn}"
-                )
-            values = decode_value(payload["values"])
-            db.table(table_name).load_row(payload["rowid"], values)
-        elif record.type == walmod.DELETE:
-            if record.txn_id not in committed:
-                continue
-            table_name = payload["table"]
-            if db.has_table(table_name):
-                db.table(table_name).load_delete(payload["rowid"])
-        # BEGIN/COMMIT/ABORT/CHECKPOINT need no replay action here.
-    return db
+    return _rebuild((list(records), False), **engine)[0]
 
 
-def recover_file(
-    path: str,
-    *,
-    node: str = "db",
-    clock: Clock | None = None,
-    wal_path: str | None = None,
-    wal_group_commit: bool = True,
-    wal_group_window: float = 0.0,
-    wal_group_max: int = 64,
-) -> Database:
+def recover_file(path: str, *, wal_path: str | None = None,
+                 **engine) -> Database:
     """Recover from a WAL file written by a (crashed) engine.
 
     A torn trailing record (the signature of a crash mid-append) is
     skipped with a warning — crash recovery must get past the crash's
     own debris — and counted on the recovered database as
     ``wal.torn_tail_recoveries``.  Corruption *before* the tail still
-    raises, via :meth:`~repro.db.wal.WriteAheadLog.load_file`.
+    raises (see :func:`~repro.db.wal.parse_records`).  When ``wal_path``
+    names the very file being recovered, the engine resumes that log:
+    the torn tail is cut off the file before it is reopened for append.
+    ``engine`` is as for :func:`recover`.
     """
-    torn = []
-    records = walmod.WriteAheadLog.load_file(path, on_torn=lambda: torn.append(1))
-    db = recover(records, node=node, clock=clock, wal_path=wal_path,
-                 wal_group_commit=wal_group_commit,
-                 wal_group_window=wal_group_window,
-                 wal_group_max=wal_group_max)
-    if torn:
-        db.obs.registry.counter("wal.torn_tail_recoveries").inc(len(torn))
-    return db
+    resuming = wal_path is not None and os.path.exists(wal_path) \
+        and os.path.samefile(path, wal_path)
+    return _rebuild(read_log(path, cut_torn_tail=resuming),
+                    wal_path=wal_path, **engine)[0]
+
+
+def restart(wal_path: str | None,
+            **engine) -> tuple[Database, WalReplay]:
+    """Open an engine on its own log and return it with the replay core.
+
+    The one restart path.  A missing or empty log gives a fresh engine;
+    an existing one has its torn tail cut, is replayed, and is then
+    extended in place.  The core's counters and still-open transaction
+    buffers are what a replication follower resumes its stream from.
+    ``engine`` is as for :func:`recover`.
+    """
+    log: tuple[list[WalRecord], bool] = ([], False)
+    if wal_path is not None and os.path.exists(wal_path):
+        log = read_log(wal_path, cut_torn_tail=True)
+    return _rebuild(log, wal_path=wal_path, **engine)

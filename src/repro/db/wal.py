@@ -11,6 +11,11 @@ persistently").
 The log lives in memory and can optionally be mirrored to a JSON-lines file
 so a "crashed" engine can be rebuilt by a fresh process.  DDL (create table
 / index) is logged too, so recovery can start from an empty engine.
+
+This module owns the record <-> line format: :func:`render_record` is the
+only writer of a WAL line and :func:`parse_records` the only reader, for
+the mirror file, for a tailed leader file and for ``WAL_SEGMENT`` frames
+alike, so all of them agree on what a torn tail is.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from ..errors import CrashSignal, WalError
 from ..ids import Oid
 from ..obs.metrics import COUNT_BUCKETS, NULL_REGISTRY
+from .schema import Column, ColumnType, TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
@@ -99,6 +105,113 @@ def decode_value(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_value(v) for v in value]
     return value
+
+
+def columns_payload(schema: TableSchema) -> list[dict]:
+    """A table's columns as CREATE_TABLE / CHECKPOINT payloads carry them."""
+    return [
+        {
+            "name": c.name,
+            "type": c.type.value,
+            "nullable": c.nullable,
+            "default": encode_value(c.default),
+        }
+        for c in schema.columns
+    ]
+
+
+def columns_from_payload(raw_columns: Iterable[dict]) -> list[Column]:
+    """Inverse of :func:`columns_payload`."""
+    return [
+        Column(
+            name=c["name"],
+            type=ColumnType(c["type"]),
+            nullable=c["nullable"],
+            default=decode_value(c.get("default")),
+        )
+        for c in raw_columns
+    ]
+
+
+#: Upper bound on the records in one shipped segment (keeps a
+#: WAL_SEGMENT frame far below the wire's frame limit and bounds the
+#: follower's apply batch; a lagging follower acks its way through more
+#: segments).
+SEGMENT_RECORDS = 256
+
+
+def render_record(record: WalRecord) -> str:
+    """The one-line JSON form of ``record`` (no trailing newline)."""
+    return json.dumps({
+        "lsn": record.lsn,
+        "type": record.type,
+        "txn": record.txn_id,
+        "payload": record.payload,
+    }, separators=(",", ":"))
+
+
+def parse_records(data: bytes, source: str = "WAL"
+                  ) -> tuple[list[WalRecord], int]:
+    """Parse WAL lines; returns ``(records, valid_bytes)``.
+
+    The single torn-tail rule: an unterminated or unparseable *final*
+    line is a torn tail — the signature of a crash mid-append — and ends
+    the valid prefix on the line boundary before it (``valid_bytes <
+    len(data)`` tells the caller it happened).  A malformed line
+    *followed by* any further line is corruption and raises
+    :class:`~repro.errors.WalError` rather than silently discarding
+    committed history.  Blank lines are skipped.
+    """
+    records: list[WalRecord] = []
+    lines = data.split(b"\n")
+    tail = lines.pop()  # unterminated remainder: never a record
+    pos = 0
+    for i, line in enumerate(lines):
+        if line and not line.isspace():
+            try:
+                raw = json.loads(line.decode())
+                record = WalRecord(raw["lsn"], raw["type"], raw["txn"],
+                                   raw.get("payload") or {})
+            except (ValueError, KeyError, TypeError) as exc:
+                following = sum(1 for rest in (*lines[i + 1:], tail)
+                                if rest and not rest.isspace())
+                if following:
+                    raise WalError(
+                        f"corrupt WAL record in {source!r} at byte {pos} "
+                        f"(not a torn tail — {following} more lines "
+                        f"follow): {exc!r}") from exc
+                break
+            records.append(record)
+        pos += len(line) + 1
+    return records, pos
+
+
+def read_log(path: str, *, cut_torn_tail: bool = False
+             ) -> tuple[list[WalRecord], bool]:
+    """Read a log file; returns ``(records, torn)``.
+
+    A torn tail (see :func:`parse_records`) is skipped with a warning —
+    crash recovery must get past the crash's own debris.  With
+    ``cut_torn_tail`` it is also truncated off the file, which a caller
+    about to reopen the file for append must ask for: otherwise the next
+    appended line would fuse with the torn prefix into one corrupt
+    record.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    records, valid = parse_records(data, path)
+    torn = valid < len(data)
+    if torn:
+        warnings.warn(
+            f"skipping torn trailing WAL record in {path!r} "
+            f"(crash mid-write) at byte {valid}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if cut_torn_tail:
+            with open(path, "r+b") as raw:
+                raw.truncate(valid)
+    return records, torn
 
 
 class WriteAheadLog:
@@ -206,31 +319,12 @@ class WriteAheadLog:
             raise WalError(f"unknown WAL record type {type_!r}")
         started = perf_counter()
         self.faults.fire("wal.before_append", type=type_, txn=txn_id)
-        needs_sync = False
         with self._lock:
             record = WalRecord(self._next_lsn, type_, txn_id,
                                encode_value(payload))
-            self._next_lsn += 1
-            if self._file is not None:
-                line = json.dumps({
-                    "lsn": record.lsn,
-                    "type": record.type,
-                    "txn": record.txn_id,
-                    "payload": record.payload,
-                }, separators=(",", ":"))
-                torn = self.faults.check("wal.mid_record")
-                if torn is not None:
-                    # Torn write: a prefix of the line (never the whole
-                    # line) reaches the file, then the process dies.
-                    keep = max(1, min(len(line) - 1,
-                                      int(len(line) * torn.tear)))
-                    self._file.write(line[:keep])
-                    self.faults.crash(torn, type=type_, txn=txn_id)
-                self._file.write(line + "\n")
-                self._m_bytes.inc(len(line) + 1)
-                needs_sync = type_ in (COMMIT, ABORT, CHECKPOINT)
-            self._records.append(record)
-            self._m_appends.inc()
+            self._write_locked(record)
+            needs_sync = self._file is not None \
+                and type_ in (COMMIT, ABORT, CHECKPOINT)
         if needs_sync:
             # Record is in the file buffer but not yet durable: death
             # here loses the commit without having acknowledged it.
@@ -238,6 +332,27 @@ class WriteAheadLog:
             self._sync_to(record.lsn, type_, txn_id)
         self._m_append_seconds.observe(perf_counter() - started)
         return record
+
+    def _write_locked(self, record: WalRecord) -> None:
+        """The one write path (caller holds ``_lock``): mirror the
+        record's line to the file, if any, then log it in memory and
+        move the LSN allocator past it."""
+        if self._file is not None:
+            line = render_record(record)
+            torn = self.faults.check("wal.mid_record")
+            if torn is not None:
+                # Torn write: a prefix of the line (never the whole
+                # line) reaches the file, then the process dies.
+                keep = max(1, min(len(line) - 1,
+                                  int(len(line) * torn.tear)))
+                self._file.write(line[:keep])
+                self.faults.crash(torn, type=record.type,
+                                  txn=record.txn_id)
+            self._file.write(line + "\n")
+            self._m_bytes.inc(len(line) + 1)
+        self._records.append(record)
+        self._next_lsn = record.lsn + 1
+        self._m_appends.inc()
 
     def _fsync_locked(self, group: int, type_: str, txn_id: int) -> None:
         """Flush+fsync the file (caller holds ``_lock``; file is open).
@@ -367,13 +482,13 @@ class WriteAheadLog:
 
         The replication apply path (:mod:`repro.repl`) writes the
         leader's records into the follower's own mirror file *verbatim*
-        — same JSON line format, same LSN — so the follower's log is
-        byte-equivalent to the shipped prefix of the leader's: recovery
-        and promotion read it with the ordinary tooling.  No commit
-        barrier is entered; durability is batched per shipped segment
-        via :meth:`sync_shipped`.  The ``wal.mid_record`` crash point
-        fires here too, so torture schedules can tear a record on the
-        follower's disk mid-apply.
+        — same line, same LSN — so the follower's log is byte-equivalent
+        to the shipped prefix of the leader's: recovery and promotion
+        read it with the ordinary tooling.  No commit barrier is
+        entered; durability is batched per shipped segment via
+        :meth:`sync_shipped`.  The write goes through the same path as
+        :meth:`append`, so torture schedules can tear a record on the
+        follower's disk mid-apply (``wal.mid_record``).
         """
         if record.type not in _TYPES:
             raise WalError(f"unknown WAL record type {record.type!r}")
@@ -386,25 +501,7 @@ class WriteAheadLog:
             if self._path is not None and self._file is None:
                 raise CrashSignal("WAL died before shipped append "
                                   f"(lsn {record.lsn})")
-            if self._file is not None:
-                line = json.dumps({
-                    "lsn": record.lsn,
-                    "type": record.type,
-                    "txn": record.txn_id,
-                    "payload": record.payload,
-                }, separators=(",", ":"))
-                torn = self.faults.check("wal.mid_record")
-                if torn is not None:
-                    keep = max(1, min(len(line) - 1,
-                                      int(len(line) * torn.tear)))
-                    self._file.write(line[:keep])
-                    self.faults.crash(torn, type=record.type,
-                                      txn=record.txn_id)
-                self._file.write(line + "\n")
-                self._m_bytes.inc(len(line) + 1)
-            self._records.append(record)
-            self._next_lsn = record.lsn + 1
-            self._m_appends.inc()
+            self._write_locked(record)
         return record
 
     def sync_shipped(self) -> int:
@@ -445,6 +542,29 @@ class WriteAheadLog:
                                     key=lambda r: r.lsn)
             hi = len(self._records) if limit is None else lo + limit
             return self._records[lo:hi]
+
+    def durable_segment(self, from_lsn: int
+                        ) -> tuple[list[WalRecord], int]:
+        """The next shippable segment: ``(records, durable_lsn)``.
+
+        At most :data:`SEGMENT_RECORDS` records from ``from_lsn`` on,
+        none beyond the durable LSN — a power loss on this leader can
+        then never leave a follower *ahead* of what leader recovery
+        would rebuild.  If checkpoint compaction truncated the in-memory
+        log below the cursor, the segment starts at the newest durable
+        CHECKPOINT instead, whose payload carries the full state (the
+        applier's documented mid-stream entry point).
+        """
+        durable = self.durable_lsn
+        with self._lock:
+            start = from_lsn
+            if self._records and self._records[0].lsn > from_lsn:
+                start = next((r.lsn for r in reversed(self._records)
+                              if r.type == CHECKPOINT and r.lsn <= durable),
+                             from_lsn)
+            records = [r for r in self.records_from(start, SEGMENT_RECORDS)
+                       if r.lsn <= durable]
+        return records, durable
 
     def last_lsn(self) -> int:
         """The LSN of the most recently appended record."""
@@ -526,42 +646,14 @@ class WriteAheadLog:
                   ) -> list[WalRecord]:
         """Read a mirrored log file back into records (for recovery).
 
-        A torn *trailing* record — a crash mid-write leaves a partial
-        JSON line, or one missing required fields — is skipped with a
-        warning: that is the expected signature of process death and
-        recovery must proceed past it.  ``on_torn`` (if given) is called
-        when that happens, so recovery can count the event
-        (``wal.torn_tail_recoveries``).  A malformed record *followed by
-        valid ones* is a different story (real corruption, not a torn
-        tail) and raises :class:`~repro.errors.WalError` rather than
-        silently discarding committed history.
+        A thin wrapper over :func:`read_log`: a torn *trailing* record is
+        skipped with a warning and reported through ``on_torn`` (if
+        given); a malformed record *followed by further ones* raises
+        :class:`~repro.errors.WalError`.  The file is never modified.
         """
-        records: list[WalRecord] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        lines = [line for line in lines if line]
-        for i, line in enumerate(lines):
-            try:
-                raw = json.loads(line)
-                record = WalRecord(raw["lsn"], raw["type"], raw["txn"],
-                                   raw.get("payload", {}))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                if i == len(lines) - 1:
-                    warnings.warn(
-                        f"skipping torn trailing WAL record in {path!r} "
-                        f"(crash mid-write): {exc!r}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    if on_torn is not None:
-                        on_torn()
-                    break
-                raise WalError(
-                    f"corrupt WAL record at line {i + 1} of {path!r} "
-                    f"(not a torn tail — {len(lines) - i - 1} valid-looking "
-                    f"records follow): {exc!r}"
-                ) from exc
-            records.append(record)
+        records, torn = read_log(path)
+        if torn and on_torn is not None:
+            on_torn()
         return records
 
 

@@ -44,7 +44,8 @@ CRASH_POINTS = (
 #: The crash points a *follower* exercises while applying a shipped
 #: stream: death halfway through a shipped transaction's row images
 #: (``repl.mid_apply``), and a torn write to its own WAL mirror
-#: (``wal.mid_record`` fires from ``append_shipped`` too).  Kept out of
+#: (shipped appends go through the WAL's one write path, so
+#: ``wal.mid_record`` fires for them too).  Kept out of
 #: ``CRASH_POINTS`` so leader-side seeded plans keep their historical
 #: seed -> schedule mapping (``repl.mid_apply`` is unreachable on a
 #: leader and would only dilute the leader crash-coverage floor).

@@ -36,6 +36,7 @@ from ..errors import CrashSignal, FeedGapError
 from ..db import wal as walmod
 from ..db.schema import column
 from ..db.predicate import col
+from ..db.replay import WalReplay
 from ..db.wal import WalRecord, decode_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -433,16 +434,13 @@ class Changefeed:
         ``fn`` in order, with ``seq == 0`` (replayed batches are off
         the live seq axis).  Returns the number of batches delivered.
 
-        Also advances the engine's LSN allocator past the replayed
-        history, so post-restart commits keep the LSN axis — and
-        therefore future cursor checkpoints — monotonic.
+        Recovery already left the engine's LSN allocator past the
+        replayed history, so post-restart commits keep the LSN axis —
+        and therefore future cursor checkpoints — monotonic.
         """
         cursor = self.cursor(name)
         after_lsn = cursor["lsn"] if cursor is not None else 0
         table_set = frozenset(tables) if tables is not None else None
-        records = list(records)
-        if records:
-            self._db.wal.advance_lsn(max(r.lsn for r in records))
         delivered = 0
         for batch in batches_from_records(records, after_lsn=after_lsn):
             filtered = batch.for_tables(table_set)
@@ -461,25 +459,22 @@ def batches_from_records(records: Iterable[WalRecord], *,
                          after_lsn: int = 0) -> list[CommitBatch]:
     """Reconstruct commit batches from raw WAL records.
 
-    Walks the log exactly like recovery does — buffering DML per
-    transaction, emitting at COMMIT, dropping at ABORT — while keeping
-    a running map of last-committed row images so update and delete
-    events regain their before-images.  DELETE records additionally
-    carry the before-image in their payload (written by the engine for
-    precisely this replay), which covers rows whose insert predates the
-    walked history.  Only batches with ``COMMIT lsn > after_lsn`` are
-    returned; all carry ``seq == 0`` and ``committed_at == 0.0``
-    (neither survives in the log).
+    Feeds the log through the same replay core recovery uses — DML
+    buffered per transaction, released at COMMIT, dropped at ABORT —
+    while keeping a running map of last-committed row images so update
+    and delete events regain their before-images.  DELETE records
+    additionally carry the before-image in their payload (written by the
+    engine for precisely this replay), which covers rows whose insert
+    predates the walked history.  Only batches with ``COMMIT lsn >
+    after_lsn`` are returned; all carry ``seq == 0`` and ``committed_at
+    == 0.0`` (neither survives in the log).
     """
     images: dict[tuple[str, int], dict] = {}
-    buffers: dict[int, list[WalRecord]] = {}
+    core = WalReplay()
     out: list[CommitBatch] = []
     for rec in records:
-        if rec.type in (walmod.INSERT, walmod.UPDATE, walmod.DELETE):
-            buffers.setdefault(rec.txn_id, []).append(rec)
-        elif rec.type == walmod.ABORT:
-            buffers.pop(rec.txn_id, None)
-        elif rec.type == walmod.DROP_TABLE:
+        ops = core.feed(rec)
+        if rec.type == walmod.DROP_TABLE:
             gone = rec.payload["table"]
             for key in [k for k in images if k[0] == gone]:
                 del images[key]
@@ -491,10 +486,7 @@ def batches_from_records(records: Iterable[WalRecord], *,
                 for name, spec in rec.payload["tables"].items()
                 for rowid, row in spec["rows"].items()
             }
-        elif rec.type == walmod.COMMIT:
-            ops = buffers.pop(rec.txn_id, None)
-            if not ops:
-                continue
+        elif ops:
             events = []
             for op in ops:
                 table = op.payload["table"]
@@ -514,7 +506,7 @@ def batches_from_records(records: Iterable[WalRecord], *,
                         else "insert"
                     events.append(FeedEvent(table, kind, rowid, row, before))
                     images[key] = row
-            if events and rec.lsn > after_lsn:
+            if rec.lsn > after_lsn:
                 out.append(CommitBatch(0, rec.lsn, rec.txn_id, 0.0,
                                        tuple(events)))
     return out

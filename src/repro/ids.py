@@ -67,6 +67,13 @@ class IdGenerator:
         with self._lock:
             return next(self._counter)
 
+    def advance(self, seen: int) -> None:
+        """Keep allocation ahead of ``seen`` (an id found in a replayed
+        log: ids are never reused, across restarts included)."""
+        with self._lock:
+            self._counter = itertools.count(
+                max(next(self._counter), seen + 1))
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"IdGenerator(node={self._node!r})"
 
@@ -96,3 +103,10 @@ class IdNamespace:
     def next(self, kind: str) -> Oid:
         """Shorthand for ``generator(kind).next()``."""
         return self.generator(kind).next()
+
+    def advance_past(self, node: str, seq: int) -> None:
+        """Never issue ``Oid(node, seq)`` or an earlier one of its kind
+        again; ids minted by other namespaces are ignored."""
+        prefix = self.node + "."
+        if node.startswith(prefix):
+            self.generator(node[len(prefix):]).advance(seq)

@@ -60,7 +60,7 @@ from .protocol import (
     encode_frame,
     error_class,
 )
-from .replica import ReplicaStatusServer, ReplicationClient, wire_to_record
+from .replica import ReplicaStatusServer, ReplicationClient
 from .server import CollabNetServer, ServerThread
 
 __all__ = [
@@ -99,5 +99,4 @@ __all__ = [
     "encode_frame",
     "error_class",
     "scrape",
-    "wire_to_record",
 ]

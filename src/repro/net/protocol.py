@@ -70,7 +70,7 @@ import struct
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Iterator
 
-from ..db.wal import decode_value, encode_value
+from ..db.wal import WalRecord, decode_value, encode_value, parse_records
 from ..errors import ProtocolError
 
 __all__ = [
@@ -459,12 +459,14 @@ class Subscribe(Envelope):
 class WalSegment(Envelope):
     """One shipped chunk of the leader's durable WAL prefix.
 
-    ``records`` are wire-shaped record dicts (``{"lsn", "type", "txn",
-    "payload"}`` — the WAL file's own line format); ``end_lsn`` is the
-    leader's durable LSN at send time, so the follower's lag is
-    ``end_lsn - applied_lsn`` even when the segment is empty (a
-    heartbeat).  ``at`` is the leader's send stamp, the zero point of
-    ``repl.apply_lag_seconds``.
+    ``records`` are the WAL lines themselves, exactly as the leader's
+    mirror file holds them (:func:`~repro.db.wal.render_record`), so
+    envelope value tagging never touches record payloads and the
+    follower reads a segment with the file parser (:meth:`parse`).
+    ``end_lsn`` is the leader's durable LSN at send time, so the
+    follower's lag is ``end_lsn - applied_lsn`` even when the segment is
+    empty (a heartbeat).  ``at`` is the leader's send stamp, the zero
+    point of ``repl.apply_lag_seconds``.
     """
 
     TYPE: ClassVar[str] = "wal_segment"
@@ -476,16 +478,23 @@ class WalSegment(Envelope):
     def _validate(self) -> None:
         _require(isinstance(self.end_lsn, int),
                  "wal_segment.end_lsn must be an int")
-        _require(all(isinstance(r, dict) for r in self.records),
-                 "wal_segment.records must be objects")
+        _require(all(isinstance(r, str) for r in self.records),
+                 "wal_segment.records must be WAL lines (strings)")
 
     @classmethod
     def from_wire(cls, obj: dict) -> "WalSegment":
         env = super().from_wire(obj)
         if isinstance(env.records, list):
             object.__setattr__(env, "records", tuple(env.records))
-            env._validate()
         return env  # type: ignore[return-value]
+
+    def parse(self) -> list[WalRecord]:
+        """The shipped records.  A frame arrives whole or not at all, so
+        what would be a torn tail in a file is a protocol error here."""
+        data = "".join(line + "\n" for line in self.records).encode()
+        records, valid = parse_records(data, "WAL_SEGMENT")
+        _require(valid == len(data), "wal_segment ends in a malformed record")
+        return records
 
 
 @dataclass(frozen=True)

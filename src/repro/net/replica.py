@@ -25,7 +25,6 @@ import socket
 from time import sleep, time
 from typing import TYPE_CHECKING
 
-from ..db.wal import WalRecord, encode_value
 from ..errors import NetError, ProtocolError
 from ..obs.export import prometheus_text
 from ..obs.health import evaluate_health
@@ -51,18 +50,7 @@ from .protocol import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..repl.follower import FollowerEngine
 
-__all__ = ["ReplicaStatusServer", "ReplicationClient", "wire_to_record"]
-
-
-def wire_to_record(raw: dict) -> WalRecord:
-    """One WAL_SEGMENT wire record dict back to a :class:`WalRecord`.
-
-    ``decode_envelope`` already untagged OIDs/bytes *inside* the shipped
-    payloads; the applier and the local WAL mirror expect the tagged
-    (JSON-safe) form, so the payload is re-encoded on the way in.
-    """
-    return WalRecord(raw["lsn"], raw["type"], raw["txn"],
-                     encode_value(raw.get("payload") or {}))
+__all__ = ["ReplicaStatusServer", "ReplicationClient"]
 
 
 class ReplicationClient:
@@ -110,12 +98,7 @@ class ReplicationClient:
                     from_lsn=self._follower.applied_lsn + 1,
                     node=self._follower.db.node, token=self._token)))
                 while True:
-                    segment = self._next_segment(sock, decoder)
-                    records = [wire_to_record(raw)
-                               for raw in segment.records]
-                    self._follower.apply_records(
-                        records, leader_lsn=segment.end_lsn,
-                        shipped_at=segment.at or None)
+                    records = self._apply_next(sock, decoder)
                     if stop is not None and stop.is_set():
                         with contextlib.suppress(OSError):
                             sock.sendall(encode_frame(
@@ -150,17 +133,15 @@ class ReplicationClient:
             sock.sendall(encode_frame(Subscribe(
                 from_lsn=self._follower.applied_lsn + 1,
                 node=self._follower.db.node, token=self._token)))
-            segment = self._next_segment(sock, decoder)
-            records = [wire_to_record(raw) for raw in segment.records]
-            self._follower.apply_records(
-                records, leader_lsn=segment.end_lsn,
-                shipped_at=segment.at or None)
+            records = self._apply_next(sock, decoder)
             with contextlib.suppress(OSError):
                 sock.sendall(encode_frame(Bye(reason="single step")))
-            return len(records)
+            return records
 
-    def _next_segment(self, sock: socket.socket,
-                      decoder: FrameDecoder) -> WalSegment:
+    def _apply_next(self, sock: socket.socket,
+                    decoder: FrameDecoder) -> int:
+        """Receive one WAL_SEGMENT and apply it; returns the number of
+        records it carried (0 = heartbeat)."""
         while True:
             data = sock.recv(65536)
             if not data:
@@ -168,7 +149,10 @@ class ReplicationClient:
                     "leader closed the replication stream")
             for envelope in decoder.feed(data):
                 if isinstance(envelope, WalSegment):
-                    return envelope
+                    self._follower.apply_records(
+                        envelope.parse(), leader_lsn=envelope.end_lsn,
+                        shipped_at=envelope.at or None)
+                    return len(envelope.records)
                 if isinstance(envelope, Error):
                     raise error_class(envelope.code)(envelope.message)
                 raise ProtocolError(

@@ -46,7 +46,7 @@ from dataclasses import replace
 from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
-from ..db.wal import CHECKPOINT
+from ..db.wal import render_record
 from ..errors import NetError, ProtocolError, TendaxError
 from ..faults.injector import NO_FAULTS
 from ..obs.export import prometheus_text
@@ -94,11 +94,6 @@ _CLOSE = object()
 
 #: How long a reorder window may sit before it is force-flushed.
 _REORDER_FLUSH_SECONDS = 0.02
-
-#: Upper bound on the records shipped in one WAL_SEGMENT frame (keeps a
-#: segment far below MAX_FRAME_BYTES and bounds the follower's apply
-#: batch; a lagging follower simply acks its way through more segments).
-_SEGMENT_RECORDS = 256
 
 
 class _Connection:
@@ -337,32 +332,13 @@ class CollabNetServer:
     # ------------------------------------------------------------------
 
     def _collect_segment(self, from_lsn: int) -> WalSegment:
-        """One WAL_SEGMENT of the durable prefix starting at ``from_lsn``.
-
-        Only durably acked records ship — a power loss on this leader
-        can then never leave a follower *ahead* of what leader recovery
-        would rebuild.  If checkpoint compaction truncated the in-memory
-        log below the cursor, shipping resumes from the newest
-        checkpoint record, whose payload carries the full state (the
-        applier's documented mid-stream entry point).
-        """
-        wal = self.collab.db.wal
-        durable = wal.durable_lsn
-        records = [r for r in wal.records_from(from_lsn, _SEGMENT_RECORDS)
-                   if r.lsn <= durable]
-        if records and records[0].lsn > from_lsn:
-            checkpoints = [r for r in wal.records_from(0)
-                           if r.type == CHECKPOINT and r.lsn <= durable]
-            if checkpoints:
-                records = [r for r in
-                           wal.records_from(checkpoints[-1].lsn,
-                                            _SEGMENT_RECORDS)
-                           if r.lsn <= durable]
+        """One WAL_SEGMENT of the durable prefix starting at ``from_lsn``
+        (see :meth:`~repro.db.wal.WriteAheadLog.durable_segment`)."""
+        records, durable = self.collab.db.wal.durable_segment(from_lsn)
         if records:
             self._m_segments.inc()
-        wire = tuple({"lsn": r.lsn, "type": r.type, "txn": r.txn_id,
-                      "payload": r.payload} for r in records)
-        return WalSegment(records=wire, end_lsn=durable, at=time())
+        return WalSegment(records=tuple(map(render_record, records)),
+                          end_lsn=durable, at=time())
 
     async def _serve_subscription(self, conn: _Connection,
                                   sub: Subscribe) -> None:

@@ -15,7 +15,7 @@ the leader dies (see ``docs/REPLICATION.md``).
 """
 
 from .apply import ReplicationApplier
-from .follower import FollowerEngine, load_local_wal
+from .follower import FollowerEngine
 from .tailer import WalFileTailer, WalTailer
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "ReplicationApplier",
     "WalFileTailer",
     "WalTailer",
-    "load_local_wal",
 ]

@@ -3,10 +3,10 @@
 A :class:`ReplicationApplier` consumes a leader's records in LSN order
 and re-enacts the leader's commit protocol against the follower's
 :class:`~repro.db.engine.Database` — without transactions, locks or
-restaging.  DML records are buffered per transaction id; the COMMIT
-record applies the whole buffer atomically under the engine's
-commit-intent window, so MVCC snapshot readers on the replica can never
-observe a torn transaction.  Every shipped record is also appended
+restaging.  The shared replay core (:class:`~repro.db.replay.WalReplay`)
+buffers DML records per transaction id; the COMMIT record applies the
+whole buffer atomically under the engine's commit-intent window, so MVCC
+snapshot readers on the replica can never observe a torn transaction.  Every shipped record is also appended
 verbatim (same LSN) to the follower's own WAL mirror via
 :meth:`~repro.db.wal.WriteAheadLog.append_shipped`, which makes the
 follower's log a byte-equivalent prefix of the leader's: restart
@@ -14,93 +14,40 @@ resumption, promotion and recovery-equivalence all fall out of the
 ordinary recovery tooling.
 
 Idempotence is a single rule: a record with ``lsn <= applied_lsn`` is
-a duplicate and is dropped before any side effect.  ``applied_lsn``
-advances only after a record is fully processed, so redelivering any
-suffix of the stream is always safe.
+a duplicate and is dropped before any side effect, so redelivering any
+suffix of the stream is always safe.  Only process death (a crash point)
+can interrupt a record between entering the core and finishing its
+install; a restart then re-derives the cursor from the mirror file, where
+the record is either wholly present or a torn tail.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from ..db import recovery as recmod
 from ..db import wal as walmod
+from ..db.replay import DDL, WalReplay, apply_ddl, restore_checkpoint
 from ..db.transaction import Change
-from ..db.wal import WalRecord, committed_txn_ids, decode_value
+from ..db.wal import WalRecord, decode_value
 from ..errors import ReplicationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
 
-#: Record types carrying row changes that buffer until COMMIT.
-_DML = (walmod.INSERT, walmod.UPDATE, walmod.DELETE)
-#: DDL records carry txn id 0 and apply immediately (the leader logs
-#: them after the fact, so they describe objects that really existed).
-_DDL = (walmod.CREATE_TABLE, walmod.DROP_TABLE, walmod.CREATE_INDEX)
-
 
 class ReplicationApplier:
-    """Applies a leader's WAL records to a follower database."""
+    """Applies a leader's WAL records to a follower database.
 
-    def __init__(self, db: "Database") -> None:
+    ``replayed`` is the replay core the follower's restart left behind
+    (:func:`~repro.db.recovery.restart`): its cursor, transaction-id
+    high-water mark and still-open transaction buffers carry straight
+    over, so the stream resumes at ``applied_lsn + 1`` as if the restart
+    never happened.
+    """
+
+    def __init__(self, db: "Database", replayed: WalReplay) -> None:
         self._db = db
-        self._applied_lsn = db.wal.last_lsn()
-        #: txn id -> buffered DML records awaiting that txn's COMMIT.
-        self._buffers: dict[int, list[WalRecord]] = {}
-        #: Highest transaction id seen in the stream (promotion floor).
-        self._max_txn = 0
-
-    @property
-    def db(self) -> "Database":
-        return self._db
-
-    @property
-    def applied_lsn(self) -> int:
-        """LSN of the last fully processed record (the resume point)."""
-        return self._applied_lsn
-
-    @property
-    def max_txn_id(self) -> int:
-        return self._max_txn
-
-    @property
-    def pending_txns(self) -> int:
-        """Shipped transactions buffered without a COMMIT/ABORT yet."""
-        return len(self._buffers)
-
-    def drop_pending(self) -> int:
-        """Discard buffered uncommitted transactions (promotion)."""
-        dropped = len(self._buffers)
-        self._buffers.clear()
-        return dropped
-
-    # ------------------------------------------------------------------
-    # Resume
-    # ------------------------------------------------------------------
-
-    def resume(self, records: Iterable[WalRecord]) -> None:
-        """Rebuild applier bookkeeping from the follower's own log.
-
-        Called after the follower's database state was recovered from
-        ``records`` (its local mirror): re-derives ``applied_lsn``, the
-        per-transaction buffers of the uncommitted suffix, and the
-        highest seen transaction id — the stream then resumes at
-        ``applied_lsn + 1`` as if the restart never happened.
-        """
-        records = list(records)
-        committed = committed_txn_ids(records)
-        for record in records:
-            self._max_txn = max(self._max_txn, record.txn_id)
-            self._applied_lsn = max(self._applied_lsn, record.lsn)
-            if record.type in _DML and record.txn_id not in committed:
-                self._buffers.setdefault(record.txn_id, []).append(record)
-            elif record.type in (walmod.COMMIT, walmod.ABORT):
-                self._buffers.pop(record.txn_id, None)
-        self._db.wal.advance_lsn(self._applied_lsn)
-
-    # ------------------------------------------------------------------
-    # Apply
-    # ------------------------------------------------------------------
+        self._core = replayed
 
     def apply(self, record: WalRecord) -> bool:
         """Process one shipped record; returns False for duplicates.
@@ -113,64 +60,32 @@ class ReplicationApplier:
         truncated its shipped history catches followers up from its
         last checkpoint).
         """
-        if record.lsn <= self._applied_lsn:
+        core = self._core
+        if record.lsn <= core.applied_lsn:
             return False
-        if record.lsn != self._applied_lsn + 1 \
-                and record.type != walmod.CHECKPOINT:
+        contiguous = record.lsn == core.applied_lsn + 1
+        if not contiguous and record.type != walmod.CHECKPOINT:
             raise ReplicationError(
                 f"gap in replication stream: expected LSN "
-                f"{self._applied_lsn + 1}, got {record.lsn} "
+                f"{core.applied_lsn + 1}, got {record.lsn} "
                 f"({record.type})")
-        self._max_txn = max(self._max_txn, record.txn_id)
         db = self._db
         if record.type == walmod.COMMIT:
             self._apply_commit(record)
-        elif record.type in _DML:
-            db.wal.append_shipped(record)
-            self._buffers.setdefault(record.txn_id, []).append(record)
-        elif record.type == walmod.ABORT:
-            db.wal.append_shipped(record)
-            self._buffers.pop(record.txn_id, None)
-        elif record.type == walmod.BEGIN:
-            db.wal.append_shipped(record)
-        elif record.type == walmod.CHECKPOINT:
-            fill_gap = record.lsn != self._applied_lsn + 1
-            db.wal.append_shipped(record)
-            if fill_gap:
-                # Starting mid-stream: the checkpoint *is* the state.
-                self._buffers.clear()
-                recmod._restore_checkpoint(db, record)
-            # Contiguously shipped checkpoints are a state no-op — the
-            # follower already holds exactly the snapshotted state, and
-            # restoring it would collapse version chains under live
-            # replica snapshots.
-        elif record.type in _DDL:
-            db.wal.append_shipped(record)
-            self._apply_ddl(record)
-        else:  # pragma: no cover - _TYPES is closed upstream
-            raise ReplicationError(
-                f"unknown shipped record type {record.type!r}")
-        self._applied_lsn = record.lsn
+            return True
+        db.wal.append_shipped(record)
+        core.feed(record)
+        if record.type in DDL:
+            apply_ddl(db, record)
+        elif record.type == walmod.CHECKPOINT and not contiguous:
+            # Starting mid-stream: the checkpoint *is* the state.  (A
+            # contiguously shipped one is a state no-op — the follower
+            # already holds exactly the snapshotted state, and restoring
+            # it would collapse version chains under live replica
+            # snapshots.)
+            core.open.clear()
+            restore_checkpoint(db, record)
         return True
-
-    def _apply_ddl(self, record: WalRecord) -> None:
-        db = self._db
-        payload = record.payload
-        if record.type == walmod.CREATE_TABLE:
-            if not db.has_table(payload["table"]):
-                columns = recmod._columns_from_payload(
-                    decode_value(payload["columns"]))
-                db.create_table(payload["table"], columns,
-                                key=payload.get("key"), log=False)
-        elif record.type == walmod.DROP_TABLE:
-            if db.has_table(payload["table"]):
-                db.drop_table(payload["table"], log=False)
-        elif record.type == walmod.CREATE_INDEX:
-            table = db.table(payload["table"])
-            if payload["name"] not in table.indexes():
-                table.create_index(payload["name"], payload["column"],
-                                   kind=payload["kind"],
-                                   unique=payload["unique"])
 
     def _apply_commit(self, record: WalRecord) -> None:
         """Apply one shipped transaction atomically.
@@ -186,7 +101,7 @@ class ReplicationApplier:
         """
         db = self._db
         txn_id = record.txn_id
-        ops = self._buffers.pop(txn_id, [])
+        ops = self._core.feed(record)
         db.register_commit_intent(txn_id)
         try:
             db.wal.append_shipped(record)

@@ -11,66 +11,27 @@ transactions, fsyncs the local log, bumps id allocators past everything
 shipped) and hands back a writable leader database.
 
 Restart resumption: constructed over an existing ``wal_path``, the
-engine truncates any torn trailing record (the signature of a crash
-mid-shipped-append), recovers committed state with the ordinary
-recovery machinery, rebuilds the applier's uncommitted-transaction
-buffers, and resumes the stream from ``applied_lsn + 1``.
+engine reopens it through the one restart path
+(:func:`~repro.db.recovery.restart` — the same call a restarting leader
+makes): the torn trailing record of a crash mid-shipped-append is cut
+off, committed state is recovered, and the replay core that did it hands
+the applier its cursor and uncommitted-transaction buffers, so the stream
+resumes from ``applied_lsn + 1``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING, Iterable
 
 from ..clock import Clock
-from ..db import recovery as recmod
+from ..db.recovery import restart
 from ..db.wal import WalRecord
-from ..errors import ReplicationError, WalError
+from ..errors import ReplicationError
 from ..obs import Observability
 from .apply import ReplicationApplier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
-
-
-def load_local_wal(path: str) -> tuple[list[WalRecord], int]:
-    """Parse a follower's local mirror; returns ``(records, valid_bytes)``.
-
-    Unlike :meth:`~repro.db.wal.WriteAheadLog.load_file` this also
-    reports the byte length of the valid prefix, so a torn trailing
-    record can be *truncated away* before the file is reopened for
-    append — otherwise the next shipped line would fuse with the torn
-    prefix into one corrupt record.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    records: list[WalRecord] = []
-    valid = 0
-    pos = 0
-    size = len(data)
-    while pos < size:
-        newline = data.find(b"\n", pos)
-        end = size if newline == -1 else newline
-        next_pos = size if newline == -1 else newline + 1
-        line = data[pos:end].strip()
-        if line:
-            try:
-                raw = json.loads(line)
-                record = WalRecord(raw["lsn"], raw["type"], raw["txn"],
-                                   raw.get("payload", {}))
-            except (ValueError, KeyError, TypeError) as exc:
-                if next_pos >= size:
-                    break  # torn tail: crash mid-append
-                raise WalError(
-                    f"corrupt WAL record in {path!r} at byte {pos} "
-                    f"(not a torn tail): {exc!r}") from exc
-            records.append(record)
-            valid = next_pos
-        else:
-            valid = next_pos
-        pos = next_pos
-    return records, valid
 
 
 class FollowerEngine:
@@ -91,34 +52,17 @@ class FollowerEngine:
     def __init__(self, wal_path: str | None = None, *,
                  node: str = "replica", clock: Clock | None = None,
                  faults=None, obs: Observability | None = None) -> None:
-        records: list[WalRecord] = []
-        torn = 0
-        if wal_path and os.path.exists(wal_path) \
-                and os.path.getsize(wal_path):
-            records, valid = load_local_wal(wal_path)
-            if valid < os.path.getsize(wal_path):
-                with open(wal_path, "r+b") as raw:
-                    raw.truncate(valid)
-                torn = 1
-        if records:
-            self._db: "Database" = recmod.recover(
-                records, node=node, clock=clock, wal_path=wal_path,
-                faults=faults, obs=obs)
-        else:
-            from ..db.engine import Database
-            self._db = Database(node, clock=clock, wal_path=wal_path,
-                                faults=faults, obs=obs)
-        self._applier = ReplicationApplier(self._db)
-        if records:
-            self._applier.resume(records)
+        #: ``_replay`` is the replay core the restart ran and the applier
+        #: keeps feeding: cursor, txn-id high-water mark, open buffers.
+        self._db, self._replay = restart(wal_path, node=node, clock=clock,
+                                         faults=faults, obs=obs)
+        self._applier = ReplicationApplier(self._db, self._replay)
         registry = self._db.obs.registry
         self._m_lag_lsn = registry.gauge("repl.apply_lag_lsn")
         self._m_lag_seconds = registry.histogram("repl.apply_lag_seconds")
         self._m_records = registry.counter("repl.records_applied")
         self._m_promotions = registry.counter("repl.promotions")
-        if torn:
-            registry.counter("wal.torn_tail_recoveries").inc(torn)
-        self._leader_lsn = self._applier.applied_lsn
+        self._leader_lsn = self._replay.applied_lsn
         self._promoted = False
         self._m_lag_lsn.set(0)
 
@@ -134,7 +78,7 @@ class FollowerEngine:
 
     @property
     def applied_lsn(self) -> int:
-        return self._applier.applied_lsn
+        return self._replay.applied_lsn
 
     @property
     def leader_lsn(self) -> int:
@@ -143,7 +87,7 @@ class FollowerEngine:
 
     @property
     def lag_lsn(self) -> int:
-        return max(0, self._leader_lsn - self._applier.applied_lsn)
+        return max(0, self._leader_lsn - self._replay.applied_lsn)
 
     @property
     def promoted(self) -> bool:
@@ -156,7 +100,7 @@ class FollowerEngine:
             "applied_lsn": self.applied_lsn,
             "leader_lsn": self._leader_lsn,
             "lag_lsn": self.lag_lsn,
-            "pending_txns": self._applier.pending_txns,
+            "pending_txns": len(self._replay.open),
             "records_applied": self._m_records.value,
             "promoted": self._promoted,
         }
@@ -197,7 +141,7 @@ class FollowerEngine:
                     max(0.0, self._db.now() - shipped_at))
         if leader_lsn is not None:
             self._leader_lsn = max(self._leader_lsn, leader_lsn)
-        self._leader_lsn = max(self._leader_lsn, self._applier.applied_lsn)
+        self._leader_lsn = max(self._leader_lsn, self._replay.applied_lsn)
         self._m_lag_lsn.set(self.lag_lsn)
         return applied
 
@@ -211,16 +155,17 @@ class FollowerEngine:
         Buffered transactions that never shipped a COMMIT are dropped —
         their records stay in the local log where recovery ignores them,
         exactly as a recovered leader would discard them.  The applied
-        prefix is fsynced, and the transaction-id / LSN allocators jump
-        past everything shipped so new local writes extend the same log.
-        Idempotent; returns the (now writable) database.
+        prefix is fsynced, and the transaction-id allocator jumps past
+        everything shipped since the last restart (the restart covered
+        the rest; shipped appends already carry the LSN allocator along)
+        so new local writes extend the same log.  Idempotent; returns
+        the (now writable) database.
         """
         if self._promoted:
             return self._db
-        self._applier.drop_pending()
+        self._replay.open.clear()
         self._db.wal.sync_shipped()
-        self._db.advance_txn_ids(self._applier.max_txn_id)
-        self._db.wal.advance_lsn(self._applier.applied_lsn)
+        self._db.advance_txn_ids(self._replay.max_txn_id)
         self._promoted = True
         self._m_promotions.inc()
         self._m_lag_lsn.set(0)

@@ -11,20 +11,17 @@ Two in-process shipping paths (the wire path lives in
 * :class:`WalFileTailer` tails a leader's WAL mirror *file*
   incrementally — including the file of a leader that already crashed,
   which is how a follower catches up to exactly the prefix a recovered
-  leader would see (the torture harness's equivalence anchor).  A torn
-  trailing record has no newline yet, so it simply never parses out of
-  the carry buffer — the same skip :func:`~repro.db.recovery.recover_file`
-  applies.
+  leader would see (the torture harness's equivalence anchor).  Unread
+  bytes go through the file parser (:func:`~repro.db.wal.parse_records`),
+  so a torn trailing record stays unconsumed under the very rule
+  :func:`~repro.db.recovery.recover_file` skips it by.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING
 
-from ..db.wal import WalRecord, WriteAheadLog
-from ..errors import WalError
+from ..db.wal import WriteAheadLog, parse_records
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .follower import FollowerEngine
@@ -33,11 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class WalTailer:
     """Ships a live leader WAL's durable prefix to a follower."""
 
-    def __init__(self, source: WriteAheadLog, follower: "FollowerEngine",
-                 *, batch: int = 256) -> None:
+    def __init__(self, source: WriteAheadLog,
+                 follower: "FollowerEngine") -> None:
         self._source = source
         self._follower = follower
-        self._batch = max(1, batch)
 
     def poll(self) -> int:
         """Ship everything durable beyond the follower's cursor.
@@ -46,13 +42,10 @@ class WalTailer:
         follower's leader-LSN knowledge (the lag gauge) even when
         nothing new shipped.
         """
-        durable = self._source.durable_lsn
         total = 0
         while True:
-            start = self._follower.applied_lsn + 1
-            segment = [r for r in
-                       self._source.records_from(start, self._batch)
-                       if r.lsn <= durable]
+            segment, durable = self._source.durable_segment(
+                self._follower.applied_lsn + 1)
             if not segment:
                 break
             total += self._follower.apply_records(
@@ -68,10 +61,10 @@ class WalTailer:
 class WalFileTailer:
     """Ships a leader's WAL mirror file to a follower, incrementally.
 
-    Reads are offset-based: each :meth:`poll` consumes only complete
-    (newline-terminated) lines appended since the last one; a partial
-    trailing line stays unconsumed until its newline arrives — or
-    forever, if it is the torn debris of the leader's crash.
+    Reads are offset-based: each :meth:`poll` parses the bytes appended
+    since the last one and advances past the valid prefix only; a torn
+    trailing line stays unconsumed until it is completed — or forever,
+    if it is the debris of the leader's crash.
     """
 
     def __init__(self, path: str, follower: "FollowerEngine") -> None:
@@ -82,34 +75,13 @@ class WalFileTailer:
     def poll(self) -> int:
         """Parse and apply newly appended records; returns the count."""
         try:
-            size = os.path.getsize(self._path)
+            with open(self._path, "rb") as handle:
+                handle.seek(self._offset)
+                unread = handle.read()
         except OSError:
             return 0
-        if size <= self._offset:
-            return 0
-        with open(self._path, "rb") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
-        lines = chunk.split(b"\n")
-        tail = lines.pop()  # b"" when the chunk ended on a newline
-        self._offset += len(chunk) - len(tail)
-        records: list[WalRecord] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                records.append(WalRecord(raw["lsn"], raw["type"],
-                                         raw["txn"],
-                                         raw.get("payload", {})))
-            except (ValueError, KeyError, TypeError) as exc:
-                # A *complete* malformed line is corruption — torn
-                # writes never get their newline, so they stay in the
-                # carry buffer instead of reaching this loop.
-                raise WalError(
-                    f"corrupt WAL record while tailing {self._path!r}: "
-                    f"{exc!r}") from exc
+        records, valid = parse_records(unread, self._path)
+        self._offset += valid
         if not records:
             return 0
         return self._follower.apply_records(

@@ -217,3 +217,130 @@ class TestRecoveryErrors:
             [r for r in records if r.type.startswith("CREATE")]
         )
         assert recovered.has_table("docs")
+
+
+def titles(db) -> dict:
+    return {r["title"]: r["size"] for r in db.query("docs").run()}
+
+
+class TestCheckpointInsideOpenTransaction:
+    """A transaction left open across ``db.checkpoint()`` keeps the DML
+    it logged before the snapshot: the snapshot holds committed rows
+    only, so those records are the sole carrier of the early writes."""
+
+    def crash_and_recover(self, db, path):
+        db.close()
+        return recover_file(path)
+
+    def test_early_insert_survives(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path)
+        txn = db.begin()
+        txn.insert("docs", {"title": "k1", "size": 1})
+        db.checkpoint()
+        txn.insert("docs", {"title": "k2", "size": 2})
+        txn.commit()
+        assert titles(self.crash_and_recover(db, path)) == {"k1": 1, "k2": 2}
+
+    def test_early_update_survives(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path)
+        rid = db.insert("docs", {"title": "k1", "size": 1})
+        txn = db.begin()
+        txn.update("docs", rid, {"size": 10})
+        db.checkpoint()
+        txn.insert("docs", {"title": "k2", "size": 2})
+        txn.commit()
+        assert titles(self.crash_and_recover(db, path)) == {"k1": 10, "k2": 2}
+
+    def test_early_delete_survives(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path)
+        rid = db.insert("docs", {"title": "k1", "size": 1})
+        txn = db.begin()
+        txn.delete("docs", rid)
+        db.checkpoint()
+        txn.insert("docs", {"title": "k2", "size": 2})
+        txn.commit()
+        assert titles(self.crash_and_recover(db, path)) == {"k2": 2}
+
+    def test_abort_after_the_checkpoint_leaves_nothing(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path)
+        txn = db.begin()
+        txn.insert("docs", {"title": "k1", "size": 1})
+        db.checkpoint()
+        txn.insert("docs", {"title": "k2", "size": 2})
+        txn.abort()
+        assert titles(self.crash_and_recover(db, path)) == {}
+
+
+@pytest.mark.filterwarnings("ignore:skipping torn trailing WAL record")
+class TestRestartOnTheSameLog:
+    """``recover_file(p, wal_path=p)`` resumes the log it recovered:
+    one strictly increasing history, never a second one from LSN 1."""
+
+    def crashed_log(self, tmp_path, faults=None):
+        """One committed transaction, one open one holding an
+        uncommitted DELETE of the committed row; then process death."""
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path, faults=faults)
+        rid = db.insert("docs", {"title": "keep", "size": 1})
+        doomed = db.begin()
+        doomed.delete("docs", rid)
+        return db, path, doomed
+
+    def test_lsns_txn_ids_and_committed_rows_survive(self, tmp_path):
+        db, path, doomed = self.crashed_log(tmp_path)
+        db.wal.power_off()
+        before = WriteAheadLog.load_file(path)
+
+        resumed = recover_file(path, wal_path=path)
+        assert resumed.wal.last_lsn() == before[-1].lsn
+        for title in ("new-1", "new-2"):
+            txn = resumed.begin()
+            assert txn.txn_id > max(r.txn_id for r in before)
+            txn.insert("docs", {"title": title, "size": 2})
+            txn.commit()
+        resumed.close()
+
+        lsns = [r.lsn for r in WriteAheadLog.load_file(path)]
+        assert lsns == sorted(set(lsns)), "one strictly increasing history"
+        # The pre-crash DELETE never committed — and no post-restart
+        # transaction may reuse its id and commit it retroactively.
+        assert titles(recover_file(path)) == \
+            {"keep": 1, "new-1": 2, "new-2": 2}
+
+    def test_torn_tail_is_cut_before_the_first_new_record(self, tmp_path):
+        from repro.errors import CrashSignal
+        from repro.faults import FaultInjector, FaultPlan
+
+        faults = FaultInjector(FaultPlan.crash_once("wal.mid_record"),
+                               armed=False)
+        db, path, doomed = self.crashed_log(tmp_path, faults)
+        faults.arm()
+        with pytest.raises(CrashSignal):
+            db.insert("docs", {"title": "torn", "size": 9})
+
+        resumed = recover_file(path, wal_path=path)
+        snapshot = resumed.obs.registry.snapshot()
+        assert snapshot["wal.torn_tail_recoveries"]["value"] == 1
+        resumed.insert("docs", {"title": "after", "size": 3})
+        resumed.close()
+
+        # Nothing torn is left behind and nothing fused with the debris.
+        torn = []
+        WriteAheadLog.load_file(path, on_torn=lambda: torn.append(1))
+        assert not torn
+        assert titles(recover_file(path)) == {"keep": 1, "after": 3}
+
+    def test_object_ids_are_not_reissued(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = Database("t", wal_path=path)
+        db.create_table("things", [column("oid", "oid")], key="oid")
+        issued = [db.new_oid("thing") for _ in range(3)]
+        for oid in issued:
+            db.insert("things", {"oid": oid})
+        db.wal.power_off()
+        resumed = recover_file(path, node="t", wal_path=path)
+        assert resumed.new_oid("thing") > max(issued)

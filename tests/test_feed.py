@@ -151,11 +151,15 @@ class TestCursorRestart:
         db.insert("kv", {"k": "c", "v": 3})
         db.insert("kv", {"k": "d", "v": 4})
 
+        history = WriteAheadLog.load_file(path)
         recovered = recover_file(path)
+        # Recovery itself leaves the LSN allocator past the replayed
+        # history; catch-up only reads.
+        assert recovered.wal.last_lsn() == history[-1].lsn
         replayed = []
         delivered = recovered.changefeed().catch_up(
-            "replayer", replayed.append, WriteAheadLog.load_file(path),
-            tables=("kv",))
+            "replayer", replayed.append, history, tables=("kv",))
+        assert recovered.wal.last_lsn() == history[-1].lsn
         assert delivered == 2
         assert [e.row["k"] for b in replayed for e in b.events] == ["c", "d"]
         assert all(b.seq == 0 for b in replayed)  # off the live seq axis

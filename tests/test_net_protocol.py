@@ -41,13 +41,17 @@ from repro.net import (
     Op,
     Ping,
     Pong,
+    ReplAck,
     ServerThread,
     Stats,
     StatsReply,
+    Subscribe,
+    WalSegment,
     Welcome,
     decode_envelope,
     encode_frame,
 )
+from repro.db.wal import WalRecord, encode_value, render_record
 from repro.net.protocol import ENVELOPE_TYPES, MAX_FRAME_BYTES
 
 # ---------------------------------------------------------------------------
@@ -92,7 +96,23 @@ echo_deltas = st.builds(
     st.lists(row_dicts, max_size=3).map(tuple),
 )
 
+#: WAL lines as a leader ships them: rendered records whose payloads
+#: already carry tagged OIDs/bytes (the WAL's own JSON-safe form).
+wal_lines = st.builds(
+    lambda lsn, type_, txn, payload: render_record(
+        WalRecord(lsn, type_, txn, encode_value(payload))),
+    st.integers(1, 10 ** 9),
+    st.sampled_from(("BEGIN", "INSERT", "UPDATE", "DELETE", "COMMIT")),
+    st.integers(0, 10 ** 6), row_dicts)
+
 envelopes = st.one_of(
+    st.builds(Subscribe, from_lsn=st.integers(1, 10 ** 9),
+              node=st.text(max_size=8),
+              token=st.none() | st.text(max_size=8)),
+    st.builds(WalSegment, records=st.lists(wal_lines, max_size=4).map(tuple),
+              end_lsn=st.integers(0, 10 ** 9), at=st.floats(0, 2e9)),
+    st.builds(ReplAck, applied_lsn=st.integers(0, 10 ** 9),
+              node=st.text(max_size=8), at=st.floats(0, 2e9)),
     st.builds(Hello, user=st.text(min_size=1, max_size=12),
               token=st.none() | st.text(max_size=8),
               editor=st.text(max_size=8), os_name=st.text(max_size=8),
@@ -168,6 +188,16 @@ class TestRoundTrip:
             out.extend(decoder.feed(stream[i:i + chunk]))
         assert out == batch
         assert decoder.pending_bytes == 0
+
+    @settings(max_examples=100)
+    @given(st.lists(wal_lines, max_size=6))
+    def test_wal_segment_lines_survive_the_frame_untouched(self, lines):
+        """Envelope value tagging must not reach inside shipped records:
+        the follower's mirror stays byte-equivalent to the leader's."""
+        segment = WalSegment(records=tuple(lines), end_lsn=1)
+        (received,) = FrameDecoder().feed(encode_frame(segment))
+        assert list(received.records) == lines
+        assert [render_record(r) for r in received.parse()] == lines
 
     def test_envelope_registry_is_total(self):
         """Every concrete envelope class decodes via the registry."""

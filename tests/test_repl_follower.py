@@ -75,7 +75,7 @@ class TestTailerConvergence:
     def test_replica_snapshot_reads_while_applying(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"), n_txns=10)
         follower = FollowerEngine(node="replica")
-        tailer = WalTailer(leader.wal, follower, batch=8)
+        tailer = WalTailer(leader.wal, follower)
         tailer.poll()
         # A pinned snapshot on the replica stays consistent while new
         # segments keep applying underneath it.
@@ -201,13 +201,51 @@ class TestRestartResume:
         follower.close()
         with open(mirror, "ab") as raw:
             raw.write(b'{"lsn": 9999, "type": "CO')  # crash mid-append
-        follower = FollowerEngine(mirror, node="replica")
+        with pytest.warns(RuntimeWarning, match="torn trailing WAL record"):
+            follower = FollowerEngine(mirror, node="replica")
         assert follower.applied_lsn == applied
         registry = follower.db.obs.registry.snapshot()
         assert registry["wal.torn_tail_recoveries"]["value"] == 1
+        with open(mirror, "rb") as raw:
+            assert raw.read().endswith(b"}\n")   # cut on a line boundary
         # The truncated mirror must accept the stream where it left off.
         follower.apply_records(records[applied:],
                                leader_lsn=records[-1].lsn)
+        assert rows(follower.db) == rows(leader)
+        leader.close(); follower.close()
+
+
+    def test_restart_keeps_open_transaction_buffers(self, tmp_path):
+        """A transaction whose DML shipped before the restart and whose
+        COMMIT ships after it applies whole: the restart's single replay
+        pass hands the applier its uncommitted-transaction buffers."""
+        leader = make_leader(str(tmp_path / "leader.wal"), n_txns=2)
+        txn = leader.begin()
+        txn.insert(TABLE, {"k": "spans-the-restart", "v": 7})
+        leader.insert(TABLE, {"k": "sibling", "v": 0})  # fsyncs the DML
+        mirror = str(tmp_path / "follower.wal")
+        follower = FollowerEngine(mirror, node="replica")
+        WalTailer(leader.wal, follower).poll()
+        assert follower.status()["pending_txns"] == 1
+        follower.close()
+        follower = FollowerEngine(mirror, node="replica")
+        assert follower.status()["pending_txns"] == 1
+        txn.commit()
+        WalTailer(leader.wal, follower).poll()
+        assert follower.status()["pending_txns"] == 0
+        assert rows(follower.db) == rows(leader)
+        leader.close(); follower.close()
+
+    def test_truncated_leader_log_ships_from_its_checkpoint(self, tmp_path):
+        """History compacted away below a new follower's cursor: the
+        segment starts at the newest checkpoint, which carries the full
+        state (the applier's mid-stream entry point)."""
+        leader = make_leader(str(tmp_path / "leader.wal"), n_txns=6)
+        leader.wal.truncate_before(leader.checkpoint())
+        leader.insert(TABLE, {"k": "after-checkpoint", "v": 1})
+        follower = FollowerEngine(node="replica")
+        WalTailer(leader.wal, follower).poll()
+        assert follower.applied_lsn == leader.wal.durable_lsn
         assert rows(follower.db) == rows(leader)
         leader.close(); follower.close()
 

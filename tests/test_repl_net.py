@@ -25,7 +25,10 @@ from repro.net import (
     ServerThread,
     scrape,
 )
-from repro.net.replica import wire_to_record
+from repro.db.wal import WalRecord, encode_value, render_record
+from repro.errors import ProtocolError
+from repro.ids import Oid
+from repro.net import FrameDecoder, WalSegment, encode_frame
 from repro.repl import FollowerEngine
 
 SETTLE_SECONDS = 10.0
@@ -146,15 +149,37 @@ class TestSubscription:
             authed.step()
             follower.close()
 
-    def test_wire_record_reencodes_tagged_payloads(self):
-        raw = {"lsn": 7, "type": "COMMIT", "txn": 3,
-               "payload": {"rows": [1, 2], "by": None}}
-        record = wire_to_record(raw)
-        assert (record.lsn, record.type, record.txn_id) == (7, "COMMIT", 3)
-        assert record.payload["rows"] == [1, 2]
-        empty = wire_to_record({"lsn": 1, "type": "BEGIN", "txn": 1,
-                                "payload": None})
-        assert empty.payload == {}
+    def test_segment_ships_tagged_payloads_verbatim(self):
+        """Records cross the wire as their WAL lines: the envelope's
+        value tagging never reaches inside them, so tagged payloads
+        (OIDs, bytes) arrive in the JSON-safe form the applier and the
+        local mirror expect — nothing to untag and re-tag."""
+        records = [
+            WalRecord(7, "INSERT", 3, encode_value(
+                {"table": "t", "rowid": 1,
+                 "values": {"doc": Oid("db.doc", 4), "blob": b"\x00\xff",
+                            "rows": [1, 2], "by": None}})),
+            WalRecord(8, "COMMIT", 3),
+        ]
+        segment = WalSegment(records=tuple(map(render_record, records)),
+                             end_lsn=8)
+        (received,) = FrameDecoder().feed(encode_frame(segment))
+        assert received == segment
+        assert received.parse() == records
+        assert received.parse()[0].payload["values"]["doc"] \
+            == {"__oid__": "db.doc:4"}
+        empty = WalSegment(records=(
+            '{"lsn":1,"type":"BEGIN","txn":1,"payload":null}',))
+        assert empty.parse()[0].payload == {}
+
+    def test_malformed_segment_record_is_a_protocol_error(self):
+        good = render_record(WalRecord(1, "BEGIN", 1))
+        with pytest.raises(ProtocolError):
+            WalSegment(records=(good, good[:9])).parse()
+        with pytest.raises(ProtocolError):
+            decoder = FrameDecoder()
+            list(decoder.feed(encode_frame(
+                WalSegment(records=({"lsn": 1},)))))
 
 
 class TestReplicaStatusServer:

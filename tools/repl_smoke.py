@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Replication smoke check: real leader, real follower, real failover.
 
-CI's guard on the WAL-shipping path.  One scenario, four assertions:
+CI's guard on the WAL-shipping path.  The failover scenario makes four
+assertions:
 
 1. **convergence** — a ``repro serve`` leader and a
    ``repro serve --follow`` read replica, both real OS processes over
@@ -23,6 +24,15 @@ Typing stops and the replica converges *before* the kill, so the
 expected post-failover text is deterministic — this checks failover
 fidelity, not which in-flight tail a crash happens to cut.
 
+A second leg checks the other way out of a leader crash, **restarting
+on the same log**: type through ``repro serve --wal``, SIGKILL it, start
+``repro serve --wal`` again on the same file and port.  A fresh
+``repro connect`` must read every ACKed keystroke and type more; the
+file must hold one strictly increasing LSN history; and a follower
+seeded with a copy of the crashed leader's log (a base backup — a
+restarted leader does not serve pre-restart history) must subscribe
+after the restart and converge on the extended log.
+
 Usage::
 
     PYTHONPATH=src python tools/repl_smoke.py
@@ -33,12 +43,19 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from time import monotonic, sleep
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from proclib import REPO, ServerProcess  # noqa: E402
+from proclib import (  # noqa: E402
+    REPO,
+    ServerProcess,
+    repro_command,
+    repro_env,
+)
 
 sys.path.insert(0, os.path.join(REPO, "src"))
 
@@ -176,6 +193,97 @@ def run(args: argparse.Namespace) -> list:
     return problems
 
 
+def run_restart(args: argparse.Namespace) -> list:
+    """The leader-restart leg (see the module docstring)."""
+    from repro.db.wal import WriteAheadLog
+    from repro.net import NetworkClient
+
+    problems: list = []
+    tmp = tempfile.mkdtemp(prefix="repl-smoke-restart-")
+    wal = os.path.join(tmp, "leader.wal")
+    serve = ["serve", "--wal", wal, "--node", "leader",
+             "--telemetry-interval", "0.2"]
+    first = ServerProcess(serve, label="leader")
+    second = follower = None
+    try:
+        problem = first.wait_listening()
+        if problem is not None:
+            return [problem]
+        client = NetworkClient("127.0.0.1", first.port, "ana",
+                               register=True)
+        session = client.session()
+        handle = session.create_document(DOC)
+        for _ in range(args.rounds):
+            session.insert(handle.doc, handle.length(), "a")  # ACKed
+        acked = handle.text()
+        client.close(send_bye=False)
+        first.kill()
+        pre_crash = WriteAheadLog.load_file(wal)
+        seed_mirror = os.path.join(tmp, "follower.wal")
+        shutil.copyfile(wal, seed_mirror)
+
+        second = ServerProcess([*serve, "--port", str(first.port)],
+                               label="restarted leader")
+        problem = second.wait_listening()
+        if problem is not None:
+            return [problem]
+        print(f"leader restarted on :{second.port} over "
+              f"{len(pre_crash)} pre-crash records")
+
+        connect = subprocess.run(
+            repro_command("connect", "--port", str(second.port),
+                          "--user", "ana", "--doc", DOC, "--type", "+more"),
+            capture_output=True, text=True, env=repro_env(), timeout=60)
+        text = connect.stdout.split("---\n", 1)[-1].rstrip("\n")
+        if connect.returncode != 0:
+            problems.append(f"repro connect failed after the restart: "
+                            f"{connect.stderr.strip()[-300:]}")
+        elif text != acked + "+more":
+            problems.append(
+                f"restarted leader lost ACKed text or the new write: "
+                f"{len(text)} chars vs {len(acked)} ACKed + 5 typed")
+
+        follower = ServerProcess(
+            ["serve", "--follow", f"127.0.0.1:{second.port}",
+             "--wal", seed_mirror, "--node", "replica",
+             "--telemetry-interval", "0.2"],
+            label="late follower")
+        problem = follower.wait_listening()
+        if problem is not None:
+            return problems + [problem]
+        deadline = monotonic() + args.settle
+        repl: dict = {}
+        while monotonic() < deadline:
+            repl, _ = scrape_repl(follower.port)
+            if repl.get("lag_lsn") == 0 \
+                    and repl.get("applied_lsn", 0) > pre_crash[-1].lsn:
+                break
+            sleep(0.1)
+        else:
+            problems.append(f"follower subscribed after the restart "
+                            f"never converged: repl={repl}")
+        print(f"late follower: applied_lsn={repl.get('applied_lsn')} "
+              f"(pre-crash tail {pre_crash[-1].lsn})")
+    finally:
+        for proc in (follower, second):
+            if proc is not None:
+                problem = proc.shutdown()
+                if problem is not None:
+                    problems.append(problem)
+        if first.proc.poll() is None:
+            first.kill()
+    lsns = [r.lsn for r in WriteAheadLog.load_file(wal)]
+    if lsns != sorted(set(lsns)):
+        problems.append("the restarted leader's log is not one strictly "
+                        "increasing LSN history")
+    mirror_lsns = [r.lsn for r in WriteAheadLog.load_file(seed_mirror)]
+    if mirror_lsns != lsns[:len(mirror_lsns)] or len(mirror_lsns) <= \
+            len(pre_crash):
+        problems.append("the late follower's mirror is not a prefix of "
+                        "the restarted leader's log")
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=25,
@@ -186,7 +294,7 @@ def main(argv=None) -> int:
                         help="replica apply-lag p99 budget, seconds")
     args = parser.parse_args(argv)
 
-    problems = run(args)
+    problems = run(args) + run_restart(args)
     for problem in problems:
         print(f"repl smoke FAILED: {problem}", file=sys.stderr)
     if not problems:

@@ -3,10 +3,11 @@
 
 Runs the deterministic fault-injection and crash-torture suites at an
 elevated schedule count (``--torture-schedules 200`` vs. the tier-1
-default of 25), the MVCC snapshot-isolation property suite at its
-nightly Hypothesis budget (``MVCC_PROPERTY_PROFILE=nightly``: 300
-examples / 60 stateful steps vs. the tier-1 40 / 30), then the newsroom
-soak test over several master seeds.
+default of 25), the MVCC snapshot-isolation and WAL-stream
+(differential replay + record codec) property suites at their nightly
+Hypothesis budget (``MVCC_PROPERTY_PROFILE=nightly``: 300 examples / 60
+stateful steps vs. the tier-1 40 / 30), then the newsroom soak test over
+several master seeds.
 Every torture test is parameterised by its seed, and every
 :class:`~repro.faults.plan.FaultPlan` is derived deterministically from
 that seed — so a failing *seed* is a complete reproduction.
@@ -47,7 +48,9 @@ SOAK_PATH = "tests/test_soak_newsroom.py"
 #: (300 examples / 60 stateful steps vs. the tier-1 budget of 40 / 30).
 #: Failures are reproducible from the printed falsifying example, not a
 #: seed, so these get their own junit report instead of seed extraction.
-PROPERTY_PATHS = ("tests/test_mvcc_property.py",)
+#: ``test_wal_stream.py`` also replays seeded torture logs, so the
+#: property run takes ``--torture-schedules`` too.
+PROPERTY_PATHS = ("tests/test_mvcc_property.py", "tests/test_wal_stream.py")
 
 #: ``test_name[17]`` or ``test_name[17-foo]`` — the leading int param of
 #: a torture node is its crash seed (see tests/conftest.py).
@@ -115,7 +118,9 @@ def main(argv: list[str] | None = None) -> int:
             f"--torture-schedules {args.schedules}")
 
     property_junit = os.path.join(REPO, "property_report.xml")
-    rc = _pytest(list(PROPERTY_PATHS), property_junit,
+    rc = _pytest([*PROPERTY_PATHS,
+                  "--torture-schedules", str(args.schedules)],
+                 property_junit,
                  extra_env={"MVCC_PROPERTY_PROFILE": "nightly"})
     if rc:
         status = 1
@@ -124,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             failure["repro"] = (
                 f"MVCC_PROPERTY_PROFILE=nightly PYTHONPATH=src "
                 f"python -m pytest {' '.join(PROPERTY_PATHS)} "
+                f"--torture-schedules {args.schedules} "
                 f"-k '{failure['nodeid'].rsplit('::', 1)[-1]}'")
             failures.append(failure)
 
