@@ -7,11 +7,17 @@ shape: query-path latency is governed by the *result* size and the
 *change* rate, never the corpus size — search and folder-listing p50
 stay flat from 1k to 100k documents, and the consumers' own counters
 prove that no query fell back to a full DOCUMENTS rescan.
+
+Scan-class searches (anything but the single-term top-k) do grow with
+the corpus — their candidates do — but at ~1 µs per candidate: filters
+and sort keys come from the index's doc values, and only the top
+``limit`` hits are read from the snapshot (``test_portal_scan_search``).
 """
 
 from __future__ import annotations
 
 import random
+from time import perf_counter
 
 import pytest
 
@@ -65,6 +71,59 @@ def test_portal_folder_listing(benchmark, n_docs):
     benchmark.extra_info["system"] = "tendax-portal"
     page = benchmark(listing)
     assert len(page) == 50
+
+
+#: The five scan-class query shapes of the repo benchmark's
+#: ``portal_query`` workload (``bench/workloads.py``), on the two hottest
+#: terms of the hottest topic — the dearest instance of each.
+SCAN_QUERIES = (
+    ("database transaction", "relevance"),       # two terms
+    ("database state:final", "relevance"),       # term + column filter
+    ('"database transaction"', "relevance"),     # phrase
+    ("database", "newest"),                      # non-relevance ranking
+    ("state:final", "relevance"),                # filter only: all docs
+)
+
+
+@pytest.mark.parametrize("n_docs", [10000], ids=["10k"])
+def test_portal_scan_search(benchmark, n_docs):
+    """One cycle of the five scan kinds: candidates ∝ corpus, top 10 out.
+
+    Shape gate: the filter-only query — every document a candidate —
+    stays under 10 ms at 10k documents (it took ~190 ms when each
+    candidate cost a snapshot profile), and no scan triggers an index
+    rebuild or a folder rescan.
+    """
+    portal = _portal(n_docs)
+    search = portal.search.search
+
+    def full_passes():
+        return (portal.search.index.stats["full_builds"],
+                sum(f.stats["full_scans"] for f in portal.folders.folders()))
+
+    before = full_passes()
+
+    def cycle():
+        return [search(query, ranking=ranking, limit=10)
+                for query, ranking in SCAN_QUERIES]
+
+    benchmark.group = f"D9 portal scan search n={n_docs}"
+    benchmark.extra_info["system"] = "tendax-portal"
+    results = benchmark(cycle)
+    assert [len(r) for r in results] == [10] * len(SCAN_QUERIES)
+    assert all(r.profile["state"] == "final"
+               for r in results[1] + results[4])
+    assert full_passes() == before
+
+    samples = []
+    for __ in range(7):
+        started = perf_counter()
+        search("state:final", limit=10)
+        samples.append(perf_counter() - started)
+    filter_only = sorted(samples)[len(samples) // 2]
+    benchmark.extra_info["filter_only_ms"] = round(filter_only * 1e3, 3)
+    assert filter_only <= 10e-3, (
+        f"filter-only scan over {n_docs} docs: {filter_only * 1e3:.1f} ms")
 
 
 def test_index_apply_throughput(benchmark):

@@ -72,6 +72,12 @@ class Table:
         #: ascending by LSN.  A deleted row keeps its chain here with a
         #: trailing ``(delete_lsn, TOMBSTONE)`` entry until GC.
         self._history: dict[int, list[tuple[int, Any]]] = {}
+        #: Bumped whenever ``_history`` changes (chain push, GC, drop);
+        #: keys the :meth:`snapshot_history_rows` memo.
+        self._history_gen = 0
+        #: ``(snapshot_lsn, history generation, overlay)`` of the last
+        #: :meth:`snapshot_history_rows` call.
+        self._overlay_memo: tuple[int, int, dict[int, tuple]] | None = None
         #: Duck-typed metric bundle (``TxnMetrics``); only
         #: ``versions_live`` is used here.  None when unobserved.
         self._metrics = metrics
@@ -309,6 +315,7 @@ class Table:
     def _push_version(self, rowid: int, lsn: int, image: Any) -> None:
         """Append one superseded version (caller holds ``_lock``)."""
         self._history.setdefault(rowid, []).append((lsn, image))
+        self._history_gen += 1
         if self._metrics is not None:
             self._metrics.versions_live.inc()
 
@@ -443,13 +450,26 @@ class Table:
         committed one (exactly the rows carrying a version chain) is
         resolved here and re-checked against the predicate by the
         executor — mirroring how pending overlays work for writers.
+
+        The result is memoised per ``(snapshot_lsn, history
+        generation)`` and shared between callers, who must not mutate
+        it: a snapshot only pins fully applied commits, so a later
+        commit can change what it sees of a historied row only by
+        touching ``_history``, which bumps the generation.  N point
+        reads inside one snapshot thus cost O(N + rows with history),
+        not O(N x rows with history).
         """
         with self._lock:
+            memo = self._overlay_memo
+            if memo is not None and memo[0] == snapshot_lsn \
+                    and memo[1] == self._history_gen:
+                return memo[2]
             out: dict[int, tuple] = {}
             for rowid in self._history:
                 row = self._snapshot_read_locked(rowid, snapshot_lsn)
                 if row is not None:
                     out[rowid] = row
+            self._overlay_memo = (snapshot_lsn, self._history_gen, out)
             return out
 
     def gc_versions(self, watermark: int) -> int:
@@ -484,6 +504,8 @@ class Table:
                 if newest_le > 0:
                     dropped += newest_le
                     self._history[rowid] = chain[newest_le:]
+            if dropped:
+                self._history_gen += 1
         if dropped and self._metrics is not None:
             self._metrics.versions_live.dec(dropped)
         return dropped
@@ -540,8 +562,10 @@ class Table:
 
     def _drop_history(self, rowid: int) -> None:
         chain = self._history.pop(rowid, None)
-        if chain and self._metrics is not None:
-            self._metrics.versions_live.dec(len(chain))
+        if chain:
+            self._history_gen += 1
+            if self._metrics is not None:
+                self._metrics.versions_live.dec(len(chain))
 
     def _bump_rowid(self, seen: int) -> None:
         current = next(self._rowid_counter)

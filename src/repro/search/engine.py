@@ -14,17 +14,19 @@ Results are document profiles ranked by any of the paper's options.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Callable
 
 from ..db import Database, col
 from ..ids import Oid
 from ..meta import MetadataCollector
 from ..mining.features import FeatureExtractor
 from ..text import dbschema as S
-from .index import InvertedIndex
+from .index import DocValues, InvertedIndex
 from .query import SearchQuery, parse_query
-from .ranking import RANKINGS, Ranker, relevance_scores
+from .ranking import RANKINGS, Ranker
 
 
 @dataclass
@@ -36,6 +38,27 @@ class SearchResult:
     score: float
     profile: dict = field(default_factory=dict, repr=False)
     snippet: str = ""
+
+
+def _column_predicates(
+        filters: list) -> list[Callable[[DocValues], bool]]:
+    """One test over doc values per ``tx_documents``-column filter."""
+    predicates: list[Callable[[DocValues], bool]] = []
+    for fieldname, value in filters:
+        if fieldname == "creator":
+            predicates.append(lambda v, value=value: v.creator == value)
+        elif fieldname == "state":
+            predicates.append(lambda v, value=value: v.state == value)
+        elif fieldname == "name":
+            predicates.append(
+                lambda v, needle=value.lower(): needle in v.name.lower())
+        elif fieldname == "prop":
+            key, sep, expected = value.partition("=")
+            predicates.append(
+                lambda v, key=key, sep=sep, expected=expected:
+                key in (props := v.props or {})
+                and (not sep or str(props[key]) == expected))
+    return predicates
 
 
 class SearchEngine:
@@ -66,20 +89,19 @@ class SearchEngine:
         self._m_queries.inc()
         if isinstance(query, str):
             query = parse_query(query)
+        filter_fields = {f[0] for f in query.filters}
+        need_readers = "reader" in filter_fields or ranking == "most_read"
+        need_authors = bool({"author", "writer"} & filter_fields)
 
-        # Candidate selection and profile building run inside one
-        # snapshot transaction: the scan over N candidate documents is a
-        # long read-only pass, and a typist committing halfway through
-        # must neither stall it (no locks) nor make profile fields
-        # disagree across candidates (one commit point for all queries).
-        # The index refresh is pinned to the *same* snapshot, so index
-        # candidates and profile rows cannot come from different commit
-        # points mid-typing-burst.
+        # The whole query runs inside one snapshot transaction, and the
+        # index refresh is pinned to the *same* snapshot: postings, doc
+        # values and the winners' profile rows all come from one commit
+        # point, so a typist committing halfway through can neither
+        # stall the search (no locks) nor make its parts disagree.
         # Single-term relevance queries without filters take the
         # impact-ordered fast path: the index hands back the exact
-        # top-k (score and tie-break order match the ranker), so only
-        # ``limit`` profiles are built — cost independent of how many
-        # documents contain the term.
+        # top-k in the ranker's own total order — cost independent of
+        # how many documents contain the term.
         fast_single = (ranking == "relevance" and not query.filters
                        and len(query.terms) == 1 and not query.phrases)
         with self.db.snapshot() as snap:
@@ -87,67 +109,79 @@ class SearchEngine:
             if fast_single:
                 scored = self.index.top_docs(query.terms[0], limit)
                 self._m_index_hits.inc(len(scored))
-                relevance = dict(scored)
-                ordered = []
-                for doc, __ in scored:
-                    profile = self._light_profile(
-                        doc, need_readers=False, need_authors=False,
-                        txn=snap)
-                    if profile is not None:
-                        ordered.append(profile)
-                return self._materialise(ordered, relevance, query,
-                                         limit, started)
-            if query.terms or query.phrases:
-                candidates = self.index.matching_docs(query.all_terms)
-                for phrase in query.phrases:
-                    candidates &= self.index.phrase_docs(phrase)
-                self._m_index_hits.inc(len(candidates))
             else:
-                # Metadata-only query: the just-refreshed index knows
-                # the full corpus — no DOCUMENTS rescan on this path.
-                candidates = self.index.all_docs()
-            # Build *light* profiles: the document row plus only the
-            # derived metadata the filters and the ranking actually
-            # consult.  (The full consolidated profile scans every
-            # character row of a document — far too expensive per search
-            # candidate.)
-            filter_fields = {f[0] for f in query.filters}
-            need_readers = "reader" in filter_fields or ranking == "most_read"
-            need_authors = bool({"author", "writer"} & filter_fields)
-            profiles = []
-            for doc in candidates:
-                profile = self._light_profile(
-                    doc, need_readers=need_readers,
-                    need_authors=need_authors, txn=snap)
-                if profile is not None and \
-                        self._passes_filters(profile, query.filters):
-                    profiles.append(profile)
-        relevance = relevance_scores(
-            self.index, query.all_terms, {p["doc"] for p in profiles})
-        ordered = self.ranker.sort(profiles, ranking, relevance=relevance)
-        return self._materialise(ordered, relevance, query, limit, started)
+                scored = self._scan(query, ranking, limit, snap,
+                                    need_readers=need_readers)
+            return self._materialise(
+                scored, query, started, txn=snap,
+                need_readers=need_readers, need_authors=need_authors)
 
-    def _materialise(self, ordered: list, relevance: dict,
-                     query: SearchQuery, limit: int,
-                     started: float) -> list[SearchResult]:
-        """Turn ranked profiles into the top-``limit`` result objects."""
+    def _materialise(self, scored: list[tuple[Oid, float]],
+                     query: SearchQuery, started: float, *, txn,
+                     need_readers: bool,
+                     need_authors: bool) -> list[SearchResult]:
+        """Read the ranked winners' profiles and build result objects."""
         results = []
-        for profile in ordered[:limit]:
-            results.append(SearchResult(
-                doc=profile["doc"],
-                name=profile["name"],
-                score=relevance.get(profile["doc"], 0.0),
-                profile=profile,
-                snippet=self._snippet(profile["doc"], query.all_terms),
-            ))
+        for doc, score in scored:
+            profile = self._light_profile(
+                doc, need_readers=need_readers, need_authors=need_authors,
+                txn=txn)
+            if profile is not None:
+                results.append(SearchResult(
+                    doc=doc, name=profile["name"], score=score,
+                    profile=profile,
+                    snippet=self._snippet(doc, query.all_terms)))
         self._m_query_seconds.observe(perf_counter() - started)
         return results
+
+    def _scan(self, query: SearchQuery, ranking: str, limit: int, snap, *,
+              need_readers: bool) -> list[tuple[Oid, float]]:
+        """The ``limit`` best ``(doc, relevance)`` of any query shape.
+
+        Candidates come from the postings; column filters and sort keys
+        from the index's doc values, so no candidate costs a snapshot
+        read and each candidate id is hashed once.  What only the
+        access log or the character rows know (readers, authors) is
+        asked of the collector last, for the survivors alone.
+        """
+        values = self.index.doc_values
+        if query.terms or query.phrases:
+            candidates = self.index.matching_docs(query.all_terms)
+            for phrase in query.phrases:
+                candidates &= self.index.phrase_docs(phrase)
+            self._m_index_hits.inc(len(candidates))
+            rows = [(doc, values[doc]) for doc in candidates]
+        else:
+            # Metadata-only query: the just-refreshed index knows the
+            # full corpus — no DOCUMENTS rescan on this path.
+            rows = list(values.items())
+        for passes in _column_predicates(query.filters):
+            rows = [row for row in rows if passes(row[1])]
+        readers = None
+        if need_readers:
+            readers = {doc: self.meta.readers_of(doc, txn=snap)
+                       for doc, __ in rows}
+        for fieldname, value in query.filters:
+            if fieldname == "reader":
+                rows = [row for row in rows if value in readers[row[0]]]
+            elif fieldname in ("author", "writer"):
+                rows = [row for row in rows if value in
+                        self.meta.author_contributions(row[0], txn=snap)]
+        scores = self.index.scores(query.all_terms,
+                                   [doc for doc, __ in rows])
+        hits = heapq.nsmallest(
+            limit,
+            [(doc, v, score) for (doc, v), score in zip(rows, scores)],
+            key=self.ranker.key(ranking, readers))
+        return [(doc, score) for doc, __, score in hits]
 
     def _light_profile(self, doc: Oid, *, need_readers: bool,
                        need_authors: bool, txn=None) -> dict | None:
         """Document-row metadata, with derived fields only on demand.
 
-        Callers who want the complete creation-process record should use
+        (The full consolidated profile scans every character row of a
+        document.)  Callers who want the complete creation-process
+        record should use
         :meth:`~repro.meta.collector.MetadataCollector.document_profile`.
         """
         reader = txn if txn is not None else self.db
@@ -162,32 +196,6 @@ class SearchEngine:
             profile["authors"] = sorted(
                 self.meta.author_contributions(doc, txn=txn))
         return profile
-
-    def _passes_filters(self, profile: dict, filters: list) -> bool:
-        for fieldname, value in filters:
-            if fieldname == "creator":
-                if profile["creator"] != value:
-                    return False
-            elif fieldname == "state":
-                if profile["state"] != value:
-                    return False
-            elif fieldname == "name":
-                if value.lower() not in profile["name"].lower():
-                    return False
-            elif fieldname == "reader":
-                if value not in profile["readers"]:
-                    return False
-            elif fieldname in ("author", "writer"):
-                if value not in profile["authors"]:
-                    return False
-            elif fieldname == "prop":
-                key, sep, expected = value.partition("=")
-                props = profile["props"]
-                if key not in props:
-                    return False
-                if sep and str(props[key]) != expected:
-                    return False
-        return True
 
     def _snippet(self, doc: Oid, terms: list, *, radius: int = 30) -> str:
         """A text window around the first matching term."""

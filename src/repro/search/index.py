@@ -25,6 +25,14 @@ first top-k query and maintained incrementally on every re-index.
 Serving the top *k* is then O(k) regardless of how many documents
 contain the term — which is what keeps hot-term search latency flat
 from 1k to 100k documents.
+
+Beside the postings the index keeps *doc values*: one
+:class:`DocValues` tuple per indexed document, cut from the
+``tx_documents`` row image the (re-)index reads anyway.  They travel
+the same changefeed path as the postings — a DOCUMENTS event dirties
+the doc, the refresh replaces both — so ``ensure_fresh(txn=snap)`` pins
+them to the same commit point, and the engine can answer column filters
+and sort keys for every candidate without one snapshot read.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import defaultdict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from ..db import Database, col
 from ..ids import Oid
@@ -42,6 +50,27 @@ from ..text import dbschema as S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..feed.changefeed import CommitBatch
+
+
+class DocValues(NamedTuple):
+    """The ``tx_documents`` columns search filters and ranks by.
+
+    ``props`` is the row's own (immutable by convention) JSON value,
+    shared with the table — never a per-document copy.
+    """
+
+    name: str
+    creator: str
+    state: str
+    created_at: float
+    last_modified: float
+    size: int
+    props: Any
+
+    @classmethod
+    def of(cls, row: Mapping[str, Any]) -> "DocValues":
+        """Cut the doc values out of a ``tx_documents`` row."""
+        return cls(*(row[column] for column in cls._fields))
 
 
 class InvertedIndex:
@@ -63,7 +92,7 @@ class InvertedIndex:
         self._tail_docs: set[Oid] = set()
         self._doc_terms: dict[Oid, dict[str, int]] = {}
         self._doc_len: dict[Oid, int] = {}
-        self._doc_mtime: dict[Oid, float] = {}
+        self._doc_values: dict[Oid, DocValues] = {}
         self._doc_text: dict[Oid, str] = {}
         #: term -> impact-ordered entries ``(-tf/len, -mtime, doc)``,
         #: built lazily on first :meth:`top_docs` call for a term and
@@ -115,7 +144,7 @@ class InvertedIndex:
         self._tail_docs.clear()
         self._doc_terms.clear()
         self._doc_len.clear()
-        self._doc_mtime.clear()
+        self._doc_values.clear()
         self._doc_text.clear()
         self._impact.clear()
         with self.db.snapshot() as snap:
@@ -210,8 +239,8 @@ class InvertedIndex:
         self._doc_terms[doc] = {t: len(p) for t, p in positions.items()}
         length = sum(len(p) for p in positions.values())
         self._doc_len[doc] = length
-        mtime = row["last_modified"]
-        self._doc_mtime[doc] = mtime
+        values = self._doc_values[doc] = DocValues.of(row)
+        mtime = values.last_modified
         for term, pos_list in positions.items():
             self._tail[term][doc] = pos_list
             entries = self._impact.get(term)
@@ -224,7 +253,8 @@ class InvertedIndex:
     def _unindex_doc(self, doc: Oid) -> None:
         segment = self._tail if doc in self._tail_docs else self._base
         length = self._doc_len.get(doc, 0)
-        mtime = self._doc_mtime.pop(doc, 0.0)
+        values = self._doc_values.pop(doc, None)
+        mtime = values.last_modified if values is not None else 0.0
         for term, tf in self._doc_terms.pop(doc, {}).items():
             bucket = segment.get(term)
             if bucket is not None:
@@ -238,6 +268,54 @@ class InvertedIndex:
         self._tail_docs.discard(doc)
         self._doc_len.pop(doc, None)
         self._doc_text.pop(doc, None)
+
+    # ------------------------------------------------------------------
+    # Self-check (tests, debugging)
+    # ------------------------------------------------------------------
+
+    def check(self) -> list[str]:
+        """Compare the absorbed index with ``tx_documents`` as committed
+        now; empty list = healthy.
+
+        Meaningful once the feed is drained (nothing pending): every
+        live document then has doc values equal to its row, every
+        per-document structure covers exactly the live documents (a
+        deleted document leaves no entry anywhere), and the postings
+        agree with the forward index.
+        """
+        problems: list[str] = []
+        if self._pending:
+            problems.append(f"{len(self._pending)} documents still dirty")
+        with self.db.snapshot() as snap:
+            rows = {row["doc"]: DocValues.of(row)
+                    for row in snap.query(S.DOCUMENTS).run()}
+        for doc in rows.keys() - self._doc_values.keys():
+            problems.append(f"{doc} is live but not indexed")
+        for doc, values in self._doc_values.items():
+            if doc not in rows:
+                problems.append(f"{doc} is indexed but not in the table")
+            elif values != rows[doc]:
+                stale = [name for name, have, want in zip(
+                    DocValues._fields, values, rows[doc]) if have != want]
+                problems.append(f"{doc}: doc values stale in {stale}")
+        for label, per_doc in (("terms", self._doc_terms),
+                               ("length", self._doc_len),
+                               ("text", self._doc_text)):
+            if per_doc.keys() != self._doc_values.keys():
+                problems.append(f"{label} map out of sync with doc values")
+        posted: dict[Oid, dict[str, int]] = defaultdict(dict)
+        for segment in (self._base, self._tail):
+            for term, bucket in segment.items():
+                for doc, positions in bucket.items():
+                    if term in posted[doc]:
+                        problems.append(f"{doc}/{term!r} in both segments")
+                    posted[doc][term] = len(positions)
+        for doc, tfs in self._doc_terms.items():
+            if posted.get(doc, {}) != tfs:
+                problems.append(f"{doc}: postings != forward index")
+        for doc in posted.keys() - self._doc_terms.keys():
+            problems.append(f"{doc}: stale postings")
+        return problems
 
     # ------------------------------------------------------------------
     # Impact-ordered postings (top-k without scoring every candidate)
@@ -264,8 +342,8 @@ class InvertedIndex:
         entries = self._impact.get(term)
         if entries is None:
             entries = sorted(
-                self._impact_key(len(pos), self._doc_len.get(doc, 0),
-                                 self._doc_mtime.get(doc, 0.0), doc)
+                self._impact_key(len(pos), self._doc_len[doc],
+                                 self._doc_values[doc].last_modified, doc)
                 for segment in (self._base, self._tail)
                 for doc, pos in segment.get(term, {}).items()
             )
@@ -288,10 +366,35 @@ class InvertedIndex:
         entries = self._impact_entries(term)
         if not entries:
             return []
-        n = max(self.doc_count(), 1)
-        idf = math.log((1 + n) / (1 + len(entries))) + 1.0
+        idf = self._idf(len(entries))
         return [(doc, -neg_impact * idf)
                 for neg_impact, __, doc in entries[:k]]
+
+    def _idf(self, df: int) -> float:
+        return math.log((1 + max(self.doc_count(), 1)) / (1 + df)) + 1.0
+
+    def scores(self, terms: list[str], docs: list[Oid]) -> list[float]:
+        """tf-idf of each of ``docs`` against the query ``terms``.
+
+        Read from the forward index (``doc -> term -> tf``), so the cost
+        follows ``len(docs)``, not the terms' document frequencies.
+        """
+        weights = [(term, self._idf(df)) for term in terms
+                   if (df := self.doc_frequency(term))]
+        if not weights:
+            return [0.0] * len(docs)
+        doc_terms, doc_len = self._doc_terms, self._doc_len
+        scores = []
+        for doc in docs:
+            tfs = doc_terms[doc]
+            length = max(doc_len[doc], 1)
+            score = 0.0
+            for term, idf in weights:
+                tf = tfs.get(term)
+                if tf:
+                    score += (tf / length) * idf
+            scores.append(score)
+        return scores
 
     # ------------------------------------------------------------------
     # Lookups
@@ -305,14 +408,6 @@ class InvertedIndex:
                 merged[doc] = len(positions)
         return merged
 
-    def positions(self, term: str, doc: Oid) -> list[int]:
-        """Token positions of ``term`` in ``doc`` (for phrase queries)."""
-        for segment in (self._tail, self._base):
-            bucket = segment.get(term)
-            if bucket is not None and doc in bucket:
-                return list(bucket[doc])
-        return []
-
     def phrase_docs(self, phrase_terms: list[str]) -> set[Oid]:
         """Documents containing the terms *adjacently, in order*."""
         if not phrase_terms:
@@ -321,16 +416,24 @@ class InvertedIndex:
         if len(phrase_terms) == 1:
             return candidates
         hits: set[Oid] = set()
+        first = phrase_terms[0]
         for doc in candidates:
-            starts = set(self.positions(phrase_terms[0], doc))
+            # All of a document's postings live in one segment.
+            segment = self._tail if doc in self._tail_docs else self._base
+            starts = segment[first][doc]
             for offset, term in enumerate(phrase_terms[1:], start=1):
-                next_positions = set(self.positions(term, doc))
-                starts = {s for s in starts if s + offset in next_positions}
+                following = set(segment[term][doc])
+                starts = [s for s in starts if s + offset in following]
                 if not starts:
                     break
             if starts:
                 hits.add(doc)
         return hits
+
+    @property
+    def doc_values(self) -> Mapping[Oid, DocValues]:
+        """doc -> :class:`DocValues` as of the last refresh (read-only)."""
+        return self._doc_values
 
     def cached_text(self, doc: Oid) -> str:
         """The document text as of the last (re)index — snippet source."""

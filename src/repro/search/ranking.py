@@ -9,31 +9,15 @@ know.
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from typing import Callable, Mapping
 
+from ..errors import SearchError
+from ..ids import Oid
 from ..meta import MetadataCollector
-from .index import InvertedIndex
+from .index import DocValues
 
 RANKINGS = ("relevance", "newest", "oldest", "most_cited", "most_read",
             "largest")
-
-
-def relevance_scores(index: InvertedIndex, terms: list[str],
-                     docs: set) -> dict:
-    """tf-idf scores for ``docs`` against the query terms."""
-    n = max(index.doc_count(), 1)
-    scores: dict = {doc: 0.0 for doc in docs}
-    for term in terms:
-        postings = index.postings(term)
-        if not postings:
-            continue
-        idf = math.log((1 + n) / (1 + len(postings))) + 1.0
-        for doc, tf in postings.items():
-            if doc in scores:
-                length = max(index.doc_length(doc), 1)
-                scores[doc] += (tf / length) * idf
-    return scores
 
 
 class Ranker:
@@ -42,28 +26,37 @@ class Ranker:
     def __init__(self, meta: MetadataCollector) -> None:
         self.meta = meta
 
-    def sort(self, docs: list, ranking: str, *,
-             relevance: dict | None = None) -> list:
-        """Order ``docs`` (a list of profile dicts) by the ranking option."""
-        if ranking not in RANKINGS:
-            from ..errors import SearchError
-            raise SearchError(f"unknown ranking {ranking!r}")
-        key: Callable
-        reverse = True
+    def key(self, ranking: str, readers: Mapping[Oid, set] | None = None
+            ) -> Callable[[tuple[Oid, DocValues, float]], tuple]:
+        """Sort key over ``(doc, doc values, relevance)`` hits.
+
+        *Ascending* key order is best hit first, and every key ends in
+        the document id, so it is a total order: equal-ranked documents
+        come out by id on every path and every run (the index's
+        impact-ordered lists break ties the same way).  The id is
+        spelled ``node, seq`` — the :class:`~repro.ids.Oid` order — so
+        that the many exact ties of a bulk-ingested archive compare as
+        plain strings and ints rather than through the dataclass's
+        Python-level ``__lt__``.  ``readers`` (doc -> users who read
+        it) is only consulted by ``most_read``.
+        """
         if ranking == "relevance":
-            rel = relevance or {}
-            key = lambda p: (rel.get(p["doc"], 0.0), p["last_modified"])
-        elif ranking == "newest":
-            key = lambda p: p["last_modified"]
-        elif ranking == "oldest":
-            key = lambda p: p["created_at"]
-            reverse = False
-        elif ranking == "most_cited":
+            return lambda hit: (-hit[2], -hit[1].last_modified,
+                                hit[0].node, hit[0].seq)
+        if ranking == "newest":
+            return lambda hit: (-hit[1].last_modified,
+                                hit[0].node, hit[0].seq)
+        if ranking == "oldest":
+            return lambda hit: (hit[1].created_at, hit[0].node, hit[0].seq)
+        if ranking == "most_cited":
             citations = self.meta.citation_counts()
-            key = lambda p: (citations.get(p["doc"], 0), p["last_modified"])
-        elif ranking == "most_read":
-            key = lambda p: (len(p.get("readers", ())),
-                             p["last_modified"])
-        else:  # largest
-            key = lambda p: p["size"]
-        return sorted(docs, key=key, reverse=reverse)
+            return lambda hit: (-citations.get(hit[0], 0),
+                                -hit[1].last_modified,
+                                hit[0].node, hit[0].seq)
+        if ranking == "most_read":
+            return lambda hit: (-len(readers[hit[0]]),
+                                -hit[1].last_modified,
+                                hit[0].node, hit[0].seq)
+        if ranking == "largest":
+            return lambda hit: (-hit[1].size, hit[0].node, hit[0].seq)
+        raise SearchError(f"unknown ranking {ranking!r}")

@@ -270,3 +270,83 @@ class TestExplain:
         assert plan["early_stop"] is True
         plan = people_db.query("people").order_by("age").limit(1).explain()
         assert plan["early_stop"] is False
+
+
+class TestSnapshotOverlayMemo:
+    """Index probes inside a snapshot resolve rows that carry a version
+    chain through an overlay; it is built once per (snapshot LSN,
+    history generation), not once per query."""
+
+    N, H = 40, 25
+
+    @pytest.fixture
+    def db(self):
+        db = Database("overlay")
+        db.create_table("t", [column("k", "int"), column("v", "int")],
+                        key="k")
+        self.rowids = {k: db.insert("t", {"k": k, "v": 0})
+                       for k in range(100)}
+        return db
+
+    def _history(self, db, keys):
+        for k in keys:
+            db.update("t", self.rowids[k], {"v": 1})
+
+    def test_point_reads_cost_n_plus_h_version_reads(self, db, monkeypatch):
+        with db.snapshot() as pin:  # keeps GC from dropping the chains
+            self._history(db, range(self.H))
+            table = db.table("t")
+            assert len(table.snapshot_history_rows(pin.snapshot_lsn)) == self.H
+            reads = []
+            original = type(table)._snapshot_read_locked
+
+            def counting(self_, rowid, lsn):
+                reads.append(rowid)
+                return original(self_, rowid, lsn)
+
+            monkeypatch.setattr(type(table), "_snapshot_read_locked",
+                                counting)
+            with db.snapshot() as snap:
+                for k in range(self.N):
+                    row = snap.query("t").where(col("k") == k).first()
+                    assert row["v"] == (1 if k < self.H else 0)
+            # One overlay build (H reads) plus one read per probed row
+            # outside the overlay; the parent did H reads per query.
+            assert len(reads) <= self.N + self.H
+
+    def test_later_commits_stay_invisible_after_memo_built(self, db):
+        self._history(db, range(5))
+        with db.snapshot() as snap:
+            def value_of(k):
+                row = snap.query("t").where(col("k") == k).first()
+                return None if row is None else row["v"]
+
+            assert value_of(1) == 1 and value_of(50) == 0  # memo built
+            # A key-changing update, a plain update and a delete, on rows
+            # with and without history, all committed after the memo.
+            db.update("t", self.rowids[1], {"k": 1001})
+            db.update("t", self.rowids[50], {"k": 1050, "v": 7})
+            db.update("t", self.rowids[2], {"v": 9})
+            db.delete("t", self.rowids[3])
+            db.delete("t", self.rowids[60])
+            assert value_of(1) == 1 and value_of(1001) is None
+            assert value_of(50) == 0 and value_of(1050) is None
+            assert value_of(2) == 1
+            assert value_of(3) == 1
+            assert value_of(60) == 0
+            assert snap.query("t").where(col("k") < 1000).count() == 100
+        with db.snapshot() as later:
+            seen = {r["k"]: r["v"] for r in later.query("t").run()}
+        assert seen[1001] == 1 and seen[1050] == 7 and seen[2] == 9
+        assert 1 not in seen and 3 not in seen and 60 not in seen
+
+    def test_gc_between_queries_rebuilds_the_overlay(self, db):
+        with db.snapshot() as snap:
+            self._history(db, range(5))
+            assert snap.query("t").where(col("k") == 0).first()["v"] == 0
+            assert db.gc_versions() == 0  # pinned: nothing droppable
+        self._history(db, range(5))  # second version of the same rows
+        with db.snapshot() as snap:
+            assert snap.query("t").where(col("k") == 0).first()["v"] == 1
+            assert db.gc_versions() > 0
+            assert snap.query("t").where(col("k") == 0).first()["v"] == 1

@@ -386,6 +386,32 @@ class TestFeedDrivenIndex:
         # must produce the identical ranking with identical scores.
         fast = engine.search("needle", limit=4)
         slow = engine.search("needle creator:ana", limit=4)
-        assert [r.doc for r in fast] == [r.doc for r in slow]
-        for f, s in zip(fast, slow):
-            assert f.score == pytest.approx(s.score)
+        assert [(r.doc, r.score) for r in fast] \
+            == [(r.doc, r.score) for r in slow]
+
+    def test_fast_and_scan_paths_break_ties_identically(self):
+        """A bulk-ingested archive: one timestamp for every document and
+        only a handful of distinct densities, so most of the ranking is
+        exact (score, last_modified) ties.  Both paths order them by
+        document id and therefore return the same list, however the
+        limit cuts through a tie group."""
+        db = Database("bulk", clock=SimulatedClock(tick=0))
+        store = DocumentStore(db)
+        with db.batch():
+            docs = [store.import_archived(
+                        f"bulk-{i:03d}", "ana",
+                        text="needle " * (1 + i % 3) + "hay " * (3 - i % 3))
+                    for i in range(60)]
+        engine = SearchEngine(db)
+        assert len({engine.index.doc_values[d].last_modified
+                    for d in docs}) == 1
+        for limit in (1, 7, 20, 21, 45, 60):
+            fast = engine.search("needle", limit=limit)
+            slow = engine.search("needle name:bulk", limit=limit)
+            assert len(fast) == limit
+            assert [(r.doc, r.score) for r in fast] \
+                == [(r.doc, r.score) for r in slow]
+        # Within a tie group the order is by document id.
+        ranked = [r.doc for r in engine.search("needle name:bulk", limit=60)]
+        assert ranked[:20] == sorted(ranked[:20])
+        assert ranked == [r.doc for r in engine.search("needle", limit=60)]

@@ -78,6 +78,7 @@ SMOKE_NODES = (
     "benchmarks/bench_repl.py::test_promotion_time[300]",
     "benchmarks/bench_portal.py::test_portal_search[100000]",
     "benchmarks/bench_portal.py::test_portal_folder_listing[100000]",
+    "benchmarks/bench_portal.py::test_portal_scan_search[10k]",
     "benchmarks/bench_portal.py::test_index_apply_throughput",
 )
 
@@ -118,6 +119,8 @@ TREND_NODES = {
         "d9_portal_search_100k",
     "benchmarks/bench_portal.py::test_portal_folder_listing[100000]":
         "d9_folder_listing_100k",
+    "benchmarks/bench_portal.py::test_portal_scan_search[10k]":
+        "d9_portal_scan_10k",
     "benchmarks/bench_portal.py::test_index_apply_throughput":
         "d9_index_apply",
 }

@@ -3,10 +3,11 @@
 
 Runs the deterministic fault-injection and crash-torture suites at an
 elevated schedule count (``--torture-schedules 200`` vs. the tier-1
-default of 25), the MVCC snapshot-isolation and WAL-stream
-(differential replay + record codec) property suites at their nightly
-Hypothesis budget (``MVCC_PROPERTY_PROFILE=nightly``: 300 examples / 60
-stateful steps vs. the tier-1 40 / 30), then the newsroom soak test over
+default of 25), the MVCC snapshot-isolation, WAL-stream (differential
+replay + record codec) and doc-values search-equivalence property
+suites at their nightly Hypothesis budget
+(``MVCC_PROPERTY_PROFILE=nightly``: 300 examples / 60 stateful steps
+vs. the tier-1 40 / 30), then the newsroom soak test over
 several master seeds.
 Every torture test is parameterised by its seed, and every
 :class:`~repro.faults.plan.FaultPlan` is derived deterministically from
@@ -50,7 +51,8 @@ SOAK_PATH = "tests/test_soak_newsroom.py"
 #: seed, so these get their own junit report instead of seed extraction.
 #: ``test_wal_stream.py`` also replays seeded torture logs, so the
 #: property run takes ``--torture-schedules`` too.
-PROPERTY_PATHS = ("tests/test_mvcc_property.py", "tests/test_wal_stream.py")
+PROPERTY_PATHS = ("tests/test_mvcc_property.py", "tests/test_wal_stream.py",
+                  "tests/test_search_docvalues.py")
 
 #: ``test_name[17]`` or ``test_name[17-foo]`` — the leading int param of
 #: a torture node is its crash seed (see tests/conftest.py).
