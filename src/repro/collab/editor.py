@@ -94,13 +94,11 @@ class EditorClient:
 
     def selection(self) -> tuple[Oid, ...]:
         """Selected characters that still exist (remote deletes shrink it)."""
-        present = [oid for oid in self._selection
-                   if self.handle.position_of(oid) is not None]
-        return tuple(present)
+        return tuple(filter(self.handle.contains, self._selection))
 
     def selected_text(self) -> str:
         """The text of the (still-visible) selection."""
-        return self.handle.text_of(self.selection())
+        return self.handle.text_of(self._selection)
 
     def _publish_cursor(self) -> None:
         self.session.server.awareness.update_cursor(

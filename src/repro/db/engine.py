@@ -20,7 +20,7 @@ import itertools
 import threading
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..clock import Clock, SystemClock
 from ..errors import DuplicateTableError, UnknownTableError
@@ -380,6 +380,39 @@ class Database:
         """
         current = next(self._txn_counter)
         self._txn_counter = itertools.count(max(current, seen + 1))
+
+    def advance_object_ids(self) -> None:
+        """Keep object-id allocation ahead of every id in a committed row.
+
+        For an engine whose rows were written by another process under
+        this node name and arrived all at once — a restart on its own
+        log, a replica starting from a shipped checkpoint.  Linear in
+        the database; rows that arrive one commit at a time go through
+        :meth:`advance_object_ids_past` instead.
+        """
+        for name in self.tables():
+            table = self.table(name)
+            self.advance_object_ids_past(
+                table, (row for _, row in table.committed_items()))
+
+    def advance_object_ids_past(self, table: Table,
+                                rows: Iterable[Sequence[Any]]) -> None:
+        """Keep object-id allocation ahead of every id in ``rows`` (stored
+        rows of ``table``): ids are never reused, so the newest ``Oid``
+        per node bounds what may be minted next (ids of other namespaces
+        are ignored)."""
+        oid_columns = table.schema.oid_positions
+        if not oid_columns:
+            return
+        newest: dict[str, int] = {}
+        for row in rows:
+            for at in oid_columns:
+                value = row[at]
+                if value is not None \
+                        and value.seq > newest.get(value.node, 0):
+                    newest[value.node] = value.seq
+        for node, seq in newest.items():
+            self.ids.advance_past(node, seq)
 
     def now(self) -> float:
         """Current time from the injected clock."""

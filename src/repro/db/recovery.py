@@ -36,7 +36,6 @@ import os
 from typing import Iterable
 
 from ..errors import RecoveryError
-from ..ids import Oid
 from . import wal as walmod
 from .engine import Database
 from .replay import DDL, WalReplay, apply_ddl, restore_checkpoint
@@ -84,15 +83,7 @@ def _rebuild(log: tuple[list[WalRecord], bool],
     # surviving rows (ids are never reused, across restarts included).
     db.wal.advance_lsn(core.applied_lsn)
     db.advance_txn_ids(core.max_txn_id)
-    newest: dict[str, int] = {}
-    for name in db.tables():
-        for _, row in db.table(name).committed_items():
-            for value in row:
-                if value.__class__ is Oid \
-                        and value.seq > newest.get(value.node, 0):
-                    newest[value.node] = value.seq
-    for oid_node, seq in newest.items():
-        db.ids.advance_past(oid_node, seq)
+    db.advance_object_ids()
     if torn:
         db.obs.registry.counter("wal.torn_tail_recoveries").inc()
     return db, core

@@ -82,7 +82,9 @@ def _check_jsonish(value: Any, _depth: int = 0) -> None:
         raise TypeMismatchError("json value nested too deeply")
     if value is None or isinstance(value, (bool, int, float, str)):
         return
-    if isinstance(value, (list, tuple)):
+    # An Oid is a tuple but not a JSON array: it falls through to the
+    # error below (references belong in OID columns).
+    if isinstance(value, (list, tuple)) and not isinstance(value, Oid):
         for item in value:
             _check_jsonish(item, _depth + 1)
         return
@@ -154,6 +156,9 @@ class TableSchema:
         self.name = name
         self.columns: tuple[Column, ...] = tuple(columns)
         self._by_name: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
+        #: Storage positions of the OID-typed columns.
+        self.oid_positions: tuple[int, ...] = tuple(
+            i for i, c in enumerate(columns) if c.type is ColumnType.OID)
         if key is not None and key not in self._by_name:
             raise UnknownColumnError(f"key column {key!r} not in table {name!r}")
         self.key = key

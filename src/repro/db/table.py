@@ -64,6 +64,10 @@ class Table:
         self.schema = schema
         self._committed: dict[int, tuple] = {}
         self._pending: dict[int, Pending] = {}
+        #: txn id -> {rowid: image-or-TOMBSTONE} of that transaction's
+        #: entries in ``_pending``: a query's overlay costs its own
+        #: writes, however many other writers have rows staged.
+        self._pending_images: dict[int, dict[int, Any]] = {}
         #: rowid -> commit LSN of the *current* committed image.  Absent
         #: means "since before version tracking" and compares as 0, so
         #: loaded/recovered rows are visible to every snapshot.
@@ -162,7 +166,7 @@ class Table:
             elif rowid in self._committed or rowid in self._pending:
                 raise DatabaseError(f"rowid {rowid} already in use")
             self._check_unique(txn_id, row, exclude_rowid=rowid)
-            self._pending[rowid] = Pending(txn_id, row, was_insert=True)
+            self._stage(rowid, Pending(txn_id, row, was_insert=True))
             self._register_pending_keys(rowid, row)
         return rowid, row
 
@@ -177,7 +181,7 @@ class Table:
             was_insert = pending.was_insert if pending else False
             if pending is not None and pending.image is not TOMBSTONE:
                 self._unregister_pending_keys(rowid, pending.image)
-            self._pending[rowid] = Pending(txn_id, row, was_insert)
+            self._stage(rowid, Pending(txn_id, row, was_insert))
             self._register_pending_keys(rowid, row)
         return row
 
@@ -189,8 +193,22 @@ class Table:
             was_insert = pending.was_insert if pending else False
             if pending is not None and pending.image is not TOMBSTONE:
                 self._unregister_pending_keys(rowid, pending.image)
-            self._pending[rowid] = Pending(txn_id, TOMBSTONE, was_insert)
+            self._stage(rowid, Pending(txn_id, TOMBSTONE, was_insert))
         return base
+
+    def _stage(self, rowid: int, pending: Pending) -> None:
+        """Record a pending image (caller holds ``_lock``)."""
+        self._pending[rowid] = pending
+        self._pending_images.setdefault(pending.owner, {})[rowid] = \
+            pending.image
+
+    def _unstage(self, rowid: int, owner: int) -> None:
+        """Forget a pending image (caller holds ``_lock``)."""
+        del self._pending[rowid]
+        images = self._pending_images[owner]
+        del images[rowid]
+        if not images:
+            del self._pending_images[owner]
 
     def _visible_for_write(self, txn_id: int, rowid: int) -> tuple:
         pending = self._pending.get(rowid)
@@ -283,11 +301,12 @@ class Table:
         events), ``None`` on insert.
         """
         with self._lock:
-            pending = self._pending.pop(rowid, None)
+            pending = self._pending.get(rowid)
             if pending is None or pending.owner != txn_id:
                 raise DatabaseError(
                     f"txn {txn_id} has no pending change on row {rowid}"
                 )
+            self._unstage(rowid, txn_id)
             if pending.image is not TOMBSTONE:
                 self._unregister_pending_keys(rowid, pending.image)
             old = self._committed.get(rowid)
@@ -374,7 +393,7 @@ class Table:
             if pending is not None and pending.owner == txn_id:
                 if pending.image is not TOMBSTONE:
                     self._unregister_pending_keys(rowid, pending.image)
-                del self._pending[rowid]
+                self._unstage(rowid, txn_id)
 
     def _index_row(self, rowid: int, row: tuple) -> None:
         for index in self._indexes.values():
@@ -518,10 +537,7 @@ class Table:
     def pending_of(self, txn_id: int) -> dict[int, Any]:
         """Snapshot of ``rowid -> image-or-TOMBSTONE`` for one transaction."""
         with self._lock:
-            return {
-                rowid: p.image for rowid, p in self._pending.items()
-                if p.owner == txn_id
-            }
+            return dict(self._pending_images.get(txn_id, ()))
 
     def row_count(self) -> int:
         """Number of committed rows."""

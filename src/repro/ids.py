@@ -18,14 +18,21 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Oid:
+class Oid(NamedTuple):
     """A globally unique object identifier.
 
     Sorting order is (node, seq), which makes ids from one node compare in
     creation order — handy for deterministic tie-breaking in tests.
+
+    An Oid *is* a tuple: equality, hashing and ordering are the C-level
+    tuple operations and never enter a Python frame, which is what every
+    dict probe, ``list.index`` and sort over identifiers pays for.  The
+    price is that ``isinstance(oid, tuple)`` holds, so code that treats
+    tuples as plain sequences (the WAL/wire value codec, the JSON column
+    check) must test for ``Oid`` first.
     """
 
     node: str

@@ -469,6 +469,9 @@ class RemoteHandle:
                 f"position {pos} outside document of "
                 f"length {self.mirror.length()}") from None
 
+    def contains(self, oid: Oid) -> bool:
+        return self.mirror.contains(oid)
+
     def position_of(self, oid: Oid) -> int | None:
         return self.mirror.position_of(oid)
 

@@ -10,7 +10,7 @@ maintains for them; across a network, that cache becomes a *replica*.
 * the **index** — a :class:`~repro.text.ordercache.ChunkedOrderCache`
   of the *visible* characters in document order, built by one chain
   walk per snapshot and spliced per delta, the same structure (and the
-  same splice rule, :func:`~repro.text.ordercache.splice_row`) a
+  same splice rule, :func:`~repro.text.ordercache.splice_rows`) a
   :class:`~repro.text.document.DocumentHandle` keeps over the database.
 
 Every read API is answered from the index, so its cost does not grow
@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..ids import Oid
-from ..text.ordercache import ChunkedOrderCache, position_after, splice_row
+from ..text.ordercache import ChunkedOrderCache, position_after, splice_rows
 
 __all__ = ["DocMirror"]
 
@@ -140,14 +140,13 @@ class DocMirror:
 
         A delta lists its rows in commit order, not document order, so
         every row lands in the chain before any splice asks it for a
-        predecessor; each splice then reads the row's final state.
+        predecessor; the splices then read each row's final state.
         """
         chain = self.rows
         for row in rows:
             chain[row["char"]] = row
-        index, begin, prev_of = self._index, self.begin, self._prev_of
-        for row in rows:
-            splice_row(index, chain[row["char"]], begin, prev_of)
+        splice_rows(self._index, [chain[row["char"]] for row in rows],
+                    self.begin, self._prev_of)
 
     def _prev_of(self, oid: Oid) -> Oid | None:
         row = self.rows.get(oid)
@@ -193,8 +192,7 @@ class DocMirror:
                               self._prev_of)
 
     def text_of(self, oids) -> str:
-        index = self._index
-        return "".join(index.char_of(oid) for oid in oids if oid in index)
+        return self._index.text_of(oids)
 
     def contains(self, oid: Oid) -> bool:
         return oid in self._index

@@ -68,8 +68,9 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     # -- document order cache (repro/text/document.py) ----------------------
     "doc.cache_splice_seconds": (
         "histogram",
-        "order-cache splice latency per committed character change "
-        "(insert/delete/undelete applied to an open handle's view)"),
+        "order-cache splice latency per commit that changed the visible "
+        "sequence (its inserts/deletes/undeletes applied, run by run, to "
+        "an open handle's view)"),
     "doc.cache_lookup_seconds": (
         "histogram",
         "order-cache positional lookup latency (char_oid_at, "

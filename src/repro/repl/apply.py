@@ -85,6 +85,7 @@ class ReplicationApplier:
             # snapshots.)
             core.open.clear()
             restore_checkpoint(db, record)
+            db.advance_object_ids()
         return True
 
     def _apply_commit(self, record: WalRecord) -> None:
@@ -97,7 +98,9 @@ class ReplicationApplier:
         covers the COMMIT but see pre-apply tables.  The
         ``repl.mid_apply`` crash point fires halfway through the rows:
         a crash there leaves a torn in-memory state that restart
-        recovery must repair from the local log.
+        recovery must repair from the local log.  Each installed row
+        carries the object-id allocators past the ids it holds, so a
+        promotion finds them already ahead of everything shipped.
         """
         db = self._db
         txn_id = record.txn_id
@@ -121,6 +124,7 @@ class ReplicationApplier:
                     values = decode_value(op.payload["values"])
                     kind, row, old = table.apply_replica_row(rowid, values,
                                                              record.lsn)
+                    db.advance_object_ids_past(table, (row,))
                 if kind == "noop":
                     continue
                 row_map = table.schema.row_dict(row) \

@@ -158,8 +158,11 @@ class FollowerEngine:
         prefix is fsynced, and the transaction-id allocator jumps past
         everything shipped since the last restart (the restart covered
         the rest; shipped appends already carry the LSN allocator along)
-        so new local writes extend the same log.  Idempotent; returns
-        the (now writable) database.
+        so new local writes extend the same log.  The object-id
+        allocators need nothing here: the restart and every applied row
+        since kept them ahead of all shipped ids, so a follower promoted
+        under its leader's node name never mints ``node.char:N`` a
+        second time.  Idempotent; returns the (now writable) database.
         """
         if self._promoted:
             return self._db

@@ -9,8 +9,9 @@ TeNDaX editors mirror the database state: the database stores
 neighbour-linked characters; the editor materialises the sequence.  The
 cache itself is a chunked order-statistic structure
 (:mod:`repro.text.ordercache`) so splices and positional lookups stay
-~O(√n) on large documents, and ``text()`` is served from per-chunk
-segments instead of a table scan.
+cheap on large documents (one chunk, found through a bisected
+directory), and ``text()`` is served from per-chunk segments instead of
+a table scan.
 
 Editing through a handle is transactional: one call = one committed
 "real-time transaction" (insert rows + neighbour pointer updates + document
@@ -28,7 +29,7 @@ from ..errors import InvalidPositionError, UnknownDocumentError
 from ..ids import Oid
 from . import chars as C
 from . import dbschema as S
-from .ordercache import make_order_cache, position_after, splice_row
+from .ordercache import make_order_cache, position_after, splice_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..feed.changefeed import CommitBatch
@@ -287,24 +288,21 @@ class DocumentHandle:
             self._sub.close()
 
     def _on_batch(self, batch: "CommitBatch") -> None:
-        cache = self._cache
+        rows = []
         for event in batch.events:
-            if event.kind == "delete":
-                # Physical char removal (document purge / archival): the
-                # before-image names the vanished character.
-                before = event.before
-                if before is not None and before.get("doc") == self.doc \
-                        and before.get("ch") and before["char"] in cache:
-                    started = perf_counter()
-                    cache.remove(before["char"])
-                    self._m_splice.observe(perf_counter() - started)
-                continue
             row = event.row
-            if row is None or row["doc"] != self.doc:
-                continue
-            started = perf_counter()
-            if splice_row(cache, row, self.begin_char, self._prev_of):
-                self._m_splice.observe(perf_counter() - started)
+            if event.kind == "delete" and event.before is not None:
+                # Physical char removal (document purge / archival): the
+                # before-image names the vanished character, which
+                # leaves the cache as a logically deleted one does.
+                row = dict(event.before, deleted=True)
+            if row is not None and row["doc"] == self.doc:
+                rows.append(row)
+        if not rows:
+            return  # another document's commit
+        started = perf_counter()
+        if splice_rows(self._cache, rows, self.begin_char, self._prev_of):
+            self._m_splice.observe(perf_counter() - started)
 
     def _prev_of(self, oid: Oid) -> Oid | None:
         """Chain predecessor of a character the cache does not hold (a
@@ -353,6 +351,11 @@ class DocumentHandle:
         finally:
             self._m_lookup.observe(perf_counter() - started)
 
+    def contains(self, oid: Oid) -> bool:
+        """Whether a character is currently visible (one dict probe —
+        the membership test; :meth:`position_of` is for positions)."""
+        return oid in self._cache
+
     def position_of(self, oid: Oid) -> int | None:
         """Current position of a character, or ``None`` if not visible."""
         if oid not in self._cache:
@@ -373,8 +376,7 @@ class DocumentHandle:
 
     def text_of(self, oids: Sequence[Oid]) -> str:
         """The text of still-visible characters among ``oids``."""
-        cache = self._cache
-        return "".join(cache.char_of(oid) for oid in oids if oid in cache)
+        return self._cache.text_of(oids)
 
     def anchor_for(self, pos: int) -> Oid:
         """The character OID an insert *at* ``pos`` goes after."""

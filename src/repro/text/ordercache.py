@@ -12,11 +12,20 @@ the offset-array behaviour the chain representation exists to avoid.
 order-statistic blocked list (in the spirit of
 :class:`~repro.db.sortedlist.BlockedSortedList`, but positional rather
 than sorted).  Visible characters live in bounded chunks; an oid→chunk
-map gives O(1) membership, and positional queries walk the chunk
-directory, so splices and index lookups cost ~O(√n).  Each chunk also
-keeps its characters and a lazily-joined text segment, so ``text()`` /
+map gives O(1) membership; every chunk knows its place in the chunk
+directory, and a prefix-sum array over the chunk sizes — rebuilt lazily
+after a mutation, searched with ``bisect`` — turns a position into a
+chunk and a chunk into a position.  What is left per lookup is one
+``list.index`` inside a single chunk, which compares
+:class:`~repro.ids.Oid` tuples in C.  Each chunk also keeps its
+characters and a lazily-joined text segment, so ``text()`` /
 ``styled_runs()`` / ``authors()`` are served from the cache instead of
 re-materialising the whole ``tx_chars`` table per call.
+
+Batch forms (``insert_run`` / ``remove_run`` / ``positions_of`` /
+``text_of``) work chunk by chunk: k characters that sit side by side
+cost one lookup and one slice operation per chunk they touch, not k
+lookups and k ``list.insert`` calls.
 
 :class:`FlatOrderCache` preserves the original flat-list behaviour and
 exists as the measured baseline for the large-document benchmarks
@@ -25,31 +34,42 @@ exists as the measured baseline for the large-document benchmarks
 Both caches maintain, per visible character, the payload the rendering
 paths need (character, style, author); style changes are O(1) updates.
 
-:func:`splice_row` and :func:`position_after` are how a cache follows
-the chain: which committed row splices in, out or only restyles, and
+:func:`splice_rows` and :func:`position_after` are how a cache follows
+the chain: which committed rows splice in, out or only restyle, and
 where "after this anchor" is when the anchor itself is hidden.  Both
 replicas of a document use them — the in-process
 :class:`~repro.text.document.DocumentHandle` and the wire client's
 :class:`~repro.net.mirror.DocMirror` — differing only in how a
 character's chain predecessor is looked up.
 
-Complexity (n visible characters, chunk target B, so ~n/B chunks):
+Complexity (n visible characters, chunk target B, so ~n/B chunks; k
+characters in a batch touching c chunks; "dir" is the lazy directory
+rebuild, one C-level pass over n/B chunk sizes, paid by the first
+positional lookup after a mutation):
 
-=================  ==================  =================
-operation          ChunkedOrderCache   FlatOrderCache
-=================  ==================  =================
-``insert``         O(B + n/B)          O(n)
-``remove``         O(B + n/B)          O(n)
-``index_of``       O(B + n/B)          O(n) (hint: O(1))
-``oid_at``         O(n/B)              O(1)
-``text()``         O(dirty·B + n/B)    O(n)
-``set_style``      O(1)                O(1)
-membership         O(1)                O(1)
-=================  ==================  =================
+===================  ====================  =================
+operation            ChunkedOrderCache     FlatOrderCache
+===================  ====================  =================
+``insert``           O(B + log(n/B))+dir   O(n)
+``remove``           O(B + log(n/B))+dir   O(n)
+``index_of``         O(B) + dir            O(n) (hint: O(1))
+``oid_at``           O(log(n/B)) + dir     O(1)
+``insert_run``       O(k + B) + dir        O(n + k)
+``remove_run``       O(k + c·B) + dir      O(k·n)
+``positions_of``     O(k + c·B) + dir      O(k·n)
+``text_of``          O(k + c·B)            O(k)
+``text()``           O(dirty·B + n/B)      O(n)
+``set_style``        O(1)                  O(1)
+membership           O(1)                  O(1)
+===================  ====================  =================
+
+Every O(B) term is a C-level ``list.index`` / slice over one chunk.
 
 Invariants (checked by :meth:`ChunkedOrderCache.check`):
 
 * every chunk is non-empty and no larger than ``2 * CHUNK``;
+* chunk ``i`` of the directory records ``at == i``;
+* the prefix-sum array, when present, matches the chunk sizes;
 * the oid→chunk map contains exactly the oids of all chunks;
 * per-chunk ``oids`` and ``chars`` stay parallel;
 * a chunk's cached text, when present, equals ``"".join(chars)``.
@@ -57,7 +77,9 @@ Invariants (checked by :meth:`ChunkedOrderCache.check`):
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..ids import Oid
 
@@ -65,13 +87,15 @@ from ..ids import Oid
 class _Chunk:
     """One bounded run of consecutive visible characters."""
 
-    __slots__ = ("oids", "chars", "joined")
+    __slots__ = ("oids", "chars", "joined", "at")
 
     def __init__(self, oids: list[Oid], chars: list[str]) -> None:
         self.oids = oids
         self.chars = chars
         #: Lazily materialised "".join(chars); None when dirty.
         self.joined: str | None = None
+        #: This chunk's place in the owning cache's directory.
+        self.at = 0
 
     def text(self) -> str:
         if self.joined is None:
@@ -87,6 +111,10 @@ class ChunkedOrderCache:
 
     def __init__(self, rows: Iterable[dict] = ()) -> None:
         self._chunks: list[_Chunk] = []
+        #: ``_starts[i]`` = characters before chunk ``i`` (one trailing
+        #: entry holds the total); None after a mutation, until the next
+        #: positional lookup rebuilds it.
+        self._starts: list[int] | None = None
         self._where: dict[Oid, _Chunk] = {}
         self._style: dict[Oid, Oid | None] = {}
         self._author: dict[Oid, str] = {}
@@ -99,27 +127,13 @@ class ChunkedOrderCache:
 
     def rebuild(self, rows: Iterable[dict]) -> None:
         """Reset from character rows in document order (a chain walk)."""
-        oids: list[Oid] = []
-        chars: list[str] = []
-        style: dict[Oid, Oid | None] = {}
-        author: dict[Oid, str] = {}
-        for row in rows:
-            oid = row["char"]
-            oids.append(oid)
-            chars.append(row["ch"])
-            style[oid] = row["style"]
-            author[oid] = row["author"]
         self._chunks = []
+        self._starts = None
         self._where = {}
-        self._style = style
-        self._author = author
-        self._len = len(oids)
-        for start in range(0, len(oids), self.CHUNK):
-            chunk = _Chunk(oids[start:start + self.CHUNK],
-                           chars[start:start + self.CHUNK])
-            self._chunks.append(chunk)
-            for oid in chunk.oids:
-                self._where[oid] = chunk
+        self._style = {}
+        self._author = {}
+        self._len = 0
+        self.insert_run(0, rows)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -128,42 +142,84 @@ class ChunkedOrderCache:
     def insert(self, index: int, oid: Oid, ch: str, style: Oid | None,
                author: str) -> None:
         """Splice a visible character in at ``index``."""
+        self.insert_run(index, ({"char": oid, "ch": ch, "style": style,
+                                 "author": author},))
+
+    def insert_run(self, index: int, rows: Iterable[dict]) -> None:
+        """Splice consecutive visible characters in at ``index``.
+
+        ``rows`` are character rows in document order (the keys
+        :meth:`rebuild` reads).  One directory lookup and one slice
+        assignment, however long the run; a chunk that outgrows its
+        bound is cut into even pieces.
+        """
         if not 0 <= index <= self._len:
             raise IndexError(f"insert index {index} outside 0..{self._len}")
-        if not self._chunks:
-            chunk = _Chunk([oid], [ch])
-            self._chunks.append(chunk)
-            self._where[oid] = chunk
-        else:
+        oids: list[Oid] = []
+        chars: list[str] = []
+        style = self._style
+        author = self._author
+        for row in rows:
+            oid = row["char"]
+            oids.append(oid)
+            chars.append(row["ch"])
+            style[oid] = row["style"]
+            author[oid] = row["author"]
+        if not oids:
+            return
+        if self._chunks:
             at, offset = self._locate(index)
             chunk = self._chunks[at]
-            chunk.oids.insert(offset, oid)
-            chunk.chars.insert(offset, ch)
+            chunk.oids[offset:offset] = oids
+            chunk.chars[offset:offset] = chars
             chunk.joined = None
-            self._where[oid] = chunk
-            if len(chunk.oids) > 2 * self.CHUNK:
-                self._split(at)
-        self._style[oid] = style
-        self._author[oid] = author
-        self._len += 1
+        else:
+            chunk = _Chunk(oids, chars)
+            self._chunks.append(chunk)
+        self._where.update(dict.fromkeys(oids, chunk))
+        self._len += len(oids)
+        self._starts = None
+        if len(chunk.oids) > 2 * self.CHUNK:
+            self._split(chunk.at)
 
     def remove(self, oid: Oid) -> int:
         """Splice a character out; returns its former index."""
-        chunk = self._where.pop(oid)
-        offset = chunk.oids.index(oid)
-        at = self._chunk_index(chunk)
-        index = sum(len(c.oids) for c in self._chunks[:at]) + offset
-        del chunk.oids[offset]
-        del chunk.chars[offset]
-        chunk.joined = None
-        del self._style[oid]
-        del self._author[oid]
-        self._len -= 1
-        if not chunk.oids:
-            del self._chunks[at]
-        elif len(chunk.oids) < self.CHUNK // 4:
-            self._maybe_merge(at)
+        index = self.index_of(oid)
+        self.remove_run((oid,))
         return index
+
+    def remove_run(self, oids: Iterable[Oid]) -> None:
+        """Splice visible characters out (raises KeyError on a stranger).
+
+        Characters that sit side by side leave with one lookup and one
+        slice deletion per chunk they span.
+        """
+        oids = list(oids)
+        done = 0
+        for chunk, offset, count in self._spans(oids):
+            if chunk is None:
+                raise KeyError(oids[done])
+            self._cut(chunk, offset, count)
+            done += count
+
+    def _cut(self, chunk: _Chunk, offset: int, count: int) -> None:
+        """Drop ``count`` characters of ``chunk`` starting at ``offset``."""
+        stop = offset + count
+        where, style, author = self._where, self._style, self._author
+        for oid in chunk.oids[offset:stop]:
+            del where[oid]
+            del style[oid]
+            del author[oid]
+        del chunk.oids[offset:stop]
+        del chunk.chars[offset:stop]
+        chunk.joined = None
+        self._len -= count
+        self._starts = None
+        if not chunk.oids:
+            del self._chunks[chunk.at]
+            self._renumber(chunk.at)
+        elif len(chunk.oids) < self.CHUNK // 4:
+            self._maybe_merge(chunk.at)
 
     def set_style(self, oid: Oid, style: Oid | None) -> bool:
         """Record a style change for a visible character (O(1))."""
@@ -173,15 +229,20 @@ class ChunkedOrderCache:
         return True
 
     def _split(self, at: int) -> None:
+        """Cut an oversized chunk into even pieces of about ``CHUNK``."""
         chunk = self._chunks[at]
-        half = len(chunk.oids) // 2
-        right = _Chunk(chunk.oids[half:], chunk.chars[half:])
-        del chunk.oids[half:]
-        del chunk.chars[half:]
+        size = len(chunk.oids)
+        step = -(-size // (size // self.CHUNK))
+        pieces = [_Chunk(chunk.oids[cut:cut + step],
+                         chunk.chars[cut:cut + step])
+                  for cut in range(step, size, step)]
+        del chunk.oids[step:]
+        del chunk.chars[step:]
         chunk.joined = None
-        self._chunks.insert(at + 1, right)
-        for oid in right.oids:
-            self._where[oid] = right
+        self._chunks[at + 1:at + 1] = pieces
+        for piece in pieces:
+            self._where.update(dict.fromkeys(piece.oids, piece))
+        self._renumber(at + 1)
 
     def _maybe_merge(self, at: int) -> None:
         """Fold a small chunk into a neighbour if the pair stays bounded."""
@@ -196,14 +257,29 @@ class ChunkedOrderCache:
                 left.oids.extend(right.oids)
                 left.chars.extend(right.chars)
                 left.joined = None
-                for oid in right.oids:
-                    self._where[oid] = left
+                self._where.update(dict.fromkeys(right.oids, left))
                 del self._chunks[hi]
+                self._renumber(hi)
                 return
+
+    def _renumber(self, start: int) -> None:
+        """Re-record directory places after a chunk came or went."""
+        chunks = self._chunks
+        for at in range(start, len(chunks)):
+            chunks[at].at = at
 
     # ------------------------------------------------------------------
     # Positional lookup
     # ------------------------------------------------------------------
+
+    def _directory(self) -> list[int]:
+        """Prefix sums of the chunk sizes (rebuilt if a mutation since
+        the last lookup invalidated them)."""
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = list(accumulate(
+                [len(chunk.oids) for chunk in self._chunks], initial=0))
+        return starts
 
     def _locate(self, index: int) -> tuple[int, int]:
         """(chunk position, offset) for a sequence index (insert-friendly:
@@ -211,28 +287,54 @@ class ChunkedOrderCache:
         if index >= self._len:
             last = len(self._chunks) - 1
             return last, len(self._chunks[last].oids)
-        for at, chunk in enumerate(self._chunks):
-            n = len(chunk.oids)
-            if index < n:
-                return at, index
-            index -= n
-        raise IndexError("unreachable: index inside bounds")  # pragma: no cover
+        starts = self._directory()
+        at = bisect_right(starts, index) - 1
+        return at, index - starts[at]
 
-    def _chunk_index(self, chunk: _Chunk) -> int:
-        for at, candidate in enumerate(self._chunks):
-            if candidate is chunk:
-                return at
-        raise ValueError("chunk not in directory")  # pragma: no cover
+    def _spans(self, oids: list[Oid]
+               ) -> Iterator[tuple[_Chunk | None, int, int]]:
+        """Cut ``oids`` into ``(chunk, offset, count)`` stretches that
+        sit side by side inside one chunk, in input order; an oid that
+        is not visible comes back alone as ``(None, 0, 1)``.
+
+        Each stretch costs one ``list.index`` and one slice comparison.
+        The caller may mutate the cache between stretches: nothing is
+        carried over from one to the next.
+        """
+        where = self._where
+        done, total = 0, len(oids)
+        while done < total:
+            chunk = where.get(oids[done])
+            if chunk is None:
+                yield None, 0, 1
+                done += 1
+                continue
+            held = chunk.oids
+            offset = held.index(oids[done])
+            count = min(total - done, len(held) - offset)
+            if held[offset:offset + count] != oids[done:done + count]:
+                count = 1
+                while held[offset + count] == oids[done + count]:
+                    count += 1
+            yield chunk, offset, count
+            done += count
 
     def index_of(self, oid: Oid) -> int:
         """Current position of a visible character (raises KeyError)."""
         chunk = self._where[oid]
-        prefix = 0
-        for candidate in self._chunks:
-            if candidate is chunk:
-                return prefix + chunk.oids.index(oid)
-            prefix += len(candidate.oids)
-        raise ValueError("chunk not in directory")  # pragma: no cover
+        return self._directory()[chunk.at] + chunk.oids.index(oid)
+
+    def positions_of(self, oids: Iterable[Oid]) -> list[int | None]:
+        """Positions parallel to ``oids``; None where one is not visible."""
+        starts = self._directory()
+        out: list[int | None] = []
+        for chunk, offset, count in self._spans(list(oids)):
+            if chunk is None:
+                out.append(None)
+            else:
+                first = starts[chunk.at] + offset
+                out.extend(range(first, first + count))
+        return out
 
     def oid_at(self, index: int) -> Oid:
         """The character OID at ``index`` (raises IndexError)."""
@@ -287,10 +389,14 @@ class ChunkedOrderCache:
             out.extend(chunk.oids)
         return out
 
-    def char_of(self, oid: Oid) -> str:
-        """The character a visible OID renders as."""
-        chunk = self._where[oid]
-        return chunk.chars[chunk.oids.index(oid)]
+    def text_of(self, oids: Iterable[Oid]) -> str:
+        """The text of the visible characters among ``oids``, in the
+        order given."""
+        out: list[str] = []
+        for chunk, offset, count in self._spans(list(oids)):
+            if chunk is not None:
+                out.extend(chunk.chars[offset:offset + count])
+        return "".join(out)
 
     def style_of(self, oid: Oid) -> Oid | None:
         return self._style[oid]
@@ -352,6 +458,10 @@ class ChunkedOrderCache:
                 problems.append(f"chunk {at}: oids/chars not parallel")
             if chunk.joined is not None and chunk.joined != "".join(chunk.chars):
                 problems.append(f"chunk {at}: stale cached text")
+            if chunk.at != at:
+                problems.append(f"chunk {at} believes it is chunk {chunk.at}")
+            if self._starts is not None and self._starts[at] != total:
+                problems.append(f"chunk {at}: stale directory entry")
             for oid in chunk.oids:
                 if oid in seen:
                     problems.append(f"{oid} appears in two chunks")
@@ -359,6 +469,10 @@ class ChunkedOrderCache:
             total += len(chunk.oids)
         if total != self._len:
             problems.append(f"length {self._len} != chunk total {total}")
+        if self._starts is not None and (
+                len(self._starts) != len(self._chunks) + 1
+                or self._starts[-1] != total):
+            problems.append("directory does not end at the total length")
         if seen.keys() != self._where.keys():
             problems.append("oid->chunk map out of sync with chunks")
         else:
@@ -400,22 +514,25 @@ class FlatOrderCache:
         self._style = {}
         self._author = {}
         self._hint = 0
-        for row in rows:
-            oid = row["char"]
-            self._order.append(oid)
-            self._chars[oid] = row["ch"]
-            self._style[oid] = row["style"]
-            self._author[oid] = row["author"]
+        self.insert_run(0, rows)
 
     def insert(self, index: int, oid: Oid, ch: str, style: Oid | None,
                author: str) -> None:
+        self.insert_run(index, ({"char": oid, "ch": ch, "style": style,
+                                 "author": author},))
+
+    def insert_run(self, index: int, rows: Iterable[dict]) -> None:
         if not 0 <= index <= len(self._order):
             raise IndexError(f"insert index {index} outside "
                              f"0..{len(self._order)}")
-        self._order.insert(index, oid)
-        self._chars[oid] = ch
-        self._style[oid] = style
-        self._author[oid] = author
+        oids = []
+        for row in rows:
+            oid = row["char"]
+            oids.append(oid)
+            self._chars[oid] = row["ch"]
+            self._style[oid] = row["style"]
+            self._author[oid] = row["author"]
+        self._order[index:index] = oids
         self._hint = index
 
     def remove(self, oid: Oid) -> int:
@@ -426,6 +543,10 @@ class FlatOrderCache:
         del self._author[oid]
         self._hint = index
         return index
+
+    def remove_run(self, oids: Iterable[Oid]) -> None:
+        for oid in oids:
+            self.remove(oid)
 
     def set_style(self, oid: Oid, style: Oid | None) -> bool:
         if oid not in self._chars:
@@ -442,6 +563,10 @@ class FlatOrderCache:
             if 0 <= probe < len(order) and order[probe] == oid:
                 return probe
         return order.index(oid)
+
+    def positions_of(self, oids: Iterable[Oid]) -> list[int | None]:
+        return [self.index_of(oid) if oid in self._chars else None
+                for oid in oids]
 
     def oid_at(self, index: int) -> Oid:
         if not 0 <= index < len(self._order):
@@ -467,8 +592,9 @@ class FlatOrderCache:
     def oids(self) -> list[Oid]:
         return list(self._order)
 
-    def char_of(self, oid: Oid) -> str:
-        return self._chars[oid]
+    def text_of(self, oids: Iterable[Oid]) -> str:
+        chars = self._chars
+        return "".join(chars[oid] for oid in oids if oid in chars)
 
     def style_of(self, oid: Oid) -> Oid | None:
         return self._style[oid]
@@ -550,35 +676,70 @@ def position_after(cache, anchor: Oid | None, begin: Oid,
     return 0
 
 
-def splice_row(cache, row: dict, begin: Oid,
-               prev_of: Callable[[Oid], Oid | None]) -> bool:
-    """Bring ``cache`` in line with one committed ``tx_chars`` row.
+def splice_rows(cache, rows: Sequence[dict], begin: Oid,
+                prev_of: Callable[[Oid], Oid | None]) -> bool:
+    """Bring ``cache`` in line with the committed ``tx_chars`` rows of
+    one transaction, in the order given.
 
-    A visible row the cache lacks (insert, undelete) is spliced in after
-    its nearest cached predecessor; a deleted row the cache holds is
-    spliced out; a row that is visible on both sides only refreshes the
-    style payload.  Sentinels never enter the cache.  Returns whether
-    the sequence changed.
+    The rule per row: a visible row the cache lacks (insert, undelete)
+    is spliced in after its nearest cached predecessor; a deleted row
+    the cache holds is spliced out; a row that is visible on both sides
+    only refreshes the style payload.  Sentinels never enter the cache.
+    Returns whether the sequence changed.
 
-    Rows of one commit may be applied in any order as long as
-    ``prev_of`` already answers from the post-commit chain: each splice
-    lands directly after the nearest predecessor *present in the cache*,
-    so a later-applied character in between slots in before it.
+    Rows are applied run by run.  A *run* is a stretch of consecutive
+    rows that splice the same way and are chain-adjacent — each row's
+    ``prev`` is the row before it — which is what a paste, a range
+    delete or its undo commits.  Chain-adjacent characters are adjacent
+    in the cache too, so a run needs one :func:`position_after` and one
+    ``insert_run`` (or one ``remove_run``) instead of one of each per
+    character.  Any other row ends the run, which is applied before the
+    row is looked at: the result is that of applying the rule row by
+    row.
+
+    Rows of one commit may come in any order as long as ``prev_of``
+    already answers from the post-commit chain: each splice lands
+    directly after the nearest predecessor *present in the cache*, so a
+    later-applied character in between slots in before it.
     """
-    if not row["ch"]:
-        return False
-    oid = row["char"]
-    if oid in cache:
-        if row["deleted"]:
-            cache.remove(oid)
-            return True
-        cache.set_style(oid, row["style"])
-        return False
-    if row["deleted"]:
-        return False
-    cache.insert(position_after(cache, row["prev"], begin, prev_of),
-                 oid, row["ch"], row["style"], row["author"])
-    return True
+    changed = False
+    run: list[dict] = []
+    inserting = False
+    for row in rows:
+        if not row["ch"]:
+            continue
+        oid = row["char"]
+        deleted = row["deleted"]
+        if run:
+            if (row["prev"] == run[-1]["char"] and deleted != inserting
+                    and (oid in cache) != inserting):
+                run.append(row)
+                continue
+            _apply_run(cache, run, inserting, begin, prev_of)
+            run = []
+        if oid in cache:
+            if deleted:
+                run = [row]
+                inserting = False
+                changed = True
+            else:
+                cache.set_style(oid, row["style"])
+        elif not deleted:
+            run = [row]
+            inserting = True
+            changed = True
+    if run:
+        _apply_run(cache, run, inserting, begin, prev_of)
+    return changed
+
+
+def _apply_run(cache, run: list[dict], inserting: bool, begin: Oid,
+               prev_of: Callable[[Oid], Oid | None]) -> None:
+    if inserting:
+        cache.insert_run(
+            position_after(cache, run[0]["prev"], begin, prev_of), run)
+    else:
+        cache.remove_run([row["char"] for row in run])
 
 
 #: Cache kinds selectable when opening a handle (benchmarks use "flat").

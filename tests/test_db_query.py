@@ -196,6 +196,58 @@ class TestPendingOverlay:
         txn.abort()
 
 
+class TestPendingPerTransaction:
+    """A query's pending overlay is the querying transaction's own
+    writes: another writer's staged rows are neither seen nor paid for."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database("t")
+        db.create_table("kv", [column("k", "str"), column("v", "int")],
+                        key="k")
+        self.committed = db.insert("kv", {"k": "base", "v": 0})
+        return db
+
+    def test_two_writers_see_only_their_own_pending_rows(self, db):
+        ana, ben = db.begin(), db.begin()
+        for i in range(30):
+            ana.insert("kv", {"k": f"a{i}", "v": i})
+        ben_row = ben.insert("kv", {"k": "b0", "v": 100})
+        ben.update("kv", self.committed, {"v": 7})
+        table = db.table("kv")
+        assert len(table.pending_of(ana.txn_id)) == 30
+        assert table.pending_of(ben.txn_id).keys() == \
+            {ben_row, self.committed}
+        assert table.pending_of(10 ** 9) == {}
+        assert ana.query("kv").where(col("k") == "b0").count() == 0
+        assert ana.query("kv").where(col("k") == "base").first()["v"] == 0
+        assert ben.query("kv").where(col("k") == "base").first()["v"] == 7
+        assert ben.query("kv").where(col("k") == "a3").count() == 0
+        assert ana.query("kv").count() == 31
+        assert ben.query("kv").count() == 2
+        ana.abort()
+        assert table.pending_of(ana.txn_id) == {}
+        assert len(table.pending_of(ben.txn_id)) == 2
+        ben.commit()
+        assert table._pending == {} and table._pending_images == {}
+        assert db.query("kv").count() == 2
+
+    def test_overlay_is_a_snapshot_and_tracks_restaging(self, db):
+        txn = db.begin()
+        rid = txn.insert("kv", {"k": "x", "v": 1})
+        table = db.table("kv")
+        overlay = table.pending_of(txn.txn_id)
+        txn.update("kv", rid, {"v": 2})
+        txn.insert("kv", {"k": "y", "v": 3})
+        assert list(overlay) == [rid]           # unaffected by later writes
+        assert overlay[rid][1] == 1
+        assert table.pending_of(txn.txn_id)[rid][1] == 2
+        txn.delete("kv", rid)
+        assert txn.query("kv").where(col("k") == "x").count() == 0
+        txn.commit()
+        assert table._pending_images == {}
+
+
 class TestAggregates:
     def test_sum_min_max(self, people_db):
         query = people_db.query("people")

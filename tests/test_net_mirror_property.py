@@ -5,8 +5,10 @@ The mirror answers every read from an incrementally spliced
 here answers the same reads by re-walking the ``prev``/``next`` chain
 on every call (what the mirror itself did before it had an index).  A
 hypothesis state machine plays a server — keystrokes, multi-row pastes
-whose delta rows arrive shuffled, deletes, undeletes, style changes —
-and a lossy network — deltas delivered in order, out of order
+whose delta rows arrive shuffled, deletes, undeletes, style changes,
+and the run-shaped commits (a long paste, a range delete, its undo, a
+range restyle, in document order or shuffled) that the index applies
+with one splice per run — and a lossy network — deltas delivered in order, out of order
 (buffered), twice (stale) or never, snapshots loaded late with buffered
 deltas on both sides of their ``rep_seq`` — and after every step the
 two must agree on every read API, with the index's own invariants and
@@ -138,9 +140,12 @@ class MirrorMachine(RuleBasedStateMachine):
                 "rep_seq": self.rep_seq,
                 "rows": copy.deepcopy(list(self.chain.values()))}
 
-    def _commit(self, data, touched: list) -> None:
-        """Cut a delta from the touched rows, in an arbitrary order."""
-        order = data.draw(st.permutations(touched), label="delta order")
+    def _commit(self, data, touched: list, *, ordered: bool = False) -> None:
+        """Cut a delta from the touched rows: as listed when ``ordered``
+        (document order, what the server sends for a range operation),
+        else in an arbitrary order."""
+        order = touched if ordered else data.draw(
+            st.permutations(touched), label="delta order")
         self.rep_seq += 1
         self.log[self.rep_seq] = [dict(self.chain[oid]) for oid in order]
 
@@ -198,6 +203,63 @@ class MirrorMachine(RuleBasedStateMachine):
         for oid in oids:
             self.chain[oid]["style"] = style
         self._commit(data, oids)
+
+    # -- run-shaped commits ---------------------------------------------
+
+    def _stretch(self, data, *, deleted: bool) -> list:
+        """Some chain-consecutive characters in the wanted state (rows
+        in the other state in between are skipped, leaving holes)."""
+        walk = []
+        current = self.chain[BEGIN]["next"]
+        while current != END:
+            walk.append(current)
+            current = self.chain[current]["next"]
+        start = data.draw(st.integers(0, len(walk) - 1), label="start")
+        count = data.draw(st.integers(2, 24), label="count")
+        return [oid for oid in walk[start:start + count]
+                if self.chain[oid]["deleted"] == deleted]
+
+    @rule(data=st.data(), size=st.integers(7, 24), ordered=st.booleans(),
+          author=st.sampled_from(AUTHORS))
+    def paste(self, data, size, ordered, author):
+        """A paste long enough to overflow a chunk and be cut in pieces."""
+        anchor = data.draw(st.sampled_from(
+            [oid for oid in self.chain if oid != END]), label="anchor")
+        successor = self.chain[anchor]["next"]
+        oids = [Oid("char", self.next_oid + i) for i in range(size)]
+        self.next_oid += size
+        for i, oid in enumerate(oids):
+            self.chain[oid] = _row(
+                oid, "pasted-text-"[i % 12], oids[i - 1] if i else anchor,
+                oids[i + 1] if i + 1 < size else successor, author)
+        self.chain[anchor]["next"] = oids[0]
+        self.chain[successor]["prev"] = oids[-1]
+        self._commit(data, [*oids, anchor, successor], ordered=ordered)
+
+    @precondition(lambda self: self._chars(deleted=False))
+    @rule(data=st.data(), ordered=st.booleans())
+    def delete_range(self, data, ordered):
+        oids = self._stretch(data, deleted=False)
+        for oid in oids:
+            self.chain[oid]["deleted"] = True
+        self._commit(data, oids, ordered=ordered)
+
+    @precondition(lambda self: self._chars(deleted=True))
+    @rule(data=st.data(), ordered=st.booleans())
+    def undelete_range(self, data, ordered):
+        oids = self._stretch(data, deleted=True)
+        for oid in oids:
+            self.chain[oid]["deleted"] = False
+        self._commit(data, oids, ordered=ordered)
+
+    @precondition(lambda self: self._chars(deleted=False))
+    @rule(data=st.data(), ordered=st.booleans(),
+          style=st.sampled_from(STYLES))
+    def restyle_range(self, data, ordered, style):
+        oids = self._stretch(data, deleted=False)
+        for oid in oids:
+            self.chain[oid]["style"] = style
+        self._commit(data, oids, ordered=ordered)
 
     # -- the network ---------------------------------------------------
 
@@ -269,6 +331,7 @@ class MirrorMachine(RuleBasedStateMachine):
         mixed = [*reversed(reference.rows), STRANGER]
         assert mirror.text_of(mixed) == "".join(
             reference.rows[oid]["ch"] for oid in mixed if oid in position)
+        assert mirror.text_of(oids) == text
         assert mirror.styled_runs() == reference.styled_runs()
         authors: dict[str, int] = {}
         for row in visible:

@@ -283,6 +283,52 @@ class TestPromotion:
         assert all(r["k"] != "never-committed" for r in rows(db).values())
         leader.close(); follower.close()
 
+    @pytest.mark.parametrize("compacted", [False, True])
+    def test_promotion_under_the_leaders_node_name_mints_fresh_ids(
+            self, tmp_path, compacted):
+        """A follower that takes over *as* its leader (same node name,
+        the CLI default) must not hand out ``node.char:N`` again: the
+        first keystroke after failover used to hit a duplicate key.
+        Shipped row by row, or all at once in a checkpoint when the
+        leader compacted its log first."""
+        from repro.collab import CollaborationServer
+        from repro.ids import Oid
+
+        leader = CollaborationServer(
+            node="tendax", wal_path=str(tmp_path / "leader.wal"))
+        leader.register_user("ana")
+        typist = leader.connect("ana")
+        pad = typist.create_document("pad", text="typed on the leader")
+        typist.insert(pad.doc, 5, " (and edited)")
+        if compacted:
+            leader.db.wal.truncate_before(leader.db.checkpoint())
+        follower = FollowerEngine(node="tendax")
+        WalTailer(leader.db.wal, follower).poll()
+
+        shipped: dict[str, int] = {}
+        for name in follower.db.tables():
+            for _, row in follower.db.table(name).committed_items():
+                for value in row:
+                    if type(value) is Oid:
+                        shipped[value.node] = max(
+                            shipped.get(value.node, 0), value.seq)
+        assert shipped["tendax.char"] >= len(pad.text())
+
+        promoted = CollaborationServer(follower.promote())
+        session = promoted.connect("ana")
+        fresh = session.create_document("after failover")
+        assert fresh.doc.seq > shipped["tendax.doc"]
+        assert fresh.begin_char.seq > shipped["tendax.char"]
+        resumed = session.open(pad.doc)
+        assert resumed.text() == pad.text()
+        minted = session.insert_after(pad.doc, resumed.char_oid_at(4), "!")
+        assert all(oid.seq > shipped["tendax.char"] for oid in minted)
+        assert resumed.text() == "typed! (and edited) on the leader"
+        assert resumed.check_integrity() == []
+        # Ids of a different namespace never move the allocators.
+        assert follower.db.new_oid("char").node == "tendax.char"
+        leader.shutdown(); promoted.shutdown()
+
     def test_promoted_follower_rejects_the_stream(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"), n_txns=3)
         follower = FollowerEngine(node="replica")

@@ -57,6 +57,8 @@ SMOKE_NODES = (
     "::test_cache_remote_splice_chunked[256000]",
     "benchmarks/bench_editing_transactions.py"
     "::test_cache_remote_splice_flat[256000]",
+    "benchmarks/bench_editing_transactions.py::test_select_copy_paste_30k",
+    "benchmarks/bench_editing_transactions.py::test_position_lookup_30k",
     "benchmarks/bench_undo_redo.py::test_undo_redo_cycle[10]",
     "benchmarks/bench_recovery_security.py::test_recovery_replay[100]",
     "benchmarks/bench_versioning.py::test_tag_version[500]",
@@ -97,6 +99,10 @@ TREND_NODES = {
     "benchmarks/bench_editing_transactions.py"
     "::test_cache_remote_splice_flat[256000]":
         "c1_cache_splice_flat_256k",
+    "benchmarks/bench_editing_transactions.py::test_select_copy_paste_30k":
+        "c1_select_copy_paste_30k",
+    "benchmarks/bench_editing_transactions.py::test_position_lookup_30k":
+        "c1_position_lookup_30k",
     "benchmarks/bench_collaborative_editing.py::test_replication_visibility[2]":
         "c3_replication_visibility_2",
     "benchmarks/bench_net.py::test_connect_storm[8]":
