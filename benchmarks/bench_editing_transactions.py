@@ -28,7 +28,7 @@ import pytest
 
 from repro.baselines import FileWordProcessor, OffsetDocumentStore
 from repro.collab import EditorClient
-from repro.db import Database
+from repro.db import Database, col
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.ids import Oid
 from repro.text import DocumentStore
@@ -374,6 +374,63 @@ def test_position_lookup_30k(benchmark):
     found = benchmark.pedantic(lookups, setup=keystroke, rounds=200,
                                iterations=1, warmup_rounds=3)
     assert found == [order.index(oid) for oid in probes]
+
+
+def test_keystroke_commit_30k(benchmark, server):
+    """One typed character at a random position of the shared 30k
+    document, second editor subscribed: the whole commit — five row
+    images staged, seven log records, one replica splice, fan-out."""
+    for user in ("ana", "ben"):
+        server.register_user(user)
+    sessions = [server.connect("ana"), server.connect("ben")]
+    handle = sessions[0].create_document("doc", text=make_text(MIX_SIZE))
+    editors = [EditorClient(session, handle.doc) for session in sessions]
+    rng = random.Random(32)
+    appended = server.db.obs.registry.counter("wal.appends")
+    before = appended.value
+
+    def keystroke():
+        editor = editors[0]
+        editor.move_to(rng.randrange(editor.handle.length() + 1))
+        editor.type("x")
+        for session in sessions:
+            session.notifications()
+
+    benchmark.group = "C1 editing tasks"
+    benchmark.extra_info["doc_size"] = MIX_SIZE
+    benchmark.pedantic(keystroke, rounds=300, iterations=1, warmup_rounds=5)
+    assert (appended.value - before) == 7 * 305
+    updates = [r for r in server.db.wal.records() if r.type == "UPDATE"]
+    assert max(len(r.cols) for r in updates[-3:]) <= 3   # deltas
+    assert editors[0].text() == editors[1].text()
+    assert sum(s.name.startswith("doc-cache:")
+               for s in server.db.changefeed().subscriptions()) == 1
+
+
+def test_unique_key_read_30k(benchmark):
+    """64 point reads by unique key — ``where(col(k) == v).first()`` on
+    the 30k-character table, inside a transaction holding one pending
+    row of its own: the read every editing primitive starts with."""
+    db = Database("bench")
+    store = DocumentStore(db, log_reads=False, log_writes=False)
+    handle = store.create("doc", "ana", text=make_text(MIX_SIZE))
+    rng = random.Random(33)
+    probes = rng.sample(handle.char_oids(), 64)
+    txn = db.begin()
+    txn.update(S.DOCUMENTS, 1, {"state": "review"})
+
+    def reads():
+        return [txn.query(S.CHARS).where(col("char") == oid).first()["char"]
+                for oid in probes]
+
+    benchmark.group = "C1 editing tasks"
+    benchmark.extra_info["doc_size"] = MIX_SIZE
+    found = benchmark.pedantic(reads, rounds=200, iterations=1,
+                               warmup_rounds=3)
+    assert found == probes
+    assert txn.query(S.DOCUMENTS).where(
+        col("doc") == handle.doc).first()["state"] == "review"
+    txn.abort()
 
 
 # ---------------------------------------------------------------------------

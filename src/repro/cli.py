@@ -245,8 +245,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
             telemetry = TelemetryStore(server.db.obs.registry,
                                        server.db.clock, interval=0.0)
         telemetry.sample()
+        gc_watch = server.db.obs.gc
         view = render_top(server.db.metrics_snapshot(), buffer.traces(),
-                          limit=args.limit)
+                          limit=args.limit,
+                          gc=gc_watch.summary() if gc_watch else None)
         if refreshes > 1:
             print(f"-- refresh {round_no + 1}/{refreshes} --")
         print(view)

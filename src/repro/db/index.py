@@ -51,6 +51,10 @@ class Index:
                     seen.add(rowid)
                     yield rowid
 
+    def find(self, key: Any) -> int | None:
+        """The one row id a unique index holds under ``key``, if any."""
+        return next(self.probe_eq(key), None)
+
     def supports_range(self) -> bool:
         """Whether :meth:`probe_range` is available."""
         return False
@@ -62,6 +66,10 @@ class Index:
 class HashIndex(Index):
     """Equality-only index: ``value -> set of row ids``.
 
+    A *unique* index stores the bare row id instead of a one-element
+    set — one entry per character on the keystroke path, so the set
+    would be the largest thing the index holds.
+
     ``None`` keys are never indexed (NULL never matches an equality probe
     with a non-null constant, and explicit IS NULL queries fall back to a
     scan).
@@ -71,29 +79,37 @@ class HashIndex(Index):
 
     def __init__(self, name: str, column: str, *, unique: bool = False) -> None:
         super().__init__(name, column, unique=unique)
-        self._map: dict[Any, set[int]] = {}
+        #: key -> rowid (unique) or key -> set of rowids (otherwise).
+        self._map: dict[Any, Any] = {}
         self._size = 0
 
     def add(self, key: Any, rowid: int) -> None:
         """Index ``rowid`` under ``key``; enforces uniqueness."""
         if key is None:
             return
+        if self.unique:
+            if self._map.setdefault(key, rowid) != rowid:
+                raise UniqueViolation(
+                    f"index {self.name!r}: duplicate key {key!r}"
+                )
+            self._size = len(self._map)
+            return
         bucket = self._map.get(key)
         if bucket is None:
             self._map[key] = {rowid}
             self._size += 1
-        else:
-            if self.unique and bucket:
-                raise UniqueViolation(
-                    f"index {self.name!r}: duplicate key {key!r}"
-                )
-            if rowid not in bucket:
-                bucket.add(rowid)
-                self._size += 1
+        elif rowid not in bucket:
+            bucket.add(rowid)
+            self._size += 1
 
     def remove(self, key: Any, rowid: int) -> None:
         """Drop the entry if present (absent entries are a no-op)."""
         if key is None:
+            return
+        if self.unique:
+            if self._map.get(key) == rowid:
+                del self._map[key]
+                self._size = len(self._map)
             return
         bucket = self._map.get(key)
         if bucket is not None and rowid in bucket:
@@ -106,7 +122,16 @@ class HashIndex(Index):
         """Row ids stored under exactly ``key``."""
         if key is None:
             return iter(())
+        if self.unique:
+            rowid = self._map.get(key)
+            return iter(()) if rowid is None else iter((rowid,))
         return iter(self._map.get(key, ()))
+
+    def find(self, key: Any) -> int | None:
+        """The one row id a unique index holds under ``key``, if any."""
+        if not self.unique:
+            return super().find(key)
+        return None if key is None else self._map.get(key)
 
     def keys(self) -> Iterator[Any]:
         """Iterate the distinct indexed keys."""

@@ -15,11 +15,10 @@ Use the :func:`col` factory for a fluent style::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class IndexHint:
+class IndexHint(NamedTuple):
     """A single-column condition usable for an index probe.
 
     ``op`` is one of ``"eq"``, ``"in"``, ``"range"``.  For ``eq`` the payload

@@ -16,10 +16,12 @@ Example::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .index import OrderedIndex
-from .predicate import ALWAYS, IndexHint, Predicate
+from .predicate import ALWAYS, Comparison, IndexHint, Predicate
+from .schema import TableSchema
 from .table import TOMBSTONE, Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,12 +34,42 @@ class RowView(dict):
 
     __slots__ = ("rowid",)
 
-    def __init__(self, rowid: int, values: Mapping[str, Any]) -> None:
+    def __init__(self, rowid: int,
+                 values: "Mapping[str, Any] | Iterable[tuple[str, Any]]"
+                 ) -> None:
         super().__init__(values)
         self.rowid = rowid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RowView(rowid={self.rowid}, {dict.__repr__(self)})"
+
+
+class _StoredRow(Mapping):
+    """A stored tuple read as a column mapping, without building one.
+
+    What a predicate is evaluated against: the executor rebinds ``row``
+    per candidate, so filtering allocates nothing and only the rows that
+    match are ever turned into a real mapping.
+    """
+
+    __slots__ = ("_positions", "row")
+
+    def __init__(self, schema: TableSchema) -> None:
+        self._positions = schema._by_name
+        self.row: tuple = ()
+
+    def get(self, name: str, default: Any = None) -> Any:
+        position = self._positions.get(name)
+        return default if position is None else self.row[position]
+
+    def __getitem__(self, name: str) -> Any:
+        return self.row[self._positions[name]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
 
 
 class QueryPlan:
@@ -157,19 +189,16 @@ class Query:
 
     def run(self) -> list[RowView]:
         """Execute and return materialised rows."""
-        table = self._db.table(self._table_name)
-        plan = self.plan()
-        schema = table.schema
+        schema = self._db.table(self._table_name).schema
+        names = schema.names
         out: list[RowView] = []
         # Without an ORDER BY, a LIMIT can stop candidate generation
         # early — `.limit(1)` existence probes cost O(1 match).
         stop_at = self._limit if self._order is None else None
-        for rowid, row in self._candidates(table, plan):
-            mapping = schema.row_dict(row)
-            if self._predicate.matches(mapping):
-                out.append(RowView(rowid, mapping))
-                if stop_at is not None and len(out) >= stop_at:
-                    break
+        for rowid, row in self._matching():
+            out.append(RowView(rowid, zip(names, row)))
+            if stop_at is not None and len(out) >= stop_at:
+                break
         # Sort.
         if self._order is not None:
             column, desc = self._order
@@ -206,25 +235,15 @@ class Query:
 
     def count(self) -> int:
         """Number of matching rows (projection/order ignored)."""
-        table = self._db.table(self._table_name)
-        plan = self.plan()
-        schema = table.schema
-        return sum(
-            1 for __, row in self._candidates(table, plan)
-            if self._predicate.matches(schema.row_dict(row))
-        )
+        return sum(1 for __ in self._matching())
 
     def _matching_values(self, column: str) -> Iterator[Any]:
         """Values of ``column`` over matching rows (NULLs skipped)."""
-        table = self._db.table(self._table_name)
-        pos = table.schema.column_index(column)
-        plan = self.plan()
-        schema = table.schema
-        for __, row in self._candidates(table, plan):
-            if self._predicate.matches(schema.row_dict(row)):
-                value = row[pos]
-                if value is not None:
-                    yield value
+        pos = self._db.table(self._table_name).schema.column_index(column)
+        for __, row in self._matching():
+            value = row[pos]
+            if value is not None:
+                yield value
 
     def sum(self, column: str) -> Any:
         """SUM over matching non-null values (0 if none)."""
@@ -252,20 +271,53 @@ class Query:
 
     def group_count(self, column: str) -> dict:
         """``value -> matching row count`` for ``column`` (NULLs kept)."""
-        table = self._db.table(self._table_name)
-        pos = table.schema.column_index(column)
-        plan = self.plan()
-        schema = table.schema
+        pos = self._db.table(self._table_name).schema.column_index(column)
         counts: dict = {}
-        for __, row in self._candidates(table, plan):
-            if self._predicate.matches(schema.row_dict(row)):
-                counts[row[pos]] = counts.get(row[pos], 0) + 1
+        for __, row in self._matching():
+            counts[row[pos]] = counts.get(row[pos], 0) + 1
         return counts
 
     def __iter__(self) -> Iterator[RowView]:
         return iter(self.run())
 
     # -- candidate generation -----------------------------------------------------
+
+    def _matching(self) -> Iterator[tuple[int, tuple]]:
+        """``(rowid, stored row)`` of every row the predicate accepts.
+
+        A lone equality on a uniquely indexed column is a *key read*: it
+        resolves through the index and the table's pending-key claims
+        (:meth:`~repro.db.table.Table.read_key`) with no plan, no
+        candidate overlay and no predicate to re-check.  Everything else
+        is planned, and its predicate runs against the stored tuple
+        before any mapping is built.
+        """
+        table = self._db.table(self._table_name)
+        predicate = self._predicate
+        txn = self._txn if (self._txn is not None
+                            and self._txn.is_active) else None
+        if predicate.__class__ is Comparison and predicate.op == "eq" \
+                and predicate.value is not None \
+                and (txn is None or (txn.snapshot_lsn is None
+                                     and not txn.locking_reads)):
+            keyed = table.read_key(predicate.column, predicate.value,
+                                   None if txn is None else txn.txn_id)
+            if keyed is not None:
+                return iter(keyed)
+        candidates = self._candidates(table, self.plan())
+        if predicate is ALWAYS:
+            return candidates
+        return self._filtered(table.schema, candidates)
+
+    def _filtered(self, schema: TableSchema,
+                  candidates: Iterator[tuple[int, tuple]]
+                  ) -> Iterator[tuple[int, tuple]]:
+        view = _StoredRow(schema)
+        matches = self._predicate.matches
+        for candidate in candidates:
+            view.row = candidate[1]
+            if matches(view):
+                yield candidate
 
     def _probe(self, table: Table, plan: QueryPlan) -> Iterator[int]:
         """Rowids from the plan's index probe."""

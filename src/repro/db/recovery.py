@@ -38,8 +38,8 @@ from typing import Iterable
 from ..errors import RecoveryError
 from . import wal as walmod
 from .engine import Database
-from .replay import DDL, WalReplay, apply_ddl, restore_checkpoint
-from .wal import WalRecord, decode_value, read_log
+from .replay import DDL, WalReplay, apply_ddl, merge_image, restore_checkpoint
+from .wal import WalRecord, read_log
 
 
 def _rebuild(log: tuple[list[WalRecord], bool],
@@ -67,17 +67,17 @@ def _rebuild(log: tuple[list[WalRecord], bool],
             apply_ddl(db, record)
         for op in core.feed(record) or ():
             # Collapsed chains: a fresh process has no live snapshots.
-            payload = op.payload
-            name = payload["table"]
+            name = op.table
             if op.type == walmod.DELETE:
                 if db.has_table(name):  # else: dropped later in history
-                    db.table(name).load_delete(payload["rowid"])
+                    db.table(name).load_delete(op.rowid)
             elif not db.has_table(name):
                 raise RecoveryError(f"WAL references unknown table "
                                     f"{name!r} at LSN {op.lsn}")
             else:
-                db.table(name).load_row(payload["rowid"],
-                                        decode_value(payload["values"]))
+                table = db.table(name)
+                table.load_row(op.rowid, merge_image(
+                    table.schema, table.read(op.rowid), op))
     # Everything the rebuilt engine allocates from now on lies past what
     # was replayed: LSNs, transaction ids, and the object ids found in
     # surviving rows (ids are never reused, across restarts included).

@@ -155,6 +155,9 @@ class TableSchema:
             raise SchemaError(f"duplicate column names in table {name!r}")
         self.name = name
         self.columns: tuple[Column, ...] = tuple(columns)
+        #: Column names in storage order (one shared tuple: full-image
+        #: WAL records name their columns with this very object).
+        self.names: tuple[str, ...] = tuple(names)
         self._by_name: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         #: Storage positions of the OID-typed columns.
         self.oid_positions: tuple[int, ...] = tuple(
@@ -169,7 +172,7 @@ class TableSchema:
 
     def column_names(self) -> tuple[str, ...]:
         """Column names in storage order."""
-        return tuple(c.name for c in self.columns)
+        return self.names
 
     def has_column(self, name: str) -> bool:
         """Whether the schema defines ``name``."""
@@ -218,7 +221,7 @@ class TableSchema:
 
     def row_dict(self, row: tuple) -> dict[str, Any]:
         """Convert a storage tuple into a column-name mapping."""
-        return {col.name: row[i] for i, col in enumerate(self.columns)}
+        return dict(zip(self.names, row))
 
     def key_of(self, row: tuple) -> Any:
         """Return the logical key value of ``row`` (requires ``key``)."""
@@ -228,7 +231,7 @@ class TableSchema:
 
     def project(self, row: tuple, names: Iterable[str]) -> tuple:
         """Return the values of ``names`` from ``row`` in the given order."""
-        return tuple(row[self.column_index(n)] for n in names)
+        return tuple([row[self.column_index(n)] for n in names])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cols = ", ".join(f"{c.name}:{c.type.value}" for c in self.columns)

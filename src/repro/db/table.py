@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from ..errors import (
     DatabaseError,
@@ -48,8 +47,7 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 
-@dataclass
-class Pending:
+class Pending(NamedTuple):
     """A staged, uncommitted change to one row."""
 
     owner: int                 # transaction id
@@ -89,7 +87,13 @@ class Table:
         #: Keeps uniqueness checks O(1) instead of scanning all pending
         #: rows (which made bulk loads quadratic).
         self._pending_keys: dict[tuple, int] = {}
+        #: Replaced, never mutated, on DDL: readers take the reference
+        #: without copying or locking (see :meth:`indexes`).
         self._indexes: dict[str, Index] = {}
+        #: ``(index, storage position of its column)`` per index, and the
+        #: unique ones among them by column — derived from ``_indexes``.
+        self._index_positions: tuple[tuple[Index, int], ...] = ()
+        self._unique: dict[str, tuple[Index, int]] = {}
         self._rowid_counter = itertools.count(1)
         self._lock = threading.RLock()
         if schema.key is not None:
@@ -119,7 +123,7 @@ class Table:
             pos = self.schema.column_index(column)
             for rowid, row in self._committed.items():
                 index.add(row[pos], rowid)
-            self._indexes[name] = index
+            self._set_indexes({**self._indexes, name: index})
             return index
 
     def drop_index(self, name: str) -> None:
@@ -127,12 +131,26 @@ class Table:
         with self._lock:
             if name not in self._indexes:
                 raise SchemaError(f"no index {name!r}")
-            del self._indexes[name]
+            self._set_indexes({k: v for k, v in self._indexes.items()
+                               if k != name})
+
+    def _set_indexes(self, indexes: dict[str, Index]) -> None:
+        self._indexes = indexes
+        self._index_positions = tuple(
+            (index, self.schema.column_index(index.column))
+            for index in indexes.values())
+        self._unique = {index.column: (index, pos)
+                        for index, pos in self._index_positions
+                        if index.unique}
 
     def indexes(self) -> dict[str, Index]:
-        """Snapshot of the table's indexes by name."""
-        with self._lock:
-            return dict(self._indexes)
+        """The table's indexes by name (a snapshot: DDL replaces the
+        mapping instead of mutating it, so callers must not either)."""
+        return self._indexes
+
+    def unique_columns(self) -> Iterator[str]:
+        """Columns under a unique index (their values need key locks)."""
+        return iter(self._unique)
 
     def index_on(self, column: str, *, need_range: bool = False) -> Index | None:
         """Return some index over ``column`` (preferring ordered if asked)."""
@@ -240,47 +258,45 @@ class Table:
         are tracked in ``_pending_keys`` so this check is O(1) per index.
         """
         with self._lock:
-            for index in self._indexes.values():
-                if not index.unique:
-                    continue
-                pos = self.schema.column_index(index.column)
+            for column, (index, pos) in self._unique.items():
                 key = row[pos]
                 if key is None:
                     continue
-                claimer = self._pending_keys.get((index.column, key))
+                claimer = self._pending_keys.get((column, key))
                 if claimer is not None and claimer != exclude_rowid:
                     raise UniqueViolation(
                         f"table {self.schema.name!r}: duplicate value "
-                        f"{key!r} for unique column {index.column!r}"
+                        f"{key!r} for unique column {column!r}"
                     )
                 for rowid in index.probe_eq(key):
                     if rowid == exclude_rowid:
                         continue
                     pending = self._pending.get(rowid)
-                    if pending is not None and (
+                    if pending is not None and pending.owner == txn_id and (
                             pending.image is TOMBSTONE
                             or pending.image[pos] != key):
-                        continue  # deleted / moved away: key being freed
+                        # Deleted / moved away by this transaction: the
+                        # key is free to it.  Another writer's pending
+                        # delete frees nothing — it may yet abort.
+                        continue
                     raise UniqueViolation(
                         f"table {self.schema.name!r}: duplicate value "
-                        f"{key!r} for unique column {index.column!r}"
+                        f"{key!r} for unique column {column!r}"
                     )
 
     def _register_pending_keys(self, rowid: int, row: tuple) -> None:
-        for index in self._indexes.values():
-            if index.unique:
-                key = row[self.schema.column_index(index.column)]
-                if key is not None:
-                    self._pending_keys[(index.column, key)] = rowid
+        for column, (__, pos) in self._unique.items():
+            key = row[pos]
+            if key is not None:
+                self._pending_keys[(column, key)] = rowid
 
     def _unregister_pending_keys(self, rowid: int, row: tuple) -> None:
-        for index in self._indexes.values():
-            if index.unique:
-                key = row[self.schema.column_index(index.column)]
-                if key is not None:
-                    entry = (index.column, key)
-                    if self._pending_keys.get(entry) == rowid:
-                        del self._pending_keys[entry]
+        for column, (__, pos) in self._unique.items():
+            key = row[pos]
+            if key is not None:
+                entry = (column, key)
+                if self._pending_keys.get(entry) == rowid:
+                    del self._pending_keys[entry]
 
     # ------------------------------------------------------------------
     # Commit / rollback (called by Transaction)
@@ -319,17 +335,26 @@ class Table:
                     self._push_version(rowid, commit_lsn, TOMBSTONE)
                     return "delete", None, old
                 return "noop", None, None  # insert+delete inside one txn
-            if old is not None:
-                self._unindex_row(rowid, old)
-                self._push_version(rowid, self._version_lsn.get(rowid, 0),
-                                   old)
-                kind = "update"
-            else:
-                kind = "insert"
-            self._committed[rowid] = pending.image
-            self._version_lsn[rowid] = commit_lsn
-            self._index_row(rowid, pending.image)
-            return kind, pending.image, old
+            self._install(rowid, pending.image, old, commit_lsn)
+            return ("insert" if old is None else "update",
+                    pending.image, old)
+
+    def _install(self, rowid: int, row: tuple, old: tuple | None,
+                 commit_lsn: int) -> None:
+        """Make ``row`` the committed image over ``old`` (caller holds
+        ``_lock``): the superseded image goes onto the version chain and
+        only the indexes whose key actually changed are re-filed — a
+        chain relink moves neither ``char`` nor ``doc``."""
+        if old is None:
+            self._index_row(rowid, row)
+        else:
+            self._push_version(rowid, self._version_lsn.get(rowid, 0), old)
+            for index, pos in self._index_positions:
+                if old[pos] != row[pos]:
+                    index.remove(old[pos], rowid)
+                    index.add(row[pos], rowid)
+        self._committed[rowid] = row
+        self._version_lsn[rowid] = commit_lsn
 
     def _push_version(self, rowid: int, lsn: int, image: Any) -> None:
         """Append one superseded version (caller holds ``_lock``)."""
@@ -338,35 +363,27 @@ class Table:
         if self._metrics is not None:
             self._metrics.versions_live.inc()
 
-    def apply_replica_row(self, rowid: int, values: Mapping[str, Any],
+    def apply_replica_row(self, rowid: int, row: tuple,
                           commit_lsn: int) -> tuple[str, tuple, tuple | None]:
         """Install a committed row shipped from a leader (replication).
 
         Like :meth:`commit_row` without the pending stage — the follower
         never staged anything, it applies the leader's committed image
-        directly.  The superseded image (if any) is pushed onto the
-        version chain stamped with its old commit LSN, so replica
-        snapshot readers pinned below ``commit_lsn`` keep their
-        consistent view while the apply races past them.  Returns
-        ``(kind, row, old_row)`` for the change notification.
+        (a stored tuple, already merged by
+        :func:`~repro.db.replay.merge_image`) directly.  The superseded
+        image (if any) is pushed onto the version chain stamped with its
+        old commit LSN, so replica snapshot readers pinned below
+        ``commit_lsn`` keep their consistent view while the apply races
+        past them.  Returns ``(kind, row, old_row)`` for the change
+        notification.
         """
-        row = self.schema.make_row(values)
         with self._lock:
             old = self._committed.get(rowid)
-            if old is not None:
-                self._unindex_row(rowid, old)
-                self._push_version(rowid, self._version_lsn.get(rowid, 0),
-                                   old)
-                kind = "update"
-            else:
-                kind = "insert"
-            self._committed[rowid] = row
-            self._version_lsn[rowid] = commit_lsn
-            self._index_row(rowid, row)
+            self._install(rowid, row, old, commit_lsn)
             # Promotion makes this table writable: keep rowid allocation
             # ahead of everything the leader ever assigned.
             self._bump_rowid(rowid)
-            return kind, row, old
+            return "insert" if old is None else "update", row, old
 
     def apply_replica_delete(self, rowid: int, commit_lsn: int
                              ) -> tuple[str, tuple | None, tuple | None]:
@@ -396,13 +413,11 @@ class Table:
                 self._unstage(rowid, txn_id)
 
     def _index_row(self, rowid: int, row: tuple) -> None:
-        for index in self._indexes.values():
-            pos = self.schema.column_index(index.column)
+        for index, pos in self._index_positions:
             index.add(row[pos], rowid)
 
     def _unindex_row(self, rowid: int, row: tuple) -> None:
-        for index in self._indexes.values():
-            pos = self.schema.column_index(index.column)
+        for index, pos in self._index_positions:
             index.remove(row[pos], rowid)
 
     # ------------------------------------------------------------------
@@ -425,6 +440,37 @@ class Table:
                 f"no row {rowid} in table {self.schema.name!r}"
             )
         return row
+
+    def read_key(self, column: str, key: Any, txn_id: int | None = None
+                 ) -> list[tuple[int, tuple]] | None:
+        """``(rowid, row)`` pairs whose unique ``column`` equals ``key``,
+        as visible to ``txn_id`` — or ``None`` when no unique index
+        covers the column (the caller plans the query instead).
+
+        The committed holder comes straight from the index; the
+        transaction's own staged claim on the key (a pending insert, or
+        an update that moved a row onto it) from ``_pending_keys``.  A
+        committed holder the transaction itself has restaged is hidden:
+        if its new image still carries the key it *is* the claim.
+        Candidates come in the order a planned probe yields them.
+        """
+        unique = self._unique.get(column)
+        if unique is None:
+            return None
+        out = []
+        with self._lock:
+            rowid = unique[0].find(key)
+            if rowid is not None:
+                pending = self._pending.get(rowid)
+                if pending is None or pending.owner != txn_id:
+                    out.append((rowid, self._committed[rowid]))
+            if txn_id is not None:
+                claimer = self._pending_keys.get((column, key))
+                if claimer is not None:
+                    pending = self._pending[claimer]
+                    if pending.owner == txn_id:
+                        out.append((claimer, pending.image))
+        return out
 
     def committed_items(self) -> Iterator[tuple[int, tuple]]:
         """Iterate ``(rowid, row)`` over committed rows (snapshot)."""
@@ -548,14 +594,15 @@ class Table:
     # Bulk load (recovery / checkpoint restore; bypasses transactions)
     # ------------------------------------------------------------------
 
-    def load_row(self, rowid: int, values: Mapping[str, Any]) -> None:
+    def load_row(self, rowid: int, row: tuple) -> None:
         """Directly install a committed row (recovery only).
 
+        ``row`` is a stored tuple (validated by the caller:
+        :func:`~repro.db.replay.merge_image` or ``schema.make_row``).
         Version chains collapse on load: a freshly recovered engine has
         no live snapshots, so every row starts over as a single committed
         version visible to all future snapshots (LSN 0).
         """
-        row = self.schema.make_row(values)
         with self._lock:
             old = self._committed.get(rowid)
             if old is not None:

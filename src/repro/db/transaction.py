@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from ..errors import (
     CrashSignal,
@@ -67,15 +66,16 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class Change:
-    """One committed row change, as delivered to commit subscribers.
+class Change(NamedTuple):
+    """One committed row change: what commit subscribers receive and what
+    a changefeed :class:`~repro.feed.changefeed.CommitBatch` carries.
 
     ``before`` is the committed image the change superseded: the full
     row a delete removed or an update overwrote (``None`` on insert).
     Delete subscribers must use it — ``row`` is ``None`` for them, and
     without the before-image a consumer cannot even tell which document
-    a vanished row belonged to.
+    a vanished row belonged to.  The mappings are built once per changed
+    row and shared by every consumer: read them, do not write them.
     """
 
     table: str
@@ -114,7 +114,10 @@ class Transaction:
         self.locking_reads = locking_reads
         #: (table_name, rowid) in staging order — commit applies in order.
         self._ops: list[tuple[str, int]] = []
-        self._ops_seen: set[tuple[str, int]] = set()
+        #: The same markers -> ``(staged image, its column mapping)`` for
+        #: rows :meth:`update` already built a mapping of (``None`` for
+        #: the rest): commit hands that very mapping to the change list.
+        self._ops_seen: dict[tuple[str, int], tuple | None] = {}
         #: Resources already locked by this transaction (strict 2PL holds
         #: them until the end, so a local set is an exact fast path that
         #: spares repeat acquires the lock-manager round-trip — batched
@@ -257,11 +260,12 @@ class Transaction:
                                     timeout=self.lock_timeout)
         self._held_res.update(fresh)
 
-    def _record_op(self, table: str, rowid: int) -> None:
+    def _record_op(self, table: str, rowid: int,
+                   mapped: tuple | None = None) -> None:
         marker = (table, rowid)
         if marker not in self._ops_seen:
-            self._ops_seen.add(marker)
             self._ops.append(marker)
+        self._ops_seen[marker] = mapped
 
     # -- DML ----------------------------------------------------------------
 
@@ -271,16 +275,16 @@ class Transaction:
         table = self._db.table(table_name)
         try:
             with self._lock:
-                for index in table.indexes().values():
-                    if index.unique and index.column in values:
-                        self._lock_key(table_name, index.column,
-                                       values[index.column])
+                for column in table.unique_columns():
+                    if column in values:
+                        self._lock_key(table_name, column, values[column])
                 rowid, row = table.stage_insert(self.txn_id, values)
                 self._lock_row(table_name, rowid)
                 self._record_op(table_name, rowid)
+                # The log keeps the stored tuple itself, by reference.
                 self._db.wal.append(
                     walmod.INSERT, self.txn_id, table=table_name,
-                    rowid=rowid, values=table.schema.row_dict(row),
+                    rowid=rowid, cols=table.schema.names, vals=row,
                 )
                 return rowid
         except CrashSignal:
@@ -295,16 +299,20 @@ class Transaction:
         try:
             with self._lock:
                 self._lock_row(table_name, rowid)
-                for index in table.indexes().values():
-                    if index.unique and index.column in updates:
-                        self._lock_key(table_name, index.column,
-                                       updates[index.column])
+                for column in table.unique_columns():
+                    if column in updates:
+                        self._lock_key(table_name, column, updates[column])
                 row = table.stage_update(self.txn_id, rowid, updates)
-                self._record_op(table_name, rowid)
-                row_map = table.schema.row_dict(row)
+                schema = table.schema
+                row_map = schema.row_dict(row)
+                self._record_op(table_name, rowid, (row, row_map))
+                # Only the columns this statement set are logged: redo
+                # merges them into the row it holds, which under strict
+                # 2PL is the very image staged on here.
+                cols = tuple(updates)
                 self._db.wal.append(
                     walmod.UPDATE, self.txn_id, table=table_name,
-                    rowid=rowid, values=row_map,
+                    rowid=rowid, cols=cols, vals=schema.project(row, cols),
                 )
                 return row_map
         except CrashSignal:
@@ -322,10 +330,10 @@ class Transaction:
                 self._record_op(table_name, rowid)
                 # The before-image rides in the DELETE record so the
                 # changefeed's WAL catch-up can hand delete events the
-                # vanished row (recovery itself ignores the payload).
+                # vanished row (recovery itself ignores it).
                 self._db.wal.append(
                     walmod.DELETE, self.txn_id, table=table_name,
-                    rowid=rowid, values=table.schema.row_dict(base),
+                    rowid=rowid, cols=table.schema.names, vals=base,
                 )
         except CrashSignal:
             self._finish("crash")
@@ -424,18 +432,24 @@ class Transaction:
                                              txn=self.txn_id)
                         self.commit_lsn = record.lsn
                         changes: list[Change] = []
-                        for table_name, rowid in self._ops:
+                        for marker in self._ops:
+                            table_name, rowid = marker
                             table = self._db.table(table_name)
                             kind, row, old = table.commit_row(
                                 self.txn_id, rowid, record.lsn)
                             if kind == "noop":
                                 continue
-                            row_map = table.schema.row_dict(row) \
-                                if row is not None else None
-                            before_map = table.schema.row_dict(old) \
-                                if old is not None else None
-                            changes.append(Change(table_name, kind, rowid,
-                                                  row_map, before_map))
+                            row_dict = table.schema.row_dict
+                            mapped = self._ops_seen[marker]
+                            if row is None:
+                                row_map = None
+                            elif mapped is not None and mapped[0] is row:
+                                row_map = mapped[1]
+                            else:
+                                row_map = row_dict(row)
+                            changes.append(Change(
+                                table_name, kind, rowid, row_map,
+                                None if old is None else row_dict(old)))
                         self.state = TxnState.COMMITTED
                     finally:
                         # Applied (or dead): snapshots may now cover this

@@ -12,10 +12,15 @@ The log lives in memory and can optionally be mirrored to a JSON-lines file
 so a "crashed" engine can be rebuilt by a fresh process.  DDL (create table
 / index) is logged too, so recovery can start from an empty engine.
 
-This module owns the record <-> line format: :func:`render_record` is the
-only writer of a WAL line and :func:`parse_records` the only reader, for
-the mirror file, for a tailed leader file and for ``WAL_SEGMENT`` frames
-alike, so all of them agree on what a torn tail is.
+In memory a record holds stored values as they are: a DML record carries
+the table's own row tuple (or, for an UPDATE, just the changed columns),
+shared with the table, never copied.  The JSON-safe encoding exists only
+at the file/segment boundary, and this module owns it:
+:func:`render_record` is the only writer of a WAL line and
+:func:`parse_records` the only reader, for the mirror file, for a tailed
+leader file and for ``WAL_SEGMENT`` frames alike, so all of them agree on
+what a record looks like and what a torn tail is.  An engine with no file
+and no follower never encodes anything.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ import json
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    NamedTuple)
 
 from ..errors import CrashSignal, WalError
 from ..ids import Oid
@@ -54,16 +59,31 @@ _TYPES = {
     CREATE_TABLE, DROP_TABLE, CREATE_INDEX, CHECKPOINT,
 }
 
+#: Record types carrying row changes (they buffer until COMMIT).
+DML = (INSERT, UPDATE, DELETE)
 
-@dataclass(frozen=True)
-class WalRecord:
+#: The payload of every record that has none (shared; never mutated).
+_NO_PAYLOAD: dict = {}
+
+
+class WalRecord(NamedTuple):
     """One log record.
 
-    ``payload`` carries the record-type specific data:
+    A DML record names its row with ``table`` and ``rowid`` and carries
+    the columns it sets as two parallel tuples, ``cols`` (names) and
+    ``vals`` (stored values, undecorated):
 
-    * INSERT: ``table``, ``rowid``, ``values`` (column mapping)
-    * UPDATE: ``table``, ``rowid``, ``values`` (full new row mapping)
-    * DELETE: ``table``, ``rowid``
+    * INSERT: every column — ``cols`` is the schema's own ``names``
+      tuple and ``vals`` the stored row itself;
+    * UPDATE: only the columns the statement set.  Redo merges them into
+      the row it already holds (:func:`repro.db.replay.merge_image`); a
+      record naming every column — what older logs wrote — is simply
+      the widest delta;
+    * DELETE: the vanished row in full (a before-image, for changefeed
+      catch-up; redo ignores it).
+
+    Every other record keeps its data in ``payload``:
+
     * CREATE_TABLE: ``table``, ``columns``, ``key``
     * CREATE_INDEX: ``table``, ``name``, ``column``, ``kind``, ``unique``
     * DROP_TABLE: ``table``
@@ -73,7 +93,11 @@ class WalRecord:
     lsn: int
     type: str
     txn_id: int
-    payload: dict = field(default_factory=dict)
+    payload: dict = _NO_PAYLOAD
+    table: str | None = None
+    rowid: int = 0
+    cols: tuple = ()
+    vals: tuple = ()
 
 
 def encode_value(value: Any) -> Any:
@@ -114,7 +138,7 @@ def columns_payload(schema: TableSchema) -> list[dict]:
             "name": c.name,
             "type": c.type.value,
             "nullable": c.nullable,
-            "default": encode_value(c.default),
+            "default": c.default,
         }
         for c in schema.columns
     ]
@@ -127,7 +151,7 @@ def columns_from_payload(raw_columns: Iterable[dict]) -> list[Column]:
             name=c["name"],
             type=ColumnType(c["type"]),
             nullable=c["nullable"],
-            default=decode_value(c.get("default")),
+            default=c.get("default"),
         )
         for c in raw_columns
     ]
@@ -141,13 +165,36 @@ SEGMENT_RECORDS = 256
 
 
 def render_record(record: WalRecord) -> str:
-    """The one-line JSON form of ``record`` (no trailing newline)."""
+    """The one-line JSON form of ``record`` (no trailing newline).
+
+    The only place stored values are made JSON-safe: it runs when there
+    is a file line or a shipped segment to write, once per record.
+    """
+    if record.table is not None:
+        payload = {"table": record.table, "rowid": record.rowid,
+                   "values": dict(zip(record.cols,
+                                      map(encode_value, record.vals)))}
+    else:
+        payload = encode_value(record.payload)
     return json.dumps({
         "lsn": record.lsn,
         "type": record.type,
         "txn": record.txn_id,
-        "payload": record.payload,
+        "payload": payload,
     }, separators=(",", ":"))
+
+
+def _parse_line(line: bytes) -> WalRecord:
+    """Inverse of :func:`render_record` (values decoded back)."""
+    raw = json.loads(line.decode())
+    payload = raw.get("payload") or _NO_PAYLOAD
+    if raw["type"] in DML:
+        values = payload.get("values") or _NO_PAYLOAD
+        return WalRecord(raw["lsn"], raw["type"], raw["txn"], _NO_PAYLOAD,
+                         payload["table"], payload["rowid"], tuple(values),
+                         tuple(map(decode_value, values.values())))
+    return WalRecord(raw["lsn"], raw["type"], raw["txn"],
+                     decode_value(payload))
 
 
 def parse_records(data: bytes, source: str = "WAL"
@@ -169,10 +216,8 @@ def parse_records(data: bytes, source: str = "WAL"
     for i, line in enumerate(lines):
         if line and not line.isspace():
             try:
-                raw = json.loads(line.decode())
-                record = WalRecord(raw["lsn"], raw["type"], raw["txn"],
-                                   raw.get("payload") or {})
-            except (ValueError, KeyError, TypeError) as exc:
+                record = _parse_line(line)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 following = sum(1 for rest in (*lines[i + 1:], tail)
                                 if rest and not rest.isspace())
                 if following:
@@ -309,6 +354,11 @@ class WriteAheadLog:
     def append(self, type_: str, txn_id: int, **payload: Any) -> WalRecord:
         """Append one record and return it (with its assigned LSN).
 
+        ``payload`` is the record's data as stored values: for DML the
+        :class:`WalRecord` row fields (``table``, ``rowid``, ``cols``,
+        ``vals`` — kept by reference, so hand over the stored tuple),
+        for every other type the payload mapping.
+
         Commit-boundary records (COMMIT / ABORT / CHECKPOINT) additionally
         block until the record is durable: the line is written to the
         file buffer under the append lock, then the caller enters the
@@ -320,8 +370,10 @@ class WriteAheadLog:
         started = perf_counter()
         self.faults.fire("wal.before_append", type=type_, txn=txn_id)
         with self._lock:
-            record = WalRecord(self._next_lsn, type_, txn_id,
-                               encode_value(payload))
+            if type_ in DML:
+                record = WalRecord(self._next_lsn, type_, txn_id, **payload)
+            else:
+                record = WalRecord(self._next_lsn, type_, txn_id, payload)
             self._write_locked(record)
             needs_sync = self._file is not None \
                 and type_ in (COMMIT, ABORT, CHECKPOINT)
@@ -585,14 +637,28 @@ class WriteAheadLog:
     def truncate_before(self, lsn: int) -> int:
         """Drop in-memory records with LSN < ``lsn`` (after a checkpoint).
 
-        Returns the number of records dropped.  The file, if any, is left
-        untouched (files are append-only; compaction is checkpoint+new file,
-        handled by the engine).
+        The cut never splits a transaction: if one is still open at
+        ``lsn`` the cut is clamped to the oldest such transaction's
+        BEGIN, because the checkpoint holds none of its early DML and
+        its COMMIT may yet arrive (redo buffers the records kept before
+        the checkpoint without applying them).  Returns the number of
+        records dropped.  The file, if any, is left untouched (files are
+        append-only; compaction is checkpoint+new file, handled by the
+        engine).
         """
         with self._lock:
-            keep = [r for r in self._records if r.lsn >= lsn]
-            dropped = len(self._records) - len(keep)
-            self._records = keep
+            begun: dict[int, int] = {}
+            for record in self._records:
+                if record.lsn >= lsn:
+                    break
+                if record.type == BEGIN:
+                    begun[record.txn_id] = record.lsn
+                elif record.type in (COMMIT, ABORT):
+                    begun.pop(record.txn_id, None)
+            cut = min(begun.values(), default=lsn)
+            dropped = bisect.bisect_left(self._records, cut,
+                                         key=lambda r: r.lsn)
+            del self._records[:dropped]
             return dropped
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """The post-commit changefeed: one ordered event stream per database.
 
 TeNDaX's derived data — the inverted index, dynamic-folder membership,
-creation-process metadata and the per-handle document cache — used to
+creation-process metadata and the open documents' order caches — used to
 ride on four independent commit triggers, each rescanning ``DOCUMENTS``
 to notice births and blind to deletes (a delete's change row is
 ``None``).  The changefeed replaces that: the engine publishes exactly
@@ -10,7 +10,7 @@ transaction, LSN-stamped and carrying *before-images*, and consumers
 subscribe with durable, checkpointable cursors.  See
 ``docs/CHANGEFEED.md``.
 
-* :mod:`repro.feed.changefeed` — the feed itself: events, batches,
+* :mod:`repro.feed.changefeed` — the feed itself: batches of changes,
   subscriptions, cursor checkpoints, WAL catch-up after restart;
 * :mod:`repro.feed.worker` — the background maintenance worker: drains
   deferred consumers, compacts the inverted index, checkpoints cursors
@@ -20,7 +20,6 @@ subscribe with durable, checkpointable cursors.  See
 from .changefeed import (
     Changefeed,
     CommitBatch,
-    FeedEvent,
     FeedGapError,
     FeedSubscription,
 )
@@ -29,7 +28,6 @@ from .worker import MaintenanceWorker
 __all__ = [
     "Changefeed",
     "CommitBatch",
-    "FeedEvent",
     "FeedGapError",
     "FeedSubscription",
     "MaintenanceWorker",

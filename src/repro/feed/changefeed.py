@@ -28,20 +28,21 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..errors import CrashSignal, FeedGapError
+from ..errors import CrashSignal, FeedGapError, RecoveryError
 from ..db import wal as walmod
-from ..db.schema import column
+from ..db.schema import TableSchema, column
 from ..db.predicate import col
-from ..db.replay import WalReplay
-from ..db.wal import WalRecord, decode_value
+from ..db.replay import WalReplay, merge_image
+from ..db.transaction import Change
+from ..db.wal import WalRecord, columns_from_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
-    from ..db.transaction import Change, Transaction
+    from ..db.transaction import Transaction
 
 #: Table holding durable consumer cursors, created on first checkpoint.
 CURSOR_TABLE = "tx_feed_cursors"
@@ -52,25 +53,13 @@ ConsumerFn = Callable[["CommitBatch"], None]
 
 
 @dataclass(frozen=True)
-class FeedEvent:
-    """One committed row change inside a batch.
-
-    ``row`` is the column mapping after the change (``None`` for a
-    delete); ``before`` is the committed image the change superseded
-    (``None`` for an insert).  A delete is therefore fully described:
-    consumers read the vanished row from ``before``.
-    """
-
-    table: str
-    kind: str                  # "insert" | "update" | "delete"
-    rowid: int
-    row: dict | None
-    before: dict | None
-
-
-@dataclass(frozen=True)
 class CommitBatch:
     """All events of one committed transaction, in staging order.
+
+    An event is the commit's own :class:`~repro.db.transaction.Change`:
+    ``row`` is the column mapping after the change (``None`` for a
+    delete), ``before`` the committed image it superseded (``None`` for
+    an insert) — so a delete is fully described by its ``before``.
 
     ``seq`` is the feed's process-local sequence number (1, 2, 3 ...);
     ``lsn`` is the transaction's COMMIT record LSN — the durable
@@ -83,7 +72,7 @@ class CommitBatch:
     lsn: int
     txn_id: int
     committed_at: float
-    events: tuple[FeedEvent, ...]
+    events: tuple[Change, ...]
 
     def for_tables(self, tables: frozenset[str] | None) -> "CommitBatch":
         """This batch restricted to ``tables`` (``None`` = everything)."""
@@ -176,6 +165,7 @@ class Changefeed:
         self._m_errors = registry.counter("feed.consumer_errors")
         self._m_checkpoints = registry.counter("feed.checkpoints")
         self._m_catchup = registry.counter("feed.catchup_batches")
+        self._m_missing_base = registry.counter("wal.missing_base_rows")
         self._m_evictions = registry.counter("feed.retention_evictions")
         self._m_staleness = registry.histogram("feed.staleness_seconds")
         self._g_seq = registry.gauge("feed.seq")
@@ -275,10 +265,7 @@ class Changefeed:
         """
         if not changes:
             return
-        events = tuple(
-            FeedEvent(c.table, c.kind, c.rowid, c.row, c.before)
-            for c in changes
-        )
+        events = tuple(changes)
         with self._lock:
             self._last_seq += 1
             lsn = txn.commit_lsn if txn.commit_lsn is not None \
@@ -442,7 +429,12 @@ class Changefeed:
         after_lsn = cursor["lsn"] if cursor is not None else 0
         table_set = frozenset(tables) if tables is not None else None
         delivered = 0
-        for batch in batches_from_records(records, after_lsn=after_lsn):
+        try:
+            batches = batches_from_records(records, after_lsn=after_lsn)
+        except RecoveryError:
+            self._m_missing_base.inc()
+            raise
+        for batch in batches:
             filtered = batch.for_tables(table_set)
             if not filtered.events:
                 continue
@@ -461,52 +453,72 @@ def batches_from_records(records: Iterable[WalRecord], *,
 
     Feeds the log through the same replay core recovery uses — DML
     buffered per transaction, released at COMMIT, dropped at ABORT —
-    while keeping a running map of last-committed row images so update
-    and delete events regain their before-images.  DELETE records
-    additionally carry the before-image in their payload (written by the
-    engine for precisely this replay), which covers rows whose insert
-    predates the walked history.  Only batches with ``COMMIT lsn >
-    after_lsn`` are returned; all carry ``seq == 0`` and ``committed_at
-    == 0.0`` (neither survives in the log).
+    while keeping a running map of last-committed row images (stored
+    tuples, merged by the same :func:`~repro.db.replay.merge_image` as
+    recovery and replication) so update and delete events regain their
+    before-images.  DELETE records additionally carry the before-image
+    themselves (written by the engine for precisely this replay), which
+    covers rows whose insert predates the walked history.  Only batches
+    with ``COMMIT lsn > after_lsn`` are returned; all carry ``seq == 0``
+    and ``committed_at == 0.0`` (neither survives in the log).
+
+    An UPDATE whose base row lies outside the walked history cannot be
+    described: for a batch that would be returned this raises
+    :class:`~repro.errors.RecoveryError` (the consumer missed a commit
+    nobody can reconstruct); at or below ``after_lsn`` the row is just
+    left unknown until a CHECKPOINT or a full image supplies it.
     """
-    images: dict[tuple[str, int], dict] = {}
+    schemas: dict[str, TableSchema] = {}
+    images: dict[tuple[str, int], tuple] = {}
     core = WalReplay()
     out: list[CommitBatch] = []
     for rec in records:
         ops = core.feed(rec)
-        if rec.type == walmod.DROP_TABLE:
+        if rec.type == walmod.CREATE_TABLE:
+            name = rec.payload["table"]
+            schemas.setdefault(name, TableSchema(
+                name, columns_from_payload(rec.payload["columns"])))
+        elif rec.type == walmod.DROP_TABLE:
             gone = rec.payload["table"]
+            schemas.pop(gone, None)
             for key in [k for k in images if k[0] == gone]:
                 del images[key]
         elif rec.type == walmod.CHECKPOINT:
             # A checkpoint is a full snapshot: it resets the image map
             # (pre-checkpoint history may have been truncated away).
-            images = {
-                (name, int(rowid)): decode_value(row)
-                for name, spec in rec.payload["tables"].items()
-                for rowid, row in spec["rows"].items()
-            }
+            images = {}
+            for name, spec in rec.payload["tables"].items():
+                schema = schemas[name] = TableSchema(
+                    name, columns_from_payload(spec["schema"]["columns"]))
+                for rowid, row in spec["rows"].items():
+                    images[name, int(rowid)] = schema.make_row(row)
         elif ops:
+            wanted = rec.lsn > after_lsn
             events = []
             for op in ops:
-                table = op.payload["table"]
-                rowid = op.payload["rowid"]
-                key = (table, rowid)
+                schema = schemas.get(op.table)
+                if schema is None:
+                    continue  # table dropped before this commit
+                key = (op.table, op.rowid)
+                before = images.pop(key, None)
                 if op.type == walmod.DELETE:
-                    before = images.pop(key, None)
-                    if before is None and op.payload.get("values"):
-                        before = decode_value(op.payload["values"])
-                    events.append(FeedEvent(table, "delete", rowid,
-                                            None, before))
+                    if before is None and op.vals:
+                        before = schema.make_row(dict(zip(op.cols, op.vals)))
+                    kind, image = "delete", None
                 else:
-                    row = decode_value(op.payload["values"])
-                    before = images.get(key)
-                    kind = "update" \
-                        if op.type == walmod.UPDATE or before is not None \
-                        else "insert"
-                    events.append(FeedEvent(table, kind, rowid, row, before))
-                    images[key] = row
-            if rec.lsn > after_lsn:
+                    try:
+                        image = images[key] = merge_image(schema, before, op)
+                    except RecoveryError:
+                        if wanted:
+                            raise
+                        continue
+                    kind = "update" if op.type == walmod.UPDATE \
+                        or before is not None else "insert"
+                events.append(Change(
+                    op.table, kind, op.rowid,
+                    None if image is None else schema.row_dict(image),
+                    None if before is None else schema.row_dict(before)))
+            if wanted:
                 out.append(CommitBatch(0, rec.lsn, rec.txn_id, 0.0,
                                        tuple(events)))
     return out

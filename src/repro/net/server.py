@@ -277,6 +277,8 @@ class CollabNetServer:
                     "last_lsn": self.collab.db.wal.last_lsn()},
             "metrics": self.collab.db.obs.registry.snapshot(),
         }
+        if self.collab.db.obs.gc is not None:
+            payload["gc"] = self.collab.db.obs.gc.summary()
         if series:
             payload["telemetry"] = self.telemetry.snapshot()
         return payload

@@ -13,6 +13,8 @@ into:
 * :mod:`repro.obs.export` — bounded trace buffer, JSONL / Chrome
   trace-event export, slow-op log, and the ``repro trace`` /
   ``repro top`` renderings;
+* :mod:`repro.obs.runtime` — the interpreter's own cost: cyclic-GC
+  pauses and collection counts from one ``gc.callbacks`` hook;
 * :mod:`repro.obs.catalogue` — the closed set of metric names, the
   contract the bench snapshot validator enforces.
 
@@ -78,6 +80,7 @@ from .render import (
     render_snapshot,
     render_trends,
 )
+from .runtime import GcWatch, render_gc
 from .slo import DEFAULT_SLOS, SLOEvaluator, SLOSpec
 from .timeseries import (
     DEFAULT_WINDOWS,
@@ -102,6 +105,7 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "Gauge",
+    "GcWatch",
     "HealthThresholds",
     "Histogram",
     "MetricFamily",
@@ -127,6 +131,7 @@ __all__ = [
     "missing_required",
     "prometheus_text",
     "render_dash",
+    "render_gc",
     "render_health",
     "render_snapshot",
     "render_top",
@@ -154,6 +159,9 @@ class Observability:
         self.enabled = enabled
         self.registry = MetricsRegistry() if enabled else NULL_REGISTRY
         self.tracer = Tracer(self.registry)
+        #: Collector pauses of this process (``runtime.gc_*``); ``None``
+        #: when observability is off.
+        self.gc = GcWatch(self.registry) if enabled else None
         if enabled:
             with _collectors_lock:
                 collectors = list(_collectors)

@@ -54,6 +54,11 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "wal.torn_tail_recoveries": ("counter",
                                  "recoveries that skipped a torn trailing "
                                  "record"),
+    "wal.missing_base_rows": ("counter",
+                              "redo stopped at an UPDATE whose base row "
+                              "the replayed history does not contain "
+                              "(replica apply, feed catch-up; recovery "
+                              "just fails)"),
     # -- lock manager (repro/db/locks.py) -----------------------------------
     "lock.acquired": ("counter", "lock grants (including upgrades)"),
     "lock.waits": ("counter", "acquires that had to wait"),
@@ -197,6 +202,13 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
                             "cardinality cap"),
     "obs.samples": ("counter",
                     "registry samples taken into the telemetry rings"),
+    # -- interpreter runtime (repro/obs/runtime.py) -------------------------
+    "runtime.gc_pause_seconds": ("histogram",
+                                 "stop-the-world time of one cyclic-GC "
+                                 "collection (labelled by generation)"),
+    "runtime.gc_collections": ("counter",
+                               "cyclic-GC collections run (labelled by "
+                               "generation)"),
     "slo.burn_rate": ("gauge",
                       "error-budget burn rate per SLO spec and window "
                       "(labelled by slo, window)"),
@@ -220,6 +232,8 @@ LABELLED_FAMILIES: dict[str, tuple[str, ...]] = {
     "net.send_queue_depth": ("conn",),
     "wal.group_commit_size": ("role",),
     "feed.lag": ("consumer",),
+    "runtime.gc_pause_seconds": ("generation",),
+    "runtime.gc_collections": ("generation",),
     "slo.burn_rate": ("slo", "window"),
     "slo.error_rate": ("slo",),
     "slo.breached": ("slo",),

@@ -33,6 +33,7 @@ from typing import Iterable, Mapping
 
 from .metrics import NULL_REGISTRY
 from .render import _fmt_seconds
+from .runtime import render_gc
 from .tracing import Span
 
 
@@ -354,8 +355,12 @@ def _is_last_sibling(tree: list[tuple[Span, int]], index: int) -> bool:
 
 def render_top(snapshot: Mapping[str, dict],
                traces: list[Trace] | None = None,
-               *, limit: int = 8) -> str:
+               *, limit: int = 8, gc: Mapping | None = None) -> str:
     """The ``repro top`` view: hottest metrics + slowest recent traces.
+
+    ``gc`` is a :meth:`~repro.obs.runtime.GcWatch.summary`: the
+    collector's share of wall time and its longest pause get a row of
+    their own, because no hot path below contains them.
 
     Histograms rank by total recorded time (``sum``) — where the engine
     actually spends it — counters/gauges by value.  Count-shaped
@@ -387,6 +392,9 @@ def render_top(snapshot: Mapping[str, dict],
         lines.append("  (no counts recorded)")
     for name, m in counters[:limit]:
         lines.append(f"  {name:<28} {m['value']:,.0f}".rstrip())
+    if gc is not None:
+        lines.append("")
+        lines.append(render_gc(gc))
     if traces is not None:
         lines.append("")
         lines.append("slowest recent traces (keystroke → remote visibility)")

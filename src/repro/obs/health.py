@@ -59,6 +59,11 @@ class HealthThresholds:
 
 DEFAULT_THRESHOLDS = HealthThresholds()
 
+#: A full (generation-2) collector pause longer than this, in seconds,
+#: degrades the verdict: every thread stops for it, so it is an editor
+#: freeze — longer than the 100 ms a keystroke may take to feel instant.
+GC_PAUSE_DEGRADED = 0.1
+
 
 def _value(snapshot: Mapping[str, dict], name: str, default=0):
     entry = snapshot.get(name)
@@ -208,6 +213,23 @@ def evaluate_health(snapshot: Mapping[str, dict], store=None, *,
                 f"consumer {who} lags {lag:.0f} batches > {t.feed_lag}")
         else:
             add("feed.lag", OK, lag, f"max consumer lag {lag:.0f} batches")
+
+    # Collector pauses: a full collection walks the whole live heap
+    # with every thread stopped, and no layer's latency metric sees it.
+    full = "runtime.gc_pause_seconds{generation=2}"
+    if full in snapshot:
+        pause = _windowed_p99(store, snapshot, full, t.window)
+        if store is None:
+            pause = snapshot[full].get("max")
+        if pause is None:
+            add("gc.pause", OK, None, "no full collection in window")
+        elif pause > GC_PAUSE_DEGRADED:
+            add("gc.pause", DEGRADED, pause,
+                f"full collection paused {pause * 1e3:.0f} ms "
+                f"> {GC_PAUSE_DEGRADED * 1e3:.0f} ms")
+        else:
+            add("gc.pause", OK, pause,
+                f"full collections pause {pause * 1e3:.1f} ms")
 
     # Injected / observed socket faults.
     fault_rate = (

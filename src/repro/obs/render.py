@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .catalogue import METRIC_CATALOGUE
+from .runtime import render_gc
 
 
 def _fmt_seconds(value: float | None) -> str:
@@ -142,6 +143,8 @@ def render_dash(stats: Mapping, health: Mapping | None = None, *,
     lines.append(header)
     if health is not None:
         lines.append(render_health(health))
+    if stats.get("gc") is not None:
+        lines.append(render_gc(stats["gc"]))
     telemetry = stats.get("telemetry") or {}
     lines.append("")
     lines.append(render_trends(telemetry.get("windows", {}), limit=limit))

@@ -26,10 +26,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..db import wal as walmod
-from ..db.replay import DDL, WalReplay, apply_ddl, restore_checkpoint
+from ..db.replay import (DDL, WalReplay, apply_ddl, merge_image,
+                         restore_checkpoint)
 from ..db.transaction import Change
-from ..db.wal import WalRecord, decode_value
-from ..errors import ReplicationError
+from ..db.wal import WalRecord
+from ..errors import RecoveryError, ReplicationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
@@ -48,6 +49,8 @@ class ReplicationApplier:
     def __init__(self, db: "Database", replayed: WalReplay) -> None:
         self._db = db
         self._core = replayed
+        self._m_missing_base = db.obs.registry.counter(
+            "wal.missing_base_rows")
 
     def apply(self, record: WalRecord) -> bool:
         """Process one shipped record; returns False for duplicates.
@@ -115,24 +118,28 @@ class ReplicationApplier:
                 if position == mid:
                     db.faults.fire("repl.mid_apply", txn=txn_id,
                                    lsn=record.lsn)
-                table = db.table(op.payload["table"])
-                rowid = op.payload["rowid"]
+                table = db.table(op.table)
+                rowid = op.rowid
                 if op.type == walmod.DELETE:
                     kind, row, old = table.apply_replica_delete(rowid,
                                                                 record.lsn)
                 else:
-                    values = decode_value(op.payload["values"])
-                    kind, row, old = table.apply_replica_row(rowid, values,
+                    try:
+                        image = merge_image(table.schema, table.read(rowid),
+                                            op)
+                    except RecoveryError:
+                        self._m_missing_base.inc()
+                        raise
+                    kind, row, old = table.apply_replica_row(rowid, image,
                                                              record.lsn)
                     db.advance_object_ids_past(table, (row,))
                 if kind == "noop":
                     continue
-                row_map = table.schema.row_dict(row) \
-                    if row is not None else None
-                before_map = table.schema.row_dict(old) \
-                    if old is not None else None
-                changes.append(Change(op.payload["table"], kind, rowid,
-                                      row_map, before_map))
+                row_dict = table.schema.row_dict
+                changes.append(Change(
+                    op.table, kind, rowid,
+                    None if row is None else row_dict(row),
+                    None if old is None else row_dict(old)))
         finally:
             db.clear_commit_intent(txn_id)
         db.stats["commits"] += 1

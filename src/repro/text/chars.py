@@ -30,12 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def char_row(db: Database, char_oid: Oid,
              txn: Transaction | None = None) -> "tuple[int, dict]":
-    """Return ``(rowid, row)`` for a character by its OID."""
+    """Return ``(rowid, row)`` for a character by its OID (a key read)."""
     query = txn.query(S.CHARS) if txn is not None else db.query(S.CHARS)
     result = query.where(col("char") == char_oid).first()
     if result is None:
         raise UnknownCharacterError(f"no character {char_oid}")
-    return result.rowid, dict(result)
+    return result.rowid, result
 
 
 def create_anchors(txn: Transaction, db: Database, doc: Oid, author: str,
@@ -180,7 +180,7 @@ def doc_char_rows(db: Database, doc: Oid,
     """All character rows of a document, keyed by char OID."""
     query = txn.query(S.CHARS) if txn is not None else db.query(S.CHARS)
     rows = query.where(col("doc") == doc).run()
-    return {row["char"]: dict(row) for row in rows}
+    return {row["char"]: row for row in rows}
 
 
 def traverse(

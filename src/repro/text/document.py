@@ -2,12 +2,14 @@
 
 :class:`DocumentStore` is the library's entry point for document management
 (create/open/list), and :class:`DocumentHandle` is an open document — the
-thing an editor client holds.  A handle keeps an in-memory *order cache*
-(the live character OIDs in document order plus their render payload),
-maintained incrementally from commit notifications, which is how the real
-TeNDaX editors mirror the database state: the database stores
+thing an editor client holds.  An open document has an in-memory *order
+cache* (the live character OIDs in document order plus their render
+payload), maintained incrementally from commit notifications, which is how
+the real TeNDaX editors mirror the database state: the database stores
 neighbour-linked characters; the editor materialises the sequence.  The
-cache itself is a chunked order-statistic structure
+store keeps one such replica per open document and every handle of that
+document reads it, so a commit is spliced once however many editors have
+the document open.  The cache itself is a chunked order-statistic structure
 (:mod:`repro.text.ordercache`) so splices and positional lookups stay
 cheap on large documents (one chunk, found through a bisected
 directory), and ``text()`` is served from per-chunk segments instead of
@@ -21,6 +23,7 @@ for collaborative keystroke-level editing.
 
 from __future__ import annotations
 
+import threading
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -54,6 +57,9 @@ class DocumentStore:
         self.db = db
         self.log_reads = log_reads
         self.log_writes = log_writes
+        #: (doc, cache kind) -> the replica its open handles share.
+        self._replicas: dict[tuple[Oid, str], _DocReplica] = {}
+        self._replicas_lock = threading.Lock()
         S.install_text_schema(db)
 
     # ------------------------------------------------------------------
@@ -220,6 +226,29 @@ class DocumentStore:
         return removed
 
     # ------------------------------------------------------------------
+    # Shared order-cache replicas (one per open document)
+    # ------------------------------------------------------------------
+
+    def _attach(self, doc: Oid, begin_char: Oid | None,
+                kind: str) -> "_DocReplica":
+        """The replica of ``doc`` for one more handle (built on first use)."""
+        with self._replicas_lock:
+            replica = self._replicas.get((doc, kind))
+            if replica is None:
+                replica = self._replicas[doc, kind] = _DocReplica(
+                    self.db, doc, begin_char, kind)
+            replica.handles += 1
+            return replica
+
+    def _detach(self, replica: "_DocReplica") -> None:
+        """One handle fewer; the last one out unsubscribes the replica."""
+        with self._replicas_lock:
+            replica.handles -= 1
+            if not replica.handles:
+                del self._replicas[replica.doc, replica.kind]
+                replica.close()
+
+    # ------------------------------------------------------------------
     # Access logging
     # ------------------------------------------------------------------
 
@@ -232,37 +261,30 @@ class DocumentStore:
             })
 
 
-class DocumentHandle:
-    """An open document: position-addressed edits over the character chain.
+class _DocReplica:
+    """One open document's order cache and the subscription feeding it.
 
-    The handle's *order cache* lists live character OIDs in document order.
-    It is updated incrementally by a changefeed subscription, so it
-    reflects both this handle's edits and edits committed by any other
-    handle/session on the same engine — the mechanism behind "everything which is typed
-    appears within the editor as soon as [it is] stored persistently".
+    Owned by the :class:`DocumentStore`, shared by every open
+    :class:`DocumentHandle` of the same document and cache kind: built
+    by one chain walk when the first handle opens, spliced once per
+    commit, dropped (and unsubscribed) when the last handle closes.
     """
 
-    def __init__(self, store: DocumentStore, doc: Oid, *,
-                 cache: str = "chunked") -> None:
-        self.store = store
-        self.db = store.db
+    def __init__(self, db: Database, doc: Oid, begin_char: Oid | None,
+                 kind: str) -> None:
+        self.db = db
         self.doc = doc
-        meta = store.meta(doc)
-        self.begin_char: Oid = meta["begin_char"]
-        self.end_char: Oid = meta["end_char"]
-        registry = self.db.obs.registry
+        self.begin_char = begin_char
+        self.kind = kind
+        self.cache = make_order_cache(kind)
+        #: Open handles reading this replica.
+        self.handles = 0
+        registry = db.obs.registry
         self._m_splice = registry.histogram("doc.cache_splice_seconds")
-        self._m_lookup = registry.histogram("doc.cache_lookup_seconds")
         self._m_full_scans = registry.counter("doc.full_scans")
-        self._cache = make_order_cache(cache)
-        self._closed = False
         self.refresh()
-        self._sub = self.db.changefeed().subscribe(
-            f"doc-cache:{self.doc}", self._on_batch, tables=(S.CHARS,))
-
-    # ------------------------------------------------------------------
-    # Cache
-    # ------------------------------------------------------------------
+        self._sub = db.changefeed().subscribe(
+            f"doc-cache:{doc}", self._on_batch, tables=(S.CHARS,))
 
     def refresh(self) -> None:
         """Rebuild the order cache from the database chain (full scan).
@@ -275,17 +297,14 @@ class DocumentHandle:
         self._m_full_scans.inc()
         if self.begin_char is None:
             # Archived document: no chain to walk, nothing to render.
-            self._cache.rebuild(iter(()))
+            self.cache.rebuild(iter(()))
             return
         with self.db.snapshot() as snap:
-            self._cache.rebuild(
+            self.cache.rebuild(
                 C.traverse(self.db, self.doc, self.begin_char, txn=snap))
 
     def close(self) -> None:
-        """Detach from commit notifications."""
-        if not self._closed:
-            self._closed = True
-            self._sub.close()
+        self._sub.close()
 
     def _on_batch(self, batch: "CommitBatch") -> None:
         rows = []
@@ -301,13 +320,56 @@ class DocumentHandle:
         if not rows:
             return  # another document's commit
         started = perf_counter()
-        if splice_rows(self._cache, rows, self.begin_char, self._prev_of):
+        if splice_rows(self.cache, rows, self.begin_char, self.prev_of):
             self._m_splice.observe(perf_counter() - started)
 
-    def _prev_of(self, oid: Oid) -> Oid | None:
+    def prev_of(self, oid: Oid) -> Oid | None:
         """Chain predecessor of a character the cache does not hold (a
         deleted or not-yet-spliced one): one indexed database read."""
         return C.char_row(self.db, oid)[1]["prev"]
+
+
+class DocumentHandle:
+    """An open document: position-addressed edits over the character chain.
+
+    The handle reads the document's *order cache* — live character OIDs
+    in document order — from the replica the store keeps per open
+    document.  That replica is updated incrementally by a changefeed
+    subscription, so it reflects both this handle's edits and edits
+    committed by any other handle/session on the same engine — the
+    mechanism behind "everything which is typed appears within the
+    editor as soon as [it is] stored persistently".
+    """
+
+    def __init__(self, store: DocumentStore, doc: Oid, *,
+                 cache: str = "chunked") -> None:
+        self.store = store
+        self.db = store.db
+        self.doc = doc
+        meta = store.meta(doc)
+        self.begin_char: Oid = meta["begin_char"]
+        self.end_char: Oid = meta["end_char"]
+        self._m_lookup = self.db.obs.registry.histogram(
+            "doc.cache_lookup_seconds")
+        self._replica = store._attach(doc, self.begin_char, cache)
+        self._cache = self._replica.cache
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # Cache
+    # ------------------------------------------------------------------
+
+    def refresh(self) -> None:
+        """Rebuild the document's order cache from the database chain
+        (a full scan; every handle of the document sees the result)."""
+        self._replica.refresh()
+
+    def close(self) -> None:
+        """Stop reading the document's replica; the last handle to close
+        detaches it from commit notifications."""
+        if not self._closed:
+            self._closed = True
+            self.store._detach(self._replica)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -372,7 +434,7 @@ class DocumentHandle:
         if anchor == self.begin_char:
             return 0
         return position_after(self._cache, anchor, self.begin_char,
-                              self._prev_of)
+                              self._replica.prev_of)
 
     def text_of(self, oids: Sequence[Oid]) -> str:
         """The text of still-visible characters among ``oids``."""

@@ -1,6 +1,10 @@
 """Unit tests for hash and ordered indexes."""
 
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.index import HashIndex, OrderedIndex
 from repro.errors import UniqueViolation
@@ -83,6 +87,42 @@ class TestHashIndex:
         idx.remove("a", 1)
         idx.remove("a", 1)     # bucket already gone
         assert len(idx) == 0
+
+
+class TestUniqueHashIndexParity:
+    """A unique index stores the bare rowid, a plain one a set per key:
+    on any history a unique index accepts, both answer alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.none() | st.integers(0, 5),
+                              st.integers(1, 6)), max_size=40))
+    def test_same_answers_as_the_set_backed_index(self, ops):
+        unique = HashIndex("u", "c", unique=True)
+        plain = HashIndex("p", "c")
+        for add, key, rowid in ops:
+            if not add:
+                unique.remove(key, rowid)
+                plain.remove(key, rowid)
+            elif key is not None and set(plain.probe_eq(key)) - {rowid}:
+                with pytest.raises(UniqueViolation):
+                    unique.add(key, rowid)
+            else:
+                unique.add(key, rowid)
+                plain.add(key, rowid)
+            assert len(unique) == len(plain)
+            assert set(unique.keys()) == set(plain.keys())
+            for probe in (None, *range(6)):
+                assert list(unique.probe_eq(probe)) \
+                    == list(plain.probe_eq(probe))
+                assert unique.find(probe) == plain.find(probe) \
+                    == next(plain.probe_eq(probe), None)
+
+    def test_unique_entries_hold_no_container(self):
+        idx = HashIndex("u", "c", unique=True)
+        for n in range(100):
+            idx.add(f"k{n}", n)
+        assert not any(gc.is_tracked(v) for v in idx._map.values())
 
 
 class TestOrderedIndex:

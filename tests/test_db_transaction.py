@@ -194,6 +194,18 @@ class TestUniqueness:
         assert len(rows) == 1
         assert rows[0]["v"] == 2
 
+    def test_key_not_freed_by_another_writers_pending_delete(self, db):
+        """Regression: an uncommitted delete by someone else frees
+        nothing (it may abort) — the insert used to be accepted and then
+        blow up the index in the middle of its own commit."""
+        rid = db.insert("kv", {"k": "a", "v": 1})
+        deleter = db.begin()
+        deleter.delete("kv", rid)
+        with pytest.raises(UniqueViolation):
+            db.insert("kv", {"k": "a", "v": 2})
+        deleter.abort()
+        assert [r["v"] for r in db.query("kv").run()] == [1]
+
     def test_concurrent_key_claim_blocks(self, db):
         t1 = db.begin(lock_timeout=0)
         t2 = db.begin(lock_timeout=0)

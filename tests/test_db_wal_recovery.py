@@ -43,11 +43,22 @@ class TestWal:
 
     def test_truncate_before(self):
         wal = WriteAheadLog()
-        for i in range(10):
+        for i in range(5):
             wal.append(walmod.BEGIN, i)
-        dropped = wal.truncate_before(6)
-        assert dropped == 5
-        assert all(r.lsn >= 6 for r in wal.records())
+            wal.append(walmod.COMMIT, i)
+        dropped = wal.truncate_before(7)
+        assert dropped == 6
+        assert all(r.lsn >= 7 for r in wal.records())
+
+    def test_truncate_before_keeps_open_transactions_whole(self):
+        wal = WriteAheadLog()
+        wal.append(walmod.BEGIN, 1)
+        wal.append(walmod.COMMIT, 1)
+        wal.append(walmod.BEGIN, 2)       # lsn 3: still open at the cut
+        wal.append(walmod.BEGIN, 3)
+        wal.append(walmod.ABORT, 3)
+        assert wal.truncate_before(6) == 2
+        assert [r.lsn for r in wal.records()] == [3, 4, 5]
 
     def test_value_encoding_roundtrip(self):
         values = {
@@ -157,6 +168,35 @@ class TestCheckpoint:
         assert recovered.query("docs").count() == 0
 
 
+    def test_truncation_keeps_a_straddling_transactions_early_writes(self):
+        """Regression (ROADMAP 5(ii)): the checkpoint holds none of an
+        open transaction's DML, so cutting the in-memory log right at it
+        used to lose those writes when the COMMIT arrived later."""
+        db = make_db()
+        settled = db.insert("docs", {"title": "settled", "size": 1})
+        txn = db.begin()
+        txn.insert("docs", {"title": "early", "size": 2})
+        txn.update("docs", settled, {"size": 10})      # a delta, pre-cut
+        lsn = db.checkpoint()
+        db.wal.truncate_before(lsn)
+        txn.insert("docs", {"title": "late", "size": 3})
+        txn.commit()
+        recovered = recover(db.wal.records())
+        assert sorted((r["title"], r["size"])
+                      for r in recovered.query("docs").run()) \
+            == [("early", 2), ("late", 3), ("settled", 10)]
+        # The cut was clamped to the open transaction's BEGIN, no lower.
+        assert next(iter(db.wal.records())).type == "BEGIN"
+        # Changefeed catch-up reads the same cut: the delta finds its
+        # base row in the checkpoint.
+        from repro.feed.changefeed import batches_from_records
+        (batch,) = batches_from_records(db.wal.records())
+        assert [(e.kind, e.row["title"], e.row["size"])
+                for e in batch.events] == [
+            ("insert", "early", 2), ("update", "settled", 10),
+            ("insert", "late", 3)]
+
+
 class TestFileRecovery:
     def test_crash_and_recover_from_file(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -189,8 +229,7 @@ class TestRecoveryErrors:
         from repro.errors import RecoveryError
         records = [
             WalRecord(1, walmod.BEGIN, 1),
-            WalRecord(2, walmod.INSERT, 1,
-                      {"table": "ghost", "rowid": 1, "values": {}}),
+            WalRecord(2, walmod.INSERT, 1, table="ghost", rowid=1),
             WalRecord(3, walmod.COMMIT, 1),
         ]
         with pytest.raises(RecoveryError):
@@ -202,7 +241,7 @@ class TestRecoveryErrors:
         from repro.db.wal import WalRecord
         records = [
             WalRecord(1, walmod.BEGIN, 1),
-            WalRecord(2, walmod.DELETE, 1, {"table": "ghost", "rowid": 1}),
+            WalRecord(2, walmod.DELETE, 1, table="ghost", rowid=1),
             WalRecord(3, walmod.COMMIT, 1),
         ]
         recovered = recover(records)   # no exception

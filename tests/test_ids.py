@@ -156,10 +156,24 @@ class TestNoUntaggedOid:
     @settings(max_examples=200)
     @given(st.dictionaries(keys, nested, max_size=4))
     def test_rendered_wal_record_tags_every_oid(self, payload):
-        record = WriteAheadLog().append("INSERT", 1, **payload)
+        record = WriteAheadLog().append("CREATE_TABLE", 0, **payload)
         raw = json.loads(render_record(record))
         assert _count_tags(raw["payload"]) == _count_oids(payload)
         assert decode_value(raw["payload"]) == _lists_as_written(payload)
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(keys, nested, max_size=4))
+    def test_rendered_row_image_tags_every_oid(self, values):
+        """DML records hold stored values undecorated; the line is where
+        they get tagged."""
+        record = WriteAheadLog().append(
+            "INSERT", 1, table="t", rowid=1, cols=tuple(values),
+            vals=tuple(values.values()))
+        assert record.vals == tuple(values.values())
+        raw = json.loads(render_record(record))["payload"]
+        assert (raw["table"], raw["rowid"]) == ("t", 1)
+        assert _count_tags(raw["values"]) == _count_oids(values)
+        assert decode_value(raw["values"]) == _lists_as_written(values)
 
     @settings(max_examples=300)
     @given(envelopes)

@@ -51,7 +51,7 @@ from repro.net import (
     decode_envelope,
     encode_frame,
 )
-from repro.db.wal import WalRecord, encode_value, render_record
+from repro.db.wal import WalRecord, render_record
 from repro.net.protocol import ENVELOPE_TYPES, MAX_FRAME_BYTES
 
 # ---------------------------------------------------------------------------
@@ -96,11 +96,18 @@ echo_deltas = st.builds(
     st.lists(row_dicts, max_size=3).map(tuple),
 )
 
-#: WAL lines as a leader ships them: rendered records whose payloads
-#: already carry tagged OIDs/bytes (the WAL's own JSON-safe form).
+def _wal_line(lsn: int, type_: str, txn: int, values: dict) -> str:
+    if type_ in ("INSERT", "UPDATE", "DELETE"):
+        return render_record(WalRecord(
+            lsn, type_, txn, table="t", rowid=lsn, cols=tuple(values),
+            vals=tuple(values.values())))
+    return render_record(WalRecord(lsn, type_, txn, values))
+
+
+#: WAL lines as a leader ships them: rendered records, OIDs/bytes tagged
+#: the WAL's own way (the line is the JSON-safe form).
 wal_lines = st.builds(
-    lambda lsn, type_, txn, payload: render_record(
-        WalRecord(lsn, type_, txn, encode_value(payload))),
+    _wal_line,
     st.integers(1, 10 ** 9),
     st.sampled_from(("BEGIN", "INSERT", "UPDATE", "DELETE", "COMMIT")),
     st.integers(0, 10 ** 6), row_dicts)

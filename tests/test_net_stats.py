@@ -19,7 +19,7 @@ from repro.collab import CollaborationServer
 from repro.errors import AccessDenied
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import NetworkClient, ServerThread, scrape
-from repro.obs import TELEMETRY_SCHEMA
+from repro.obs import TELEMETRY_SCHEMA, render_dash
 
 
 def make_collab(n_users: int = 2) -> CollaborationServer:
@@ -55,6 +55,11 @@ class TestStatsScrape:
         labelled = [n for n in telemetry["series"] if "{" in n]
         assert any(n.startswith("net.op_seconds{verb=") for n in labelled)
         assert payload["net"]["scrapes"] >= 1
+        # The collector's share and worst pause ride along (repro dash
+        # renders them as the "gc:" row).
+        assert 0.0 <= payload["gc"]["share"] < 1.0
+        assert set(payload["gc"]["generations"]) == {"0", "1", "2"}
+        assert "gc: " in render_dash(payload)
 
     def test_prom_scrape_is_text_exposition(self):
         collab = make_collab()
@@ -122,7 +127,7 @@ class TestHealthScrape:
         assert health["status"] == "ok"
         assert {c["check"] for c in health["checks"]} == {
             "wal.fsync_stall", "net.send_queue", "gc.backlog",
-            "net.churn", "net.faults", "feed.lag"}
+            "net.churn", "net.faults", "feed.lag", "gc.pause"}
 
     def test_mid_session_health_verb(self):
         collab = make_collab()

@@ -528,7 +528,11 @@ class TestCacheMetrics:
         before = self._full_scans(db)
         handle.refresh()
         assert self._full_scans(db) == before + 1
-        store.handle(handle.doc)
+        second = store.handle(handle.doc)  # shares the open replica
+        assert self._full_scans(db) == before + 1
+        second.close()
+        handle.close()
+        store.handle(handle.doc)           # first open again: one walk
         assert self._full_scans(db) == before + 2
 
     def test_splice_and_lookup_latencies_recorded(self):

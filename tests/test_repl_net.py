@@ -25,7 +25,7 @@ from repro.net import (
     ServerThread,
     scrape,
 )
-from repro.db.wal import WalRecord, encode_value, render_record
+from repro.db.wal import WalRecord, render_record
 from repro.errors import ProtocolError
 from repro.ids import Oid
 from repro.net import FrameDecoder, WalSegment, encode_frame
@@ -151,23 +151,21 @@ class TestSubscription:
 
     def test_segment_ships_tagged_payloads_verbatim(self):
         """Records cross the wire as their WAL lines: the envelope's
-        value tagging never reaches inside them, so tagged payloads
-        (OIDs, bytes) arrive in the JSON-safe form the applier and the
-        local mirror expect — nothing to untag and re-tag."""
+        value tagging never reaches inside them, so the line's own
+        tagging (OIDs, bytes) arrives untouched and the WAL parser — the
+        only reader of a line — gives the stored values back."""
         records = [
-            WalRecord(7, "INSERT", 3, encode_value(
-                {"table": "t", "rowid": 1,
-                 "values": {"doc": Oid("db.doc", 4), "blob": b"\x00\xff",
-                            "rows": [1, 2], "by": None}})),
+            WalRecord(7, "INSERT", 3, table="t", rowid=1,
+                      cols=("doc", "blob", "rows", "by"),
+                      vals=(Oid("db.doc", 4), b"\x00\xff", [1, 2], None)),
             WalRecord(8, "COMMIT", 3),
         ]
         segment = WalSegment(records=tuple(map(render_record, records)),
                              end_lsn=8)
+        assert '"doc":{"__oid__":"db.doc:4"}' in segment.records[0]
         (received,) = FrameDecoder().feed(encode_frame(segment))
         assert received == segment
         assert received.parse() == records
-        assert received.parse()[0].payload["values"]["doc"] \
-            == {"__oid__": "db.doc:4"}
         empty = WalSegment(records=(
             '{"lsn":1,"type":"BEGIN","txn":1,"payload":null}',))
         assert empty.parse()[0].payload == {}

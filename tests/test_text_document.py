@@ -1,6 +1,14 @@
 """Tests for DocumentStore / DocumentHandle: edits, caches, propagation."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.db import Database, col
 from repro.errors import InvalidPositionError, UnknownDocumentError
@@ -243,14 +251,20 @@ class TestMultiHandlePropagation:
         assert h1.text() == h2.text()
         assert h1.check_integrity() == []
 
-    def test_closed_handle_stops_updating(self, store):
+    def test_last_closed_handle_stops_updating(self, store):
+        """Handles of one document share one replica: it stays live while
+        any of them is open and detaches when the last one closes."""
         h1 = store.create("d", "ana", text="x")
         h2 = store.open(h1.doc, "ben")
         h2.close()
         h1.insert_text(1, "y", "ana")
-        assert h2.length() == 1  # stale by design after close
+        assert h1.length() == 2
+        h1.close()
+        writer = store.handle(h1.doc, cache="flat")  # a different replica
+        writer.insert_text(2, "z", "ana")
+        assert h1.length() == h2.length() == 2  # stale by design after close
         h2.refresh()
-        assert h2.length() == 2
+        assert h2.length() == 3
 
     def test_refresh_matches_incremental(self, store):
         h1 = store.create("d", "ana", text="abcdef")
@@ -330,3 +344,98 @@ class TestArchivedAndPurge:
         assert h.text() == ""
         assert h.length() == 0
         h.close()
+
+
+class SharedReplicaMachine(RuleBasedStateMachine):
+    """N handles of one document, opened and closed in any order while
+    it is edited, against a single-handle oracle on an engine of its own.
+
+    Every open handle reads the document's one shared replica, so all of
+    them must equal the oracle after every step; there is exactly one
+    ``doc-cache:`` subscription while any handle is open and none after
+    the last close; a handle opened into a live replica costs no chain
+    walk.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.db = Database("shared")
+        self.store = DocumentStore(self.db, log_reads=False)
+        first = self.store.create("d", "ana", text="seed text")
+        self.doc = first.doc
+        self.handles = [first]
+        self.oracle = DocumentStore(
+            Database("shared"), log_reads=False).create(
+                "d", "ana", text="seed text")
+        self.style = self.db.new_oid("style")
+
+    def _subscriptions(self) -> list[str]:
+        return [s.name for s in self.db.changefeed().subscriptions()
+                if s.name.startswith("doc-cache:")]
+
+    def _scans(self) -> int:
+        return self.db.metrics_snapshot()["doc.full_scans"]["value"]
+
+    @rule()
+    def open_handle(self):
+        scans = self._scans()
+        self.handles.append(self.store.handle(self.doc))
+        if len(self.handles) > 1:
+            assert self._scans() == scans     # joined the live replica
+
+    @precondition(lambda self: self.handles)
+    @rule(pick=st.integers(0, 10 ** 6))
+    def close_handle(self, pick):
+        self.handles.pop(pick % len(self.handles)).close()
+
+    @precondition(lambda self: self.handles)
+    @rule(pick=st.integers(0, 10 ** 6), where=st.integers(0, 10 ** 6),
+          text=st.text(alphabet="abc ", min_size=1, max_size=5))
+    def insert(self, pick, where, text):
+        handle = self.handles[pick % len(self.handles)]
+        pos = where % (handle.length() + 1)
+        handle.insert_text(pos, text, "ana")
+        self.oracle.insert_text(pos, text, "ana")
+
+    @precondition(lambda self: self.handles and self.oracle.length())
+    @rule(pick=st.integers(0, 10 ** 6), where=st.integers(0, 10 ** 6),
+          count=st.integers(1, 4), restyle=st.booleans())
+    def delete_or_style(self, pick, where, count, restyle):
+        handle = self.handles[pick % len(self.handles)]
+        pos = where % handle.length()
+        count = min(count, handle.length() - pos)
+        if restyle:
+            handle.apply_style(pos, count, self.style, "ben")
+            self.oracle.apply_style(pos, count, self.style, "ben")
+        else:
+            handle.delete_range(pos, count, "ben")
+            self.oracle.delete_range(pos, count, "ben")
+
+    @invariant()
+    def open_handles_equal_the_oracle(self):
+        for handle in self.handles:
+            assert handle.text() == self.oracle.text()
+            assert handle.styled_runs() == self.oracle.styled_runs()
+            assert handle.authors() == self.oracle.authors()
+            assert handle._cache.check() == []
+        assert len({id(h._cache) for h in self.handles}) <= 1
+
+    @invariant()
+    def one_subscription_while_open_none_after(self):
+        assert self._subscriptions() == (
+            [f"doc-cache:{self.doc}"] if self.handles else [])
+
+    def teardown(self):
+        probe = self.store.handle(self.doc)
+        assert probe.check_integrity() == []
+        assert probe.text() == self.oracle.text()
+        probe.close()
+        for handle in self.handles:
+            handle.close()
+        assert self._subscriptions() == []
+        assert self.store._replicas == {}
+
+
+TestSharedReplica = SharedReplicaMachine.TestCase
+TestSharedReplica.settings = settings(max_examples=40,
+                                      stateful_step_count=30, deadline=None)

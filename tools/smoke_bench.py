@@ -59,6 +59,8 @@ SMOKE_NODES = (
     "::test_cache_remote_splice_flat[256000]",
     "benchmarks/bench_editing_transactions.py::test_select_copy_paste_30k",
     "benchmarks/bench_editing_transactions.py::test_position_lookup_30k",
+    "benchmarks/bench_editing_transactions.py::test_keystroke_commit_30k",
+    "benchmarks/bench_editing_transactions.py::test_unique_key_read_30k",
     "benchmarks/bench_undo_redo.py::test_undo_redo_cycle[10]",
     "benchmarks/bench_recovery_security.py::test_recovery_replay[100]",
     "benchmarks/bench_versioning.py::test_tag_version[500]",
@@ -103,6 +105,10 @@ TREND_NODES = {
         "c1_select_copy_paste_30k",
     "benchmarks/bench_editing_transactions.py::test_position_lookup_30k":
         "c1_position_lookup_30k",
+    "benchmarks/bench_editing_transactions.py::test_keystroke_commit_30k":
+        "c1_keystroke_commit",
+    "benchmarks/bench_editing_transactions.py::test_unique_key_read_30k":
+        "c1_unique_key_read",
     "benchmarks/bench_collaborative_editing.py::test_replication_visibility[2]":
         "c3_replication_visibility_2",
     "benchmarks/bench_net.py::test_connect_storm[8]":
