@@ -61,6 +61,31 @@ def test_keystroke_tendax(benchmark, size):
     benchmark(keystroke)
 
 
+def test_keystroke_bookkept(benchmark):
+    """The same keystroke through a *default* store — access logging on,
+    as users run it: the document row is touched on every edit, the
+    access log once per ``ACCESS_LOG_RESOLUTION``."""
+    size = SIZES[0]
+    db = Database("bench")
+    store = DocumentStore(db)
+    handle = store.create("doc", "ana", text=make_text(size))
+    anchor = handle.char_oid_at(size // 2)
+    started = db.now()
+
+    def keystroke():
+        handle.insert_after(anchor, "x", "ana")
+
+    benchmark.group = f"C1 keystroke mid-doc n={size}"
+    benchmark.extra_info["system"] = "tendax, book-kept"
+    benchmark.extra_info["doc_size"] = size
+    benchmark(keystroke)
+    typed = handle.length() - size
+    assert handle.meta()["size"] == handle.length()
+    entries = db.query(S.ACCESS_LOG).where(col("action") == "write").count()
+    assert entries <= (db.now() - started) / S.ACCESS_LOG_RESOLUTION + 2
+    assert entries < typed
+
+
 @pytest.mark.parametrize("size", SIZES)
 def test_keystroke_offset_baseline(benchmark, size):
     """Offset baseline: the same keystroke shifts O(n) rows."""
@@ -378,8 +403,10 @@ def test_position_lookup_30k(benchmark):
 
 def test_keystroke_commit_30k(benchmark, server):
     """One typed character at a random position of the shared 30k
-    document, second editor subscribed: the whole commit — five row
-    images staged, seven log records, one replica splice, fan-out."""
+    document, second editor subscribed: the whole commit — four row
+    images staged, six log records in one block (a fifth image and a
+    seventh record when the access log is due its entry), one replica
+    splice, fan-out."""
     for user in ("ana", "ben"):
         server.register_user(user)
     sessions = [server.connect("ana"), server.connect("ben")]
@@ -388,6 +415,7 @@ def test_keystroke_commit_30k(benchmark, server):
     rng = random.Random(32)
     appended = server.db.obs.registry.counter("wal.appends")
     before = appended.value
+    logged = server.db.table(S.ACCESS_LOG).row_count()
 
     def keystroke():
         editor = editors[0]
@@ -399,7 +427,9 @@ def test_keystroke_commit_30k(benchmark, server):
     benchmark.group = "C1 editing tasks"
     benchmark.extra_info["doc_size"] = MIX_SIZE
     benchmark.pedantic(keystroke, rounds=300, iterations=1, warmup_rounds=5)
-    assert (appended.value - before) == 7 * 305
+    logged = server.db.table(S.ACCESS_LOG).row_count() - logged
+    assert logged <= 2
+    assert (appended.value - before) == 6 * 305 + logged
     updates = [r for r in server.db.wal.records() if r.type == "UPDATE"]
     assert max(len(r.cols) for r in updates[-3:]) <= 3   # deltas
     assert editors[0].text() == editors[1].text()

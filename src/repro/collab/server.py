@@ -41,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.transaction import Change, Transaction
 
 #: Tables whose commits are pushed to sessions as change notifications.
-_WATCHED_TABLES = (S.CHARS, S.OBJECTS, S.NOTES, S.STRUCTURE, S.DOCUMENTS)
+_WATCHED_TABLES = frozenset(
+    (S.CHARS, S.OBJECTS, S.NOTES, S.STRUCTURE, S.DOCUMENTS))
 
 
 class CollaborationServer:
@@ -61,7 +62,6 @@ class CollaborationServer:
         #: ``Database.metrics_snapshot()`` covers the whole server.
         registry = self.db.obs.registry
         self._tracer = self.db.obs.tracer
-        self._m_operations = registry.counter("collab.operations")
         self._m_op_seconds = registry.histogram("collab.op_seconds")
         self._m_notifications = registry.counter("collab.notifications")
         self._m_sessions = registry.gauge("collab.sessions")
@@ -104,7 +104,7 @@ class CollaborationServer:
         """
         return {
             "notifications": self._m_notifications.value,
-            "operations": self._m_operations.value,
+            "operations": self._m_op_seconds.count,
         }
 
     def statistics(self) -> dict:
@@ -160,8 +160,8 @@ class CollaborationServer:
 
     def sessions_on(self, doc) -> list[EditingSession]:
         """Sessions that have ``doc`` open."""
-        return [s for s in list(self._sessions.values())
-                if doc in s.open_documents()]
+        # Snapshot: connect()/disconnect() may run on another thread.
+        return [s for s in list(self._sessions.values()) if s.has_open(doc)]
 
     # ------------------------------------------------------------------
     # Templates
@@ -206,7 +206,6 @@ class CollaborationServer:
         previous_started = self._operating_started
         self._operating_session = session
         self._operating_started = started = perf_counter()
-        self._m_operations.inc()
         batch = self.db.current_batch()
         parent = batch.span.ctx if batch is not None else None
         with self._tracer.span("collab.op", parent_ctx=parent,
@@ -224,56 +223,48 @@ class CollaborationServer:
 
     def _on_commit(self, event) -> None:
         changes: list[Change] = event["changes"]
+        #: doc -> [tables touched, number of changes]
         by_doc: dict = {}
         for change in changes:
-            if change.table not in _WATCHED_TABLES:
-                continue
             row = change.row
-            doc = None
-            if row is not None:
-                doc = row.get("doc") if change.table != S.DOCUMENTS \
-                    else row.get("doc")
+            if row is None or change.table not in _WATCHED_TABLES:
+                continue
+            doc = row.get("doc")
             if doc is None:
                 continue
-            entry = by_doc.setdefault(doc, {"tables": set(), "count": 0})
-            entry["tables"].add(change.table)
-            entry["count"] += 1
+            entry = by_doc.get(doc)
+            if entry is None:
+                by_doc[doc] = [{change.table}, 1]
+            else:
+                entry[0].add(change.table)
+                entry[1] += 1
         if not by_doc:
             return
         origin = self._operating_session
+        origin_id = origin.id if origin else None
+        origin_user = origin.user if origin else None
         origin_started = self._operating_started if origin else None
         now = self.db.now()
-        for doc, entry in by_doc.items():
+        for doc, (tables, count) in by_doc.items():
+            readers = [session for session in self.sessions_on(doc)
+                       if session.id != origin_id]
             # One dispatch span per notified document; its (trace, span)
             # context rides on the envelope so delivery/apply spans can
             # resume the trace after a hold or reorder.  With no trace
             # sink the scoped span is NULL_SPAN and ``ctx`` is None.
             with self._tracer.span("collab.dispatch", doc=str(doc),
-                                   changes=entry["count"]) as dispatch:
+                                   changes=count) as dispatch:
                 ctx = dispatch.ctx
                 notification = Notification(
-                    doc=doc,
-                    origin_session=origin.id if origin else None,
-                    origin_user=origin.user if origin else None,
-                    tables=tuple(sorted(entry["tables"])),
-                    n_changes=entry["count"],
-                    at=now,
-                    seq=next(self._notification_seq),
-                    trace_id=ctx[0] if ctx else None,
-                    parent_span=ctx[1] if ctx else None,
-                    origin_started=origin_started,
-                )
-                doc_notifications = self._f_notifications.labels(
-                    doc=doc)
-                # Snapshot: connect()/disconnect() may run on another
-                # thread while a commit fans out.
-                for session in list(self._sessions.values()):
-                    if doc in session.open_documents():
-                        if origin is not None and session.id == origin.id:
-                            continue
-                        self.delivery.send(session, notification)
-                        self._m_notifications.inc()
-                        doc_notifications.inc()
+                    doc, origin_id, origin_user, tuple(sorted(tables)),
+                    count, now, next(self._notification_seq),
+                    ctx[0] if ctx else None, ctx[1] if ctx else None,
+                    origin_started)
+                for session in readers:
+                    self.delivery.send(session, notification)
+                if readers:
+                    self._m_notifications.inc(len(readers))
+                    self._f_notifications.labels(doc=doc).inc(len(readers))
 
     # ------------------------------------------------------------------
     # Teardown

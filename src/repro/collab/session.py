@@ -10,8 +10,7 @@ editor clients drive against the database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ..errors import ClipboardError, SessionError
 from ..ids import Oid
@@ -23,8 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import CollaborationServer
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(NamedTuple):
     """A change delivered to a session's inbox.
 
     ``seq`` is the server's global send order; an inbox whose sequence
@@ -133,6 +131,10 @@ class EditingSession:
     def open_documents(self) -> list[Oid]:
         """OIDs of the documents this session has open."""
         return list(self._handles)
+
+    def has_open(self, doc: Oid) -> bool:
+        """Whether this session has ``doc`` open."""
+        return doc in self._handles
 
     def disconnect(self) -> None:
         """Close every document and detach from the server."""

@@ -30,7 +30,7 @@ from ..obs import Observability
 from . import wal as walmod
 from .catalog import Catalog
 from .locks import LockManager
-from .query import Query
+from .query import Query, RowView, find
 from .schema import Column, TableSchema
 from .table import Table
 from .transaction import BatchJoin, Change, Transaction, TxnMetrics
@@ -361,6 +361,11 @@ class Database:
     def query(self, table_name: str) -> Query:
         """Start a query over committed data."""
         return Query(self, table_name)
+
+    def find(self, table_name: str, column: str, key: Any) -> RowView | None:
+        """The first committed row with ``column == key``, or ``None``
+        (see :func:`repro.db.query.find`)."""
+        return find(self, table_name, column, key)
 
     # ------------------------------------------------------------------
     # IDs / time

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from ..errors import DeadlockError, LockTimeoutError
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
@@ -43,12 +42,14 @@ _COMPATIBLE = {
 }
 
 
-@dataclass
 class _LockState:
-    """Holders and waiters for one lockable resource."""
+    """Holders and waiters for one lockable resource (born granted)."""
 
-    holders: dict[int, str] = field(default_factory=dict)  # txn id -> mode
-    waiters: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self, txn_id: int, mode: str) -> None:
+        self.holders: dict[int, str] = {txn_id: mode}
+        self.waiters: list[tuple[int, str]] = []
 
     def compatible(self, txn_id: int, mode: str) -> bool:
         """Would granting (txn_id, mode) conflict with current holders?"""
@@ -80,17 +81,24 @@ class LockManager:
         self._cond = threading.Condition()
         self.default_timeout = default_timeout
         self.faults = faults if faults is not None else NO_FAULTS
-        #: Counters for observability / benchmarks (kept as a plain dict
-        #: for backwards compatibility; mirrored into the registry).
-        self.stats = {"acquired": 0, "waited": 0, "deadlocks": 0,
-                      "timeouts": 0, "injected": 0}
-        reg = registry if registry is not None else NULL_REGISTRY
+        # A manager on its own still counts (into a registry of its own).
+        reg = registry if registry is not None else MetricsRegistry()
         self._m_acquired = reg.counter("lock.acquired")
         self._m_waits = reg.counter("lock.waits")
         self._m_wait_seconds = reg.histogram("lock.wait_seconds")
         self._m_timeouts = reg.counter("lock.timeouts")
         self._m_deadlocks = reg.counter("lock.deadlocks")
         self._m_injected = reg.counter("lock.injected")
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """The ``lock.*`` counters under their historical short names
+        (all zero when the engine runs with observability off)."""
+        return {"acquired": self._m_acquired.value,
+                "waited": self._m_waits.value,
+                "deadlocks": self._m_deadlocks.value,
+                "timeouts": self._m_timeouts.value,
+                "injected": self._m_injected.value}
 
     # -- public API ---------------------------------------------------------
 
@@ -107,129 +115,134 @@ class LockManager:
         :class:`~repro.errors.DeadlockError` if waiting would deadlock and
         :class:`~repro.errors.LockTimeoutError` on timeout.
         """
+        self.acquire_many(txn_id, (resource,), mode, timeout)
+
+    def acquire_many(
+        self,
+        txn_id: int,
+        resources: Sequence[Hashable],
+        mode: str = EXCLUSIVE,
+        timeout: float | None = None,
+    ) -> None:
+        """Acquire several resources for ``txn_id`` in one round trip.
+
+        The edit path declares the lock set of a statement group and
+        takes it here: every uncontended resource is granted under a
+        single condition acquisition.  Grants are counted per
+        transaction, when :meth:`release_all` lets them go (an S->X
+        upgrade, a second grant of a resource already held, at once).
+        Fault injection
+        is still consulted per resource — torture plans keep their
+        handle on every logical acquire — and a resource that turns out
+        to be contended waits on its own (:meth:`_wait_for`): waiting,
+        deadlock detection and timeouts are per resource.
+        """
         if mode not in (SHARED, EXCLUSIVE):
             raise ValueError(f"unknown lock mode {mode!r}")
+        if self.faults.armed:
+            for resource in resources:
+                self._consult_faults(txn_id, resource, mode)
+        contended: list = []
+        upgrades = 0
+        states = self._states
+        with self._cond:
+            held = self._held_by_txn.get(txn_id)
+            if held is None:
+                held = self._held_by_txn[txn_id] = set()
+            for resource in resources:
+                state = states.get(resource)
+                if state is None:
+                    states[resource] = _LockState(txn_id, mode)
+                else:
+                    mine = state.holders.get(txn_id)
+                    if mine == EXCLUSIVE or mine == mode:
+                        continue  # already strong enough
+                    if not state.compatible(txn_id, mode):
+                        contended.append(resource)
+                        continue
+                    state.holders[txn_id] = mode
+                    upgrades += mine is not None
+                held.add(resource)
+            for resource in contended:
+                # Looked up again: an earlier wait of this call may
+                # have seen the resource's last holder leave.
+                state = states.get(resource)
+                if state is None:
+                    states[resource] = _LockState(txn_id, mode)
+                else:
+                    self._wait_for(txn_id, resource, state, mode, timeout)
+                    upgrades += resource in held
+                held.add(resource)
+        if upgrades:
+            self._m_acquired.inc(upgrades)
+
+    def _consult_faults(self, txn_id: int, resource: Hashable,
+                        mode: str) -> None:
         fault = self.faults.lock_action(txn_id, resource, mode)
         if fault is not None:
-            self.stats["injected"] += 1
             self._m_injected.inc()
             if fault.kind == "timeout":
-                self.stats["timeouts"] += 1
                 self._m_timeouts.inc()
                 raise LockTimeoutError(
                     f"injected timeout: txn {txn_id} on {resource!r} ({mode})"
                 )
             time.sleep(fault.delay)
+
+    def _wait_for(self, txn_id: int, resource: Hashable, state: _LockState,
+                  mode: str, timeout: float | None) -> None:
+        """Block until ``resource`` can be granted, then grant it (caller
+        holds the condition; ``state`` is the resource's live state)."""
         deadline_timeout = self.default_timeout if timeout is None else timeout
-        with self._cond:
-            state = self._states.setdefault(resource, _LockState())
-            held = state.holders.get(txn_id)
-            if held == EXCLUSIVE or held == mode:
-                return  # already strong enough
-            if state.compatible(txn_id, mode):
-                self._grant(txn_id, resource, state, mode)
-                return
-            # Must wait.
-            if deadline_timeout == 0:
-                self.stats["timeouts"] += 1
-                self._m_timeouts.inc()
-                raise LockTimeoutError(
-                    f"txn {txn_id} would block on {resource!r} ({mode})"
-                )
-            if self._would_deadlock(txn_id, state):
-                self.stats["deadlocks"] += 1
-                self._m_deadlocks.inc()
-                raise DeadlockError(
-                    f"txn {txn_id} deadlocks waiting for {resource!r}"
-                )
-            entry = (txn_id, mode)
-            state.waiters.append(entry)
-            self.stats["waited"] += 1
-            self._m_waits.inc()
-            wait_started = perf_counter()
-            # Contended waits are cold and interesting: traced, so a
-            # keystroke trace shows where it stalled (and on what).
-            wait_span = self._tracer.start("lock.wait", txn=txn_id,
-                                           resource=str(resource),
-                                           mode=mode)
-            try:
-                remaining = deadline_timeout
-                step = 0.05
-                while not state.compatible(txn_id, mode):
-                    if remaining <= 0:
-                        self.stats["timeouts"] += 1
-                        self._m_timeouts.inc()
-                        wait_span.end("timeout")
-                        raise LockTimeoutError(
-                            f"txn {txn_id} timed out on {resource!r} ({mode})"
-                        )
-                    wait = min(step, remaining)
-                    self._cond.wait(wait)
-                    remaining -= wait
-                    if self._would_deadlock(txn_id, state):
-                        self.stats["deadlocks"] += 1
-                        self._m_deadlocks.inc()
-                        wait_span.end("deadlock")
-                        raise DeadlockError(
-                            f"txn {txn_id} deadlocks waiting for {resource!r}"
-                        )
-                self._grant(txn_id, resource, state, mode)
-            finally:
-                # Wait time is recorded however the wait ends: grant,
-                # timeout or deadlock victimhood all contribute.  The
-                # span end is idempotent, so the error paths above
-                # keep their specific statuses.
-                wait_span.end("ok")
-                self._m_wait_seconds.observe(perf_counter() - wait_started)
-                if entry in state.waiters:
-                    state.waiters.remove(entry)
-
-    def acquire_many(
-        self,
-        txn_id: int,
-        resources: list,
-        mode: str = EXCLUSIVE,
-        timeout: float | None = None,
-    ) -> None:
-        """Acquire several resources for ``txn_id`` with amortised cost.
-
-        The batched edit path locks a whole range of rows at once;
-        grabbing every uncontended resource under a single condition
-        acquisition avoids one manager round-trip per row.  Fault
-        injection is still consulted per resource — torture plans keep
-        their handle on every logical acquire — and any resource that
-        turns out to be contended falls back to the blocking
-        per-resource :meth:`acquire` path (waiting, deadlock detection
-        and timeouts behave exactly as for single acquires).
-        """
-        if mode not in (SHARED, EXCLUSIVE):
-            raise ValueError(f"unknown lock mode {mode!r}")
-        for resource in resources:
-            fault = self.faults.lock_action(txn_id, resource, mode)
-            if fault is not None:
-                self.stats["injected"] += 1
-                self._m_injected.inc()
-                if fault.kind == "timeout":
-                    self.stats["timeouts"] += 1
+        if state.compatible(txn_id, mode):
+            state.holders[txn_id] = mode
+            return
+        if deadline_timeout == 0:
+            self._m_timeouts.inc()
+            raise LockTimeoutError(
+                f"txn {txn_id} would block on {resource!r} ({mode})"
+            )
+        if self._would_deadlock(txn_id, state):
+            self._m_deadlocks.inc()
+            raise DeadlockError(
+                f"txn {txn_id} deadlocks waiting for {resource!r}"
+            )
+        entry = (txn_id, mode)
+        state.waiters.append(entry)
+        self._m_waits.inc()
+        wait_started = perf_counter()
+        # Contended waits are cold and interesting: traced, so a
+        # keystroke trace shows where it stalled (and on what).
+        wait_span = self._tracer.start("lock.wait", txn=txn_id,
+                                       resource=str(resource),
+                                       mode=mode)
+        try:
+            remaining = deadline_timeout
+            step = 0.05
+            while not state.compatible(txn_id, mode):
+                if remaining <= 0:
                     self._m_timeouts.inc()
+                    wait_span.end("timeout")
                     raise LockTimeoutError(
-                        f"injected timeout: txn {txn_id} on {resource!r} "
-                        f"({mode})"
+                        f"txn {txn_id} timed out on {resource!r} ({mode})"
                     )
-                time.sleep(fault.delay)
-        contended: list = []
-        with self._cond:
-            for resource in resources:
-                state = self._states.setdefault(resource, _LockState())
-                held = state.holders.get(txn_id)
-                if held == EXCLUSIVE or held == mode:
-                    continue
-                if state.compatible(txn_id, mode):
-                    self._grant(txn_id, resource, state, mode)
-                else:
-                    contended.append(resource)
-        for resource in contended:
-            self.acquire(txn_id, resource, mode, timeout)
+                wait = min(step, remaining)
+                self._cond.wait(wait)
+                remaining -= wait
+                if self._would_deadlock(txn_id, state):
+                    self._m_deadlocks.inc()
+                    wait_span.end("deadlock")
+                    raise DeadlockError(
+                        f"txn {txn_id} deadlocks waiting for {resource!r}"
+                    )
+            state.holders[txn_id] = mode
+        finally:
+            # Wait time is recorded however the wait ends: grant,
+            # timeout or deadlock victimhood all contribute.  The
+            # span end is idempotent, so the error paths above
+            # keep their specific statuses.
+            wait_span.end("ok")
+            self._m_wait_seconds.observe(perf_counter() - wait_started)
+            state.waiters.remove(entry)
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock held by ``txn_id`` (commit/abort)."""
@@ -244,6 +257,7 @@ class LockManager:
                     del self._states[resource]
             if resources:
                 self._cond.notify_all()
+                self._m_acquired.inc(len(resources))
 
     def holders(self, resource: Hashable) -> dict[int, str]:
         """Snapshot of current holders of ``resource`` (txn id -> mode)."""
@@ -257,17 +271,6 @@ class LockManager:
             return set(self._held_by_txn.get(txn_id, ()))
 
     # -- internals ----------------------------------------------------------
-
-    def _grant(self, txn_id: int, resource: Hashable, state: _LockState,
-               mode: str) -> None:
-        prior = state.holders.get(txn_id)
-        if prior == SHARED and mode == EXCLUSIVE:
-            state.holders[txn_id] = EXCLUSIVE
-        else:
-            state.holders[txn_id] = mode
-        self._held_by_txn.setdefault(txn_id, set()).add(resource)
-        self.stats["acquired"] += 1
-        self._m_acquired.inc()
 
     def _would_deadlock(self, requester: int, wanted: _LockState) -> bool:
         """Check the wait-for graph for a cycle through ``requester``.

@@ -72,6 +72,41 @@ class _StoredRow(Mapping):
         return len(self._positions)
 
 
+def find(db: "Database", table_name: str, column: str, key: Any,
+         txn: "Transaction | None" = None) -> "RowView | None":
+    """The first row whose ``column`` equals ``key``, as ``txn`` sees it.
+
+    What ``Query(db, table_name, txn).where(col(column) == key).first()``
+    returns.  On a uniquely indexed column — every lookup of a row by
+    its id — it is a *key read* (see :meth:`Query._matching`) made
+    without building the query.
+    """
+    table = db.table(table_name)
+    keyed = _read_key(table, column, key, txn)
+    if keyed is None:
+        return Query(db, table_name, txn).where(
+            Comparison(column, "eq", key)).first()
+    if not keyed:
+        return None
+    rowid, row = keyed[0]
+    return RowView(rowid, zip(table.schema.names, row))
+
+
+def _read_key(table: Table, column: str, key: Any,
+              txn: "Transaction | None") -> list | None:
+    """:meth:`Table.read_key` for ``txn``, or ``None`` where a key read
+    does not apply: NULL keys, columns without a unique index, snapshot
+    and ``locking_reads`` transactions (a finished one reads committed
+    state, like no transaction at all)."""
+    if key is None:
+        return None
+    if txn is not None and txn.is_active:
+        if txn.snapshot_lsn is not None or txn.locking_reads:
+            return None
+        return table.read_key(column, key, txn.txn_id)
+    return table.read_key(column, key, None)
+
+
 class QueryPlan:
     """Description of how a query will execute (for tests/benchmarks)."""
 
@@ -294,14 +329,9 @@ class Query:
         """
         table = self._db.table(self._table_name)
         predicate = self._predicate
-        txn = self._txn if (self._txn is not None
-                            and self._txn.is_active) else None
-        if predicate.__class__ is Comparison and predicate.op == "eq" \
-                and predicate.value is not None \
-                and (txn is None or (txn.snapshot_lsn is None
-                                     and not txn.locking_reads)):
-            keyed = table.read_key(predicate.column, predicate.value,
-                                   None if txn is None else txn.txn_id)
+        if predicate.__class__ is Comparison and predicate.op == "eq":
+            keyed = _read_key(table, predicate.column, predicate.value,
+                              self._txn)
             if keyed is not None:
                 return iter(keyed)
         candidates = self._candidates(table, self.plan())

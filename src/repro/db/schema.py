@@ -97,6 +97,17 @@ def _check_jsonish(value: Any, _depth: int = 0) -> None:
     raise TypeMismatchError(f"not a json-compatible value: {value!r}")
 
 
+#: The class a value of each type is stored as when it needs no
+#: coercion: :meth:`ColumnType.validate` hands an instance of exactly
+#: this class back untouched, which lets row builders skip the call.
+#: (JSON has none: its values are checked to any depth.)
+_STORED_AS = {
+    ColumnType.INT: int, ColumnType.FLOAT: float, ColumnType.STR: str,
+    ColumnType.BOOL: bool, ColumnType.BYTES: bytes,
+    ColumnType.TIMESTAMP: float, ColumnType.OID: Oid,
+}
+
+
 @dataclass(frozen=True)
 class Column:
     """One column of a table schema."""
@@ -159,6 +170,11 @@ class TableSchema:
         #: WAL records name their columns with this very object).
         self.names: tuple[str, ...] = tuple(names)
         self._by_name: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
+        #: Per column: name, the class stored as is (see
+        #: :data:`_STORED_AS`; None for JSON) and the column itself for
+        #: every value that is not of exactly that class.
+        self._stored_as: tuple[tuple[str, type | None, Column], ...] = tuple(
+            (c.name, _STORED_AS.get(c.type), c) for c in columns)
         #: Storage positions of the OID-typed columns.
         self.oid_positions: tuple[int, ...] = tuple(
             i for i, c in enumerate(columns) if c.type is ColumnType.OID)
@@ -204,16 +220,23 @@ class TableSchema:
                 raise UnknownColumnError(
                     f"no column {key!r} in table {self.name!r}"
                 )
-        return tuple(
-            col.validate(values.get(col.name)) for col in self.columns
-        )
+        get = values.get
+        row = []
+        for name, stored_as, col in self._stored_as:
+            value = get(name)
+            row.append(value if value.__class__ is stored_as
+                       else col.validate(value))
+        return tuple(row)
 
     def merge_row(self, row: tuple, updates: Mapping[str, Any]) -> tuple:
         """Return ``row`` with ``updates`` applied and validated."""
         out = list(row)
         for key, value in updates.items():
             idx = self.column_index(key)
-            col = self.columns[idx]
+            __, stored_as, col = self._stored_as[idx]
+            if value.__class__ is stored_as:
+                out[idx] = value
+                continue
             if value is None and not col.nullable:
                 raise NotNullViolation(f"column {key!r} is not nullable")
             out[idx] = None if value is None else col.type.validate(value)

@@ -47,6 +47,13 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 
+#: Superseded versions a committed change of each kind leaves on its
+#: row's chain (an update its old image; a delete that and a tombstone):
+#: what whoever applies a transaction adds to ``txn.versions_live``,
+#: once per transaction.
+VERSIONS_PUSHED = {"insert": 0, "update": 1, "delete": 2, "noop": 0}
+
+
 class Pending(NamedTuple):
     """A staged, uncommitted change to one row."""
 
@@ -81,7 +88,9 @@ class Table:
         #: :meth:`snapshot_history_rows` call.
         self._overlay_memo: tuple[int, int, dict[int, tuple]] | None = None
         #: Duck-typed metric bundle (``TxnMetrics``); only
-        #: ``versions_live`` is used here.  None when unobserved.
+        #: ``versions_live`` is used here, to take away what GC and
+        #: reloads drop (appliers add, see :data:`VERSIONS_PUSHED`).
+        #: None when unobserved.
         self._metrics = metrics
         #: (unique column, value) -> rowid of the pending row claiming it.
         #: Keeps uniqueness checks O(1) instead of scanning all pending
@@ -302,6 +311,26 @@ class Table:
     # Commit / rollback (called by Transaction)
     # ------------------------------------------------------------------
 
+    def unfile_changed_keys(self, txn_id: int, rowid: int) -> None:
+        """Take the committed unique keys that ``txn_id``'s pending
+        change of ``rowid`` gives up out of their indexes.
+
+        Commit runs this over every row of a transaction that moved
+        keys before it promotes any of them: two rows swapping a key
+        would otherwise file the first one's new key while the second
+        still sits on it.  :meth:`commit_row` then finds those entries
+        already gone (index removal skips an absent entry).
+        """
+        with self._lock:
+            pending = self._pending.get(rowid)
+            old = self._committed.get(rowid)
+            if pending is None or pending.owner != txn_id or old is None:
+                return
+            image = pending.image
+            for index, pos in self._unique.values():
+                if image is TOMBSTONE or image[pos] != old[pos]:
+                    index.remove(old[pos], rowid)
+
     def commit_row(self, txn_id: int, rowid: int,
                    commit_lsn: int = 0
                    ) -> tuple[str, tuple | None, tuple | None]:
@@ -360,8 +389,6 @@ class Table:
         """Append one superseded version (caller holds ``_lock``)."""
         self._history.setdefault(rowid, []).append((lsn, image))
         self._history_gen += 1
-        if self._metrics is not None:
-            self._metrics.versions_live.inc()
 
     def apply_replica_row(self, rowid: int, row: tuple,
                           commit_lsn: int) -> tuple[str, tuple, tuple | None]:

@@ -1,11 +1,13 @@
 """Transactions: strict two-phase locking, WAL logging, commit triggers.
 
 A transaction stages row images in the tables it touches (see
-:mod:`repro.db.table`), holding exclusive row locks until commit or abort.
-WAL records are appended as operations are staged; COMMIT makes them
-effective.  On commit the engine publishes a ``db.commit`` event carrying
-the full change list — this is the hook that drives real-time propagation
-to editor clients, metadata capture and dynamic folder refresh.
+:mod:`repro.db.table`), holding exclusive row locks until commit or abort,
+and buffers one redo statement per operation.  COMMIT hands the buffer to
+the log as one block and then makes the staged images effective; an abort
+leaves the log untouched.  On commit the engine publishes a ``db.commit``
+event carrying the full change list — this is the hook that drives
+real-time propagation to editor clients, metadata capture and dynamic
+folder refresh.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import enum
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
+from typing import (TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple,
+                    Sequence)
 
 from ..errors import (
     CrashSignal,
@@ -24,6 +27,7 @@ from ..errors import (
 from ..obs.metrics import COUNT_BUCKETS
 from . import wal as walmod
 from .locks import SHARED
+from .table import VERSIONS_PUSHED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
@@ -37,12 +41,11 @@ class TxnMetrics:
     name per transaction.
     """
 
-    __slots__ = ("begun", "committed", "aborted", "crashed", "active",
+    __slots__ = ("committed", "aborted", "crashed", "active",
                  "duration", "commit_seconds", "ops", "batched_ops",
                  "snapshot_reads", "versions_live", "version_gc_truncated")
 
     def __init__(self, registry) -> None:
-        self.begun = registry.counter("txn.begun")
         self.committed = registry.counter("txn.committed")
         self.aborted = registry.counter("txn.aborted")
         self.crashed = registry.counter("txn.crashed")
@@ -101,7 +104,7 @@ class Transaction:
         self.txn_id = txn_id
         self.state = TxnState.ACTIVE
         self.lock_timeout = lock_timeout
-        #: Read-only transactions write no WAL records, stage nothing and
+        #: Read-only transactions log nothing, stage nothing and
         #: raise :class:`~repro.errors.ReadOnlyTransactionError` on DML.
         self.read_only = read_only
         #: MVCC mode: when set, every read resolves the newest version
@@ -118,6 +121,14 @@ class Transaction:
         #: rows :meth:`update` already built a mapping of (``None`` for
         #: the rest): commit hands that very mapping to the change list.
         self._ops_seen: dict[tuple[str, int], tuple | None] = {}
+        #: Redo statements in execution order, one ``(type, table,
+        #: rowid, cols, vals)`` each: the DML of this transaction's log
+        #: block (see :meth:`~repro.db.wal.WriteAheadLog.append`).
+        self._log: list[tuple] = []
+        #: Whether an UPDATE named a uniquely indexed column: such a
+        #: transaction may move a key between its rows, so commit
+        #: un-files every key it changed before filing any.
+        self._rekeyed = False
         #: Resources already locked by this transaction (strict 2PL holds
         #: them until the end, so a local set is an exact fast path that
         #: spares repeat acquires the lock-manager round-trip — batched
@@ -140,18 +151,7 @@ class Transaction:
             self._span = db.obs.tracer.start("txn", txn=txn_id)
         self._started = perf_counter()
         self._finished = False
-        self._metrics.begun.inc()
         self._metrics.active.inc()
-        if not read_only:
-            # Read-only transactions leave no WAL trace at all: they can
-            # never need recovery, and keeping them off the log keeps
-            # crash-torture schedules byte-identical with or without
-            # concurrent snapshot readers.
-            try:
-                db.wal.append(walmod.BEGIN, txn_id)
-            except CrashSignal:
-                self._finish("crash")
-                raise
 
     # -- context manager ----------------------------------------------------
 
@@ -214,13 +214,15 @@ class Transaction:
 
     # -- locking ------------------------------------------------------------
 
-    def _lock_row(self, table: str, rowid: int) -> None:
-        resource = ("row", table, rowid)
-        if resource in self._held_res:
-            return
-        self._db.locks.acquire(self.txn_id, resource,
-                               timeout=self.lock_timeout)
-        self._held_res.add(resource)
+    def _lock_all(self, resources: list) -> None:
+        """Take the exclusive locks of one statement (group) in a single
+        lock-manager call; resources already held cost nothing."""
+        held = self._held_res
+        fresh = [r for r in resources if r not in held]
+        if fresh:
+            self._db.locks.acquire_many(self.txn_id, fresh,
+                                        timeout=self.lock_timeout)
+            held.update(fresh)
 
     def lock_shared(self, table: str, rowid: int) -> None:
         """Take a SHARED row lock (2PL-reader baseline mode only)."""
@@ -231,34 +233,17 @@ class Transaction:
                                timeout=self.lock_timeout)
         self._held_res.add(resource)
 
-    def _lock_key(self, table: str, column: str, value: Any) -> None:
-        """Serialise claims on a unique key value across transactions."""
-        if value is None:
-            return
-        resource = ("key", table, column, value)
-        if resource in self._held_res:
-            return
-        self._db.locks.acquire(self.txn_id, resource,
-                               timeout=self.lock_timeout)
-        self._held_res.add(resource)
-
     def lock_rows(self, table_name: str, rowids: Iterable[int]) -> None:
         """Pre-acquire exclusive locks on a batch of rows at once.
 
-        Range operations (styling, deleting a selection) know every row
-        they will touch up front; one
+        An edit knows the rows it will touch up front (a range being
+        styled or deleted, the two chain neighbours of an insert); one
         :meth:`~repro.db.locks.LockManager.acquire_many` call amortises
-        the lock-manager round-trip across the whole range instead of
+        the lock-manager round-trip across all of them instead of
         paying it per row.
         """
         self._require_writable()
-        fresh = [("row", table_name, rowid) for rowid in rowids
-                 if ("row", table_name, rowid) not in self._held_res]
-        if not fresh:
-            return
-        self._db.locks.acquire_many(self.txn_id, fresh,
-                                    timeout=self.lock_timeout)
-        self._held_res.update(fresh)
+        self._lock_all([("row", table_name, rowid) for rowid in rowids])
 
     def _record_op(self, table: str, rowid: int,
                    mapped: tuple | None = None) -> None:
@@ -271,73 +256,72 @@ class Transaction:
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> int:
         """Insert a row; returns its rowid."""
+        return self.insert_many(table_name, (values,))[0]
+
+    def insert_many(self, table_name: str,
+                    rows: Sequence[Mapping[str, Any]]) -> list[int]:
+        """Insert a run of rows as one statement group; returns their
+        rowids in order.  The whole run is one lock set."""
         self._require_writable()
         table = self._db.table(table_name)
-        try:
-            with self._lock:
-                for column in table.unique_columns():
-                    if column in values:
-                        self._lock_key(table_name, column, values[column])
-                rowid, row = table.stage_insert(self.txn_id, values)
-                self._lock_row(table_name, rowid)
+        with self._lock:
+            # The row ids come first so that the row locks and the key
+            # locks (claims on unique values, serialised across
+            # transactions) are taken together.
+            rowids = [table.next_rowid() for __ in rows]
+            wanted = [("key", table_name, column, values[column])
+                      for column in table.unique_columns()
+                      for values in rows if values.get(column) is not None]
+            wanted += [("row", table_name, rowid) for rowid in rowids]
+            self._lock_all(wanted)
+            names = table.schema.names
+            for rowid, values in zip(rowids, rows):
+                row = table.stage_insert(self.txn_id, values, rowid)[1]
                 self._record_op(table_name, rowid)
                 # The log keeps the stored tuple itself, by reference.
-                self._db.wal.append(
-                    walmod.INSERT, self.txn_id, table=table_name,
-                    rowid=rowid, cols=table.schema.names, vals=row,
-                )
-                return rowid
-        except CrashSignal:
-            self._finish("crash")
-            raise
+                self._log.append((walmod.INSERT, table_name, rowid,
+                                  names, row))
+            return rowids
 
     def update(self, table_name: str, rowid: int,
                updates: Mapping[str, Any]) -> dict:
         """Update a row; returns the new full row mapping."""
         self._require_writable()
         table = self._db.table(table_name)
-        try:
-            with self._lock:
-                self._lock_row(table_name, rowid)
-                for column in table.unique_columns():
-                    if column in updates:
-                        self._lock_key(table_name, column, updates[column])
-                row = table.stage_update(self.txn_id, rowid, updates)
-                schema = table.schema
-                row_map = schema.row_dict(row)
-                self._record_op(table_name, rowid, (row, row_map))
-                # Only the columns this statement set are logged: redo
-                # merges them into the row it holds, which under strict
-                # 2PL is the very image staged on here.
-                cols = tuple(updates)
-                self._db.wal.append(
-                    walmod.UPDATE, self.txn_id, table=table_name,
-                    rowid=rowid, cols=cols, vals=schema.project(row, cols),
-                )
-                return row_map
-        except CrashSignal:
-            self._finish("crash")
-            raise
+        with self._lock:
+            wanted = [("row", table_name, rowid)]
+            for column in table.unique_columns():
+                if column in updates:
+                    self._rekeyed = True
+                    if updates[column] is not None:
+                        wanted.append(("key", table_name, column,
+                                       updates[column]))
+            self._lock_all(wanted)
+            row = table.stage_update(self.txn_id, rowid, updates)
+            schema = table.schema
+            row_map = schema.row_dict(row)
+            self._record_op(table_name, rowid, (row, row_map))
+            # Only the columns this statement set are logged: redo
+            # merges them into the row it holds, which under strict
+            # 2PL is the very image staged on here.
+            cols = tuple(updates)
+            self._log.append((walmod.UPDATE, table_name, rowid, cols,
+                              schema.project(row, cols)))
+            return row_map
 
     def delete(self, table_name: str, rowid: int) -> None:
         """Delete a row."""
         self._require_writable()
         table = self._db.table(table_name)
-        try:
-            with self._lock:
-                self._lock_row(table_name, rowid)
-                base = table.stage_delete(self.txn_id, rowid)
-                self._record_op(table_name, rowid)
-                # The before-image rides in the DELETE record so the
-                # changefeed's WAL catch-up can hand delete events the
-                # vanished row (recovery itself ignores it).
-                self._db.wal.append(
-                    walmod.DELETE, self.txn_id, table=table_name,
-                    rowid=rowid, cols=table.schema.names, vals=base,
-                )
-        except CrashSignal:
-            self._finish("crash")
-            raise
+        with self._lock:
+            self._lock_all([("row", table_name, rowid)])
+            base = table.stage_delete(self.txn_id, rowid)
+            self._record_op(table_name, rowid)
+            # The before-image rides in the DELETE record so the
+            # changefeed's WAL catch-up can hand delete events the
+            # vanished row (recovery itself ignores it).
+            self._log.append((walmod.DELETE, table_name, rowid,
+                              table.schema.names, base))
 
     # -- reads (own-writes visible; snapshot txns read their pinned LSN) -----
 
@@ -376,7 +360,7 @@ class Transaction:
         """
         self._require_writable()
         table = self._db.table(table_name)
-        self._lock_row(table_name, rowid)
+        self._lock_all([("row", table_name, rowid)])
         return table.schema.row_dict(table.get(rowid, self.txn_id))
 
     def query(self, table_name: str):
@@ -384,17 +368,30 @@ class Transaction:
         from .query import Query
         return Query(self._db, table_name, txn=self)
 
+    def find(self, table_name: str, column: str, key: Any):
+        """The first row with ``column == key`` as this transaction sees
+        it, or ``None`` (see :func:`repro.db.query.find`)."""
+        from .query import find
+        return find(self._db, table_name, column, key, self)
+
     # -- lifecycle ------------------------------------------------------------
 
     def commit(self) -> list[Change]:
         """Commit: log, apply staged images, release locks, fire triggers.
 
-        Crash points: ``txn.pre_commit`` fires before the COMMIT record
-        is appended (a crash here loses the transaction), and
-        ``txn.post_commit`` fires right after it is durable but before
-        the staged images are applied (a crash here must still surface
-        the transaction after recovery — the commit point is the WAL
-        append, not the in-memory apply).
+        The log sees the transaction here for the first time: BEGIN,
+        the buffered statements and COMMIT go down as one block.  That
+        is enough because nothing staged has reached a table or any
+        reader of the log yet — redo never needs a record before its
+        COMMIT.
+
+        Crash points: ``txn.pre_commit`` fires before the block is
+        appended (a crash here, or at any WAL point inside the block,
+        loses the transaction whole), and ``txn.post_commit`` fires
+        right after it is durable but before the staged images are
+        applied (a crash here must still surface the transaction after
+        recovery — the commit point is the WAL append, not the
+        in-memory apply).
 
         A read-only transaction has nothing to log or apply: commit just
         settles its lifecycle (and releases its snapshot pin / shared
@@ -403,42 +400,49 @@ class Transaction:
         commit triggers alike.
         """
         self._require_active()
+        db = self._db
         if self.read_only:
             self.state = TxnState.COMMITTED
-            self._db.locks.release_all(self.txn_id)
+            db.locks.release_all(self.txn_id)
             self._finish("commit")
             return []
         started = perf_counter()
+        txn_id = self.txn_id
         # The txn span is detached; putting it in scope for the commit
         # parents the WAL fsync and the commit fan-out (notification
         # dispatch) under it, linking the keystroke's causal trace
         # through the durability and propagation legs.
-        with self._db.obs.tracer.scope(self._span):
+        with db.obs.tracer.scope(self._span):
             try:
                 with self._lock:
-                    self._db.faults.fire("txn.pre_commit", txn=self.txn_id)
-                    # Commit-intent window: from just before the COMMIT
-                    # record gets its LSN until every staged image is
+                    db.faults.fire("txn.pre_commit", txn=txn_id)
+                    # Commit-intent window: from just before the block
+                    # gets its LSNs until every staged image is
                     # applied, new snapshots must pin *below* this
                     # commit — otherwise a reader could pin an LSN that
                     # covers the COMMIT record but see pre-apply tables
                     # (a torn snapshot).  See Database.visible_lsn().
-                    self._db.register_commit_intent(self.txn_id)
+                    db.register_commit_intent(txn_id)
                     try:
-                        record = self._db.wal.append(walmod.COMMIT,
-                                                     self.txn_id)
-                        self._db.raise_commit_floor(self.txn_id, record.lsn)
-                        self._db.faults.fire("txn.post_commit",
-                                             txn=self.txn_id)
-                        self.commit_lsn = record.lsn
+                        lsn = db.wal.append(walmod.COMMIT, txn_id,
+                                            dml=self._log).lsn
+                        db.raise_commit_floor(txn_id, lsn)
+                        db.faults.fire("txn.post_commit", txn=txn_id)
+                        self.commit_lsn = lsn
+                        if self._rekeyed:
+                            for table_name, rowid in self._ops:
+                                db.table(table_name).unfile_changed_keys(
+                                    txn_id, rowid)
                         changes: list[Change] = []
+                        pushed = 0
                         for marker in self._ops:
                             table_name, rowid = marker
-                            table = self._db.table(table_name)
+                            table = db.table(table_name)
                             kind, row, old = table.commit_row(
-                                self.txn_id, rowid, record.lsn)
+                                txn_id, rowid, lsn)
                             if kind == "noop":
                                 continue
+                            pushed += VERSIONS_PUSHED[kind]
                             row_dict = table.schema.row_dict
                             mapped = self._ops_seen[marker]
                             if row is None:
@@ -450,42 +454,38 @@ class Transaction:
                             changes.append(Change(
                                 table_name, kind, rowid, row_map,
                                 None if old is None else row_dict(old)))
+                        if pushed:
+                            self._metrics.versions_live.inc(pushed)
                         self.state = TxnState.COMMITTED
                     finally:
                         # Applied (or dead): snapshots may now cover this
                         # commit.  Cleared before on_commit so triggers
                         # opening snapshots see the changes firing them.
-                        self._db.clear_commit_intent(self.txn_id)
+                        db.clear_commit_intent(txn_id)
             except CrashSignal:
                 self._finish("crash")
                 raise
-            self._db.locks.release_all(self.txn_id)
-            self._db.on_commit(self, changes)
+            db.locks.release_all(txn_id)
+            db.on_commit(self, changes)
         self._metrics.commit_seconds.observe(perf_counter() - started)
         self._metrics.ops.observe(len(self._ops))
         self._finish("commit")
         return changes
 
     def abort(self) -> None:
-        """Roll back every staged change and release locks."""
+        """Roll back every staged change and release locks (the log
+        never heard of the transaction, so there is nothing to undo
+        there)."""
         self._require_active()
-        if self.read_only:
-            self.state = TxnState.ABORTED
-            self._db.locks.release_all(self.txn_id)
-            self._finish("abort")
-            return
-        try:
+        if not self.read_only:
             with self._lock:
                 for table_name, rowid in reversed(self._ops):
                     self._db.table(table_name).rollback_row(self.txn_id,
                                                             rowid)
-                self._db.wal.append(walmod.ABORT, self.txn_id)
-                self.state = TxnState.ABORTED
-        except CrashSignal:
-            self._finish("crash")
-            raise
+        self.state = TxnState.ABORTED
         self._db.locks.release_all(self.txn_id)
-        self._db.on_abort(self)
+        if not self.read_only:
+            self._db.on_abort(self)
         self._finish("abort")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,12 +1,16 @@
 """Write-ahead log.
 
-Every mutating operation appends a redo record tagged with its transaction
-id; a COMMIT record makes the transaction's records durable-and-effective.
-Recovery (:mod:`repro.db.recovery`) replays records of committed
-transactions in LSN order and discards the rest — which is exactly what the
-paper leans on when it promises DBMS-grade recovery for word processing
-("everything which is typed appears ... as soon as these objects are stored
-persistently").
+A write transaction reaches the log once, at COMMIT, as one block: BEGIN,
+its row changes, COMMIT — contiguous LSNs, one hold of the append lock,
+one write.  Nothing uncommitted ever reaches a table or a reader of the
+log (the store is no-steal), so redo needs nothing before the COMMIT and
+an aborted or crashed transaction leaves no trace here.  Recovery
+(:mod:`repro.db.recovery`) replays committed transactions in LSN order —
+which is exactly what the paper leans on when it promises DBMS-grade
+recovery for word processing ("everything which is typed appears ... as
+soon as these objects are stored persistently").  Logs written before
+transactions were blocks (records of concurrent transactions interleaved,
+ABORT records) replay through the same redo core.
 
 The log lives in memory and can optionally be mirrored to a JSON-lines file
 so a "crashed" engine can be rebuilt by a fresh process.  DDL (create table
@@ -32,7 +36,7 @@ import threading
 import warnings
 from time import perf_counter
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
-                    NamedTuple)
+                    NamedTuple, Sequence)
 
 from ..errors import CrashSignal, WalError
 from ..ids import Oid
@@ -271,9 +275,11 @@ class WriteAheadLog:
         transaction.
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector`.  The WAL
-        passes four crash points — ``wal.before_append`` (record never
-        lands anywhere), ``wal.mid_record`` (a torn prefix of the JSON
-        line reaches the file, then death), ``wal.after_write`` (a
+        passes four crash points — ``wal.before_append`` (once per
+        record, before any of its block is written: nothing lands
+        anywhere), ``wal.mid_record`` (once per record: the block's
+        earlier lines and a torn prefix of this one reach the file,
+        then death), ``wal.after_write`` (a
         commit-boundary record reached the file buffer but the commit
         barrier was never entered) and ``wal.before_fsync`` (records
         written, the group's fsync never happens) — and supports
@@ -351,32 +357,57 @@ class WriteAheadLog:
         with self._group_cond:
             return self._synced_lsn
 
-    def append(self, type_: str, txn_id: int, **payload: Any) -> WalRecord:
-        """Append one record and return it (with its assigned LSN).
+    def append(self, type_: str, txn_id: int, *,
+               dml: Sequence[tuple] = (), **payload: Any) -> WalRecord:
+        """Append one record — for COMMIT, one transaction — and return it.
 
-        ``payload`` is the record's data as stored values: for DML the
-        :class:`WalRecord` row fields (``table``, ``rowid``, ``cols``,
-        ``vals`` — kept by reference, so hand over the stored tuple),
-        for every other type the payload mapping.
+        A COMMIT brings its transaction along: ``dml`` is what the
+        transaction buffered, one ``(type, table, rowid, cols, vals)``
+        per statement with the :class:`WalRecord` row fields kept by
+        reference (hand over the stored tuple).  BEGIN, the statements
+        and COMMIT get contiguous LSNs and are logged as one block —
+        one hold of the append lock, one write to the file — so records
+        of two transactions never interleave and a CHECKPOINT never
+        lands inside one.  The COMMIT record is what comes back.  Every
+        other type is a single record with ``payload`` as its mapping.
 
-        Commit-boundary records (COMMIT / ABORT / CHECKPOINT) additionally
-        block until the record is durable: the line is written to the
+        The per-record crash points still fire once per record of a
+        block; a crash at any of them loses the whole transaction
+        (nothing before its COMMIT line is ever redone).
+
+        Commit-boundary records (COMMIT / CHECKPOINT) additionally
+        block until the record is durable: the lines are written to the
         file buffer under the append lock, then the caller enters the
         group-commit barrier *outside* it (see :meth:`_sync_to`), so
         concurrent committers share one fsync.
         """
         if type_ not in _TYPES:
             raise WalError(f"unknown WAL record type {type_!r}")
+        if type_ in DML:
+            raise WalError(f"a {type_} record enters the log inside its "
+                           f"transaction's COMMIT block")
         started = perf_counter()
-        self.faults.fire("wal.before_append", type=type_, txn=txn_id)
+        if self.faults.armed:
+            kinds = (BEGIN, *[op[0] for op in dml], COMMIT) \
+                if type_ == COMMIT else (type_,)
+            for kind in kinds:
+                self.faults.fire("wal.before_append", type=kind, txn=txn_id)
         with self._lock:
-            if type_ in DML:
-                record = WalRecord(self._next_lsn, type_, txn_id, **payload)
+            lsn = self._next_lsn
+            if type_ == COMMIT:
+                block = [WalRecord(lsn, BEGIN, txn_id)]
+                for op in dml:
+                    lsn += 1
+                    block.append(WalRecord(lsn, op[0], txn_id, _NO_PAYLOAD,
+                                           op[1], op[2], op[3], op[4]))
+                record = WalRecord(lsn + 1, COMMIT, txn_id)
+                block.append(record)
             else:
-                record = WalRecord(self._next_lsn, type_, txn_id, payload)
-            self._write_locked(record)
+                record = WalRecord(lsn, type_, txn_id, payload)
+                block = (record,)
+            self._write_locked(block)
             needs_sync = self._file is not None \
-                and type_ in (COMMIT, ABORT, CHECKPOINT)
+                and type_ in (COMMIT, CHECKPOINT)
         if needs_sync:
             # Record is in the file buffer but not yet durable: death
             # here loses the commit without having acknowledged it.
@@ -385,26 +416,31 @@ class WriteAheadLog:
         self._m_append_seconds.observe(perf_counter() - started)
         return record
 
-    def _write_locked(self, record: WalRecord) -> None:
+    def _write_locked(self, records: Sequence[WalRecord]) -> None:
         """The one write path (caller holds ``_lock``): mirror the
-        record's line to the file, if any, then log it in memory and
-        move the LSN allocator past it."""
+        records' lines to the file, if any, in one write, then log them
+        in memory and move the LSN allocator past them."""
         if self._file is not None:
-            line = render_record(record)
-            torn = self.faults.check("wal.mid_record")
-            if torn is not None:
-                # Torn write: a prefix of the line (never the whole
-                # line) reaches the file, then the process dies.
-                keep = max(1, min(len(line) - 1,
-                                  int(len(line) * torn.tear)))
-                self._file.write(line[:keep])
-                self.faults.crash(torn, type=record.type,
-                                  txn=record.txn_id)
-            self._file.write(line + "\n")
-            self._m_bytes.inc(len(line) + 1)
-        self._records.append(record)
-        self._next_lsn = record.lsn + 1
-        self._m_appends.inc()
+            lines = []
+            for record in records:
+                line = render_record(record)
+                torn = self.faults.check("wal.mid_record")
+                if torn is not None:
+                    # Torn write: the lines before this one and a prefix
+                    # of it (never the whole line) reach the file, then
+                    # the process dies.
+                    keep = max(1, min(len(line) - 1,
+                                      int(len(line) * torn.tear)))
+                    self._file.write("".join(lines) + line[:keep])
+                    self.faults.crash(torn, type=record.type,
+                                      txn=record.txn_id)
+                lines.append(line + "\n")
+            data = "".join(lines)
+            self._file.write(data)
+            self._m_bytes.inc(len(data))
+        self._records.extend(records)
+        self._next_lsn = records[-1].lsn + 1
+        self._m_appends.inc(len(records))
 
     def _fsync_locked(self, group: int, type_: str, txn_id: int) -> None:
         """Flush+fsync the file (caller holds ``_lock``; file is open).
@@ -553,7 +589,7 @@ class WriteAheadLog:
             if self._path is not None and self._file is None:
                 raise CrashSignal("WAL died before shipped append "
                                   f"(lsn {record.lsn})")
-            self._write_locked(record)
+            self._write_locked((record,))
         return record
 
     def sync_shipped(self) -> int:
@@ -637,26 +673,14 @@ class WriteAheadLog:
     def truncate_before(self, lsn: int) -> int:
         """Drop in-memory records with LSN < ``lsn`` (after a checkpoint).
 
-        The cut never splits a transaction: if one is still open at
-        ``lsn`` the cut is clamped to the oldest such transaction's
-        BEGIN, because the checkpoint holds none of its early DML and
-        its COMMIT may yet arrive (redo buffers the records kept before
-        the checkpoint without applying them).  Returns the number of
-        records dropped.  The file, if any, is left untouched (files are
-        append-only; compaction is checkpoint+new file, handled by the
-        engine).
+        A checkpoint's LSN never lies inside a transaction (a
+        transaction is logged as one block), so the cut splits none.
+        Returns the number of records dropped.  The file, if any, is
+        left untouched (files are append-only; compaction is
+        checkpoint+new file, handled by the engine).
         """
         with self._lock:
-            begun: dict[int, int] = {}
-            for record in self._records:
-                if record.lsn >= lsn:
-                    break
-                if record.type == BEGIN:
-                    begun[record.txn_id] = record.lsn
-                elif record.type in (COMMIT, ABORT):
-                    begun.pop(record.txn_id, None)
-            cut = min(begun.values(), default=lsn)
-            dropped = bisect.bisect_left(self._records, cut,
+            dropped = bisect.bisect_left(self._records, lsn,
                                          key=lambda r: r.lsn)
             del self._records[:dropped]
             return dropped

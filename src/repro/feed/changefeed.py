@@ -107,11 +107,24 @@ class FeedSubscription:
         self.active = True
         self.delivered_seq = 0
         self.acked_seq = 0
+        #: This consumer's ``feed.lag{consumer=…}`` series, resolved
+        #: once (acks are per batch, the label set is per subscription).
+        self._lag_gauge = feed._f_lag.labels(consumer=name)
+        self._lag_gauge.set(0)
+        self._lag_reported = 0
 
     @property
     def lag(self) -> int:
         """Batches between the feed head and this consumer's ack."""
         return max(0, self._feed.last_seq - self.acked_seq)
+
+    def _report_lag(self) -> None:
+        """Move the gauge when the lag moved (a sync consumer is back at
+        0 after every batch: nothing to write)."""
+        lag = self.lag if self.active else 0
+        if lag != self._lag_reported:
+            self._lag_reported = lag
+            self._lag_gauge.set(lag)
 
     def ack(self, seq: int) -> None:
         """The consumer's state now covers every batch ``<= seq``."""
@@ -159,7 +172,6 @@ class Changefeed:
         #: same isolation contract as TriggerRegistry.errors.
         self.errors: list[tuple[str, Exception]] = []
         registry = db.obs.registry
-        self._m_batches = registry.counter("feed.batches")
         self._m_events = registry.counter("feed.events")
         self._m_dispatch = registry.histogram("feed.dispatch_seconds")
         self._m_errors = registry.counter("feed.consumer_errors")
@@ -168,7 +180,6 @@ class Changefeed:
         self._m_missing_base = registry.counter("wal.missing_base_rows")
         self._m_evictions = registry.counter("feed.retention_evictions")
         self._m_staleness = registry.histogram("feed.staleness_seconds")
-        self._g_seq = registry.gauge("feed.seq")
         self._f_lag = registry.family("feed.lag", "gauge")
 
     # ------------------------------------------------------------------
@@ -241,14 +252,13 @@ class Changefeed:
                                    deferred=deferred)
             sub.delivered_seq = sub.acked_seq = self._last_seq
             self._subs.append(sub)
-            self._f_lag.labels(consumer=sub.name).set(0)
             return sub
 
     def _remove(self, sub: FeedSubscription) -> None:
         with self._lock:
             if sub in self._subs:
                 self._subs.remove(sub)
-            self._f_lag.labels(consumer=sub.name).set(0)
+            sub._report_lag()
 
     # ------------------------------------------------------------------
     # Publish / dispatch
@@ -277,9 +287,7 @@ class Changefeed:
             while len(self._batches) > self._retention:
                 self._batches.popleft()
                 self._m_evictions.inc()
-            self._m_batches.inc()
             self._m_events.inc(len(events))
-            self._g_seq.set(self._last_seq)
             with self._m_dispatch.time():
                 for sub in list(self._subs):
                     if sub.active:
@@ -313,7 +321,7 @@ class Changefeed:
         if not sub.deferred:
             self._ack_locked(sub, batch.seq)
         else:
-            self._f_lag.labels(consumer=sub.name).set(sub.lag)
+            sub._report_lag()
 
     def _ack(self, sub: FeedSubscription, seq: int) -> None:
         with self._lock:
@@ -322,11 +330,14 @@ class Changefeed:
     def _ack_locked(self, sub: FeedSubscription, seq: int) -> None:
         if seq > sub.acked_seq:
             sub.acked_seq = min(seq, self._last_seq)
-            batch = self._retained(seq)
-            if batch is not None and batch.committed_at > 0.0:
-                self._m_staleness.observe(
-                    max(0.0, self._db.now() - batch.committed_at))
-        self._f_lag.labels(consumer=sub.name).set(sub.lag)
+            if sub.deferred:
+                # A sync consumer is acked inside the publishing commit:
+                # its only delay is the dispatch already being timed.
+                batch = self._retained(seq)
+                if batch is not None and batch.committed_at > 0.0:
+                    self._m_staleness.observe(
+                        max(0.0, self._db.now() - batch.committed_at))
+        sub._report_lag()
 
     def _retained(self, seq: int) -> CommitBatch | None:
         if not self._batches or seq < self._batches[0].seq \

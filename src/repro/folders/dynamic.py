@@ -144,6 +144,9 @@ class AccessedBy(Condition):
 
     ``within=None`` means "ever".  This is the paper's example condition
     ("all documents a certain user has read within the last week").
+    ``write`` entries are logged once per ``ACCESS_LOG_RESOLUTION``, so
+    their window reaches that much further back: a document still being
+    written is never missed.
     """
 
     user: str
@@ -153,6 +156,8 @@ class AccessedBy(Condition):
     def matches(self, ctx, doc):
         """User performed the action on the document (within a window)."""
         since = None if self.within is None else ctx.now() - self.within
+        if since is not None and self.action == "write":
+            since -= S.ACCESS_LOG_RESOLUTION
         query = ctx.query(S.ACCESS_LOG).where(
             (col("doc") == doc) & (col("user") == self.user)
             & (col("action") == self.action))

@@ -134,6 +134,10 @@ class MetadataCollector:
     # ------------------------------------------------------------------
     # Access metadata
     # ------------------------------------------------------------------
+    # ``write`` entries are logged once per ACCESS_LOG_RESOLUTION, so a
+    # ``since`` cut reaches that much further back for them: a writer
+    # whose burst straddles the cut is never missed (one who stopped up
+    # to a resolution before it may be included).
 
     def readers_of(self, doc: Oid, *, since: float | None = None,
                    txn=None) -> set[str]:
@@ -152,7 +156,8 @@ class MetadataCollector:
         query = reader.query(S.ACCESS_LOG).where(
             (col("doc") == doc) & (col("action") == "write"))
         if since is not None:
-            query = query.where(col("at") >= since)
+            query = query.where(
+                col("at") >= since - S.ACCESS_LOG_RESOLUTION)
         return {r["user"] for r in query.run()}
 
     def documents_touched_by(self, user: str, *, action: str | None = None,
@@ -161,9 +166,12 @@ class MetadataCollector:
         query = self.db.query(S.ACCESS_LOG).where(col("user") == user)
         if action is not None:
             query = query.where(col("action") == action)
-        if since is not None:
-            query = query.where(col("at") >= since)
-        return {r["doc"] for r in query.run()}
+        if since is None:
+            return {r["doc"] for r in query.run()}
+        rows = query.where(
+            col("at") >= since - S.ACCESS_LOG_RESOLUTION).run()
+        return {r["doc"] for r in rows
+                if r["action"] == "write" or r["at"] >= since}
 
     def user_activity(self, user: str) -> dict:
         """Summary of one user's footprint across the document space."""

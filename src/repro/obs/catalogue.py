@@ -14,14 +14,15 @@ from .labels import split_labelled
 #: name -> (kind, description).  Kind is "counter" | "gauge" | "histogram".
 METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     # -- transactions (repro/db/transaction.py) -----------------------------
-    "txn.begun": ("counter", "transactions started"),
     "txn.committed": ("counter", "transactions committed"),
     "txn.aborted": ("counter", "transactions rolled back"),
     "txn.crashed": ("counter",
                     "transactions ended by an injected CrashSignal"),
     "txn.active": ("gauge", "transactions currently in flight"),
     "txn.duration_seconds": ("histogram",
-                             "begin-to-end transaction lifetime"),
+                             "begin-to-end transaction lifetime; its "
+                             "count plus txn.active is the number of "
+                             "transactions started"),
     "txn.commit_seconds": ("histogram",
                            "commit call latency (log + apply + publish)"),
     "txn.ops": ("histogram", "distinct rows staged per transaction"),
@@ -85,10 +86,10 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
         "full chain traversals to (re)build a handle's order cache — "
         "expected only on open and refresh(), never on text()/keystrokes"),
     # -- collaboration (repro/collab) ---------------------------------------
-    "collab.operations": ("counter", "editing operations dispatched"),
     "collab.op_seconds": ("histogram",
                           "operation dispatch latency (verb to commit "
-                          "fan-out)"),
+                          "fan-out); its count is the number of editing "
+                          "operations dispatched"),
     "collab.notifications": ("counter", "change notifications produced"),
     "collab.deliveries": ("counter", "notifications delivered to inboxes"),
     "collab.held": ("counter", "notifications held back by the fault plan"),
@@ -154,12 +155,12 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "repl.promotions": ("counter",
                         "follower promotions to writable leader"),
     # -- changefeed (repro/feed) --------------------------------------------
-    "feed.batches": ("counter", "commit batches published to the feed"),
     "feed.events": ("counter", "row-change events carried by those batches"),
-    "feed.seq": ("gauge", "sequence number of the newest published batch"),
     "feed.dispatch_seconds": ("histogram",
                               "per-batch fan-out latency across all "
-                              "subscribed consumers"),
+                              "subscribed consumers; its count is the "
+                              "number of commit batches published, i.e. "
+                              "the feed head's sequence number"),
     "feed.consumer_errors": ("counter",
                              "consumer handler exceptions isolated by the "
                              "feed (the batch still counts as delivered)"),
@@ -174,8 +175,10 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
                                  "retention window"),
     "feed.staleness_seconds": ("histogram",
                                "commit-to-ack age of each batch when a "
-                               "consumer absorbed it (derived-data "
-                               "staleness, the paper's 'within seconds')"),
+                               "deferred consumer absorbed it (derived-"
+                               "data staleness, the paper's 'within "
+                               "seconds'; sync consumers ack inside the "
+                               "dispatch that feed.dispatch_seconds times)"),
     "feed.lag": ("gauge",
                  "batches published but not yet acked, per consumer "
                  "(labelled by consumer; 0 = fully fresh)"),
@@ -242,7 +245,6 @@ LABELLED_FAMILIES: dict[str, tuple[str, ...]] = {
 #: Core names every instrumented engine run must produce; the smoke
 #: bench fails if any is missing from a BENCH_obs.json union.
 REQUIRED_METRICS: frozenset[str] = frozenset({
-    "txn.begun",
     "txn.committed",
     "txn.commit_seconds",
     "txn.duration_seconds",

@@ -13,8 +13,9 @@ least-recently-used child, unregisters it from the registry and bumps
 the :data:`LABEL_EVICTIONS` counter — a runaway dimension (per-request
 ids as labels, say) shows up as a hot ``obs.label_evictions`` instead of
 an unbounded snapshot.  Hot paths should pre-resolve the family once and
-call :meth:`MetricFamily.labels` per event; the label lookup is one
-``OrderedDict`` hit under the family lock.
+call :meth:`MetricFamily.labels` per event (a label set seen before is
+two dict hits under the family lock), or — where one label set lives as
+long as the caller, like a feed subscription — keep the child itself.
 
 The decorated-name grammar is ``base{k=v,k2=v2}`` with keys sorted and
 the characters ``{ } , = "`` (and newlines) replaced by ``_`` in values,
@@ -76,7 +77,7 @@ class MetricFamily:
     """
 
     __slots__ = ("name", "kind", "max_series", "_registry", "_buckets",
-                 "_children", "_evictions", "_lock")
+                 "_children", "_keys", "_evictions", "_lock")
 
     def __init__(self, registry, name: str, kind: str, *,
                  buckets=None, max_series: int = DEFAULT_MAX_SERIES,
@@ -91,6 +92,11 @@ class MetricFamily:
         self._registry = registry
         self._buckets = tuple(buckets) if buckets is not None else None
         self._children: OrderedDict[tuple, object] = OrderedDict()
+        #: Label sets as callers pass them -> their ``_children`` key, so
+        #: a repeat lookup skips the sort and the value cleaning (values
+        #: that do not hash just take the slow way).  Dropped whole on
+        #: eviction and when it outgrows the family.
+        self._keys: dict[tuple, tuple] = {}
         self._evictions = evictions
         self._lock = threading.Lock()
 
@@ -100,8 +106,19 @@ class MetricFamily:
             raise ValueError(
                 f"family {self.name!r} needs at least one label; use the "
                 f"unlabelled registry accessor for the base series")
-        key = tuple(sorted((k, _clean(v)) for k, v in labels.items()))
+        raw = tuple(labels.items())
+        try:
+            key = self._keys.get(raw)
+        except TypeError:
+            raw = key = None
+        known = key is not None
+        if not known:
+            key = tuple(sorted((k, _clean(v)) for k, v in labels.items()))
         with self._lock:
+            if raw is not None and not known:
+                if len(self._keys) >= self.max_series:
+                    self._keys.clear()
+                self._keys[raw] = key
             child = self._children.get(key)
             if child is not None:
                 self._children.move_to_end(key)
@@ -112,6 +129,7 @@ class MetricFamily:
             while len(self._children) > self.max_series:
                 __, evicted = self._children.popitem(last=False)
                 self._registry._unregister_series(evicted.name)
+                self._keys.clear()
                 if self._evictions is not None:
                     self._evictions.inc()
             return child

@@ -1,7 +1,10 @@
 """Zero-dependency metrics: counters, gauges, fixed-bucket histograms.
 
 The observability layer the engine's hot paths report into.  Three metric
-kinds, all thread-safe behind one small lock per metric:
+kinds, all thread-safe — counters and gauges behind one small lock per
+metric; a histogram takes an observation with a single (atomic) list
+append and sorts what it was handed into buckets under its lock when
+somebody reads it, or every :data:`_DRAIN_AT` observations:
 
 * :class:`Counter` — monotonically increasing event count;
 * :class:`Gauge` — a value that goes up and down (active transactions,
@@ -97,6 +100,10 @@ class Gauge:
             self._value = 0.0
 
 
+#: A histogram buckets its buffered observations once this many wait.
+_DRAIN_AT = 64
+
+
 class _Timer:
     """Context manager observing elapsed seconds into a histogram."""
 
@@ -129,8 +136,8 @@ class Histogram:
     error is bounded by the bucket width.
     """
 
-    __slots__ = ("name", "bounds", "_counts", "_overflow", "_count",
-                 "_sum", "_min", "_max", "_lock")
+    __slots__ = ("name", "bounds", "_counts", "_sum", "_min", "_max",
+                 "_pending", "_lock")
 
     def __init__(self, name: str,
                  buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS) -> None:
@@ -141,27 +148,42 @@ class Histogram:
             raise ValueError("bucket bounds must be strictly increasing")
         self.name = name
         self.bounds = bounds
-        self._counts = [0] * len(bounds)
-        self._overflow = 0
-        self._count = 0
+        #: One count per bound, then the overflow bucket: the slot
+        #: ``bisect_left`` names (the total is their sum, taken when
+        #: somebody asks).
+        self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
+        #: Observations not bucketed yet (see :meth:`_drain`).
+        self._pending: list[float] = []
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            i = bisect_left(self.bounds, value)
-            if i == len(self.bounds):
-                self._overflow += 1
-            else:
-                self._counts[i] += 1
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _DRAIN_AT:
+            with self._lock:
+                self._drain()
+
+    def _drain(self) -> None:
+        """Bucket the buffered observations (caller holds ``_lock``).
+
+        Only the prefix seen here is taken, in one slice and one slice
+        deletion: an observation appended meanwhile stays for the next
+        drain, none is lost or counted twice.
+        """
+        pending = self._pending
+        batch = pending[:]
+        if not batch:
+            return
+        del pending[:len(batch)]
+        counts, bounds = self._counts, self.bounds
+        for value in batch:
+            counts[bisect_left(bounds, value)] += 1
+        self._sum += sum(batch)
+        self._min = min(self._min, min(batch))
+        self._max = max(self._max, max(batch))
 
     def time(self) -> _Timer:
         """``with hist.time(): ...`` — observe the block's duration."""
@@ -169,61 +191,72 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return self._count
+        with self._lock:
+            self._drain()
+            return sum(self._counts)
 
     @property
     def sum(self) -> float:
-        return self._sum
+        with self._lock:
+            self._drain()
+            return self._sum
 
     @property
     def min(self) -> float | None:
-        return None if self._count == 0 else self._min
+        with self._lock:
+            self._drain()
+            return None if self._min == math.inf else self._min
 
     @property
     def max(self) -> float | None:
-        return None if self._count == 0 else self._max
+        with self._lock:
+            self._drain()
+            return None if self._max == -math.inf else self._max
 
     def quantile(self, q: float) -> float | None:
         """Estimate the q-quantile (0 <= q <= 1); ``None`` when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         with self._lock:
-            if self._count == 0:
+            self._drain()
+            total = sum(self._counts)
+            if total == 0:
                 return None
             return _bucket_quantile(
-                q, self.bounds, self._counts, self._overflow,
-                self._count, self._min, self._max,
+                q, self.bounds, self._counts[:-1], self._counts[-1],
+                total, self._min, self._max,
             )
 
     def snapshot(self) -> dict:
         with self._lock:
+            self._drain()
+            counts, overflow = self._counts[:-1], self._counts[-1]
+            total = sum(counts) + overflow
             entry = {
                 "type": "histogram",
-                "count": self._count,
+                "count": total,
                 "sum": self._sum,
-                "min": self._min if self._count else None,
-                "max": self._max if self._count else None,
+                "min": self._min if total else None,
+                "max": self._max if total else None,
                 # Sparse (bound, count) pairs: only occupied buckets.
                 "buckets": [
                     [bound, n]
-                    for bound, n in zip(self.bounds, self._counts) if n
+                    for bound, n in zip(self.bounds, counts) if n
                 ],
-                "overflow": self._overflow,
+                "overflow": overflow,
             }
             for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
                 entry[label] = (
-                    _bucket_quantile(q, self.bounds, self._counts,
-                                     self._overflow, self._count,
-                                     self._min, self._max)
-                    if self._count else None
+                    _bucket_quantile(q, self.bounds, counts, overflow,
+                                     total, self._min, self._max)
+                    if total else None
                 )
             return entry
 
     def reset(self) -> None:
         with self._lock:
-            self._counts = [0] * len(self.bounds)
-            self._overflow = 0
-            self._count = 0
+            del self._pending[:]
+            self._counts = [0] * (len(self.bounds) + 1)
             self._sum = 0.0
             self._min = math.inf
             self._max = -math.inf

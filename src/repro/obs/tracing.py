@@ -42,11 +42,10 @@ status ``"crash"``).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 SpanSink = Callable[["Span"], None]
 
@@ -127,6 +126,38 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _Scope:
+    """A span as a ``with`` block: on its thread's context stack for the
+    block's extent, and (for one the block owns) ended with it."""
+
+    __slots__ = ("_span", "_stack", "_owned")
+
+    def __init__(self, span: "Span | _NullSpan", stack: list | None,
+                 owned: bool) -> None:
+        self._span = span
+        #: The context stack to join; None = just hand the span over.
+        self._stack = stack
+        self._owned = owned
+
+    def __enter__(self) -> "Span | _NullSpan":
+        if self._stack is not None:
+            self._stack.append(self._span)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._stack is not None:
+            if self._owned:
+                # Any exception on purpose: CrashSignal must close
+                # spans too.
+                self._span.end("ok" if exc_type is None else "error")
+            self._stack.remove(self._span)
+
+
+#: What ``span()``/``scope()`` hand out when nobody listens (shared:
+#: it holds no state).
+_NULL_SCOPE = _Scope(NULL_SPAN, None, False)
+
+
 class Tracer:
     """Creates spans, tracks open ones, fans finished spans to sinks."""
 
@@ -186,29 +217,16 @@ class Tracer:
         self._started.inc()
         return span
 
-    @contextlib.contextmanager
     def span(self, name: str,
              parent_ctx: TraceContext | None = None,
-             **attrs: Any) -> Iterator[Span | _NullSpan]:
+             **attrs: Any) -> _Scope:
         """Scoped span: joins the thread's context stack for its extent."""
         span = self.start(name, parent_ctx, **attrs)
         if span is NULL_SPAN:
-            yield span
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-            span.end("ok")
-        except BaseException:
-            # BaseException on purpose: CrashSignal must close spans too.
-            span.end("error")
-            raise
-        finally:
-            stack.remove(span)
+            return _NULL_SCOPE
+        return _Scope(span, self._stack(), True)
 
-    @contextlib.contextmanager
-    def scope(self, span: "Span | _NullSpan") -> Iterator["Span | _NullSpan"]:
+    def scope(self, span: "Span | _NullSpan") -> _Scope:
         """Push an existing (detached, open) span onto the context stack.
 
         Lets work done inside another call chain parent under a detached
@@ -216,15 +234,11 @@ class Tracer:
         the WAL fsync and the commit fan-out trace as its children.  The
         span is *not* ended on exit; its owner still does that.
         """
-        if span is NULL_SPAN or span.ended is not None:
-            yield span
-            return
-        stack = self._stack()
-        stack.append(span)  # type: ignore[arg-type]
-        try:
-            yield span
-        finally:
-            stack.remove(span)  # type: ignore[arg-type]
+        if span is NULL_SPAN:
+            return _NULL_SCOPE
+        if span.ended is not None:
+            return _Scope(span, None, False)
+        return _Scope(span, self._stack(), False)
 
     def current(self) -> Span | None:
         """The innermost scoped span on this thread, if any."""

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 from ..db import wal as walmod
 from ..db.replay import (DDL, WalReplay, apply_ddl, merge_image,
                          restore_checkpoint)
+from ..db.table import VERSIONS_PUSHED
 from ..db.transaction import Change
 from ..db.wal import WalRecord
 from ..errors import RecoveryError, ReplicationError
@@ -113,6 +114,7 @@ class ReplicationApplier:
             db.wal.append_shipped(record)
             db.raise_commit_floor(txn_id, record.lsn)
             changes: list[Change] = []
+            pushed = 0
             mid = (len(ops) + 1) // 2
             for position, op in enumerate(ops, start=1):
                 if position == mid:
@@ -135,11 +137,14 @@ class ReplicationApplier:
                     db.advance_object_ids_past(table, (row,))
                 if kind == "noop":
                     continue
+                pushed += VERSIONS_PUSHED[kind]
                 row_dict = table.schema.row_dict
                 changes.append(Change(
                     op.table, kind, rowid,
                     None if row is None else row_dict(row),
                     None if old is None else row_dict(old)))
+            if pushed:
+                db.txn_metrics.versions_live.inc(pushed)
         finally:
             db.clear_commit_intent(txn_id)
         db.stats["commits"] += 1

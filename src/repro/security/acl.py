@@ -115,11 +115,12 @@ class AccessController:
         creator = self._creator_of(doc)
         if creator is not None and user == creator:
             return True
-        grants = [g for g in self.grants_for(doc) if g["perm"] == perm]
-        if not grants:
+        grants = self.db.query(ACL).where(
+            (col("doc") == doc) & (col("perm") == perm))
+        if not grants.count():
             return True
         principals = self.principals.principals_of(user)
-        return any(g["principal"] in principals for g in grants)
+        return any(g["principal"] in principals for g in grants.run())
 
     def require(self, doc: Oid, user: str, perm: str) -> None:
         """Raise :class:`~repro.errors.AccessDenied` unless allowed."""
@@ -129,7 +130,7 @@ class AccessController:
             )
 
     def _creator_of(self, doc: Oid) -> str | None:
-        row = self.db.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = self.db.find(S.DOCUMENTS, "doc", doc)
         return None if row is None else row["creator"]
 
     @staticmethod

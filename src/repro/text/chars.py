@@ -4,7 +4,8 @@ These are the low-level transactional operations the paper's "real-time
 transactions" consist of.  A keystroke becomes:
 
 * one ``tx_chars`` INSERT (the new character, pointing at its neighbours),
-* two ``tx_chars`` UPDATEs (the neighbours' ``next``/``prev`` pointers),
+* two ``tx_chars`` UPDATEs (the neighbours' ``next``/``prev`` pointers,
+  their rows locked as one set),
 
 — a constant amount of work however large the document is.  Deletion is
 *logical*: the row stays in the chain with ``deleted = True`` so undo,
@@ -28,11 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
 
 
+#: Characters inserted (and locked) as one statement group: a paste is
+#: one, a whole imported text a bounded few hundred mappings at a time.
+_RUN = 512
+
+
 def char_row(db: Database, char_oid: Oid,
              txn: Transaction | None = None) -> "tuple[int, dict]":
     """Return ``(rowid, row)`` for a character by its OID (a key read)."""
-    query = txn.query(S.CHARS) if txn is not None else db.query(S.CHARS)
-    result = query.where(col("char") == char_oid).first()
+    result = (txn if txn is not None else db).find(S.CHARS, "char", char_oid)
     if result is None:
         raise UnknownCharacterError(f"no character {char_oid}")
     return result.rowid, result
@@ -88,12 +93,16 @@ def insert_chars(
     successor = anchor["next"]
     if successor is None:
         raise InvalidPositionError("cannot insert after the END sentinel")
+    succ_rowid, __ = char_row(db, successor, txn)
+    # The two chain neighbours are relinked below: one lock set.
+    txn.lock_rows(S.CHARS, (anchor_rowid, succ_rowid))
 
     oids = [db.new_oid("char") for __ in text]
+    rows = []
     prev_oid = after
     for i, ch in enumerate(text):
         next_oid = oids[i + 1] if i + 1 < len(oids) else successor
-        txn.insert(S.CHARS, {
+        rows.append({
             "char": oids[i], "doc": doc, "ch": ch,
             "prev": prev_oid, "next": next_oid,
             "author": author, "created_at": now,
@@ -102,9 +111,13 @@ def insert_chars(
             "copy_op": copy_op,
         })
         prev_oid = oids[i]
+        if len(rows) == _RUN:
+            txn.insert_many(S.CHARS, rows)
+            rows = []
+    if rows:
+        txn.insert_many(S.CHARS, rows)
 
     txn.update(S.CHARS, anchor_rowid, {"next": oids[0]})
-    succ_rowid, __ = char_row(db, successor, txn)
     txn.update(S.CHARS, succ_rowid, {"prev": oids[-1]})
     return oids
 

@@ -57,6 +57,14 @@ COPYLOG = "tx_copylog"
 ACCESS_LOG = "tx_access_log"
 VERSIONS = "tx_versions"
 
+#: Granularity of ``write`` entries in :data:`ACCESS_LOG`, in seconds of
+#: ``db.now()``: a user's edits of one document append one entry per this
+#: much time, not one per keystroke.  The log answers "did this user
+#: write this document since *t*"; readers with a time cut widen it by
+#: the resolution for ``write`` entries, so they never miss a writer and
+#: may include one who stopped up to this long before the cut.
+ACCESS_LOG_RESOLUTION = 1.0
+
 ALL_TABLES = (
     DOCUMENTS, CHARS, STYLES, TEMPLATES, STRUCTURE, OBJECTS, NOTES,
     COPYLOG, ACCESS_LOG, VERSIONS,

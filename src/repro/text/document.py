@@ -17,8 +17,9 @@ a table scan.
 
 Editing through a handle is transactional: one call = one committed
 "real-time transaction" (insert rows + neighbour pointer updates + document
-metadata update + access log), exactly the granularity the paper describes
-for collaborative keystroke-level editing.
+metadata update, and an access-log entry when the user's last one for the
+document is older than ``ACCESS_LOG_RESOLUTION``), exactly the granularity
+the paper describes for collaborative keystroke-level editing.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..db import Database, Transaction, col
-from ..errors import InvalidPositionError, UnknownDocumentError
+from ..errors import (InvalidPositionError, RowNotFoundError,
+                      UnknownDocumentError)
 from ..ids import Oid
 from . import chars as C
 from . import dbschema as S
 from .ordercache import make_order_cache, position_after, splice_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..db.query import RowView
     from ..feed.changefeed import CommitBatch
 
 
@@ -48,8 +51,9 @@ class DocumentStore:
         on first use.
     log_reads / log_writes:
         Whether to append ``tx_access_log`` rows on opens and edits.  The
-        log feeds dynamic folders and search ranking; benchmarks that only
-        measure keystroke cost may switch write logging off.
+        log feeds dynamic folders and search ranking.  Edits are logged
+        at ``ACCESS_LOG_RESOLUTION``: one ``write`` entry per user and
+        document per that much time, however many keystrokes fall in it.
     """
 
     def __init__(self, db: Database, *, log_reads: bool = True,
@@ -121,10 +125,13 @@ class DocumentStore:
 
     def meta(self, doc: Oid) -> dict:
         """The document-level metadata row."""
-        row = self.db.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        return dict(self._doc_row(doc))
+
+    def _doc_row(self, doc: Oid) -> "RowView":
+        row = self.db.find(S.DOCUMENTS, "doc", doc)
         if row is None:
             raise UnknownDocumentError(f"no document {doc}")
-        return dict(row)
+        return row
 
     def find_by_name(self, name: str) -> list[dict]:
         """Documents with exactly this name (names may repeat)."""
@@ -164,7 +171,7 @@ class DocumentStore:
 
     def _rowid_for(self, txn: Transaction, doc: Oid) -> int:
         """Locate a document's rowid inside ``txn`` (raises if unknown)."""
-        row = txn.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = txn.find(S.DOCUMENTS, "doc", doc)
         if row is None:
             raise UnknownDocumentError(f"no document {doc}")
         return row.rowid
@@ -248,18 +255,6 @@ class DocumentStore:
                 del self._replicas[replica.doc, replica.kind]
                 replica.close()
 
-    # ------------------------------------------------------------------
-    # Access logging
-    # ------------------------------------------------------------------
-
-    def _log_write(self, txn: Transaction, doc: Oid, user: str,
-                   now: float) -> None:
-        if self.log_writes:
-            txn.insert(S.ACCESS_LOG, {
-                "entry": self.db.new_oid("log"), "doc": doc,
-                "user": user, "action": "write", "at": now,
-            })
-
 
 class _DocReplica:
     """One open document's order cache and the subscription feeding it.
@@ -279,12 +274,18 @@ class _DocReplica:
         self.cache = make_order_cache(kind)
         #: Open handles reading this replica.
         self.handles = 0
+        #: user -> ``at`` of their newest *committed* ``write`` entry in
+        #: the access log (any store's), as the feed reported it: what
+        #: :meth:`DocumentStore._log_write` needs to log an editing
+        #: burst once.  An aborted entry never gets here.
+        self.write_logged: dict[str, float] = {}
         registry = db.obs.registry
         self._m_splice = registry.histogram("doc.cache_splice_seconds")
         self._m_full_scans = registry.counter("doc.full_scans")
         self.refresh()
         self._sub = db.changefeed().subscribe(
-            f"doc-cache:{doc}", self._on_batch, tables=(S.CHARS,))
+            f"doc-cache:{doc}", self._on_batch,
+            tables=(S.CHARS, S.ACCESS_LOG))
 
     def refresh(self) -> None:
         """Rebuild the order cache from the database chain (full scan).
@@ -310,6 +311,11 @@ class _DocReplica:
         rows = []
         for event in batch.events:
             row = event.row
+            if event.table == S.ACCESS_LOG:
+                if event.kind == "insert" and row["action"] == "write" \
+                        and row["doc"] == self.doc:
+                    self.write_logged[row["user"]] = row["at"]
+                continue
             if event.kind == "delete" and event.before is not None:
                 # Physical char removal (document purge / archival): the
                 # before-image names the vanished character, which
@@ -346,7 +352,10 @@ class DocumentHandle:
         self.store = store
         self.db = store.db
         self.doc = doc
-        meta = store.meta(doc)
+        meta = store._doc_row(doc)
+        #: Row id of the document's ``tx_documents`` row (ids are never
+        #: reused, so it finds this document or nothing).
+        self._rowid = meta.rowid
         self.begin_char: Oid = meta["begin_char"]
         self.end_char: Oid = meta["end_char"]
         self._m_lookup = self.db.obs.registry.histogram(
@@ -487,7 +496,6 @@ class DocumentHandle:
                 style=style, copy_srcs=copy_srcs, copy_op=copy_op,
             )
             self._touch(txn, user, now, size_delta=len(text))
-            self.store._log_write(txn, self.doc, user, now)
         return oids
 
     def delete_range(self, pos: int, count: int, user: str) -> list[Oid]:
@@ -511,7 +519,6 @@ class DocumentHandle:
         with self.db.transaction() as txn:
             flipped = C.logical_delete(txn, self.db, oids, user, now)
             self._touch(txn, user, now, size_delta=-flipped)
-            self.store._log_write(txn, self.doc, user, now)
 
     def undelete_chars(self, oids: Sequence[Oid], user: str) -> None:
         """Resurrect logically deleted characters (undo of a delete)."""
@@ -521,7 +528,6 @@ class DocumentHandle:
         with self.db.transaction() as txn:
             flipped = C.undelete(txn, self.db, oids, user)
             self._touch(txn, user, now, size_delta=flipped)
-            self.store._log_write(txn, self.doc, user, now)
 
     def apply_style(self, pos: int, count: int, style: Oid | None,
                     user: str) -> list[Oid]:
@@ -541,17 +547,32 @@ class DocumentHandle:
         with self.db.transaction() as txn:
             C.set_style(txn, self.db, oids, style)
             self._touch(txn, user, now, size_delta=0)
-            self.store._log_write(txn, self.doc, user, now)
 
     def _touch(self, txn: Transaction, user: str, now: float,
                *, size_delta: int) -> None:
-        row = txn.query(S.DOCUMENTS).where(col("doc") == self.doc).first()
-        if row is None:  # pragma: no cover - handle outlived document
-            raise UnknownDocumentError(f"no document {self.doc}")
-        txn.update(S.DOCUMENTS, row.rowid, {
+        """Book-keep one edit inside its transaction.
+
+        The document row is exact and per edit (folders, search
+        doc-values and :meth:`meta` read ``size``/``last_modified`` in
+        the same instant).  The access log gets ``user``'s ``write``
+        entry unless a committed one already covers ``now``.
+        """
+        try:
+            row = txn.get_for_update(S.DOCUMENTS, self._rowid)
+        except RowNotFoundError:  # handle outlived document
+            raise UnknownDocumentError(f"no document {self.doc}") from None
+        txn.update(S.DOCUMENTS, self._rowid, {
             "last_modified": now, "last_modified_by": user,
             "size": max(0, row["size"] + size_delta),
         })
+        if not self.store.log_writes:
+            return
+        last = self._replica.write_logged.get(user)
+        if last is None or not 0 <= now - last < S.ACCESS_LOG_RESOLUTION:
+            txn.insert(S.ACCESS_LOG, {
+                "entry": self.db.new_oid("log"), "doc": self.doc,
+                "user": user, "action": "write", "at": now,
+            })
 
     # ------------------------------------------------------------------
     # Rendering helpers

@@ -78,7 +78,6 @@ Invariants (checked by :meth:`ChunkedOrderCache.check`):
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..ids import Oid
@@ -111,10 +110,12 @@ class ChunkedOrderCache:
 
     def __init__(self, rows: Iterable[dict] = ()) -> None:
         self._chunks: list[_Chunk] = []
-        #: ``_starts[i]`` = characters before chunk ``i`` (one trailing
-        #: entry holds the total); None after a mutation, until the next
-        #: positional lookup rebuilds it.
-        self._starts: list[int] | None = None
+        #: ``_starts[i]`` = characters before chunk ``i``, for as many
+        #: chunks as are known: a mutation of chunk ``i`` cuts the list
+        #: after entry ``i`` (what lies before a chunk does not depend
+        #: on it) and lookups extend it again only as far as they reach.
+        #: Complete, it has one trailing entry holding the total.
+        self._starts: list[int] = [0]
         self._where: dict[Oid, _Chunk] = {}
         self._style: dict[Oid, Oid | None] = {}
         self._author: dict[Oid, str] = {}
@@ -128,7 +129,7 @@ class ChunkedOrderCache:
     def rebuild(self, rows: Iterable[dict]) -> None:
         """Reset from character rows in document order (a chain walk)."""
         self._chunks = []
-        self._starts = None
+        self._starts = [0]
         self._where = {}
         self._style = {}
         self._author = {}
@@ -178,7 +179,7 @@ class ChunkedOrderCache:
             self._chunks.append(chunk)
         self._where.update(dict.fromkeys(oids, chunk))
         self._len += len(oids)
-        self._starts = None
+        del self._starts[chunk.at + 1:]
         if len(chunk.oids) > 2 * self.CHUNK:
             self._split(chunk.at)
 
@@ -214,7 +215,7 @@ class ChunkedOrderCache:
         del chunk.chars[offset:stop]
         chunk.joined = None
         self._len -= count
-        self._starts = None
+        del self._starts[chunk.at + 1:]
         if not chunk.oids:
             del self._chunks[chunk.at]
             self._renumber(chunk.at)
@@ -253,6 +254,7 @@ class ChunkedOrderCache:
                         + len(self._chunks[neighbour].oids))
             if combined <= self.CHUNK:
                 lo, hi = sorted((at, neighbour))
+                del self._starts[lo + 1:]
                 left, right = self._chunks[lo], self._chunks[hi]
                 left.oids.extend(right.oids)
                 left.chars.extend(right.chars)
@@ -272,13 +274,19 @@ class ChunkedOrderCache:
     # Positional lookup
     # ------------------------------------------------------------------
 
-    def _directory(self) -> list[int]:
-        """Prefix sums of the chunk sizes (rebuilt if a mutation since
-        the last lookup invalidated them)."""
+    def _directory(self, through: int | None = None) -> list[int]:
+        """Prefix sums of the chunk sizes, known at least up to entry
+        ``through`` (default: all of them, total included): extended
+        from where the last mutation cut them, never rebuilt."""
         starts = self._starts
-        if starts is None:
-            starts = self._starts = list(accumulate(
-                [len(chunk.oids) for chunk in self._chunks], initial=0))
+        if through is None:
+            through = len(self._chunks)
+        if len(starts) <= through:
+            chunks = self._chunks
+            total = starts[-1]
+            for at in range(len(starts) - 1, through):
+                total += len(chunks[at].oids)
+                starts.append(total)
         return starts
 
     def _locate(self, index: int) -> tuple[int, int]:
@@ -287,7 +295,17 @@ class ChunkedOrderCache:
         if index >= self._len:
             last = len(self._chunks) - 1
             return last, len(self._chunks[last].oids)
-        starts = self._directory()
+        starts = self._starts
+        if starts[-1] <= index:
+            # Extend just far enough: to the first chunk starting
+            # beyond ``index``.
+            chunks = self._chunks
+            total = starts[-1]
+            at = len(starts) - 1
+            while total <= index:
+                total += len(chunks[at].oids)
+                starts.append(total)
+                at += 1
         at = bisect_right(starts, index) - 1
         return at, index - starts[at]
 
@@ -322,7 +340,7 @@ class ChunkedOrderCache:
     def index_of(self, oid: Oid) -> int:
         """Current position of a visible character (raises KeyError)."""
         chunk = self._where[oid]
-        return self._directory()[chunk.at] + chunk.oids.index(oid)
+        return self._directory(chunk.at)[chunk.at] + chunk.oids.index(oid)
 
     def positions_of(self, oids: Iterable[Oid]) -> list[int | None]:
         """Positions parallel to ``oids``; None where one is not visible."""
@@ -460,7 +478,7 @@ class ChunkedOrderCache:
                 problems.append(f"chunk {at}: stale cached text")
             if chunk.at != at:
                 problems.append(f"chunk {at} believes it is chunk {chunk.at}")
-            if self._starts is not None and self._starts[at] != total:
+            if at < len(self._starts) and self._starts[at] != total:
                 problems.append(f"chunk {at}: stale directory entry")
             for oid in chunk.oids:
                 if oid in seen:
@@ -469,9 +487,9 @@ class ChunkedOrderCache:
             total += len(chunk.oids)
         if total != self._len:
             problems.append(f"length {self._len} != chunk total {total}")
-        if self._starts is not None and (
-                len(self._starts) != len(self._chunks) + 1
-                or self._starts[-1] != total):
+        if not 1 <= len(self._starts) <= len(self._chunks) + 1 or (
+                len(self._starts) == len(self._chunks) + 1
+                and self._starts[-1] != total):
             problems.append("directory does not end at the total length")
         if seen.keys() != self._where.keys():
             problems.append("oid->chunk map out of sync with chunks")

@@ -121,5 +121,4 @@ class VersionManager:
             deleted = C.logical_delete(txn, self.db, to_delete, user, now)
             restored = C.undelete(txn, self.db, to_restore, user)
             handle._touch(txn, user, now, size_delta=restored - deleted)
-            handle.store._log_write(txn, handle.doc, user, now)
         return {"deleted": deleted, "restored": restored}

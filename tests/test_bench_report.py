@@ -129,9 +129,9 @@ class TestObsSchema:
         (lambda p: p["benchmarks"][0].__setitem__("group", 7), ".group"),
         (lambda p: p["benchmarks"][0].__setitem__("metrics", []),
          ".metrics"),
-        (lambda p: p["benchmarks"][0]["metrics"]["txn.begun"].pop("value"),
+        (lambda p: p["benchmarks"][0]["metrics"]["txn.committed"].pop("value"),
          "numeric 'value'"),
-        (lambda p: p["benchmarks"][0]["metrics"]["txn.begun"]
+        (lambda p: p["benchmarks"][0]["metrics"]["txn.committed"]
          .__setitem__("type", "meter"), "unknown type"),
     ])
     def test_malformed_entries_rejected(self, mutate, fragment):
@@ -142,10 +142,10 @@ class TestObsSchema:
 
     def test_require_core_detects_name_regression(self):
         payload = sample_obs_payload()
-        del payload["benchmarks"][0]["metrics"]["txn.begun"]
+        del payload["benchmarks"][0]["metrics"]["txn.committed"]
         assert validate_obs_payload(payload) == []
         errors = validate_obs_payload(payload, require_core=True)
-        assert any("txn.begun" in e for e in errors)
+        assert any("txn.committed" in e for e in errors)
 
 
 class TestObsSchemaV2:

@@ -475,7 +475,7 @@ class TestStatisticsThreadSafety:
         handle = session.create_document("obs", text="hello")
         session.insert(handle.doc, 0, "x")
         snapshot = server.db.metrics_snapshot()
-        assert snapshot["collab.operations"]["value"] \
+        assert snapshot["collab.op_seconds"]["count"] \
             == server.stats["operations"]
         assert snapshot["collab.sessions"]["value"] == len(server.sessions())
         session.disconnect()

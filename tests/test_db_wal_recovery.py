@@ -35,30 +35,31 @@ class TestWal:
 
     def test_committed_txn_ids(self):
         wal = WriteAheadLog()
-        wal.append(walmod.BEGIN, 1)
-        wal.append(walmod.BEGIN, 2)
         wal.append(walmod.COMMIT, 1)
-        wal.append(walmod.ABORT, 2)
+        wal.append(walmod.BEGIN, 2)           # as logs once recorded an
+        wal.append(walmod.ABORT, 2)           # aborted transaction
         assert committed_txn_ids(wal.records()) == {1}
 
     def test_truncate_before(self):
         wal = WriteAheadLog()
         for i in range(5):
-            wal.append(walmod.BEGIN, i)
-            wal.append(walmod.COMMIT, i)
+            wal.append(walmod.COMMIT, i)      # BEGIN + COMMIT
         dropped = wal.truncate_before(7)
         assert dropped == 6
         assert all(r.lsn >= 7 for r in wal.records())
 
-    def test_truncate_before_keeps_open_transactions_whole(self):
+    def test_commit_appends_its_transaction_as_one_block(self):
         wal = WriteAheadLog()
-        wal.append(walmod.BEGIN, 1)
-        wal.append(walmod.COMMIT, 1)
-        wal.append(walmod.BEGIN, 2)       # lsn 3: still open at the cut
-        wal.append(walmod.BEGIN, 3)
-        wal.append(walmod.ABORT, 3)
-        assert wal.truncate_before(6) == 2
-        assert [r.lsn for r in wal.records()] == [3, 4, 5]
+        wal.append(walmod.CREATE_TABLE, 0, table="t")
+        commit = wal.append(walmod.COMMIT, 7, dml=[
+            (walmod.INSERT, "t", 1, ("k",), ("a",)),
+            (walmod.UPDATE, "t", 1, ("k",), ("b",))])
+        assert [(r.lsn, r.type, r.txn_id) for r in wal.records()] == [
+            (1, "CREATE_TABLE", 0), (2, "BEGIN", 7), (3, "INSERT", 7),
+            (4, "UPDATE", 7), (5, "COMMIT", 7)]
+        assert commit == list(wal.records())[-1]
+        with pytest.raises(WalError):
+            wal.append(walmod.INSERT, 7, table="t", rowid=2)
 
     def test_value_encoding_roundtrip(self):
         values = {
@@ -185,8 +186,10 @@ class TestCheckpoint:
         assert sorted((r["title"], r["size"])
                       for r in recovered.query("docs").run()) \
             == [("early", 2), ("late", 3), ("settled", 10)]
-        # The cut was clamped to the open transaction's BEGIN, no lower.
-        assert next(iter(db.wal.records())).type == "BEGIN"
+        # Nothing of the transaction lay before the cut to be lost: its
+        # whole block follows the checkpoint.
+        assert [r.type for r in db.wal.records()] == [
+            "CHECKPOINT", "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT"]
         # Changefeed catch-up reads the same cut: the delta finds its
         # base row in the checkpoint.
         from repro.feed.changefeed import batches_from_records

@@ -87,6 +87,43 @@ class TestCrashPoints:
         recovered = recover_file(path)
         assert kv_rows(recovered) == {"a": 1}
 
+    @pytest.mark.filterwarnings("ignore:skipping torn trailing WAL record")
+    @pytest.mark.parametrize("point", ["wal.before_append",
+                                       "wal.mid_record"])
+    @pytest.mark.parametrize("record", range(5))
+    def test_a_crash_at_any_record_of_the_block_loses_it_whole(
+            self, tmp_path, point, record):
+        """A transaction reaches the log as one block — BEGIN, three
+        statements, COMMIT — and the per-record points fire once per
+        record of it.  Wherever in the block the crash lands, recovery
+        holds all of the transaction before it and none of this one."""
+        # Hits before the doomed block: CREATE_TABLE, then the first
+        # transaction's BEGIN, INSERT, COMMIT.
+        hit = 1 + 3 + 1 + record
+        db, path = make_db(tmp_path, FaultPlan.crash_once(point, hit=hit))
+        first = db.insert("kv", {"k": "kept", "v": 1})
+        logged = len(db.wal)
+        txn = db.begin()
+        txn.insert("kv", {"k": "b", "v": 2})
+        txn.update("kv", first, {"v": 10})
+        txn.insert("kv", {"k": "c", "v": 3})
+        assert len(db.wal) == logged          # nothing logged before commit
+        with pytest.raises(CrashSignal):
+            txn.commit()
+        assert db.faults.fired[0].detail["type"] == (
+            "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT")[record]
+        assert len(db.wal) == logged          # ... nor by a dying one
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if point == "wal.before_append":
+            assert data.endswith(b"}\n")      # not a byte of the block
+        else:
+            assert not data.endswith(b"\n")   # whole lines, then a torn one
+            assert data.count(b"\n") == logged + record
+        recovered = recover_file(path)
+        assert kv_rows(recovered) == {"kept": 1}
+        assert committed_txn_ids(WriteAheadLog.load_file(path)) == {1}
+
     def test_lost_fsync_under_power_loss_drops_the_commit(self, tmp_path):
         # before_fsync counts commit-boundary syncs: hit 2 is txn b's
         # COMMIT.  Power loss truncates to the last fsync, so the whole

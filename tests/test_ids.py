@@ -166,9 +166,10 @@ class TestNoUntaggedOid:
     def test_rendered_row_image_tags_every_oid(self, values):
         """DML records hold stored values undecorated; the line is where
         they get tagged."""
-        record = WriteAheadLog().append(
-            "INSERT", 1, table="t", rowid=1, cols=tuple(values),
-            vals=tuple(values.values()))
+        wal = WriteAheadLog()
+        wal.append("COMMIT", 1, dml=[
+            ("INSERT", "t", 1, tuple(values), tuple(values.values()))])
+        record = list(wal.records())[1]
         assert record.vals == tuple(values.values())
         raw = json.loads(render_record(record))["payload"]
         assert (raw["table"], raw["rowid"]) == ("t", 1)

@@ -208,13 +208,23 @@ class TestBatchForms:
         assert cache.positions_of([]) == []
         assert cache.text_of([]) == ""
 
-    def test_directory_is_rebuilt_lazily_and_checked(self):
-        cache = TinyChunkCache(_row(i) for i in range(20))
-        assert cache.index_of(_oid(13)) == 13       # builds the directory
-        assert cache._starts is not None
-        cache.insert(0, _oid(50), "a", None, "u")
-        assert cache._starts is None                # dropped, not patched
-        assert cache.index_of(_oid(13)) == 14
+    def test_directory_keeps_its_prefix_across_a_mutation(self):
+        cache = TinyChunkCache(_row(i) for i in range(40))
+        full = list(cache._directory())
+        assert len(full) == len(cache._chunks) + 1 and full[-1] == 40
+        at, _ = cache._locate(21)
+        assert 0 < at < len(cache._chunks) - 2
+        cache.insert(21, _oid(50), "a", None, "u")
+        # Cut after the mutated chunk's own entry, not thrown away ...
+        assert cache._starts == full[:at + 1]
+        assert cache.index_of(_oid(3)) == 3         # ... before it: as is
+        assert cache._starts == full[:at + 1]
+        assert cache.check() == []
+        # ... and extended only as far as a lookup reaches.
+        assert cache.oid_at(22) == _oid(21)
+        assert len(cache._starts) == at + 2
+        assert cache.index_of(_oid(39)) == 40
+        assert cache._starts[:at + 1] == full[:at + 1]
         assert cache.check() == []
         cache._starts[-1] += 1
         assert any("directory" in p for p in cache.check())

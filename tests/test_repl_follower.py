@@ -217,21 +217,21 @@ class TestRestartResume:
 
     def test_restart_keeps_open_transaction_buffers(self, tmp_path):
         """A transaction whose DML shipped before the restart and whose
-        COMMIT ships after it applies whole: the restart's single replay
-        pass hands the applier its uncommitted-transaction buffers."""
+        COMMIT ships after it (a segment boundary inside its block)
+        applies whole: the restart's single replay pass hands the
+        applier its uncommitted-transaction buffers."""
         leader = make_leader(str(tmp_path / "leader.wal"), n_txns=2)
-        txn = leader.begin()
-        txn.insert(TABLE, {"k": "spans-the-restart", "v": 7})
-        leader.insert(TABLE, {"k": "sibling", "v": 0})  # fsyncs the DML
+        leader.insert(TABLE, {"k": "spans-the-restart", "v": 7})
+        records = leader.wal.records_from(1)
+        assert [r.type for r in records[-3:]] == ["BEGIN", "INSERT", "COMMIT"]
         mirror = str(tmp_path / "follower.wal")
         follower = FollowerEngine(mirror, node="replica")
-        WalTailer(leader.wal, follower).poll()
+        follower.apply_records(records[:-1])
         assert follower.status()["pending_txns"] == 1
         follower.close()
         follower = FollowerEngine(mirror, node="replica")
         assert follower.status()["pending_txns"] == 1
-        txn.commit()
-        WalTailer(leader.wal, follower).poll()
+        follower.apply_records(records[-1:])
         assert follower.status()["pending_txns"] == 0
         assert rows(follower.db) == rows(leader)
         leader.close(); follower.close()
@@ -267,16 +267,11 @@ class TestPromotion:
 
     def test_promotion_drops_uncommitted_buffers(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"), n_txns=5)
-        # An open transaction on the leader: BEGIN/DML shipped, no
-        # COMMIT.  A sibling commit's group fsync makes the dangling
-        # records durable, so the tailer ships them.
-        dangling = leader.begin()
-        dangling.insert(TABLE, {"k": "never-committed", "v": -1})
-        sibling = leader.begin()
-        sibling.insert(TABLE, {"k": "sibling", "v": 0})
-        sibling.commit()
+        # The leader dies with a transaction's block half shipped:
+        # BEGIN/DML arrived, the COMMIT never will.
+        leader.insert(TABLE, {"k": "never-committed", "v": -1})
         follower = FollowerEngine(node="replica")
-        WalTailer(leader.wal, follower).poll()
+        follower.apply_records(leader.wal.records_from(1)[:-1])
         assert follower.status()["pending_txns"] == 1
         db = follower.promote()
         assert follower.status()["pending_txns"] == 0

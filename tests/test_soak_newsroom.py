@@ -237,13 +237,13 @@ class TestNewsroomInvariants:
         prefixes = {name.split(".", 1)[0] for name in snapshot}
         assert {"txn", "wal", "lock", "collab", "search"} <= prefixes
         assert unknown_names(snapshot) == []
-        assert snapshot["txn.begun"]["value"] > 0
         assert snapshot["txn.committed"]["value"] > 0
         assert snapshot["txn.active"]["value"] == 0
         assert snapshot["wal.appends"]["value"] > 0
         assert snapshot["lock.acquired"]["value"] > 0
-        assert snapshot["collab.operations"]["value"] > 0
+        assert snapshot["collab.op_seconds"]["count"] > 0
         assert snapshot["collab.notifications"]["value"] > 0
         assert snapshot["search.queries"]["value"] > 0
         assert snapshot["txn.duration_seconds"]["count"] \
-            == snapshot["txn.begun"]["value"]
+            == sum(snapshot[f"txn.{end}"]["value"]
+                   for end in ("committed", "aborted", "crashed"))

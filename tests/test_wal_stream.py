@@ -8,8 +8,16 @@ Two families of properties over the same generated logs:
   folded over an empty map) are three sinks behind one replay core, so
   they must rebuild the same table state from any log: seeded torture
   logs from the crash harness (checkpoints and crash plans on) and
-  hypothesis-generated logs that interleave transactions across
-  checkpoints and aborts.
+  hypothesis-generated logs of transactions open across one another,
+  across checkpoints and aborts.  The engine logs a transaction as one
+  block at COMMIT, so every generated programme is replayed twice: from
+  the engine's own log (whose block structure is asserted, in memory
+  and read back from its file) and from a **per-statement oracle log**
+  of the same programme — BEGIN when the transaction starts, each
+  statement as it executes, ABORT records, the records of concurrent
+  transactions interleaved — which is how logs were written before and
+  what the replay core must keep reading.  Both must rebuild the same
+  state.
 * **delta programmes** — UPDATE records carry only the columns a
   statement set, so the same equality is re-proved on histories built to
   stress the merge: several updates of one row in one transaction,
@@ -17,8 +25,9 @@ Two families of properties over the same generated logs:
   OID / JSON / BYTES columns, aborts, checkpoints mid-transaction and
   shuffled commit orders — for the in-memory records, for the same log
   read back from its lines, and against the live database that wrote
-  it.  A checked-in log in the older full-image format replays to the
-  state its writer held.
+  it.  Two checked-in logs of older formats replay to the state their
+  writers held: full-image UPDATEs (v1), and delta UPDATEs logged per
+  statement with interleaved transactions and an ABORT (v2).
 * **codec** — render -> parse round-trips every record, parsing any byte
   prefix of a valid log never raises and yields a record prefix ending on
   a line boundary, and corrupting a non-final line raises ``WalError`` —
@@ -120,6 +129,67 @@ def assert_sinks_agree(records: list, mirror: str, restart_at: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Log shapes: the engine's blocks, and the per-statement oracle
+# ---------------------------------------------------------------------------
+
+def assert_block_structured(records: list, *, torn_tail: bool = False
+                            ) -> None:
+    """What the engine writes: every transaction is one LSN-contiguous
+    block BEGIN, DML..., COMMIT, and no record of an uncommitted
+    transaction exists (``torn_tail``: except a crash's unfinished block
+    at the very end of a file)."""
+    assert [r.lsn for r in records] == sorted({r.lsn for r in records})
+    open_txn = None
+    for at, record in enumerate(records):
+        if record.txn_id == 0:
+            assert open_txn is None, \
+                f"{record.type} at LSN {record.lsn} inside txn {open_txn}"
+            continue
+        if record.type == walmod.BEGIN:
+            assert open_txn is None
+            open_txn, previous = record.txn_id, record.lsn
+            continue
+        assert record.txn_id == open_txn, \
+            f"LSN {record.lsn}: txn {record.txn_id} inside txn {open_txn}"
+        assert record.lsn == previous + 1
+        previous = record.lsn
+        assert record.type != walmod.ABORT
+        if record.type == walmod.COMMIT:
+            open_txn = None
+    if not torn_tail:
+        assert open_txn is None, f"txn {open_txn} has no COMMIT"
+
+
+class PerStatementLog:
+    """The test oracle for how a programme was logged before
+    transactions became blocks: mirror each step of a live engine here
+    and get the log the old engine would have written."""
+
+    def __init__(self) -> None:
+        self.records: list = []
+
+    def _append(self, type_: str, txn_id: int, **fields) -> None:
+        self.records.append(WalRecord(len(self.records) + 1, type_, txn_id,
+                                      **fields))
+
+    def copy(self, record: WalRecord) -> None:
+        """A DDL or CHECKPOINT record, as the engine logged it."""
+        self._append(record.type, record.txn_id, payload=record.payload)
+
+    def begin(self, txn) -> None:
+        self._append(walmod.BEGIN, txn.txn_id)
+
+    def statement(self, txn) -> None:
+        """The statement ``txn`` just executed."""
+        type_, table, rowid, cols, vals = txn._log[-1]
+        self._append(type_, txn.txn_id, table=table, rowid=rowid,
+                     cols=cols, vals=vals)
+
+    def end(self, txn, type_: str) -> None:
+        self._append(type_, txn.txn_id)
+
+
+# ---------------------------------------------------------------------------
 # Differential replay
 # ---------------------------------------------------------------------------
 
@@ -128,6 +198,9 @@ class TestSeededTortureLogs:
         seed = SEED_BASE + crash_seed
         outcome = run_engine_schedule(seed, str(tmp_path / "leader.wal"))
         records = WriteAheadLog.load_file(outcome.wal_path)
+        # A crashed engine's file: whole blocks, and at most the block
+        # it died in, unfinished, at the very end.
+        assert_block_structured(records, torn_tail=True)
         restart_at = random.Random(seed).randint(0, len(records))
         state = assert_sinks_agree(records, str(tmp_path / "mirror.wal"),
                                    restart_at)
@@ -145,38 +218,47 @@ actions = st.lists(
     max_size=MAX_ACTIONS)
 
 
-def build_log(steps: list) -> list:
+def build_log(steps: list, wal_path: str | None = None,
+              oracle: PerStatementLog | None = None) -> list:
     """Drive a real engine through ``steps``; returns its WAL records.
 
-    Up to three transactions are open at once, so their records
-    interleave with each other and with checkpoints; whatever is still
-    open at the end is the uncommitted tail of a crash.  Row targets are
-    picked among committed rows no open transaction has touched, which
-    keeps the schedule free of lock waits.
+    Up to three transactions are open at once, across each other's
+    commits and across checkpoints; whatever is still open at the end
+    is what a crash would lose.  Row targets are picked among committed
+    rows no open transaction has touched, which keeps the schedule free
+    of lock waits.  ``oracle`` receives the same programme statement by
+    statement (there the transactions' records do interleave).
     """
-    db = Database("gen")
+    db = Database("gen", wal_path=wal_path)
+    oracle = oracle if oracle is not None else PerStatementLog()
     db.create_table("t", [column("k", "str"), column("v", "int")], key="k")
+    oracle.copy(db.wal.records_from(1)[-1])
     open_txns: dict = {}          # slot -> (txn, rowids it touched)
     live: set = set()             # committed rowids
     for n, (verb, slot, pick) in enumerate(steps):
         if verb == "checkpoint":
             db.checkpoint()
+            oracle.copy(db.wal.records_from(db.wal.last_lsn())[0])
             continue
         if verb in ("commit", "abort"):
             if slot in open_txns:
                 txn, touched = open_txns.pop(slot)
                 if verb == "abort":
                     txn.abort()
+                    oracle.end(txn, walmod.ABORT)
                     continue
                 txn.commit()
+                oracle.end(txn, walmod.COMMIT)
                 for rowid, alive in touched.items():
                     (live.add if alive else live.discard)(rowid)
             continue
         if slot not in open_txns:
             open_txns[slot] = (db.begin(), {})
+            oracle.begin(open_txns[slot][0])
         txn, touched = open_txns[slot]
         if verb == "insert":
             touched[txn.insert("t", {"k": f"k{n}", "v": pick})] = True
+            oracle.statement(txn)
             continue
         busy = {r for _, rows in open_txns.values() for r in rows}
         free = sorted(live - busy)
@@ -189,7 +271,10 @@ def build_log(steps: list) -> list:
         else:
             txn.delete("t", rowid)
             touched[rowid] = False
-    return list(db.wal.records())
+        oracle.statement(txn)
+    records = list(db.wal.records())
+    db.close()
+    return records
 
 
 class TestGeneratedLogs:
@@ -197,19 +282,39 @@ class TestGeneratedLogs:
     @given(steps=actions, cut=st.floats(min_value=0.0, max_value=1.0))
     def test_recover_follower_and_feed_agree(self, tmp_path_factory,
                                              steps, cut):
-        records = build_log(steps)
-        mirror = str(tmp_path_factory.mktemp("stream") / "mirror.wal")
-        assert_sinks_agree(records, mirror, int(cut * len(records)))
+        tmp = tmp_path_factory.mktemp("stream")
+        oracle = PerStatementLog()
+        records = build_log(steps, str(tmp / "leader.wal"), oracle)
+        # The engine's log is blocks, in memory and on its file ...
+        assert_block_structured(records)
+        assert WriteAheadLog.load_file(str(tmp / "leader.wal")) \
+            == as_lines(records)
+        state = assert_sinks_agree(records, str(tmp / "mirror.wal"),
+                                   int(cut * len(records)))
+        # ... and says what the statement-by-statement log says.
+        logged = oracle.records
+        assert assert_sinks_agree(logged, str(tmp / "mirror2.wal"),
+                                  int(cut * len(logged))) == state
 
     def test_transaction_open_across_a_checkpoint_and_a_restart(
             self, tmp_path):
         """The motivating case, pinned: early DML, CHECKPOINT, a follower
         restart, then the COMMIT — all four replays keep the early row."""
+        oracle = PerStatementLog()
         records = build_log([("insert", 0, 1), ("checkpoint", 0, 0),
-                             ("insert", 0, 2), ("commit", 0, 0)])
-        state = assert_sinks_agree(records, str(tmp_path / "mirror.wal"),
-                                   restart_at=len(records) - 2)
-        assert sorted(row["v"] for row in state.values()) == [1, 2]
+                             ("insert", 0, 2), ("commit", 0, 0)],
+                            oracle=oracle)
+        # The engine logs the transaction whole, after the checkpoint;
+        # logged per statement its first insert lies before it.
+        assert [r.type for r in records][1:] == [
+            "CHECKPOINT", "BEGIN", "INSERT", "INSERT", "COMMIT"]
+        assert [r.type for r in oracle.records][1:] == [
+            "BEGIN", "INSERT", "CHECKPOINT", "INSERT", "COMMIT"]
+        for n, log in enumerate((records, oracle.records)):
+            state = assert_sinks_agree(
+                log, str(tmp_path / f"mirror{n}.wal"),
+                restart_at=len(log) - 2)
+            assert sorted(row["v"] for row in state.values()) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -245,38 +350,46 @@ delta_steps = st.lists(
     max_size=MAX_ACTIONS)
 
 
-def build_delta_log(steps: list) -> tuple[list, dict]:
+def build_delta_log(steps: list, oracle: PerStatementLog | None = None
+                    ) -> tuple[list, dict]:
     """Like :func:`build_log`, but a transaction keeps working on rows it
     already touched — including ones it inserted or updated itself — so
     one transaction logs chains of deltas on one row.  Returns the WAL
     records and the live database's committed state."""
     db = Database("gen")
+    oracle = oracle if oracle is not None else PerStatementLog()
     db.create_table("d", [
         column("k", "str"), column("v", "int", nullable=True),
         column("ref", "oid", nullable=True),
         column("blob", "bytes", nullable=True),
         column("props", "json", nullable=True)], key="k")
+    oracle.copy(db.wal.records_from(1)[-1])
     open_txns: dict = {}          # slot -> (txn, {rowid: alive})
     live: set = set()             # committed rowids
     for n, (verb, slot, pick, values) in enumerate(steps):
         if verb == "checkpoint":
             db.checkpoint()
+            oracle.copy(db.wal.records_from(db.wal.last_lsn())[0])
             continue
         if verb in ("commit", "abort"):
             if slot in open_txns:
                 txn, touched = open_txns.pop(slot)
                 if verb == "abort":
                     txn.abort()
+                    oracle.end(txn, walmod.ABORT)
                     continue
                 txn.commit()
+                oracle.end(txn, walmod.COMMIT)
                 for rowid, alive in touched.items():
                     (live.add if alive else live.discard)(rowid)
             continue
         if slot not in open_txns:
             open_txns[slot] = (db.begin(), {})
+            oracle.begin(open_txns[slot][0])
         txn, touched = open_txns[slot]
         if verb == "insert":
             touched[txn.insert("d", {"k": f"k{n}", **values})] = True
+            oracle.statement(txn)
             continue
         others = {r for s, (_, rows) in open_txns.items() if s != slot
                   for r in rows}
@@ -292,6 +405,7 @@ def build_delta_log(steps: list) -> tuple[list, dict]:
         else:
             txn.delete("d", rowid)
             touched[rowid] = False
+        oracle.statement(txn)
     records = list(db.wal.records())
     return records, table_state(db)
 
@@ -327,14 +441,25 @@ FULL_IMAGE_SHA = \
     "5bd3b7a7dcd7aa027d539093a370070a3c8a68e9cb9919ef9122270a37dca7e9"
 
 
+INTERLEAVED_LOG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "data", "wal_interleaved_v2.log")
+#: SHA of the writer's live tables when the fixture was cut (commit
+#: c5d6a7a: delta UPDATEs, every statement appended as it executed).
+INTERLEAVED_SHA = \
+    "a02a28053b8bec02ccde6c058943eab6c828c6743c5125b1a1b2d60fa9810fe6"
+
+
 class TestDeltaProgrammes:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(steps=delta_steps, cut=st.floats(min_value=0.0, max_value=1.0))
     def test_every_replica_equals_the_live_database(
             self, tmp_path_factory, steps, cut):
-        records, live = build_delta_log(steps)
+        oracle = PerStatementLog()
+        records, live = build_delta_log(steps, oracle)
+        assert_block_structured(records)
         tmp = tmp_path_factory.mktemp("delta")
-        for n, log in enumerate((records, as_lines(records))):
+        for n, log in enumerate((records, as_lines(records),
+                                 oracle.records, as_lines(oracle.records))):
             state = assert_sinks_agree(log, str(tmp / f"mirror{n}.wal"),
                                        int(cut * len(log)))
             assert state == live
@@ -430,6 +555,119 @@ class TestDeltaProgrammes:
         with open(FULL_IMAGE_LOG, "rb") as handle:
             assert handle.read() == "".join(
                 render_record(r) + "\n" for r in records).encode()
+
+
+    def test_per_statement_log_of_the_previous_format_replays_identically(
+            self, tmp_path):
+        """A log written statement by statement: three transactions
+        interleaved, one aborted (BEGIN/DML/ABORT on record), two open
+        across a CHECKPOINT, one cut off by the crash."""
+        records = WriteAheadLog.load_file(INTERLEAVED_LOG)
+        with pytest.raises(AssertionError):
+            assert_block_structured(records)      # it really is not blocks
+        assert any(r.type == walmod.ABORT for r in records)
+        checkpoint = next(r.lsn for r in records
+                          if r.type == walmod.CHECKPOINT)
+        straddlers = {r.txn_id for r in records
+                      if r.type in walmod.DML and r.lsn < checkpoint} \
+            & {r.txn_id for r in records
+               if r.type == walmod.COMMIT and r.lsn > checkpoint}
+        assert len(straddlers) == 2
+        for n, restart_at in enumerate((checkpoint - 1, checkpoint + 3,
+                                        len(records) - 1)):
+            state = assert_sinks_agree(
+                records, str(tmp_path / f"mirror{n}.wal"), restart_at)
+            assert state_sha(state) == INTERLEAVED_SHA
+        with open(INTERLEAVED_LOG, "rb") as handle:
+            assert handle.read() == "".join(
+                render_record(r) + "\n" for r in records).encode()
+
+
+# ---------------------------------------------------------------------------
+# Joining at a CHECKPOINT while a leader transaction is open
+# ---------------------------------------------------------------------------
+
+class TestJoiningAtACheckpoint:
+    """ROADMAP 5(ii), the hole that was left: a replica that starts from
+    a CHECKPOINT cut while a transaction was open (a follower joining
+    after compaction — ``durable_segment``'s fallback —, a recovery, a
+    feed consumer catching up) must end up with that transaction's
+    *early* writes once it commits.  The checkpoint holds none of them
+    (they were only staged), and when they were logged as they executed
+    they lay before it, out of the newcomer's reach.  Logged at COMMIT
+    they all follow it."""
+
+    @staticmethod
+    def leader(tmp_path, *, compact: bool):
+        db = Database("leader", wal_path=str(tmp_path / "leader.wal"))
+        db.create_table("d", [column("k", "str"), column("v", "int")],
+                        key="k")
+        settled = db.insert("d", {"k": "settled", "v": 1})
+        txn = db.begin()
+        txn.insert("d", {"k": "early", "v": 2})
+        txn.update("d", settled, {"v": 10})        # a delta, pre-checkpoint
+        cut = db.checkpoint()
+        if compact:
+            db.wal.truncate_before(cut)
+        return db, txn, cut
+
+    EXPECTED = [("early", 2), ("late", 3), ("settled", 10)]
+
+    @staticmethod
+    def rows(db) -> list:
+        return sorted((r["k"], r["v"]) for r in db.query("d").run())
+
+    @pytest.mark.parametrize("compact", [True, False],
+                             ids=["compacted-log", "row-by-row"])
+    def test_follower_joining_mid_transaction_gets_its_early_writes(
+            self, tmp_path, compact):
+        from repro.repl import WalTailer
+        leader, txn, cut = self.leader(tmp_path, compact=compact)
+        follower = FollowerEngine(str(tmp_path / "follower.wal"))
+        tailer = WalTailer(leader.wal, follower)
+        tailer.poll()                     # joins while the txn is open
+        assert follower.applied_lsn == cut
+        assert follower.status()["pending_txns"] == 0
+        assert self.rows(follower.db) == [("settled", 1)]
+        txn.insert("d", {"k": "late", "v": 3})
+        txn.commit()
+        tailer.poll()
+        assert self.rows(follower.db) == self.EXPECTED
+        # ... and so does the follower's own log, replayed from scratch.
+        follower.close()
+        restarted = FollowerEngine(str(tmp_path / "follower.wal"))
+        assert self.rows(restarted.db) == self.EXPECTED
+        leader.close(); restarted.close()
+
+    def test_follower_joining_from_the_checkpoint_record_on(self, tmp_path):
+        """The same entry point without the tailer: the first record a
+        newcomer is handed is the CHECKPOINT itself."""
+        leader, txn, cut = self.leader(tmp_path, compact=False)
+        txn.insert("d", {"k": "late", "v": 3})
+        txn.commit()
+        follower = FollowerEngine()
+        follower.apply_records(leader.wal.records_from(cut))
+        assert self.rows(follower.db) == self.EXPECTED
+        leader.close(); follower.close()
+
+    def test_recovery_and_catch_up_from_the_compacted_log(self, tmp_path):
+        leader, txn, cut = self.leader(tmp_path, compact=True)
+        txn.insert("d", {"k": "late", "v": 3})
+        txn.commit()
+        records = list(leader.wal.records())
+        assert records[0].lsn == cut
+        assert self.rows(recover(records)) == self.EXPECTED
+        # A feed consumer whose cursor is the checkpoint catches up on
+        # the whole transaction, deltas finding their base rows in it.
+        fresh = recover(records)
+        seen: list = []
+        delivered = fresh.changefeed().catch_up(
+            "late-consumer", seen.append, records)
+        assert delivered == 1
+        assert [(e.kind, e.row["k"], e.row["v"]) for e in seen[0].events] \
+            == [("insert", "early", 2), ("update", "settled", 10),
+                ("insert", "late", 3)]
+        leader.close()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The cheapest benchmark node from each experiment group.
 SMOKE_NODES = (
     "benchmarks/bench_editing_transactions.py::test_keystroke_tendax[500]",
+    "benchmarks/bench_editing_transactions.py::test_keystroke_bookkept",
     "benchmarks/bench_editing_transactions.py::test_group_commit_multiwriter",
     "benchmarks/bench_editing_transactions.py"
     "::test_snapshot_scan_interference",
@@ -90,6 +91,8 @@ SMOKE_NODES = (
 TREND_NODES = {
     "benchmarks/bench_editing_transactions.py::test_keystroke_tendax[500]":
         "c1_keystroke_500",
+    "benchmarks/bench_editing_transactions.py::test_keystroke_bookkept":
+        "c1_keystroke_bookkept",
     "benchmarks/bench_editing_transactions.py::test_group_commit_multiwriter":
         "group_commit_multiwriter",
     "benchmarks/bench_editing_transactions.py"
