@@ -32,8 +32,10 @@ from repro.db import Database, col
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.ids import Oid
 from repro.text import DocumentStore
+from repro.text import chars as C
 from repro.text import dbschema as S
-from repro.text.ordercache import make_order_cache, splice_rows
+from repro.text.ordercache import (ChunkedOrderCache, FlatOrderCache,
+                                   splice_rows)
 
 from .conftest import make_text
 
@@ -199,6 +201,21 @@ def _mid_anchors(handle, size: int, count: int):
     ]
 
 
+def _attach_flat_replica(db, handle):
+    """The O(n) baseline arm: a :class:`FlatOrderCache` replica of the
+    document, fed by its own changefeed subscription the way the store
+    feeds its chunked one.  Returns the subscription (close it)."""
+    begin = handle.begin_char
+    cache = FlatOrderCache(C.traverse(db, handle.doc, begin))
+
+    def follow(batch):
+        splice_rows(cache, [event.row for event in batch.events], begin,
+                    lambda oid: C.char_row(db, oid)[1]["prev"])
+
+    return db.changefeed().subscribe("flat-replica", follow,
+                                     tables=(S.CHARS,))
+
+
 def _remote_splice_round(handle, remote, anchors, state) -> None:
     """One mid-document keystroke, observed by an attached remote handle."""
     anchor = anchors[state["i"] % len(anchors)]
@@ -228,8 +245,8 @@ def test_cache_remote_splice_chunked(benchmark, size):
 @pytest.mark.parametrize("size", CACHE_SIZES)
 def test_cache_remote_splice_flat(benchmark, size):
     """Flat-list baseline: the same splice pays an O(n) insert + scan."""
-    __, store, handle = _large_doc(size)
-    remote = store.handle(handle.doc, cache="flat")
+    db, __, handle = _large_doc(size)
+    remote = _attach_flat_replica(db, handle)
     anchors = _mid_anchors(handle, size, 64)
     state = {"i": 0}
 
@@ -244,13 +261,13 @@ def test_cache_remote_splice_flat(benchmark, size):
         remote.close()
 
 
-def _replica_splice_seconds(kind: str, size: int, count: int) -> float:
+def _replica_splice_seconds(cache_cls, size: int, count: int) -> float:
     """Seconds per mid-document keystroke as an order cache of ``size``
     characters sees it: one committed row through ``splice_rows``."""
     import gc
 
     begin = Oid("bench.char", 0)
-    cache = make_order_cache(kind, (
+    cache = cache_cls((
         {"char": Oid("bench.char", seq), "ch": "a", "style": None,
          "author": "ana"} for seq in range(1, size + 1)))
     rng = random.Random(size)
@@ -286,10 +303,10 @@ def test_shape_cache_chunked_beats_flat_256k():
     flat one at least triples it (~6.5x measured)."""
     import gc
 
-    chunked_16k = _replica_splice_seconds("chunked", 16_000, 200)
-    chunked_256k = _replica_splice_seconds("chunked", 256_000, 200)
-    flat_16k = _replica_splice_seconds("flat", 16_000, 20)
-    flat_256k = _replica_splice_seconds("flat", 256_000, 20)
+    chunked_16k = _replica_splice_seconds(ChunkedOrderCache, 16_000, 200)
+    chunked_256k = _replica_splice_seconds(ChunkedOrderCache, 256_000, 200)
+    flat_16k = _replica_splice_seconds(FlatOrderCache, 16_000, 20)
+    flat_256k = _replica_splice_seconds(FlatOrderCache, 256_000, 20)
     assert chunked_256k <= 6.0 * chunked_16k, (chunked_256k, chunked_16k)
     assert flat_256k >= 8.0 * flat_16k, (flat_256k, flat_16k)
     assert flat_256k >= 30.0 * chunked_256k, (flat_256k, chunked_256k)
@@ -311,7 +328,7 @@ def test_shape_cache_chunked_beats_flat_256k():
         chunked = min(typed_seconds(20) for __ in range(3))
     finally:
         remote.close()
-    remote = store.handle(handle.doc, cache="flat")
+    remote = _attach_flat_replica(db, handle)
     try:
         flat = min(typed_seconds(4) for __ in range(3))
     finally:

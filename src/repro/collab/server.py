@@ -38,10 +38,12 @@ from .session import EditingSession, Notification
 from .undo import UndoManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..db.transaction import Change, Transaction
+    from ..feed.changefeed import CommitBatch
 
-#: Tables whose commits are pushed to sessions as change notifications.
-_WATCHED_TABLES = frozenset(
+#: Tables whose commits are announced to editors: as change notifications
+#: to sessions here, as NOTIFY metadata on the wire (where only CHARS
+#: rows travel).
+WATCHED_TABLES = frozenset(
     (S.CHARS, S.OBJECTS, S.NOTES, S.STRUCTURE, S.DOCUMENTS))
 
 
@@ -90,8 +92,11 @@ class CollaborationServer:
         #: ``perf_counter`` at the start of the in-flight operation —
         #: the keystroke zero point stamped onto notification envelopes.
         self._operating_started: float | None = None
-        self._subscription = self.db.bus.subscribe("db.commit",
-                                                   self._on_commit)
+        # A notice consumer of the changefeed (dispatched after every
+        # state-keeping one: see ``NOTICE_CONSUMERS``), so a session is
+        # never told of a change its handle cannot read yet.
+        self._subscription = self.db.changefeed().subscribe(
+            "collab-fanout", self._on_commit, tables=WATCHED_TABLES)
 
     @property
     def stats(self) -> dict:
@@ -221,13 +226,15 @@ class CollaborationServer:
                 self._operating_session = previous
                 self._operating_started = previous_started
 
-    def _on_commit(self, event) -> None:
-        changes: list[Change] = event["changes"]
+    def _on_commit(self, batch: "CommitBatch") -> None:
+        """Feed consumer: one notification per changed document to every
+        other session that has it open.  Runs under the feed's dispatch
+        lock, so it only appends to inboxes (or the delivery backlog)."""
         #: doc -> [tables touched, number of changes]
         by_doc: dict = {}
-        for change in changes:
+        for change in batch.events:
             row = change.row
-            if row is None or change.table not in _WATCHED_TABLES:
+            if row is None:
                 continue
             doc = row.get("doc")
             if doc is None:
@@ -245,6 +252,7 @@ class CollaborationServer:
         origin_user = origin.user if origin else None
         origin_started = self._operating_started if origin else None
         now = self.db.now()
+        failed = None
         for doc, (tables, count) in by_doc.items():
             readers = [session for session in self.sessions_on(doc)
                        if session.id != origin_id]
@@ -261,10 +269,17 @@ class CollaborationServer:
                     ctx[0] if ctx else None, ctx[1] if ctx else None,
                     origin_started)
                 for session in readers:
-                    self.delivery.send(session, notification)
+                    try:
+                        self.delivery.send(session, notification)
+                    except Exception as exc:
+                        # One broken inbox must not cost the others
+                        # their notice; the feed records the failure.
+                        failed = exc
                 if readers:
                     self._m_notifications.inc(len(readers))
                     self._f_notifications.labels(doc=doc).inc(len(readers))
+        if failed is not None:
+            raise failed
 
     # ------------------------------------------------------------------
     # Teardown
@@ -275,7 +290,7 @@ class CollaborationServer:
         self.delivery.drain()
         for session in list(self._sessions.values()):
             session.disconnect()
-        self._subscription.cancel()
+        self._subscription.close()
         self.db.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -416,8 +416,9 @@ class EditingSession:
 
     def _notify(self, notification: Notification) -> None:
         """Land a delivered notification in the inbox (the remote-apply
-        moment: the editor's cached view was already spliced by the
-        commit trigger, so inbox arrival is when the change becomes
+        moment: the document's order cache was already spliced — the
+        feed hands a batch to the fan-out only after every state-keeping
+        consumer — so inbox arrival is when the change becomes
         *visible* to this session).  Traced as ``collab.apply``, child
         of the delivery span via the thread context stack."""
         with self.server.db.obs.tracer.span("collab.apply",

@@ -1,7 +1,7 @@
 """The database engine facade.
 
 :class:`Database` ties the pieces together: tables, the lock manager, the
-write-ahead log, commit triggers and the event bus.  It is the "fully-
+write-ahead log and the post-commit changefeed.  It is the "fully-
 fledged database" substrate on which the TeNDaX text extension is built —
 transactions here are the "real-time transactions" of the paper.
 
@@ -24,7 +24,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ..clock import Clock, SystemClock
 from ..errors import DuplicateTableError, UnknownTableError
-from ..events import EventBus
 from ..ids import IdNamespace, Oid
 from ..obs import Observability
 from . import wal as walmod
@@ -34,7 +33,6 @@ from .query import Query, RowView, find
 from .schema import Column, TableSchema
 from .table import Table
 from .transaction import BatchJoin, Change, Transaction, TxnMetrics
-from .triggers import TriggerRegistry
 from .wal import WriteAheadLog
 
 
@@ -101,8 +99,6 @@ class Database:
                                  group_commit=wal_group_commit,
                                  group_window=wal_group_window,
                                  group_max=wal_group_max)
-        self.bus = EventBus()
-        self.triggers = TriggerRegistry()
         self.catalog = Catalog(self)
         self._tables: dict[str, Table] = {}
         self._txn_counter = itertools.count(1)
@@ -129,9 +125,10 @@ class Database:
         #: explicit :meth:`gc_versions` calls).
         self.gc_interval = 512
         self._commits_since_gc = 0
-        #: Post-commit changefeed, created lazily by :meth:`changefeed`
-        #: so feed-less engines pay nothing on the commit path.
-        self._feed = None
+        #: Post-commit changefeed; ``None`` until :meth:`changefeed`
+        #: creates it, so feed-less engines pay nothing on the commit
+        #: path (a replica's applier does not even build the changes).
+        self.feed = None
 
     # ------------------------------------------------------------------
     # DDL
@@ -289,26 +286,28 @@ class Database:
                 txn.abort()
             raise
         else:
-            # Clear the thread-local *before* committing so commit
-            # triggers that open their own transactions don't join a
+            # Clear the thread-local *before* committing so feed
+            # consumers that open their own transactions don't join a
             # batch that is already sealing.
             self._batch_local.txn = None
             if txn.is_active:
                 self.txn_metrics.batched_ops.observe(txn.batched_ops)
                 txn.commit()
 
-    def on_commit(self, txn: Transaction, changes: list[Change]) -> None:
-        """Called by a transaction after it applied its commit."""
+    def on_commit(self, txn_id: int, lsn: int,
+                  changes: Sequence[Change]) -> None:
+        """The one call made after a write transaction became visible —
+        by a local :meth:`Transaction.commit` or by a replica applying a
+        shipped one — once its images are applied and its locks
+        released.  ``lsn`` is the COMMIT record's."""
         self.stats["commits"] += 1
         self._commits_since_gc += 1
         if self._commits_since_gc >= self.gc_interval:
             # Benign racy counter: a skipped or doubled GC pass is fine.
             self._commits_since_gc = 0
             self.gc_versions()
-        self.triggers.dispatch(txn, changes)
-        if self._feed is not None:
-            self._feed.publish(txn, changes)
-        self.bus.publish("db.commit", txn_id=txn.txn_id, changes=changes)
+        if self.feed is not None:
+            self.feed.publish(txn_id, lsn, changes)
 
     def changefeed(self, *, retention: int = 512):
         """This database's post-commit changefeed (created on first use).
@@ -317,15 +316,10 @@ class Database:
         (see :mod:`repro.feed`); ``retention`` applies only on the call
         that creates the feed.
         """
-        if self._feed is None:
+        if self.feed is None:
             from ..feed.changefeed import Changefeed
-            self._feed = Changefeed(self, retention=retention)
-        return self._feed
-
-    def on_abort(self, txn: Transaction) -> None:
-        """Called by a transaction after it rolled back."""
-        self.stats["aborts"] += 1
-        self.bus.publish("db.abort", txn_id=txn.txn_id)
+            self.feed = Changefeed(self, retention=retention)
+        return self.feed
 
     # ------------------------------------------------------------------
     # Autocommit conveniences

@@ -1,13 +1,13 @@
-"""Transactions: strict two-phase locking, WAL logging, commit triggers.
+"""Transactions: strict two-phase locking, WAL logging, one post-commit call.
 
 A transaction stages row images in the tables it touches (see
 :mod:`repro.db.table`), holding exclusive row locks until commit or abort,
 and buffers one redo statement per operation.  COMMIT hands the buffer to
 the log as one block and then makes the staged images effective; an abort
-leaves the log untouched.  On commit the engine publishes a ``db.commit``
-event carrying the full change list — this is the hook that drives
-real-time propagation to editor clients, metadata capture and dynamic
-folder refresh.
+leaves the log untouched.  A commit ends in one call,
+:meth:`Database.on_commit`, which publishes the full change list on the
+changefeed — the stream that drives real-time propagation to editor
+clients, metadata capture and dynamic folder refresh.
 """
 
 from __future__ import annotations
@@ -137,9 +137,6 @@ class Transaction:
         #: Editing operations that joined this transaction via
         #: ``Database.batch()`` (observed as ``txn.batched_ops``).
         self.batched_ops = 0
-        #: LSN of this transaction's COMMIT record (set during commit;
-        #: the changefeed stamps its commit batch with it).
-        self.commit_lsn: int | None = None
         self._lock = threading.RLock()
         self._metrics = db.txn_metrics
         if read_only:
@@ -377,7 +374,7 @@ class Transaction:
     # -- lifecycle ------------------------------------------------------------
 
     def commit(self) -> list[Change]:
-        """Commit: log, apply staged images, release locks, fire triggers.
+        """Commit: log, apply staged images, release locks, publish.
 
         The log sees the transaction here for the first time: BEGIN,
         the buffered statements and COMMIT go down as one block.  That
@@ -395,9 +392,9 @@ class Transaction:
 
         A read-only transaction has nothing to log or apply: commit just
         settles its lifecycle (and releases its snapshot pin / shared
-        locks).  No crash points fire and no commit event is published,
-        so snapshot readers are invisible to torture schedules and
-        commit triggers alike.
+        locks).  No crash points fire and nothing is published, so
+        snapshot readers are invisible to torture schedules and feed
+        consumers alike.
         """
         self._require_active()
         db = self._db
@@ -428,7 +425,6 @@ class Transaction:
                                             dml=self._log).lsn
                         db.raise_commit_floor(txn_id, lsn)
                         db.faults.fire("txn.post_commit", txn=txn_id)
-                        self.commit_lsn = lsn
                         if self._rekeyed:
                             for table_name, rowid in self._ops:
                                 db.table(table_name).unfile_changed_keys(
@@ -459,14 +455,14 @@ class Transaction:
                         self.state = TxnState.COMMITTED
                     finally:
                         # Applied (or dead): snapshots may now cover this
-                        # commit.  Cleared before on_commit so triggers
-                        # opening snapshots see the changes firing them.
+                        # commit.  Cleared before on_commit so consumers
+                        # opening snapshots see the changes handed to them.
                         db.clear_commit_intent(txn_id)
             except CrashSignal:
                 self._finish("crash")
                 raise
             db.locks.release_all(txn_id)
-            db.on_commit(self, changes)
+            db.on_commit(txn_id, lsn, changes)
         self._metrics.commit_seconds.observe(perf_counter() - started)
         self._metrics.ops.observe(len(self._ops))
         self._finish("commit")
@@ -485,7 +481,7 @@ class Transaction:
         self.state = TxnState.ABORTED
         self._db.locks.release_all(self.txn_id)
         if not self.read_only:
-            self._db.on_abort(self)
+            self._db.stats["aborts"] += 1
         self._finish("abort")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

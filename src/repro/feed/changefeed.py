@@ -4,10 +4,10 @@ One ordered, LSN-stamped stream of committed row changes per database.
 Every committed write transaction becomes exactly one
 :class:`CommitBatch` — its events carry *before-images*, so a delete
 event still shows the vanished row — and consumers subscribe with a
-named :class:`FeedSubscription` instead of a raw commit trigger:
+named :class:`FeedSubscription`:
 
-* **sync** consumers run inside the publishing commit (like triggers)
-  and are acked automatically when their handler returns;
+* **sync** consumers run inside the publishing commit and are acked
+  automatically when their handler returns;
 * **deferred** consumers use the handler only to record work (mark a
   document dirty) and ack later, when the derived state has actually
   absorbed the batch — the gap between the feed head and their ack is
@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..errors import CrashSignal, FeedGapError, RecoveryError
@@ -42,10 +41,16 @@ from ..db.wal import WalRecord, columns_from_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
-    from ..db.transaction import Transaction
 
 #: Table holding durable consumer cursors, created on first checkpoint.
 CURSOR_TABLE = "tx_feed_cursors"
+
+#: State before notice: the consumers that *announce* a commit to
+#: editors (the in-process and the wire fan-out) are handed a batch only
+#: after every consumer that *keeps state* from it — order-cache
+#: replicas, index, folders, collector, whenever those subscribed — so
+#: nobody is told of a change a handle on this engine cannot yet read.
+NOTICE_CONSUMERS = ("collab-fanout", "net-fanout")
 
 #: A consumer handler: receives one batch (pre-filtered to the
 #: subscription's tables) after the publishing commit applied.
@@ -105,6 +110,8 @@ class FeedSubscription:
         self.tables = tables
         self.deferred = deferred
         self.active = True
+        #: One of the feed's ``NOTICE_CONSUMERS`` (dispatched last).
+        self.notice = False
         self.delivered_seq = 0
         self.acked_seq = 0
         #: This consumer's ``feed.lag{consumer=…}`` series, resolved
@@ -146,13 +153,14 @@ class Changefeed:
     """The database's single ordered post-commit event stream.
 
     Created lazily by :meth:`~repro.db.engine.Database.changefeed`; the
-    engine calls :meth:`publish` once per committed write transaction
-    (after the commit applied and locks released, in place of where the
-    legacy per-table triggers fire).  Publishing and dispatch run under
-    one reentrant lock, so consumers observe batches in one global
-    order even under concurrent committers — a consumer that itself
-    commits (the metadata collector writes stat rows) publishes its
-    nested batch inline, preserving causality.
+    engine calls :meth:`publish` once per committed write transaction —
+    a local commit or a follower's apply of a shipped one — after the
+    commit applied and its locks were released, and calls nothing else.
+    Publishing and dispatch run under one reentrant lock, so consumers
+    observe batches in one global order even under concurrent
+    committers — a consumer that itself commits publishes its nested
+    batch inline, preserving causality.  Handlers therefore run with
+    that lock held: they must not block on another committer.
 
     ``retention`` bounds the in-memory tail kept for
     :meth:`batches_since`; consumers that fall further behind get a
@@ -168,8 +176,10 @@ class Changefeed:
         self._subs: list[FeedSubscription] = []
         self._last_seq = 0
         self._last_lsn = 0
-        #: Recent consumer failures as (consumer, exception) pairs —
-        #: same isolation contract as TriggerRegistry.errors.
+        #: Recent consumer failures as (consumer, exception) pairs: a
+        #: failing consumer must not damage the already-committed
+        #: transaction, so dispatch isolates exceptions here instead of
+        #: propagating them.
         self.errors: list[tuple[str, Exception]] = []
         registry = db.obs.registry
         self._m_events = registry.counter("feed.events")
@@ -239,6 +249,8 @@ class Changefeed:
         ``deferred`` consumers must call
         :meth:`FeedSubscription.ack` themselves once the batch is
         absorbed; sync consumers are acked when ``fn`` returns.
+        Dispatch order is subscription order, except that the
+        :data:`NOTICE_CONSUMERS` stay behind everyone else.
         """
         table_set = frozenset(tables) if tables is not None else None
         with self._lock:
@@ -251,7 +263,12 @@ class Changefeed:
             sub = FeedSubscription(self, unique, fn, tables=table_set,
                                    deferred=deferred)
             sub.delivered_seq = sub.acked_seq = self._last_seq
-            self._subs.append(sub)
+            sub.notice = name in NOTICE_CONSUMERS
+            at = len(self._subs)
+            if not sub.notice:
+                while at and self._subs[at - 1].notice:
+                    at -= 1
+            self._subs.insert(at, sub)
             return sub
 
     def _remove(self, sub: FeedSubscription) -> None:
@@ -264,24 +281,24 @@ class Changefeed:
     # Publish / dispatch
     # ------------------------------------------------------------------
 
-    def publish(self, txn: "Transaction", changes: Sequence["Change"]) -> None:
+    def publish(self, txn_id: int, lsn: int,
+                changes: Sequence[Change]) -> None:
         """Turn one committed transaction into a batch and dispatch it.
 
-        Called by :meth:`Database.on_commit`; empty change lists publish
-        nothing.  The ``feed.mid_dispatch`` crash point fires before
-        each consumer invocation, so crash schedules can kill the
-        process with a batch half-dispatched — the recovery contract is
-        that checkpointed cursors plus WAL catch-up redeliver it.
+        Called by :meth:`Database.on_commit` with the transaction's id
+        and COMMIT LSN; empty change lists publish nothing.  The
+        ``feed.mid_dispatch`` crash point fires before each consumer
+        invocation, so crash schedules can kill the process with a batch
+        half-dispatched — the recovery contract is that checkpointed
+        cursors plus WAL catch-up redeliver it.
         """
         if not changes:
             return
         events = tuple(changes)
         with self._lock:
             self._last_seq += 1
-            lsn = txn.commit_lsn if txn.commit_lsn is not None \
-                else self._db.wal.last_lsn()
             self._last_lsn = max(self._last_lsn, lsn)
-            batch = CommitBatch(self._last_seq, lsn, txn.txn_id,
+            batch = CommitBatch(self._last_seq, lsn, txn_id,
                                 self._db.now(), events)
             self._batches.append(batch)
             while len(self._batches) > self._retention:

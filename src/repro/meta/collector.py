@@ -6,7 +6,7 @@ Most raw metadata already lands in the tables as a side effect of editing
 (per-character author/time/copy refs, the access log, the copy log).  This
 module adds:
 
-* live in-memory *edit counters* per document, fed by commit triggers —
+* live in-memory *edit counters* per document, fed by the changefeed —
   cheap observability without extra writes on the keystroke path, and
 * :meth:`MetadataCollector.document_profile` — the consolidated
   document-level metadata record the paper enumerates (creator, dates,

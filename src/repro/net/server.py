@@ -46,6 +46,7 @@ from dataclasses import replace
 from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
+from ..collab.server import WATCHED_TABLES
 from ..db.wal import render_record
 from ..errors import NetError, ProtocolError, TendaxError
 from ..faults.injector import NO_FAULTS
@@ -84,10 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..collab.session import EditingSession
 
 __all__ = ["CollabNetServer", "ServerThread"]
-
-#: Tables that flag a document as changed in NOTIFY metadata (the same
-#: set the in-process server watches; only CHARS rows ride the wire).
-_WATCHED_TABLES = (S.CHARS, S.OBJECTS, S.NOTES, S.STRUCTURE, S.DOCUMENTS)
 
 #: Queue sentinel that tells a sender task to flush and exit.
 _CLOSE = object()
@@ -195,11 +192,11 @@ class CollabNetServer:
         self._server = await asyncio.start_server(
             self._client_connected, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        # Subscribed *after* the collab server's own commit subscription
-        # (made in its constructor), so in-process handles have already
+        # A notice consumer of the changefeed: dispatched after every
+        # state-keeping consumer, so in-process handles have already
         # spliced their caches when the wire fan-out reads state.
-        self._commit_sub = self.collab.db.bus.subscribe(
-            "db.commit", self._on_commit)
+        self._commit_sub = self.collab.db.changefeed().subscribe(
+            "net-fanout", self._on_commit, tables=WATCHED_TABLES)
         if self.telemetry_interval > 0:
             self._sampler_task = asyncio.ensure_future(self._sample_loop())
         return self
@@ -219,7 +216,7 @@ class CollabNetServer:
                 await self._sampler_task
             self._sampler_task = None
         if self._commit_sub is not None:
-            self._commit_sub.cancel()
+            self._commit_sub.close()
             self._commit_sub = None
         for conn in list(self._connections.values()):
             await self._close_connection(conn, reason="server shutdown")
@@ -814,11 +811,12 @@ class CollabNetServer:
     # Commit fan-out
     # ------------------------------------------------------------------
 
-    def _on_commit(self, event) -> None:
-        deltas = self._collect(event["changes"])
+    def _on_commit(self, batch) -> None:
+        """Feed consumer, run under the feed's dispatch lock: everything
+        from here to the send queues is non-blocking (``put_nowait``, a
+        transport abort for a full queue, ``call_soon_threadsafe``)."""
+        deltas = self._collect(batch.events)
         if not deltas:
-            return
-        if self._loop is None:
             return
         if threading.get_ident() == self._loop_thread:
             self._fanout(deltas, self._current_conn)
@@ -832,7 +830,7 @@ class CollabNetServer:
         """Per-document deltas of one commit (rep_seq already bumped)."""
         by_doc: dict[Any, dict] = {}
         for change in changes:
-            if change.table not in _WATCHED_TABLES or change.row is None:
+            if change.row is None:
                 continue
             doc = change.row.get("doc")
             if doc is None:
@@ -872,6 +870,7 @@ class CollabNetServer:
             for conn in self._connections.values():
                 if conn.session is not None:
                     conn.session.inbox.clear()
+            failed = None
             for delta in deltas:
                 doc_notifies = self._f_notifies.labels(doc=delta["doc"])
                 if origin is not None and self._current_echo is not None:
@@ -902,7 +901,15 @@ class CollabNetServer:
                     if delta["doc"] in conn.session.open_documents():
                         self._m_notifies.inc()
                         doc_notifies.inc()
-                        self._enqueue(conn, notify)
+                        try:
+                            self._enqueue(conn, notify)
+                        except Exception as exc:
+                            # One broken connection must not cost the
+                            # others their NOTIFY; the feed (or the
+                            # loop) records the failure.
+                            failed = exc
+            if failed is not None:
+                raise failed
 
 
 class ServerThread:

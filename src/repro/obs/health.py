@@ -214,6 +214,20 @@ def evaluate_health(snapshot: Mapping[str, dict], store=None, *,
         else:
             add("feed.lag", OK, lag, f"max consumer lag {lag:.0f} batches")
 
+    # Failing feed consumers: a handler raised, so some derived state
+    # or some editor missed a commit.  The commit itself is unharmed
+    # (the feed isolates its consumers); degraded while failures still
+    # fall inside the window, like ``net.faults``.
+    if "feed.consumer_errors" in snapshot:
+        failures = _windowed_rate(store, snapshot, "feed.consumer_errors",
+                                  t.window)
+        if failures > 0:
+            add("feed.consumers", DEGRADED, failures,
+                f"{failures:.2f} consumer failures per second")
+        else:
+            add("feed.consumers", OK, failures,
+                "no consumer failures in window")
+
     # Collector pauses: a full collection walks the whole live heap
     # with every thread stopped, and no layer's latency metric sees it.
     full = "runtime.gc_pause_seconds{generation=2}"

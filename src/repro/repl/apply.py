@@ -104,11 +104,16 @@ class ReplicationApplier:
         a crash there leaves a torn in-memory state that restart
         recovery must repair from the local log.  Each installed row
         carries the object-id allocators past the ids it holds, so a
-        promotion finds them already ahead of everything shipped.
+        promotion finds them already ahead of everything shipped.  It
+        ends where a local commit ends, in the one
+        :meth:`~repro.db.engine.Database.on_commit` call, so the
+        replica's changefeed consumers and version GC follow the stream;
+        the change list is built only when a feed is there to read it.
         """
         db = self._db
         txn_id = record.txn_id
         ops = self._core.feed(record)
+        publishing = db.feed is not None
         db.register_commit_intent(txn_id)
         try:
             db.wal.append_shipped(record)
@@ -138,6 +143,8 @@ class ReplicationApplier:
                 if kind == "noop":
                     continue
                 pushed += VERSIONS_PUSHED[kind]
+                if not publishing:
+                    continue
                 row_dict = table.schema.row_dict
                 changes.append(Change(
                     op.table, kind, rowid,
@@ -147,5 +154,4 @@ class ReplicationApplier:
                 db.txn_metrics.versions_live.inc(pushed)
         finally:
             db.clear_commit_intent(txn_id)
-        db.stats["commits"] += 1
-        db.bus.publish("db.commit", txn_id=txn_id, changes=changes)
+        db.on_commit(txn_id, record.lsn, changes)

@@ -34,7 +34,7 @@ from ..errors import (InvalidPositionError, RowNotFoundError,
 from ..ids import Oid
 from . import chars as C
 from . import dbschema as S
-from .ordercache import make_order_cache, position_after, splice_rows
+from .ordercache import ChunkedOrderCache, position_after, splice_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.query import RowView
@@ -61,8 +61,8 @@ class DocumentStore:
         self.db = db
         self.log_reads = log_reads
         self.log_writes = log_writes
-        #: (doc, cache kind) -> the replica its open handles share.
-        self._replicas: dict[tuple[Oid, str], _DocReplica] = {}
+        #: doc -> the replica its open handles share.
+        self._replicas: dict[Oid, _DocReplica] = {}
         self._replicas_lock = threading.Lock()
         S.install_text_schema(db)
 
@@ -102,8 +102,7 @@ class DocumentStore:
             handle.insert_text(0, text, creator)
         return handle
 
-    def open(self, doc: Oid, user: str, *,
-             cache: str = "chunked") -> "DocumentHandle":
+    def open(self, doc: Oid, user: str) -> "DocumentHandle":
         """Open an existing document for ``user`` (logged as a read)."""
         self.meta(doc)  # raises if unknown
         if self.log_reads:
@@ -111,17 +110,12 @@ class DocumentStore:
                 "entry": self.db.new_oid("log"), "doc": doc,
                 "user": user, "action": "read", "at": self.db.now(),
             })
-        return DocumentHandle(self, doc, cache=cache)
+        return DocumentHandle(self, doc)
 
-    def handle(self, doc: Oid, *, cache: str = "chunked") -> "DocumentHandle":
-        """Open without logging (internal tooling, tests, benchmarks).
-
-        ``cache`` selects the order-cache implementation: ``"chunked"``
-        (the default) or ``"flat"`` (the O(n) baseline the large-document
-        benchmarks compare against).
-        """
+    def handle(self, doc: Oid) -> "DocumentHandle":
+        """Open without logging (internal tooling, tests, benchmarks)."""
         self.meta(doc)
-        return DocumentHandle(self, doc, cache=cache)
+        return DocumentHandle(self, doc)
 
     def meta(self, doc: Oid) -> dict:
         """The document-level metadata row."""
@@ -236,14 +230,13 @@ class DocumentStore:
     # Shared order-cache replicas (one per open document)
     # ------------------------------------------------------------------
 
-    def _attach(self, doc: Oid, begin_char: Oid | None,
-                kind: str) -> "_DocReplica":
+    def _attach(self, doc: Oid, begin_char: Oid | None) -> "_DocReplica":
         """The replica of ``doc`` for one more handle (built on first use)."""
         with self._replicas_lock:
-            replica = self._replicas.get((doc, kind))
+            replica = self._replicas.get(doc)
             if replica is None:
-                replica = self._replicas[doc, kind] = _DocReplica(
-                    self.db, doc, begin_char, kind)
+                replica = self._replicas[doc] = _DocReplica(
+                    self.db, doc, begin_char)
             replica.handles += 1
             return replica
 
@@ -252,7 +245,7 @@ class DocumentStore:
         with self._replicas_lock:
             replica.handles -= 1
             if not replica.handles:
-                del self._replicas[replica.doc, replica.kind]
+                del self._replicas[replica.doc]
                 replica.close()
 
 
@@ -260,18 +253,17 @@ class _DocReplica:
     """One open document's order cache and the subscription feeding it.
 
     Owned by the :class:`DocumentStore`, shared by every open
-    :class:`DocumentHandle` of the same document and cache kind: built
-    by one chain walk when the first handle opens, spliced once per
-    commit, dropped (and unsubscribed) when the last handle closes.
+    :class:`DocumentHandle` of the same document: built by one chain
+    walk when the first handle opens, spliced once per commit, dropped
+    (and unsubscribed) when the last handle closes.
     """
 
-    def __init__(self, db: Database, doc: Oid, begin_char: Oid | None,
-                 kind: str) -> None:
+    def __init__(self, db: Database, doc: Oid,
+                 begin_char: Oid | None) -> None:
         self.db = db
         self.doc = doc
         self.begin_char = begin_char
-        self.kind = kind
-        self.cache = make_order_cache(kind)
+        self.cache = ChunkedOrderCache()
         #: Open handles reading this replica.
         self.handles = 0
         #: user -> ``at`` of their newest *committed* ``write`` entry in
@@ -347,8 +339,7 @@ class DocumentHandle:
     editor as soon as [it is] stored persistently".
     """
 
-    def __init__(self, store: DocumentStore, doc: Oid, *,
-                 cache: str = "chunked") -> None:
+    def __init__(self, store: DocumentStore, doc: Oid) -> None:
         self.store = store
         self.db = store.db
         self.doc = doc
@@ -360,7 +351,7 @@ class DocumentHandle:
         self.end_char: Oid = meta["end_char"]
         self._m_lookup = self.db.obs.registry.histogram(
             "doc.cache_lookup_seconds")
-        self._replica = store._attach(doc, self.begin_char, cache)
+        self._replica = store._attach(doc, self.begin_char)
         self._cache = self._replica.cache
         self._closed = False
 

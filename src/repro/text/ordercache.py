@@ -27,9 +27,11 @@ Batch forms (``insert_run`` / ``remove_run`` / ``positions_of`` /
 cost one lookup and one slice operation per chunk they touch, not k
 lookups and k ``list.insert`` calls.
 
-:class:`FlatOrderCache` preserves the original flat-list behaviour and
-exists as the measured baseline for the large-document benchmarks
-(``benchmarks/bench_editing_transactions.py``).
+:class:`FlatOrderCache` preserves the original flat-list behaviour: it
+is the reference implementation ``tests/test_order_cache.py`` compares
+against and the measured baseline of the large-document benchmarks
+(``benchmarks/bench_editing_transactions.py``); nothing in ``src/``
+builds one.
 
 Both caches maintain, per visible character, the payload the rendering
 paths need (character, style, author); style changes are O(1) updates.
@@ -758,22 +760,3 @@ def _apply_run(cache, run: list[dict], inserting: bool, begin: Oid,
             position_after(cache, run[0]["prev"], begin, prev_of), run)
     else:
         cache.remove_run([row["char"] for row in run])
-
-
-#: Cache kinds selectable when opening a handle (benchmarks use "flat").
-CACHE_KINDS = {
-    "chunked": ChunkedOrderCache,
-    "flat": FlatOrderCache,
-}
-
-
-def make_order_cache(kind: str, rows: Iterable[dict] = ()):
-    """Build an order cache by kind name (``"chunked"`` | ``"flat"``)."""
-    try:
-        cls = CACHE_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown order-cache kind {kind!r}; "
-            f"expected one of {sorted(CACHE_KINDS)}"
-        ) from None
-    return cls(rows)

@@ -105,9 +105,102 @@ class TestDispatch:
 
         db.changefeed().subscribe("bad", explode, tables=("kv",))
         db.changefeed().subscribe("good", seen.append, tables=("kv",))
-        db.insert("kv", {"k": "a", "v": 1})
+        rowid = db.insert("kv", {"k": "a", "v": 1})  # must not raise
+        assert db.get("kv", rowid)["v"] == 1  # commit fully applied
         assert len(seen) == 1  # the good consumer still ran
-        assert db.changefeed().errors[-1][0] == "bad"
+        name, exc = db.changefeed().errors[-1]
+        assert name == "bad" and isinstance(exc, RuntimeError)
+        assert db.metrics_snapshot()["feed.consumer_errors"]["value"] == 1
+
+    def test_error_list_is_bounded(self):
+        db = make_db()
+
+        def explode(batch):
+            raise ValueError("x")
+
+        db.changefeed().subscribe("bad", explode, tables=("kv",))
+        for i in range(120):
+            db.insert("kv", {"k": f"k{i}", "v": i})
+        assert len(db.changefeed().errors) == 100
+        assert db.metrics_snapshot()["feed.consumer_errors"]["value"] == 120
+
+    def test_mixed_commit_is_filtered_per_consumer(self):
+        db = make_db()
+        db.create_table("other", [column("x", "int")])
+        only_kv, everything = [], []
+        db.changefeed().subscribe("kv-only", only_kv.append, tables=("kv",))
+        db.changefeed().subscribe("all-tables", everything.append)
+        with db.transaction() as txn:
+            txn.insert("kv", {"k": "a", "v": 1})
+            txn.insert("other", {"x": 2})
+        assert [[e.table for e in b.events] for b in only_kv] == [["kv"]]
+        assert [[e.table for e in b.events] for b in everything] == \
+            [["kv", "other"]]
+        assert only_kv[0].seq == everything[0].seq
+
+    def test_nothing_is_delivered_on_abort(self):
+        db = make_db()
+        seen = []
+        db.changefeed().subscribe("probe", seen.append)
+        txn = db.begin()
+        txn.insert("kv", {"k": "a", "v": 1})
+        txn.abort()
+        assert seen == [] and db.changefeed().last_seq == 0
+        assert db.stats["aborts"] == 1
+
+    def test_consumer_may_commit_its_own_transaction(self):
+        db = make_db()
+        db.create_table("echo", [column("v", "int")])
+        order = []
+
+        def echo(batch):
+            db.insert("echo", {"v": batch.events[0].row["v"]})
+
+        db.changefeed().subscribe("echo", echo, tables=("kv",))
+        db.changefeed().subscribe(
+            "probe", lambda b: order.append([e.table for e in b.events]))
+        db.insert("kv", {"k": "a", "v": 42})
+        assert db.query("echo").run()[0]["v"] == 42
+        # The nested commit is published inline, inside the outer dispatch.
+        assert order == [["echo"], ["kv"]]
+        assert db.changefeed().errors == []
+
+    def test_subscriptions_changed_during_dispatch(self):
+        db = make_db()
+        feed = db.changefeed()
+        seen = []
+
+        def first(batch):
+            seen.append("first")
+            second.close()
+            feed.subscribe("late", lambda b: seen.append("late"))
+
+        feed.subscribe("first", first)
+        second = feed.subscribe("second", lambda b: seen.append("second"))
+        db.insert("kv", {"k": "a", "v": 1})
+        # A consumer closed mid-dispatch is skipped; one added
+        # mid-dispatch starts with the next batch.
+        assert seen == ["first"]
+        db.insert("kv", {"k": "b", "v": 2})
+        assert seen == ["first", "first", "late"]
+
+    def test_notice_consumers_are_handed_a_batch_last(self):
+        db = make_db()
+        feed = db.changefeed()
+        order = []
+        for name in ("early", "net-fanout", "collab-fanout", "late",
+                     "collab-fanout"):
+            feed.subscribe(name, lambda b, name=name: order.append(name))
+        db.insert("kv", {"k": "a", "v": 1})
+        assert order == ["early", "late", "net-fanout", "collab-fanout",
+                         "collab-fanout"]
+        # ... and fail like any consumer: recorded by name, isolated.
+        def explode(batch):
+            raise RuntimeError("fan-out bug")
+
+        feed.subscribe("net-fanout", explode)
+        db.insert("kv", {"k": "b", "v": 2})
+        assert feed.errors[-1][0] == "net-fanout-2"
 
 
 class TestRetention:

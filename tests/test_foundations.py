@@ -1,4 +1,4 @@
-"""Tests for the foundation modules: ids, clock, events, errors."""
+"""Tests for the foundation modules: ids, clock, errors."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.errors import (
     TransactionAborted,
     UndoError,
 )
-from repro.events import EventBus
 from repro.ids import IdGenerator, IdNamespace, Oid
 
 
@@ -95,51 +94,6 @@ class TestClocks:
             clock.advance(-1)
         with pytest.raises(ValueError):
             SimulatedClock(tick=-0.1)
-
-
-class TestEventBusEdgeCases:
-    def test_handler_added_during_delivery_not_called(self):
-        bus = EventBus()
-        seen = []
-
-        def handler(event):
-            seen.append("first")
-            bus.subscribe("x", lambda e: seen.append("late"))
-
-        bus.subscribe("x", handler)
-        bus.publish("x")
-        assert seen == ["first"]
-        bus.publish("x")
-        assert seen.count("late") == 1
-
-    def test_cancel_during_delivery(self):
-        bus = EventBus()
-        seen = []
-        sub2_holder = {}
-
-        def canceller(event):
-            seen.append("canceller")
-            sub2_holder["sub"].cancel()
-
-        bus.subscribe("x", canceller)
-        sub2_holder["sub"] = bus.subscribe("x", lambda e: seen.append("two"))
-        bus.publish("x")
-        # The cancelled handler is skipped because `active` is checked.
-        assert seen == ["canceller"]
-
-    def test_len(self):
-        bus = EventBus()
-        sub = bus.subscribe("a", lambda e: None)
-        assert len(bus) == 1
-        sub.cancel()
-        assert len(bus) == 0
-
-    def test_exact_topic_no_glob(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("db.commit", lambda e: seen.append(1))
-        bus.publish("db.commit.extra")
-        assert seen == []
 
 
 class TestErrorHierarchy:

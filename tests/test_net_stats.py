@@ -127,7 +127,8 @@ class TestHealthScrape:
         assert health["status"] == "ok"
         assert {c["check"] for c in health["checks"]} == {
             "wal.fsync_stall", "net.send_queue", "gc.backlog",
-            "net.churn", "net.faults", "feed.lag", "gc.pause"}
+            "net.churn", "net.faults", "feed.lag", "feed.consumers",
+            "gc.pause"}
 
     def test_mid_session_health_verb(self):
         collab = make_collab()

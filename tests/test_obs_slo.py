@@ -159,6 +159,28 @@ class TestHealth:
         assert by["net.faults"]["status"] == "ok", \
             f"faults older than the {window}s window must not degrade"
 
+    def test_consumer_failures_degrade_then_roll_clear(self):
+        registry = MetricsRegistry()
+        clock = SimulatedClock(start=START, tick=0.0)
+        store = TelemetryStore(registry, clock, interval=1.0,
+                               capacity=1024)
+        errors = registry.counter("feed.consumer_errors")
+        store.sample(now=START)
+        by = {c["check"]: c for c in
+              evaluate_health(registry.snapshot(), store)["checks"]}
+        assert by["feed.consumers"]["status"] == "ok"
+        errors.inc()
+        store.sample(now=START + 5)
+        health = evaluate_health(registry.snapshot(), store)
+        by = {c["check"]: c for c in health["checks"]}
+        assert by["feed.consumers"]["status"] == "degraded"
+        assert health["status"] == "degraded"
+        for second in range(6, 180):
+            store.sample(now=START + second)
+        by = {c["check"]: c for c in
+              evaluate_health(registry.snapshot(), store)["checks"]}
+        assert by["feed.consumers"]["status"] == "ok"
+
     def test_send_queue_shed_is_unhealthy(self):
         registry = MetricsRegistry()
         clock = SimulatedClock(start=START, tick=0.0)

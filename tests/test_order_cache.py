@@ -27,7 +27,6 @@ from repro.text import chars as C
 from repro.text.ordercache import (
     ChunkedOrderCache,
     FlatOrderCache,
-    make_order_cache,
     splice_rows,
 )
 
@@ -137,12 +136,6 @@ class TestChunkedOrderCache:
         cache.remove(_oid(3))
         assert cache.text() == "aZbcefgh"
         assert cache.check() == []
-
-    def test_make_order_cache_kinds(self):
-        assert isinstance(make_order_cache("chunked"), ChunkedOrderCache)
-        assert isinstance(make_order_cache("flat"), FlatOrderCache)
-        with pytest.raises(ValueError):
-            make_order_cache("btree")
 
 
 @settings(max_examples=60, deadline=None)
@@ -480,11 +473,19 @@ def test_splice_rows_resolves_one_position_per_run():
 )
 def test_cache_order_matches_chain_after_interleaved_bursts(ops):
     """Seeded interleaved insert/delete/undelete bursts across two handles
-    (one chunked, one flat): every cache equals the database chain."""
+    on two replicas, with the flat reference cache following the same
+    feed: every cache equals the database chain."""
     db = Database("p")
     store = DocumentStore(db, log_reads=False, log_writes=False)
     h1 = store.create("d", "u1")
-    h2 = store.handle(h1.doc, cache="flat")
+    h2 = DocumentStore(db, log_reads=False, log_writes=False).handle(h1.doc)
+    flat = FlatOrderCache()
+
+    def follow(batch):
+        splice_rows(flat, [e.row for e in batch.events], h1.begin_char,
+                    lambda oid: C.char_row(db, oid)[1]["prev"])
+
+    db.changefeed().subscribe("flat-reference", follow, tables=("tx_chars",))
     deleted_batches: list[list] = []
     for kind, raw_pos, text in ops:
         handle = h1 if raw_pos % 2 == 0 else h2
@@ -504,7 +505,8 @@ def test_cache_order_matches_chain_after_interleaved_bursts(ops):
     assert h2.text() == chain
     assert h1._cache.check() == []
     assert h2._cache.check() == []
-    assert h1.char_oids() == h2.char_oids()
+    assert h1.char_oids() == h2.char_oids() == flat.oids()
+    assert flat.text() == chain
     # A freshly refreshed view agrees with the incrementally maintained one.
     h1.refresh()
     assert h1.text() == chain

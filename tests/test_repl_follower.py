@@ -16,8 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, column
-from repro.errors import ReplicationError
+from repro.errors import CrashSignal, ReplicationError
+from repro.faults import FaultInjector, FaultPlan
+from repro.feed import MaintenanceWorker
 from repro.repl import FollowerEngine, WalFileTailer, WalTailer
+from repro.search import InvertedIndex
+from repro.text import DocumentStore
 
 TABLE = "notes"
 
@@ -99,6 +103,93 @@ class TestTailerConvergence:
         assert gauge["value"] == follower.lag_lsn
         WalTailer(leader.wal, follower).poll()
         assert follower.lag_lsn == 0
+        leader.close(); follower.close()
+
+
+class TestTheReplicaPublishesItsApplies:
+    """A shipped commit ends in the same ``Database.on_commit`` as a
+    local one: the replica's changefeed moves, so whatever is derived
+    from it (open handles, an index) follows the stream, and version GC
+    ticks.  Consumers on a replica only read."""
+
+    def test_open_handle_and_index_follow_the_stream(self, tmp_path):
+        leader = Database("leader", wal_path=str(tmp_path / "leader.wal"))
+        pad = DocumentStore(leader).create("pad", "ana", text="hello")
+        follower = FollowerEngine(node="replica")
+        tailer = WalTailer(leader.wal, follower)
+        tailer.poll()
+        # The schema arrived with the stream: the store installs nothing.
+        handle = DocumentStore(follower.db).handle(pad.doc)
+        index = InvertedIndex(follower.db)
+        worker = MaintenanceWorker(follower.db)
+        worker.register("search-index", index.maintain,
+                        sub=index.subscription, checkpoint=False)
+        assert handle.text() == "hello"
+        mirrored = len(follower.db.wal)
+
+        def full_scans() -> int:
+            return follower.db.metrics_snapshot()["doc.full_scans"]["value"]
+
+        scans = full_scans()
+        pad.insert_text(5, " world", "ana")
+        pad.delete_range(0, 1, "ana")
+        tailer.poll()
+        assert handle.text() == pad.text() == "ello world"
+        assert handle.check_integrity() == []
+        assert full_scans() == scans
+        assert follower.db.changefeed().last_seq == 2
+        assert index.matching_docs(["world"]) == set()
+        worker.run_once()
+        assert index.matching_docs(["world"]) == {pad.doc}
+        assert index.check() == []
+        assert follower.db.changefeed().errors == []
+        # Nothing but shipped records reached the replica's log.
+        assert len(follower.db.wal) - mirrored == \
+            follower.applied_lsn - mirrored == len(leader.wal) - mirrored
+        leader.close(); follower.close()
+
+    def test_replica_dying_mid_dispatch_resumes_from_its_mirror(
+            self, tmp_path):
+        leader = Database("leader", wal_path=str(tmp_path / "leader.wal"))
+        pad = DocumentStore(leader).create("pad", "ana", text="hello")
+        mirror = str(tmp_path / "replica.wal")
+        plan = FaultPlan.crash_once("feed.mid_dispatch", hit=2)
+        follower = FollowerEngine(mirror, faults=FaultInjector(plan))
+        tailer = WalTailer(leader.wal, follower)
+        tailer.poll()
+        handle = DocumentStore(follower.db).handle(pad.doc)
+        for ch in " world":
+            pad.insert_text(pad.length(), ch, "ana")
+        with pytest.raises(CrashSignal):
+            tailer.poll()
+        # The commit being dispatched was mirrored and applied before its
+        # batch was handed out: a restart finds it in the local log.
+        assert handle.text() == "hello "
+        follower.close()
+        follower = FollowerEngine(mirror)
+        WalTailer(leader.wal, follower).poll()
+        reopened = DocumentStore(follower.db).handle(pad.doc)
+        assert reopened.text() == pad.text() == "hello world"
+        assert reopened.check_integrity() == []
+        leader.close(); follower.close()
+
+    def test_version_gc_runs_on_the_replica(self, tmp_path):
+        leader = make_leader(str(tmp_path / "leader.wal"), n_txns=2)
+        follower = FollowerEngine(node="replica")
+        tailer = WalTailer(leader.wal, follower)
+        tailer.poll()
+        with follower.db.snapshot() as pinned:
+            before = pinned.read(TABLE, 1)
+            for v in range(1000):
+                leader.update(TABLE, 1, {"v": v})
+            tailer.poll()
+            # The pin holds every version above it back from the GC.
+            assert pinned.read(TABLE, 1) == before
+        for v in range(2000):
+            leader.update(TABLE, 1, {"v": -v})
+        tailer.poll()
+        assert rows(follower.db) == rows(leader)
+        assert follower.db.live_versions() <= 2 * leader.live_versions()
         leader.close(); follower.close()
 
 

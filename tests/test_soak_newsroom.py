@@ -212,8 +212,8 @@ class TestNewsroomInvariants:
             assert clone.text() == article.text()
             assert clone.check_integrity() == []
 
-    def test_no_trigger_errors_leaked(self, newsroom):
-        assert newsroom["server"].db.triggers.errors == []
+    def test_no_consumer_errors_leaked(self, newsroom):
+        assert newsroom["server"].db.changefeed().errors == []
 
     def test_undo_still_functional_after_soak(self, newsroom):
         server = newsroom["server"]

@@ -260,7 +260,7 @@ class TestMultiHandlePropagation:
         h1.insert_text(1, "y", "ana")
         assert h1.length() == 2
         h1.close()
-        writer = store.handle(h1.doc, cache="flat")  # a different replica
+        writer = DocumentStore(store.db).handle(h1.doc)  # another replica
         writer.insert_text(2, "z", "ana")
         assert h1.length() == h2.length() == 2  # stale by design after close
         h2.refresh()
