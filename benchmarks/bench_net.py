@@ -36,6 +36,7 @@ import pytest
 from repro.collab import CollaborationServer
 from repro.ids import Oid
 from repro.net import DocMirror, NetworkClient, ServerThread
+from repro.net.protocol import Delta
 
 SETTLE_SECONDS = 10.0
 STORM_SIZES = [8]
@@ -197,8 +198,12 @@ _DOC = Oid("bench", 0)
 
 
 def _char_row(seq: int, ch: str, prev, nxt, *, deleted: bool = False) -> dict:
-    return {"char": Oid("char", seq), "doc": _DOC, "ch": ch, "prev": prev,
-            "next": nxt, "author": "ana", "deleted": deleted, "style": None}
+    """A whole row image as the wire carries it (defaults left out)."""
+    row = {"char": Oid("char", seq), "ch": ch, "prev": prev, "next": nxt,
+           "author": "ana"}
+    if deleted:
+        row["deleted"] = True
+    return row
 
 
 def _mirror(size: int) -> DocMirror:
@@ -222,8 +227,9 @@ def _keystroke_and_lookups(mirror: DocMirror,
     before = mirror.rows[anchor]
     after = mirror.rows[before["next"]]
     typed = _char_row(next(fresh), "k", anchor, after["char"])
-    mirror.apply(seq, (typed, dict(before, next=typed["char"]),
-                       dict(after, prev=typed["char"])))
+    mirror.apply(Delta(_DOC, seq, (
+        typed, {"char": anchor, "next": typed["char"]},
+        {"char": after["char"], "prev": typed["char"]})))
     n = mirror.length()
     position = mirror.position_of(typed["char"])
     assert mirror.oid_at(position) == typed["char"]

@@ -90,6 +90,10 @@ class AwarenessRegistry:
         """All cursor states currently in a document."""
         return list(self._cursors.get(doc, {}).values())
 
+    def cursor_of(self, doc: Oid, session_id: int) -> CursorState | None:
+        """One session's cursor in a document (``None`` if not there)."""
+        return self._cursors.get(doc, {}).get(session_id)
+
     def cursor_positions(self, handle: DocumentHandle) -> dict[str, int]:
         """user -> resolved cursor position, for display."""
         return {

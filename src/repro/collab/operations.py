@@ -77,6 +77,21 @@ class UndoRecord:
         from ..text.objects import ObjectManager
         return ObjectManager(handle.db)
 
+    def cursor_anchor(self, handle: DocumentHandle) -> Oid | None:
+        """Where the operation leaves its author's cursor — *the* rule,
+        for every editor on every transport: after the last character
+        typed or pasted; before the first one deleted, which as an
+        anchor is the visible character in front of it (what an editor
+        moving there itself would name).  Anything else (layout,
+        objects) moves no cursor: ``None``.
+        """
+        if self.kind == "insert":
+            return self.oids[-1]
+        if self.kind == "delete":
+            return handle.anchor_for(
+                handle.visible_position_after(self.oids[0]))
+        return None
+
 
 class Operation:
     """Base class for editing operations."""

@@ -216,12 +216,16 @@ class EditingSession:
             self.server.acl.check_chars_editable(doc, self.user, touched)
         with self.server._operating(self, verb=type(op).__name__):
             record = op.apply(handle, self.user)
+        now = self.server.db.now()
         if record is not None:
             self.server.undo.record(record)
+            anchor = record.cursor_anchor(handle)
+            if anchor is not None:
+                # An edit drops the selection, like a cursor move does.
+                self.server.awareness.update_cursor(
+                    doc, self.id, anchor, (), now)
         self.server.awareness.note_activity(
-            self.server.db.now(), self.user, doc,
-            type(op).__name__,
-        )
+            now, self.user, doc, type(op).__name__)
         return record
 
     # ------------------------------------------------------------------

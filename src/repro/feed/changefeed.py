@@ -330,15 +330,26 @@ class Changefeed:
         except CrashSignal:
             raise
         except Exception as exc:
-            self.errors.append((sub.name, exc))
-            if len(self.errors) > 100:
-                del self.errors[: len(self.errors) - 100]
-            self._m_errors.inc()
+            self.consumer_failed(sub.name, exc)
             return
         if not sub.deferred:
             self._ack_locked(sub, batch.seq)
         else:
             sub._report_lag()
+
+    def consumer_failed(self, name: str, exc: Exception) -> None:
+        """Record that consumer ``name`` failed on a committed batch.
+
+        Dispatch calls this for a handler that raised; a consumer that
+        finishes part of its work after its handler returned (the wire
+        fan-out queues an OP's NOTIFYs once the verb is done) reports a
+        failure there the same way, so ``feed.consumer_errors`` and the
+        ``feed.consumers`` health check cover both."""
+        with self._lock:
+            self.errors.append((name, exc))
+            if len(self.errors) > 100:
+                del self.errors[: len(self.errors) - 100]
+            self._m_errors.inc()
 
     def _ack(self, sub: FeedSubscription, seq: int) -> None:
         with self._lock:

@@ -6,7 +6,9 @@ package is the actual wire:
 
 * :mod:`repro.net.protocol` — the length-prefixed JSON envelope
   protocol (HELLO/WELCOME handshake, OP/ACK RPC with durable-LSN
-  acknowledgement, NOTIFY change fan-out, AWARENESS, PING/PONG, BYE);
+  acknowledgement, NOTIFY change fan-out, AWARENESS, PING/PONG, BYE)
+  and the row forms a change travels in (whole images and patches,
+  one merge rule);
 * :mod:`repro.net.server` — :class:`CollabNetServer`, an asyncio TCP
   server fronting a :class:`~repro.collab.server.CollaborationServer`
   with per-connection bounded send queues and backpressure;
@@ -16,8 +18,9 @@ package is the actual wire:
   network unchanged;
 * :mod:`repro.net.mirror` — :class:`DocMirror`, the client-side replica
   of a document's character rows plus an order index over the visible
-  ones (every read is O(1)/O(√n)), maintained from NOTIFY deltas with
-  sequence-gap detection and anti-entropy resync;
+  ones (every read is O(1)/O(√n)) and everyone's cursors, maintained
+  from NOTIFY deltas with sequence-gap detection and anti-entropy
+  resync;
 * :mod:`repro.net.replica` — the WAL-shipping wire endpoints:
   :class:`ReplicationClient` (SUBSCRIBE/WAL_SEGMENT/REPL_ACK pull
   stream into a :class:`~repro.repl.follower.FollowerEngine`) and

@@ -21,6 +21,12 @@ are applied during :meth:`NetworkClient.poll` (or opportunistically
 while waiting for an ACK).  Sequence gaps — dropped or reordered frames
 under a fault plan — are healed by anti-entropy ``resync`` snapshots.
 
+Presence rides the same frames: a delta names the cursor its edit left
+behind, the mirror places it with the rows, and the awareness facade
+sends an AWARENESS frame of its own only when the editor's cursor is
+not where the server already holds it (a plain cursor move).  A typed
+character is three frames: OP, ACK, NOTIFY.
+
 The client is synchronous and single-threaded by design: the tests and
 the load harness drive many clients from many *processes* (the paper's
 actual topology), not many threads in one.
@@ -60,6 +66,7 @@ from .protocol import (
     encode_frame,
     error_class,
     open_connection,
+    wire_cursor,
 )
 
 __all__ = ["NetNotification", "NetworkClient", "RemoteHandle",
@@ -114,7 +121,7 @@ class NetNotification:
     ``latency`` is receive time minus the server's send stamp —
     the wire half of the propagation the smoke/load tools measure.
     ``status`` is the mirror's verdict (``applied``/``buffered``/
-    ``stale``).
+    ``stale``/``gap``).
     """
 
     doc: Any
@@ -151,10 +158,8 @@ class NetworkClient:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.session_id = 0
         self.node = ""
-        #: doc oid -> local replica.
+        #: doc oid -> local replica (rows, index and everyone's cursors).
         self.mirrors: dict[Any, DocMirror] = {}
-        #: Remote cursor states: doc -> session_id -> state dict.
-        self.remote_cursors: dict[Any, dict[int, dict]] = {}
         #: Applied remote changes not yet collected by the caller.
         self.pending_notifications: list[NetNotification] = []
         self.reconnects = 0
@@ -163,7 +168,8 @@ class NetworkClient:
         self._inbound: deque = deque()
         self._op_seq = itertools.count(1)
         self._in_rpc = False
-        self._resync_due: set = set()
+        #: doc -> whether the resync was caused by a patch without a base.
+        self._resync_due: dict[Any, bool] = {}
         self._connect()
 
     # ------------------------------------------------------------------
@@ -293,25 +299,24 @@ class NetworkClient:
     def _apply_echo(self, echo: tuple) -> None:
         """Apply the ACK's own-commit deltas to the local mirrors."""
         for delta in echo:
-            mirror = self.mirrors.get(delta["doc"])
+            mirror = self.mirrors.get(delta.doc)
             if mirror is None:
                 continue
-            status = mirror.apply(delta["rep_seq"], tuple(delta["rows"]))
-            if status == "buffered":
+            status = mirror.apply(delta)
+            if status in ("buffered", "gap"):
                 # Our own commit outran a NOTIFY we never got: a frame
                 # was dropped ahead of us.  Heal after this RPC returns.
-                self._resync_due.add(delta["doc"])
+                self._schedule_resync(delta.doc, status)
 
     def _handle_async(self, envelope) -> None:
         if isinstance(envelope, Notify):
             self._apply_notify(envelope)
         elif isinstance(envelope, Awareness):
-            states = self.remote_cursors.setdefault(envelope.doc, {})
-            states[envelope.session_id] = {
-                "user": envelope.user,
-                "anchor": envelope.anchor,
-                "selection": tuple(envelope.selection),
-            }
+            mirror = self.mirrors.get(envelope.doc)
+            if mirror is not None:
+                mirror.place_cursor(wire_cursor(
+                    envelope.session_id, envelope.user, envelope.anchor,
+                    envelope.selection))
         elif isinstance(envelope, (Pong, Ping)):
             pass
         else:
@@ -319,7 +324,8 @@ class NetworkClient:
                 f"unexpected {envelope.TYPE!r} envelope from server")
 
     def _apply_notify(self, notify: Notify) -> None:
-        mirror = self.mirrors.get(notify.doc)
+        delta = notify.delta
+        mirror = self.mirrors.get(delta.doc)
         if mirror is None:
             return
         # Resume the originating keystroke's trace: this span shares its
@@ -327,15 +333,16 @@ class NetworkClient:
         # net.op/net.fanout spans — one causal chain across three
         # processes.
         with self.tracer.span("net.apply", parent_ctx=notify.trace_ctx,
-                              doc=str(notify.doc), rep_seq=notify.rep_seq,
+                              doc=str(delta.doc), rep_seq=delta.rep_seq,
                               user=self.user):
-            status = mirror.apply(notify.rep_seq, tuple(notify.rows))
-        if status == "buffered" and \
-                len(mirror.pending) > _RESYNC_PENDING_THRESHOLD:
-            self._resync_due.add(notify.doc)
+            status = mirror.apply(delta)
+        if status == "gap" or (
+                status == "buffered"
+                and len(mirror.pending) > _RESYNC_PENDING_THRESHOLD):
+            self._schedule_resync(delta.doc, status)
         self.pending_notifications.append(NetNotification(
-            doc=notify.doc,
-            rep_seq=notify.rep_seq,
+            doc=delta.doc,
+            rep_seq=delta.rep_seq,
             tables=tuple(notify.tables),
             n_changes=notify.n_changes,
             origin_session=notify.origin_session,
@@ -346,15 +353,30 @@ class NetworkClient:
             trace_id=notify.trace_id,
         ))
 
+    def _schedule_resync(self, doc, status: str) -> None:
+        self._resync_due[doc] = \
+            self._resync_due.get(doc, False) or status == "gap"
+
     def _run_due_resyncs(self) -> None:
         while self._resync_due:
-            doc = self._resync_due.pop()
-            mirror = self.mirrors.get(doc)
-            if mirror is None:
-                continue
-            snapshot = self._rpc("resync", {"doc": doc})
-            if snapshot["rep_seq"] > mirror.last_seq or mirror.gap:
-                mirror.load(snapshot)
+            doc, missing_base = self._resync_due.popitem()
+            if doc in self.mirrors:
+                self._resync(doc, missing_base)
+
+    def _resync(self, doc, missing_base: bool = False) -> None:
+        """One anti-entropy round trip: fetch a snapshot and load it if
+        it is news.  ``missing_base`` tells the server the cause was a
+        patch without a base (it counts those)."""
+        mirror = self.mirrors[doc]
+        snapshot = self._rpc("resync", {"doc": doc,
+                                        "missing_base": missing_base})
+        if snapshot["rep_seq"] > mirror.last_seq or mirror.gap:
+            mirror.load(snapshot)
+        else:
+            # No news in the rows; a cursor move whose AWARENESS frame
+            # was lost is news all the same.
+            for cursor in snapshot["cursors"]:
+                mirror.place_cursor(cursor)
 
     # ------------------------------------------------------------------
     # Public surface
@@ -393,10 +415,7 @@ class NetworkClient:
     def sync(self, doc) -> None:
         """Force an anti-entropy round trip for one document."""
         self.poll()
-        mirror = self.mirrors[doc]
-        snapshot = self._rpc("resync", {"doc": doc})
-        if snapshot["rep_seq"] > mirror.last_seq or mirror.gap:
-            mirror.load(snapshot)
+        self._resync(doc)
 
     def ping(self) -> float:
         """Round-trip the control lane; returns elapsed seconds."""
@@ -413,6 +432,11 @@ class NetworkClient:
         """Fire-and-forget cursor/selection presence."""
         self._send(Awareness(doc=doc, anchor=anchor,
                              selection=tuple(selection)))
+        mirror = self.mirrors.get(doc)
+        if mirror is not None:
+            # What the server now holds for this connection.
+            mirror.place_cursor(wire_cursor(
+                self.session_id, self.user, anchor, selection))
 
     def server_stats(self) -> dict:
         return self._rpc("stats", {})
@@ -512,31 +536,39 @@ class _RemoteAwareness:
 
     def __init__(self, client: NetworkClient) -> None:
         self._client = client
-        #: Our own last published cursor per doc (anchor, selection).
-        self._own: dict[Any, tuple] = {}
 
     def update_cursor(self, doc, session_id: int, anchor,
                       selection: tuple, now: float) -> None:
-        self._own[doc] = (anchor, tuple(selection))
-        self._client.publish_cursor(doc, anchor, tuple(selection))
+        """Publish the editor's cursor unless the server already holds
+        it there — it placed the cursor itself when it ran the edit and
+        said so on the ACK, so typing sends nothing.  If the two sides
+        disagree (or the mirror is gone) the frame is sent."""
+        client = self._client
+        mirror = client.mirrors.get(doc)
+        held = None if mirror is None else \
+            mirror.cursors.get(client.session_id)
+        if held is None or held["anchor"] != anchor \
+                or held["selection"] != list(selection):
+            client.publish_cursor(doc, anchor, selection)
 
     def cursor_positions(self, handle) -> dict[str, int]:
-        """user -> resolved position, from received broadcasts + own."""
-        positions: dict[str, int] = {}
-        states = self._client.remote_cursors.get(handle.doc, {})
-        for state in states.values():
-            positions[state["user"]] = handle.visible_position_after(
-                state["anchor"])
-        own = self._own.get(handle.doc)
+        """user -> resolved position, from the mirror's cursors; this
+        connection's own wins over another session of the same user."""
+        cursors = handle.mirror.cursors
+        positions = {
+            cursor["user"]: handle.visible_position_after(cursor["anchor"])
+            for cursor in cursors.values()}
+        own = cursors.get(self._client.session_id)
         if own is not None:
-            positions[self._client.user] = handle.visible_position_after(
-                own[0])
+            positions[own["user"]] = handle.visible_position_after(
+                own["anchor"])
         return positions
 
     def participants(self, doc) -> list[str]:
-        users = {state["user"]
-                 for state in self._client.remote_cursors.get(doc, {}).values()}
-        users.add(self._client.user)
+        mirror = self._client.mirrors.get(doc)
+        users = {self._client.user}
+        if mirror is not None:
+            users.update(c["user"] for c in mirror.cursors.values())
         return sorted(users)
 
 

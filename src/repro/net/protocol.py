@@ -23,14 +23,16 @@ Envelope types
     ERROR with an ``op_seq`` is an application error (the connection
     lives on); ERROR without one is fatal.
 ``NOTIFY``
-    Change fan-out: the changed character rows of one committed
-    transaction for one document, stamped with a per-document
-    replication sequence number (``rep_seq``).  Clients apply deltas in
-    sequence order; a gap (dropped or reordered frame) is detected by
-    the mirror and healed by an anti-entropy ``resync`` OP.
+    Change fan-out: one :class:`Delta` — what one committed transaction
+    did to one document, stamped with a per-document replication
+    sequence number (``rep_seq``).  Clients apply deltas in sequence
+    order; a gap (dropped or reordered frame) is detected by the mirror
+    and healed by an anti-entropy ``resync`` OP.
 ``AWARENESS``
-    Cursor/selection presence, both directions (client publish, server
-    broadcast).  Fire-and-forget: never acked, faultable like NOTIFY.
+    Cursor/selection presence that no edit implies (a plain cursor
+    move), both directions (client publish, server broadcast).
+    Fire-and-forget: never acked, faultable like NOTIFY.  The cursor an
+    edit leaves behind rides the edit's own delta instead.
 ``PING`` / ``PONG`` / ``BYE``
     Liveness and orderly goodbye.
 ``SUBSCRIBE`` / ``WAL_SEGMENT`` / ``REPL_ACK``
@@ -55,6 +57,20 @@ Envelope types
     authenticating as an editor (the shared token, when configured, is
     still required) — and also mid-session after HELLO.
 
+Deltas and rows
+---------------
+A :class:`Delta` is ``{doc, rep_seq, rows, cursor}``: the character
+rows a commit changed and where it left its author's cursor.  It is the
+unit both lanes carry — the ACK's ``echo`` to the author, a NOTIFY to
+every other reader — and is rendered to JSON once, whoever receives it.
+Rows travel as deltas under one merge rule (:func:`wire_row` /
+:func:`merge_row`): a row the receiver cannot have is a *whole image* —
+its columns that differ from a blank row, always including ``ch`` — and
+a changed row is a *patch* — ``char`` plus the columns the commit
+changed, never ``ch``.  An ``open``/``resync`` snapshot is whole images
+only.  A patch whose base the receiver does not hold is a gap, healed
+by resync; it is never padded with defaults.
+
 The protocol is deliberately strict: unknown envelope types, missing or
 mistyped required fields, oversized or malformed frames all raise
 :class:`~repro.errors.ProtocolError`, which the server answers with a
@@ -70,15 +86,19 @@ import struct
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Iterator
 
-from ..db.wal import WalRecord, decode_value, encode_value, parse_records
+from ..db.wal import WalRecord, encode_value, parse_records
 from ..errors import ProtocolError
+from ..ids import Oid
+from ..text.dbschema import CHAR_COLUMNS
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "Ack",
     "Awareness",
+    "BLANK_ROW",
     "Bye",
+    "Delta",
     "ENVELOPE_TYPES",
     "Envelope",
     "Error",
@@ -100,11 +120,16 @@ __all__ = [
     "decode_envelope",
     "encode_frame",
     "error_class",
+    "merge_row",
     "open_connection",
+    "wire_cursor",
+    "wire_row",
 ]
 
-#: Bumped on incompatible envelope changes; HELLO carries the client's.
-PROTOCOL_VERSION = 1
+#: Bumped on incompatible envelope changes; HELLO carries the client's
+#: and the server refuses any other.  2: rows travel as deltas, an
+#: edit's cursor rides its ACK and NOTIFY.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's JSON payload.  Large enough for a full
 #: document snapshot in a resync ACK, small enough that a hostile
@@ -113,32 +138,190 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _HEADER = struct.Struct("!I")
 
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ProtocolError(message)
+
+
+# ----------------------------------------------------------------------
+# Character rows on the wire
+# ----------------------------------------------------------------------
+
+#: What a character row holds before anything is known about it: the
+#: schema's defaults.  A whole image is sent as its difference from this
+#: (and from the document it travels for), and merged back onto it.
+BLANK_ROW: dict[str, Any] = {c.name: c.default for c in CHAR_COLUMNS}
+
+
+def wire_row(row: dict, before: dict | None = None) -> dict:
+    """One committed character row as it travels.
+
+    Without ``before`` (an insert, a snapshot) the whole image: every
+    column that differs from :data:`BLANK_ROW` except ``doc``, which the
+    delta or snapshot around it names once.  With ``before`` (the image
+    the commit superseded) a patch: ``char`` plus the columns that
+    changed.  ``ch`` is in every whole image — a sentinel's is ``""``,
+    the blank row's is ``None`` — and in no patch, since a character
+    never becomes another one: its presence is how :func:`merge_row`
+    tells the two apart.
+    """
+    if before is None:
+        out = {k: v for k, v in row.items() if v != BLANK_ROW[k]}
+        del out["doc"]
+        return out
+    out = {k: v for k, v in row.items() if before[k] != v}
+    out["char"] = row["char"]
+    return out
+
+
+def merge_row(row: dict, base: dict | None, doc: Any) -> dict | None:
+    """The full row a :func:`wire_row` leaves behind at the receiver —
+    the wire twin of :func:`repro.db.replay.merge_image`.
+
+    A whole image lands on a blank row of ``doc``; a patch lands on
+    ``base``, the row the receiver holds for that character.  A patch
+    without a base returns ``None``: the history that produced the row
+    is missing, and the caller must fetch it rather than invent it.
+    """
+    if "ch" in row:
+        return {**BLANK_ROW, "doc": doc, **row}
+    return None if base is None else {**base, **row}
+
+
+def _check_rows(rows: Any, where: str) -> None:
+    _require(isinstance(rows, list), f"{where} must be a list")
+    columns = BLANK_ROW.keys()
+    for row in rows:
+        _require(isinstance(row, dict), f"{where} holds a non-object row")
+        _require("char" in row, f"{where} holds a row without 'char'")
+        if not row.keys() <= columns:
+            raise ProtocolError(
+                f"{where} holds unknown column(s) "
+                f"{sorted(row.keys() - columns)}")
+
+
+def wire_cursor(session: int, user: str, anchor: Oid,
+                selection=()) -> dict:
+    """A participant's cursor as deltas, snapshots and mirrors hold it:
+    whose it is and the character it sits after."""
+    return {"session": session, "user": user, "anchor": anchor,
+            "selection": list(selection)}
+
+
+_CURSOR_KEYS = frozenset(("session", "user", "anchor", "selection"))
+
+
+def _check_cursor(cursor: Any, where: str) -> None:
+    _require(isinstance(cursor, dict) and cursor.keys() == _CURSOR_KEYS,
+             f"{where} must be an object with exactly "
+             f"{sorted(_CURSOR_KEYS)}")
+    _require(isinstance(cursor["session"], int),
+             f"{where}.session must be an int")
+    _require(isinstance(cursor["user"], str),
+             f"{where}.user must be a string")
+    _require(isinstance(cursor["anchor"], Oid),
+             f"{where}.anchor must be a character oid")
+    _require(isinstance(cursor["selection"], list)
+             and all(isinstance(oid, Oid) for oid in cursor["selection"]),
+             f"{where}.selection must be a list of character oids")
+
+
+_DELTA_KEYS = frozenset(("doc", "rep_seq", "rows", "cursor"))
+
+
+@dataclass(frozen=True)
+class Delta:
+    """What one commit did to one document, as every recipient gets it.
+
+    ``rows`` are :func:`wire_row` forms in commit order; ``cursor`` is
+    where the commit left its author's cursor (``None`` when the author
+    has none: a commit from outside any editor connection).  The author
+    reads it off the ACK's ``echo``, everyone else off a NOTIFY, and the
+    receiving mirror applies rows and cursor together.
+
+    The JSON text is rendered on first use and kept: one ``Delta``
+    object is shared by the ACK and every reader's NOTIFY, so a
+    keystroke's rows are encoded once however many editors have the
+    document open.
+    """
+
+    doc: Any
+    rep_seq: int
+    rows: tuple = ()
+    cursor: dict | None = None
+    _json: str | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def to_wire(self) -> dict:
+        return {"doc": self.doc, "rep_seq": self.rep_seq,
+                "rows": self.rows, "cursor": self.cursor}
+
+    def to_json(self) -> str:
+        if self._json is None:
+            object.__setattr__(self, "_json", self._render())
+        return self._json  # type: ignore[return-value]
+
+    def _render(self) -> str:
+        return _dumps(encode_value(self.to_wire()))
+
+    @classmethod
+    def from_wire(cls, obj: Any, where: str) -> "Delta":
+        """Build a delta from a decoded wire object (strict)."""
+        _require(isinstance(obj, dict) and obj.keys() == _DELTA_KEYS,
+                 f"{where} must be an object with exactly "
+                 f"{sorted(_DELTA_KEYS)}")
+        _require(isinstance(obj["rep_seq"], int),
+                 f"{where}.rep_seq must be an int")
+        _check_rows(obj["rows"], f"{where}.rows")
+        if obj["cursor"] is not None:
+            _check_cursor(obj["cursor"], f"{where}.cursor")
+        return cls(obj["doc"], obj["rep_seq"], tuple(obj["rows"]),
+                   obj["cursor"])
+
+
+# ----------------------------------------------------------------------
+# Envelopes
+# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Envelope:
     """Base class: one wire message.  Subclasses set ``TYPE``."""
 
     TYPE: ClassVar[str] = ""
+    #: Field names, and those without a default; filled in per class
+    #: once every envelope is defined (below ``ENVELOPE_TYPES``).
+    _FIELDS: ClassVar[tuple] = ()
+    _REQUIRED: ClassVar[frozenset] = frozenset()
 
     def to_wire(self) -> dict:
         """The JSON-ready dict (``"t"`` + the dataclass fields)."""
         out: dict[str, Any] = {"t": self.TYPE}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
+        for name in self._FIELDS:
+            out[name] = getattr(self, name)
         return out
+
+    def to_json(self) -> str:
+        """The JSON text of this envelope's frame."""
+        return _dumps(encode_value(self.to_wire()))
+
+    def _json_with(self, key: str, fragment: str) -> str:
+        """:meth:`to_json` with field ``key`` given as ``fragment``,
+        JSON text rendered elsewhere (a :class:`Delta`'s, kept)."""
+        head = Envelope.to_wire(self)
+        del head[key]
+        return f'{_dumps(encode_value(head))[:-1]},"{key}":{fragment}}}'
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Envelope":
         """Build the envelope from a decoded wire dict (strict)."""
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in obj:
-                kwargs[f.name] = obj[f.name]
-            elif f.default is not _MISSING or f.default_factory is not _MISSING:  # type: ignore[misc]
-                continue
-            else:
-                raise ProtocolError(
-                    f"{cls.TYPE} envelope missing required field {f.name!r}")
+        kwargs = {name: obj[name] for name in cls._FIELDS if name in obj}
+        if not kwargs.keys() >= cls._REQUIRED:
+            raise ProtocolError(
+                f"{cls.TYPE} envelope missing required field(s) "
+                f"{sorted(cls._REQUIRED - kwargs.keys())}")
         try:
             env = cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -148,14 +331,6 @@ class Envelope:
 
     def _validate(self) -> None:
         """Subclass hook: raise :class:`ProtocolError` on bad fields."""
-
-
-_MISSING = field().default  # dataclasses.MISSING, without importing it
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ProtocolError(message)
 
 
 @dataclass(frozen=True)
@@ -222,10 +397,10 @@ class Op(Envelope):
 class Ack(Envelope):
     """RPC success: result, durable LSN, and the originator's deltas.
 
-    ``echo`` carries the change deltas the op's own commits produced
-    (``[{"doc", "rep_seq", "rows"}, ...]``): the originator never gets a
-    NOTIFY for its own keystroke (no echo over the faultable lane), so
-    its mirror is updated synchronously from the ACK instead.
+    ``echo`` carries the :class:`Delta` of every commit the op made: the
+    originator never gets a NOTIFY for its own keystroke (no echo over
+    the faultable lane), so its mirror is updated synchronously from the
+    ACK instead — rows and the cursor the server placed for it.
     """
 
     TYPE: ClassVar[str] = "ack"
@@ -239,16 +414,22 @@ class Ack(Envelope):
         _require(isinstance(self.op_seq, int), "ack.op_seq must be an int")
         _require(isinstance(self.lsn, int), "ack.lsn must be an int")
 
+    def to_wire(self) -> dict:
+        out = super().to_wire()
+        out["echo"] = [delta.to_wire() for delta in self.echo]
+        return out
+
+    def to_json(self) -> str:
+        return self._json_with(
+            "echo", "[%s]" % ",".join(d.to_json() for d in self.echo))
+
     @classmethod
     def from_wire(cls, obj: dict) -> "Ack":
         env = super().from_wire(obj)
-        echo = []
-        for delta in env.echo:
-            if isinstance(delta, dict) and isinstance(delta.get("rows"),
-                                                      list):
-                delta = {**delta, "rows": tuple(delta["rows"])}
-            echo.append(delta)
-        object.__setattr__(env, "echo", tuple(echo))
+        _require(isinstance(env.echo, (list, tuple)),
+                 "ack.echo must be a list")
+        object.__setattr__(env, "echo", tuple(
+            Delta.from_wire(delta, "ack.echo[]") for delta in env.echo))
         return env  # type: ignore[return-value]
 
 
@@ -270,22 +451,17 @@ class Error(Envelope):
 
 @dataclass(frozen=True)
 class Notify(Envelope):
-    """Change fan-out: one commit's character-row delta for one doc.
+    """Change fan-out: one commit's :class:`Delta` for one document.
 
-    ``rows`` are full ``tx_chars`` rows (upsert semantics — logical
-    deletes arrive as rows with ``deleted=True``); ``rep_seq`` is the
-    per-document replication sequence the mirror orders deltas by.
     ``trace_id``/``parent_span`` resume the originating keystroke's
     trace on the receiving side; ``sent_at`` is the server's wall-clock
-    send stamp (propagation-latency measurement in the smoke/load
-    tools).
+    stamp of the fan-out (propagation-latency measurement in the
+    smoke/load tools) — one NOTIFY object serves every reader.
     """
 
     TYPE: ClassVar[str] = "notify"
 
-    doc: Any
-    rep_seq: int
-    rows: tuple = ()
+    delta: Delta
     tables: tuple = ()
     n_changes: int = 0
     origin_session: int | None = None
@@ -295,15 +471,19 @@ class Notify(Envelope):
     trace_id: int | None = None
     parent_span: int | None = None
 
-    def _validate(self) -> None:
-        _require(isinstance(self.rep_seq, int),
-                 "notify.rep_seq must be an int")
+    def to_wire(self) -> dict:
+        out = super().to_wire()
+        out["delta"] = self.delta.to_wire()
+        return out
+
+    def to_json(self) -> str:
+        return self._json_with("delta", self.delta.to_json())
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Notify":
         env = super().from_wire(obj)
-        if isinstance(env.rows, list):
-            object.__setattr__(env, "rows", tuple(env.rows))
+        object.__setattr__(env, "delta",
+                           Delta.from_wire(env.delta, "notify.delta"))
         if isinstance(env.tables, list):
             object.__setattr__(env, "tables", tuple(env.tables))
         return env  # type: ignore[return-value]
@@ -317,7 +497,8 @@ class Notify(Envelope):
 
 @dataclass(frozen=True)
 class Awareness(Envelope):
-    """Cursor/selection presence (client publish or server broadcast)."""
+    """Cursor/selection presence no edit implies (client publish or
+    server broadcast); an edit's own cursor rides its :class:`Delta`."""
 
     TYPE: ClassVar[str] = "awareness"
 
@@ -522,12 +703,18 @@ ENVELOPE_TYPES: dict[str, type[Envelope]] = {
                 Subscribe, WalSegment, ReplAck)
 }
 
+_MISSING = field().default  # dataclasses.MISSING, without importing it
+
+for _cls in ENVELOPE_TYPES.values():
+    _cls._FIELDS = tuple(f.name for f in fields(_cls))
+    _cls._REQUIRED = frozenset(
+        f.name for f in fields(_cls)
+        if f.default is _MISSING and f.default_factory is _MISSING)
+
 
 def encode_frame(envelope: Envelope) -> bytes:
     """Serialise one envelope as a length-prefixed wire frame."""
-    payload = json.dumps(
-        encode_value(envelope.to_wire()), separators=(",", ":"),
-    ).encode("utf-8")
+    payload = envelope.to_json().encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -544,7 +731,9 @@ def open_connection(host: str, port: int,
     it reads (OP, then after the ACK a fire-and-forget AWARENESS, then
     the next OP).  Under Nagle the second small write waits for the ACK
     of the first, which the peer's delayed-ACK timer holds back ~40 ms —
-    a stall per keystroke that no amount of server speed removes.
+    a stall no amount of server speed removes.  (Typing no longer
+    writes that AWARENESS — the cursor rides the ACK — but a cursor move
+    followed by a keystroke still writes two frames before it reads.)
     asyncio sets the option on the server's transports already.
     """
     sock = socket.create_connection((host, port), timeout=timeout)
@@ -552,8 +741,23 @@ def open_connection(host: str, port: int,
     return sock
 
 
+def _untag(obj: dict) -> Any:
+    """``json`` object hook: the inverse of ``encode_value``'s tagging,
+    applied as each object is parsed (no second walk of the payload)."""
+    if len(obj) == 1:
+        if "__oid__" in obj:
+            return Oid.parse(obj["__oid__"])
+        if "__bytes__" in obj:
+            return bytes.fromhex(obj["__bytes__"])
+    return obj
+
+
+_parse = json.JSONDecoder(object_hook=_untag).decode
+
+
 def decode_envelope(obj: Any) -> Envelope:
-    """Turn a decoded JSON object into a typed envelope (strict)."""
+    """Turn a parsed frame payload (tags already resolved) into a typed
+    envelope (strict)."""
     if not isinstance(obj, dict):
         raise ProtocolError("frame payload is not a JSON object")
     type_name = obj.get("t")
@@ -561,8 +765,7 @@ def decode_envelope(obj: Any) -> Envelope:
         else None
     if cls is None:
         raise ProtocolError(f"unknown envelope type {type_name!r}")
-    return cls.from_wire(decode_value({k: v for k, v in obj.items()
-                                       if k != "t"}))
+    return cls.from_wire(obj)
 
 
 class FrameDecoder:
@@ -609,8 +812,9 @@ class FrameDecoder:
         payload = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
         del self._buffer[:_HEADER.size + length]
         try:
-            obj = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            obj = _parse(payload.decode("utf-8"))
+        except (ValueError, TypeError, AttributeError) as exc:
+            # Bad UTF-8 or JSON, or a malformed oid/bytes tag.
             raise ProtocolError(f"undecodable frame payload: {exc}") from None
         return decode_envelope(obj)
 

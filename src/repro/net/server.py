@@ -24,6 +24,13 @@ verbs the in-process sessions use.  Design points:
   in order, buffer reordered ones, and heal gaps with a ``resync``
   snapshot RPC.  The originator's own deltas ride its ACK (``echo``) on
   the unfaultable control lane, never as a NOTIFY.
+* **One delta, rendered once.**  A commit's rows travel as the columns
+  it changed, with the cursor it left its author
+  (:class:`~repro.net.protocol.Delta`); the one object is the ACK's echo
+  and every reader's NOTIFY, so its JSON is produced once.  The commits
+  of an OP are fanned out when the verb has returned — the session has
+  placed the cursor by then — which makes a typed character three
+  frames: OP, ACK, NOTIFY.
 * **Socket-level faults.**  The sender consults the fault injector for
   every *faultable* frame (NOTIFY/AWARENESS): seeded drop, in-band
   delay, windowed reorder and forced disconnect — the DeliveryBus fault
@@ -42,7 +49,6 @@ import contextlib
 import itertools
 import threading
 from collections import deque
-from dataclasses import replace
 from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
@@ -61,6 +67,7 @@ from .protocol import (
     Ack,
     Awareness,
     Bye,
+    Delta,
     Envelope,
     Error,
     FrameDecoder,
@@ -78,6 +85,8 @@ from .protocol import (
     WalSegment,
     Welcome,
     encode_frame,
+    wire_cursor,
+    wire_row,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,13 +165,18 @@ class CollabNetServer:
         self._m_dropped = registry.counter("net.frames_dropped")
         self._m_delayed = registry.counter("net.frames_delayed")
         self._m_resyncs = registry.counter("net.resyncs")
+        self._m_missing_base = registry.counter("net.missing_base_rows")
         self._m_scrapes = registry.counter("net.scrapes")
         self._m_segments = registry.counter("repl.segments_shipped")
-        # Dimensioned families (pre-resolved; .labels() per event).
+        # Dimensioned families; a series is resolved on first use and
+        # kept (``_series``), not looked up per frame.
         self._f_op_seconds = registry.family("net.op_seconds", "histogram")
         self._f_notifies = registry.family("net.notifies", "counter")
         self._f_queue_depth = registry.family("net.send_queue_depth",
                                               "gauge")
+        self._verb_seconds: dict[str, Any] = {}
+        self._doc_notifies: dict[Any, Any] = {}
+        self._conn_depths: dict[int, Any] = {}
         self._connections: dict[int, _Connection] = {}
         self._conn_ids = itertools.count(1)
         #: doc oid -> replication sequence of the last fanned-out commit.
@@ -171,10 +185,9 @@ class CollabNetServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: int | None = None
-        #: Connection whose OP is executing right now (echo/suppression
-        #: attribution inside commit fan-out).
-        self._current_conn: _Connection | None = None
-        self._current_echo: list[dict] | None = None
+        #: Commits of the OP executing right now, collected until its
+        #: verb returns (``None`` outside an OP).
+        self._op_commits: list[dict] | None = None
         self._commit_sub = None
         self._handler_tasks: set[asyncio.Task] = set()
         self._repl_conns: set[_Connection] = set()
@@ -256,6 +269,7 @@ class CollabNetServer:
             "frames_dropped": self._m_dropped.value,
             "frames_delayed": self._m_delayed.value,
             "resyncs": self._m_resyncs.value,
+            "missing_base_rows": self._m_missing_base.value,
             "scrapes": self._m_scrapes.value,
         }
 
@@ -484,7 +498,8 @@ class CollabNetServer:
         self._release_batch(conn)
         if self._connections.pop(conn.id, None) is not None:
             self._m_connections.dec()
-            self._f_queue_depth.labels(conn=conn.id).set(0)
+            _series(self._conn_depths, self._f_queue_depth,
+                    conn=conn.id).set(0)
         if conn.sender_task is not None:
             with contextlib.suppress(asyncio.QueueFull):
                 conn.queue.put_nowait(_CLOSE)
@@ -530,7 +545,8 @@ class CollabNetServer:
             self._m_backpressure.inc()
             self._shed(conn)
         else:
-            self._f_queue_depth.labels(conn=conn.id).set(conn.queue.qsize())
+            _series(self._conn_depths, self._f_queue_depth,
+                    conn=conn.id).set(conn.queue.qsize())
 
     def _shed(self, conn: _Connection) -> None:
         """Abort a connection from synchronous context; the reader's EOF
@@ -548,8 +564,6 @@ class CollabNetServer:
             await conn.writer.drain()
 
     def _write(self, conn: _Connection, envelope: Envelope) -> None:
-        if isinstance(envelope, Notify):
-            envelope = replace(envelope, sent_at=time())
         try:
             frame = encode_frame(envelope)
         except ProtocolError as exc:
@@ -672,18 +686,25 @@ class CollabNetServer:
                     self._unlock()
                 elapsed = perf_counter() - started
                 self._m_op_seconds.observe(elapsed)
-                self._f_op_seconds.labels(verb=op.verb).observe(elapsed)
+                _series(self._verb_seconds, self._f_op_seconds,
+                        verb=op.verb).observe(elapsed)
 
     def _execute(self, conn: _Connection, op: Op) -> tuple[Any, list]:
-        """Run one verb; returns ``(result, echo_deltas)``."""
-        self._current_conn = conn
-        self._current_echo = []
+        """Run one verb; returns ``(result, echo_deltas)``.
+
+        Commits made by the verb are collected, not fanned out, while it
+        runs: only once it has returned has the session placed its
+        author's cursor, and that cursor travels with the rows.  They go
+        out whether or not the verb raised — the rows are committed and
+        their ``rep_seq`` is taken.
+        """
+        self._op_commits = commits = []
         try:
             result = self._dispatch(conn, op.verb, op.args)
-            return result, self._current_echo
         finally:
-            self._current_conn = None
-            self._current_echo = None
+            self._op_commits = None
+            echo = self._fanout(commits, conn)
+        return result, echo
 
     def _dispatch(self, conn: _Connection, verb: str, args: dict) -> Any:
         session = conn.session
@@ -719,6 +740,8 @@ class CollabNetServer:
             return session.close(args["doc"])
         if verb == "resync":
             self._m_resyncs.inc()
+            if args.get("missing_base"):
+                self._m_missing_base.inc()
             return self._doc_snapshot(conn, args["doc"])
         if verb == "set_cursor":
             return session.set_cursor(args["doc"], args["pos"],
@@ -769,7 +792,8 @@ class CollabNetServer:
         raise NetError(f"unknown verb {verb!r}")
 
     def _doc_snapshot(self, conn: _Connection, doc) -> dict:
-        """Full character-row snapshot + current rep_seq (open/resync).
+        """Every character row as a whole image, everyone's cursor and
+        the current rep_seq (open/resync): a delta with no base.
 
         Consistent by construction: snapshots are built inside an OP
         (under the op lock, on the loop thread), so no commit can land
@@ -782,7 +806,9 @@ class CollabNetServer:
             "begin": handle.begin_char,
             "end": handle.end_char,
             "rep_seq": self._rep_seq.get(doc, 0),
-            "rows": list(rows.values()),
+            "rows": [wire_row(row) for row in rows.values()],
+            "cursors": [_wire_cursor(state) for state
+                        in self.collab.awareness.cursors(doc)],
         }
 
     # ------------------------------------------------------------------
@@ -793,7 +819,7 @@ class CollabNetServer:
                           envelope: Awareness) -> None:
         session = conn.session
         doc = envelope.doc
-        if doc not in session.open_documents():
+        if not session.has_open(doc):
             return
         self.collab.awareness.update_cursor(
             doc, session.id, envelope.anchor, tuple(envelope.selection),
@@ -804,7 +830,7 @@ class CollabNetServer:
         for other in self._connections.values():
             if other.id == conn.id or other.session is None:
                 continue
-            if doc in other.session.open_documents():
+            if other.session.has_open(doc):
                 self._enqueue(other, broadcast)
 
     # ------------------------------------------------------------------
@@ -812,22 +838,27 @@ class CollabNetServer:
     # ------------------------------------------------------------------
 
     def _on_commit(self, batch) -> None:
-        """Feed consumer, run under the feed's dispatch lock: everything
-        from here to the send queues is non-blocking (``put_nowait``, a
-        transport abort for a full queue, ``call_soon_threadsafe``)."""
-        deltas = self._collect(batch.events)
-        if not deltas:
+        """Feed consumer, run under the feed's dispatch lock: cut the
+        commit into wire rows and take its ``rep_seq``; the fan-out
+        itself happens when the OP that committed has returned, or on
+        the loop for a commit from another thread.  Nothing here blocks
+        (``put_nowait``, a transport abort for a full queue,
+        ``call_soon_threadsafe``)."""
+        commits = self._collect(batch.events)
+        if not commits:
             return
-        if threading.get_ident() == self._loop_thread:
-            self._fanout(deltas, self._current_conn)
-        else:
+        if threading.get_ident() != self._loop_thread:
             # A commit from outside the event loop (an in-process
             # session sharing the collab server): hand the prepared
-            # deltas to the loop; no originating connection to suppress.
-            self._loop.call_soon_threadsafe(self._fanout, deltas, None)
+            # rows to the loop; no originating connection to suppress.
+            self._loop.call_soon_threadsafe(self._fanout, commits, None)
+        elif self._op_commits is not None:
+            self._op_commits.extend(commits)  # _execute fans them out
+        else:
+            self._fanout(commits, None)
 
     def _collect(self, changes) -> list[dict]:
-        """Per-document deltas of one commit (rep_seq already bumped)."""
+        """One commit's changes per document (rep_seq already bumped)."""
         by_doc: dict[Any, dict] = {}
         for change in changes:
             if change.row is None:
@@ -840,56 +871,65 @@ class CollabNetServer:
             entry["tables"].add(change.table)
             entry["count"] += 1
             if change.table == S.CHARS:
-                entry["rows"].append(dict(change.row))
-        deltas = []
+                entry["rows"].append(wire_row(change.row, change.before))
+        commits = []
         for doc, entry in by_doc.items():
             seq = self._rep_seq.get(doc, 0) + 1
             self._rep_seq[doc] = seq
-            deltas.append({
+            commits.append({
                 "doc": doc,
                 "rep_seq": seq,
                 "rows": tuple(entry["rows"]),
                 "tables": tuple(sorted(entry["tables"])),
                 "n_changes": entry["count"],
             })
-        return deltas
+        return commits
 
-    def _fanout(self, deltas: list[dict],
-                origin: _Connection | None) -> None:
+    def _fanout(self, commits: list[dict],
+                origin: _Connection | None) -> list[Delta]:
+        """Send what ``_collect`` gathered to every reader but
+        ``origin``; returns the deltas (``origin``'s echo).
+
+        Each delta is built here, with the cursor ``origin``'s session
+        holds in the document now, and that one object reaches the echo
+        and, inside one NOTIFY stamped once, every reader's queue.
+        """
+        if not commits:
+            return []
         # The fan-out span parents under whatever is open on this thread
-        # (net.op -> collab.op -> txn during an RPC), so its context —
-        # carried on every NOTIFY — extends the keystroke's trace to the
-        # remote appliers.
-        with self._tracer.span("net.fanout", docs=len(deltas)) as span:
+        # (net.op during an RPC), so its context — carried on every
+        # NOTIFY — extends the keystroke's trace to the remote appliers.
+        with self._tracer.span("net.fanout", docs=len(commits)) as span:
             ctx = span.ctx
             now = self.collab.db.now()
             origin_session = origin.session if origin is not None else None
+            awareness = self.collab.awareness
+            echo = []
             # The wire replaces the inbox for net sessions: drop whatever
             # the in-process DeliveryBus parked there so long-lived
             # connections don't leak undrained Notifications.
             for conn in self._connections.values():
                 if conn.session is not None:
                     conn.session.inbox.clear()
-            failed = None
-            for delta in deltas:
-                doc_notifies = self._f_notifies.labels(doc=delta["doc"])
-                if origin is not None and self._current_echo is not None:
-                    self._current_echo.append({
-                        "doc": delta["doc"],
-                        "rep_seq": delta["rep_seq"],
-                        "rows": delta["rows"],
-                    })
+            for commit in commits:
+                doc = commit["doc"]
+                doc_notifies = _series(self._doc_notifies,
+                                       self._f_notifies, doc=doc)
+                state = None if origin_session is None else \
+                    awareness.cursor_of(doc, origin_session.id)
+                delta = Delta(doc, commit["rep_seq"], commit["rows"],
+                              None if state is None else _wire_cursor(state))
+                echo.append(delta)
                 notify = Notify(
-                    doc=delta["doc"],
-                    rep_seq=delta["rep_seq"],
-                    rows=delta["rows"],
-                    tables=delta["tables"],
-                    n_changes=delta["n_changes"],
+                    delta=delta,
+                    tables=commit["tables"],
+                    n_changes=commit["n_changes"],
                     origin_session=origin_session.id
                     if origin_session else None,
                     origin_user=origin_session.user
                     if origin_session else None,
                     at=now,
+                    sent_at=time(),
                     trace_id=ctx[0] if ctx else None,
                     parent_span=ctx[1] if ctx else None,
                 )
@@ -898,18 +938,39 @@ class CollabNetServer:
                         continue
                     if origin is not None and conn.id == origin.id:
                         continue  # the originator gets the echo instead
-                    if delta["doc"] in conn.session.open_documents():
+                    if conn.session.has_open(doc):
                         self._m_notifies.inc()
                         doc_notifies.inc()
                         try:
                             self._enqueue(conn, notify)
                         except Exception as exc:
                             # One broken connection must not cost the
-                            # others their NOTIFY; the feed (or the
-                            # loop) records the failure.
-                            failed = exc
-            if failed is not None:
-                raise failed
+                            # others their NOTIFY, nor the author its
+                            # ACK: the feed records the failure.
+                            self.collab.db.changefeed().consumer_failed(
+                                "net-fanout", exc)
+            return echo
+
+
+def _series(cache: dict, family, **label):
+    """``family.labels(**label)``, remembered in ``cache`` by the label's
+    value.  The cache is dropped whole when it reaches the size past
+    which the family evicts: every cached series was resolved since the
+    last drop, and a family evicts one only after that many newer ones,
+    so a cached series is always a registered one."""
+    (value,) = label.values()
+    series = cache.get(value)
+    if series is None:
+        if len(cache) >= family.max_series:
+            cache.clear()
+        series = cache[value] = family.labels(**label)
+    return series
+
+
+def _wire_cursor(state) -> dict:
+    """A :class:`~repro.collab.awareness.CursorState` on the wire."""
+    return wire_cursor(state.session_id, state.user, state.anchor,
+                       state.selection)
 
 
 class ServerThread:

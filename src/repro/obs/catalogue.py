@@ -134,6 +134,10 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "net.resyncs": ("counter",
                     "anti-entropy snapshot fetches served (client mirror "
                     "detected a sequence gap)"),
+    "net.missing_base_rows": ("counter",
+                              "resyncs a client asked for because a row "
+                              "patch found no row to merge into (its "
+                              "mirror missed the row's history)"),
     "net.send_queue_depth": ("gauge",
                              "per-connection send-queue depth at last "
                              "enqueue (labelled by conn)"),

@@ -152,6 +152,8 @@ class _NullFamily:
 
     __slots__ = ("_child",)
 
+    max_series = DEFAULT_MAX_SERIES
+
     def __init__(self, child) -> None:
         self._child = child
 

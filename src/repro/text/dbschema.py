@@ -65,6 +65,27 @@ VERSIONS = "tx_versions"
 #: may include one who stopped up to this long before the cut.
 ACCESS_LOG_RESOLUTION = 1.0
 
+#: The columns of one character row.  Named here, outside
+#: :func:`install_text_schema`, because the wire protocol sends a row as
+#: the columns that differ from these defaults (``repro.net.protocol``).
+CHAR_COLUMNS = (
+    column("char", "oid"),            # character OID (the key)
+    column("doc", "oid"),             # owning document
+    column("ch", "str"),              # the character itself (len 1)
+    column("prev", "oid", nullable=True),
+    column("next", "oid", nullable=True),
+    column("author", "str"),
+    column("created_at", "timestamp"),
+    column("deleted", "bool", default=False),
+    column("deleted_by", "str", nullable=True),
+    column("deleted_at", "timestamp", nullable=True),
+    column("style", "oid", nullable=True),
+    column("copy_src", "oid", nullable=True),   # lineage: source char
+    column("copy_op", "oid", nullable=True),    # lineage: copylog row
+    column("version", "int", default=0),
+    column("props", "json", nullable=True),
+)
+
 ALL_TABLES = (
     DOCUMENTS, CHARS, STYLES, TEMPLATES, STRUCTURE, OBJECTS, NOTES,
     COPYLOG, ACCESS_LOG, VERSIONS,
@@ -96,23 +117,7 @@ def install_text_schema(db: Database) -> None:
         db.create_index(DOCUMENTS, "last_modified", kind="ordered")
 
     if not db.has_table(CHARS):
-        db.create_table(CHARS, [
-            column("char", "oid"),            # character OID (the key)
-            column("doc", "oid"),             # owning document
-            column("ch", "str"),              # the character itself (len 1)
-            column("prev", "oid", nullable=True),
-            column("next", "oid", nullable=True),
-            column("author", "str"),
-            column("created_at", "timestamp"),
-            column("deleted", "bool", default=False),
-            column("deleted_by", "str", nullable=True),
-            column("deleted_at", "timestamp", nullable=True),
-            column("style", "oid", nullable=True),
-            column("copy_src", "oid", nullable=True),   # lineage: source char
-            column("copy_op", "oid", nullable=True),    # lineage: copylog row
-            column("version", "int", default=0),
-            column("props", "json", nullable=True),
-        ], key="char")
+        db.create_table(CHARS, CHAR_COLUMNS, key="char")
         db.create_index(CHARS, "doc")
 
     if not db.has_table(STYLES):

@@ -139,7 +139,7 @@ class TestStateBeforeNotice:
 
             def probing_enqueue(conn, envelope):
                 if isinstance(envelope, Notify):
-                    probes.append(state_at_notice(server, envelope.doc))
+                    probes.append(state_at_notice(server, envelope.delta.doc))
                 enqueue(conn, envelope)
 
             thread.server._enqueue = probing_enqueue

@@ -12,6 +12,11 @@ chain integrity — with the healing mechanism the plan demands:
 * drop plans legitimately heal through anti-entropy resync
   (``resyncs >= 1``).
 
+Presence obeys the same plans: the cursor an edit leaves behind travels
+inside the edit's NOTIFY, so a reader never sees the typist's cursor
+anywhere but just after the text it has applied; a plain cursor move is
+still a frame of its own and survives loss through the snapshot.
+
 The last test follows one keystroke's trace across all three
 processes: the local editor's ``net.rpc``, the server's ``net.op`` /
 ``net.fanout`` and the remote editor's ``net.apply`` all share one
@@ -25,7 +30,8 @@ from time import monotonic
 
 import pytest
 
-from repro.collab import CollaborationServer
+from repro.collab import CollaborationServer, EditorClient
+from repro.errors import TendaxError
 from repro.faults import FaultInjector, FaultPlan, NetFault
 from repro.net import NetworkClient, ServerThread
 from repro.obs import TraceBuffer, Tracer
@@ -67,9 +73,8 @@ def settle(clients, doc, truth, timeout: float = SETTLE_SECONDS) -> None:
 
 def interleaved_edit(rng: random.Random, sessions, handles, doc,
                      styles, rounds: int) -> None:
-    """A seeded mixed workload: inserts, deletes, style flips."""
-    from repro.errors import InvalidPositionError
-
+    """A seeded mixed workload: inserts, deletes, style flips, pastes,
+    undo/redo and batched bursts."""
     alphabet = "abcdefghij "
     for _ in range(rounds):
         i = rng.randrange(len(sessions))
@@ -83,16 +88,29 @@ def interleaved_edit(rng: random.Random, sessions, handles, doc,
             if roll < 0.70 or length < 4:
                 pos = rng.randint(0, length)
                 session.insert(doc, pos, rng.choice(alphabet))
-            elif roll < 0.85:
+            elif roll < 0.80:
                 pos = rng.randrange(length)
                 session.delete(doc, pos,
                                min(rng.randint(1, 3), length - pos))
-            else:
+            elif roll < 0.86:
                 pos = rng.randrange(length)
                 count = min(rng.randint(1, 5), length - pos)
                 session.apply_style(doc, pos, count, rng.choice(styles))
-        except InvalidPositionError:
-            continue
+            elif roll < 0.91:
+                count = min(rng.randint(4, 24), length)
+                session.copy(doc, rng.randint(0, length - count), count)
+                session.paste(doc, rng.randint(0, length))
+            elif roll < 0.96:
+                session.undo(doc)
+                if rng.random() < 0.5:
+                    session.redo(doc)
+            else:
+                anchor = handle.anchor_for(rng.randint(0, length))
+                with session.batch():
+                    for ch in "burst"[:rng.randint(2, 5)]:
+                        anchor = session.insert_after(doc, anchor, ch)[0]
+        except TendaxError:
+            continue  # a stale position, nothing to undo: carry on
 
 
 @pytest.mark.parametrize("plan_seed", range(5), ids=lambda s: f"seed{s}")
@@ -124,7 +142,9 @@ def test_seeded_fault_plans_converge(plan_seed):
             for client, handle in ((ana, h_ana), (ben, h_ben)):
                 assert handle.text() == truth.text()
                 assert handle.styled_runs() == truth.styled_runs()
+                assert handle.authors() == truth.authors()
                 assert handle.check_integrity() == []
+                assert client.mirrors[doc].missing_base == 0
         finally:
             ana.close()
             ben.close()
@@ -196,6 +216,118 @@ def test_drop_heavy_plan_heals_through_resync():
             stats = ana.server_stats()
             assert stats["net"]["frames_dropped"] >= 1
             assert stats["net"]["resyncs"] >= 1
+        finally:
+            ana.close()
+            ben.close()
+
+
+#: Loss, latency and reordering together, on every NOTIFY and AWARENESS.
+PRESENCE_FAULT = NetFault(p_drop=0.2, p_delay=0.4, max_delay=0.004,
+                          reorder_window=3)
+
+
+def test_typists_cursor_is_never_seen_away_from_its_text():
+    """Whatever the plan does to the frames, no ``poll()`` of the reader
+    shows the typist's cursor anywhere but just after the text the
+    reader has applied.  With the cursor a frame of its own (protocol 1)
+    it overtook or outlived its NOTIFY, anchored at a character the
+    mirror did not hold, and resolved to position 0."""
+    collab, thread = make_server(PRESENCE_FAULT)
+    with thread:
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("presence").doc
+            s_ben = ben.session()
+            h_ben = s_ben.open(doc)
+            typist = EditorClient(s_ana, doc)
+            awareness = s_ben.server.awareness
+
+            def check() -> None:
+                seen = awareness.cursor_positions(h_ben).get("ana")
+                assert seen in (None, h_ben.length()), (
+                    f"ana's cursor at {seen}, ben holds "
+                    f"{h_ben.length()} characters")
+
+            text = "the quick brown fox jumps over the lazy dog " * 2
+            for i, ch in enumerate(text):
+                typist.type(ch)
+                ben.poll(timeout=0.002)
+                check()
+                if i % 16 == 15:
+                    ben.sync(doc)       # heal whatever the plan dropped
+                    check()
+            deadline = monotonic() + SETTLE_SECONDS
+            while h_ben.text() != text:
+                assert monotonic() < deadline, "ben never converged"
+                ben.poll(timeout=0.02)
+                check()
+                ben.sync(doc)
+                check()
+            assert awareness.cursor_positions(h_ben)["ana"] == len(text)
+            assert ana.server_stats()["net"]["frames_dropped"] >= 1
+        finally:
+            ana.close()
+            ben.close()
+
+
+def test_standalone_cursor_move_survives_the_plan():
+    """A cursor move no edit implies is still an AWARENESS frame, and
+    still faultable: delayed or reordered it lands on an anchor the
+    mirror already holds; dropped, the next snapshot carries it."""
+    collab, thread = make_server(PRESENCE_FAULT)
+    with thread:
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("moves", text="0123456789").doc
+            s_ben = ben.session()
+            h_ben = s_ben.open(doc)
+            typist = EditorClient(s_ana, doc)
+            awareness = s_ben.server.awareness
+            for target in (7, 2, 10, 0, 5):
+                typist.move_to(target)
+                deadline = monotonic() + SETTLE_SECONDS
+                last_sync = monotonic()
+                while awareness.cursor_positions(h_ben).get("ana") != target:
+                    assert monotonic() < deadline, (
+                        f"move to {target} never reached ben")
+                    ben.poll(timeout=0.02)
+                    if monotonic() - last_sync > 0.2:
+                        ben.sync(doc)
+                        last_sync = monotonic()
+            assert ben.mirrors[doc].cursors_held == 0
+        finally:
+            ana.close()
+            ben.close()
+
+
+def test_a_patch_without_its_base_costs_exactly_one_resync():
+    """History a replica lost (here: a row removed behind its back) is
+    fetched, never invented: the patch is refused, one ``resync`` goes
+    out saying why, and the server counts it."""
+    collab, thread = make_server(None)
+    with thread:
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("lost", text="abcdef").doc
+            h_ben = ben.session().open(doc)
+            mirror = ben.mirrors[doc]
+            del mirror.rows[h_ben.char_oid_at(2)]
+            s_ana.insert(doc, 3, "!")   # patches the lost row's ``next``
+            s_ana.insert(doc, 0, ">")   # buffered behind the gap
+            deadline = monotonic() + SETTLE_SECONDS
+            while h_ben.text() != ">abc!def":
+                assert monotonic() < deadline, "ben never healed"
+                ben.poll(timeout=0.02)
+            assert (mirror.missing_base, mirror.resyncs) == (1, 1)
+            assert h_ben.check_integrity() == []
+            stats = ana.server_stats()["net"]
+            assert (stats["missing_base_rows"], stats["resyncs"]) == (1, 1)
         finally:
             ana.close()
             ben.close()

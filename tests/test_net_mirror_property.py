@@ -1,4 +1,4 @@
-"""DocMirror's order index against a reference chain walk.
+"""DocMirror against two oracles: a chain walk, and the old full rows.
 
 The mirror answers every read from an incrementally spliced
 :class:`~repro.text.ordercache.ChunkedOrderCache`; the reference kept
@@ -13,11 +13,22 @@ with one splice per run — and a lossy network — deltas delivered in order, o
 deltas on both sides of their ``rep_seq`` — and after every step the
 two must agree on every read API, with the index's own invariants and
 the mirror's integrity check clean.
+
+Since protocol 2 the mirror is fed *deltas* — whole images of new rows,
+patches of changed ones (``wire_row`` / ``merge_row``) — while both
+oracles keep receiving full rows and upserting them, which is what the
+mirror itself did before.  The second half of this file drives a real
+:class:`~repro.collab.CollaborationServer` with random editing scripts
+and holds three things equal: a :class:`DocMirror` fed deltas, a
+:class:`FullRowMirror` (the previous replication path, kept here) fed
+full rows, and the server's own handle.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
+import random
 
 import pytest
 from hypothesis import settings
@@ -30,9 +41,14 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.collab import CollaborationServer, EditorClient
+from repro.errors import TendaxError
 from repro.ids import Oid
 from repro.net.mirror import DocMirror
-from repro.text.ordercache import ChunkedOrderCache
+from repro.net.protocol import BLANK_ROW, Delta, wire_row
+from repro.text import chars as C
+from repro.text import dbschema as S
+from repro.text.ordercache import ChunkedOrderCache, splice_rows
 
 DOC = Oid("doc", 1)
 BEGIN = Oid("char", 0)
@@ -43,8 +59,13 @@ STYLES = (None, Oid("style", 1), Oid("style", 2))
 
 
 def _row(oid, ch, prev, nxt, author="ana", style=None) -> dict:
-    return {"char": oid, "doc": DOC, "ch": ch, "prev": prev, "next": nxt,
-            "deleted": False, "style": style, "author": author}
+    return {**BLANK_ROW, "char": oid, "doc": DOC, "ch": ch, "prev": prev,
+            "next": nxt, "style": style, "author": author}
+
+
+def _wire(snapshot: dict) -> dict:
+    """A full-row snapshot as the server sends it: whole images."""
+    return {**snapshot, "rows": [wire_row(row) for row in snapshot["rows"]]}
 
 
 class ChainWalk:
@@ -127,12 +148,18 @@ class MirrorMachine(RuleBasedStateMachine):
         }
         self.next_oid = 2
         self.rep_seq = 0
-        #: Every delta ever committed; the network may deliver any of
-        #: them at any time, any number of times, or never.
+        #: Every delta ever committed, as full rows (the reference's
+        #: diet) and as the wire delta cut from them (the mirror's); the
+        #: network may deliver any of them at any time, any number of
+        #: times, or never.
         self.log: dict[int, list] = {}
+        self.deltas: dict[int, Delta] = {}
+        #: Each row as of the last commit that touched it: the ``before``
+        #: image the next patch is cut against.
+        self.committed = copy.deepcopy(self.chain)
         #: Snapshots taken earlier and not yet loaded (slow resyncs).
         self.snapshots: list[dict] = []
-        self.mirror = DocMirror.from_snapshot(self._snapshot())
+        self.mirror = DocMirror.from_snapshot(_wire(self._snapshot()))
         self.reference = ChainWalk(self._snapshot())
 
     def _snapshot(self) -> dict:
@@ -147,7 +174,12 @@ class MirrorMachine(RuleBasedStateMachine):
         order = touched if ordered else data.draw(
             st.permutations(touched), label="delta order")
         self.rep_seq += 1
-        self.log[self.rep_seq] = [dict(self.chain[oid]) for oid in order]
+        rows = [dict(self.chain[oid]) for oid in order]
+        self.log[self.rep_seq] = rows
+        self.deltas[self.rep_seq] = Delta(DOC, self.rep_seq, tuple(
+            wire_row(row, self.committed.get(row["char"])) for row in rows))
+        for row in rows:
+            self.committed[row["char"]] = dict(row)
 
     def _chars(self, *, deleted: bool) -> list:
         return [oid for oid, row in self.chain.items()
@@ -264,7 +296,7 @@ class MirrorMachine(RuleBasedStateMachine):
     # -- the network ---------------------------------------------------
 
     def _deliver(self, seq: int) -> None:
-        got = self.mirror.apply(seq, copy.deepcopy(self.log[seq]))
+        got = self.mirror.apply(self.deltas[seq])
         expected = self.reference.apply(seq, copy.deepcopy(self.log[seq]))
         assert got == expected
 
@@ -294,7 +326,7 @@ class MirrorMachine(RuleBasedStateMachine):
             [s for s in self.snapshots
              if s["rep_seq"] >= self.mirror.last_seq]), label="snapshot")
         self.snapshots.remove(snapshot)
-        self.mirror.load(copy.deepcopy(snapshot))
+        self.mirror.load(_wire(snapshot))
         self.reference.load(copy.deepcopy(snapshot))
 
     # -- agreement -----------------------------------------------------
@@ -361,10 +393,244 @@ def test_check_integrity_catches_an_index_that_left_the_chain():
         _row(Oid("char", 3), "b", Oid("char", 2), END),
         _row(END, "", Oid("char", 3), None),
     ]
-    mirror = DocMirror.from_snapshot({
+    mirror = DocMirror.from_snapshot(_wire({
         "doc": DOC, "begin": BEGIN, "end": END, "rep_seq": 0,
-        "rows": rows})
+        "rows": rows}))
     assert mirror.check_integrity() == []
     # The chain says "b" is gone; an index nobody told still shows it.
     mirror.rows[Oid("char", 3)]["deleted"] = True
     assert any("index" in problem for problem in mirror.check_integrity())
+
+
+# ----------------------------------------------------------------------
+# Deltas ≡ full rows ≡ the server, under real editing scripts
+# ----------------------------------------------------------------------
+
+class FullRowMirror(DocMirror):
+    """The replication path of protocol 1, kept as the oracle: snapshots
+    and deltas are full ``tx_chars`` rows, and a delta row replaces
+    whatever the chain held.  Reads, buffering and the integrity check
+    are the production :class:`DocMirror`'s."""
+
+    def _adopt(self, snapshot: dict) -> None:
+        self.rows = {row["char"]: row for row in snapshot["rows"]}
+        self._index.rebuild(row for row in self._chain()
+                            if row["ch"] and not row["deleted"])
+
+    def _merge(self, delta) -> bool:
+        chain = self.rows
+        for row in delta.rows:
+            chain[row["char"]] = row
+        splice_rows(self._index, [chain[row["char"]] for row in delta.rows],
+                    self.begin, self._prev_of)
+        return True
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class Party:
+    """Two in-process editors on one document of a real server, and a
+    tap on its changefeed that cuts every commit both ways: the wire
+    delta (``wire_row``) and the full rows protocol 1 sent."""
+
+    def __init__(self, seed: int, chars: int = 0) -> None:
+        self.rng = random.Random(seed)
+        self.server = CollaborationServer()
+        for user in ("ana", "ben"):
+            self.server.register_user(user)
+        self.sessions = [self.server.connect(u) for u in ("ana", "ben")]
+        text = "".join(self.rng.choice("abcdefgh ") for _ in range(chars))
+        self.handle = self.sessions[0].create_document("party", text=text)
+        self.doc = self.handle.doc
+        self.editors = [EditorClient(s, self.doc) for s in self.sessions]
+        self.styles = [
+            None,
+            self.server.styles.define_style("bold", {"bold": True}, "ana"),
+            self.server.styles.define_style("mono", {"font": "m"}, "ana"),
+        ]
+        self.rep_seq = 0
+        #: rep_seq -> (wire delta, full-row delta)
+        self.log: dict[int, tuple[Delta, Delta]] = {}
+        self.server.db.changefeed().subscribe(
+            "test-tap", self._tap, tables=frozenset((S.CHARS,)))
+
+    def _tap(self, batch) -> None:
+        changes = [c for c in batch.events
+                   if c.row is not None and c.row["doc"] == self.doc]
+        if not changes:
+            return
+        self.rep_seq += 1
+        self.log[self.rep_seq] = (
+            Delta(self.doc, self.rep_seq,
+                  tuple(wire_row(c.row, c.before) for c in changes)),
+            Delta(self.doc, self.rep_seq,
+                  tuple(dict(c.row) for c in changes)))
+
+    def snapshots(self) -> tuple[dict, dict]:
+        """(wire snapshot, full-row snapshot) of the document now."""
+        rows = list(C.doc_char_rows(self.server.db, self.doc).values())
+        full = {"doc": self.doc, "begin": self.handle.begin_char,
+                "end": self.handle.end_char, "rep_seq": self.rep_seq,
+                "rows": [dict(row) for row in rows]}
+        return _wire(full), full
+
+    def mirrors(self) -> tuple[DocMirror, FullRowMirror]:
+        wire, full = self.snapshots()
+        return DocMirror.from_snapshot(wire), FullRowMirror.from_snapshot(full)
+
+    def step(self) -> None:
+        """One random editing action by one of the two editors."""
+        rng = self.rng
+        who = rng.randrange(2)
+        editor, session = self.editors[who], self.sessions[who]
+        length = self.handle.length()
+        roll = rng.random()
+        try:
+            if roll < 0.30 or length < 8:
+                editor.move_to(rng.randint(0, length))
+                editor.type("".join(rng.choice("xyz ")
+                                    for _ in range(rng.randint(1, 3))))
+            elif roll < 0.45:
+                editor.move_to(rng.randint(1, length))
+                editor.backspace(rng.randint(1, 3))
+            elif roll < 0.55:
+                pos = rng.randrange(length)
+                session.delete(self.doc, pos,
+                               min(rng.randint(2, 12), length - pos))
+            elif roll < 0.65:
+                pos = rng.randrange(length)
+                session.apply_style(self.doc, pos,
+                                    min(rng.randint(1, 9), length - pos),
+                                    rng.choice(self.styles))
+            elif roll < 0.77:
+                count = min(rng.randint(4, 24), length)
+                session.copy(self.doc, rng.randint(0, length - count), count)
+                session.paste(self.doc, rng.randint(0, length))
+            elif roll < 0.89:
+                verb = rng.choice(("undo", "undo", "undo_global"))
+                getattr(session, verb)(self.doc)
+                if rng.random() < 0.5:
+                    getattr(session, verb.replace("un", "re"))(self.doc)
+            else:
+                editor.move_to(rng.randint(0, length))
+                with editor.batch():
+                    for _ in range(rng.randint(2, 5)):
+                        editor.type(rng.choice("pqr"))
+        except TendaxError:
+            pass  # nothing to undo, a protected range: not this test's
+
+    def assert_equal_to_server(self, *replicas) -> None:
+        truth = self.handle
+        for replica in replicas:
+            assert _sha(replica.text()) == _sha(truth.text())
+            assert replica.styled_runs() == truth.styled_runs()
+            assert replica.authors() == truth.authors()
+            assert replica.check_integrity() == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_deltas_equal_full_rows_equal_the_server(seed):
+    party = Party(seed, chars=40)
+    mirror, oracle = party.mirrors()
+    delivered = party.rep_seq
+    for _ in range(120):
+        party.step()
+        while delivered < party.rep_seq:
+            delivered += 1
+            wire, full = party.log[delivered]
+            assert mirror.apply(wire) == oracle.apply(full) == "applied"
+        party.assert_equal_to_server(mirror, oracle)
+    assert mirror.rows == oracle.rows
+    assert mirror.resyncs == mirror.missing_base == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_deltas_equal_full_rows_under_drop_delay_reorder(seed):
+    """A lossy lane: deltas are dropped, held back and released out of
+    order; a replica that reports a gap (or buffers too much) resyncs
+    from a snapshot cut at that moment.  Both paths heal the same way
+    and end equal to the server."""
+    party = Party(seed, chars=40)
+    mirror, oracle = party.mirrors()
+    net = random.Random(seed * 31 + 7)
+    held: list[int] = []
+    delivered = party.rep_seq
+
+    def deliver(seq: int) -> None:
+        wire, full = party.log[seq]
+        assert mirror.apply(wire) == oracle.apply(full)
+
+    for _ in range(120):
+        party.step()
+        while delivered < party.rep_seq:
+            delivered += 1
+            roll = net.random()
+            if roll < 0.15:
+                continue                      # dropped
+            if roll < 0.40:
+                held.append(delivered)        # delayed
+                continue
+            deliver(delivered)
+        if held and net.random() < 0.5:
+            net.shuffle(held)                 # reordered
+            while held:
+                deliver(held.pop())
+        assert mirror.gap == oracle.gap
+        if len(mirror.pending) > 2:
+            wire, full = party.snapshots()
+            mirror.load(wire)
+            oracle.load(full)
+    wire, full = party.snapshots()
+    mirror.load(wire)
+    oracle.load(full)
+    party.assert_equal_to_server(mirror, oracle)
+    assert mirror.rows == oracle.rows
+    assert mirror.missing_base == 0
+
+
+@pytest.mark.parametrize("chars", [0, 1, 513, 8000])
+def test_mirror_opened_mid_burst(chars):
+    """The snapshot form — whole images, no base — at a burst's middle:
+    deltas cut before the snapshot are stale, the rest apply on top."""
+    party = Party(chars, chars=chars)
+    for _ in range(20):
+        party.step()
+    mirror, oracle = party.mirrors()
+    assert mirror.length() == party.handle.length()
+    opened_at = party.rep_seq
+    for _ in range(20):
+        party.step()
+    for seq in sorted(party.log):
+        wire, full = party.log[seq]
+        status = mirror.apply(wire)
+        assert status == oracle.apply(full)
+        assert status == ("stale" if seq <= opened_at else "applied")
+    party.assert_equal_to_server(mirror, oracle)
+    assert mirror.rows == oracle.rows
+
+
+def test_a_patch_without_its_base_is_a_gap_not_a_padded_row():
+    party = Party(3, chars=12)
+    mirror, _ = party.mirrors()
+    victim = mirror.oid_at(5)
+    del mirror.rows[victim]                   # history the replica lost
+    party.editors[0].move_to(6)
+    party.editors[0].type("!")                # patches victim's ``next``
+    first, _ = party.log[party.rep_seq]
+    assert any(row["char"] == victim and "ch" not in row
+               for row in first.rows)
+    before = dict(mirror.rows)
+    assert mirror.apply(first) == "gap"
+    assert mirror.missing_base == 1
+    assert mirror.gap and mirror.last_seq == first.rep_seq - 1
+    assert mirror.rows == before              # nothing half-applied
+    party.editors[0].type("?")
+    second, _ = party.log[party.rep_seq]
+    assert mirror.apply(second) == "buffered"  # still behind the gap
+    assert mirror.missing_base == 1
+    wire, _ = party.snapshots()
+    mirror.load(wire)
+    assert not mirror.gap and mirror.resyncs == 1
+    party.assert_equal_to_server(mirror)

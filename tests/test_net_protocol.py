@@ -52,7 +52,15 @@ from repro.net import (
     encode_frame,
 )
 from repro.db.wal import WalRecord, render_record
-from repro.net.protocol import ENVELOPE_TYPES, MAX_FRAME_BYTES
+from repro.net.protocol import (
+    BLANK_ROW,
+    ENVELOPE_TYPES,
+    MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    Delta,
+    merge_row,
+    wire_row,
+)
 
 # ---------------------------------------------------------------------------
 # Strategies: values that survive the JSON + tagging round trip
@@ -90,11 +98,19 @@ jsonish = st.recursive(
 
 row_dicts = st.dictionaries(keys, scalars, max_size=6)
 
-echo_deltas = st.builds(
-    lambda doc, seq, rows: {"doc": doc, "rep_seq": seq, "rows": rows},
-    oids, st.integers(min_value=0, max_value=10 ** 6),
-    st.lists(row_dicts, max_size=3).map(tuple),
-)
+#: Character rows as they travel: ``char`` plus any of the other columns.
+wire_rows = st.builds(
+    lambda char, columns: {"char": char, **columns}, oids,
+    st.dictionaries(st.sampled_from(sorted(set(BLANK_ROW) - {"char"})),
+                    scalars, max_size=5))
+
+cursors = st.fixed_dictionaries({
+    "session": st.integers(0, 10 ** 6), "user": st.text(max_size=10),
+    "anchor": oids, "selection": st.lists(oids, max_size=3)})
+
+deltas = st.builds(
+    Delta, oids, st.integers(min_value=0, max_value=10 ** 6),
+    st.lists(wire_rows, max_size=3).map(tuple), st.none() | cursors)
 
 def _wal_line(lsn: int, type_: str, txn: int, values: dict) -> str:
     if type_ in ("INSERT", "UPDATE", "DELETE"):
@@ -133,13 +149,12 @@ envelopes = st.one_of(
               parent_span=st.none() | st.integers(0, 10 ** 9)),
     st.builds(Ack, op_seq=st.integers(0, 10 ** 9), result=jsonish,
               lsn=st.integers(0, 10 ** 9),
-              echo=st.lists(echo_deltas, max_size=3).map(tuple)),
+              echo=st.lists(deltas, max_size=3).map(tuple)),
     st.builds(Error, code=st.text(min_size=1, max_size=20),
               message=st.text(max_size=40),
               op_seq=st.none() | st.integers(0, 10 ** 9),
               fatal=st.booleans()),
-    st.builds(Notify, doc=oids, rep_seq=st.integers(0, 10 ** 9),
-              rows=st.lists(row_dicts, max_size=4).map(tuple),
+    st.builds(Notify, delta=deltas,
               tables=st.lists(st.text(min_size=1, max_size=10),
                               max_size=3).map(tuple),
               n_changes=st.integers(0, 10 ** 4),
@@ -206,6 +221,16 @@ class TestRoundTrip:
         assert list(received.records) == lines
         assert [render_record(r) for r in received.parse()] == lines
 
+    @settings(max_examples=50)
+    @given(st.lists(envelopes, min_size=1, max_size=3))
+    def test_one_byte_at_a_time(self, batch):
+        decoder = FrameDecoder()
+        out = []
+        for byte in b"".join(encode_frame(e) for e in batch):
+            out.extend(decoder.feed(bytes((byte,))))
+        assert out == batch
+        assert decoder.pending_bytes == 0
+
     def test_envelope_registry_is_total(self):
         """Every concrete envelope class decodes via the registry."""
         assert set(ENVELOPE_TYPES) == {
@@ -230,7 +255,14 @@ class TestStrictDecode:
         b'{"t": "hello", "user": ""}',
         b'{"t": "hello", "user": 7}',
         b'{"t": "ack", "op_seq": 1, "lsn": "x"}',
-        b'{"t": "notify", "doc": null, "rep_seq": "x"}',
+        b'{"t": "ack", "op_seq": 1, "echo": 7}',
+        b'{"t": "ack", "op_seq": 1, "echo": [7]}',
+        b'{"t": "notify"}',                   # missing delta
+        b'{"t": "notify", "delta": null}',
+        b'{"t": "notify", "doc": null, "rep_seq": 1, "rows": []}',  # v1
+        b'{"t": "op", "op_seq": 1, "verb": "x", "args": {"__oid__": 7}}',
+        b'{"t": "op", "op_seq": 1, "verb": "x", "args": {"__oid__": "7"}}',
+        b'{"t": "op", "op_seq": 1, "verb": "x", "args": {"__bytes__": "z"}}',
         b'{"t": "error", "code": ""}',
         b'\xff\xfe garbage bytes',
     ])
@@ -239,6 +271,43 @@ class TestStrictDecode:
         frame = struct.pack("!I", len(payload)) + payload
         with pytest.raises(ProtocolError):
             list(decoder.feed(frame))
+
+    CHAR = {"__oid__": "c:1"}
+    CURSOR = {"session": 1, "user": "ana", "anchor": CHAR, "selection": []}
+
+    @pytest.mark.parametrize("delta", [
+        {"doc": None, "rep_seq": "x", "rows": [], "cursor": None},
+        {"doc": None, "rep_seq": 1, "rows": []},            # no cursor key
+        {"doc": None, "rep_seq": 1, "rows": [], "cursor": None, "x": 1},
+        {"doc": None, "rep_seq": 1, "rows": {}, "cursor": None},
+        {"doc": None, "rep_seq": 1, "rows": [7], "cursor": None},
+        {"doc": None, "rep_seq": 1, "rows": [[CHAR]], "cursor": None},
+        {"doc": None, "rep_seq": 1, "rows": [{"next": CHAR}],  # no char
+         "cursor": None},
+        {"doc": None, "rep_seq": 1, "cursor": None,
+         "rows": [{"char": CHAR, "colour": "red"}]},        # unknown column
+        {"doc": None, "rep_seq": 1, "rows": [], "cursor": 7},
+        {"doc": None, "rep_seq": 1, "rows": [], "cursor": {}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "extra": 1}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "session": "1"}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "user": None}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "anchor": "c:1"}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "selection": None}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "selection": ["c:1"]}},
+    ])
+    def test_bad_delta_raises_on_both_lanes(self, delta):
+        for envelope in ({"t": "notify", "delta": delta},
+                         {"t": "ack", "op_seq": 1, "echo": [delta]}):
+            payload = json.dumps(envelope).encode()
+            frame = struct.pack("!I", len(payload)) + payload
+            with pytest.raises(ProtocolError):
+                list(FrameDecoder().feed(frame))
 
     def test_zero_length_frame(self):
         with pytest.raises(ProtocolError, match="zero-length"):
@@ -270,6 +339,59 @@ class TestStrictDecode:
     def test_decode_envelope_rejects_non_dict(self):
         with pytest.raises(ProtocolError):
             decode_envelope([1, 2, 3])
+
+
+class TestRowForms:
+    """``wire_row`` / ``merge_row``: whole images and patches."""
+
+    ROW = {**BLANK_ROW, "char": Oid("c", 5), "doc": Oid("d", 1), "ch": "x",
+           "prev": Oid("c", 4), "next": Oid("c", 6), "author": "ana",
+           "created_at": 12.5}
+
+    def test_whole_image_is_the_difference_from_a_blank_row(self):
+        image = wire_row(self.ROW)
+        assert image == {"char": Oid("c", 5), "ch": "x", "prev": Oid("c", 4),
+                         "next": Oid("c", 6), "author": "ana",
+                         "created_at": 12.5}
+        assert merge_row(image, None, Oid("d", 1)) == self.ROW
+
+    def test_a_sentinel_is_still_a_whole_image(self):
+        sentinel = {**self.ROW, "ch": "", "prev": None}
+        image = wire_row(sentinel)
+        assert image["ch"] == ""
+        assert merge_row(image, None, Oid("d", 1)) == sentinel
+
+    def test_patch_names_what_changed_and_needs_its_base(self):
+        after = {**self.ROW, "deleted": True, "deleted_by": "ben",
+                 "deleted_at": 13.0, "version": 1}
+        patch = wire_row(after, self.ROW)
+        assert patch == {"char": Oid("c", 5), "deleted": True,
+                         "deleted_by": "ben", "deleted_at": 13.0,
+                         "version": 1}
+        assert merge_row(patch, self.ROW, Oid("d", 1)) == after
+        assert merge_row(patch, None, Oid("d", 1)) is None
+
+    def test_a_column_set_back_to_its_default_is_named(self):
+        styled = {**self.ROW, "style": Oid("s", 1)}
+        patch = wire_row(self.ROW, styled)
+        assert patch == {"char": Oid("c", 5), "style": None}
+        assert merge_row(patch, styled, Oid("d", 1)) == self.ROW
+
+    def test_delta_json_is_rendered_once(self, monkeypatch):
+        calls = []
+        render = Delta._render
+        monkeypatch.setattr(
+            Delta, "_render",
+            lambda self: calls.append(self.rep_seq) or render(self))
+        delta = Delta(Oid("d", 1), 7, (wire_row(self.ROW),))
+        frames = [encode_frame(Ack(op_seq=1, echo=(delta,)))]
+        frames += [encode_frame(Notify(delta=delta)) for _ in range(4)]
+        assert calls == [7]
+        for frame in frames:
+            (envelope,) = FrameDecoder().feed(frame)
+            received = envelope.echo[0] if isinstance(envelope, Ack) \
+                else envelope.delta
+            assert received == delta
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +455,24 @@ class TestLiveFuzz:
         for envelope in received:
             assert isinstance(envelope, Error)
             assert envelope.fatal
+
+    @pytest.mark.parametrize("version", [1, PROTOCOL_VERSION + 1])
+    def test_other_protocol_versions_are_refused_at_hello(
+            self, net_server, version):
+        """One protocol: a version-1 peer (full rows, separate cursor
+        frames) gets a fatal ERROR naming the version, and a close."""
+        received = _attack(net_server, encode_frame(
+            Hello(user="ana", protocol=version)))
+        assert len(received) == 1
+        (error,) = received
+        assert isinstance(error, Error) and error.fatal
+        assert error.code == "ProtocolError"
+        assert f"version {version}" in error.message
+        client = NetworkClient("127.0.0.1", net_server.port, "ana")
+        try:
+            assert client.ping() < 5.0
+        finally:
+            client.close()
 
     def test_truncated_frame_then_close_reaps_connection(self, net_server):
         frame = encode_frame(Hello(user="ana"))

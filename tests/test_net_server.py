@@ -14,7 +14,7 @@ from time import monotonic
 
 import pytest
 
-from repro.collab import CollaborationServer
+from repro.collab import CollaborationServer, EditorClient
 from repro.errors import (
     AccessDenied,
     InvalidPositionError,
@@ -22,6 +22,7 @@ from repro.errors import (
     UnknownPrincipalError,
 )
 from repro.net import NetworkClient, ServerThread
+from repro.net.protocol import Delta
 
 SETTLE_SECONDS = 10.0
 
@@ -176,14 +177,149 @@ class TestAwareness:
             h_ben = ben.session().open(doc)
             anchor = h_ben.char_oid_at(2)
             ben.publish_cursor(doc, anchor, ())
+            cursors = ana.mirrors[doc].cursors
             wait_until(lambda: (ana.poll(timeout=0.05) or True)
-                       and ben.session_id in ana.remote_cursors.get(doc, {}))
-            state = ana.remote_cursors[doc][ben.session_id]
-            assert state["user"] == "ben"
-            assert state["anchor"] == anchor
+                       and cursors[ben.session_id]["anchor"] == anchor)
+            assert cursors[ben.session_id]["user"] == "ben"
         finally:
             ana.close()
             ben.close()
+
+    def test_open_snapshot_carries_everyones_cursor(self, thread):
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("doc", text="hello").doc
+            EditorClient(s_ana, doc).move_to(3)
+            assert ana.ping() < SETTLE_SECONDS   # the move was handled
+            s_ben = ben.session()
+            h_ben = s_ben.open(doc)
+            # No frame since the open: the snapshot itself said so.
+            assert s_ben.server.awareness.cursor_positions(h_ben) == {
+                "ana": 3, "ben": 0}
+            assert s_ben.server.awareness.participants(doc) == ["ana", "ben"]
+        finally:
+            ana.close()
+            ben.close()
+
+    def test_an_edits_cursor_arrives_with_its_text(self, thread):
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("doc", text="hello").doc
+            s_ben = ben.session()
+            h_ben = s_ben.open(doc)
+            typist = EditorClient(s_ana, doc)
+            typist.move_end()
+            typist.type(" world")
+            wait_until(lambda: (ben.poll(timeout=0.05) or True)
+                       and h_ben.text() == "hello world")
+            # Same poll, same frame: no second wait for the cursor.
+            assert s_ben.server.awareness.cursor_positions(h_ben)["ana"] == 11
+            typist.backspace(5)
+            wait_until(lambda: (ben.poll(timeout=0.05) or True)
+                       and h_ben.text() == "hello ")
+            assert s_ben.server.awareness.cursor_positions(h_ben)["ana"] == 6
+        finally:
+            ana.close()
+            ben.close()
+
+
+class TestFramesPerKeystroke:
+    """Exact counts, read from the server's own registry (no stats RPC
+    in the way): a keystroke is OP, ACK, NOTIFY."""
+
+    @staticmethod
+    def frames(collab) -> int:
+        snapshot = collab.db.metrics_snapshot()
+        return (snapshot["net.frames_in"]["value"]
+                + snapshot["net.frames_out"]["value"])
+
+    def settled(self, collab, reader, handle, text: str) -> int:
+        """Frame count once ``reader`` shows ``text`` and the server has
+        gone quiet (an extra frame would still be in a send queue)."""
+        wait_until(lambda: (reader.poll(timeout=0.05) or True)
+                   and handle.text() == text)
+        count, quiet_since = self.frames(collab), monotonic()
+        while monotonic() - quiet_since < 0.2:
+            reader.poll(timeout=0.02)
+            if self.frames(collab) != count:
+                count, quiet_since = self.frames(collab), monotonic()
+        return count
+
+    def test_exact_frame_counts(self, collab, thread):
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("doc", text="hello world").doc
+            s_ben = ben.session()
+            h_ben = s_ben.open(doc)
+            typist = EditorClient(s_ana, doc)
+            typist.move_to(5)
+            base = self.settled(collab, ben, h_ben, "hello world")
+
+            typist.type("!")
+            typed = self.settled(collab, ben, h_ben, "hello! world")
+            assert typed - base == 3
+
+            typist.backspace()
+            erased = self.settled(collab, ben, h_ben, "hello world")
+            assert erased - typed == 3
+
+            typist.move_to(2)       # AWARENESS in, AWARENESS out
+            wait_until(lambda: (ben.poll(timeout=0.05) or True)
+                       and s_ben.server.awareness.cursor_positions(
+                           h_ben)["ana"] == 2)
+            moved = self.settled(collab, ben, h_ben, "hello world")
+            assert moved - erased == 2
+            typist.move_to(2)       # the server holds it there already
+            assert self.settled(collab, ben, h_ben, "hello world") == moved
+
+            s_ana.copy_external("x" * 24, "elsewhere")
+            copied = self.settled(collab, ben, h_ben, "hello world")
+            assert copied - moved == 2      # OP, ACK: nothing to notify
+            typist.paste()
+            pasted = self.settled(collab, ben, h_ben,
+                                  "he" + "x" * 24 + "llo world")
+            assert pasted - copied == 3
+            assert s_ben.server.awareness.cursor_positions(
+                h_ben)["ana"] == 26
+        finally:
+            ana.close()
+            ben.close()
+
+    def test_rows_are_rendered_once_for_any_number_of_readers(
+            self, collab, thread, monkeypatch):
+        rendered = []
+        render = Delta._render
+        monkeypatch.setattr(
+            Delta, "_render",
+            lambda self: rendered.append(self.rep_seq) or render(self))
+        for user in ("cleo", "dan", "eve"):
+            collab.register_user(user)
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        readers = [NetworkClient("127.0.0.1", thread.port, user)
+                   for user in ("ben", "cleo", "dan", "eve")]
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("doc", text="hello").doc
+            handles = [r.session().open(doc) for r in readers]
+            typist = EditorClient(s_ana, doc)
+            typist.move_end()
+            del rendered[:]
+            typist.type("!")
+            for reader, handle in zip(readers, handles):
+                wait_until(lambda: (reader.poll(timeout=0.05) or True)
+                           and handle.text() == "hello!")
+            # One delta, five recipients (the ACK's echo, four NOTIFYs).
+            assert rendered == [ana.mirrors[doc].last_seq]
+        finally:
+            ana.close()
+            for reader in readers:
+                reader.close()
 
 
 class TestReconnect:
@@ -319,3 +455,21 @@ class TestLifecycle:
         assert snapshot["net.op_seconds"]["count"] >= 2
         from repro.obs.catalogue import unknown_names
         assert unknown_names(snapshot) == []
+
+    def test_remembered_series_survive_label_churn(self, collab, thread):
+        """The server remembers a verb's series instead of resolving it
+        per frame; a flood of other labels (the family evicts past 64)
+        must not leave it observing into an unregistered series."""
+        client = NetworkClient("127.0.0.1", thread.port, "ana")
+        try:
+            session = client.session()
+            doc = session.create_document("doc").doc
+            session.insert(doc, 0, "a")
+            for i in range(80):
+                with pytest.raises(NetError, match="unknown verb"):
+                    client._rpc(f"junk-{i}", {})
+            session.insert(doc, 1, "b")
+        finally:
+            client.close()
+        series = collab.db.metrics_snapshot()["net.op_seconds{verb=insert}"]
+        assert series["count"] >= 1
