@@ -98,13 +98,17 @@ def _cmd_portal(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .errors import SearchError
     from .search import SearchEngine
     from .workload import build_knowledge_base
 
     kb = build_knowledge_base(n_docs=args.docs, seed=args.seed)
     engine = SearchEngine(kb.server.db)
-    results = engine.search(args.query, ranking=args.ranking,
-                            limit=args.limit)
+    try:
+        results = engine.search(args.query, ranking=args.ranking,
+                                limit=args.limit)
+    except SearchError as exc:
+        raise SystemExit(f"repro search: {exc}") from None
     print(engine.render_results(results))
     return 0
 

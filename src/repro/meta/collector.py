@@ -193,13 +193,14 @@ class MetadataCollector:
     # Copy/citation metadata
     # ------------------------------------------------------------------
 
-    def citation_counts(self) -> dict[Oid, int]:
+    def citation_counts(self, txn=None) -> dict[Oid, int]:
         """doc -> number of copy operations taking content *from* it.
 
         This is the "most cited" signal the search demo ranks by.
         """
+        reader = txn if txn is not None else self.db
         counts: dict[Oid, int] = defaultdict(int)
-        for row in self.db.query(S.COPYLOG).run():
+        for row in reader.query(S.COPYLOG).run():
             src = row["src_doc"]
             if src is not None and src != row["dst_doc"]:
                 counts[src] += 1

@@ -194,8 +194,8 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "search.queries": ("counter", "content/metadata searches run"),
     "search.query_seconds": ("histogram", "end-to-end search latency"),
     "search.index_hits": ("counter",
-                          "candidate documents produced by the inverted "
-                          "index"),
+                          "documents a search examined (top-k entries, "
+                          "walked list entries or heap candidates)"),
     "search.structure_queries": ("counter", "structure searches run"),
     # -- tracing (repro/obs/tracing.py, repro/obs/export.py) ----------------
     "trace.active_spans": ("gauge", "spans started but not yet ended"),

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..db import Database, col
+from ..errors import SearchError
 from ..ids import Oid
 from ..meta import MetadataCollector
 from ..mining.features import FeatureExtractor
 from ..text import dbschema as S
-from .index import DocValues, InvertedIndex
+from .index import EQUALITY_FIELDS, InvertedIndex
 from .query import SearchQuery, parse_query
-from .ranking import RANKINGS, Ranker
+from .ranking import ORDERED, RANKINGS, Ranker
 
 
 @dataclass
@@ -40,25 +42,22 @@ class SearchResult:
     snippet: str = ""
 
 
-def _column_predicates(
-        filters: list) -> list[Callable[[DocValues], bool]]:
-    """One test over doc values per ``tx_documents``-column filter."""
-    predicates: list[Callable[[DocValues], bool]] = []
-    for fieldname, value in filters:
-        if fieldname == "creator":
-            predicates.append(lambda v, value=value: v.creator == value)
-        elif fieldname == "state":
-            predicates.append(lambda v, value=value: v.state == value)
-        elif fieldname == "name":
-            predicates.append(
-                lambda v, needle=value.lower(): needle in v.name.lower())
-        elif fieldname == "prop":
-            key, sep, expected = value.partition("=")
-            predicates.append(
-                lambda v, key=key, sep=sep, expected=expected:
-                key in (props := v.props or {})
-                and (not sep or str(props[key]) == expected))
-    return predicates
+def _passing(docs: Iterable[Oid], tests: list[Callable[[Oid], bool]],
+             limit: int) -> tuple[list[Oid], int]:
+    """The first ``limit`` of ``docs`` that pass every test, and how
+    many documents were examined to find them."""
+    kept: list[Oid] = []
+    examined = 0
+    for doc in docs:
+        if len(kept) == limit:
+            break
+        examined += 1
+        for test in tests:
+            if not test(doc):
+                break
+        else:
+            kept.append(doc)
+    return kept, examined
 
 
 class SearchEngine:
@@ -84,7 +83,15 @@ class SearchEngine:
     def search(self, query: str | SearchQuery, *,
                ranking: str = "relevance",
                limit: int = 20) -> list[SearchResult]:
-        """Run a query; returns ranked results."""
+        """Run a query; returns ranked results.
+
+        Raises :class:`~repro.errors.SearchError` for an unknown
+        ``ranking`` or a negative ``limit``, before any index work.
+        """
+        if ranking not in RANKINGS:
+            raise SearchError(f"unknown ranking {ranking!r}")
+        if limit < 0:
+            raise SearchError(f"limit must be >= 0, not {limit}")
         started = perf_counter()
         self._m_queries.inc()
         if isinstance(query, str):
@@ -110,8 +117,7 @@ class SearchEngine:
                 scored = self.index.top_docs(query.terms[0], limit)
                 self._m_index_hits.inc(len(scored))
             else:
-                scored = self._scan(query, ranking, limit, snap,
-                                    need_readers=need_readers)
+                scored = self._scan(query, ranking, limit, snap)
             return self._materialise(
                 scored, query, started, txn=snap,
                 need_readers=need_readers, need_authors=need_authors)
@@ -134,46 +140,135 @@ class SearchEngine:
         self._m_query_seconds.observe(perf_counter() - started)
         return results
 
-    def _scan(self, query: SearchQuery, ranking: str, limit: int, snap, *,
-              need_readers: bool) -> list[tuple[Oid, float]]:
+    def _scan(self, query: SearchQuery, ranking: str, limit: int,
+              snap) -> list[tuple[Oid, float]]:
         """The ``limit`` best ``(doc, relevance)`` of any query shape.
 
-        Candidates come from the postings; column filters and sort keys
-        from the index's doc values, so no candidate costs a snapshot
-        read and each candidate id is hashed once.  What only the
-        access log or the character rows know (readers, authors) is
-        asked of the collector last, for the survivors alone.
+        Equality filters and phrases are candidate *sets*; every other
+        filter is a per-document *test*.  Then one of two plans:
+
+        * **walk** an ordered list in rank order — the ranking's own
+          (relevance without terms orders as ``newest``), or for
+          one-term relevance that term's impact list — and stop at
+          ``limit`` documents that are in every set and pass every test;
+        * **heap** the candidates (the terms' postings ∩ every set) that
+          pass every test by the ranker's key.
+
+        The walk is taken when its expected length, ``limit`` × list
+        length ÷ the smallest candidate set, is below that set's size:
+        a rare term under ``newest`` heaps its few documents instead of
+        walking the corpus.  Only the winners are scored, except that
+        the heap needs every candidate's relevance to rank by it.
         """
-        values = self.index.doc_values
-        if query.terms or query.phrases:
-            candidates = self.index.matching_docs(query.all_terms)
-            for phrase in query.phrases:
-                candidates &= self.index.phrase_docs(phrase)
-            self._m_index_hits.inc(len(candidates))
-            rows = [(doc, values[doc]) for doc in candidates]
+        index = self.index
+        terms = query.all_terms
+        readers: dict[Oid, set] = {}
+
+        def readers_of(doc: Oid) -> set:
+            found = readers.get(doc)
+            if found is None:
+                found = readers[doc] = self.meta.readers_of(doc, txn=snap)
+            return found
+
+        sets, tests = self._filters(query, snap, readers_of)
+        smallest = min([len(docs) for docs in sets]
+                       + [index.doc_frequency(term) for term in terms],
+                       default=index.doc_count())
+        if not limit or not smallest:
+            return []
+        walk = self._walk_list(ranking, terms, limit, smallest)
+        if walk is None:
+            winners, examined = self._heap(
+                ranking, limit, terms, sets, tests, readers_of, snap)
         else:
-            # Metadata-only query: the just-refreshed index knows the
-            # full corpus — no DOCUMENTS rescan on this path.
-            rows = list(values.items())
-        for passes in _column_predicates(query.filters):
-            rows = [row for row in rows if passes(row[1])]
-        readers = None
-        if need_readers:
-            readers = {doc: self.meta.readers_of(doc, txn=snap)
-                       for doc, __ in rows}
+            checks = [docs.__contains__ for docs in sets] + tests
+            if terms and ranking in ORDERED:
+                # A ranking's list holds every document, an impact list
+                # only its term's.
+                needed = set(terms)
+                term_counts = index.term_counts
+                checks.insert(
+                    0, lambda doc: term_counts[doc].keys() >= needed)
+            winners, examined = _passing(
+                map(itemgetter(-1), walk), checks, limit)
+        self._m_index_hits.inc(examined)
+        return list(zip(winners, index.scores(terms, winners)))
+
+    def _walk_list(self, ranking: str, terms: list, limit: int,
+                   smallest: int) -> list | None:
+        """The ordered list to walk, or ``None`` when the heap is
+        cheaper (the rule in :meth:`_scan`)."""
+        index = self.index
+        if ranking == "relevance" and len(terms) == 1:
+            if limit * index.doc_frequency(terms[0]) < smallest * smallest:
+                return index.impact_entries(terms[0])
+        elif ranking in ORDERED or (ranking == "relevance" and not terms):
+            if limit * index.doc_count() < smallest * smallest:
+                # Without terms every relevance is 0.0: newest order.
+                return index.ordered_docs(
+                    ranking if ranking in ORDERED else "newest")
+        return None
+
+    def _filters(self, query: SearchQuery, snap,
+                 readers_of: Callable[[Oid], set]
+                 ) -> tuple[list, list[Callable[[Oid], bool]]]:
+        """The query's candidate sets (phrases, equality postings) and
+        per-document tests: column predicates over doc values first,
+        then what only the access log or the character rows know
+        (readers, authors), asked of the collector last."""
+        index = self.index
+        values = index.doc_values
+        sets = [index.phrase_docs(phrase) for phrase in query.phrases]
+        columns: list[Callable[[Oid], bool]] = []
+        collector: list[Callable[[Oid], bool]] = []
         for fieldname, value in query.filters:
-            if fieldname == "reader":
-                rows = [row for row in rows if value in readers[row[0]]]
-            elif fieldname in ("author", "writer"):
-                rows = [row for row in rows if value in
-                        self.meta.author_contributions(row[0], txn=snap)]
-        scores = self.index.scores(query.all_terms,
-                                   [doc for doc, __ in rows])
-        hits = heapq.nsmallest(
-            limit,
-            [(doc, v, score) for (doc, v), score in zip(rows, scores)],
-            key=self.ranker.key(ranking, readers))
-        return [(doc, score) for doc, __, score in hits]
+            key, sep, expected = value.partition("=")
+            if fieldname in EQUALITY_FIELDS and not (
+                    fieldname == "prop" and sep):
+                sets.append(index.equal_docs(fieldname, value))
+            elif fieldname == "name":
+                columns.append(lambda doc, needle=value.lower():
+                               needle in values[doc].name.lower())
+            elif fieldname == "prop":
+                columns.append(
+                    lambda doc, key=key, expected=expected:
+                    key in (props := values[doc].props or {})
+                    and str(props[key]) == expected)
+            elif fieldname == "reader":
+                collector.append(
+                    lambda doc, user=value: user in readers_of(doc))
+            else:  # author / writer
+                collector.append(
+                    lambda doc, user=value: user in
+                    self.meta.author_contributions(doc, txn=snap))
+        return sets, columns + collector
+
+    def _heap(self, ranking: str, limit: int, terms: list, sets: list,
+              tests: list, readers_of: Callable[[Oid], set],
+              snap) -> tuple[list[Oid], int]:
+        """The ``limit`` best candidates by the ranker's key, and how
+        many candidates were examined."""
+        index = self.index
+        values = index.doc_values
+        by_size = sorted(sets, key=len)
+        if terms:
+            pool = index.matching_docs(terms)
+        elif by_size:
+            pool = set(by_size.pop(0))
+        else:
+            pool = index.all_docs()
+        for docs in by_size:
+            pool &= docs
+        survivors = list(pool)
+        for test in tests:
+            survivors = [doc for doc in survivors if test(doc)]
+        scores = (index.scores(terms, survivors) if ranking == "relevance"
+                  else [0.0] * len(survivors))
+        key = self.ranker.key(ranking, readers_of, txn=snap)
+        best = heapq.nsmallest(limit, [
+            key(doc, values[doc], score)
+            for doc, score in zip(survivors, scores)])
+        return [entry[-1] for entry in best], len(pool)
 
     def _light_profile(self, doc: Oid, *, need_readers: bool,
                        need_authors: bool, txn=None) -> dict | None:

@@ -33,6 +33,14 @@ the same changefeed path as the postings — a DOCUMENTS event dirties
 the doc, the refresh replaces both — so ``ensure_fresh(txn=snap)`` pins
 them to the same commit point, and the engine can answer column filters
 and sort keys for every candidate without one snapshot read.
+
+Two more structures ride the same path, each built lazily on first use
+(a workload that never filters or ranks by them pays no memory) and
+maintained by ``_index_doc`` / ``_unindex_doc`` afterwards: *equality
+postings* (``creator``, ``state`` and property-key filters -> doc set,
+:meth:`equal_docs`) and *ordered lists* (``newest`` / ``oldest`` /
+``largest``: every document's ranking key, ascending,
+:meth:`ordered_docs`).  The keys come from :mod:`.ranking`'s one table.
 """
 
 from __future__ import annotations
@@ -40,16 +48,24 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from ..db import Database, col
 from ..ids import Oid
 from ..mining.features import tokenize
 from ..text import chars as C
 from ..text import dbschema as S
+from .ranking import KEYS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..feed.changefeed import CommitBatch
+
+#: Filter fields answered by equality postings.  ``prop:key`` files a
+#: document under each of its property keys; ``prop:key=value`` and
+#: ``name:`` stay per-document predicates.
+EQUALITY_FIELDS = ("creator", "state", "prop")
+
+_NO_DOCS: frozenset = frozenset()
 
 
 class DocValues(NamedTuple):
@@ -71,6 +87,12 @@ class DocValues(NamedTuple):
     def of(cls, row: Mapping[str, Any]) -> "DocValues":
         """Cut the doc values out of a ``tx_documents`` row."""
         return cls(*(row[column] for column in cls._fields))
+
+    def filed_under(self, fieldname: str) -> Iterable[Any]:
+        """The values equality postings file this document under."""
+        if fieldname == "prop":
+            return self.props or ()
+        return (getattr(self, fieldname),)
 
 
 class InvertedIndex:
@@ -98,6 +120,11 @@ class InvertedIndex:
         #: built lazily on first :meth:`top_docs` call for a term and
         #: maintained incrementally afterwards (see module docstring).
         self._impact: dict[str, list[tuple]] = {}
+        #: field -> value -> docs, built lazily per field (EQUALITY_FIELDS).
+        self._equal: dict[str, dict[Any, set[Oid]]] = {}
+        #: ranking -> every document's ``KEYS[ranking]`` key, ascending;
+        #: built lazily per ranking (``ranking.ORDERED``).
+        self._orders: dict[str, list[tuple]] = {}
         #: doc -> (seq, lsn) of the newest batch that dirtied it.
         self._pending: dict[Oid, tuple[int, int]] = {}
         self._sub = db.changefeed().subscribe(
@@ -147,6 +174,8 @@ class InvertedIndex:
         self._doc_values.clear()
         self._doc_text.clear()
         self._impact.clear()
+        self._equal.clear()
+        self._orders.clear()
         with self.db.snapshot() as snap:
             for row in snap.query(S.DOCUMENTS).run():
                 self._index_doc(row["doc"], snap, row)
@@ -240,22 +269,27 @@ class InvertedIndex:
         length = sum(len(p) for p in positions.values())
         self._doc_len[doc] = length
         values = self._doc_values[doc] = DocValues.of(row)
-        mtime = values.last_modified
         for term, pos_list in positions.items():
             self._tail[term][doc] = pos_list
             entries = self._impact.get(term)
             if entries is not None:
                 insort(entries, self._impact_key(
-                    len(pos_list), length, mtime, doc))
+                    len(pos_list), length, values, doc))
+        for fieldname, postings in self._equal.items():
+            for value in values.filed_under(fieldname):
+                postings[value].add(doc)
+        for ranking, entries in self._orders.items():
+            insort(entries, KEYS[ranking](doc, values, 0.0))
         self._tail_docs.add(doc)
         self.stats["reindexed_docs"] += 1
 
     def _unindex_doc(self, doc: Oid) -> None:
-        segment = self._tail if doc in self._tail_docs else self._base
-        length = self._doc_len.get(doc, 0)
         values = self._doc_values.pop(doc, None)
-        mtime = values.last_modified if values is not None else 0.0
-        for term, tf in self._doc_terms.pop(doc, {}).items():
+        if values is None:
+            return  # never indexed: no per-document structure holds it
+        segment = self._tail if doc in self._tail_docs else self._base
+        length = self._doc_len.pop(doc)
+        for term, tf in self._doc_terms.pop(doc).items():
             bucket = segment.get(term)
             if bucket is not None:
                 bucket.pop(doc, None)
@@ -263,10 +297,18 @@ class InvertedIndex:
                     del segment[term]
             entries = self._impact.get(term)
             if entries is not None:
-                self._impact_remove(entries, self._impact_key(
-                    tf, length, mtime, doc))
+                self._sorted_remove(entries, self._impact_key(
+                    tf, length, values, doc))
+        for fieldname, postings in self._equal.items():
+            for value in values.filed_under(fieldname):
+                docs = postings.get(value)
+                if docs is not None:
+                    docs.discard(doc)
+                    if not docs:
+                        del postings[value]
+        for ranking, entries in self._orders.items():
+            self._sorted_remove(entries, KEYS[ranking](doc, values, 0.0))
         self._tail_docs.discard(doc)
-        self._doc_len.pop(doc, None)
         self._doc_text.pop(doc, None)
 
     # ------------------------------------------------------------------
@@ -280,8 +322,9 @@ class InvertedIndex:
         Meaningful once the feed is drained (nothing pending): every
         live document then has doc values equal to its row, every
         per-document structure covers exactly the live documents (a
-        deleted document leaves no entry anywhere), and the postings
-        agree with the forward index.
+        deleted document leaves no entry anywhere), the postings agree
+        with the forward index, and every built equality posting and
+        ordered list equals a rebuild from the doc values.
         """
         problems: list[str] = []
         if self._pending:
@@ -315,6 +358,18 @@ class InvertedIndex:
                 problems.append(f"{doc}: postings != forward index")
         for doc in posted.keys() - self._doc_terms.keys():
             problems.append(f"{doc}: stale postings")
+        for fieldname, postings in self._equal.items():
+            for docs in postings.values():
+                for doc in docs - self._doc_values.keys():
+                    problems.append(f"{doc}: stale in {fieldname} postings")
+            if postings != self._equal_postings(fieldname):
+                problems.append(f"{fieldname} postings != doc values")
+        for ranking, entries in self._orders.items():
+            for key in entries:
+                if key[-1] not in self._doc_values:
+                    problems.append(f"{key[-1]}: stale in {ranking} list")
+            if entries != self._ordered_entries(ranking):
+                problems.append(f"{ranking} list != sorted doc values")
         return problems
 
     # ------------------------------------------------------------------
@@ -322,28 +377,31 @@ class InvertedIndex:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _impact_key(tf: int, length: int, mtime: float, doc: Oid) -> tuple:
+    def _impact_key(tf: int, length: int, values: DocValues,
+                    doc: Oid) -> tuple:
         """Ascending sort key = exact single-term relevance descending.
 
-        ``tf/len * idf`` orders by ``tf/len`` for a fixed term, and the
-        engine's relevance ranker tie-breaks equal scores by
-        ``last_modified`` — both folded in so :meth:`top_docs` can
-        return the first *k* entries verbatim.
+        ``tf/len * idf`` orders by ``tf/len`` for a fixed term, so the
+        ranker's own relevance key over ``tf/len`` is the list's order:
+        :meth:`top_docs` can return the first *k* entries verbatim.
         """
-        return (-(tf / max(length, 1)), -mtime, doc)
+        return KEYS["relevance"](doc, values, tf / max(length, 1))
 
     @staticmethod
-    def _impact_remove(entries: list, key: tuple) -> None:
+    def _sorted_remove(entries: list, key: tuple) -> None:
         pos = bisect_left(entries, key)
         if pos < len(entries) and entries[pos] == key:
             del entries[pos]
 
-    def _impact_entries(self, term: str) -> list:
+    def impact_entries(self, term: str) -> list:
+        """``term``'s documents in relevance order: ascending
+        ``(-tf/len, -last_modified, doc)``, built on first use.  Do not
+        mutate."""
         entries = self._impact.get(term)
         if entries is None:
             entries = sorted(
                 self._impact_key(len(pos), self._doc_len[doc],
-                                 self._doc_values[doc].last_modified, doc)
+                                 self._doc_values[doc], doc)
                 for segment in (self._base, self._tail)
                 for doc, pos in segment.get(term, {}).items()
             )
@@ -363,12 +421,48 @@ class InvertedIndex:
         documents contain the term — the flat-latency search path the
         archival-portal benchmarks gate on.
         """
-        entries = self._impact_entries(term)
+        entries = self.impact_entries(term)
         if not entries:
             return []
         idf = self._idf(len(entries))
         return [(doc, -neg_impact * idf)
                 for neg_impact, __, doc in entries[:k]]
+
+    # ------------------------------------------------------------------
+    # Equality postings and ordered lists (metadata filters and rankings)
+    # ------------------------------------------------------------------
+
+    def _equal_postings(self, fieldname: str) -> dict[Any, set[Oid]]:
+        postings: dict[Any, set[Oid]] = defaultdict(set)
+        for doc, values in self._doc_values.items():
+            for value in values.filed_under(fieldname):
+                postings[value].add(doc)
+        return postings
+
+    def equal_docs(self, fieldname: str,
+                   value: Any) -> set[Oid] | frozenset[Oid]:
+        """Documents whose ``fieldname`` equals ``value`` (for ``prop``:
+        that have the property ``value``).  The live set: do not mutate.
+        """
+        postings = self._equal.get(fieldname)
+        if postings is None:
+            postings = self._equal[fieldname] = \
+                self._equal_postings(fieldname)
+        return postings.get(value, _NO_DOCS)
+
+    def _ordered_entries(self, ranking: str) -> list[tuple]:
+        key = KEYS[ranking]
+        return sorted(key(doc, values, 0.0)
+                      for doc, values in self._doc_values.items())
+
+    def ordered_docs(self, ranking: str) -> list[tuple]:
+        """Every document's ``KEYS[ranking]`` key, ascending (best first;
+        the document is each key's last element), for a ranking in
+        ``ORDERED``.  Do not mutate."""
+        entries = self._orders.get(ranking)
+        if entries is None:
+            entries = self._orders[ranking] = self._ordered_entries(ranking)
+        return entries
 
     def _idf(self, df: int) -> float:
         return math.log((1 + max(self.doc_count(), 1)) / (1 + df)) + 1.0
@@ -434,6 +528,11 @@ class InvertedIndex:
     def doc_values(self) -> Mapping[Oid, DocValues]:
         """doc -> :class:`DocValues` as of the last refresh (read-only)."""
         return self._doc_values
+
+    @property
+    def term_counts(self) -> Mapping[Oid, Mapping[str, int]]:
+        """doc -> term -> tf, the forward index (read-only)."""
+        return self._doc_terms
 
     def cached_text(self, doc: Oid) -> str:
         """The document text as of the last (re)index — snippet source."""

@@ -5,19 +5,44 @@ options, e.g. 'most cited', 'newest' etc."  Citation here is TeNDaX's own
 notion: a document is cited when content is copied *out of* it into
 another document (the copy log), which only a database-backed editor can
 know.
+
+Every ranking is an *ascending* sort key ending in the document id, so
+each is a total order: equal-ranked documents come out by id on every
+path and every run.  The keys are written once, in :data:`KEYS`, and
+both the ranker and the index's ordered lists use them — a walk down an
+ordered list and a heap over candidates therefore agree on every tie.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import SearchError
 from ..ids import Oid
 from ..meta import MetadataCollector
-from .index import DocValues
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .index import DocValues
 
 RANKINGS = ("relevance", "newest", "oldest", "most_cited", "most_read",
             "largest")
+
+#: ranking -> ascending key over ``(doc, doc values, score)``.
+#: ``relevance`` is "higher score first, then newer": ``most_cited`` and
+#: ``most_read`` rank by it with a count for the score, and the index's
+#: impact-ordered lists with ``tf/len``, which orders a term's documents
+#: exactly as ``tf/len * idf`` does.  With no terms every score is 0.0
+#: and ``relevance`` orders as ``newest``.
+KEYS: dict[str, Callable[[Oid, "DocValues", float], tuple]] = {
+    "relevance": lambda doc, v, score: (-score, -v.last_modified, doc),
+    "newest": lambda doc, v, score: (-v.last_modified, doc),
+    "oldest": lambda doc, v, score: (v.created_at, doc),
+    "largest": lambda doc, v, score: (-v.size, doc),
+}
+
+#: The rankings a document's doc values alone decide: the index keeps
+#: each as a sorted list (built on first use) for the engine to walk.
+ORDERED = ("newest", "oldest", "largest")
 
 
 class Ranker:
@@ -26,37 +51,24 @@ class Ranker:
     def __init__(self, meta: MetadataCollector) -> None:
         self.meta = meta
 
-    def key(self, ranking: str, readers: Mapping[Oid, set] | None = None
-            ) -> Callable[[tuple[Oid, DocValues, float]], tuple]:
-        """Sort key over ``(doc, doc values, relevance)`` hits.
+    def key(self, ranking: str,
+            readers_of: Callable[[Oid], set] | None = None, *, txn=None
+            ) -> Callable[[Oid, "DocValues", float], tuple]:
+        """Sort key over ``(doc, doc values, relevance)``.
 
-        *Ascending* key order is best hit first, and every key ends in
-        the document id, so it is a total order: equal-ranked documents
-        come out by id on every path and every run (the index's
-        impact-ordered lists break ties the same way).  The id is
-        spelled ``node, seq`` — the :class:`~repro.ids.Oid` order — so
-        that the many exact ties of a bulk-ingested archive compare as
-        plain strings and ints rather than through the dataclass's
-        Python-level ``__lt__``.  ``readers`` (doc -> users who read
-        it) is only consulted by ``most_read``.
+        ``readers_of`` (doc -> users who read it) is only consulted by
+        ``most_read``; ``most_cited`` reads the copy log through ``txn``
+        (the search's snapshot), so a copy committed mid-search cannot
+        reorder it.
         """
-        if ranking == "relevance":
-            return lambda hit: (-hit[2], -hit[1].last_modified,
-                                hit[0].node, hit[0].seq)
-        if ranking == "newest":
-            return lambda hit: (-hit[1].last_modified,
-                                hit[0].node, hit[0].seq)
-        if ranking == "oldest":
-            return lambda hit: (hit[1].created_at, hit[0].node, hit[0].seq)
+        if ranking in KEYS:
+            return KEYS[ranking]
+        by_score = KEYS["relevance"]
         if ranking == "most_cited":
-            citations = self.meta.citation_counts()
-            return lambda hit: (-citations.get(hit[0], 0),
-                                -hit[1].last_modified,
-                                hit[0].node, hit[0].seq)
+            citations = self.meta.citation_counts(txn=txn)
+            return lambda doc, v, score: by_score(
+                doc, v, citations.get(doc, 0))
         if ranking == "most_read":
-            return lambda hit: (-len(readers[hit[0]]),
-                                -hit[1].last_modified,
-                                hit[0].node, hit[0].seq)
-        if ranking == "largest":
-            return lambda hit: (-hit[1].size, hit[0].node, hit[0].seq)
+            return lambda doc, v, score: by_score(
+                doc, v, len(readers_of(doc)))
         raise SearchError(f"unknown ranking {ranking!r}")

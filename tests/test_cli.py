@@ -55,6 +55,13 @@ class TestCli:
                             "--seed", "1", "--ranking", "newest")
         assert code == 0
 
+    @pytest.mark.parametrize("option", (("--limit", "-1"),
+                                        ("--ranking", "by_vibes")))
+    def test_search_rejects_bad_arguments(self, option):
+        with pytest.raises(SystemExit, match="repro search: "):
+            run_cli("search", "database", "--docs", "4", "--seed", "1",
+                    *option)
+
     def test_stats(self):
         code, out = run_cli("stats", "--docs", "4", "--seed", "1")
         assert code == 0

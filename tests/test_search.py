@@ -264,6 +264,42 @@ class TestRanking:
             engine.search("words", ranking="by_vibes")
 
 
+class TestLimit:
+    """Every query shape takes one of three paths (top-k list, ordered
+    walk, candidate heap); ``limit`` must mean the same on all of them."""
+
+    QUERIES = ("alpha", "alpha state:draft", "state:draft", "alpha beta",
+               '"alpha beta"', "", "name:d")
+
+    @pytest.fixture
+    def engine(self, db, store):
+        for i in range(5):
+            store.create(f"d{i}", "ana", text="alpha beta words")
+        return SearchEngine(db)
+
+    def test_negative_limit_is_rejected_on_every_path(self, engine):
+        # It used to slice the top-k list (``[:-1]``: four of five hits)
+        # and heap nothing on the scan path.
+        for query in self.QUERIES:
+            with pytest.raises(SearchError):
+                engine.search(query, limit=-1)
+
+    def test_zero_limit_is_empty_on_every_path(self, engine):
+        for query in self.QUERIES:
+            for ranking in engine.rankings():
+                assert engine.search(query, ranking=ranking, limit=0) == []
+        assert len(engine.search("alpha", ranking="newest", limit=1)) == 1
+
+    def test_arguments_checked_before_the_index_refresh(self, engine, store):
+        store.create("late", "ben", text="alpha latecomer")
+        assert engine.index.dirty_count() == 1
+        for kwargs in ({"ranking": "by_vibes"}, {"limit": -3}):
+            with pytest.raises(SearchError):
+                engine.search("alpha", **kwargs)
+        assert engine.index.dirty_count() == 1
+        assert len(engine.search("alpha", limit=50)) == 6
+
+
 class TestPhraseSearch:
     @pytest.fixture
     def engine(self, db, store):

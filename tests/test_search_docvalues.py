@@ -11,10 +11,13 @@ A hypothesis programme interleaves every kind of write that reaches the
 index or the collector (create / type / re-upload / archive import /
 state / property / delete / read-log / copy-log) with maintenance ticks
 at random points, probes single queries mid-stream (index partly
-refreshed, partly dirty) and at the end checks every filter field ×
-every ranking × {one term, two terms, phrase, filter-only} for
-identical documents, scores and profiles.  ``InvertedIndex.check()``
-then proves doc values ≡ ``tx_documents`` after a drain.
+refreshed, partly dirty) and at the end checks every filter field
+(plus one matching nothing and two combined) × every ranking × {one
+term, a rare term, two terms, phrase, filter-only} × ``limit`` in {0,
+1, 3, 50} for identical documents, scores and profiles — whichever of
+the top-k list, the ordered walk or the candidate heap the engine
+picked.  ``InvertedIndex.check()`` then proves doc values, equality
+postings and ordered lists ≡ ``tx_documents`` after a drain.
 
 The nightly CI arm re-runs this file at a larger examples budget
 (``MVCC_PROPERTY_PROFILE=nightly``).
@@ -46,10 +49,18 @@ STATES = ("draft", "review", "final")
 WORDS = ("alpha", "beta", "gamma", "delta")
 TOPICS = ("db", "ai")
 
+#: ``omega`` is only in two seed documents and no operation adds it (df
+#: <= 2: the walk-or-heap rule must choose the heap under ``newest``).
+RARE = "omega"
+#: A filter no document passes (an empty equality set).
+NO_MATCH = "creator:nobody"
+
 FILTERS = ("", "creator:ana", "state:final", "name:DB", "reader:ben",
-           "author:ana", "writer:ben", "prop:topic", "prop:tier=2")
-SHAPES = ("alpha", "alpha beta", '"alpha beta"', "")
+           "author:ana", "writer:ben", "prop:topic", "prop:tier=2",
+           NO_MATCH, "creator:ana state:final")
+SHAPES = ("alpha", "alpha beta", '"alpha beta"', "", RARE)
 QUERIES = [f"{shape} {flt}".strip() for shape in SHAPES for flt in FILTERS]
+LIMITS = (0, 1, 3, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def _reference_scores(index, terms, docs):
     return scores
 
 
-def _reference_sort(engine, profiles, ranking, relevance):
+def _reference_sort(engine, profiles, ranking, relevance, txn):
     reverse = True
     if ranking == "relevance":
         key = lambda p: (relevance.get(p["doc"], 0.0), p["last_modified"])
@@ -122,7 +133,7 @@ def _reference_sort(engine, profiles, ranking, relevance):
         key = lambda p: p["created_at"]
         reverse = False
     elif ranking == "most_cited":
-        citations = engine.meta.citation_counts()
+        citations = engine.meta.citation_counts(txn=txn)
         key = lambda p: (citations.get(p["doc"], 0), p["last_modified"])
     elif ranking == "most_read":
         key = lambda p: (len(p.get("readers", ())), p["last_modified"])
@@ -157,9 +168,10 @@ def reference_search(engine, query, *, ranking, limit):
             if profile is not None and \
                     _reference_passes(profile, query.filters):
                 profiles.append(profile)
-    relevance = _reference_scores(index, query.all_terms,
-                                  {p["doc"] for p in profiles})
-    ordered = _reference_sort(engine, profiles, ranking, relevance)
+        relevance = _reference_scores(index, query.all_terms,
+                                      {p["doc"] for p in profiles})
+        ordered = _reference_sort(engine, profiles, ranking, relevance,
+                                  snap)
     return [(p["doc"], relevance.get(p["doc"], 0.0), p)
             for p in ordered[:limit]]
 
@@ -272,7 +284,7 @@ class Archive:
 _user = st.sampled_from(USERS)
 _words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6)
 _where = st.integers(min_value=0, max_value=50)
-_limit = st.sampled_from((1, 3, 50))
+_limit = st.sampled_from(LIMITS)
 
 OPS = st.one_of(
     st.tuples(st.just("create"), _user, _words,
@@ -297,10 +309,10 @@ OPS = st.one_of(
 #: and top-k cuts have something to bite on even in short programmes.
 SEED_OPS = (
     ("import", "ana", ("alpha", "beta", "gamma"), "db"),
-    ("import", "ben", ("alpha", "beta"), "db"),
+    ("import", "ben", ("alpha", "beta", RARE), "db"),
     ("import", "ana", ("beta", "alpha", "alpha"), "ai"),
     ("create", "ben", ("alpha", "beta", "delta"), "ai"),
-    ("create", "ana", ("gamma", "alpha"), ""),
+    ("create", "ana", ("gamma", "alpha", RARE), ""),
     ("import", "cleo", ("alpha", "beta", "gamma"), "db"),
 )
 
@@ -362,14 +374,16 @@ def test_every_filter_ranking_and_shape_on_a_directed_archive():
                ("delete", 5, "ana")):
         archive.apply(op)
     engine = archive.engine
-    for limit in (1, 3, 50):
+    for limit in LIMITS:
         for query in QUERIES:
             for ranking in RANKINGS:
                 assert_same_as_reference(engine, query, ranking, limit)
     found = {flt: {r.doc for r in engine.search(flt, limit=50)}
              for flt in FILTERS if flt}
+    assert found.pop(NO_MATCH) == set()
     assert all(0 < len(docs) < len(archive.live) for docs in found.values())
     assert found["prop:tier=2"] == set(archive.live[:2])
+    assert 0 < engine.index.doc_frequency(RARE) <= 2
     archive.close()
 
 
@@ -447,6 +461,123 @@ def test_scan_search_pinned_against_concurrent_writer(monkeypatch):
     assert [r.doc for r in final] == [target]
     assert final[0].profile["state"] == "final"
     assert final[0].profile["last_modified_by"] == "ben"
+    archive.close()
+
+
+def test_most_cited_pinned_against_concurrent_copy(monkeypatch):
+    """The ``most_cited`` twin: a copy committed between the search
+    snapshot opening and the index refresh does not reorder that search
+    (the copy log used to be read outside the snapshot) and does reorder
+    the next one."""
+    archive = _small_archive()
+    engine = archive.engine
+    before = [r.doc for r in
+              engine.search("alpha", ranking="most_cited", limit=50)]
+    assert len(before) == len(archive.live)
+    target, other = before[-1], before[0]
+    original = engine.index.ensure_fresh
+    fired = []
+
+    def racy_refresh(txn=None):
+        if not fired:
+            fired.append(True)
+            archive.apply(("cite", archive.live.index(target),
+                           archive.live.index(other), "ben"))
+        return original(txn=txn)
+
+    monkeypatch.setattr(engine.index, "ensure_fresh", racy_refresh)
+    during = engine.search("alpha", ranking="most_cited", limit=50)
+    assert [r.doc for r in during] == before
+    assert fired == [True]
+    after = engine.search("alpha", ranking="most_cited", limit=50)
+    assert [r.doc for r in after] == [target] + before[:-1]
+    archive.close()
+
+
+def _examined(engine, query, ranking, limit) -> int:
+    """``search.index_hits`` spent by one search: documents examined."""
+    hits = engine.db.obs.registry.counter("search.index_hits")
+    before = hits.value
+    results = engine.search(query, ranking=ranking, limit=limit)
+    examined = hits.value - before
+    assert [(r.doc, r.score, r.profile) for r in results] == \
+        reference_search(engine, query, ranking=ranking, limit=limit)
+    return examined
+
+
+def _bulk_archive(n_docs: int) -> SimpleNamespace:
+    """``n_docs`` archived documents with one timestamp (so ``newest``
+    is document-id order), states cycling draft / review / final and
+    the term ``omega`` in two of them."""
+    db = Database("bulk", clock=SimulatedClock(tick=0))
+    DocumentStore(db)  # creates the schema
+    now = db.now()
+    with db.transaction() as txn:
+        for i in range(n_docs):
+            text = "filler alpha" + (f" {RARE}" if i in (7, 1500) else "")
+            txn.insert(S.DOCUMENTS, {
+                "doc": db.new_oid("doc"), "name": f"bulk-{i:05d}",
+                "creator": USERS[i % 2], "created_at": now,
+                "state": STATES[i % 3], "size": len(text),
+                "last_modified": now, "last_modified_by": "ana",
+                "props": {"archived_text": text}})
+    return SimpleNamespace(db=db, engine=SearchEngine(db))
+
+
+def test_walk_stops_at_limit_and_rare_terms_take_the_heap():
+    """A ranked metadata scan walks the ordered list and stops at
+    ``limit`` survivors (``state:final`` is every third document), and a
+    term in two documents under ``newest`` heaps those two instead of
+    walking 2 000."""
+    bulk = _bulk_archive(2000)
+    engine = bulk.engine
+    for limit in (1, 3, 10, 50):
+        for ranking in ("relevance", "newest", "oldest"):
+            assert _examined(engine, "state:final", ranking, limit) \
+                <= 3 * limit
+        # The two longer ``omega`` documents (neither final) lead.
+        assert _examined(engine, "state:final", "largest", limit) \
+            <= 3 * limit + 2
+    assert _examined(engine, "alpha state:final", "relevance", 10) <= 30
+    assert engine.index.doc_frequency(RARE) == 2
+    for ranking in ("newest", "oldest", "largest", "relevance"):
+        assert _examined(engine, RARE, ranking, 10) <= 2
+        assert _examined(engine, f"{RARE} state:draft", ranking, 10) <= 2
+    # Two equality sets: every sixth document is in both.
+    assert _examined(engine, "creator:ana state:final", "newest", 5) <= 30
+    bulk.engine.index.close()
+    bulk.engine.meta.close()
+
+
+def test_check_names_corrupt_postings_and_ordered_lists():
+    """``check()`` holds the equality postings to a rebuild from doc
+    values and each built ordered list to ``sorted()`` of its keys;
+    ``rebuild()`` drops both (they come back lazily)."""
+    archive = _small_archive()
+    index = archive.engine.index
+    gone = archive.live[5]
+    index.ensure_fresh()
+    drafts = index.equal_docs("state", "draft")
+    newest = index.ordered_docs("newest")
+    archive.apply(("delete", 5, "ana"))
+    index.ensure_fresh()
+    assert gone not in drafts and all(key[-1] != gone for key in newest)
+    assert index.check() == []
+    drafts.add(gone)
+    newest.reverse()
+    problems = index.check()
+    assert f"{gone}: stale in state postings" in problems
+    assert "state postings != doc values" in problems
+    assert "newest list != sorted doc values" in problems
+    newest.reverse()
+    newest.insert(0, (float("-inf"), gone))
+    assert f"{gone}: stale in newest list" in index.check()
+    index.rebuild()
+    assert index.check() == []
+    assert gone not in index.equal_docs("state", "draft")
+    assert [key[-1] for key in index.ordered_docs("newest")] \
+        == [r.doc for r in archive.engine.search("", ranking="newest",
+                                                 limit=50)]
     archive.close()
 
 
