@@ -3,11 +3,15 @@
 TeNDaX lists "awareness" among its collaboration features: editors show
 the presence, cursors and selections of everyone working on the document.
 Cursors are anchored at character OIDs (a cursor sits *after* its anchor),
-so remote edits never displace them incorrectly.
+so remote edits never displace them incorrectly.  Every placement is
+stamped with the registry's next *presence sequence*, which only grows:
+a replica handed two cursors of one session in either order keeps the
+one with the higher ``seq``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..ids import Oid
@@ -23,6 +27,7 @@ class CursorState:
     anchor: Oid                      # cursor sits after this character
     selection: tuple = ()            # selected char OIDs (may be empty)
     updated_at: float = 0.0
+    seq: int = 0                     # presence sequence of this placement
 
     def position(self, handle: DocumentHandle) -> int:
         """Resolve the cursor to a current document position (if its
@@ -41,6 +46,7 @@ class AwarenessRegistry:
         #: activity feed entries (bounded).
         self._activity: list[dict] = []
         self.activity_limit = 1000
+        self._presence = itertools.count(1)
 
     # -- presence -----------------------------------------------------------
 
@@ -48,7 +54,7 @@ class AwarenessRegistry:
                begin_char: Oid, now: float) -> None:
         """Register a participant with a cursor at document start."""
         self._cursors.setdefault(doc, {})[session_id] = CursorState(
-            user, session_id, begin_char, (), now,
+            user, session_id, begin_char, (), now, next(self._presence),
         )
         self._log(now, user, doc, "joined")
 
@@ -70,14 +76,16 @@ class AwarenessRegistry:
     # -- cursors ---------------------------------------------------------------
 
     def update_cursor(self, doc: Oid, session_id: int, anchor: Oid,
-                      selection: tuple, now: float) -> None:
-        """Move a session's cursor/selection anchors."""
-        doc_cursors = self._cursors.get(doc, {})
-        state = doc_cursors.get(session_id)
+                      selection: tuple, now: float) -> CursorState | None:
+        """Move a session's cursor/selection anchors; returns the new
+        state (``None`` if the session is not in the document)."""
+        state = self._cursors.get(doc, {}).get(session_id)
         if state is not None:
             state.anchor = anchor
             state.selection = selection
             state.updated_at = now
+            state.seq = next(self._presence)
+        return state
 
     def cursors(self, doc: Oid) -> list[CursorState]:
         """All cursor states currently in a document."""

@@ -1,8 +1,9 @@
-"""Notification delivery: the collab layer's simulated network.
+"""Notification delivery: the in-process transport of the collab fan-out.
 
-The paper's editors sit on different machines; here "the network" is the
-hop between a database commit and each session's inbox.  By default that
-hop is instantaneous, exactly as before.  With a
+A notice the fan-out hands to an in-process session travels this hop,
+from the operation that made the commit to the session's inbox (a wire
+session's transport is its connection instead: see
+:mod:`repro.net.server`).  By default the hop is instantaneous.  With a
 :class:`~repro.faults.plan.DeliveryFault` in the server's fault plan, the
 :class:`DeliveryBus` holds a seeded fraction of notifications back and
 releases the backlog — optionally out of order — on :meth:`drain`,
@@ -11,8 +12,8 @@ convergence property is stated against this bus: once delivery drains,
 every replica must agree.
 
 Delivery is also where the paper's *real-time* claim is measured: every
-notification handed to a session observes the end-to-end
-``collab.replication_seconds`` histogram (keystroke start, carried on
+notification landing in an inbox observes the end-to-end
+``collab.replication_seconds`` histogram (operation start, carried on
 the envelope, to inbox arrival — held time included), and each delivery
 opens a ``collab.deliver`` span whose parent is the originating
 keystroke's dispatch span (resumed from the envelope's trace context,

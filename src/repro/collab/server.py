@@ -6,18 +6,24 @@ document store, security, layout/structure/object/note/version managers,
 the undo manager and the awareness registry, and it fans committed changes
 out to every connected session with the affected document open.
 
-The paper's editors run on different machines; here sessions live in one
-process and "network delivery" is the per-session inbox (instantaneous by
-default; benchmarks can interleave arbitrarily).  The database commit is
-the serialisation point either way.
+The fan-out is the one delivery model.  Each commit becomes one notice
+per changed document, stamped with that document's next ``rep_seq``; a
+notice leaves when the outermost :meth:`CollaborationServer.operation`
+that committed it exits (at once for a commit made outside any), and
+goes to every other session with the document open through that
+session's transport: the :class:`DeliveryBus` into its inbox for an
+in-process session, its connection for a wire one.  The database commit
+is the serialisation point either way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import threading
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..clock import Clock
 from ..db import Database
@@ -41,11 +47,58 @@ from .undo import UndoManager
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..feed.changefeed import CommitBatch
 
-#: Tables whose commits are announced to editors: as change notifications
-#: to sessions here, as NOTIFY metadata on the wire (where only CHARS
-#: rows travel).
+#: Tables whose commits are announced to editors (on the wire only the
+#: CHARS rows travel; the rest is NOTIFY metadata).
 WATCHED_TABLES = frozenset(
     (S.CHARS, S.OBJECTS, S.NOTES, S.STRUCTURE, S.DOCUMENTS))
+
+
+@dataclass(slots=True)
+class Notice:
+    """One commit's change to one document, as the fan-out hands it to
+    every reader's transport.
+
+    ``notification`` is what an inbox receives; ``changes`` the
+    commit's events (:class:`~repro.db.transaction.Change`, every
+    document's), for a transport that ships rows; ``origin`` the
+    session whose operation made the commit (``None`` outside any);
+    ``wire`` a transport's own rendering, made once for all its
+    readers.
+    """
+
+    notification: Notification
+    changes: tuple
+    origin: EditingSession | None
+    wire: Any = None
+
+
+@dataclass(slots=True)
+class _Operation:
+    """A block whose commits, on the thread that enters it, have
+    ``origin`` as their author; their notices are held until the
+    outermost operation on the thread exits — raising or not: the rows
+    are committed and their ``rep_seq`` is taken.  Entering one inside
+    another joins the outer one.  ``started`` is the zero point of
+    ``collab.replication_seconds``, carried on every notice."""
+
+    server: "CollaborationServer"
+    origin: EditingSession
+    started: float = field(default_factory=perf_counter)
+    notices: list[Notice] = field(default_factory=list)
+
+    def __enter__(self) -> "_Operation":
+        local = self.server._local
+        current = getattr(local, "op", None)
+        if current is not None:
+            return current
+        local.op = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        local = self.server._local
+        if local.op is self:
+            local.op = None
+            self.server._send(self.notices)
 
 
 class CollaborationServer:
@@ -89,10 +142,10 @@ class CollaborationServer:
         self._sessions: dict[int, EditingSession] = {}
         self._session_counter = itertools.count(1)
         self._notification_seq = itertools.count(1)
-        self._operating_session: EditingSession | None = None
-        #: ``perf_counter`` at the start of the in-flight operation —
-        #: the keystroke zero point stamped onto notification envelopes.
-        self._operating_started: float | None = None
+        #: doc oid -> ``rep_seq`` of its newest commit.
+        self.rep_seqs: dict = {}
+        #: ``op``: this thread's open :class:`_Operation`, if any.
+        self._local = threading.local()
         # A notice consumer of the changefeed (dispatched after every
         # state-keeping one: see ``NOTICE_CONSUMERS``), so a session is
         # never told of a change its handle cannot read yet.
@@ -191,32 +244,35 @@ class CollaborationServer:
     # Change propagation
     # ------------------------------------------------------------------
 
+    def operation(self, origin: EditingSession) -> _Operation:
+        """An operation of ``origin``, for a ``with`` block: see
+        :class:`_Operation`."""
+        return _Operation(self, origin)
+
     @contextlib.contextmanager
     def _operating(self, session: EditingSession, *,
                    verb: str = "") -> Iterator[None]:
-        """Mark ``session`` as the origin of commits made inside.
+        """An editor operation of ``session``: an :meth:`operation`,
+        timed and traced.
 
         Opens the keystroke's *root* trace span (``collab.op``): the
         transaction started inside parents under it, and through the
         notification envelope so do dispatch, delivery and every remote
         session's apply — one causally linked trace per editor
-        operation.  ``_operating_started`` is the replication-latency
-        zero point the envelope carries.
+        operation.
 
         Inside a :meth:`~repro.db.engine.Database.batch` the op's span
         parents under the batch *transaction* span instead of rooting a
         fresh trace: every coalesced keystroke then links to the batch's
         single commit and its group's fsync.
         """
-        previous = self._operating_session
-        previous_started = self._operating_started
-        self._operating_session = session
-        self._operating_started = started = perf_counter()
+        started = perf_counter()
         batch = self.db.current_batch()
         parent = batch.span.ctx if batch is not None else None
-        with self._tracer.span("collab.op", parent_ctx=parent,
-                               session=session.id,
-                               user=session.user, verb=verb):
+        with _Operation(self, session), \
+                self._tracer.span("collab.op", parent_ctx=parent,
+                                  session=session.id, user=session.user,
+                                  verb=verb):
             try:
                 yield
             finally:
@@ -224,13 +280,12 @@ class CollaborationServer:
                 self._m_op_seconds.observe(elapsed)
                 if verb:
                     self._verb_seconds[verb].observe(elapsed)
-                self._operating_session = previous
-                self._operating_started = previous_started
 
     def _on_commit(self, batch: "CommitBatch") -> None:
-        """Feed consumer: one notification per changed document to every
-        other session that has it open.  Runs under the feed's dispatch
-        lock, so it only appends to inboxes (or the delivery backlog)."""
+        """Feed consumer: one notice per changed document, stamped with
+        the document's next ``rep_seq``, held by the operation that made
+        the commit or sent at once.  Runs under the feed's dispatch lock,
+        which serialises the stamping across threads."""
         #: doc -> [tables touched, number of changes]
         by_doc: dict = {}
         for change in batch.events:
@@ -248,39 +303,55 @@ class CollaborationServer:
                 entry[1] += 1
         if not by_doc:
             return
-        origin = self._operating_session
+        op = getattr(self._local, "op", None)
+        origin = op.origin if op is not None else None
         origin_id = origin.id if origin else None
         origin_user = origin.user if origin else None
-        origin_started = self._operating_started if origin else None
+        started = op.started if op is not None else None
         now = self.db.now()
-        failed = None
+        notices = []
         for doc, (tables, count) in by_doc.items():
-            readers = [session for session in self.sessions_on(doc)
-                       if session.id != origin_id]
-            # One dispatch span per notified document; its (trace, span)
-            # context rides on the envelope so delivery/apply spans can
-            # resume the trace after a hold or reorder.  With no trace
-            # sink the scoped span is NULL_SPAN and ``ctx`` is None.
+            rep_seq = self.rep_seqs[doc] = self.rep_seqs.get(doc, 0) + 1
+            # One dispatch span per document; its (trace, span) context
+            # rides on the notice so delivery and apply spans resume the
+            # trace whenever and wherever the notice lands.  With no
+            # trace sink the span is NULL_SPAN and ``ctx`` is None.
             with self._tracer.span("collab.dispatch", doc=str(doc),
                                    changes=count) as dispatch:
                 ctx = dispatch.ctx
-                notification = Notification(
-                    doc, origin_id, origin_user, tuple(sorted(tables)),
-                    count, now, next(self._notification_seq),
-                    ctx[0] if ctx else None, ctx[1] if ctx else None,
-                    origin_started)
-                for session in readers:
-                    try:
+            notices.append(Notice(Notification(
+                doc, rep_seq, origin_id, origin_user, tuple(sorted(tables)),
+                count, now, next(self._notification_seq),
+                ctx[0] if ctx else None, ctx[1] if ctx else None,
+                started), batch.events, origin))
+        if op is None:
+            self._send(notices)
+        else:
+            op.notices.extend(notices)
+
+    def _send(self, notices: list[Notice]) -> None:
+        """Hand each notice to every session with its document open but
+        the origin, through the session's transport."""
+        for notice in notices:
+            notification = notice.notification
+            readers = 0
+            for session in self.sessions_on(notification.doc):
+                if session is notice.origin:
+                    continue
+                readers += 1
+                try:
+                    if session.transport is None:
                         self.delivery.send(session, notification)
-                    except Exception as exc:
-                        # One broken inbox must not cost the others
-                        # their notice; the feed records the failure.
-                        failed = exc
-                if readers:
-                    self._m_notifications.inc(len(readers))
-                    self._doc_notifications[doc].inc(len(readers))
-        if failed is not None:
-            raise failed
+                    else:
+                        session.transport(notice)
+                except Exception as exc:
+                    # One broken reader must not cost the others their
+                    # notice, nor the origin its reply.
+                    self.db.changefeed().consumer_failed(
+                        "collab-fanout", exc)
+            if readers:
+                self._m_notifications.inc(readers)
+                self._doc_notifications[notification.doc].inc(readers)
 
     # ------------------------------------------------------------------
     # Teardown

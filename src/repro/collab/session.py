@@ -25,10 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Notification(NamedTuple):
     """A change delivered to a session's inbox.
 
-    ``seq`` is the server's global send order; an inbox whose sequence
-    numbers are not ascending observed out-of-order delivery (possible
-    only under injected delivery faults — see
-    :class:`~repro.collab.bus.DeliveryBus`).
+    ``rep_seq`` numbers the commits of ``doc`` (1, 2, 3 … — the wire's
+    replication sequence); ``seq`` is the server's global send order.
+    An inbox whose sequence numbers are not ascending observed
+    out-of-order delivery (under injected delivery faults — see
+    :class:`~repro.collab.bus.DeliveryBus` — or a commit held by an
+    operation on another thread).
 
     The last three fields are the *causal envelope*: ``trace_id`` /
     ``parent_span`` carry the originating keystroke's dispatch-span
@@ -42,6 +44,7 @@ class Notification(NamedTuple):
     """
 
     doc: Oid
+    rep_seq: int
     origin_session: int | None
     origin_user: str | None
     tables: tuple[str, ...]
@@ -73,6 +76,11 @@ class EditingSession:
         self.os_name = os_name
         self.clipboard = Clipboard(server.db)
         self.inbox: list[Notification] = []
+        #: How this session is told of other editors' commits: ``None``
+        #: is the server's :class:`~repro.collab.bus.DeliveryBus` into
+        #: :attr:`inbox`; a wire connection installs a callable taking
+        #: the fan-out's notice.
+        self.transport = None
         self._handles: dict[Oid, DocumentHandle] = {}
         self.connected = True
 
@@ -216,14 +224,16 @@ class EditingSession:
             self.server.acl.check_chars_editable(doc, self.user, touched)
         with self.server._operating(self, verb=type(op).__name__):
             record = op.apply(handle, self.user)
-        now = self.server.db.now()
-        if record is not None:
-            self.server.undo.record(record)
-            anchor = record.cursor_anchor(handle)
-            if anchor is not None:
-                # An edit drops the selection, like a cursor move does.
-                self.server.awareness.update_cursor(
-                    doc, self.id, anchor, (), now)
+            now = self.server.db.now()
+            if record is not None:
+                self.server.undo.record(record)
+                anchor = record.cursor_anchor(handle)
+                if anchor is not None:
+                    # An edit drops the selection, like a cursor move
+                    # does.  Placed before the operation ends, so the
+                    # cursor rides the commit's notices.
+                    self.server.awareness.update_cursor(
+                        doc, self.id, anchor, (), now)
         self.server.awareness.note_activity(
             now, self.user, doc, type(op).__name__)
         return record

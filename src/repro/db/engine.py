@@ -62,12 +62,12 @@ class Database:
         trace spans into; a fresh enabled one is created by default.
         Pass ``Observability(enabled=False)`` for a no-op baseline (see
         ``docs/OBSERVABILITY.md``).
-    wal_group_commit / wal_group_window / wal_group_max:
+    wal_group_window / wal_group_max:
         Group-commit knobs forwarded to the
         :class:`~repro.db.wal.WriteAheadLog`: concurrent committers share
         one fsync via a commit barrier (see ``docs/INTERNALS.md``,
-        "Group commit & batching").  Defaults keep single-threaded
-        behaviour identical to per-commit fsync.
+        "Group commit & batching").  The defaults fsync a lone committer
+        at once.
     """
 
     def __init__(
@@ -79,7 +79,6 @@ class Database:
         lock_timeout: float = 5.0,
         faults=None,
         obs: Observability | None = None,
-        wal_group_commit: bool = True,
         wal_group_window: float = 0.0,
         wal_group_max: int = 64,
     ) -> None:
@@ -96,7 +95,6 @@ class Database:
         self.wal = WriteAheadLog(wal_path, faults=self.faults,
                                  registry=registry,
                                  tracer=self.obs.tracer,
-                                 group_commit=wal_group_commit,
                                  group_window=wal_group_window,
                                  group_max=wal_group_max)
         self.catalog = Catalog(self)
@@ -198,8 +196,7 @@ class Database:
     # ------------------------------------------------------------------
 
     def begin(self, *, lock_timeout: float | None = None,
-              read_only: bool = False,
-              locking_reads: bool = False) -> Transaction:
+              read_only: bool = False) -> Transaction:
         """Start a new transaction.
 
         ``read_only=True`` starts an MVCC *snapshot* transaction: it pins
@@ -208,10 +205,6 @@ class Database:
         LockManager calls, no WAL records, DML raises
         :class:`~repro.errors.ReadOnlyTransactionError`.  Writers are
         never blocked by it and never block it.
-
-        ``locking_reads=True`` (with ``read_only``) is the pre-MVCC
-        2PL-reader baseline instead: reads take SHARED row locks held to
-        the end.  Kept for interference benchmarks, not for real use.
 
         Inside an active :meth:`batch` on the same thread a *write*
         begin returns a :class:`~repro.db.transaction.BatchJoin` view of
@@ -222,10 +215,9 @@ class Database:
         if read_only:
             txn_id = next(self._txn_counter)
             self.stats["transactions"] += 1
-            snapshot_lsn = None if locking_reads else self.pin_snapshot()
             return Transaction(self, txn_id, lock_timeout=lock_timeout,
-                               read_only=True, snapshot_lsn=snapshot_lsn,
-                               locking_reads=locking_reads)
+                               read_only=True,
+                               snapshot_lsn=self.pin_snapshot())
         batch = self.current_batch()
         if batch is not None and batch.is_active:
             batch.batched_ops += 1

@@ -5,9 +5,10 @@ commit or abort (strict two-phase locking); plain reads see the last
 committed version without blocking.  MVCC snapshot transactions
 (``db.begin(read_only=True)``) bypass this manager entirely — their reads
 resolve from version chains (:mod:`repro.db.table`) and never touch a
-lock.  SHARED mode is used only by the 2PL-reader baseline kept for
-interference benchmarks (``locking_reads=True``).  Table-level locks
-protect DDL.
+lock.  No engine read takes SHARED mode; it exists for a caller that
+locks the rows it reads (:meth:`Transaction.lock_shared` — the
+interference benchmark's 2PL-reader arm).  Table-level locks protect
+DDL.
 
 Blocking waits are supported for multi-threaded use; a wait-for graph is
 checked before every wait so deadlocks are detected immediately and the

@@ -96,12 +96,12 @@ def _read_key(table: Table, column: str, key: Any,
               txn: "Transaction | None") -> list | None:
     """:meth:`Table.read_key` for ``txn``, or ``None`` where a key read
     does not apply: NULL keys, columns without a unique index, snapshot
-    and ``locking_reads`` transactions (a finished one reads committed
-    state, like no transaction at all)."""
+    transactions (a finished one reads committed state, like no
+    transaction at all)."""
     if key is None:
         return None
     if txn is not None and txn.is_active:
-        if txn.snapshot_lsn is not None or txn.locking_reads:
+        if txn.snapshot_lsn is not None:
             return None
         return table.read_key(column, key, txn.txn_id)
     return table.read_key(column, key, None)
@@ -370,8 +370,6 @@ class Query:
 
         * snapshot txn: version-chain reads as of the pinned LSN — zero
           lock acquisitions;
-        * 2PL-reader baseline txn: committed reads under SHARED row
-          locks;
         * write txn: committed reads with the txn's pending overlay;
         * no txn: plain committed reads.
         """
@@ -382,15 +380,12 @@ class Query:
             txn._metrics.snapshot_reads.inc()
             yield from self._snapshot_candidates(table, plan, snapshot_lsn)
             return
-        locking = txn is not None and getattr(txn, "locking_reads", False)
         pending = table.pending_of(txn.txn_id) if txn is not None else {}
         if plan.kind == "index":
             emitted: set[int] = set()
             for rowid in self._probe(table, plan):
                 if rowid in pending:
                     continue  # replaced below by the pending image
-                if locking:
-                    txn.lock_shared(self._table_name, rowid)
                 row = table.read(rowid)
                 if row is not None:
                     emitted.add(rowid)
@@ -402,16 +397,8 @@ class Query:
                     yield rowid, image
         else:
             for rowid, row in table.committed_items():
-                if rowid in pending:
-                    continue
-                if locking:
-                    txn.lock_shared(self._table_name, rowid)
-                    # Re-read under the lock: the unlocked snapshot image
-                    # may predate a writer that committed while we waited.
-                    row = table.read(rowid)
-                    if row is None:
-                        continue
-                yield rowid, row
+                if rowid not in pending:
+                    yield rowid, row
             for rowid, image in pending.items():
                 if image is not TOMBSTONE:
                     yield rowid, image

@@ -94,13 +94,8 @@ def recover(records: Iterable[WalRecord], **engine) -> Database:
 
     Only effects of committed transactions survive.  DDL records
     (txn id 0) are always applied — the engine logs them after the fact,
-    so they describe objects that really existed.
-
-    ``engine`` keyword arguments go to the :class:`Database`
-    constructor: pass the crashed engine's ``wal_group_*`` knobs to
-    carry its commit policy onto the recovered one, so a configured
-    group window or group-size bound is not silently reset to defaults
-    by the crash.
+    so they describe objects that really existed.  ``engine`` keyword
+    arguments go to the :class:`Database` constructor.
     """
     return _rebuild((list(records), False), **engine)[0]
 

@@ -98,8 +98,7 @@ class Transaction:
     def __init__(self, db: "Database", txn_id: int, *,
                  lock_timeout: float | None = None,
                  read_only: bool = False,
-                 snapshot_lsn: int | None = None,
-                 locking_reads: bool = False) -> None:
+                 snapshot_lsn: int | None = None) -> None:
         self._db = db
         self.txn_id = txn_id
         self.state = TxnState.ACTIVE
@@ -111,10 +110,6 @@ class Transaction:
         #: ``<=`` this LSN from the version chains — zero LockManager
         #: calls on the whole read path (``None`` = read-committed).
         self.snapshot_lsn = snapshot_lsn
-        #: 2PL-reader mode (the pre-MVCC baseline, kept for comparison
-        #: benchmarks): reads take SHARED row locks held to the end, so
-        #: scans block behind writers and vice versa.
-        self.locking_reads = locking_reads
         #: (table_name, rowid) in staging order — commit applies in order.
         self._ops: list[tuple[str, int]] = []
         #: The same markers -> ``(staged image, its column mapping)`` for
@@ -222,7 +217,11 @@ class Transaction:
             held.update(fresh)
 
     def lock_shared(self, table: str, rowid: int) -> None:
-        """Take a SHARED row lock (2PL-reader baseline mode only)."""
+        """Take a SHARED row lock, held to the end of the transaction.
+
+        No read in the engine takes one; a caller that wants a reader
+        to block writers (and be blocked by them) — the 2PL-reader arm
+        of the interference benchmark — locks each row it reads."""
         resource = ("row", table, rowid)
         if resource in self._held_res:
             return
@@ -327,8 +326,6 @@ class Transaction:
         if self.snapshot_lsn is not None:
             self._metrics.snapshot_reads.inc()
             return table.snapshot_read(rowid, self.snapshot_lsn)
-        if self.locking_reads:
-            self.lock_shared(table_name, rowid)
         return table.read(rowid, self.txn_id)
 
     def read(self, table_name: str, rowid: int) -> dict | None:

@@ -285,14 +285,6 @@ class WriteAheadLog:
         written, the group's fsync never happens) — and supports
         :meth:`power_off` so a simulated power loss drops every byte
         since the last fsync.
-    group_commit:
-        When true (the default) commit-boundary appends go through a
-        *group-commit barrier*: concurrent committers enqueue and block
-        while one of them — the leader — performs a single flush+fsync
-        for the whole group, then acknowledges every waiter whose LSN
-        the fsync covered.  N concurrent keystrokes then cost one fsync
-        instead of N.  Single-threaded behaviour is unchanged: a lone
-        committer elects itself leader and fsyncs immediately.
     group_window:
         Seconds the leader lingers at the barrier for more committers
         to join before fsyncing (0.0 = fsync immediately; natural
@@ -306,7 +298,6 @@ class WriteAheadLog:
     def __init__(self, path: str | None = None,
                  faults: "FaultInjector | None" = None,
                  registry=None, tracer=None, *,
-                 group_commit: bool = True,
                  group_window: float = 0.0,
                  group_max: int = 64) -> None:
         from ..faults.injector import NO_FAULTS
@@ -323,7 +314,6 @@ class WriteAheadLog:
         # Group-commit barrier state, guarded by ``_group_cond`` (never
         # nested inside ``_lock`` acquisition ordering is always
         # ``_lock`` -> ``_group_cond`` or one at a time).
-        self._group_commit = group_commit
         self._group_window = group_window
         self._group_max = max(1, group_max)
         self._group_cond = threading.Condition()
@@ -465,23 +455,17 @@ class WriteAheadLog:
     def _sync_to(self, lsn: int, type_: str, txn_id: int) -> None:
         """Block until ``lsn`` is durable (group-commit barrier).
 
-        One waiter at a time is elected *leader*; it optionally lingers
-        ``group_window`` seconds for more committers (bounded by
-        ``group_max``), snapshots the newest written LSN, performs a
-        single flush+fsync, and publishes the synced LSN so every covered
-        waiter returns.  Waiters whose WAL dies before their LSN is
-        durable raise :class:`~repro.errors.CrashSignal` — an
-        unacknowledged commit must never be reported as durable.
+        Concurrent committers enqueue and block while one of them — the
+        *leader* — optionally lingers ``group_window`` seconds for more
+        committers (bounded by ``group_max``), snapshots the newest
+        written LSN, performs a single flush+fsync, and publishes the
+        synced LSN so every covered waiter returns: N concurrent
+        keystrokes cost one fsync instead of N, and a lone committer is
+        a group of one that fsyncs at once.  Waiters whose WAL dies
+        before their LSN is durable raise
+        :class:`~repro.errors.CrashSignal` — an unacknowledged commit
+        must never be reported as durable.
         """
-        if not self._group_commit:
-            with self._lock:
-                if self._file is None:
-                    raise CrashSignal("WAL died before commit fsync "
-                                      f"(txn {txn_id})")
-                self._fsync_locked(1, type_, txn_id)
-            with self._group_cond:
-                self._synced_lsn = max(self._synced_lsn, lsn)
-            return
         waited_from = perf_counter()
         cond = self._group_cond
         with cond:

@@ -45,12 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Table holding durable consumer cursors, created on first checkpoint.
 CURSOR_TABLE = "tx_feed_cursors"
 
-#: State before notice: the consumers that *announce* a commit to
-#: editors (the in-process and the wire fan-out) are handed a batch only
-#: after every consumer that *keeps state* from it — order-cache
-#: replicas, index, folders, collector, whenever those subscribed — so
-#: nobody is told of a change a handle on this engine cannot yet read.
-NOTICE_CONSUMERS = ("collab-fanout", "net-fanout")
+#: State before notice: the consumer that *announces* a commit to
+#: editors (the collab fan-out, every transport's one source) is handed
+#: a batch only after every consumer that *keeps state* from it —
+#: order-cache replicas, index, folders, collector, whenever those
+#: subscribed — so nobody is told of a change a handle on this engine
+#: cannot yet read.
+NOTICE_CONSUMERS = ("collab-fanout",)
 
 #: A consumer handler: receives one batch (pre-filtered to the
 #: subscription's tables) after the publishing commit applied.
@@ -341,10 +342,10 @@ class Changefeed:
         """Record that consumer ``name`` failed on a committed batch.
 
         Dispatch calls this for a handler that raised; a consumer that
-        finishes part of its work after its handler returned (the wire
-        fan-out queues an OP's NOTIFYs once the verb is done) reports a
-        failure there the same way, so ``feed.consumer_errors`` and the
-        ``feed.consumers`` health check cover both."""
+        finishes part of its work after its handler returned (the collab
+        fan-out sends an operation's notices when the operation ends)
+        reports a failure there the same way, so ``feed.consumer_errors``
+        and the ``feed.consumers`` health check cover both."""
         with self._lock:
             self.errors.append((name, exc))
             if len(self.errors) > 100:

@@ -24,7 +24,9 @@ package is the actual wire:
   :class:`ReplicationClient` (SUBSCRIBE/WAL_SEGMENT/REPL_ACK pull
   stream into a :class:`~repro.repl.follower.FollowerEngine`) and
   :class:`ReplicaStatusServer` (the STATS/HEALTH scrape endpoint a
-  following replica exposes before promotion).
+  following replica exposes before promotion);
+* :mod:`repro.net.monitor` — :class:`ScrapeLane`, the STATS/HEALTH
+  lane both servers hold.
 
 Socket-level fault injection (seeded latency, reorder, drop and
 disconnect on outbound change frames) rides on the same

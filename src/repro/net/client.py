@@ -327,7 +327,7 @@ class NetworkClient:
             if mirror is not None:
                 mirror.place_cursor(wire_cursor(
                     envelope.session_id, envelope.user, envelope.anchor,
-                    envelope.selection))
+                    envelope.selection, envelope.seq))
         elif isinstance(envelope, (Pong, Ping)):
             pass
         else:
@@ -444,9 +444,13 @@ class NetworkClient:
                              selection=tuple(selection)))
         mirror = self.mirrors.get(doc)
         if mirror is not None:
-            # What the server now holds for this connection.
+            # What the server now holds for this connection.  Its
+            # presence seq is the server's to give; keeping the held one
+            # lets it in, and the next echo brings the real one.
+            own = mirror.cursors.get(self.session_id)
             mirror.place_cursor(wire_cursor(
-                self.session_id, self.user, anchor, selection))
+                self.session_id, self.user, anchor, selection,
+                own["seq"] if own else 0))
 
     def server_stats(self) -> dict:
         return self.call("stats")

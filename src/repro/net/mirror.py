@@ -20,7 +20,9 @@ What it keeps of its own is the replication state:
 * the **cursors** of everyone in the document, this connection's
   included.  An edit's cursor rides its delta and is placed in the same
   step as its rows; a standalone cursor whose anchor has not arrived
-  yet is held back until the row does, not resolved to position 0.
+  yet is held back until the row does, not resolved to position 0; and
+  a cursor older (by presence ``seq``) than the one already here or
+  waiting is ignored, however late its frame arrives.
 """
 
 from __future__ import annotations
@@ -164,10 +166,14 @@ class DocMirror(ReplicaReads):
         return True
 
     def place_cursor(self, cursor: dict) -> None:
-        """Record a participant's cursor, newest wins.  One whose anchor
-        is not in the chain yet waits for the delta (or snapshot) that
-        brings the row, leaving the participant's last cursor showing."""
+        """Record a participant's cursor unless a newer one (higher
+        ``seq``) is here or waiting.  One whose anchor is not in the
+        chain yet waits for the delta (or snapshot) that brings the row,
+        leaving the participant's last cursor showing."""
         session = cursor["session"]
+        newest = self._held_cursors.get(session) or self.cursors.get(session)
+        if newest is not None and cursor["seq"] < newest["seq"]:
+            return
         if cursor["anchor"] in self.rows:
             self.cursors[session] = cursor
             self._held_cursors.pop(session, None)

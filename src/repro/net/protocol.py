@@ -32,9 +32,10 @@ Envelope types
     and healed by an anti-entropy ``resync`` OP.
 ``AWARENESS``
     Cursor/selection presence that no edit implies (a plain cursor
-    move), both directions (client publish, server broadcast).
-    Fire-and-forget: never acked, faultable like NOTIFY.  The cursor an
-    edit leaves behind rides the edit's own delta instead.
+    move), both directions (client publish, server broadcast, the latter
+    with the cursor's presence ``seq``).  Fire-and-forget: never acked,
+    faultable like NOTIFY.  The cursor an edit leaves behind rides the
+    edit's own delta instead.
 ``PING`` / ``PONG`` / ``BYE``
     Liveness and orderly goodbye.
 ``SUBSCRIBE`` / ``WAL_SEGMENT`` / ``REPL_ACK``
@@ -134,8 +135,9 @@ __all__ = [
 
 #: Bumped on incompatible envelope changes; HELLO carries the client's
 #: and the server refuses any other.  2: rows travel as deltas, an
-#: edit's cursor rides its ACK and NOTIFY.
-PROTOCOL_VERSION = 2
+#: edit's cursor rides its ACK and NOTIFY.  3: every cursor the server
+#: sends carries its presence ``seq``.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's JSON payload.  Large enough for a full
 #: document snapshot in a resync ACK, small enough that a hostile
@@ -209,23 +211,24 @@ def _check_rows(rows: Any, where: str) -> None:
                 f"{sorted(row.keys() - columns)}")
 
 
-def wire_cursor(session: int, user: str, anchor: Oid,
-                selection=()) -> dict:
+def wire_cursor(session: int, user: str, anchor: Oid, selection,
+                seq: int) -> dict:
     """A participant's cursor as deltas, snapshots and mirrors hold it:
-    whose it is and the character it sits after."""
+    whose it is, the character it sits after, and its presence sequence
+    (higher is newer: see :class:`~repro.collab.awareness.CursorState`)."""
     return {"session": session, "user": user, "anchor": anchor,
-            "selection": list(selection)}
+            "selection": list(selection), "seq": seq}
 
 
-_CURSOR_KEYS = frozenset(("session", "user", "anchor", "selection"))
+_CURSOR_KEYS = frozenset(("session", "user", "anchor", "selection", "seq"))
 
 
 def _check_cursor(cursor: Any, where: str) -> None:
     _require(isinstance(cursor, dict) and cursor.keys() == _CURSOR_KEYS,
              f"{where} must be an object with exactly "
              f"{sorted(_CURSOR_KEYS)}")
-    _require(isinstance(cursor["session"], int),
-             f"{where}.session must be an int")
+    for key in ("session", "seq"):
+        _require(isinstance(cursor[key], int), f"{where}.{key} must be an int")
     _require(isinstance(cursor["user"], str),
              f"{where}.user must be a string")
     _require(isinstance(cursor["anchor"], Oid),
@@ -297,10 +300,12 @@ class Envelope:
     """Base class: one wire message.  Subclasses set ``TYPE``."""
 
     TYPE: ClassVar[str] = ""
-    #: Field names, and those without a default; filled in per class
-    #: once every envelope is defined (below ``ENVELOPE_TYPES``).
+    #: Field names, those without a default and those declared ``int``;
+    #: filled in per class once every envelope is defined (below
+    #: ``ENVELOPE_TYPES``).
     _FIELDS: ClassVar[tuple] = ()
     _REQUIRED: ClassVar[frozenset] = frozenset()
+    _INTS: ClassVar[tuple] = ()
 
     def to_wire(self) -> dict:
         """The JSON-ready dict (``"t"`` + the dataclass fields)."""
@@ -332,11 +337,25 @@ class Envelope:
             env = cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad {cls.TYPE} envelope: {exc}") from None
+        for name in cls._INTS:
+            _require(isinstance(getattr(env, name), int),
+                     f"{cls.TYPE}.{name} must be an int")
         env._validate()
         return env
 
     def _validate(self) -> None:
-        """Subclass hook: raise :class:`ProtocolError` on bad fields."""
+        """Subclass hook: raise :class:`ProtocolError` on bad fields
+        (``int`` fields are already checked)."""
+
+
+class _Traced:
+    """An envelope that carries a span context."""
+
+    @property
+    def trace_ctx(self) -> tuple[int, int] | None:
+        if self.trace_id is None or self.parent_span is None:
+            return None
+        return (self.trace_id, self.parent_span)
 
 
 @dataclass(frozen=True)
@@ -355,8 +374,6 @@ class Hello(Envelope):
     def _validate(self) -> None:
         _require(isinstance(self.user, str) and bool(self.user),
                  "hello.user must be a non-empty string")
-        _require(isinstance(self.protocol, int),
-                 "hello.protocol must be an int")
 
 
 @dataclass(frozen=True)
@@ -369,13 +386,9 @@ class Welcome(Envelope):
     node: str = ""
     protocol: int = PROTOCOL_VERSION
 
-    def _validate(self) -> None:
-        _require(isinstance(self.session_id, int),
-                 "welcome.session_id must be an int")
-
 
 @dataclass(frozen=True)
-class Op(Envelope):
+class Op(_Traced, Envelope):
     """One RPC request: a verb plus keyword arguments."""
 
     TYPE: ClassVar[str] = "op"
@@ -387,16 +400,9 @@ class Op(Envelope):
     parent_span: int | None = None
 
     def _validate(self) -> None:
-        _require(isinstance(self.op_seq, int), "op.op_seq must be an int")
         _require(isinstance(self.verb, str) and bool(self.verb),
                  "op.verb must be a non-empty string")
         _require(isinstance(self.args, dict), "op.args must be an object")
-
-    @property
-    def trace_ctx(self) -> tuple[int, int] | None:
-        if self.trace_id is None or self.parent_span is None:
-            return None
-        return (self.trace_id, self.parent_span)
 
 
 @dataclass(frozen=True)
@@ -415,10 +421,6 @@ class Ack(Envelope):
     result: Any = None
     lsn: int = 0
     echo: tuple = ()
-
-    def _validate(self) -> None:
-        _require(isinstance(self.op_seq, int), "ack.op_seq must be an int")
-        _require(isinstance(self.lsn, int), "ack.lsn must be an int")
 
     def to_wire(self) -> dict:
         out = super().to_wire()
@@ -456,7 +458,7 @@ class Error(Envelope):
 
 
 @dataclass(frozen=True)
-class Notify(Envelope):
+class Notify(_Traced, Envelope):
     """Change fan-out: one commit's :class:`Delta` for one document.
 
     ``trace_id``/``parent_span`` resume the originating keystroke's
@@ -494,17 +496,13 @@ class Notify(Envelope):
             object.__setattr__(env, "tables", tuple(env.tables))
         return env  # type: ignore[return-value]
 
-    @property
-    def trace_ctx(self) -> tuple[int, int] | None:
-        if self.trace_id is None or self.parent_span is None:
-            return None
-        return (self.trace_id, self.parent_span)
-
 
 @dataclass(frozen=True)
 class Awareness(Envelope):
     """Cursor/selection presence no edit implies (client publish or
-    server broadcast); an edit's own cursor rides its :class:`Delta`."""
+    server broadcast); an edit's own cursor rides its :class:`Delta`.
+    ``seq`` is the presence sequence the server stamped (a client's
+    publish leaves it 0)."""
 
     TYPE: ClassVar[str] = "awareness"
 
@@ -513,6 +511,7 @@ class Awareness(Envelope):
     selection: tuple = ()
     user: str = ""
     session_id: int = 0
+    seq: int = 0
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Awareness":
@@ -529,9 +528,6 @@ class Ping(Envelope):
     nonce: int = 0
     at: float = 0.0
 
-    def _validate(self) -> None:
-        _require(isinstance(self.nonce, int), "ping.nonce must be an int")
-
 
 @dataclass(frozen=True)
 class Pong(Envelope):
@@ -539,9 +535,6 @@ class Pong(Envelope):
 
     nonce: int = 0
     at: float = 0.0
-
-    def _validate(self) -> None:
-        _require(isinstance(self.nonce, int), "pong.nonce must be an int")
 
 
 @dataclass(frozen=True)
@@ -638,8 +631,7 @@ class Subscribe(Envelope):
     token: str | None = None
 
     def _validate(self) -> None:
-        _require(isinstance(self.from_lsn, int) and self.from_lsn >= 1,
-                 "subscribe.from_lsn must be an int >= 1")
+        _require(self.from_lsn >= 1, "subscribe.from_lsn must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -663,8 +655,6 @@ class WalSegment(Envelope):
     at: float = 0.0
 
     def _validate(self) -> None:
-        _require(isinstance(self.end_lsn, int),
-                 "wal_segment.end_lsn must be an int")
         _require(all(isinstance(r, str) for r in self.records),
                  "wal_segment.records must be WAL lines (strings)")
 
@@ -697,8 +687,7 @@ class ReplAck(Envelope):
     at: float = 0.0
 
     def _validate(self) -> None:
-        _require(isinstance(self.applied_lsn, int) and self.applied_lsn >= 0,
-                 "repl_ack.applied_lsn must be an int >= 0")
+        _require(self.applied_lsn >= 0, "repl_ack.applied_lsn must be >= 0")
 
 
 #: type string -> envelope class (the decode dispatch table).
@@ -716,6 +705,7 @@ for _cls in ENVELOPE_TYPES.values():
     _cls._REQUIRED = frozenset(
         f.name for f in fields(_cls)
         if f.default is _MISSING and f.default_factory is _MISSING)
+    _cls._INTS = tuple(f.name for f in fields(_cls) if f.type == "int")
 
 
 # ----------------------------------------------------------------------

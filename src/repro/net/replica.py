@@ -13,8 +13,8 @@ replica exposes.  A follower must not take editor writes (a full
 :class:`~repro.net.server.CollabNetServer` would install schema and
 register users against the replica database), so pre-promotion
 ``repro serve --follow`` fronts the follower with this read-only
-server: the same STATS/HEALTH frames as the leader's scrape lane, with
-the payload extended by the follower's replication status.
+server: the leader's scrape lane (:class:`~repro.net.monitor.ScrapeLane`)
+with the payload extended by the follower's replication status.
 """
 
 from __future__ import annotations
@@ -26,20 +26,12 @@ from time import sleep, time
 from typing import TYPE_CHECKING
 
 from ..errors import NetError, ProtocolError
-from ..obs.export import prometheus_text
-from ..obs.health import evaluate_health
-from ..obs.slo import SLOEvaluator
-from ..obs.timeseries import TelemetryStore
+from .monitor import ScrapeLane
 from .protocol import (
     Bye,
-    Envelope,
     Error,
     FrameDecoder,
-    Health,
-    HealthReply,
     ReplAck,
-    Stats,
-    StatsReply,
     Subscribe,
     WalSegment,
     encode_frame,
@@ -170,129 +162,21 @@ class ReplicaStatusServer:
         self.follower = follower
         self.host = host
         self.port = port
-        self.token = token
-        self.telemetry_interval = telemetry_interval
-        registry = follower.db.obs.registry
-        self.telemetry = TelemetryStore(
-            registry, follower.db.clock,
-            interval=max(telemetry_interval, 0.05))
-        self.slo = SLOEvaluator(self.telemetry)
-        self._m_scrapes = registry.counter("net.scrapes")
+        self.scrape = ScrapeLane(
+            follower.db, token=token, interval=telemetry_interval,
+            extras=lambda: {"repl": follower.status()})
         self._server: asyncio.AbstractServer | None = None
-        self._sampler_task: asyncio.Task | None = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
 
     async def start(self) -> "ReplicaStatusServer":
         self._server = await asyncio.start_server(
-            self._client_connected, self.host, self.port)
+            self.scrape.accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.telemetry_interval > 0:
-            self._sampler_task = asyncio.ensure_future(self._sample_loop())
+        self.scrape.start()
         return self
 
-    async def _sample_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.telemetry_interval)
-            self.telemetry.sample()
-            self.slo.evaluate()
-
     async def stop(self) -> None:
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._sampler_task
-            self._sampler_task = None
+        await self.scrape.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    # ------------------------------------------------------------------
-    # Payloads
-    # ------------------------------------------------------------------
-
-    def stats_payload(self, *, series: bool = True) -> dict:
-        db = self.follower.db
-        payload = {
-            "node": db.node,
-            "at": db.now(),
-            "repl": self.follower.status(),
-            "metrics": db.obs.registry.snapshot(),
-        }
-        if series:
-            payload["telemetry"] = self.telemetry.snapshot()
-        return payload
-
-    def health_payload(self) -> dict:
-        db = self.follower.db
-        verdict = evaluate_health(db.obs.registry.snapshot(),
-                                  self.telemetry)
-        verdict["at"] = db.now()
-        verdict["node"] = db.node
-        return verdict
-
-    def _reply(self, envelope: Envelope) -> Envelope:
-        self._m_scrapes.inc()
-        now = self.follower.db.now()
-        if isinstance(envelope, Stats):
-            if envelope.format == "prom":
-                text = prometheus_text(
-                    self.follower.db.obs.registry.snapshot())
-                return StatsReply(format="prom", payload=text, at=now)
-            return StatsReply(
-                format="json",
-                payload=self.stats_payload(series=envelope.series),
-                at=now)
-        verdict = self.health_payload()
-        return HealthReply(status=verdict["status"],
-                           checks=tuple(verdict["checks"]),
-                           at=verdict["at"])
-
-    # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder()
-        inbound: list[Envelope] = []
-
-        async def next_envelope() -> Envelope | None:
-            while not inbound:
-                data = await reader.read(65536)
-                if not data:
-                    return None
-                inbound.extend(decoder.feed(data))
-            return inbound.pop(0)
-
-        try:
-            while True:
-                envelope = await next_envelope()
-                if envelope is None or isinstance(envelope, Bye):
-                    return
-                if not isinstance(envelope, (Stats, Health)):
-                    writer.write(encode_frame(Error(
-                        code="ProtocolError",
-                        message=f"replica status endpoint serves "
-                                f"STATS/HEALTH only, got "
-                                f"{envelope.TYPE!r}",
-                        fatal=True)))
-                    await writer.drain()
-                    return
-                if self.token is not None \
-                        and envelope.token != self.token:
-                    writer.write(encode_frame(Error(
-                        code="AccessDenied", message="bad shared token",
-                        fatal=True)))
-                    await writer.drain()
-                    return
-                writer.write(encode_frame(self._reply(envelope)))
-                await writer.drain()
-        except (ConnectionError, ProtocolError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()

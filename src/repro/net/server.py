@@ -22,18 +22,21 @@ verbs the in-process sessions use.  Design points:
   :class:`asyncio.Queue` drained by a sender task; a full queue means a
   consumer slower than the fan-out, and the server sheds it by aborting
   the connection (``net.backpressure_closes``).
-* **Replication by sequence.**  Each commit's character-row delta is
-  stamped with a per-document ``rep_seq``.  Remote mirrors apply deltas
-  in order, buffer reordered ones, and heal gaps with a ``resync``
-  snapshot RPC.  The originator's own deltas ride its ACK (``echo``) on
-  the unfaultable control lane, never as a NOTIFY.
+* **A connection is a session's transport.**  There is one fan-out, the
+  collab server's: it hands each commit's notice, stamped with the
+  document's ``rep_seq``, to every reader's transport, and a wire
+  session's is :meth:`CollabNetServer._hand_off` — one NOTIFY on its
+  connection.  Remote mirrors apply deltas in order, buffer reordered
+  ones, and heal gaps with a ``resync`` snapshot RPC.  The originator's
+  own deltas ride its ACK (``echo``) on the unfaultable control lane,
+  never as a NOTIFY.
 * **One delta, rendered once.**  A commit's rows travel as the columns
   it changed, with the cursor it left its author
   (:class:`~repro.net.protocol.Delta`); the one object is the ACK's echo
-  and every reader's NOTIFY, so its JSON is produced once.  The commits
-  of an OP are fanned out when the verb has returned — the session has
-  placed the cursor by then — which makes a typed character three
-  frames: OP, ACK, NOTIFY.
+  and every reader's NOTIFY, so its JSON is produced once.  Every OP
+  runs as one collab operation, whose notices leave when the verb has
+  returned — the session has placed the cursor by then — which makes a
+  typed character three frames: OP, ACK, NOTIFY.
 * **Socket-level faults.**  The sender consults the fault injector for
   every *faultable* frame (NOTIFY/AWARENESS): seeded drop, in-band
   delay, windowed reorder and forced disconnect — the DeliveryBus fault
@@ -52,20 +55,17 @@ import contextlib
 import itertools
 import threading
 from collections import deque
+from functools import partial
 from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
-from ..collab.server import WATCHED_TABLES
 from ..db.wal import render_record
 from ..errors import NetError, ProtocolError, TendaxError
 from ..faults.injector import NO_FAULTS
-from ..obs.export import prometheus_text
-from ..obs.health import evaluate_health
 from ..obs.labels import SeriesCache
-from ..obs.slo import SLOEvaluator
-from ..obs.timeseries import TelemetryStore
 from ..text import chars as C
 from ..text import dbschema as S
+from .monitor import ScrapeLane
 from .protocol import (
     PROTOCOL_VERSION,
     Ack,
@@ -76,7 +76,6 @@ from .protocol import (
     Error,
     FrameDecoder,
     Health,
-    HealthReply,
     Hello,
     Notify,
     Op,
@@ -84,7 +83,6 @@ from .protocol import (
     Pong,
     ReplAck,
     Stats,
-    StatsReply,
     Subscribe,
     VERBS,
     Verb,
@@ -96,12 +94,14 @@ from .protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..collab.server import CollaborationServer
+    from ..collab.server import CollaborationServer, Notice
     from ..collab.session import EditingSession
 
 __all__ = ["CollabNetServer", "ServerThread"]
 
-#: Queue sentinel that tells a sender task to flush and exit.
+#: Queue sentinel that tells a sender task to flush and exit.  A queue
+#: holds ``(envelope, started)`` pairs: ``started`` is a NOTIFY's
+#: replication zero point (see ``collab.replication_seconds``).
 _CLOSE = object()
 
 #: How long a reorder window may sit before it is force-flushed.
@@ -124,7 +124,7 @@ class _Connection:
         #: (the connection holds the server op lock for its extent).
         self.batch = None
         self.sender_task: asyncio.Task | None = None
-        self.window: list[Envelope] = []
+        self.window: list[tuple] = []
         self.faultable_sent = 0
         #: No more traffic in either direction (shed, or being reaped).
         self.closing = False
@@ -148,15 +148,14 @@ class CollabNetServer:
         self.send_queue = send_queue
         self.handshake_timeout = handshake_timeout
         self.faults = faults if faults is not None else NO_FAULTS
-        self.telemetry_interval = telemetry_interval
         registry = collab.db.obs.registry
         self._tracer = collab.db.obs.tracer
-        #: The live telemetry rings behind STATS/HEALTH and repro dash,
-        #: sampled on the database clock by the sampler task.
-        self.telemetry = TelemetryStore(
-            registry, collab.db.clock,
-            interval=max(telemetry_interval, 0.05))
-        self.slo = SLOEvaluator(self.telemetry)
+        self.scrape = ScrapeLane(
+            collab.db, token=token, interval=telemetry_interval,
+            extras=self._payload_extras,
+            context={"send_queue_limit": send_queue})
+        self.telemetry = self.scrape.telemetry
+        self.health_payload = self.scrape.health_payload
         self._m_connections = registry.gauge("net.connections")
         self._m_connects = registry.counter("net.connects")
         self._m_frames_in = registry.counter("net.frames_in")
@@ -174,6 +173,8 @@ class CollabNetServer:
         self._m_missing_base = registry.counter("net.missing_base_rows")
         self._m_scrapes = registry.counter("net.scrapes")
         self._m_segments = registry.counter("repl.segments_shipped")
+        self._m_replication = registry.histogram(
+            "collab.replication_seconds")
         # Dimensioned families: a series is resolved on first use and
         # kept, not looked up per frame.
         self._verb_seconds = SeriesCache(
@@ -184,19 +185,12 @@ class CollabNetServer:
             registry.family("net.send_queue_depth", "gauge"), "conn")
         self._connections: dict[int, _Connection] = {}
         self._conn_ids = itertools.count(1)
-        #: doc oid -> replication sequence of the last fanned-out commit.
-        self._rep_seq: dict[Any, int] = {}
         self._op_lock: asyncio.Lock | None = None
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: int | None = None
-        #: Commits of the OP executing right now, collected until its
-        #: verb returns (``None`` outside an OP).
-        self._op_commits: list[dict] | None = None
-        self._commit_sub = None
         self._handler_tasks: set[asyncio.Task] = set()
         self._repl_conns: set[_Connection] = set()
-        self._sampler_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -210,32 +204,12 @@ class CollabNetServer:
         self._server = await asyncio.start_server(
             self._client_connected, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        # A notice consumer of the changefeed: dispatched after every
-        # state-keeping consumer, so in-process handles have already
-        # spliced their caches when the wire fan-out reads state.
-        self._commit_sub = self.collab.db.changefeed().subscribe(
-            "net-fanout", self._on_commit, tables=WATCHED_TABLES)
-        if self.telemetry_interval > 0:
-            self._sampler_task = asyncio.ensure_future(self._sample_loop())
+        self.scrape.start()
         return self
-
-    async def _sample_loop(self) -> None:
-        """Feed the telemetry rings and SLO gauges on a fixed cadence."""
-        while True:
-            await asyncio.sleep(self.telemetry_interval)
-            self.telemetry.sample()
-            self.slo.evaluate()
 
     async def stop(self) -> None:
         """Close every connection and stop listening."""
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._sampler_task
-            self._sampler_task = None
-        if self._commit_sub is not None:
-            self._commit_sub.close()
-            self._commit_sub = None
+        await self.scrape.stop()
         for conn in list(self._connections.values()):
             await self._close_connection(conn, reason="server shutdown")
         for conn in list(self._repl_conns):
@@ -260,9 +234,12 @@ class CollabNetServer:
         with contextlib.suppress(asyncio.CancelledError):
             await self._server.serve_forever()
 
-    def stats(self) -> dict:
-        """Wire-level counters (names match the metric catalogue)."""
-        return {
+    def _payload_extras(self) -> dict:
+        """What a leader's STATS payload (and the ``stats`` verb) adds
+        to the scrape lane's: collab, wire-level (names match the metric
+        catalogue), WAL and collector stats."""
+        db = self.collab.db
+        net = {
             "connections": self._m_connections.value,
             "connects": self._m_connects.value,
             "frames_in": self._m_frames_in.value,
@@ -277,73 +254,12 @@ class CollabNetServer:
             "missing_base_rows": self._m_missing_base.value,
             "scrapes": self._m_scrapes.value,
         }
-
-    # ------------------------------------------------------------------
-    # Telemetry scrape payloads (STATS / HEALTH)
-    # ------------------------------------------------------------------
-
-    def stats_payload(self, *, series: bool = True) -> dict:
-        """The structured STATS payload (metrics + telemetry windows)."""
-        payload = {
-            "node": self.collab.db.node,
-            "at": self.collab.db.now(),
-            "server": self.collab.statistics(),
-            "net": self.stats(),
-            "wal": {"durable_lsn": self.collab.db.wal.durable_lsn,
-                    "last_lsn": self.collab.db.wal.last_lsn()},
-            "metrics": self.collab.db.obs.registry.snapshot(),
-        }
-        if self.collab.db.obs.gc is not None:
-            payload["gc"] = self.collab.db.obs.gc.summary()
-        if series:
-            payload["telemetry"] = self.telemetry.snapshot()
-        return payload
-
-    def health_payload(self) -> dict:
-        """The HEALTH verdict over the current telemetry windows."""
-        verdict = evaluate_health(
-            self.collab.db.obs.registry.snapshot(), self.telemetry,
-            context={"send_queue_limit": self.send_queue})
-        verdict["at"] = self.collab.db.now()
-        verdict["node"] = self.collab.db.node
-        return verdict
-
-    def _scrape_reply(self, envelope: Envelope) -> Envelope:
-        self._m_scrapes.inc()
-        now = self.collab.db.now()
-        if isinstance(envelope, Stats):
-            if envelope.format == "prom":
-                text = prometheus_text(
-                    self.collab.db.obs.registry.snapshot())
-                return StatsReply(format="prom", payload=text, at=now)
-            return StatsReply(
-                format="json",
-                payload=self.stats_payload(series=envelope.series), at=now)
-        verdict = self.health_payload()
-        return HealthReply(status=verdict["status"],
-                           checks=tuple(verdict["checks"]),
-                           at=verdict["at"])
-
-    async def _serve_scrape(self, conn: _Connection,
-                            envelope: Envelope) -> None:
-        """A monitoring connection: consecutive STATS/HEALTH, no HELLO.
-
-        The shared token (when the server has one) is still checked on
-        every request; an editor session is never created.
-        """
-        while True:
-            if not isinstance(envelope, (Stats, Health)):
-                raise ProtocolError(
-                    f"scrape connection got {envelope.TYPE!r} envelope")
-            if self.token is not None and envelope.token != self.token:
-                await self._send_now(conn, Error(
-                    code="AccessDenied", message="bad shared token",
-                    fatal=True))
-                return
-            await self._send_now(conn, self._scrape_reply(envelope))
-            envelope = await self._next_envelope(conn)
-            if envelope is None or isinstance(envelope, Bye):
-                return
+        extras = {"server": self.collab.statistics(), "net": net,
+                  "wal": {"durable_lsn": db.wal.durable_lsn,
+                          "last_lsn": db.wal.last_lsn()}}
+        if db.obs.gc is not None:
+            extras["gc"] = db.obs.gc.summary()
+        return extras
 
     # ------------------------------------------------------------------
     # Replication shipping (SUBSCRIBE / WAL_SEGMENT / REPL_ACK)
@@ -415,7 +331,9 @@ class CollabNetServer:
             if hello is None:
                 return
             if isinstance(hello, (Stats, Health)):
-                await self._serve_scrape(conn, hello)
+                await self.scrape.serve(
+                    hello, partial(self._next_envelope, conn),
+                    partial(self._send_now, conn))
                 return
             if isinstance(hello, Subscribe):
                 await self._serve_subscription(conn, hello)
@@ -454,6 +372,7 @@ class CollabNetServer:
                 self.collab.register_user(hello.user)
             conn.session = self.collab.connect(
                 hello.user, editor=hello.editor, os_name=hello.os_name)
+            conn.session.transport = partial(self._hand_off, conn)
         except TendaxError as exc:
             await self._send_now(conn, Error(
                 code=type(exc).__name__, message=str(exc), fatal=True))
@@ -476,7 +395,7 @@ class CollabNetServer:
                                          at=envelope.at))
             elif isinstance(envelope, (Stats, Health)):
                 # Mid-session scrape: the HELLO already authenticated.
-                self._enqueue(conn, self._scrape_reply(envelope))
+                self._enqueue(conn, self.scrape.reply(envelope))
             elif isinstance(envelope, Bye):
                 return
             else:
@@ -506,7 +425,7 @@ class CollabNetServer:
             self._conn_depths[conn.id].set(0)
         if conn.sender_task is not None:
             with contextlib.suppress(asyncio.QueueFull):
-                conn.queue.put_nowait(_CLOSE)
+                conn.queue.put_nowait((_CLOSE, None))
             with contextlib.suppress(Exception):
                 await asyncio.wait_for(conn.sender_task, 1.0)
             if not conn.sender_task.done():
@@ -539,12 +458,13 @@ class CollabNetServer:
     # Outbound path (sender task, faults, backpressure)
     # ------------------------------------------------------------------
 
-    def _enqueue(self, conn: _Connection, envelope: Envelope) -> None:
+    def _enqueue(self, conn: _Connection, envelope: Envelope,
+                 started: float | None = None) -> None:
         """Queue a frame for the sender; shed the consumer if full."""
         if conn.closing:
             return
         try:
-            conn.queue.put_nowait(envelope)
+            conn.queue.put_nowait((envelope, started))
         except asyncio.QueueFull:
             self._m_backpressure.inc()
             self._shed(conn)
@@ -595,18 +515,19 @@ class CollabNetServer:
             while True:
                 if conn.window:
                     try:
-                        envelope = await asyncio.wait_for(
+                        item = await asyncio.wait_for(
                             conn.queue.get(), _REORDER_FLUSH_SECONDS)
                     except asyncio.TimeoutError:
                         await self._flush_window(conn)
                         continue
                 else:
-                    envelope = await conn.queue.get()
+                    item = await conn.queue.get()
+                envelope = item[0]
                 if envelope is _CLOSE:
                     await self._flush_window(conn)
                     return
                 if isinstance(envelope, (Notify, Awareness)):
-                    await self._send_faultable(conn, envelope)
+                    await self._send_faultable(conn, item)
                 else:
                     self._write(conn, envelope)
                     await conn.writer.drain()
@@ -621,8 +542,8 @@ class CollabNetServer:
             if not conn.closing:
                 self._shed(conn)
 
-    async def _send_faultable(self, conn: _Connection,
-                              envelope: Envelope) -> None:
+    async def _send_faultable(self, conn: _Connection, item: tuple) -> None:
+        """One queued ``(envelope, started)`` through the fault plan."""
         action, delay = self.faults.net_frame_action()
         if action == "drop":
             self._m_dropped.inc()
@@ -634,11 +555,11 @@ class CollabNetServer:
             await asyncio.sleep(delay)
         window = self.faults.net_reorder_window()
         if window > 1:
-            conn.window.append(envelope)
+            conn.window.append(item)
             if len(conn.window) >= window:
                 await self._flush_window(conn)
             return
-        await self._deliver_faultable(conn, envelope)
+        await self._deliver_faultable(conn, item)
 
     async def _flush_window(self, conn: _Connection) -> None:
         pending, conn.window = conn.window, []
@@ -646,8 +567,13 @@ class CollabNetServer:
             await self._deliver_faultable(conn, pending[index])
 
     async def _deliver_faultable(self, conn: _Connection,
-                                 envelope: Envelope) -> None:
+                                 item: tuple) -> None:
+        envelope, started = item
         self._write(conn, envelope)
+        if started is not None:
+            # The notice reached this reader's socket: the end of the
+            # replication leg this server can see.
+            self._m_replication.observe(perf_counter() - started)
         await conn.writer.drain()
         conn.faultable_sent += 1
         limit = self.faults.net_disconnect_after()
@@ -708,23 +634,21 @@ class CollabNetServer:
 
     def _execute(self, conn: _Connection, verb: Verb,
                  args: dict) -> tuple[Any, list]:
-        """Run one verb; returns ``(result, echo_deltas)``.
+        """Run one verb as one collab operation of the connection's
+        session; returns ``(result, echo_deltas)``.
 
-        Commits made by the verb are collected, not fanned out, while it
-        runs: only once it has returned has the session placed its
-        author's cursor, and that cursor travels with the rows.  They go
-        out whether or not the verb raised — the rows are committed and
-        their ``rep_seq`` is taken.
+        The operation holds the notices of the verb's commits until the
+        verb has returned — by then the session has placed its author's
+        cursor, which travels with the rows — and then sends them to the
+        other readers, whether or not the verb raised.  This
+        connection's own become the ACK's echo.
         """
-        self._op_commits = commits = []
-        try:
+        with self.collab.operation(conn.session) as op:
             if verb.owner == "session":
                 result = getattr(conn.session, verb.name)(**args)
             else:
                 result = getattr(self, f"_verb_{verb.name}")(conn, **args)
-        finally:
-            self._op_commits = None
-            echo = self._fanout(commits, conn)
+        echo = [self._notify_of(notice).delta for notice in op.notices]
         if verb.result == "record":
             result = {"kind": result.kind, "oids": list(result.oids)}
         elif verb.result == "snapshot":
@@ -770,10 +694,10 @@ class CollabNetServer:
             batch.__exit__(type(exc), exc, None)
 
     def _verb_stats(self, conn: _Connection) -> dict:
-        return {"server": self.collab.statistics(), "net": self.stats()}
+        return self._payload_extras()
 
     def _verb_health(self, conn: _Connection) -> dict:
-        return self.health_payload()
+        return self.scrape.health_payload()
 
     def _doc_snapshot(self, handle) -> dict:
         """Every character row of ``handle``'s document as a whole image,
@@ -790,7 +714,7 @@ class CollabNetServer:
             "doc": doc,
             "begin": handle.begin_char,
             "end": handle.end_char,
-            "rep_seq": self._rep_seq.get(doc, 0),
+            "rep_seq": self.collab.rep_seqs.get(doc, 0),
             "rows": [wire_row(row) for row in rows.values()],
             "cursors": [_wire_cursor(state) for state
                         in self.collab.awareness.cursors(doc)],
@@ -806,12 +730,12 @@ class CollabNetServer:
         doc = envelope.doc
         if not session.has_open(doc):
             return
-        self.collab.awareness.update_cursor(
+        state = self.collab.awareness.update_cursor(
             doc, session.id, envelope.anchor, tuple(envelope.selection),
             self.collab.db.now())
-        broadcast = Awareness(doc=doc, anchor=envelope.anchor,
-                              selection=tuple(envelope.selection),
-                              user=session.user, session_id=session.id)
+        broadcast = Awareness(doc=doc, anchor=state.anchor,
+                              selection=state.selection, user=session.user,
+                              session_id=session.id, seq=state.seq)
         for other in self._connections.values():
             if other.id == conn.id or other.session is None:
                 continue
@@ -819,127 +743,59 @@ class CollabNetServer:
                 self._enqueue(other, broadcast)
 
     # ------------------------------------------------------------------
-    # Commit fan-out
+    # The wire transport
     # ------------------------------------------------------------------
 
-    def _on_commit(self, batch) -> None:
-        """Feed consumer, run under the feed's dispatch lock: cut the
-        commit into wire rows and take its ``rep_seq``; the fan-out
-        itself happens when the OP that committed has returned, or on
-        the loop for a commit from another thread.  Nothing here blocks
-        (``put_nowait``, a transport abort for a full queue,
-        ``call_soon_threadsafe``)."""
-        commits = self._collect(batch.events)
-        if not commits:
+    def _hand_off(self, conn: _Connection, notice: "Notice") -> None:
+        """A wire session's ``transport``: the collab fan-out's notice as
+        one NOTIFY on the connection's queue — through the loop when the
+        commit was made on another thread.  Never blocks: a full queue
+        sheds the connection."""
+        if conn.closing:
             return
-        if threading.get_ident() != self._loop_thread:
-            # A commit from outside the event loop (an in-process
-            # session sharing the collab server): hand the prepared
-            # rows to the loop; no originating connection to suppress.
-            self._loop.call_soon_threadsafe(self._fanout, commits, None)
-        elif self._op_commits is not None:
-            self._op_commits.extend(commits)  # _execute fans them out
+        notify = self._notify_of(notice)
+        self._m_notifies.inc()
+        self._doc_notifies[notify.delta.doc].inc()
+        started = notice.notification.origin_started
+        if threading.get_ident() == self._loop_thread:
+            self._enqueue(conn, notify, started)
         else:
-            self._fanout(commits, None)
+            self._loop.call_soon_threadsafe(
+                self._enqueue, conn, notify, started)
 
-    def _collect(self, changes) -> list[dict]:
-        """One commit's changes per document (rep_seq already bumped)."""
-        by_doc: dict[Any, dict] = {}
-        for change in changes:
-            if change.row is None:
-                continue
-            doc = change.row.get("doc")
-            if doc is None:
-                continue
-            entry = by_doc.setdefault(
-                doc, {"tables": set(), "count": 0, "rows": []})
-            entry["tables"].add(change.table)
-            entry["count"] += 1
-            if change.table == S.CHARS:
-                entry["rows"].append(wire_row(change.row, change.before))
-        commits = []
-        for doc, entry in by_doc.items():
-            seq = self._rep_seq.get(doc, 0) + 1
-            self._rep_seq[doc] = seq
-            commits.append({
-                "doc": doc,
-                "rep_seq": seq,
-                "rows": tuple(entry["rows"]),
-                "tables": tuple(sorted(entry["tables"])),
-                "n_changes": entry["count"],
-            })
-        return commits
-
-    def _fanout(self, commits: list[dict],
-                origin: _Connection | None) -> list[Delta]:
-        """Send what ``_collect`` gathered to every reader but
-        ``origin``; returns the deltas (``origin``'s echo).
-
-        Each delta is built here, with the cursor ``origin``'s session
-        holds in the document now, and that one object reaches the echo
-        and, inside one NOTIFY stamped once, every reader's queue.
-        """
-        if not commits:
-            return []
-        # The fan-out span parents under whatever is open on this thread
-        # (net.op during an RPC), so its context — carried on every
-        # NOTIFY — extends the keystroke's trace to the remote appliers.
-        with self._tracer.span("net.fanout", docs=len(commits)) as span:
-            ctx = span.ctx
-            now = self.collab.db.now()
-            origin_session = origin.session if origin is not None else None
-            awareness = self.collab.awareness
-            echo = []
-            # The wire replaces the inbox for net sessions: drop whatever
-            # the in-process DeliveryBus parked there so long-lived
-            # connections don't leak undrained Notifications.
-            for conn in self._connections.values():
-                if conn.session is not None:
-                    conn.session.inbox.clear()
-            for commit in commits:
-                doc = commit["doc"]
-                doc_notifies = self._doc_notifies[doc]
-                state = None if origin_session is None else \
-                    awareness.cursor_of(doc, origin_session.id)
-                delta = Delta(doc, commit["rep_seq"], commit["rows"],
-                              None if state is None else _wire_cursor(state))
-                echo.append(delta)
-                notify = Notify(
-                    delta=delta,
-                    tables=commit["tables"],
-                    n_changes=commit["n_changes"],
-                    origin_session=origin_session.id
-                    if origin_session else None,
-                    origin_user=origin_session.user
-                    if origin_session else None,
-                    at=now,
-                    sent_at=time(),
-                    trace_id=ctx[0] if ctx else None,
-                    parent_span=ctx[1] if ctx else None,
-                )
-                for conn in list(self._connections.values()):
-                    if conn.session is None or conn.closing:
-                        continue
-                    if origin is not None and conn.id == origin.id:
-                        continue  # the originator gets the echo instead
-                    if conn.session.has_open(doc):
-                        self._m_notifies.inc()
-                        doc_notifies.inc()
-                        try:
-                            self._enqueue(conn, notify)
-                        except Exception as exc:
-                            # One broken connection must not cost the
-                            # others their NOTIFY, nor the author its
-                            # ACK: the feed records the failure.
-                            self.collab.db.changefeed().consumer_failed(
-                                "net-fanout", exc)
-            return echo
+    def _notify_of(self, notice: "Notice") -> Notify:
+        """The notice as the wire carries it, built on first use and
+        kept: one :class:`Delta` — the rows, and the origin's cursor
+        where its operation left it — that is the ACK's echo and, in one
+        NOTIFY, every reader's."""
+        if notice.wire is None:
+            n = notice.notification
+            state = None if notice.origin is None else \
+                self.collab.awareness.cursor_of(n.doc, notice.origin.id)
+            # Under the notice's dispatch span: the context every NOTIFY
+            # carries extends the keystroke's trace to the remote appliers.
+            with self._tracer.span("net.fanout", parent_ctx=n.trace_ctx,
+                                   doc=str(n.doc)) as span:
+                ctx = span.ctx
+            delta = Delta(n.doc, n.rep_seq,
+                          tuple(wire_row(c.row, c.before)
+                                for c in notice.changes
+                                if c.table == S.CHARS and c.row is not None
+                                and c.row["doc"] == n.doc),
+                          None if state is None else _wire_cursor(state))
+            notice.wire = Notify(
+                delta=delta, tables=n.tables, n_changes=n.n_changes,
+                origin_session=n.origin_session, origin_user=n.origin_user,
+                at=n.at, sent_at=time(),
+                trace_id=ctx[0] if ctx else None,
+                parent_span=ctx[1] if ctx else None)
+        return notice.wire
 
 
 def _wire_cursor(state) -> dict:
     """A :class:`~repro.collab.awareness.CursorState` on the wire."""
     return wire_cursor(state.session_id, state.user, state.anchor,
-                       state.selection)
+                       state.selection, state.seq)
 
 
 class ServerThread:
@@ -960,10 +816,6 @@ class ServerThread:
     @property
     def port(self) -> int:
         return self.server.port
-
-    @property
-    def host(self) -> str:
-        return self.server.host
 
     def start(self) -> "ServerThread":
         self._thread = threading.Thread(target=self._run,

@@ -90,17 +90,23 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
                           "operation dispatch latency (verb to commit "
                           "fan-out); its count is the number of editing "
                           "operations dispatched"),
-    "collab.notifications": ("counter", "change notifications produced"),
-    "collab.deliveries": ("counter", "notifications delivered to inboxes"),
+    "collab.notifications": ("counter",
+                             "change notices handed to readers, one per "
+                             "commit, document and reader, any transport"),
+    "collab.deliveries": ("counter",
+                          "notifications delivered to in-process inboxes "
+                          "(never a wire session's)"),
     "collab.held": ("counter", "notifications held back by the fault plan"),
     "collab.drains": ("counter", "delivery backlog drains"),
     "collab.queue_depth": ("gauge", "notifications held, awaiting drain"),
     "collab.sessions": ("gauge", "connected editing sessions"),
     "collab.replication_seconds": (
         "histogram",
-        "end-to-end replication latency: editor keystroke start to the "
-        "notification landing in each remote replica's inbox (the paper's "
-        "real-time number; held delivery counts its backlog time)"),
+        "replication latency, once per notice and reader: operation start "
+        "to the reader's transport handing the notice off — inbox arrival "
+        "in process (held delivery counts its backlog time), the NOTIFY "
+        "written to the socket over the wire (the paper's real-time "
+        "number)"),
     "collab.held_seconds": (
         "histogram",
         "time held notifications spent in the delivery-bus backlog "

@@ -53,7 +53,6 @@ positional lookup after a mutation):
 operation            ChunkedOrderCache     FlatOrderCache
 ===================  ====================  =================
 ``insert``           O(B + log(n/B))+dir   O(n)
-``remove``           O(B + log(n/B))+dir   O(n)
 ``index_of``         O(B) + dir            O(n) (hint: O(1))
 ``oid_at``           O(log(n/B)) + dir     O(1)
 ``insert_run``       O(k + B) + dir        O(n + k)
@@ -184,12 +183,6 @@ class ChunkedOrderCache:
         del self._starts[chunk.at + 1:]
         if len(chunk.oids) > 2 * self.CHUNK:
             self._split(chunk.at)
-
-    def remove(self, oid: Oid) -> int:
-        """Splice a character out; returns its former index."""
-        index = self.index_of(oid)
-        self.remove_run((oid,))
-        return index
 
     def remove_run(self, oids: Iterable[Oid]) -> None:
         """Splice visible characters out (raises KeyError on a stranger).

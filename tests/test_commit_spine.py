@@ -137,10 +137,10 @@ class TestStateBeforeNotice:
         with ServerThread(server) as thread:
             enqueue = thread.server._enqueue
 
-            def probing_enqueue(conn, envelope):
+            def probing_enqueue(conn, envelope, *rest):
                 if isinstance(envelope, Notify):
                     probes.append(state_at_notice(server, envelope.delta.doc))
-                enqueue(conn, envelope)
+                enqueue(conn, envelope, *rest)
 
             thread.server._enqueue = probing_enqueue
             ana = NetworkClient("127.0.0.1", thread.port, "ana")
@@ -223,11 +223,11 @@ class TestAFailingFanOutIsIsolated:
                 mirror = cleo.session().open(doc)
                 enqueue = thread.server._enqueue
 
-                def broken_for_ben(conn, envelope):
+                def broken_for_ben(conn, envelope, *rest):
                     if isinstance(envelope, Notify) \
                             and conn.session.id == ben.session_id:
                         raise RuntimeError("send queue bug")
-                    enqueue(conn, envelope)
+                    enqueue(conn, envelope, *rest)
 
                 thread.server._enqueue = broken_for_ben
                 base = telemetry.clock.now()
@@ -239,7 +239,7 @@ class TestAFailingFanOutIsIsolated:
                 assert self.commit_counts(server) == (
                     committed + 1, timed + 1, finished + 1, errors + 1)
                 name, exc = server.db.changefeed().errors[-1]
-                assert name == "net-fanout"
+                assert name == "collab-fanout"
                 assert isinstance(exc, RuntimeError)
                 deadline = monotonic() + 10.0
                 while mirror.text() != "hello!":

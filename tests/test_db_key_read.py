@@ -147,7 +147,7 @@ class TestKeyReadShapes:
         assert db.query("kv").where(col("k") == None).count() == 0  # noqa: E711
         assert db.query("kv").where(col("k") != "a").count() == 1
 
-    def test_snapshot_and_locking_readers_keep_their_paths(self):
+    def test_snapshot_readers_keep_their_path(self):
         db = make_db()
         rowid = db.insert("kv", {"k": "a", "alt": 1, "v": 1})
         with db.snapshot() as snap:
@@ -156,10 +156,6 @@ class TestKeyReadShapes:
                 is not None
             assert snap.query("kv").where(col("k") == "moved").first() \
                 is None
-        reader = db.begin(read_only=True, locking_reads=True)
-        assert reader.query("kv").where(col("k") == "moved").count() == 1
-        assert ("row", "kv", rowid) in reader._held_res
-        reader.commit()
 
     def test_predicate_runs_before_the_mapping_is_built(self, monkeypatch):
         """A planned query maps only the rows its predicate accepted."""

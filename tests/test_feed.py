@@ -11,6 +11,7 @@ from repro.db.wal import WriteAheadLog
 from repro.errors import CrashSignal, FeedGapError
 from repro.faults import FaultInjector, FaultPlan
 from repro.feed import MaintenanceWorker
+from repro.feed.changefeed import NOTICE_CONSUMERS
 from repro.search import InvertedIndex
 from repro.text import DocumentStore
 
@@ -188,19 +189,22 @@ class TestDispatch:
         db = make_db()
         feed = db.changefeed()
         order = []
-        for name in ("early", "net-fanout", "collab-fanout", "late",
+        # One fan-out serves every transport; any other name is an
+        # ordinary consumer, dispatched in subscription order.
+        assert NOTICE_CONSUMERS == ("collab-fanout",)
+        for name in ("early", "collab-fanout", "net-fanout", "late",
                      "collab-fanout"):
             feed.subscribe(name, lambda b, name=name: order.append(name))
         db.insert("kv", {"k": "a", "v": 1})
-        assert order == ["early", "late", "net-fanout", "collab-fanout",
+        assert order == ["early", "net-fanout", "late", "collab-fanout",
                          "collab-fanout"]
         # ... and fail like any consumer: recorded by name, isolated.
         def explode(batch):
             raise RuntimeError("fan-out bug")
 
-        feed.subscribe("net-fanout", explode)
+        feed.subscribe("collab-fanout", explode)
         db.insert("kv", {"k": "b", "v": 2})
-        assert feed.errors[-1][0] == "net-fanout-2"
+        assert feed.errors[-1][0] == "collab-fanout-3"
 
 
 class TestRetention:

@@ -185,13 +185,9 @@ class TestGroupCommitBarrier:
         db.wal.power_off()
         recovered = recover_file(str(tmp_path / "wal.jsonl"),
                                  wal_group_window=0.25, wal_group_max=7)
-        assert recovered.wal._group_commit is True
         assert recovered.wal._group_window == 0.25
         assert recovered.wal._group_max == 7
         assert [r["body"] for r in recovered.query("notes").run()] == ["n"]
-        disabled = recover_file(str(tmp_path / "wal.jsonl"),
-                                wal_group_commit=False)
-        assert disabled.wal._group_commit is False
 
 
 # ---------------------------------------------------------------------------

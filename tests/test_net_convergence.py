@@ -304,6 +304,46 @@ def test_standalone_cursor_move_survives_the_plan():
             ben.close()
 
 
+def test_a_late_edit_cursor_never_overrides_a_newer_move():
+    """Every round types a character (its NOTIFY carries the cursor the
+    edit left) and then moves the cursor (an AWARENESS): two faultable
+    frames the plan may delay or swap.  Once both have landed, the
+    reader shows the typist's cursor where it was moved — the newer
+    presence ``seq`` wins, whichever frame came last.  Without the seq
+    a NOTIFY arriving after the move put the typist back after the
+    character it typed, until the next event."""
+    fault = NetFault(p_drop=0.0, p_delay=0.5, max_delay=0.003,
+                     reorder_window=2)
+    collab, thread = make_server(fault)
+    with thread:
+        ana = NetworkClient("127.0.0.1", thread.port, "ana")
+        ben = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            s_ana = ana.session()
+            doc = s_ana.create_document("moves", text="0123456789").doc
+            h_ben = ben.session().open(doc)
+            typist = EditorClient(s_ana, doc)
+            awareness = ben.session().server.awareness
+            rng = random.Random(23)
+            for _ in range(12):
+                typist.type("x")
+                target = rng.randint(0, 9)
+                typist.move_to(target)
+                text = s_ana.handle(doc).text()
+                deadline = monotonic() + 2.0
+                while (h_ben.text(), awareness.cursor_positions(h_ben)
+                       .get("ana")) != (text, target):
+                    assert monotonic() < deadline, (
+                        f"ben shows ana at "
+                        f"{awareness.cursor_positions(h_ben).get('ana')},"
+                        f" she moved to {target}")
+                    ben.poll(timeout=0.01)
+            assert ben.mirrors[doc].resyncs == 0
+        finally:
+            ana.close()
+            ben.close()
+
+
 def test_a_patch_without_its_base_costs_exactly_one_resync():
     """History a replica lost (here: a row removed behind its back) is
     fetched, never invented: the patch is refused, one ``resync`` goes

@@ -109,7 +109,8 @@ wire_rows = st.builds(
 
 cursors = st.fixed_dictionaries({
     "session": st.integers(0, 10 ** 6), "user": st.text(max_size=10),
-    "anchor": oids, "selection": st.lists(oids, max_size=3)})
+    "anchor": oids, "selection": st.lists(oids, max_size=3),
+    "seq": st.integers(0, 10 ** 9)})
 
 deltas = st.builds(
     Delta, oids, st.integers(min_value=0, max_value=10 ** 6),
@@ -169,7 +170,8 @@ envelopes = st.one_of(
     st.builds(Awareness, doc=oids, anchor=st.none() | oids,
               selection=st.lists(oids, max_size=4).map(tuple),
               user=st.text(max_size=10),
-              session_id=st.integers(0, 10 ** 6)),
+              session_id=st.integers(0, 10 ** 6),
+              seq=st.integers(0, 10 ** 9)),
     st.builds(Ping, nonce=st.integers(0, 10 ** 9), at=st.floats(0, 2e9)),
     st.builds(Pong, nonce=st.integers(0, 10 ** 9), at=st.floats(0, 2e9)),
     st.builds(Bye, reason=st.text(max_size=20)),
@@ -267,6 +269,7 @@ class TestStrictDecode:
         b'{"t": "op", "op_seq": 1, "verb": "x", "args": {"__oid__": "7"}}',
         b'{"t": "op", "op_seq": 1, "verb": "x", "args": {"__bytes__": "z"}}',
         b'{"t": "error", "code": ""}',
+        b'{"t": "awareness", "doc": null, "seq": "7"}',
         b'\xff\xfe garbage bytes',
     ])
     def test_bad_payload_raises(self, payload):
@@ -276,7 +279,8 @@ class TestStrictDecode:
             list(decoder.feed(frame))
 
     CHAR = {"__oid__": "c:1"}
-    CURSOR = {"session": 1, "user": "ana", "anchor": CHAR, "selection": []}
+    CURSOR = {"session": 1, "user": "ana", "anchor": CHAR, "selection": [],
+              "seq": 1}
 
     @pytest.mark.parametrize("delta", [
         {"doc": None, "rep_seq": "x", "rows": [], "cursor": None},
@@ -303,6 +307,10 @@ class TestStrictDecode:
          "cursor": {**CURSOR, "selection": None}},
         {"doc": None, "rep_seq": 1, "rows": [],
          "cursor": {**CURSOR, "selection": ["c:1"]}},
+        {"doc": None, "rep_seq": 1, "rows": [],
+         "cursor": {**CURSOR, "seq": "1"}},
+        {"doc": None, "rep_seq": 1, "rows": [],           # no seq: v2
+         "cursor": {k: v for k, v in CURSOR.items() if k != "seq"}},
     ])
     def test_bad_delta_raises_on_both_lanes(self, delta):
         for envelope in ({"t": "notify", "delta": delta},
@@ -515,11 +523,12 @@ class TestLiveFuzz:
             assert isinstance(envelope, Error)
             assert envelope.fatal
 
-    @pytest.mark.parametrize("version", [1, PROTOCOL_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, PROTOCOL_VERSION + 1])
     def test_other_protocol_versions_are_refused_at_hello(
             self, net_server, version):
         """One protocol: a version-1 peer (full rows, separate cursor
-        frames) gets a fatal ERROR naming the version, and a close."""
+        frames) or a version-2 one (cursors without a presence seq) gets
+        a fatal ERROR naming the version, and a close."""
         received = _attack(net_server, encode_frame(
             Hello(user="ana", protocol=version)))
         assert len(received) == 1

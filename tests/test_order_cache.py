@@ -67,21 +67,20 @@ class TestChunkedOrderCache:
 
     def test_remove_merges_chunks(self):
         cache = TinyChunkCache(_row(i) for i in range(32))
-        for i in range(0, 32, 2):
-            cache.remove(_oid(i))
+        cache.remove_run(_oid(i) for i in range(0, 32, 2))
         assert len(cache) == 16
         assert cache.check() == []
         assert cache.oids() == [_oid(i) for i in range(1, 32, 2)]
 
-    def test_remove_returns_former_index(self):
+    def test_remove_shifts_later_indexes_left(self):
         cache = TinyChunkCache(_row(i) for i in range(9))
-        assert cache.remove(_oid(4)) == 4
-        assert cache.remove(_oid(5)) == 4  # shifted left
+        cache.remove_run((_oid(4),))
+        assert cache.index_of(_oid(5)) == 4
 
     def test_remove_to_empty_and_reinsert(self):
         cache = TinyChunkCache(_row(i) for i in range(6))
         for i in range(6):
-            cache.remove(_oid(i))
+            cache.remove_run((_oid(i),))
         assert len(cache) == 0
         assert cache.text() == ""
         assert cache.last_oid() is None
@@ -133,7 +132,7 @@ class TestChunkedOrderCache:
         assert cache.text() == "abcdefgh"    # populate per-chunk joins
         cache.insert(1, _oid(50), "Z", None, "u")
         assert cache.text() == "aZbcdefgh"
-        cache.remove(_oid(3))
+        cache.remove_run((_oid(3),))
         assert cache.text() == "aZbcefgh"
         assert cache.check() == []
 
@@ -154,7 +153,8 @@ def test_chunked_matches_flat_reference(ops):
             next_id += 1
         elif kind == 1:                   # remove
             victim = flat.oids()[arg % len(flat)]
-            assert chunked.remove(victim) == flat.remove(victim)
+            assert chunked.index_of(victim) == flat.remove(victim)
+            chunked.remove_run((victim,))
         else:                             # lookup
             probe = flat.oids()[arg % len(flat)]
             assert chunked.index_of(probe) == flat.index_of(probe)
@@ -263,7 +263,8 @@ class OrderCacheMachine(RuleBasedStateMachine):
         victims = self.flat.oid_slice(start, start + count)
         self.runs.remove_run(victims)
         for oid in victims:
-            assert self.single.remove(oid) == self.flat.remove(oid)
+            assert self.single.index_of(oid) == self.flat.remove(oid)
+            self.single.remove_run((oid,))
 
     @rule(seed=st.integers(0, 10_000), count=st.integers(1, 12))
     def remove_scattered(self, seed, count):
@@ -275,7 +276,8 @@ class OrderCacheMachine(RuleBasedStateMachine):
         victims = random.Random(seed).sample(order, min(count, len(order)))
         self.runs.remove_run(victims)
         for oid in victims:
-            assert self.single.remove(oid) == self.flat.remove(oid)
+            assert self.single.index_of(oid) == self.flat.remove(oid)
+            self.single.remove_run((oid,))
 
     @rule(where=st.integers(0, 10_000), count=st.integers(1, 9),
           style=st.sampled_from([None, Oid("style", 1), Oid("style", 2)]))
