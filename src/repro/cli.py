@@ -557,8 +557,7 @@ def _cmd_feed_status(args: argparse.Namespace) -> int:
     for handle in kb.handles[:3]:
         handle.insert_text(0, "fresh edit ", kb.users[0])
     worker = MaintenanceWorker(db)
-    worker.register("search-index", engine.index.maintain,
-                    sub=engine.index.subscription)
+    worker.register("search-index", engine.index.maintain)
     rounds = worker.drain()
     status = db.changefeed().status()
     status["drain_rounds"] = rounds
@@ -567,7 +566,6 @@ def _cmd_feed_status(args: argparse.Namespace) -> int:
         return 0
     print(f"feed seq      : {status['seq']}")
     print(f"feed lsn      : {status['lsn']}")
-    print(f"retained      : {status['retained']} of {status['retention']}")
     print(f"drain rounds  : {rounds}")
     print(f"errors        : {status['errors']}")
     print("consumers:")

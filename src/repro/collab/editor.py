@@ -100,10 +100,8 @@ class EditorClient:
         return self.handle.text_of(self._selection)
 
     def _publish_cursor(self) -> None:
-        self.session.server.awareness.update_cursor(
-            self.doc, self.session.id, self._cursor_anchor,
-            self.selection(), self.session.server.db.now(),
-        )
+        self.session.move_cursor(self.doc, self._cursor_anchor,
+                                 self.selection())
 
     # ------------------------------------------------------------------
     # Typing

@@ -13,7 +13,9 @@ that committed it exits (at once for a commit made outside any), and
 goes to every other session with the document open through that
 session's transport: the :class:`DeliveryBus` into its inbox for an
 in-process session, its connection for a wire one.  The database commit
-is the serialisation point either way.
+is the serialisation point either way.  A cursor move that no edit
+carries takes the same road: :meth:`CollaborationServer.move_cursor`
+hands the awareness state to every other reader's transport.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..text import (
     VersionManager,
 )
 from ..text import dbschema as S
-from .awareness import AwarenessRegistry
+from .awareness import AwarenessRegistry, CursorState
 from .bus import DeliveryBus
 from .session import EditingSession, Notification
 from .undo import UndoManager
@@ -343,7 +345,7 @@ class CollaborationServer:
                     if session.transport is None:
                         self.delivery.send(session, notification)
                     else:
-                        session.transport(notice)
+                        session.transport(notification.doc, notice)
                 except Exception as exc:
                     # One broken reader must not cost the others their
                     # notice, nor the origin its reply.
@@ -352,6 +354,33 @@ class CollaborationServer:
             if readers:
                 self._m_notifications.inc(readers)
                 self._doc_notifications[notification.doc].inc(readers)
+
+    def move_cursor(self, session: EditingSession, doc, anchor,
+                    selection: tuple = ()) -> CursorState | None:
+        """A cursor move of ``session`` that no edit carries, from either
+        origin (an in-process call or a wire AWARENESS frame).
+
+        The move is placed in the awareness registry and its state, with
+        the new presence ``seq``, handed to the transport of every other
+        session with ``doc`` open; an in-process reader reads the
+        registry itself and needs nothing.  A move to where the cursor
+        already is changes nothing.  Returns the cursor's state
+        (``None`` if ``session`` does not have ``doc`` open).
+        """
+        held = self.awareness.cursor_of(doc, session.id)
+        if held is None or (held.anchor == anchor
+                            and held.selection == selection):
+            return held
+        state = self.awareness.update_cursor(doc, session.id, anchor,
+                                             selection, self.db.now())
+        for reader in self.sessions_on(doc):
+            if reader is not session and reader.transport is not None:
+                try:
+                    reader.transport(doc, state)
+                except Exception as exc:
+                    self.db.changefeed().consumer_failed(
+                        "collab-fanout", exc)
+        return state
 
     # ------------------------------------------------------------------
     # Teardown

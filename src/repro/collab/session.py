@@ -76,10 +76,12 @@ class EditingSession:
         self.os_name = os_name
         self.clipboard = Clipboard(server.db)
         self.inbox: list[Notification] = []
-        #: How this session is told of other editors' commits: ``None``
-        #: is the server's :class:`~repro.collab.bus.DeliveryBus` into
-        #: :attr:`inbox`; a wire connection installs a callable taking
-        #: the fan-out's notice.
+        #: How this session is told of other editors' commits and cursor
+        #: moves: ``None`` is the server's
+        #: :class:`~repro.collab.bus.DeliveryBus` into :attr:`inbox` (and
+        #: the shared awareness registry for cursors); a wire connection
+        #: installs a callable taking the document and the fan-out's
+        #: notice or a :class:`~repro.collab.awareness.CursorState`.
         self.transport = None
         self._handles: dict[Oid, DocumentHandle] = {}
         self.connected = True
@@ -413,11 +415,13 @@ class EditingSession:
     def set_cursor(self, doc: Oid, pos: int,
                    selection: Sequence[Oid] = ()) -> None:
         """Publish this session's cursor position to awareness."""
-        handle = self.handle(doc)
-        anchor = handle.anchor_for(pos)
-        self.server.awareness.update_cursor(
-            doc, self.id, anchor, tuple(selection), self.server.db.now(),
-        )
+        self.move_cursor(doc, self.handle(doc).anchor_for(pos), selection)
+
+    def move_cursor(self, doc: Oid, anchor: Oid,
+                    selection: Sequence[Oid] = ()) -> None:
+        """Place this session's cursor after ``anchor`` and tell the
+        document's other readers (:meth:`CollaborationServer.move_cursor`)."""
+        self.server.move_cursor(self, doc, anchor, tuple(selection))
 
     # ------------------------------------------------------------------
     # Notifications

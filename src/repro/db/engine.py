@@ -301,16 +301,15 @@ class Database:
         if self.feed is not None:
             self.feed.publish(txn_id, lsn, changes)
 
-    def changefeed(self, *, retention: int = 512):
+    def changefeed(self):
         """This database's post-commit changefeed (created on first use).
 
         The single ordered stream every derived-data consumer now rides
-        (see :mod:`repro.feed`); ``retention`` applies only on the call
-        that creates the feed.
+        (see :mod:`repro.feed`).
         """
         if self.feed is None:
             from ..feed.changefeed import Changefeed
-            self.feed = Changefeed(self, retention=retention)
+            self.feed = Changefeed(self)
         return self.feed
 
     # ------------------------------------------------------------------

@@ -4,13 +4,11 @@ What a WAL *means* is decided here and nowhere else: DML records buffer
 per transaction id, a COMMIT releases its transaction's buffer, an ABORT
 drops it, DDL takes effect at once and a CHECKPOINT is a full state
 snapshot.  :class:`WalReplay` is that state machine with no database
-attached; its consumers differ only in where released operations go —
-crash recovery loads collapsed rows (:mod:`repro.db.recovery`), the
+attached; its two sinks differ only in where released operations go —
+crash recovery loads collapsed rows (:mod:`repro.db.recovery`) and the
 replication applier installs versioned rows under the commit-intent
-window (:mod:`repro.repl.apply`), and changefeed catch-up turns them
-back into events (:mod:`repro.feed.changefeed`).  What a released row
-operation leaves behind is decided by one function all three call,
-:func:`merge_image`.
+window (:mod:`repro.repl.apply`).  What a released row operation leaves
+behind is decided by one function both call, :func:`merge_image`.
 """
 
 from __future__ import annotations

@@ -212,16 +212,15 @@ class Table:
             self._register_pending_keys(rowid, row)
         return row
 
-    def stage_delete(self, txn_id: int, rowid: int) -> tuple:
-        """Stage a delete; returns the row image being deleted."""
+    def stage_delete(self, txn_id: int, rowid: int) -> None:
+        """Stage a delete of a row ``txn_id`` can see."""
         with self._lock:
-            base = self._visible_for_write(txn_id, rowid)
+            self._visible_for_write(txn_id, rowid)
             pending = self._pending.get(rowid)
             was_insert = pending.was_insert if pending else False
             if pending is not None and pending.image is not TOMBSTONE:
                 self._unregister_pending_keys(rowid, pending.image)
             self._stage(rowid, Pending(txn_id, TOMBSTONE, was_insert))
-        return base
 
     def _stage(self, rowid: int, pending: Pending) -> None:
         """Record a pending image (caller holds ``_lock``)."""

@@ -311,13 +311,9 @@ class Transaction:
         table = self._db.table(table_name)
         with self._lock:
             self._lock_all([("row", table_name, rowid)])
-            base = table.stage_delete(self.txn_id, rowid)
+            table.stage_delete(self.txn_id, rowid)
             self._record_op(table_name, rowid)
-            # The before-image rides in the DELETE record so the
-            # changefeed's WAL catch-up can hand delete events the
-            # vanished row (recovery itself ignores it).
-            self._log.append((walmod.DELETE, table_name, rowid,
-                              table.schema.names, base))
+            self._log.append((walmod.DELETE, table_name, rowid, (), ()))
 
     # -- reads (own-writes visible; snapshot txns read their pinned LSN) -----
 

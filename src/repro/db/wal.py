@@ -83,8 +83,9 @@ class WalRecord(NamedTuple):
       the row it already holds (:func:`repro.db.replay.merge_image`); a
       record naming every column — what older logs wrote — is simply
       the widest delta;
-    * DELETE: the vanished row in full (a before-image, for changefeed
-      catch-up; redo ignores it).
+    * DELETE: nothing — ``table`` and ``rowid`` say it all.  Older logs
+      carry the vanished row here too; it parses, renders back the same
+      and redo ignores it.
 
     Every other record keeps its data in ``payload``:
 
@@ -175,9 +176,10 @@ def render_record(record: WalRecord) -> str:
     is a file line or a shipped segment to write, once per record.
     """
     if record.table is not None:
-        payload = {"table": record.table, "rowid": record.rowid,
-                   "values": dict(zip(record.cols,
-                                      map(encode_value, record.vals)))}
+        payload = {"table": record.table, "rowid": record.rowid}
+        if record.cols:
+            payload["values"] = dict(zip(record.cols,
+                                         map(encode_value, record.vals)))
     else:
         payload = encode_value(record.payload)
     return json.dumps({

@@ -100,15 +100,6 @@ class ReplicationError(DatabaseError):
     (gap in the shipped LSN sequence, apply after promotion, ...)."""
 
 
-class FeedError(DatabaseError):
-    """Base class for post-commit changefeed errors."""
-
-
-class FeedGapError(FeedError):
-    """A consumer asked for batches the feed no longer retains; it must
-    rebuild (or catch up from the WAL) instead of resuming in-memory."""
-
-
 # ---------------------------------------------------------------------------
 # Text extension errors
 # ---------------------------------------------------------------------------

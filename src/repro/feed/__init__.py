@@ -6,21 +6,19 @@ ride on four independent commit triggers, each rescanning ``DOCUMENTS``
 to notice births and blind to deletes (a delete's change row is
 ``None``).  The changefeed replaces that: the engine publishes exactly
 one :class:`~repro.feed.changefeed.CommitBatch` per committed
-transaction, LSN-stamped and carrying *before-images*, and consumers
-subscribe with durable, checkpointable cursors.  See
-``docs/CHANGEFEED.md``.
+transaction, LSN-stamped and carrying *before-images*, to every live
+subscriber.  A consumer's state after a restart is rebuilt from the
+recovered tables, not replayed.  See ``docs/CHANGEFEED.md``.
 
 * :mod:`repro.feed.changefeed` — the feed itself: batches of changes,
-  subscriptions, cursor checkpoints, WAL catch-up after restart;
-* :mod:`repro.feed.worker` — the background maintenance worker: drains
-  deferred consumers, compacts the inverted index, checkpoints cursors
-  and keeps the ``feed.*`` staleness telemetry fresh.
+  subscriptions, acks and lag;
+* :mod:`repro.feed.worker` — the maintenance worker: drains deferred
+  consumers and compacts the inverted index when ticked.
 """
 
 from .changefeed import (
     Changefeed,
     CommitBatch,
-    FeedGapError,
     FeedSubscription,
 )
 from .worker import MaintenanceWorker
@@ -28,7 +26,6 @@ from .worker import MaintenanceWorker
 __all__ = [
     "Changefeed",
     "CommitBatch",
-    "FeedGapError",
     "FeedSubscription",
     "MaintenanceWorker",
 ]

@@ -14,14 +14,13 @@ named :class:`FeedSubscription`:
   the ``feed.lag`` gauge, the staleness signal the worker and the SLO
   pipeline watch.
 
-Durability is split along the same line as the engine's: the feed keeps
-a bounded in-memory retention window for live resume
-(:meth:`Changefeed.batches_since`), checkpoints consumer cursors into
-the ``tx_feed_cursors`` table, and reconstructs missed batches after a
-restart directly from WAL records (:func:`batches_from_records`) — the
-DELETE records' before-image payload exists precisely so this replay
-can still describe what vanished.  See ``docs/CHANGEFEED.md`` for the
-consumer contract and the failure matrix.
+The feed is live only: a consumer gets every batch committed after it
+subscribed, and no batch is kept once it is dispatched.  The tables and
+their WAL are the only durable truth; a consumer's state after a
+restart is what it rebuilds from the recovered tables when it is built
+(the index, the folders, a handle's order cache all do).  See
+``docs/CHANGEFEED.md`` for the consumer contract and the failure
+matrix.
 """
 
 from __future__ import annotations
@@ -31,19 +30,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..errors import CrashSignal, FeedGapError, RecoveryError
-from ..db import wal as walmod
-from ..db.schema import TableSchema, column
-from ..db.predicate import col
-from ..db.replay import WalReplay, merge_image
+from ..errors import CrashSignal
 from ..db.transaction import Change
-from ..db.wal import WalRecord, columns_from_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
-
-#: Table holding durable consumer cursors, created on first checkpoint.
-CURSOR_TABLE = "tx_feed_cursors"
 
 #: State before notice: the consumer that *announces* a commit to
 #: editors (the collab fan-out, every transport's one source) is handed
@@ -68,10 +59,7 @@ class CommitBatch:
     an insert) — so a delete is fully described by its ``before``.
 
     ``seq`` is the feed's process-local sequence number (1, 2, 3 ...);
-    ``lsn`` is the transaction's COMMIT record LSN — the durable
-    coordinate cursors are checkpointed against.  Batches replayed from
-    the WAL after a restart carry ``seq == 0``: the seq axis does not
-    survive a restart, the LSN axis does.
+    ``lsn`` is the transaction's COMMIT record LSN.
     """
 
     seq: int
@@ -100,7 +88,10 @@ class FeedSubscription:
     derived state has fully absorbed; acks are cumulative, covering
     everything at or below the acked seq).  ``lag`` is the distance
     from the feed head to the ack — the consumer's staleness in
-    batches.
+    batches.  A deferred consumer also keeps ``(seq, committed_at)`` of
+    each batch handed to it and not yet acked: an ack observes the
+    commit time of the newest batch it covers in
+    ``feed.staleness_seconds``.
     """
 
     def __init__(self, feed: "Changefeed", name: str, fn: ConsumerFn, *,
@@ -115,6 +106,7 @@ class FeedSubscription:
         self.notice = False
         self.delivered_seq = 0
         self.acked_seq = 0
+        self._unacked: deque[tuple[int, float]] = deque()
         #: This consumer's ``feed.lag{consumer=…}`` series, resolved
         #: once (acks are per batch, the label set is per subscription).
         self._lag_gauge = feed._f_lag.labels(consumer=name)
@@ -162,18 +154,11 @@ class Changefeed:
     committers — a consumer that itself commits publishes its nested
     batch inline, preserving causality.  Handlers therefore run with
     that lock held: they must not block on another committer.
-
-    ``retention`` bounds the in-memory tail kept for
-    :meth:`batches_since`; consumers that fall further behind get a
-    :class:`~repro.errors.FeedGapError` and must rebuild or catch up
-    from the WAL.
     """
 
-    def __init__(self, db: "Database", *, retention: int = 512) -> None:
+    def __init__(self, db: "Database") -> None:
         self._db = db
         self._lock = threading.RLock()
-        self._retention = max(1, retention)
-        self._batches: deque[CommitBatch] = deque()
         self._subs: list[FeedSubscription] = []
         self._last_seq = 0
         self._last_lsn = 0
@@ -186,10 +171,6 @@ class Changefeed:
         self._m_events = registry.counter("feed.events")
         self._m_dispatch = registry.histogram("feed.dispatch_seconds")
         self._m_errors = registry.counter("feed.consumer_errors")
-        self._m_checkpoints = registry.counter("feed.checkpoints")
-        self._m_catchup = registry.counter("feed.catchup_batches")
-        self._m_missing_base = registry.counter("wal.missing_base_rows")
-        self._m_evictions = registry.counter("feed.retention_evictions")
         self._m_staleness = registry.histogram("feed.staleness_seconds")
         self._f_lag = registry.family("feed.lag", "gauge")
 
@@ -200,10 +181,6 @@ class Changefeed:
     @property
     def last_seq(self) -> int:
         return self._last_seq
-
-    @property
-    def last_lsn(self) -> int:
-        return self._last_lsn
 
     def subscriptions(self) -> list[FeedSubscription]:
         with self._lock:
@@ -220,8 +197,6 @@ class Changefeed:
             return {
                 "seq": self._last_seq,
                 "lsn": self._last_lsn,
-                "retained": len(self._batches),
-                "retention": self._retention,
                 "errors": len(self.errors),
                 "consumers": [
                     {
@@ -290,8 +265,8 @@ class Changefeed:
         and COMMIT LSN; empty change lists publish nothing.  The
         ``feed.mid_dispatch`` crash point fires before each consumer
         invocation, so crash schedules can kill the process with a batch
-        half-dispatched — the recovery contract is that checkpointed
-        cursors plus WAL catch-up redeliver it.
+        half-dispatched — the commit is durable, and every consumer
+        rebuilt over the recovered tables includes it.
         """
         if not changes:
             return
@@ -301,10 +276,6 @@ class Changefeed:
             self._last_lsn = max(self._last_lsn, lsn)
             batch = CommitBatch(self._last_seq, lsn, txn_id,
                                 self._db.now(), events)
-            self._batches.append(batch)
-            while len(self._batches) > self._retention:
-                self._batches.popleft()
-                self._m_evictions.inc()
             self._m_events.inc(len(events))
             with self._m_dispatch.time():
                 for sub in list(self._subs):
@@ -312,6 +283,8 @@ class Changefeed:
                         self._deliver(sub, batch)
 
     def _deliver(self, sub: FeedSubscription, batch: CommitBatch) -> None:
+        if sub.deferred:
+            sub._unacked.append((batch.seq, batch.committed_at))
         filtered = batch.for_tables(sub.tables)
         if not filtered.events:
             # Nothing for this consumer: advance it past the batch —
@@ -359,206 +332,12 @@ class Changefeed:
     def _ack_locked(self, sub: FeedSubscription, seq: int) -> None:
         if seq > sub.acked_seq:
             sub.acked_seq = min(seq, self._last_seq)
-            if sub.deferred:
-                # A sync consumer is acked inside the publishing commit:
-                # its only delay is the dispatch already being timed.
-                batch = self._retained(seq)
-                if batch is not None and batch.committed_at > 0.0:
-                    self._m_staleness.observe(
-                        max(0.0, self._db.now() - batch.committed_at))
+            # Only a deferred consumer keeps stamps: a sync one is acked
+            # inside the publishing commit, whose dispatch is timed.
+            unacked, committed_at = sub._unacked, None
+            while unacked and unacked[0][0] <= sub.acked_seq:
+                committed_at = unacked.popleft()[1]
+            if committed_at is not None:
+                self._m_staleness.observe(
+                    max(0.0, self._db.now() - committed_at))
         sub._report_lag()
-
-    def _retained(self, seq: int) -> CommitBatch | None:
-        if not self._batches or seq < self._batches[0].seq \
-                or seq > self._batches[-1].seq:
-            return None
-        return self._batches[seq - self._batches[0].seq]
-
-    def batches_since(self, seq: int) -> list[CommitBatch]:
-        """Retained batches with ``batch.seq > seq``, in order.
-
-        Raises :class:`~repro.errors.FeedGapError` when the retention
-        window no longer reaches back to ``seq`` — the caller missed
-        evicted batches and must rebuild or catch up from the WAL.
-        """
-        with self._lock:
-            if seq >= self._last_seq:
-                return []
-            oldest = self._batches[0].seq if self._batches \
-                else self._last_seq + 1
-            if seq < oldest - 1:
-                raise FeedGapError(
-                    f"feed retains seqs {oldest}..{self._last_seq}; "
-                    f"cannot resume after {seq}")
-            return [b for b in self._batches if b.seq > seq]
-
-    # ------------------------------------------------------------------
-    # Durable cursors
-    # ------------------------------------------------------------------
-
-    def _ensure_cursor_table(self) -> None:
-        if not self._db.has_table(CURSOR_TABLE):
-            self._db.create_table(CURSOR_TABLE, [
-                column("consumer", "str"),
-                column("seq", "int"),
-                column("lsn", "int"),
-                column("updated_at", "float"),
-            ], key="consumer")
-
-    def checkpoint(self, sub: FeedSubscription) -> dict:
-        """Persist ``sub``'s acked position as a durable cursor row.
-
-        The cursor stores both coordinates but only the LSN survives a
-        restart meaningfully (seqs are process-local).  The write is an
-        ordinary committed transaction, so it publishes its own batch —
-        table-filtered consumers auto-ack it.  Never call this from
-        inside a sync consumer handler of the cursor table itself.
-        """
-        self._ensure_cursor_table()
-        with self._lock:
-            seq = sub.acked_seq
-            batch = self._retained(seq)
-            lsn = batch.lsn if batch is not None else self._last_lsn
-            if seq == 0:
-                lsn = 0
-        payload = {"consumer": sub.name, "seq": seq, "lsn": lsn,
-                   "updated_at": self._db.now()}
-        with self._db.transaction() as txn:
-            existing = txn.query(CURSOR_TABLE) \
-                .where(col("consumer") == sub.name).first()
-            if existing is None:
-                txn.insert(CURSOR_TABLE, payload)
-            else:
-                txn.update(CURSOR_TABLE, existing.rowid, payload)
-        self._m_checkpoints.inc()
-        return payload
-
-    def cursor(self, name: str) -> dict | None:
-        """The checkpointed cursor for ``name``, or ``None``."""
-        if not self._db.has_table(CURSOR_TABLE):
-            return None
-        row = self._db.query(CURSOR_TABLE) \
-            .where(col("consumer") == name).first()
-        if row is None:
-            return None
-        return {"consumer": row["consumer"], "seq": row["seq"],
-                "lsn": row["lsn"], "updated_at": row["updated_at"]}
-
-    # ------------------------------------------------------------------
-    # WAL catch-up (restart path)
-    # ------------------------------------------------------------------
-
-    def catch_up(self, name: str, fn: ConsumerFn,
-                 records: Iterable[WalRecord], *,
-                 tables: Iterable[str] | None = None) -> int:
-        """Redeliver batches a consumer missed across a restart.
-
-        ``records`` is the pre-crash WAL history (typically
-        ``WriteAheadLog.load_file(path)`` — a recovered engine's own
-        log starts empty, it does *not* retain the replayed records).
-        Batches are reconstructed for every committed transaction whose
-        COMMIT LSN lies above the checkpointed cursor and handed to
-        ``fn`` in order, with ``seq == 0`` (replayed batches are off
-        the live seq axis).  Returns the number of batches delivered.
-
-        Recovery already left the engine's LSN allocator past the
-        replayed history, so post-restart commits keep the LSN axis —
-        and therefore future cursor checkpoints — monotonic.
-        """
-        cursor = self.cursor(name)
-        after_lsn = cursor["lsn"] if cursor is not None else 0
-        table_set = frozenset(tables) if tables is not None else None
-        delivered = 0
-        try:
-            batches = batches_from_records(records, after_lsn=after_lsn)
-        except RecoveryError:
-            self._m_missing_base.inc()
-            raise
-        for batch in batches:
-            filtered = batch.for_tables(table_set)
-            if not filtered.events:
-                continue
-            fn(filtered)
-            delivered += 1
-            with self._lock:
-                self._last_lsn = max(self._last_lsn, batch.lsn)
-        if delivered:
-            self._m_catchup.inc(delivered)
-        return delivered
-
-
-def batches_from_records(records: Iterable[WalRecord], *,
-                         after_lsn: int = 0) -> list[CommitBatch]:
-    """Reconstruct commit batches from raw WAL records.
-
-    Feeds the log through the same replay core recovery uses — DML
-    buffered per transaction, released at COMMIT, dropped at ABORT —
-    while keeping a running map of last-committed row images (stored
-    tuples, merged by the same :func:`~repro.db.replay.merge_image` as
-    recovery and replication) so update and delete events regain their
-    before-images.  DELETE records additionally carry the before-image
-    themselves (written by the engine for precisely this replay), which
-    covers rows whose insert predates the walked history.  Only batches
-    with ``COMMIT lsn > after_lsn`` are returned; all carry ``seq == 0``
-    and ``committed_at == 0.0`` (neither survives in the log).
-
-    An UPDATE whose base row lies outside the walked history cannot be
-    described: for a batch that would be returned this raises
-    :class:`~repro.errors.RecoveryError` (the consumer missed a commit
-    nobody can reconstruct); at or below ``after_lsn`` the row is just
-    left unknown until a CHECKPOINT or a full image supplies it.
-    """
-    schemas: dict[str, TableSchema] = {}
-    images: dict[tuple[str, int], tuple] = {}
-    core = WalReplay()
-    out: list[CommitBatch] = []
-    for rec in records:
-        ops = core.feed(rec)
-        if rec.type == walmod.CREATE_TABLE:
-            name = rec.payload["table"]
-            schemas.setdefault(name, TableSchema(
-                name, columns_from_payload(rec.payload["columns"])))
-        elif rec.type == walmod.DROP_TABLE:
-            gone = rec.payload["table"]
-            schemas.pop(gone, None)
-            for key in [k for k in images if k[0] == gone]:
-                del images[key]
-        elif rec.type == walmod.CHECKPOINT:
-            # A checkpoint is a full snapshot: it resets the image map
-            # (pre-checkpoint history may have been truncated away).
-            images = {}
-            for name, spec in rec.payload["tables"].items():
-                schema = schemas[name] = TableSchema(
-                    name, columns_from_payload(spec["schema"]["columns"]))
-                for rowid, row in spec["rows"].items():
-                    images[name, int(rowid)] = schema.make_row(row)
-        elif ops:
-            wanted = rec.lsn > after_lsn
-            events = []
-            for op in ops:
-                schema = schemas.get(op.table)
-                if schema is None:
-                    continue  # table dropped before this commit
-                key = (op.table, op.rowid)
-                before = images.pop(key, None)
-                if op.type == walmod.DELETE:
-                    if before is None and op.vals:
-                        before = schema.make_row(dict(zip(op.cols, op.vals)))
-                    kind, image = "delete", None
-                else:
-                    try:
-                        image = images[key] = merge_image(schema, before, op)
-                    except RecoveryError:
-                        if wanted:
-                            raise
-                        continue
-                    kind = "update" if op.type == walmod.UPDATE \
-                        or before is not None else "insert"
-                events.append(Change(
-                    op.table, kind, op.rowid,
-                    None if image is None else schema.row_dict(image),
-                    None if before is None else schema.row_dict(before)))
-            if wanted:
-                out.append(CommitBatch(0, rec.lsn, rec.txn_id, 0.0,
-                                       tuple(events)))
-    return out

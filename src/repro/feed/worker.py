@@ -1,19 +1,16 @@
-"""Background maintenance driven by the changefeed.
+"""Maintenance driven by the changefeed.
 
 Deferred consumers (the inverted index, and anything else that only
 *records* work in its handler) need something to actually absorb the
-recorded work, compact what grew, and checkpoint cursors so a restart
-does not replay the world.  :class:`MaintenanceWorker` is that
-something: a small registry of named maintenance callables driven
-either by an explicit :meth:`~MaintenanceWorker.run_once` (tests,
-benchmarks, CLI) or a daemon thread ticking at a fixed interval
-(servers).
+recorded work and compact what grew.  :class:`MaintenanceWorker` is
+that something: a small registry of named maintenance callables, each
+run once per explicit :meth:`~MaintenanceWorker.run_once` tick (tests,
+benchmarks, CLI).
 
 The worker deliberately owns no policy: each registered task is a
-closure such as ``index.maintain`` or ``index.compact`` that knows its
-own consumer; the worker adds scheduling, failure isolation (a failing
-task is recorded and does not starve the others) and post-run cursor
-checkpointing for subscriptions whose ack advanced.
+closure such as ``index.maintain`` that knows its own consumer and
+acks it; the worker adds the tick and failure isolation (a failing task
+is recorded and does not starve the others).
 """
 
 from __future__ import annotations
@@ -26,51 +23,25 @@ from ..errors import CrashSignal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.engine import Database
-    from .changefeed import FeedSubscription
-
-
-class _Task:
-    __slots__ = ("name", "fn", "sub", "checkpoint", "last_checkpoint_seq")
-
-    def __init__(self, name: str, fn: Callable[[], object],
-                 sub: "FeedSubscription | None", checkpoint: bool) -> None:
-        self.name = name
-        self.fn = fn
-        self.sub = sub
-        self.checkpoint = checkpoint
-        self.last_checkpoint_seq = 0
 
 
 class MaintenanceWorker:
-    """Periodic driver for deferred derived-data maintenance."""
+    """Runs deferred derived-data maintenance, one tick per call."""
 
-    def __init__(self, db: "Database", *, interval: float = 0.25) -> None:
-        self._db = db
+    def __init__(self, db: "Database") -> None:
         self._feed = db.changefeed()
-        self.interval = interval
-        self._tasks: list[_Task] = []
+        self._tasks: list[tuple[str, Callable[[], object]]] = []
         self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         #: Recent task failures as (task, exception) pairs.
         self.errors: list[tuple[str, Exception]] = []
         registry = db.obs.registry
         self._m_runs = registry.counter("feed.worker_runs")
         self._m_seconds = registry.histogram("feed.worker_seconds")
 
-    def register(self, name: str, fn: Callable[[], object], *,
-                 sub: "FeedSubscription | None" = None,
-                 checkpoint: bool = True) -> None:
-        """Add a maintenance task.
-
-        ``fn`` runs on every tick.  When ``sub`` is given (the task's
-        feed subscription) and ``checkpoint`` is true, the worker
-        persists the subscription's cursor after any tick on which its
-        acked seq advanced — catch-up after restart then starts from
-        that cursor instead of the beginning of history.
-        """
+    def register(self, name: str, fn: Callable[[], object]) -> None:
+        """Add a maintenance task; ``fn`` runs on every tick."""
         with self._lock:
-            self._tasks.append(_Task(name, fn, sub, checkpoint))
+            self._tasks.append((name, fn))
 
     def run_once(self) -> dict[str, object]:
         """Run every task once; returns ``{task: result-or-exception}``.
@@ -83,22 +54,16 @@ class MaintenanceWorker:
         with self._lock:
             tasks = list(self._tasks)
         results: dict[str, object] = {}
-        for task in tasks:
+        for name, fn in tasks:
             try:
-                results[task.name] = task.fn()
+                results[name] = fn()
             except CrashSignal:
                 raise
             except Exception as exc:
-                results[task.name] = exc
-                self.errors.append((task.name, exc))
+                results[name] = exc
+                self.errors.append((name, exc))
                 if len(self.errors) > 100:
                     del self.errors[: len(self.errors) - 100]
-                continue
-            sub = task.sub
-            if sub is not None and task.checkpoint \
-                    and sub.acked_seq > task.last_checkpoint_seq:
-                self._feed.checkpoint(sub)
-                task.last_checkpoint_seq = sub.acked_seq
         self._m_runs.inc()
         self._m_seconds.observe(perf_counter() - started)
         return results
@@ -118,39 +83,3 @@ class MaintenanceWorker:
         raise RuntimeError(
             f"feed lag did not drain to 0 in {max_rounds} rounds "
             f"(still {self._feed.max_lag()})")
-
-    # ------------------------------------------------------------------
-    # Thread lifecycle
-    # ------------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> None:
-        """Start the daemon tick thread (idempotent)."""
-        if self.running:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._loop,
-                                        name="feed-maintenance",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self, *, final_tick: bool = True) -> None:
-        """Stop the thread; by default runs one last synchronous tick
-        so whatever the workload left behind is absorbed."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-        if final_tick:
-            self.run_once()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.run_once()
-            except CrashSignal:
-                return

@@ -304,7 +304,7 @@ class DynamicFolderManager:
     #: Tables whose commits can change folder membership.
     _WATCHED = (S.DOCUMENTS, S.ACCESS_LOG, S.CHARS)
 
-    #: Feed consumer name (also the durable cursor key).
+    #: Feed consumer name.
     CONSUMER = "dynamic-folders"
 
     def __init__(self, db: Database) -> None:

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MetadataCollector:
     """Aggregates creation-process metadata for all documents in a DB."""
 
-    #: Feed consumer name (also the durable cursor key).
+    #: Feed consumer name.
     CONSUMER = "meta-collector"
 
     def __init__(self, db: Database) -> None:

@@ -497,24 +497,10 @@ class RemoteHandle(DocMirror):
 
 
 class _RemoteAwareness:
-    """Awareness facade: publishes over the wire, resolves locally."""
+    """Awareness facade: resolves the mirrors' cursors locally."""
 
     def __init__(self, client: NetworkClient) -> None:
         self._client = client
-
-    def update_cursor(self, doc, session_id: int, anchor,
-                      selection: tuple, now: float) -> None:
-        """Publish the editor's cursor unless the server already holds
-        it there — it placed the cursor itself when it ran the edit and
-        said so on the ACK, so typing sends nothing.  If the two sides
-        disagree (or the mirror is gone) the frame is sent."""
-        client = self._client
-        mirror = client.mirrors.get(doc)
-        held = None if mirror is None else \
-            mirror.cursors.get(client.session_id)
-        if held is None or held["anchor"] != anchor \
-                or held["selection"] != list(selection):
-            client.publish_cursor(doc, anchor, selection)
 
     def cursor_positions(self, handle) -> dict[str, int]:
         """user -> resolved position, from the mirror's cursors; this
@@ -548,9 +534,8 @@ class RemoteSession:
     def __init__(self, client: NetworkClient) -> None:
         self.client = client
         #: Just enough server surface for :class:`EditorClient`: cursor
-        #: awareness and a clock.
-        self.server = SimpleNamespace(awareness=_RemoteAwareness(client),
-                                      db=SimpleNamespace(now=time))
+        #: awareness.
+        self.server = SimpleNamespace(awareness=_RemoteAwareness(client))
 
     @property
     def id(self) -> int:
@@ -619,12 +604,22 @@ class RemoteSession:
         self.client.close()
 
     def set_cursor(self, doc, pos: int, selection: Sequence[Oid] = ()) -> None:
-        """Publish the cursor as presence (an AWARENESS frame, and only
-        when the server does not already hold it there)."""
-        handle = self.handle(doc)
-        anchor = handle.anchor_for(pos)
-        self.server.awareness.update_cursor(
-            doc, self.id, anchor, tuple(selection), time())
+        """Publish the cursor as presence (see :meth:`move_cursor`)."""
+        self.move_cursor(doc, self.handle(doc).anchor_for(pos), selection)
+
+    def move_cursor(self, doc, anchor, selection: Sequence[Oid] = ()) -> None:
+        """Publish the cursor as one AWARENESS frame, unless the server
+        already holds it there — it placed the cursor itself when it ran
+        the edit and said so on the ACK, so typing sends nothing.  If
+        the two sides disagree (or the mirror is gone) the frame is
+        sent."""
+        client = self.client
+        mirror = client.mirrors.get(doc)
+        held = None if mirror is None else \
+            mirror.cursors.get(client.session_id)
+        if held is None or held["anchor"] != anchor \
+                or held["selection"] != list(selection):
+            client.publish_cursor(doc, anchor, selection)
 
     @contextmanager
     def batch(self):

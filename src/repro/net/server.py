@@ -24,12 +24,13 @@ verbs the in-process sessions use.  Design points:
   the connection (``net.backpressure_closes``).
 * **A connection is a session's transport.**  There is one fan-out, the
   collab server's: it hands each commit's notice, stamped with the
-  document's ``rep_seq``, to every reader's transport, and a wire
-  session's is :meth:`CollabNetServer._hand_off` — one NOTIFY on its
-  connection.  Remote mirrors apply deltas in order, buffer reordered
-  ones, and heal gaps with a ``resync`` snapshot RPC.  The originator's
-  own deltas ride its ACK (``echo``) on the unfaultable control lane,
-  never as a NOTIFY.
+  document's ``rep_seq``, and each cursor move no edit carries, with
+  its presence ``seq``, to every reader's transport, and a wire
+  session's is :meth:`CollabNetServer._hand_off` — one NOTIFY or one
+  AWARENESS on its connection.  Remote mirrors apply deltas in order,
+  buffer reordered ones, and heal gaps with a ``resync`` snapshot RPC.
+  The originator's own deltas ride its ACK (``echo``) on the
+  unfaultable control lane, never as a NOTIFY.
 * **One delta, rendered once.**  A commit's rows travel as the columns
   it changed, with the cursor it left its author
   (:class:`~repro.net.protocol.Delta`); the one object is the ACK's echo
@@ -59,6 +60,7 @@ from functools import partial
 from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
+from ..collab.awareness import CursorState
 from ..db.wal import render_record
 from ..errors import NetError, ProtocolError, TendaxError
 from ..faults.injector import NO_FAULTS
@@ -389,7 +391,10 @@ class CollabNetServer:
             if isinstance(envelope, Op):
                 await self._handle_op(conn, envelope)
             elif isinstance(envelope, Awareness):
-                self._handle_awareness(conn, envelope)
+                # The collab server decides who hears the move.
+                self.collab.move_cursor(conn.session, envelope.doc,
+                                        envelope.anchor,
+                                        tuple(envelope.selection))
             elif isinstance(envelope, Ping):
                 self._enqueue(conn, Pong(nonce=envelope.nonce,
                                          at=envelope.at))
@@ -704,64 +709,55 @@ class CollabNetServer:
         everyone's cursor and the current rep_seq (open/resync): a delta
         with no base.
 
-        Consistent by construction: snapshots are built inside an OP
-        (under the op lock, on the loop thread), so no commit can land
-        between the row scan and the sequence read.
+        The op lock keeps other wire OPs out, but a commit by an
+        in-process session on another thread can land at any point.  So
+        the sequence is read *before* the rows: a commit's rows are
+        applied before its notice takes a ``rep_seq``, hence the rows
+        are never behind the sequence they are stamped with.  Rows
+        ahead of it are harmless — the notice that follows re-merges
+        its whole images and patches idempotently.
         """
         doc = handle.doc
+        rep_seq = self.collab.rep_seqs.get(doc, 0)
         rows = C.doc_char_rows(self.collab.db, doc)
         return {
             "doc": doc,
             "begin": handle.begin_char,
             "end": handle.end_char,
-            "rep_seq": self.collab.rep_seqs.get(doc, 0),
+            "rep_seq": rep_seq,
             "rows": [wire_row(row) for row in rows.values()],
             "cursors": [_wire_cursor(state) for state
                         in self.collab.awareness.cursors(doc)],
         }
 
     # ------------------------------------------------------------------
-    # Awareness
-    # ------------------------------------------------------------------
-
-    def _handle_awareness(self, conn: _Connection,
-                          envelope: Awareness) -> None:
-        session = conn.session
-        doc = envelope.doc
-        if not session.has_open(doc):
-            return
-        state = self.collab.awareness.update_cursor(
-            doc, session.id, envelope.anchor, tuple(envelope.selection),
-            self.collab.db.now())
-        broadcast = Awareness(doc=doc, anchor=state.anchor,
-                              selection=state.selection, user=session.user,
-                              session_id=session.id, seq=state.seq)
-        for other in self._connections.values():
-            if other.id == conn.id or other.session is None:
-                continue
-            if other.session.has_open(doc):
-                self._enqueue(other, broadcast)
-
-    # ------------------------------------------------------------------
     # The wire transport
     # ------------------------------------------------------------------
 
-    def _hand_off(self, conn: _Connection, notice: "Notice") -> None:
-        """A wire session's ``transport``: the collab fan-out's notice as
-        one NOTIFY on the connection's queue — through the loop when the
-        commit was made on another thread.  Never blocks: a full queue
-        sheds the connection."""
+    def _hand_off(self, conn: _Connection, doc,
+                  item: "Notice | CursorState") -> None:
+        """A wire session's ``transport``: what the collab server hands
+        its readers, as one frame on the connection's queue — a commit's
+        notice as a NOTIFY, a cursor move as an AWARENESS — through the
+        loop when it was made on another thread.  Never blocks: a full
+        queue sheds the connection."""
         if conn.closing:
             return
-        notify = self._notify_of(notice)
-        self._m_notifies.inc()
-        self._doc_notifies[notify.delta.doc].inc()
-        started = notice.notification.origin_started
+        if isinstance(item, CursorState):
+            envelope = Awareness(doc=doc, anchor=item.anchor,
+                                 selection=item.selection, user=item.user,
+                                 session_id=item.session_id, seq=item.seq)
+            started = None
+        else:
+            envelope = self._notify_of(item)
+            self._m_notifies.inc()
+            self._doc_notifies[doc].inc()
+            started = item.notification.origin_started
         if threading.get_ident() == self._loop_thread:
-            self._enqueue(conn, notify, started)
+            self._enqueue(conn, envelope, started)
         else:
             self._loop.call_soon_threadsafe(
-                self._enqueue, conn, notify, started)
+                self._enqueue, conn, envelope, started)
 
     def _notify_of(self, notice: "Notice") -> Notify:
         """The notice as the wire carries it, built on first use and

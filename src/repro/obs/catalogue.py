@@ -58,8 +58,7 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "wal.missing_base_rows": ("counter",
                               "redo stopped at an UPDATE whose base row "
                               "the replayed history does not contain "
-                              "(replica apply, feed catch-up; recovery "
-                              "just fails)"),
+                              "(replica apply; recovery just fails)"),
     # -- lock manager (repro/db/locks.py) -----------------------------------
     "lock.acquired": ("counter", "lock grants (including upgrades)"),
     "lock.waits": ("counter", "acquires that had to wait"),
@@ -174,15 +173,6 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "feed.consumer_errors": ("counter",
                              "consumer handler exceptions isolated by the "
                              "feed (the batch still counts as delivered)"),
-    "feed.checkpoints": ("counter",
-                         "consumer cursors durably checkpointed to "
-                         "tx_feed_cursors"),
-    "feed.catchup_batches": ("counter",
-                             "batches replayed to consumers from the WAL "
-                             "after a restart (cursor catch-up)"),
-    "feed.retention_evictions": ("counter",
-                                 "batches dropped from the in-memory "
-                                 "retention window"),
     "feed.staleness_seconds": ("histogram",
                                "commit-to-ack age of each batch when a "
                                "deferred consumer absorbed it (derived-"

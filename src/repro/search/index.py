@@ -102,7 +102,7 @@ class InvertedIndex:
     and phrase adjacency queries both come from one structure.
     """
 
-    #: Feed consumer name (also the durable cursor key).
+    #: Feed consumer name.
     CONSUMER = "search-index"
 
     def __init__(self, db: Database, *, tail_limit: int = 256) -> None:
@@ -136,7 +136,7 @@ class InvertedIndex:
 
     @property
     def subscription(self):
-        """The index's feed subscription (lag inspection, checkpoints)."""
+        """The index's feed subscription (lag inspection)."""
         return self._sub
 
     def close(self) -> None:

@@ -100,8 +100,7 @@ def build_portal(spec: PortalSpec | None = None) -> Portal:
     folders.create_folder("finals", StateIs("final"))
     folders.create_folder("database shelf", HasProperty("topic", "database"))
     worker = MaintenanceWorker(db)
-    worker.register("search-index", search.index.maintain,
-                    sub=search.index.subscription)
+    worker.register("search-index", search.index.maintain)
 
     topics = tuple(TOPICS)
     docs: list[Oid] = []

@@ -105,12 +105,12 @@ def test_every_reader_gets_every_commit_once_in_order(programme, seed):
 
             server.delivery.send = bus_send
             for session in wire.values():
-                def hand_off(notice, session=session,
+                def hand_off(doc, notice, session=session,
                              transport=session.transport):
                     n = notice.notification
                     handed.append((session.id, n.rep_seq, n.origin_session,
                                    False))
-                    transport(notice)
+                    transport(doc, notice)
                 session.transport = hand_off
             for session in in_process:
                 session.notifications()

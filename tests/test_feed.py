@@ -1,44 +1,26 @@
-"""Changefeed lifecycle tests: dispatch order, before-images, cursor
-checkpoints, WAL catch-up after a restart, and exactly-once delivery
-under seeded crash schedules."""
+"""Changefeed lifecycle tests: dispatch order, before-images, the
+restart contract (derived data rebuilt from the recovered tables after
+a crash), the maintenance worker and the staleness it reports."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.db import Database, column, recover_file
-from repro.db.wal import WriteAheadLog
-from repro.errors import CrashSignal, FeedGapError
+from repro.errors import CrashSignal
 from repro.faults import FaultInjector, FaultPlan
 from repro.feed import MaintenanceWorker
 from repro.feed.changefeed import NOTICE_CONSUMERS
+from repro.folders import DynamicFolderManager, StateIs
 from repro.search import InvertedIndex
 from repro.text import DocumentStore
 
 
-def make_db(tmp_path=None, plan: FaultPlan | None = None) -> Database:
-    kwargs = {}
-    if tmp_path is not None:
-        kwargs["wal_path"] = str(tmp_path / "wal.jsonl")
-    if plan is not None:
-        kwargs["faults"] = FaultInjector(plan)
-    db = Database("feedtest", **kwargs)
+def make_db() -> Database:
+    db = Database("feedtest")
     db.create_table("kv", [column("k", "str"), column("v", "int")], key="k")
     return db
-
-
-def kv_state(batches) -> dict:
-    """Fold kv batches into the derived key -> value map."""
-    state: dict = {}
-    for batch in batches:
-        for event in batch.events:
-            if event.table != "kv":
-                continue
-            if event.kind == "delete":
-                state.pop(event.before["k"], None)
-            else:
-                state[event.row["k"]] = event.row["v"]
-    return state
 
 
 class TestDispatch:
@@ -207,142 +189,92 @@ class TestDispatch:
         assert feed.errors[-1][0] == "collab-fanout-3"
 
 
-class TestRetention:
-    def test_batches_since_resumes_within_the_window(self):
-        db = make_db()
-        sub = db.changefeed().subscribe("probe", lambda b: None,
-                                        tables=("kv",), deferred=True)
-        for i in range(5):
-            db.insert("kv", {"k": f"k{i}", "v": i})
-        missed = db.changefeed().batches_since(sub.acked_seq)
-        assert [e.row["k"] for b in missed for e in b.events] == \
-            [f"k{i}" for i in range(5)]
+class TestRestartContract:
+    """The feed is live only: after a crash, derived data is whatever a
+    consumer rebuilds from the recovered tables.  Wherever the process
+    died — mid-dispatch with a batch half handed out, after the commit
+    point, before the group fsync — a fresh index, folder manager and
+    handle over the recovered engine are clean, agree with a full
+    rebuild, hold every committed word and keep up with the next
+    commits."""
 
-    def test_fallen_off_the_window_raises_gap_error(self):
-        db = make_db()
-        feed = db.changefeed(retention=3)
-        for i in range(6):
-            db.insert("kv", {"k": f"k{i}", "v": i})
-        with pytest.raises(FeedGapError):
-            feed.batches_since(0)
+    @staticmethod
+    def steps(store, pad):
+        """One committed transaction each: ``(word it adds, word it
+        removes, action)``."""
+        memo = []
+        return [
+            ("bravo", None, lambda: pad.insert_text(5, " bravo", "ana")),
+            (None, None, lambda: store.set_state(pad.doc, "final", "ana")),
+            ("charlie", None, lambda: memo.append(store.import_archived(
+                "memo", "ben", text="charlie"))),
+            ("delta", None, lambda: pad.insert_text(0, "delta ", "ana")),
+            (None, "charlie",
+             lambda: store.delete_document(memo[0], "ben")),
+            ("echo", None, lambda: pad.insert_text(0, "echo ", "ana")),
+        ]
 
-
-class TestCursorRestart:
-    def test_cursor_resume_after_restart(self, tmp_path):
-        db = make_db(tmp_path)
-        path = db.wal.path
-        applied = []
-
-        def apply(batch):
-            applied.append(batch)
-            sub.ack(batch.seq)
-
-        feed = db.changefeed()
-        sub = feed.subscribe("replayer", apply, tables=("kv",),
-                             deferred=True)
-        db.insert("kv", {"k": "a", "v": 1})
-        db.insert("kv", {"k": "b", "v": 2})
-        feed.checkpoint(sub)
-        # Committed after the checkpoint: durable, but the consumer's
-        # derived state never absorbed them before the "crash".
-        db.insert("kv", {"k": "c", "v": 3})
-        db.insert("kv", {"k": "d", "v": 4})
-
-        history = WriteAheadLog.load_file(path)
-        recovered = recover_file(path)
-        # Recovery itself leaves the LSN allocator past the replayed
-        # history; catch-up only reads.
-        assert recovered.wal.last_lsn() == history[-1].lsn
-        replayed = []
-        delivered = recovered.changefeed().catch_up(
-            "replayer", replayed.append, history, tables=("kv",))
-        assert recovered.wal.last_lsn() == history[-1].lsn
-        assert delivered == 2
-        assert [e.row["k"] for b in replayed for e in b.events] == ["c", "d"]
-        assert all(b.seq == 0 for b in replayed)  # off the live seq axis
-        # Post-restart commits stay monotonic on the LSN axis.
-        high_water = max(b.lsn for b in replayed)
-        recovered.insert("kv", {"k": "e", "v": 5})
-        assert recovered.changefeed().last_lsn > high_water
-
-    def test_catch_up_without_cursor_replays_everything(self, tmp_path):
-        db = make_db(tmp_path)
-        path = db.wal.path
-        db.insert("kv", {"k": "a", "v": 1})
-        rowid = db.insert("kv", {"k": "b", "v": 2})
-        db.delete("kv", rowid)
-
-        recovered = recover_file(path)
-        replayed = []
-        delivered = recovered.changefeed().catch_up(
-            "fresh-consumer", replayed.append, WriteAheadLog.load_file(path),
-            tables=("kv",))
-        assert delivered == 3
-        assert kv_state(replayed) == {"a": 1}
-        # The replayed delete carries its before-image from the WAL.
-        delete = replayed[-1].events[0]
-        assert delete.kind == "delete" and delete.before["k"] == "b"
-
-
-class TestExactlyOnce:
-    @pytest.mark.parametrize("hit", [1, 2, 3, 4])
-    def test_crash_mid_dispatch_redelivers_exactly_the_unabsorbed(
-            self, tmp_path, hit):
-        """Each committed batch is absorbed exactly once overall.
-
-        The consumer applies a batch, acks it and checkpoints its
-        cursor; ``feed.mid_dispatch`` kills the process before the
-        ``hit``-th delivery.  After recovery, WAL catch-up from the
-        checkpointed cursor must redeliver exactly the committed batches
-        the consumer never absorbed — no loss, no double-apply."""
-        plan = FaultPlan.crash_once("feed.mid_dispatch", hit=hit)
-        db = make_db(tmp_path, plan)
-        path = db.wal.path
-        feed = db.changefeed()
-        absorbed = []
-
-        def apply(batch):
-            absorbed.append(batch)
-            sub.ack(batch.seq)
-            feed.checkpoint(sub)
-
-        sub = feed.subscribe("applier", apply, tables=("kv",),
-                             deferred=True)
-        keys = ["a", "b", "c", "d"]
+    # Where the process dies, and whether the transaction it was in
+    # survives: past its commit point it does; a power loss before the
+    # group fsync takes it along.
+    @pytest.mark.parametrize("point, hit, survives", [
+        ("feed.mid_dispatch", 1, True), ("feed.mid_dispatch", 2, True),
+        ("feed.mid_dispatch", 3, True), ("feed.mid_dispatch", 4, True),
+        ("txn.post_commit", 5, True), ("wal.before_fsync", 6, False)])
+    def test_consumers_rebuilt_over_the_recovered_tables(
+            self, tmp_path, point, hit, survives):
+        path = str(tmp_path / "wal.jsonl")
+        faults = FaultInjector(FaultPlan.crash_once(point, hit=hit,
+                                                    power_loss=True),
+                               armed=False)
+        db = Database("restart", wal_path=path, faults=faults)
+        store = DocumentStore(db)
+        pad = store.create("pad", "ana", text="alpha")
+        InvertedIndex(db)
+        DynamicFolderManager(db).create_folder("finals", StateIs("final"))
+        faults.arm()
         committed = []
-        crashed = False
-        for i, key in enumerate(keys):
-            try:
-                db.insert("kv", {"k": key, "v": i})
-                committed.append(key)
-            except CrashSignal:
-                # The publish runs post-commit: the batch is durable
-                # even though its dispatch died halfway.
-                committed.append(key)
-                crashed = True
-                break
-        assert crashed and len(absorbed) == hit - 1
+        with pytest.raises(CrashSignal):
+            for step in self.steps(store, pad):
+                committed.append(step)
+                step[2]()
+        if not survives:
+            committed.pop()
+        gone = {removed for _, removed, _ in committed} - {None}
+        present = {"alpha", *(added for added, _, _ in committed)} \
+            - gone - {None}
 
         recovered = recover_file(path)
-        replayed = []
-        recovered.changefeed().catch_up(
-            "applier", replayed.append, WriteAheadLog.load_file(path),
-            tables=("kv",))
-        absorbed_keys = [e.row["k"] for b in absorbed for e in b.events]
-        replayed_keys = [e.row["k"] for b in replayed for e in b.events]
-        assert absorbed_keys + replayed_keys == committed
-        assert kv_state(absorbed + replayed) == \
-            {k: committed.index(k) for k in committed}
+        handle = DocumentStore(recovered).handle(pad.doc)
+        index = InvertedIndex(recovered)
+        finals = DynamicFolderManager(recovered).create_folder(
+            "finals", StateIs("final"))
+        assert handle.check_integrity() == []
+        assert index.check() == []
+        for word in present:
+            assert index.postings(word), word
+        for word in gone:
+            assert not index.postings(word), word
+        assert {"alpha", "bravo", "delta", "echo"} & present \
+            <= set(handle.text().split())
+        # ... and they follow the live feed from there on.
+        handle.insert_text(0, "golf ", "ana")
+        DocumentStore(recovered).set_state(pad.doc, "final", "ana")
+        index.maintain()
+        members = finals.contents()
+        finals.revalidate()
+        assert members == finals.contents() == [pad.doc]
+        assert index.check() == [] and index.postings("golf")
+        assert handle.check_integrity() == []
 
 
 class TestMaintenanceWorker:
-    def test_worker_drains_and_checkpoints_the_index_cursor(self, tmp_path):
+    def test_worker_drains_the_index(self, tmp_path):
         db = Database("feedtest", wal_path=str(tmp_path / "wal.jsonl"))
         store = DocumentStore(db)
         index = InvertedIndex(db)
         worker = MaintenanceWorker(db)
-        worker.register("search-index", index.maintain,
-                        sub=index.subscription)
+        worker.register("search-index", index.maintain)
         handle = store.create("doc", "ana", text="alpha beta")
         handle.insert_text(10, " gamma", "ana")
         assert index.subscription.lag > 0
@@ -350,8 +282,6 @@ class TestMaintenanceWorker:
         assert rounds >= 1
         assert db.changefeed().max_lag() == 0
         assert len(index.postings("gamma")) == 1
-        cursor = db.changefeed().cursor(index.subscription.name)
-        assert cursor is not None and cursor["lsn"] > 0
         handle.close()
         index.close()
 
@@ -369,3 +299,35 @@ class TestMaintenanceWorker:
         assert ticks == [1]
         assert worker.errors[-1][0] == "bad"
         assert isinstance(result["bad"], RuntimeError)
+
+
+class TestStaleness:
+    def test_one_observation_per_advancing_ack(self):
+        """``feed.staleness_seconds`` observes, per ack of a deferred
+        consumer that moves it, how long ago the newest batch it covers
+        was committed."""
+        clock = SimulatedClock(tick=0.0)
+        db = Database("stale", clock=clock)
+        store = DocumentStore(db)
+        index = InvertedIndex(db)
+        worker = MaintenanceWorker(db)
+        worker.register("search-index", index.maintain)
+
+        def staleness() -> tuple:
+            metric = db.metrics_snapshot()["feed.staleness_seconds"]
+            return metric.get("count", 0), metric.get("sum", 0.0)
+
+        assert staleness() == (0, 0.0)
+        store.import_archived("memo", "ana", text="alpha beta")
+        clock.advance(2.5)
+        assert staleness() == (0, 0.0)      # recorded, not yet absorbed
+        worker.run_once()
+        assert staleness() == (1, 2.5)
+        worker.run_once()                   # nothing new: no ack moves
+        assert staleness() == (1, 2.5)
+        store.import_archived("note", "ana", text="gamma")
+        clock.advance(1.0)
+        store.import_archived("list", "ana", text="delta")
+        clock.advance(0.5)
+        worker.run_once()                   # one ack covers both
+        assert staleness() == (2, 3.0)

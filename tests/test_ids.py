@@ -173,8 +173,9 @@ class TestNoUntaggedOid:
         assert record.vals == tuple(values.values())
         raw = json.loads(render_record(record))["payload"]
         assert (raw["table"], raw["rowid"]) == ("t", 1)
-        assert _count_tags(raw["values"]) == _count_oids(values)
-        assert decode_value(raw["values"]) == _lists_as_written(values)
+        rendered = raw.get("values", {})    # a record naming no column
+        assert _count_tags(rendered) == _count_oids(values)
+        assert decode_value(rendered) == _lists_as_written(values)
 
     @settings(max_examples=300)
     @given(envelopes)

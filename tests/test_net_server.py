@@ -10,6 +10,8 @@ loopback sockets.
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 from dataclasses import MISSING
 from time import monotonic
 
@@ -26,6 +28,7 @@ from repro.errors import (
 from repro.ids import Oid
 from repro.net import NetworkClient, ServerThread
 from repro.net.protocol import Delta
+from repro.text import chars as C
 
 SETTLE_SECONDS = 10.0
 
@@ -450,6 +453,66 @@ class TestMixedTopology:
             # In-process handles splice synchronously on commit: the
             # RPC's ACK means the text is already visible locally.
             assert local_handle.text() == "wire"
+        finally:
+            client.close()
+
+    def test_in_process_cursor_moves_reach_wire_readers(self, collab,
+                                                        thread):
+        """A cursor move no edit carries goes through the collab server
+        whatever its origin: an in-process ``set_cursor`` reaches a wire
+        reader as one AWARENESS frame, with no snapshot in between."""
+        local = collab.connect("ana")
+        doc = local.create_document("mixed", text="hello").doc
+        client = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            session = client.session()
+            handle = session.open(doc)
+            local.set_cursor(doc, 3)
+            wait_until(lambda: (client.poll(timeout=0.05) or True)
+                       and session.server.awareness.cursor_positions(
+                           handle).get("ana") == 3)
+            assert handle.cursors[local.id]["seq"] == \
+                collab.awareness.cursor_of(doc, local.id).seq
+            snapshot = collab.db.metrics_snapshot()
+            assert snapshot["net.resyncs"]["value"] == 0
+        finally:
+            client.close()
+
+    def test_a_snapshot_is_never_ahead_of_its_rows(self, collab, thread,
+                                                   monkeypatch):
+        """An in-process commit on another thread that lands while a wire
+        OPEN builds its snapshot, after the row scan: the opened mirror
+        still takes that commit's NOTIFY and equals the server's handle
+        after the next delta, without a resync."""
+        local = collab.connect("ana")
+        doc = local.create_document("mixed", text="hello").doc
+        scan = C.doc_char_rows
+        landed = []
+
+        def scan_then_commit(db, of, *args):
+            rows = scan(db, of, *args)
+            if not landed and sys._getframe(1).f_code.co_name \
+                    == "_doc_snapshot":
+                typist = threading.Thread(target=local.insert,
+                                          args=(doc, 5, "!"))
+                typist.start()
+                typist.join()
+                landed.append(True)
+            return rows
+
+        monkeypatch.setattr(C, "doc_char_rows", scan_then_commit)
+        client = NetworkClient("127.0.0.1", thread.port, "ben")
+        try:
+            handle = client.session().open(doc)
+            assert landed
+            local.insert(doc, 0, ">")               # the next delta
+            truth = collab.documents.handle(doc)
+            wait_until(lambda: (client.poll(timeout=0.05) or True)
+                       and handle.last_seq == collab.rep_seqs[doc])
+            assert handle.text() == truth.text() == ">hello!"
+            assert handle.check_integrity() == []
+            snapshot = collab.db.metrics_snapshot()
+            assert snapshot["net.resyncs"]["value"] == 0
         finally:
             client.close()
 

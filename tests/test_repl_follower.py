@@ -122,8 +122,7 @@ class TestTheReplicaPublishesItsApplies:
         handle = DocumentStore(follower.db).handle(pad.doc)
         index = InvertedIndex(follower.db)
         worker = MaintenanceWorker(follower.db)
-        worker.register("search-index", index.maintain,
-                        sub=index.subscription, checkpoint=False)
+        worker.register("search-index", index.maintain)
         assert handle.text() == "hello"
         mirrored = len(follower.db.wal)
 

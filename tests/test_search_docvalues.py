@@ -199,8 +199,7 @@ class Archive:
         self.store = DocumentStore(self.db)
         self.engine = SearchEngine(self.db)
         self.worker = MaintenanceWorker(self.db)
-        self.worker.register("search-index", self.engine.index.maintain,
-                             sub=self.engine.index.subscription)
+        self.worker.register("search-index", self.engine.index.maintain)
         self.live: list = []
         self.deleted: list = []
         self.serial = 0

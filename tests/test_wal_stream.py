@@ -2,11 +2,12 @@
 
 Families of properties over generated logs:
 
-* **differential replay** — crash recovery (``recover``), a replication
-  follower (``FollowerEngine.apply_records``, also fed in two halves with
-  a restart in between) and changefeed catch-up (``batches_from_records``
-  folded over an empty map) are three sinks behind one replay core, so
-  they must rebuild the same table state from any log: seeded torture
+* **differential replay** — crash recovery (``recover``) and a
+  replication follower (``FollowerEngine.apply_records``, also fed in two
+  halves with a restart in between) are the two sinks behind one replay
+  core, and the follower's live changefeed, folded by a subscriber, is
+  what every consumer reads of it; all of them must rebuild the same
+  table state from any log: seeded torture
   logs from the crash harness (checkpoints and crash plans on) and
   hypothesis-generated logs of transactions open across one another,
   across checkpoints and aborts.  The engine logs a transaction as one
@@ -30,12 +31,12 @@ Families of properties over generated logs:
   statement with interleaved transactions and an ABORT (v2).
 * **every replica kind of a document** — generated editing programmes
   on one document (typing, pastes, deletes and their undo, restyles,
-  checkpoints, a rolled-back edit): the three sinks agree on the tables,
-  and five replicas of the document — a handle over the recovered
-  database, one over a follower, a wire mirror opened on the folded
-  feed, the writer's live handle and a wire mirror fed the log's deltas
-  in ``rep_seq`` order — agree by text, styled runs, authors and a clean
-  ``check_integrity()``.
+  checkpoints, a rolled-back edit): the sinks agree on the tables, and
+  five replicas of the document — a handle over the recovered database,
+  one over a follower, a wire mirror opened on the follower's folded
+  feed, the writer's live handle and a wire mirror fed that feed's
+  deltas in ``rep_seq`` order — agree by text, styled runs, authors and
+  a clean ``check_integrity()``.
 * **codec** — render -> parse round-trips every record, parsing any byte
   prefix of a valid log never raises and yields a record prefix ending on
   a line boundary, and corrupting a non-final line raises ``WalError`` —
@@ -64,7 +65,6 @@ from repro.db import wal as walmod
 from repro.db.wal import WalRecord, WriteAheadLog, parse_records, render_record
 from repro.errors import RecoveryError, WalError
 from repro.faults import run_engine_schedule
-from repro.feed.changefeed import batches_from_records
 from repro.ids import Oid
 from repro.net import DocMirror, FrameDecoder, WalSegment, encode_frame
 from repro.net.protocol import Delta, wire_row
@@ -86,7 +86,7 @@ SEED_BASE = 4000   # apart from the engine (0) and replication (2000) torture
 
 
 # ---------------------------------------------------------------------------
-# The three sinks
+# The sinks, and the feed consumers read
 # ---------------------------------------------------------------------------
 
 def table_state(db: Database) -> dict:
@@ -121,15 +121,35 @@ def follower_state(records: list, mirror: str | None = None,
         follower.close()
 
 
-def feed_state(records: list) -> dict:
+def subscribe_fold(follower: FollowerEngine) -> list:
+    """Subscribe to ``follower``'s live changefeed; returns the list its
+    batches are appended to."""
+    batches: list = []
+    follower.db.changefeed().subscribe("fold", batches.append)
+    return batches
+
+
+def fold(batches: list) -> dict:
     state: dict = {}
-    for batch in batches_from_records(records):
+    for batch in batches:
         for event in batch.events:
             if event.kind == "delete":
                 state.pop((event.table, event.rowid), None)
             else:
                 state[(event.table, event.rowid)] = event.row
     return state
+
+
+def feed_state(records: list) -> dict:
+    """The table state a subscriber folds from a follower's live feed
+    while the follower applies ``records``."""
+    follower = FollowerEngine()
+    try:
+        batches = subscribe_fold(follower)
+        follower.apply_records(records)
+        return fold(batches)
+    finally:
+        follower.close()
 
 
 def assert_sinks_agree(records: list, mirror: str, restart_at: int) -> dict:
@@ -387,9 +407,9 @@ def mirror_of(doc, begin, end, rows) -> DocMirror:
 
 
 class TestEveryReplicaKind:
-    """Recovery, a follower, the folded feed, the writer's live handle and
-    a wire mirror fed the log's deltas: five replicas of one document,
-    one log, one answer."""
+    """Recovery, a follower, its folded live feed, the writer's live
+    handle and a wire mirror fed the feed's deltas: five replicas of one
+    document, one log, one answer."""
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(steps=doc_steps)
@@ -403,14 +423,15 @@ class TestEveryReplicaKind:
                            len(records) // 2)
         recovered = recover(records)
         follower = FollowerEngine()
+        batches = subscribe_fold(follower)
         follower.apply_records(records)
-        folded = [row for (table, _), row in feed_state(records).items()
+        folded = [row for (table, _), row in fold(batches).items()
                   if table == S.CHARS and row["doc"] == doc]
         # The server's fan-out, replayed: each commit's character rows
         # as one delta, in ``rep_seq`` order.
         wire = mirror_of(doc, begin, end, [])
         rep_seq = 0
-        for batch in batches_from_records(records):
+        for batch in batches:
             rows = tuple(wire_row(event.row, event.before)
                          for event in batch.events
                          if event.table == S.CHARS
@@ -601,6 +622,17 @@ class TestDeltaProgrammes:
             == (None, Oid("n.doc", 3), b"\x01")
         assert '"values":{"v":2}' in render_record(updates[0])
 
+    def test_delete_records_carry_only_the_row_they_name(self):
+        records, live = build_delta_log([
+            ("insert", 0, 0, {"v": 1}), ("commit", 0, 0, {}),
+            ("delete", 1, 0, {}), ("commit", 1, 0, {}),
+        ])
+        (delete,) = [r for r in records if r.type == walmod.DELETE]
+        assert (delete.cols, delete.vals) == ((), ())
+        assert json.loads(render_record(delete))["payload"] == {
+            "table": "d", "rowid": delete.rowid}
+        assert as_lines(records) == records and live == {}
+
     def test_null_is_a_value_and_absence_is_not(self, tmp_path):
         """Setting a column to NULL and not naming it replay differently."""
         records, live = build_delta_log([
@@ -649,8 +681,6 @@ class TestDeltaProgrammes:
             recover(holed)
         for part in ("'d'", f"row {update.rowid}", f"LSN {update.lsn}"):
             assert part in str(caught.value)
-        with pytest.raises(RecoveryError):
-            batches_from_records(holed)
         follower = FollowerEngine(node="replica")
         try:
             # Gap-free for the applier: renumber the records it sees.
@@ -669,6 +699,8 @@ class TestDeltaProgrammes:
         records = WriteAheadLog.load_file(FULL_IMAGE_LOG)
         updates = [r for r in records if r.type == walmod.UPDATE]
         assert updates and all(len(r.cols) >= 5 for r in updates)
+        # Its DELETEs still carry the vanished row; redo ignores it.
+        assert all(r.vals for r in records if r.type == walmod.DELETE)
         state = assert_sinks_agree(records, str(tmp_path / "mirror.wal"),
                                    restart_at=len(records) // 2)
         assert state_sha(state) == FULL_IMAGE_SHA
@@ -688,6 +720,7 @@ class TestDeltaProgrammes:
         with pytest.raises(AssertionError):
             assert_block_structured(records)      # it really is not blocks
         assert any(r.type == walmod.ABORT for r in records)
+        assert all(r.vals for r in records if r.type == walmod.DELETE)
         checkpoint = next(r.lsn for r in records
                           if r.type == walmod.CHECKPOINT)
         straddlers = {r.txn_id for r in records
@@ -712,8 +745,8 @@ class TestDeltaProgrammes:
 class TestJoiningAtACheckpoint:
     """ROADMAP 5(ii), the hole that was left: a replica that starts from
     a CHECKPOINT cut while a transaction was open (a follower joining
-    after compaction — ``durable_segment``'s fallback —, a recovery, a
-    feed consumer catching up) must end up with that transaction's
+    after compaction — ``durable_segment``'s fallback —, a recovery)
+    must end up with that transaction's
     *early* writes once it commits.  The checkpoint holds none of them
     (they were only staged), and when they were logged as they executed
     they lay before it, out of the newcomer's reach.  Logged at COMMIT
@@ -772,24 +805,24 @@ class TestJoiningAtACheckpoint:
         assert self.rows(follower.db) == self.EXPECTED
         leader.close(); follower.close()
 
-    def test_recovery_and_catch_up_from_the_compacted_log(self, tmp_path):
+    def test_recovery_and_a_joining_followers_feed_from_the_compacted_log(
+            self, tmp_path):
         leader, txn, cut = self.leader(tmp_path, compact=True)
         txn.insert("d", {"k": "late", "v": 3})
         txn.commit()
         records = list(leader.wal.records())
         assert records[0].lsn == cut
         assert self.rows(recover(records)) == self.EXPECTED
-        # A feed consumer whose cursor is the checkpoint catches up on
-        # the whole transaction, deltas finding their base rows in it.
-        fresh = recover(records)
-        seen: list = []
-        delivered = fresh.changefeed().catch_up(
-            "late-consumer", seen.append, records)
-        assert delivered == 1
+        # A follower joining at the checkpoint publishes the whole
+        # transaction as one batch, the delta finding its base row in it.
+        follower = FollowerEngine()
+        seen = subscribe_fold(follower)
+        follower.apply_records(records)
         assert [(e.kind, e.row["k"], e.row["v"]) for e in seen[0].events] \
             == [("insert", "early", 2), ("update", "settled", 10),
                 ("insert", "late", 3)]
-        leader.close()
+        assert len(seen) == 1 and seen[0].events[1].before["v"] == 1
+        leader.close(); follower.close()
 
 
 # ---------------------------------------------------------------------------
