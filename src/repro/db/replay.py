@@ -73,15 +73,16 @@ def merge_image(schema: TableSchema, base: tuple | None,
     at COMMIT order in the log no other transaction's change lies
     between the image it staged on and the one redo holds.  A record
     naming every column (an INSERT; an UPDATE from a log written before
-    records were deltas) needs no base.  A delta without one means the
-    history that produced the row is missing: that raises instead of
-    installing a row padded with defaults.
+    records were deltas) needs no base and is loaded as stored — a NULL
+    in it stays NULL, never the column's default.  A delta without a
+    base means the history that produced the row is missing: that
+    raises instead of installing a row padded with defaults.
     """
     values = dict(zip(op.cols, op.vals))
     if op.type == walmod.UPDATE and base is not None:
         return schema.merge_row(base, values)
     if op.type == walmod.INSERT or len(values) == len(schema.columns):
-        return schema.make_row(values)
+        return schema.load_row(values)
     raise RecoveryError(
         f"UPDATE of {', '.join(op.cols)} at LSN {op.lsn} finds no row "
         f"{op.rowid} in table {schema.name!r} to merge into (its history "
@@ -121,4 +122,4 @@ def restore_checkpoint(db: "Database", record: WalRecord) -> None:
             table.create_index(idx["name"], idx["column"], kind=idx["kind"],
                                unique=idx["unique"])
         for rowid, values in spec.get("rows", {}).items():
-            table.load_row(int(rowid), table.schema.make_row(values))
+            table.load_row(int(rowid), table.schema.load_row(values))

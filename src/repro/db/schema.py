@@ -169,6 +169,7 @@ class TableSchema:
         #: Column names in storage order (one shared tuple: full-image
         #: WAL records name their columns with this very object).
         self.names: tuple[str, ...] = tuple(names)
+        self._nulls: tuple[None, ...] = (None,) * len(names)
         self._by_name: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         #: Per column: name, the class stored as is (see
         #: :data:`_STORED_AS`; None for JSON) and the column itself for
@@ -227,6 +228,23 @@ class TableSchema:
             row.append(value if value.__class__ is stored_as
                        else col.validate(value))
         return tuple(row)
+
+    def load_row(self, values: Mapping[str, Any]) -> tuple:
+        """A whole stored image (a checkpoint row, a logged INSERT or
+        full-image UPDATE) back into a storage tuple, as stored.
+
+        Unlike :meth:`make_row` it applies no default: the image already
+        went through ``make_row`` / :meth:`merge_row` when it was
+        written, so a ``None`` in it is a NULL a statement set.  Types
+        and nullability are still checked, and every column must be
+        named.
+        """
+        if len(values) != len(self.columns):
+            missing = [name for name in self.names if name not in values]
+            if missing:
+                raise SchemaError(
+                    f"image of table {self.name!r} lacks columns {missing}")
+        return self.merge_row(self._nulls, values)
 
     def merge_row(self, row: tuple, updates: Mapping[str, Any]) -> tuple:
         """Return ``row`` with ``updates`` applied and validated."""

@@ -624,7 +624,7 @@ class Table:
         """Directly install a committed row (recovery only).
 
         ``row`` is a stored tuple (validated by the caller:
-        :func:`~repro.db.replay.merge_image` or ``schema.make_row``).
+        :func:`~repro.db.replay.merge_image` or ``schema.load_row``).
         Version chains collapse on load: a freshly recovered engine has
         no live snapshots, so every row starts over as a single committed
         version visible to all future snapshots (LSN 0).

@@ -191,7 +191,11 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "search.query_seconds": ("histogram", "end-to-end search latency"),
     "search.index_hits": ("counter",
                           "documents a search examined (top-k entries, "
-                          "walked list entries or heap candidates)"),
+                          "walked list entries, documents a threshold "
+                          "walk saw or heap candidates)"),
+    "search.plans": ("counter",
+                     "searches by the plan that ranked them (labelled by "
+                     "plan: top_docs, walk, threshold, heap)"),
     "search.structure_queries": ("counter", "structure searches run"),
     # -- tracing (repro/obs/tracing.py, repro/obs/export.py) ----------------
     "trace.active_spans": ("gauge", "spans started but not yet ended"),
@@ -235,6 +239,7 @@ LABELLED_FAMILIES: dict[str, tuple[str, ...]] = {
     "net.send_queue_depth": ("conn",),
     "wal.group_commit_size": ("role",),
     "feed.lag": ("consumer",),
+    "search.plans": ("plan",),
     "runtime.gc_pause_seconds": ("generation",),
     "runtime.gc_collections": ("generation",),
     "slo.burn_rate": ("slo", "window"),

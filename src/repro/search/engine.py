@@ -15,6 +15,7 @@ Results are document profiles ranked by any of the paper's options.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from time import perf_counter
@@ -25,10 +26,11 @@ from ..errors import SearchError
 from ..ids import Oid
 from ..meta import MetadataCollector
 from ..mining.features import FeatureExtractor
+from ..obs.labels import SeriesCache
 from ..text import dbschema as S
-from .index import EQUALITY_FIELDS, InvertedIndex
+from .index import EQUALITY_FIELDS, InvertedIndex, tf_idf
 from .query import SearchQuery, parse_query
-from .ranking import ORDERED, RANKINGS, Ranker
+from .ranking import KEYS, ORDERED, RANKINGS, Ranker
 
 
 @dataclass
@@ -75,6 +77,8 @@ class SearchEngine:
         self._m_query_seconds = registry.histogram("search.query_seconds")
         self._m_index_hits = registry.counter("search.index_hits")
         self._m_structure = registry.counter("search.structure_queries")
+        self._m_plans = SeriesCache(
+            registry.family("search.plans", "counter"), "plan")
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -116,6 +120,7 @@ class SearchEngine:
             if fast_single:
                 scored = self.index.top_docs(query.terms[0], limit)
                 self._m_index_hits.inc(len(scored))
+                self._m_plans["top_docs"].inc()
             else:
                 scored = self._scan(query, ranking, limit, snap)
             return self._materialise(
@@ -144,21 +149,28 @@ class SearchEngine:
               snap) -> list[tuple[Oid, float]]:
         """The ``limit`` best ``(doc, relevance)`` of any query shape.
 
-        Equality filters and phrases are candidate *sets*; every other
-        filter is a per-document *test*.  Then one of two plans:
+        Equality filters are candidate *sets*; phrases and every other
+        filter are per-document *tests*.  Then one of three plans:
 
         * **walk** an ordered list in rank order — the ranking's own
           (relevance without terms orders as ``newest``), or for
           one-term relevance that term's impact list — and stop at
           ``limit`` documents that are in every set and pass every test;
+        * **threshold**: for relevance with two or more terms, walk the
+          terms' impact lists side by side (:meth:`_threshold`) and stop
+          once no unseen document can enter the top ``limit``;
         * **heap** the candidates (the terms' postings ∩ every set) that
           pass every test by the ranker's key.
 
-        The walk is taken when its expected length, ``limit`` × list
-        length ÷ the smallest candidate set, is below that set's size:
-        a rare term under ``newest`` heaps its few documents instead of
-        walking the corpus.  Only the winners are scored, except that
-        the heap needs every candidate's relevance to rank by it.
+        A walk is taken when ``limit`` × the length of the (shortest)
+        list it walks is below the square of the smallest candidate set
+        (an equality set or a term's postings; the corpus when there is
+        none) — a walk finds ``limit`` survivors after about ``limit`` ×
+        list ÷ set entries, the heap examines about the set: a rare term
+        under ``newest`` heaps its few documents instead of walking the
+        corpus.  Only the winners are scored, except that the heap needs
+        every candidate's relevance to rank by it and the threshold walk
+        every examined document's.
         """
         index = self.index
         terms = query.all_terms
@@ -176,50 +188,113 @@ class SearchEngine:
                        default=index.doc_count())
         if not limit or not smallest:
             return []
-        walk = self._walk_list(ranking, terms, limit, smallest)
-        if walk is None:
+        plan, walk = self._plan(ranking, terms, limit, smallest)
+        self._m_plans[plan].inc()
+        if plan == "heap":
             winners, examined = self._heap(
                 ranking, limit, terms, sets, tests, readers_of, snap)
         else:
             checks = [docs.__contains__ for docs in sets] + tests
-            if terms and ranking in ORDERED:
+            if plan == "threshold" or (terms and ranking in ORDERED):
                 # A ranking's list holds every document, an impact list
                 # only its term's.
                 needed = set(terms)
                 term_counts = index.term_counts
                 checks.insert(
                     0, lambda doc: term_counts[doc].keys() >= needed)
-            winners, examined = _passing(
-                map(itemgetter(-1), walk), checks, limit)
+            if plan == "threshold":
+                winners, examined = self._threshold(terms, limit, checks)
+            else:
+                winners, examined = _passing(
+                    map(itemgetter(-1), walk), checks, limit)
         self._m_index_hits.inc(examined)
         return list(zip(winners, index.scores(terms, winners)))
 
-    def _walk_list(self, ranking: str, terms: list, limit: int,
-                   smallest: int) -> list | None:
-        """The ordered list to walk, or ``None`` when the heap is
-        cheaper (the rule in :meth:`_scan`)."""
+    def _plan(self, ranking: str, terms: list, limit: int,
+              smallest: int) -> tuple[str, list]:
+        """``walk`` with the list to walk, ``threshold`` or ``heap``, by
+        the rule in :meth:`_scan`."""
         index = self.index
-        if ranking == "relevance" and len(terms) == 1:
-            if limit * index.doc_frequency(terms[0]) < smallest * smallest:
-                return index.impact_entries(terms[0])
-        elif ranking in ORDERED or (ranking == "relevance" and not terms):
+        if ranking == "relevance" and terms:
+            shortest = min(map(index.doc_frequency, terms))
+            if limit * shortest < smallest * smallest:
+                if len(terms) > 1:
+                    return "threshold", []
+                return "walk", index.impact_entries(terms[0])
+        elif ranking in ORDERED or ranking == "relevance":
             if limit * index.doc_count() < smallest * smallest:
                 # Without terms every relevance is 0.0: newest order.
-                return index.ordered_docs(
+                return "walk", index.ordered_docs(
                     ranking if ranking in ORDERED else "newest")
-        return None
+        return "heap", []
+
+    def _threshold(self, terms: list, limit: int,
+                   checks: list[Callable[[Oid], bool]]
+                   ) -> tuple[list[Oid], int]:
+        """The ``limit`` best documents by relevance that pass every
+        check, and how many documents were examined.
+
+        Fagin, Lotem and Naor's threshold algorithm over the terms'
+        impact lists (ascending ``-tf/len``), read one entry each per
+        round.  A document is examined the first time any list yields
+        it: checked, then scored exactly.  After a round no unseen
+        document scores above the bound Σ idf × (each list's next
+        ``tf/len``), summed in the score's own term order by the score's
+        own expression (:func:`~repro.search.index.tf_idf`), so the walk
+        stops once the ``limit``-th best score is strictly above it — a
+        document tied with the bound could still win on the tie-break.
+        It also stops when the shortest list runs out: a document
+        holding every term is in that list, so it has been seen.  The
+        result is the heap's, documents, scores and ties alike.
+        """
+        index = self.index
+        weights = index.weights(terms)
+        distinct = list(dict.fromkeys(terms))
+        lists = [index.impact_entries(term) for term in distinct]
+        values = index.doc_values
+        key = KEYS["relevance"]
+        best: list[tuple] = []
+        seen: set[Oid] = set()
+        rounds = min(map(len, lists))
+        for depth in range(rounds):
+            for entries in lists:
+                doc = entries[depth][-1]
+                if doc in seen:
+                    continue
+                seen.add(doc)
+                for check in checks:
+                    if not check(doc):
+                        break
+                else:
+                    entry = key(doc, values[doc], index.score(doc, weights))
+                    if len(best) < limit:
+                        insort(best, entry)
+                    elif entry < best[-1]:
+                        insort(best, entry)
+                        del best[-1]
+            if len(best) == limit and depth + 1 < rounds:
+                bound = tf_idf(weights, {
+                    term: -entries[depth + 1][0]
+                    for term, entries in zip(distinct, lists)}, 1)
+                if -best[-1][0] > bound:
+                    break
+        return [entry[-1] for entry in best], len(seen)
 
     def _filters(self, query: SearchQuery, snap,
                  readers_of: Callable[[Oid], set]
                  ) -> tuple[list, list[Callable[[Oid], bool]]]:
-        """The query's candidate sets (phrases, equality postings) and
-        per-document tests: column predicates over doc values first,
-        then what only the access log or the character rows know
-        (readers, authors), asked of the collector last."""
+        """The query's candidate sets (equality postings) and
+        per-document tests: phrase adjacency and column predicates over
+        doc values first, then what only the access log or the
+        character rows know (readers, authors), asked of the collector
+        last.  A document reaches the tests only once it is known to
+        hold every term."""
         index = self.index
         values = index.doc_values
-        sets = [index.phrase_docs(phrase) for phrase in query.phrases]
-        columns: list[Callable[[Oid], bool]] = []
+        sets: list = []
+        columns: list[Callable[[Oid], bool]] = [
+            lambda doc, phrase=phrase: index.has_phrase(doc, phrase)
+            for phrase in query.phrases]
         collector: list[Callable[[Oid], bool]] = []
         for fieldname, value in query.filters:
             key, sep, expected = value.partition("=")

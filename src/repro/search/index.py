@@ -24,7 +24,10 @@ sorted by exact single-term tf-idf order, built lazily on a term's
 first top-k query and maintained incrementally on every re-index.
 Serving the top *k* is then O(k) regardless of how many documents
 contain the term — which is what keeps hot-term search latency flat
-from 1k to 100k documents.
+from 1k to 100k documents.  The engine walks the same lists for
+filtered one-term queries and, side by side, for multi-term relevance
+(its threshold walk bounds unseen documents with :func:`tf_idf`, the
+sum every score is taken with).
 
 Beside the postings the index keeps *doc values*: one
 :class:`DocValues` tuple per indexed document, cut from the
@@ -66,6 +69,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 EQUALITY_FIELDS = ("creator", "state", "prop")
 
 _NO_DOCS: frozenset = frozenset()
+
+
+def tf_idf(weights: list[tuple[str, float]], tfs: Mapping[str, float],
+           length: float) -> float:
+    """The one relevance sum: ``(tf / length) * idf`` over ``weights``
+    in their order, a term listed twice counted twice, a term missing
+    from ``tfs`` adding nothing.
+
+    :meth:`InvertedIndex.score` passes a document's term frequencies
+    and ``max(len, 1)``; the threshold walk passes each impact list's
+    current ``tf/len`` and ``1`` for its bound (``x / 1`` is ``x``
+    exactly).  IEEE rounding is monotone, so two sums taken this way
+    keep the order of their terms: no document scores above the bound
+    of impacts at least its own.
+    """
+    score = 0.0
+    for term, idf in weights:
+        tf = tfs.get(term)
+        if tf:
+            score += (tf / length) * idf
+    return score
 
 
 class DocValues(NamedTuple):
@@ -467,28 +491,27 @@ class InvertedIndex:
     def _idf(self, df: int) -> float:
         return math.log((1 + max(self.doc_count(), 1)) / (1 + df)) + 1.0
 
-    def scores(self, terms: list[str], docs: list[Oid]) -> list[float]:
-        """tf-idf of each of ``docs`` against the query ``terms``.
+    def weights(self, terms: list[str]) -> list[tuple[str, float]]:
+        """``(term, idf)`` for each of the query ``terms`` some document
+        holds, in query order (a repeated term repeats)."""
+        return [(term, self._idf(df)) for term in terms
+                if (df := self.doc_frequency(term))]
+
+    def score(self, doc: Oid, weights: list[tuple[str, float]]) -> float:
+        """tf-idf of ``doc`` under :meth:`weights` of the query terms.
 
         Read from the forward index (``doc -> term -> tf``), so the cost
-        follows ``len(docs)``, not the terms' document frequencies.
+        does not follow the terms' document frequencies.
         """
-        weights = [(term, self._idf(df)) for term in terms
-                   if (df := self.doc_frequency(term))]
+        return tf_idf(weights, self._doc_terms[doc],
+                      max(self._doc_len[doc], 1))
+
+    def scores(self, terms: list[str], docs: list[Oid]) -> list[float]:
+        """tf-idf of each of ``docs`` against the query ``terms``."""
+        weights = self.weights(terms)
         if not weights:
             return [0.0] * len(docs)
-        doc_terms, doc_len = self._doc_terms, self._doc_len
-        scores = []
-        for doc in docs:
-            tfs = doc_terms[doc]
-            length = max(doc_len[doc], 1)
-            score = 0.0
-            for term, idf in weights:
-                tf = tfs.get(term)
-                if tf:
-                    score += (tf / length) * idf
-            scores.append(score)
-        return scores
+        return [self.score(doc, weights) for doc in docs]
 
     # ------------------------------------------------------------------
     # Lookups
@@ -502,27 +525,28 @@ class InvertedIndex:
                 merged[doc] = len(positions)
         return merged
 
+    def has_phrase(self, doc: Oid, phrase_terms: list[str]) -> bool:
+        """Whether ``doc`` holds the terms *adjacently, in order*.
+
+        ``doc`` must hold every one of them (be one of
+        :meth:`matching_docs` of the phrase).
+        """
+        # All of a document's postings live in one segment.
+        segment = self._tail if doc in self._tail_docs else self._base
+        starts = segment[phrase_terms[0]][doc]
+        for offset, term in enumerate(phrase_terms[1:], start=1):
+            following = set(segment[term][doc])
+            starts = [s for s in starts if s + offset in following]
+            if not starts:
+                return False
+        return True
+
     def phrase_docs(self, phrase_terms: list[str]) -> set[Oid]:
         """Documents containing the terms *adjacently, in order*."""
         if not phrase_terms:
             return set()
-        candidates = self.matching_docs(phrase_terms)
-        if len(phrase_terms) == 1:
-            return candidates
-        hits: set[Oid] = set()
-        first = phrase_terms[0]
-        for doc in candidates:
-            # All of a document's postings live in one segment.
-            segment = self._tail if doc in self._tail_docs else self._base
-            starts = segment[first][doc]
-            for offset, term in enumerate(phrase_terms[1:], start=1):
-                following = set(segment[term][doc])
-                starts = [s for s in starts if s + offset in following]
-                if not starts:
-                    break
-            if starts:
-                hits.add(doc)
-        return hits
+        return {doc for doc in self.matching_docs(phrase_terms)
+                if self.has_phrase(doc, phrase_terms)}
 
     @property
     def doc_values(self) -> Mapping[Oid, DocValues]:

@@ -5,7 +5,7 @@ import pytest
 from repro.db import Database, column, recover, recover_file
 from repro.db import wal as walmod
 from repro.db.wal import WriteAheadLog, committed_txn_ids, decode_value, encode_value
-from repro.errors import WalError
+from repro.errors import SchemaError, WalError
 from repro.ids import Oid
 
 
@@ -190,6 +190,67 @@ class TestCheckpoint:
         # whole block follows the checkpoint.
         assert [r.type for r in db.wal.records()] == [
             "CHECKPOINT", "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT"]
+
+
+class TestNullSurvivesRestore:
+    """Regression (ROADMAP 6(iii)): a nullable column that declares a
+    default reads back NULL, not its default, after recovery loads a
+    whole row image — a checkpoint row or a full-image UPDATE."""
+
+    def make_db(self, **kwargs) -> Database:
+        db = Database("n", **kwargs)
+        db.create_table("notes", [
+            column("k", "str"),
+            column("tag", "str", nullable=True, default="untagged"),
+        ], key="k")
+        return db
+
+    def tag(self, db):
+        return db.query("notes").first()["tag"]
+
+    def test_checkpoint_row_keeps_null(self):
+        db = self.make_db()
+        rid = db.insert("notes", {"k": "a", "tag": "x"})
+        db.update("notes", rid, {"tag": None})
+        assert self.tag(db) is None
+        lsn = db.checkpoint()
+        db.wal.truncate_before(lsn)
+        assert self.tag(recover(db.wal.records())) is None
+
+    def test_checkpoint_row_keeps_null_through_the_file(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = self.make_db(wal_path=path)
+        rid = db.insert("notes", {"k": "a", "tag": "x"})
+        db.update("notes", rid, {"tag": None})
+        db.checkpoint()
+        db.close()
+        records = [r for r in walmod.read_log(path)[0]
+                   if r.type == walmod.CHECKPOINT]
+        assert self.tag(recover(records)) is None
+
+    def test_full_image_update_without_base_keeps_null(self):
+        db = self.make_db()
+        records = list(db.wal.records())
+        lsn = records[-1].lsn
+        records += [
+            walmod.WalRecord(lsn + 1, walmod.BEGIN, 9),
+            walmod.WalRecord(lsn + 2, walmod.UPDATE, 9, table="notes",
+                             rowid=1, cols=("k", "tag"), vals=("a", None)),
+            walmod.WalRecord(lsn + 3, walmod.COMMIT, 9),
+        ]
+        assert self.tag(recover(records)) is None
+
+    def test_an_inserted_default_is_still_the_default(self):
+        db = self.make_db()
+        db.insert("notes", {"k": "a", "tag": None})
+        assert self.tag(db) == "untagged"
+        assert self.tag(recover(db.wal.records())) == "untagged"
+
+    def test_an_image_missing_a_column_is_refused(self):
+        schema = self.make_db().table("notes").schema
+        assert schema.load_row({"tag": None, "k": "a"}) == ("a", None)
+        with pytest.raises(SchemaError, match=r"lacks columns \['tag'\]"):
+            schema.load_row({"k": "a"})
 
 
 class TestFileRecovery:

@@ -13,9 +13,11 @@ state / property / delete / read-log / copy-log) with maintenance ticks
 at random points, probes single queries mid-stream (index partly
 refreshed, partly dirty) and at the end checks every filter field
 (plus one matching nothing and two combined) × every ranking × {one
-term, a rare term, two terms, phrase, filter-only} × ``limit`` in {0,
-1, 3, 50} for identical documents, scores and profiles — whichever of
-the top-k list, the ordered walk or the candidate heap the engine
+term, a rare term, two terms, a repeated term, a term beside the rare
+one, phrases of two and three terms, a term beside a phrase, a phrase
+never found, filter-only} × ``limit`` in {0, 1, 3, 50} for identical
+documents, scores and profiles — whichever of the top-k list, the
+ordered walk, the threshold walk or the candidate heap the engine
 picked.  ``InvertedIndex.check()`` then proves doc values, equality
 postings and ordered lists ≡ ``tx_documents`` after a drain.
 
@@ -35,10 +37,13 @@ from hypothesis import strategies as st
 from repro.clock import SimulatedClock
 from repro.db import Database, col
 from repro.feed import MaintenanceWorker
+from repro.mining.features import tokenize
+from repro.obs.catalogue import unknown_names
+from repro.obs.labels import MetricFamily
 from repro.search import RANKINGS, SearchEngine, parse_query
 from repro.text import DocumentStore
 from repro.text import dbschema as S
-from repro.workload import upload_version
+from repro.workload import PortalSpec, build_portal, upload_version
 
 _NIGHTLY = os.environ.get("MVCC_PROPERTY_PROFILE") == "nightly"
 MAX_EXAMPLES = 200 if _NIGHTLY else 30
@@ -58,7 +63,13 @@ NO_MATCH = "creator:nobody"
 FILTERS = ("", "creator:ana", "state:final", "name:DB", "reader:ben",
            "author:ana", "writer:ben", "prop:topic", "prop:tier=2",
            NO_MATCH, "creator:ana state:final")
-SHAPES = ("alpha", "alpha beta", '"alpha beta"', "", RARE)
+#: Every shape meets every filter, so each phrase also meets each
+#: equality filter.  ``"gamma omega"``: the one created document holding
+#: both reads "gamma alpha omega" and only ever grows at its end, so the
+#: terms are never adjacent.
+SHAPES = ("alpha", "alpha beta", '"alpha beta"', "", RARE, "alpha alpha",
+          '"alpha beta gamma"', 'gamma "alpha beta"', f"alpha {RARE}",
+          f'"gamma {RARE}"')
 QUERIES = [f"{shape} {flt}".strip() for shape in SHAPES for flt in FILTERS]
 LIMITS = (0, 1, 3, 50)
 
@@ -108,6 +119,13 @@ def _reference_passes(profile, filters):
     return True
 
 
+def _reference_has_phrase(index, doc, phrase):
+    tokens = tokenize(index.cached_text(doc))
+    width = len(phrase)
+    return any(tokens[i:i + width] == phrase
+               for i in range(len(tokens) - width + 1))
+
+
 def _reference_scores(index, terms, docs):
     n = max(index.doc_count(), 1)
     scores = {doc: 0.0 for doc in docs}
@@ -152,7 +170,8 @@ def reference_search(engine, query, *, ranking, limit):
         if query.terms or query.phrases:
             candidates = index.matching_docs(query.all_terms)
             for phrase in query.phrases:
-                candidates &= index.phrase_docs(phrase)
+                candidates = {doc for doc in candidates
+                              if _reference_has_phrase(index, doc, phrase)}
         else:
             candidates = index.all_docs()
         fields = {f[0] for f in query.filters}
@@ -383,6 +402,13 @@ def test_every_filter_ranking_and_shape_on_a_directed_archive():
     assert all(0 < len(docs) < len(archive.live) for docs in found.values())
     assert found["prop:tier=2"] == set(archive.live[:2])
     assert 0 < engine.index.doc_frequency(RARE) <= 2
+    assert engine.index.matching_docs(["gamma", RARE])
+    assert engine.search(f'"gamma {RARE}"') == []
+    for phrase in (["alpha", "beta"], ["alpha", "beta", "gamma"],
+                   ["gamma", RARE], ["beta"]):
+        assert engine.index.phrase_docs(phrase) == {
+            doc for doc in engine.index.matching_docs(phrase)
+            if _reference_has_phrase(engine.index, doc, phrase)}
     archive.close()
 
 
@@ -505,15 +531,22 @@ def _examined(engine, query, ranking, limit) -> int:
 
 
 def _bulk_archive(n_docs: int) -> SimpleNamespace:
-    """``n_docs`` archived documents with one timestamp (so ``newest``
-    is document-id order), states cycling draft / review / final and
-    the term ``omega`` in two of them."""
+    """``n_docs`` archived documents "filler alpha" with the term
+    ``omega`` added to two of them."""
+    return _archive_of(
+        "filler alpha" + (f" {RARE}" if i in (7, 1500) else "")
+        for i in range(n_docs))
+
+
+def _archive_of(texts) -> SimpleNamespace:
+    """Archived documents with ``texts`` in document-id order, one
+    timestamp (so ``newest`` is document-id order), states cycling
+    draft / review / final."""
     db = Database("bulk", clock=SimulatedClock(tick=0))
     DocumentStore(db)  # creates the schema
     now = db.now()
     with db.transaction() as txn:
-        for i in range(n_docs):
-            text = "filler alpha" + (f" {RARE}" if i in (7, 1500) else "")
+        for i, text in enumerate(texts):
             txn.insert(S.DOCUMENTS, {
                 "doc": db.new_oid("doc"), "name": f"bulk-{i:05d}",
                 "creator": USERS[i % 2], "created_at": now,
@@ -546,6 +579,100 @@ def test_walk_stops_at_limit_and_rare_terms_take_the_heap():
     assert _examined(engine, "creator:ana state:final", "newest", 5) <= 30
     bulk.engine.index.close()
     bulk.engine.meta.close()
+
+
+def _plan_count(engine, plan: str) -> int:
+    series = engine.db.obs.registry.get(f"search.plans{{plan={plan}}}")
+    return 0 if series is None else series.value
+
+
+def test_threshold_walk_keeps_the_heaps_tie_order():
+    """Every bulk document reads "filler alpha" at one timestamp, so
+    two-term and phrase relevance tie on score *and* ``last_modified``
+    everywhere but the longer ``omega`` document 7: no bound can stop
+    the threshold walk early, and the ties come out in document-id
+    order, the heap's."""
+    bulk = _bulk_archive(300)
+    engine = bulk.engine
+    for query in ("filler alpha", '"filler alpha"', "alpha filler",
+                  "filler alpha state:final"):
+        for limit in (1, 10):
+            before = _plan_count(engine, "threshold")
+            _examined(engine, query, "relevance", limit)
+            assert _plan_count(engine, "threshold") == before + 1
+    by_id = sorted(engine.index.doc_values)
+    assert [r.doc for r in engine.search("filler alpha", limit=10)] \
+        == by_id[:7] + by_id[8:11]
+    engine.index.close()
+    engine.meta.close()
+
+
+def test_threshold_walk_stops_only_strictly_above_the_bound():
+    """Six tokens each, idf 1: S ("alpha" ×3, "beta" ×2) heads alpha's
+    list and T ("beta" ×3) beta's; U ("alpha" ×2, "beta" ×3) is next in
+    both.  After the first round the best score, S's 1/2 + 1/3, equals
+    the bound exactly, and U — unseen, same score, lower id — wins the
+    tie: the walk must read one more round."""
+    archive = _archive_of(("alpha beta beta beta filler filler",
+                           "alpha alpha beta beta beta filler",
+                           "alpha alpha alpha beta beta filler"))
+    engine = archive.engine
+    t_doc, u_doc, s_doc = sorted(engine.index.doc_values)
+    assert _examined(engine, "alpha beta", "relevance", 1) == 3
+    assert _plan_count(engine, "threshold") == 1
+    hits = engine.search("alpha beta", limit=3)
+    assert [r.doc for r in hits] == [u_doc, s_doc, t_doc]
+    assert hits[0].score == hits[1].score
+    engine.index.close()
+    engine.meta.close()
+
+
+def test_threshold_walk_examines_a_fraction_of_the_heaps_pool():
+    """At ``limit`` 10 two-term and phrase relevance stop long before
+    the heap's pool (``matching_docs`` of the terms).  Measured on this
+    2 000-document portal: 83 documents examined for the two terms and
+    89 for the phrase, against a pool of 438; gated at a quarter of the
+    pool."""
+    portal = build_portal(PortalSpec(n_docs=2000, seed=1))
+    engine = portal.search
+    try:
+        pool = len(engine.index.matching_docs(["database", "transaction"]))
+        assert pool > 400
+        for query in ("database transaction", '"database transaction"'):
+            assert _examined(engine, query, "relevance", 10) <= pool // 4
+        assert _plan_count(engine, "threshold") == 2
+        assert _plan_count(engine, "heap") == 0
+    finally:
+        portal.close()
+
+
+def test_every_plan_is_counted_without_a_label_lookup(monkeypatch):
+    """``search.plans{plan=…}`` names the plan each search took, and a
+    warm engine counts it without resolving a label per query."""
+    bulk = _bulk_archive(300)
+    engine = bulk.engine
+    queries = {"top_docs": ("alpha", "relevance"),
+               "walk": ("state:final", "newest"),
+               "threshold": ("filler alpha", "relevance"),
+               "heap": (RARE, "newest")}
+    for query, ranking in queries.values():
+        engine.search(query, ranking=ranking, limit=10)
+    calls = []
+    original = MetricFamily.labels
+
+    def counted(family, **labels):
+        calls.append((family.name, labels))
+        return original(family, **labels)
+
+    monkeypatch.setattr(MetricFamily, "labels", counted)
+    for query, ranking in queries.values():
+        engine.search(query, ranking=ranking, limit=10)
+    assert calls == []
+    assert {plan: _plan_count(engine, plan) for plan in queries} \
+        == dict.fromkeys(queries, 2)
+    assert unknown_names(engine.db.metrics_snapshot()) == []
+    engine.index.close()
+    engine.meta.close()
 
 
 def test_check_names_corrupt_postings_and_ordered_lists():
