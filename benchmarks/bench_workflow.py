@@ -8,8 +8,6 @@ the operations the demo performs live.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.collab import CollaborationServer
 from repro.process import TaskList, WorkflowManager
 

@@ -557,7 +557,7 @@ def _cmd_feed_status(args: argparse.Namespace) -> int:
     for handle in kb.handles[:3]:
         handle.insert_text(0, "fresh edit ", kb.users[0])
     worker = MaintenanceWorker(db)
-    worker.register("search-index", engine.index.maintain)
+    worker.register("search-index", engine.index.ensure_fresh)
     rounds = worker.drain()
     status = db.changefeed().status()
     status["drain_rounds"] = rounds

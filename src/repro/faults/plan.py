@@ -12,7 +12,7 @@ so any torture failure reproduces from the seed alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..errors import CrashSignal
 

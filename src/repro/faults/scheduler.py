@@ -46,7 +46,6 @@ class DeterministicScheduler:
         """
         if not self._actors:
             raise RuntimeError("no actors registered")
-        names = [a[0] for a in self._actors]
         weights = [a[2] for a in self._actors]
         idx = self.rng.choices(range(len(self._actors)),
                                weights=weights, k=1)[0]

@@ -2,13 +2,12 @@
 
 Deferred consumers (the inverted index, and anything else that only
 *records* work in its handler) need something to actually absorb the
-recorded work and compact what grew.  :class:`MaintenanceWorker` is
-that something: a small registry of named maintenance callables, each
-run once per explicit :meth:`~MaintenanceWorker.run_once` tick (tests,
-benchmarks, CLI).
+recorded work.  :class:`MaintenanceWorker` is that something: a small
+registry of named maintenance callables, each run once per explicit
+:meth:`~MaintenanceWorker.run_once` tick (tests, benchmarks, CLI).
 
 The worker deliberately owns no policy: each registered task is a
-closure such as ``index.maintain`` that knows its own consumer and
+callable such as ``index.ensure_fresh`` that knows its own consumer and
 acks it; the worker adds the tick and failure isolation (a failing task
 is recorded and does not starve the others).
 """

@@ -6,17 +6,15 @@ documents a committed batch touched (insert/update/delete alike — a
 delete event's before-image names the vanished document, so deleted
 docs are un-indexed instead of lingering as stale postings), and
 :meth:`InvertedIndex.ensure_fresh` absorbs the recorded work when a
-query actually needs freshness.  Maintenance cost is therefore
-proportional to what changed, never to corpus size: the refresh does
-one indexed key lookup per dirty document and **zero** full
-``tx_documents`` rescans.
+query actually needs freshness (or the maintenance worker ticks).
+Maintenance cost is therefore proportional to what changed, never to
+corpus size: the refresh does one indexed key lookup per dirty document
+and **zero** full ``tx_documents`` rescans.
 
-Internally the postings live in two segments, LSM-style: a large
-*base* segment and a small *tail* that absorbs recent re-indexes.
-Lookups merge both (disjoint by document, so the merge is a dict
-union); the background maintenance worker folds the tail into the base
-via :meth:`compact` once it outgrows ``tail_limit``, keeping per-query
-merge overhead bounded at archival-portal corpus sizes.
+The postings are one map, ``term -> {doc: positions}``, updated in
+place by every re-index.  Every refresh reads at one pinned snapshot —
+the caller's, or one it opens — and a document dirtied by a commit the
+snapshot does not cover stays dirty for the next refresh.
 
 For single-term relevance queries the index additionally keeps
 *impact-ordered* posting lists (:meth:`top_docs`): per-term entries
@@ -129,13 +127,9 @@ class InvertedIndex:
     #: Feed consumer name.
     CONSUMER = "search-index"
 
-    def __init__(self, db: Database, *, tail_limit: int = 256) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.tail_limit = tail_limit
-        #: Base and tail posting segments; disjoint by document.
-        self._base: dict[str, dict[Oid, list[int]]] = defaultdict(dict)
-        self._tail: dict[str, dict[Oid, list[int]]] = defaultdict(dict)
-        self._tail_docs: set[Oid] = set()
+        self._postings: dict[str, dict[Oid, list[int]]] = defaultdict(dict)
         self._doc_terms: dict[Oid, dict[str, int]] = {}
         self._doc_len: dict[Oid, int] = {}
         self._doc_values: dict[Oid, DocValues] = {}
@@ -155,7 +149,7 @@ class InvertedIndex:
             self.CONSUMER, self._on_batch,
             tables=(S.CHARS, S.DOCUMENTS), deferred=True)
         self.stats = {"reindexed_docs": 0, "removed_docs": 0,
-                      "full_builds": 0, "compactions": 0}
+                      "full_builds": 0}
         self.rebuild()
 
     @property
@@ -190,9 +184,7 @@ class InvertedIndex:
 
     def rebuild(self) -> None:
         """Index every document from scratch (the only full scan)."""
-        self._base.clear()
-        self._tail.clear()
-        self._tail_docs.clear()
+        self._postings.clear()
         self._doc_terms.clear()
         self._doc_len.clear()
         self._doc_values.clear()
@@ -210,14 +202,16 @@ class InvertedIndex:
     def ensure_fresh(self, txn=None) -> int:
         """Absorb recorded changes; returns how many docs were refreshed.
 
-        With ``txn`` (a snapshot transaction) the refresh is *pinned*:
-        every re-index reads document text at the snapshot's commit
-        point, so index candidates and profile rows built inside the
-        same snapshot can never disagree.  Documents dirtied by commits
-        *above* the snapshot are refreshed to the snapshot's state but
-        stay marked dirty — the next refresh catches them up.  Without
-        ``txn`` a fresh snapshot is pinned after capturing the dirty
-        set, which covers everything captured.
+        Every re-index reads document text at one snapshot's commit
+        point: ``txn`` (a snapshot transaction, so index candidates and
+        profile rows built inside the same snapshot can never disagree)
+        or, without it, a snapshot pinned here — the maintenance
+        worker's tick.  A document dirtied by a commit *above* that
+        snapshot (committed after it opened, or pinned out of it by
+        another committer's commit-intent window) is refreshed to the
+        snapshot's state but stays dirty, and the subscription is acked
+        only below the first batch left dirty: the next refresh catches
+        it up.
 
         Deleted documents are un-indexed: their postings, cached text
         and ``doc_count()`` contribution all vanish.
@@ -225,18 +219,16 @@ class InvertedIndex:
         if not self._pending:
             self._sub.ack(self._sub.delivered_seq)
             return 0
-        if txn is None:
-            pending = dict(self._pending)
-            upto = self._sub.delivered_seq
-            with self.db.snapshot() as snap:
-                return self._refresh(pending, snap, ack_to=upto)
-        return self._refresh(dict(self._pending), txn, ack_to=None)
+        if txn is not None:
+            return self._refresh(txn)
+        with self.db.snapshot() as snap:
+            return self._refresh(snap)
 
-    def _refresh(self, pending: dict, txn, *, ack_to: int | None) -> int:
+    def _refresh(self, txn) -> int:
+        upto = self._sub.delivered_seq
         snap_lsn = txn.snapshot_lsn
         refreshed = 0
-        covered_seq = 0
-        for doc, mark in pending.items():
+        for doc, mark in dict(self._pending).items():
             self._unindex_doc(doc)
             row = txn.query(S.DOCUMENTS).where(col("doc") == doc).first()
             if row is not None:
@@ -244,40 +236,17 @@ class InvertedIndex:
                 refreshed += 1
             else:
                 self.stats["removed_docs"] += 1
-            covered = ack_to is not None or snap_lsn is None \
-                or mark[1] <= snap_lsn
-            if covered:
-                covered_seq = max(covered_seq, mark[0])
+            if snap_lsn is None or mark[1] <= snap_lsn:
                 if self._pending.get(doc) == mark:
                     del self._pending[doc]
-        if ack_to is not None:
-            self._sub.ack(ack_to)
-        elif covered_seq:
-            self._sub.ack(covered_seq)
+            else:
+                upto = min(upto, mark[0] - 1)
+        self._sub.ack(upto)
         return refreshed
 
-    def maintain(self) -> int:
-        """One background-worker tick: absorb dirt, compact if due."""
-        refreshed = self.ensure_fresh()
-        if len(self._tail_docs) >= self.tail_limit:
-            self.compact()
-        return refreshed
-
-    def compact(self) -> int:
-        """Fold the tail segment into the base; returns docs moved."""
-        moved = len(self._tail_docs)
-        for term, bucket in self._tail.items():
-            if bucket:
-                self._base[term].update(bucket)
-        self._tail.clear()
-        self._tail_docs.clear()
-        if moved:
-            self.stats["compactions"] += 1
-        return moved
-
-    def tail_size(self) -> int:
-        """Documents currently living in the tail segment."""
-        return len(self._tail_docs)
+    def compact(self) -> None:
+        """Nothing to fold: the postings are one map.  ``bench/trace.py``
+        times this name, so it stays until that file drops it."""
 
     def _index_doc(self, doc: Oid, txn, row: dict) -> None:
         if row["begin_char"] is None:
@@ -294,7 +263,7 @@ class InvertedIndex:
         self._doc_len[doc] = length
         values = self._doc_values[doc] = DocValues.of(row)
         for term, pos_list in positions.items():
-            self._tail[term][doc] = pos_list
+            self._postings[term][doc] = pos_list
             entries = self._impact.get(term)
             if entries is not None:
                 insort(entries, self._impact_key(
@@ -304,21 +273,19 @@ class InvertedIndex:
                 postings[value].add(doc)
         for ranking, entries in self._orders.items():
             insort(entries, KEYS[ranking](doc, values, 0.0))
-        self._tail_docs.add(doc)
         self.stats["reindexed_docs"] += 1
 
     def _unindex_doc(self, doc: Oid) -> None:
         values = self._doc_values.pop(doc, None)
         if values is None:
             return  # never indexed: no per-document structure holds it
-        segment = self._tail if doc in self._tail_docs else self._base
         length = self._doc_len.pop(doc)
         for term, tf in self._doc_terms.pop(doc).items():
-            bucket = segment.get(term)
+            bucket = self._postings.get(term)
             if bucket is not None:
                 bucket.pop(doc, None)
                 if not bucket:
-                    del segment[term]
+                    del self._postings[term]
             entries = self._impact.get(term)
             if entries is not None:
                 self._sorted_remove(entries, self._impact_key(
@@ -332,7 +299,6 @@ class InvertedIndex:
                         del postings[value]
         for ranking, entries in self._orders.items():
             self._sorted_remove(entries, KEYS[ranking](doc, values, 0.0))
-        self._tail_docs.discard(doc)
         self._doc_text.pop(doc, None)
 
     # ------------------------------------------------------------------
@@ -371,12 +337,9 @@ class InvertedIndex:
             if per_doc.keys() != self._doc_values.keys():
                 problems.append(f"{label} map out of sync with doc values")
         posted: dict[Oid, dict[str, int]] = defaultdict(dict)
-        for segment in (self._base, self._tail):
-            for term, bucket in segment.items():
-                for doc, positions in bucket.items():
-                    if term in posted[doc]:
-                        problems.append(f"{doc}/{term!r} in both segments")
-                    posted[doc][term] = len(positions)
+        for term, bucket in self._postings.items():
+            for doc, positions in bucket.items():
+                posted[doc][term] = len(positions)
         for doc, tfs in self._doc_terms.items():
             if posted.get(doc, {}) != tfs:
                 problems.append(f"{doc}: postings != forward index")
@@ -426,16 +389,14 @@ class InvertedIndex:
             entries = sorted(
                 self._impact_key(len(pos), self._doc_len[doc],
                                  self._doc_values[doc], doc)
-                for segment in (self._base, self._tail)
-                for doc, pos in segment.get(term, {}).items()
+                for doc, pos in self._postings.get(term, {}).items()
             )
             self._impact[term] = entries
         return entries
 
     def doc_frequency(self, term: str) -> int:
         """Number of documents containing ``term`` (an O(1)-ish count)."""
-        return (len(self._base.get(term, ()))
-                + len(self._tail.get(term, ())))
+        return len(self._postings.get(term, ()))
 
     def top_docs(self, term: str, k: int) -> list[tuple[Oid, float]]:
         """The ``k`` best documents for one term with exact tf-idf scores.
@@ -519,11 +480,8 @@ class InvertedIndex:
 
     def postings(self, term: str) -> dict[Oid, int]:
         """Documents containing ``term`` with term frequencies."""
-        merged = {}
-        for segment in (self._base, self._tail):
-            for doc, positions in segment.get(term, {}).items():
-                merged[doc] = len(positions)
-        return merged
+        return {doc: len(positions)
+                for doc, positions in self._postings.get(term, {}).items()}
 
     def has_phrase(self, doc: Oid, phrase_terms: list[str]) -> bool:
         """Whether ``doc`` holds the terms *adjacently, in order*.
@@ -531,11 +489,9 @@ class InvertedIndex:
         ``doc`` must hold every one of them (be one of
         :meth:`matching_docs` of the phrase).
         """
-        # All of a document's postings live in one segment.
-        segment = self._tail if doc in self._tail_docs else self._base
-        starts = segment[phrase_terms[0]][doc]
+        starts = self._postings[phrase_terms[0]][doc]
         for offset, term in enumerate(phrase_terms[1:], start=1):
-            following = set(segment[term][doc])
+            following = set(self._postings[term][doc])
             starts = [s for s in starts if s + offset in following]
             if not starts:
                 return False
@@ -576,25 +532,13 @@ class InvertedIndex:
 
     def vocabulary_size(self) -> int:
         """Number of distinct indexed terms."""
-        return len(self._base.keys() | self._tail.keys())
+        return len(self._postings)
 
-    def _term_docs(self, term: str) -> set[Oid]:
-        docs: set[Oid] = set(self._base.get(term, ()))
-        docs.update(self._tail.get(term, ()))
-        return docs
-
-    def matching_docs(self, terms: list[str], *,
-                      require_all: bool = True) -> set[Oid]:
-        """Documents containing all (or any) of the terms."""
+    def matching_docs(self, terms: list[str]) -> set[Oid]:
+        """Documents containing all of the terms."""
         if not terms:
             return set(self._doc_terms)
-        sets = [self._term_docs(term) for term in terms]
-        if require_all:
-            result = sets[0]
-            for s in sets[1:]:
-                result = result & s
-            return result
-        result = set()
-        for s in sets:
-            result |= s
+        result = set(self._postings.get(terms[0], ()))
+        for term in terms[1:]:
+            result.intersection_update(self._postings.get(term, ()))
         return result

@@ -101,14 +101,13 @@ class StructureManager:
     def move_node(self, node: Oid, new_parent: Oid | None,
                   pos: int) -> None:
         """Re-parent/re-order a node; rejects cycles."""
-        row = self._node_row(node)
+        view = self._node_view(node)
         if new_parent is not None:
             ancestor: Oid | None = new_parent
             while ancestor is not None:
                 if ancestor == node:
                     raise StructureError("move would create a cycle")
                 ancestor = self._node_row(ancestor)["parent"]
-        view = self._node_view(node)
         self.db.update(S.STRUCTURE, view.rowid, {
             "parent": new_parent, "pos": pos,
         })

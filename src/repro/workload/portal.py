@@ -100,7 +100,7 @@ def build_portal(spec: PortalSpec | None = None) -> Portal:
     folders.create_folder("finals", StateIs("final"))
     folders.create_folder("database shelf", HasProperty("topic", "database"))
     worker = MaintenanceWorker(db)
-    worker.register("search-index", search.index.maintain)
+    worker.register("search-index", search.index.ensure_fresh)
 
     topics = tuple(TOPICS)
     docs: list[Oid] = []

@@ -281,7 +281,7 @@ class TestAwareness:
 class TestObjectOperations:
     def test_insert_image_undoable(self, server, doc):
         session = server.connect("ben")
-        handle = session.open(doc)
+        session.open(doc)
         session.insert_image(doc, 2, name="f.png", width=8, height=8)
         assert len(server.objects.objects_in(doc)) == 1
         session.undo(doc)

@@ -150,7 +150,7 @@ class TestGlobalUndo:
 class TestUndoUnderConcurrency:
     def test_undo_insert_after_remote_edits_around_it(self, setup):
         server, s1, s2, doc = setup
-        oids = s1.insert(doc, 5, "XYZ")
+        s1.insert(doc, 5, "XYZ")
         s2.insert(doc, 0, ">>")       # shifts everything
         s2.insert(doc, 10, "<<")      # inserts inside/after
         s1.undo(doc)                  # removes exactly XYZ wherever it is

@@ -2,7 +2,6 @@
 
 import importlib.util
 import io
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 

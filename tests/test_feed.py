@@ -260,7 +260,7 @@ class TestRestartContract:
         # ... and they follow the live feed from there on.
         handle.insert_text(0, "golf ", "ana")
         DocumentStore(recovered).set_state(pad.doc, "final", "ana")
-        index.maintain()
+        index.ensure_fresh()
         members = finals.contents()
         finals.revalidate()
         assert members == finals.contents() == [pad.doc]
@@ -274,7 +274,7 @@ class TestMaintenanceWorker:
         store = DocumentStore(db)
         index = InvertedIndex(db)
         worker = MaintenanceWorker(db)
-        worker.register("search-index", index.maintain)
+        worker.register("search-index", index.ensure_fresh)
         handle = store.create("doc", "ana", text="alpha beta")
         handle.insert_text(10, " gamma", "ana")
         assert index.subscription.lag > 0
@@ -311,7 +311,7 @@ class TestStaleness:
         store = DocumentStore(db)
         index = InvertedIndex(db)
         worker = MaintenanceWorker(db)
-        worker.register("search-index", index.maintain)
+        worker.register("search-index", index.ensure_fresh)
 
         def staleness() -> tuple:
             metric = db.metrics_snapshot()["feed.staleness_seconds"]

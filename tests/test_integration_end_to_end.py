@@ -79,8 +79,7 @@ def test_full_document_lifecycle(world):
     cleo = server.connect("cleo", os_name="macosx")
     cleo.open(report.doc)           # logged read -> dynamic folder reacts
     assert report.doc in cleo_read
-    note = server.notes.add_note(report, 20, "verify revenue claim",
-                                 "cleo")
+    server.notes.add_note(report, 20, "verify revenue claim", "cleo")
     workflow.start_task(review, "cleo")
     workflow.complete_task(review, "cleo")
     assert workflow.process_status(process)["state"] == "completed"

@@ -90,7 +90,7 @@ class TestCharAncestry:
     def test_two_generation_chain(self, setup):
         server, session, src, mid, dst = setup
         session.copy(src.doc, 4, 5)        # "quick"
-        pasted_mid = session.paste(mid.doc, 7)
+        session.paste(mid.doc, 7)
         session.copy(mid.doc, 7, 5)        # the pasted "quick"
         pasted_dst = session.paste(dst.doc, 7)
         lineage = LineageGraph(server.db)

@@ -37,18 +37,57 @@ PLANTED = {
             "    pass\n",
     "F821": "def f():\n    return undefined_name\n",
     "F822": "__all__ = ['present', 'absent']\npresent = 1\n",
+    "F401": "import os\n",
+    "F841": "def f():\n    unused = 1\n",
 }
 
 CLEAN = '''
 from __future__ import annotations
 
+import json as json
 import os
+from collections import deque
+from textwrap import dedent
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from collections import OrderedDict
+    from decimal import Decimal
 
-__all__ = ["Thing", "helper", "late"]
+__all__ = ["Thing", "helper", "late", "dedent"]
+
+
+def annotated(queue: "deque[int]") -> None:
+    import sys
+
+    def inner():
+        return sys.argv
+
+    return inner
+
+
+def locals_kept(items):
+    total = 0
+    for item in items:
+        total += item
+    first, second = items[0], items[1]
+    _ = __ = _scratch = first
+    scratch = []
+    del scratch
+    captured = 1
+
+    def inner():
+        return captured
+
+    try:
+        inner()
+    except ValueError as error:
+        raise RuntimeError(second) from error
+
+
+def uses_locals():
+    hidden = 1
+    return locals()
 
 
 class Thing:
@@ -91,6 +130,44 @@ def test_each_planted_offence_is_caught(tmp_path, code):
 
 def test_a_clean_module_has_no_findings():
     assert _tool().lint_source(CLEAN) == []
+
+
+def test_every_unused_binding_form_is_caught():
+    source = '''
+import os.path
+from collections import deque as queue
+
+
+def f(path):
+    import sys
+    plain = 1
+    annotated: int = 2
+    (walrus := 3)
+    with open(path) as handle:
+        pass
+    try:
+        pass
+    except ValueError as error:
+        pass
+    shadowed = 4
+
+    def inner(shadowed):
+        return shadowed
+
+    return inner
+
+
+class Holder:
+    import json
+'''
+    found = [(line, code, message.split("`")[1])
+             for line, __, code, message in _tool().lint_source(source)]
+    assert found == [
+        (2, "F401", "os.path"), (3, "F401", "collections.deque"),
+        (7, "F401", "sys"), (8, "F841", "plain"),
+        (9, "F841", "annotated"), (10, "F841", "walrus"),
+        (11, "F841", "handle"), (15, "F841", "error"),
+        (17, "F841", "shadowed"), (26, "F401", "json")]
 
 
 def test_the_command_reports_and_fails(tmp_path, capsys):

@@ -122,7 +122,7 @@ class TestTheReplicaPublishesItsApplies:
         handle = DocumentStore(follower.db).handle(pad.doc)
         index = InvertedIndex(follower.db)
         worker = MaintenanceWorker(follower.db)
-        worker.register("search-index", index.maintain)
+        worker.register("search-index", index.ensure_fresh)
         assert handle.text() == "hello"
         mirrored = len(follower.db.wal)
 

@@ -1,11 +1,14 @@
 """Tests for the search engine: content, metadata, structure, ranking."""
 
+import threading
+
 import pytest
 
 from repro.clock import SimulatedClock
 from repro.collab import CollaborationServer
 from repro.db import Database
 from repro.errors import QuerySyntaxError, SearchError
+from repro.feed import MaintenanceWorker
 from repro.search import InvertedIndex, SearchEngine, parse_query
 from repro.text import DocumentStore, StructureManager
 
@@ -76,14 +79,12 @@ class TestInvertedIndex:
         index.ensure_fresh()
         assert index.postings("ephemeral") == {}
 
-    def test_matching_all_vs_any(self, db, store):
+    def test_matching_requires_all(self, db, store):
         store.create("a", "ana", text="alpha beta")
         store.create("b", "ana", text="beta gamma")
         index = InvertedIndex(db)
         assert len(index.matching_docs(["beta"])) == 2
         assert len(index.matching_docs(["alpha", "beta"])) == 1
-        assert len(index.matching_docs(["alpha", "gamma"],
-                                       require_all=False)) == 2
 
     def test_refresh_only_touches_dirty(self, db, store):
         store.create("a", "ana", text="one")
@@ -219,7 +220,7 @@ class TestRanking:
     def test_most_cited(self, server):
         session = server.connect("ana")
         cited = session.create_document("cited", text="common words source")
-        other = session.create_document("other", text="common words too")
+        session.create_document("other", text="common words too")
         target = session.create_document("target", text="")
         session.copy(cited.doc, 0, 6)
         session.paste(target.doc, 0)
@@ -387,6 +388,50 @@ class TestFeedDrivenIndex:
             assert index.postings("latecomer") == {}
         assert index.ensure_fresh() == 1
         assert len(index.postings("latecomer")) == 1
+
+    def test_worker_tick_inside_another_commits_intent_window(
+            self, db, store, monkeypatch):
+        """A worker tick while another committer sits between its COMMIT
+        append and its apply pins a snapshot below that commit — and so
+        below a commit that landed after it.  The later commit's
+        document stays dirty instead of being indexed as of before it
+        and marked clean (which left its doc values stale and its new
+        word unfindable for good)."""
+        pad = store.create("pad", "ana", text="alpha")
+        memo = store.create("memo", "ben", text="beta")
+        engine = SearchEngine(db)
+        index = engine.index
+        worker = MaintenanceWorker(db)
+        worker.register("search-index", index.ensure_fresh)
+        inside, release = threading.Event(), threading.Event()
+        raise_commit_floor = db.raise_commit_floor
+
+        def stall(txn_id, commit_lsn):
+            if threading.current_thread() is committer:
+                inside.set()
+                assert release.wait(10)
+            raise_commit_floor(txn_id, commit_lsn)
+
+        monkeypatch.setattr(db, "raise_commit_floor", stall)
+        committer = threading.Thread(target=pad.insert_text,
+                                     args=(5, " gamma", "ana"))
+        committer.start()
+        try:
+            assert inside.wait(10)
+            memo.insert_text(4, " upload", "ben")
+            worker.run_once()
+            assert index.dirty_count() == 1
+            assert index.subscription.lag > 0
+        finally:
+            release.set()
+            committer.join(10)
+        assert not committer.is_alive()
+        worker.run_once()
+        assert index.check() == []
+        assert index.subscription.lag == 0
+        assert set(index.postings("upload")) == {memo.doc}
+        assert set(index.postings("gamma")) == {pad.doc}
+        assert [r.doc for r in engine.search("upload")] == [memo.doc]
 
     def test_search_pinned_against_concurrent_writer(
             self, db, store, monkeypatch):

@@ -218,7 +218,7 @@ class Archive:
         self.store = DocumentStore(self.db)
         self.engine = SearchEngine(self.db)
         self.worker = MaintenanceWorker(self.db)
-        self.worker.register("search-index", self.engine.index.maintain)
+        self.worker.register("search-index", self.engine.index.ensure_fresh)
         self.live: list = []
         self.deleted: list = []
         self.serial = 0

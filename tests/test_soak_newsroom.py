@@ -18,7 +18,6 @@ import zlib
 import pytest
 
 from repro.collab import CollaborationServer, EditorClient
-from repro.errors import TendaxError
 from repro.folders import (
     AuthoredBy,
     DynamicFolderManager,
@@ -28,7 +27,6 @@ from repro.folders import (
 from repro.lineage import LineageGraph
 from repro.meta import MetadataCollector
 from repro.search import SearchEngine
-from repro.text import dbschema as S
 from repro.workload import SimulatedTypist
 
 JOURNALISTS = ("ana", "ben", "cleo", "dan", "eva")
@@ -216,7 +214,6 @@ class TestNewsroomInvariants:
         assert newsroom["server"].db.changefeed().errors == []
 
     def test_undo_still_functional_after_soak(self, newsroom):
-        server = newsroom["server"]
         session = newsroom["sessions"]["ana"]
         article = newsroom["articles"][0]
         before = article.text()

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""A stdlib-only lint for the runtime-error class of checks.
+"""A stdlib-only lint for the runtime-error class of checks and dead code.
 
-The same rule families ruff is configured with in ``pyproject.toml``
-(``E9``, ``F63``, ``F7``, ``F82``), written with ``compile``, ``ast`` and
-``symtable`` alone so that it runs wherever Python does — next to ruff
-in CI's ``lint`` job, and on a machine where ruff and mypy are not
-installed.  Codes and messages follow ruff's:
+The rule families ruff is configured with in ``pyproject.toml`` (``E9``,
+``F63``, ``F7``, ``F82``) plus the dead-code pair ``F401`` / ``F841``,
+written with ``compile``, ``ast`` and ``symtable`` alone so that it runs
+wherever Python does — next to ruff in CI's ``lint`` job, and on a
+machine where ruff and mypy are not installed.  Codes and messages
+follow ruff's:
 
 * ``E902`` a file that cannot be read or decoded; ``E999`` a syntax
   error (anything ``ast.parse`` or ``compile`` refuses that no rule
@@ -18,15 +19,28 @@ installed.  Codes and messages follow ruff's:
   a function; ``F707`` a bare ``except:`` that is not the last handler;
 * ``F821`` a name read in a scope that resolves to the module and is
   bound neither there nor among the builtins; ``F822`` a name in
-  ``__all__`` the module does not bind.
+  ``__all__`` the module does not bind;
+* ``F401`` an import no code reads — in the importing scope, a scope
+  nested in it, an annotation (string annotations included) or the
+  module's ``__all__``.  ``__future__`` imports, redundant aliases
+  (``import x as x``) and imports under ``if TYPE_CHECKING:`` are not
+  reported;
+* ``F841`` a local variable a function assigns (``=``, an annotated
+  ``=``, ``:=`` or ``with ... as``) and never reads, nor does a scope
+  nested in it; and an ``except ... as name`` whose handler never reads
+  ``name``.  Tuple unpacking, loop targets, names ruff's default
+  ``dummy-variable-rgx`` matches (``_``, ``__``, ``_unused``) and the
+  locals of a function that calls ``locals()`` are not reported.
 
 Not covered, by design (ruff still checks them in CI): ``F821`` for
 names only annotations use (under ``from __future__ import
 annotations`` the symbol table does not see them) and for names read
 before the module binds them; ``F823`` (a local read before its
 assignment).  A module with a ``from ... import *`` or a module-level
-``__getattr__`` skips ``F821`` / ``F822``.  ``# noqa`` comments are not
-read: the tree needs none for these rules.
+``__getattr__`` skips ``F821`` / ``F822``.  ``F401`` and ``F841`` judge
+a name, not each binding of it, as pyflakes does: a name bound twice
+and read once counts as read.  ``# noqa`` comments are not read: the
+tree needs none for these rules.
 
 Usage::
 
@@ -42,6 +56,7 @@ from __future__ import annotations
 import ast
 import builtins
 import os
+import re
 import symtable
 import sys
 import warnings
@@ -56,6 +71,9 @@ _MODULE_NAMES = frozenset(dir(builtins)) | {
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+#: ruff's default ``dummy-variable-rgx``: locals no one is meant to read.
+_DUMMY = re.compile(r"^(_+|(_+[a-zA-Z0-9_]*[a-zA-Z0-9]+?))$")
 
 
 def _is_literal(node: ast.AST) -> bool:
@@ -214,6 +232,184 @@ def _names(tree: ast.Module, table: symtable.SymbolTable
     return found
 
 
+def _own_nodes(scope: ast.AST):
+    """The nodes of one scope's own code: the bodies of the functions,
+    lambdas and classes it defines are theirs (comprehensions are
+    walked — a ``:=`` inside one binds in the scope around it)."""
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _read_below(table: symtable.SymbolTable, name: str,
+                module: bool | None = None) -> bool:
+    """Whether a scope nested in ``table`` reads ``table``'s ``name``
+    (``module``: whether the binding is a global).
+
+    A nested function or lambda that binds ``name`` itself hides it
+    from everything inside; a class body hides nothing from its methods.
+    """
+    if module is None:
+        module = table.get_type() == "module"
+    for child in table.get_children():
+        try:
+            symbol = child.lookup(name)
+        except KeyError:
+            symbol = None
+        if symbol is not None and symbol.is_referenced() and (
+                symbol.is_free() or module and symbol.is_global()):
+            return True
+        hidden = symbol is not None and child.get_type() != "class" \
+            and (symbol.is_local() or not module and symbol.is_global())
+        if not hidden and _read_below(child, name, module):
+            return True
+    return False
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Every name an annotation reads, string annotations included."""
+    pending = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            pending.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            pending.append(node.annotation)
+    names: set[str] = set()
+    while pending:
+        annotation = pending.pop()
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                try:
+                    pending.append(ast.parse(node.value, mode="eval").body)
+                except SyntaxError:
+                    pass
+    return names
+
+
+def _typing_only(tree: ast.Module) -> set[int]:
+    """``id()`` of each import under an ``if TYPE_CHECKING:``."""
+    found: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and (
+                isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"
+                or isinstance(node.test, ast.Attribute)
+                and node.test.attr == "TYPE_CHECKING"):
+            found.update(id(inner) for stmt in node.body
+                         for inner in ast.walk(stmt)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return found
+
+
+def _unused_imports(scope: symtable.SymbolTable, node: ast.AST,
+                    spared: set[str], typing_only: set[int]
+                    ) -> list[tuple[int, int, str, str]]:
+    """The F401 findings of one scope; ``spared`` names count as read."""
+    found = []
+    for stmt in _own_nodes(node):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) \
+                or id(stmt) in typing_only \
+                or isinstance(stmt, ast.ImportFrom) \
+                and stmt.module == "__future__":
+            continue
+        for alias in stmt.names:
+            if alias.name == "*" or alias.asname == alias.name:
+                continue
+            name = alias.asname or alias.name.partition(".")[0]
+            symbol = scope.lookup(name)
+            if name in spared or symbol.is_referenced() \
+                    or scope.get_type() != "module" and symbol.is_global() \
+                    or _read_below(scope, name):
+                continue
+            qualified = alias.name
+            if isinstance(stmt, ast.ImportFrom):
+                qualified = "." * stmt.level + (
+                    f"{stmt.module}.{alias.name}" if stmt.module
+                    else alias.name)
+            found.append((alias.lineno, alias.col_offset + 1, "F401",
+                          f"`{qualified}` imported but unused"))
+    return found
+
+
+def _unused_locals(scope: symtable.SymbolTable, node: ast.AST
+                   ) -> list[tuple[int, int, str, str]]:
+    """The F841 findings of one function's assignments."""
+    try:
+        if scope.lookup("locals").is_referenced():
+            return []
+    except KeyError:
+        pass
+    targets: list[ast.expr] = []
+    #: Names ``+=`` or ``del`` reads: as pyflakes, not unused.
+    touched: set[str] = set()
+    for stmt in _own_nodes(node):
+        if isinstance(stmt, ast.Assign):
+            targets += stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                or isinstance(stmt, ast.NamedExpr):
+            targets.append(stmt.target)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            targets += [item.optional_vars for item in stmt.items]
+        elif isinstance(stmt, ast.AugAssign) \
+                and isinstance(stmt.target, ast.Name):
+            touched.add(stmt.target.id)     # reads before it assigns
+        elif isinstance(stmt, ast.Name) and isinstance(stmt.ctx, ast.Del):
+            touched.add(stmt.id)
+    found = []
+    for target in targets:
+        if not isinstance(target, ast.Name) or _DUMMY.match(target.id) \
+                or target.id in touched:
+            continue
+        symbol = scope.lookup(target.id)
+        if symbol.is_local() and not symbol.is_referenced() \
+                and not _read_below(scope, target.id):
+            found.append((target.lineno, target.col_offset + 1, "F841",
+                          f"Local variable `{target.id}` is assigned to "
+                          f"but never used"))
+    return found
+
+
+def _unused(tree: ast.Module, table: symtable.SymbolTable
+            ) -> list[tuple[int, int, str, str]]:
+    """The F401 / F841 findings of one module."""
+    nodes = {(node.name, node.lineno): node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))}
+    spared = _annotation_names(tree) | {c.value for c in _exported(tree)}
+    typing_only = _typing_only(tree)
+    found = []
+    pending = [(table, tree)]
+    while pending:
+        scope, node = pending.pop()
+        if node is None:
+            continue  # a lambda or comprehension: no statements
+        found += _unused_imports(scope, node, spared, typing_only)
+        if scope.get_type() == "function":
+            found += _unused_locals(scope, node)
+        pending += [(child, nodes.get((child.get_name(),
+                                       child.get_lineno())))
+                    for child in scope.get_children()]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.name \
+                and not _DUMMY.match(node.name) \
+                and not any(isinstance(inner, ast.Name)
+                            and inner.id == node.name
+                            for stmt in node.body
+                            for inner in ast.walk(stmt)):
+            found.append((node.lineno, node.col_offset + 1, "F841",
+                          f"Local variable `{node.name}` is assigned to "
+                          f"but never used"))
+    return found
+
+
 def lint_source(source: str, filename: str = "<string>"
                 ) -> list[tuple[int, int, str, str]]:
     """``(line, column, code, message)`` for each finding in ``source``,
@@ -239,7 +435,7 @@ def lint_source(source: str, filename: str = "<string>"
             found.append((exc.lineno or 1, exc.offset or 1, "E999",
                           f"SyntaxError: {exc.msg}"))
         else:
-            found += _names(tree, table)
+            found += _names(tree, table) + _unused(tree, table)
     return sorted(found)
 
 
