@@ -28,7 +28,7 @@ import pytest
 
 from repro.baselines import FileWordProcessor, OffsetDocumentStore
 from repro.collab import EditorClient
-from repro.db import Database, col
+from repro.db import Database, col, column
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.ids import Oid
 from repro.text import DocumentStore
@@ -478,6 +478,65 @@ def test_unique_key_read_30k(benchmark):
     assert txn.query(S.DOCUMENTS).where(
         col("doc") == handle.doc).first()["state"] == "review"
     txn.abort()
+
+
+#: Rows of the keyed table the snapshot key-read node reads from, and
+#: the most its 512-historied-row round may cost over the 0 one.
+SNAPSHOT_TABLE_ROWS = 2048
+SNAPSHOT_FLAT_RATIO = 1.5
+
+
+def _historied_table(historied: int) -> Database:
+    """A keyed table whose first ``historied`` rows were updated under a
+    snapshot that stays pinned, so their version chains stay too."""
+    db = Database("bench")
+    db.create_table("kv", [column("k", "int"), column("v", "int")],
+                    key="k")
+    rowids = [db.insert("kv", {"k": k, "v": 0})
+              for k in range(SNAPSHOT_TABLE_ROWS)]
+    db.begin(read_only=True)
+    for rowid in rowids[:historied]:
+        db.update("kv", rowid, {"v": 1})
+    assert db.table("kv").live_versions() == historied
+    return db
+
+
+def _snapshot_key_reads(db: Database) -> list:
+    with db.snapshot() as snap:
+        return [snap.query("kv").where(col("k") == k).first()["v"]
+                for k in range(0, 512, 8)]
+
+
+def test_snapshot_key_read(benchmark):
+    """64 point reads by unique key inside one snapshot, of rows among
+    the 512 of the table that carry version history — the read a search
+    makes for each result and an index refresh for each dirty document.
+
+    Carries its own flat-shape gate: the same round over a table with
+    no history, timed the same way, may be at most
+    ``SNAPSHOT_FLAT_RATIO`` cheaper (a read that re-checked every
+    historied row cost well over 10x)."""
+    db = _historied_table(512)
+    benchmark.group = "C1 editing tasks"
+    benchmark.extra_info["rows_with_history"] = 512
+    values = benchmark.pedantic(_snapshot_key_reads, args=(db,),
+                                rounds=200, iterations=1, warmup_rounds=3)
+    assert values == [1] * 64
+
+    # Alternate the two tables round by round, so drift of the box
+    # lands on both sides of the ratio.
+    samples: dict[Database, list[float]] = {_historied_table(0): [], db: []}
+    for __ in range(60):
+        for table_db, taken in samples.items():
+            started = time.perf_counter()
+            _snapshot_key_reads(table_db)
+            taken.append(time.perf_counter() - started)
+    flat, here = (sorted(taken)[len(taken) // 2]
+                  for taken in samples.values())
+    benchmark.extra_info["ratio_to_no_history"] = round(here / flat, 2)
+    assert here <= SNAPSHOT_FLAT_RATIO * flat, (
+        f"snapshot key reads not flat: {flat * 1e6:.0f}us without history "
+        f"-> {here * 1e6:.0f}us with 512 historied rows")
 
 
 # ---------------------------------------------------------------------------

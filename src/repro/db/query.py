@@ -16,6 +16,7 @@ Example::
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -94,17 +95,20 @@ def find(db: "Database", table_name: str, column: str, key: Any,
 
 def _read_key(table: Table, column: str, key: Any,
               txn: "Transaction | None") -> list | None:
-    """:meth:`Table.read_key` for ``txn``, or ``None`` where a key read
-    does not apply: NULL keys, columns without a unique index, snapshot
-    transactions (a finished one reads committed state, like no
-    transaction at all)."""
+    """:meth:`Table.read_key` under ``txn``'s visibility mode (a finished
+    transaction reads committed state, like no transaction at all), or
+    ``None`` where a key read does not apply: NULL keys, columns without
+    a unique index."""
     if key is None:
         return None
-    if txn is not None and txn.is_active:
-        if txn.snapshot_lsn is not None:
-            return None
+    if txn is None or not txn.is_active:
+        return table.read_key(column, key)
+    if txn.snapshot_lsn is None:
         return table.read_key(column, key, txn.txn_id)
-    return table.read_key(column, key, None)
+    keyed = table.read_key(column, key, snapshot_lsn=txn.snapshot_lsn)
+    if keyed is not None:
+        txn._metrics.snapshot_reads.inc()
+    return keyed
 
 
 class QueryPlan:
@@ -321,9 +325,10 @@ class Query:
         """``(rowid, stored row)`` of every row the predicate accepts.
 
         A lone equality on a uniquely indexed column is a *key read*: it
-        resolves through the index and the table's pending-key claims
-        (:meth:`~repro.db.table.Table.read_key`) with no plan, no
-        candidate overlay and no predicate to re-check.  Everything else
+        resolves through the index and the table's pending-key claims or,
+        in a snapshot, its grouped history overlay
+        (:meth:`~repro.db.table.Table.read_key`) with no plan and no
+        predicate to re-check.  Everything else
         is planned, and its predicate runs against the stored tuple
         before any mapping is built.
         """
@@ -411,7 +416,8 @@ class Query:
         visible version differs from their committed one (rows carrying
         a version chain) are resolved via an overlay and re-checked by
         the executor's predicate — the same discipline as pending
-        overlays for writers.
+        overlays for writers.  A range probe takes the whole overlay;
+        an equality probe only its rows under the probed values.
         """
         if plan.kind == "index":
             overlay = table.snapshot_history_rows(snapshot_lsn)
@@ -421,7 +427,15 @@ class Query:
                 row = table.snapshot_read(rowid, snapshot_lsn)
                 if row is not None:
                     yield rowid, row
-            yield from overlay.items()
+            hint = plan.hint
+            if hint.op == "range":
+                yield from overlay.items()
+                return
+            grouped = table.snapshot_history_by(
+                snapshot_lsn, table.schema.column_index(hint.column))
+            values = (hint.value,) if hint.op == "eq" else hint.values
+            yield from heapq.merge(*(grouped.get(value, ())
+                                     for value in values))
         else:
             yield from table.snapshot_items(snapshot_lsn)
 

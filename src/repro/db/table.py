@@ -84,9 +84,9 @@ class Table:
         #: Bumped whenever ``_history`` changes (chain push, GC, drop);
         #: keys the :meth:`snapshot_history_rows` memo.
         self._history_gen = 0
-        #: ``(snapshot_lsn, history generation, overlay)`` of the last
-        #: :meth:`snapshot_history_rows` call.
-        self._overlay_memo: tuple[int, int, dict[int, tuple]] | None = None
+        #: ``(snapshot_lsn, history generation, overlay, {position:
+        #: grouping})`` of the last :meth:`snapshot_history_rows` call.
+        self._overlay_memo: tuple[int, int, dict, dict] | None = None
         #: Duck-typed metric bundle (``TxnMetrics``); only
         #: ``versions_live`` is used here, to take away what GC and
         #: reloads drop (appliers add, see :data:`VERSIONS_PUSHED`).
@@ -467,18 +467,23 @@ class Table:
             )
         return row
 
-    def read_key(self, column: str, key: Any, txn_id: int | None = None
+    def read_key(self, column: str, key: Any, txn_id: int | None = None,
+                 snapshot_lsn: int | None = None
                  ) -> list[tuple[int, tuple]] | None:
         """``(rowid, row)`` pairs whose unique ``column`` equals ``key``,
-        as visible to ``txn_id`` — or ``None`` when no unique index
-        covers the column (the caller plans the query instead).
+        as visible to writer ``txn_id``, to a snapshot pinned at
+        ``snapshot_lsn``, or in committed state — or ``None`` when no
+        unique index covers the column (the caller plans the query).
 
         The committed holder comes straight from the index; the
         transaction's own staged claim on the key (a pending insert, or
         an update that moved a row onto it) from ``_pending_keys``.  A
         committed holder the transaction itself has restaged is hidden:
-        if its new image still carries the key it *is* the claim.
-        Candidates come in the order a planned probe yields them.
+        if its new image still carries the key it *is* the claim.  A
+        snapshot sees the holder if it has no version chain and is no
+        newer than the pin, and rows with a chain through
+        :meth:`snapshot_history_by`.  Candidates come in the order a
+        planned probe yields them.
         """
         unique = self._unique.get(column)
         if unique is None:
@@ -486,6 +491,13 @@ class Table:
         out = []
         with self._lock:
             rowid = unique[0].find(key)
+            if snapshot_lsn is not None:
+                if rowid is not None and rowid not in self._history \
+                        and self._version_lsn.get(rowid, 0) <= snapshot_lsn:
+                    out.append((rowid, self._committed[rowid]))
+                out.extend(self.snapshot_history_by(
+                    snapshot_lsn, unique[1]).get(key, ()))
+                return out
             if rowid is not None:
                 pending = self._pending.get(rowid)
                 if pending is None or pending.owner != txn_id:
@@ -534,21 +546,21 @@ class Table:
             return iter(out)
 
     def snapshot_history_rows(self, snapshot_lsn: int) -> dict[int, tuple]:
-        """Visible-at-``snapshot_lsn`` images of every row *with history*.
+        """Visible-at-``snapshot_lsn`` images of every row *with history*,
+        in rowid order.
 
         The index-probe overlay: committed indexes only know the current
         image, so any row whose visible version may differ from its
         committed one (exactly the rows carrying a version chain) is
-        resolved here and re-checked against the predicate by the
-        executor — mirroring how pending overlays work for writers.
+        resolved here — mirroring how pending overlays work for writers.
+        A range probe re-checks its predicate on all of it; equality
+        probes and key reads take :meth:`snapshot_history_by`'s groups.
 
         The result is memoised per ``(snapshot_lsn, history
         generation)`` and shared between callers, who must not mutate
         it: a snapshot only pins fully applied commits, so a later
         commit can change what it sees of a historied row only by
-        touching ``_history``, which bumps the generation.  N point
-        reads inside one snapshot thus cost O(N + rows with history),
-        not O(N x rows with history).
+        touching ``_history``, which bumps the generation.
         """
         with self._lock:
             memo = self._overlay_memo
@@ -556,12 +568,29 @@ class Table:
                     and memo[1] == self._history_gen:
                 return memo[2]
             out: dict[int, tuple] = {}
-            for rowid in self._history:
+            for rowid in sorted(self._history):
                 row = self._snapshot_read_locked(rowid, snapshot_lsn)
                 if row is not None:
                     out[rowid] = row
-            self._overlay_memo = (snapshot_lsn, self._history_gen, out)
+            self._overlay_memo = (snapshot_lsn, self._history_gen, out, {})
             return out
+
+    def snapshot_history_by(self, snapshot_lsn: int, position: int
+                            ) -> dict[Any, list[tuple[int, tuple]]]:
+        """The overlay grouped by its value at storage ``position`` (NULLs
+        left out), each group in rowid order; built on first use per
+        column, memoised with the overlay and just as shared."""
+        with self._lock:
+            overlay = self.snapshot_history_rows(snapshot_lsn)
+            groupings = self._overlay_memo[3]
+            grouped = groupings.get(position)
+            if grouped is None:
+                grouped = groupings[position] = {}
+                for rowid, row in overlay.items():
+                    value = row[position]
+                    if value is not None:
+                        grouped.setdefault(value, []).append((rowid, row))
+            return grouped
 
     def gc_versions(self, watermark: int) -> int:
         """Drop chain entries no snapshot at or above ``watermark`` needs.

@@ -206,12 +206,11 @@ class FolderContext:
 
     def __init__(self, db: Database, reader=None) -> None:
         self.db = db
-        self._reader = reader
+        self._reader = reader if reader is not None else db
 
     def query(self, table_name: str):
         """Start a query through the bound reader (or the database)."""
-        source = self._reader if self._reader is not None else self.db
-        return source.query(table_name)
+        return self._reader.query(table_name)
 
     def with_reader(self, txn) -> "FolderContext":
         """A context whose lookups run inside ``txn``."""
@@ -219,7 +218,7 @@ class FolderContext:
 
     def doc_row(self, doc: Oid) -> dict | None:
         """The document's metadata row, or ``None``."""
-        row = self.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = self._reader.find(S.DOCUMENTS, "doc", doc)
         return None if row is None else dict(row)
 
     def now(self) -> float:
@@ -244,6 +243,9 @@ class DynamicFolder:
         #: Members kept in sorted order incrementally (bisect insert /
         #: remove on membership change), so listings never re-sort.
         self._ordered: list[Oid] = []
+        #: doc -> LSN of a commit re-evaluated while a rescan could still
+        #: be pinned below it (see :meth:`revalidate`).
+        self._touched: dict[Oid, int] = {}
         self.stats = {"evaluations": 0, "full_scans": 0}
         self.revalidate()
 
@@ -263,9 +265,12 @@ class DynamicFolder:
     def __len__(self) -> int:
         return len(self._members)
 
-    def reevaluate_doc(self, doc: Oid) -> bool:
-        """Re-check one document; returns True if membership changed."""
+    def reevaluate_doc(self, doc: Oid, lsn: int | None = None) -> bool:
+        """Re-check one document (for the commit at ``lsn``, if a rescan
+        could be pinned below it); returns True if membership changed."""
         self.stats["evaluations"] += 1
+        if lsn is not None:
+            self._touched[doc] = lsn
         matches = self.condition.matches(self._ctx, doc)
         if matches and doc not in self._members:
             self._members.add(doc)
@@ -284,16 +289,21 @@ class DynamicFolder:
 
         Runs inside one snapshot transaction: membership of every
         document is decided against the same commit point, and the scan
-        never contends with typists for locks.
+        never contends with typists for locks.  A document the feed
+        consumer re-evaluated for a commit above that point keeps its
+        live decision.
         """
         self.stats["full_scans"] += 1
         with self._ctx.db.snapshot() as snap:
             ctx = self._ctx.with_reader(snap)
             docs = ctx.all_docs()
+            self._touched = {doc: lsn for doc, lsn in self._touched.items()
+                             if lsn > snap.snapshot_lsn}
             self._members = {
                 doc for doc in docs
-                if self.condition.matches(ctx, doc)
-            }
+                if doc not in self._touched
+                and self.condition.matches(ctx, doc)
+            } | (self._members & self._touched.keys())
         self._ordered = sorted(self._members)
         self.stats["evaluations"] += len(docs)
 
@@ -374,9 +384,12 @@ class DynamicFolderManager:
                 docs.add(row["doc"])
         if not docs:
             return
+        # A rescan can be pinned below this commit only while a snapshot
+        # or another commit in flight holds the watermark below it.
+        lsn = batch.lsn if batch.lsn > self.db.gc_watermark() else None
         for folder in self._folders.values():
             for doc in docs:
-                changed = folder.reevaluate_doc(doc)
+                changed = folder.reevaluate_doc(doc, lsn)
                 if changed:
                     for listener in self._listeners:
                         listener(folder.name, doc, doc in folder)

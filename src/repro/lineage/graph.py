@@ -88,7 +88,7 @@ class LineageGraph:
         return graph
 
     def _add_doc_node(self, graph: nx.MultiDiGraph, doc: Oid, snap) -> None:
-        row = snap.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = snap.find(S.DOCUMENTS, "doc", doc)
         name = row["name"] if row is not None else str(doc)
         creator = row["creator"] if row is not None else "?"
         graph.add_node(str(doc), kind=self.DOCUMENT, name=name,

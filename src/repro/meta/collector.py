@@ -222,7 +222,7 @@ class MetadataCollector:
         if txn is None:
             with self.db.snapshot() as snap:
                 return self.document_profile(doc, txn=snap)
-        meta_row = txn.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        meta_row = txn.find(S.DOCUMENTS, "doc", doc)
         if meta_row is None:
             from ..errors import UnknownDocumentError
             raise UnknownDocumentError(f"no document {doc}")

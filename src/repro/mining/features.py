@@ -68,7 +68,7 @@ class FeatureExtractor:
         — the archival-portal fast path that skips per-character rows.
         """
         reader = txn if txn is not None else self.db
-        row = reader.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = reader.find(S.DOCUMENTS, "doc", doc)
         if row is None:
             return ""
         if row["begin_char"] is None:
@@ -86,7 +86,7 @@ class FeatureExtractor:
         if txn is None:
             with self.db.snapshot() as snap:
                 return self.extract(doc, txn=snap)
-        row = txn.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = txn.find(S.DOCUMENTS, "doc", doc)
         if row is None:
             from ..errors import UnknownDocumentError
             raise UnknownDocumentError(f"no document {doc}")

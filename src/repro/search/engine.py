@@ -21,7 +21,7 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Iterable
 
-from ..db import Database, col
+from ..db import Database
 from ..errors import SearchError
 from ..ids import Oid
 from ..meta import MetadataCollector
@@ -355,7 +355,7 @@ class SearchEngine:
         :meth:`~repro.meta.collector.MetadataCollector.document_profile`.
         """
         reader = txn if txn is not None else self.db
-        row = reader.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = reader.find(S.DOCUMENTS, "doc", doc)
         if row is None:
             return None
         profile = dict(row)

@@ -51,7 +51,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
-from ..db import Database, col
+from ..db import Database
 from ..ids import Oid
 from ..mining.features import tokenize
 from ..text import chars as C
@@ -230,7 +230,7 @@ class InvertedIndex:
         refreshed = 0
         for doc, mark in dict(self._pending).items():
             self._unindex_doc(doc)
-            row = txn.query(S.DOCUMENTS).where(col("doc") == doc).first()
+            row = txn.find(S.DOCUMENTS, "doc", doc)
             if row is not None:
                 self._index_doc(doc, txn, row)
                 refreshed += 1

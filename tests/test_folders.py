@@ -299,6 +299,31 @@ class TestFeedDrivenFolders:
         store.delete_document(doc, "ana")
         assert doc not in folder
 
+    @pytest.mark.parametrize("start, then, member", [
+        ("draft", "final", True), ("final", "draft", False)])
+    def test_rescan_below_an_inflight_commit_keeps_the_live_decision(
+            self, db, store, start, then, member):
+        """A rescan pinned below a commit still between its COMMIT record
+        and its apply must not undo what the feed consumer applied from a
+        commit above that snapshot: neither drop a membership it added
+        nor restore one it removed."""
+        dfm = DynamicFolderManager(db)
+        folder = dfm.create_folder("finals", StateIs("final"))
+        h = store.create("d", "ana")
+        store.set_state(h.doc, start, "ana")
+        inflight = 10 ** 9
+        db.register_commit_intent(inflight)
+        try:
+            store.set_state(h.doc, then, "ana")
+            assert (h.doc in folder) is member
+            folder.revalidate()
+            assert (h.doc in folder) is member
+            assert folder.contents() == ([h.doc] if member else [])
+        finally:
+            db.clear_commit_intent(inflight)
+        folder.revalidate()
+        assert folder.contents() == ([h.doc] if member else [])
+
     def test_contents_paging_is_ordered(self, db, store):
         dfm = DynamicFolderManager(db)
         folder = dfm.create_folder("all", SizeAtLeast(0))
