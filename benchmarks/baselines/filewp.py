@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import TendaxError
+from repro.errors import TendaxError
 
 
 class FileLockedError(TendaxError):

@@ -13,9 +13,9 @@ isolates the storage layout, not the substrate.
 
 from __future__ import annotations
 
-from ..db import Database, col, column
-from ..errors import InvalidPositionError, UnknownDocumentError
-from ..ids import Oid
+from repro.db import Database, col, column
+from repro.errors import InvalidPositionError, UnknownDocumentError
+from repro.ids import Oid
 
 OFFSET_DOCS = "ob_documents"
 OFFSET_CHARS = "ob_chars"

@@ -26,7 +26,6 @@ import time
 
 import pytest
 
-from repro.baselines import FileWordProcessor, OffsetDocumentStore
 from repro.collab import EditorClient
 from repro.db import Database, col, column
 from repro.errors import DeadlockError, LockTimeoutError
@@ -34,9 +33,10 @@ from repro.ids import Oid
 from repro.text import DocumentStore
 from repro.text import chars as C
 from repro.text import dbschema as S
-from repro.text.ordercache import (ChunkedOrderCache, FlatOrderCache,
-                                   splice_rows)
+from repro.text.ordercache import ChunkedOrderCache, splice_rows
+from tests.flat_order_cache import FlatOrderCache
 
+from .baselines import FileWordProcessor, OffsetDocumentStore
 from .conftest import make_text
 
 SIZES = [500, 2000, 8000]

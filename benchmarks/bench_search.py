@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FileWordProcessor
 from repro.db import Database
 from repro.search import SearchEngine
 from repro.text import DocumentStore, StructureManager
 from repro.workload import CorpusSpec, generate_corpus, load_corpus
+
+from .baselines import FileWordProcessor
 
 CORPUS_SIZES = [50, 200, 800]
 

@@ -9,7 +9,8 @@ code:
   lineage tree (Fig. 1) and the document-space map (Fig. 2);
 * ``search`` — build a corpus and run a query against it;
 * ``stats`` — corpus/database statistics for a generated workload
-  (``--json`` for the raw metrics snapshot);
+  (``--format json`` for the raw metrics snapshot, ``prom`` for the
+  Prometheus text exposition);
 * ``trace`` — run a traced two-editor scenario and inspect the causal
   keystroke→remote-visibility traces (ASCII tree, JSONL or Chrome
   trace-event output);
@@ -127,52 +128,49 @@ def _parse_hostport(spec: str) -> tuple[str, int]:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from .obs import render_snapshot
+    from .obs import prometheus_text, render_snapshot, render_trends
     from .workload import build_knowledge_base
 
+    db = None
     if args.remote is not None:
-        from .obs import render_trends
         from .net import scrape
 
         host, port = _parse_hostport(args.remote)
-        fmt = "prom" if args.format == "prom" else "json"
-        payload = scrape(host, port, kind="stats", fmt=fmt,
-                         token=args.token)
+        payload = scrape(host, port, kind="stats", token=args.token,
+                         fmt="prom" if args.format == "prom" else "json")
+    else:
+        db = build_knowledge_base(n_docs=args.docs, seed=args.seed).server.db
+        payload = db.metrics_snapshot()
         if args.format == "prom":
-            sys.stdout.write(payload)
-        elif args.format == "json" or args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"node          : {payload.get('node')}")
-            server_stats = payload.get("server", {})
-            for key in sorted(server_stats):
-                print(f"{key:<14}: {server_stats[key]}")
-            print("\nengine metrics:")
-            print(render_snapshot(payload.get("metrics", {})))
-            telemetry = payload.get("telemetry") or {}
-            windows = telemetry.get("windows")
-            if windows:
-                print("\ntrends:")
-                print(render_trends(windows))
-        return 0
-
-    kb = build_knowledge_base(n_docs=args.docs, seed=args.seed)
-    db = kb.server.db
-    if args.json:
-        print(json.dumps(db.metrics_snapshot(), indent=2, sort_keys=True))
-        return 0
-    print(f"node          : {db.node}")
-    print(f"tables        : {len(db.tables())}")
-    print(f"total rows    : {db.catalog.total_rows()}")
-    print(f"transactions  : {db.stats['transactions']}")
-    print(f"commits       : {db.stats['commits']}")
-    print(f"wal records   : {len(db.wal)}")
-    print("per-table rows:")
-    for info in db.catalog.iter_tables():
-        print(f"  {info.name:<18} {info.row_count:>7} rows, "
-              f"{len(info.index_names)} index(es)")
-    print("\nengine metrics:")
-    print(render_snapshot(db.metrics_snapshot()))
+            payload = prometheus_text(payload)
+    if args.format == "prom":
+        sys.stdout.write(payload)
+    elif args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif db is None:
+        print(f"node          : {payload.get('node')}")
+        server_stats = payload.get("server", {})
+        for key in sorted(server_stats):
+            print(f"{key:<14}: {server_stats[key]}")
+        print("\nengine metrics:")
+        print(render_snapshot(payload.get("metrics", {})))
+        windows = (payload.get("telemetry") or {}).get("windows")
+        if windows:
+            print("\ntrends:")
+            print(render_trends(windows))
+    else:
+        print(f"node          : {db.node}")
+        print(f"tables        : {len(db.tables())}")
+        print(f"total rows    : {db.catalog.total_rows()}")
+        print(f"transactions  : {db.stats['transactions']}")
+        print(f"commits       : {db.stats['commits']}")
+        print(f"wal records   : {len(db.wal)}")
+        print("per-table rows:")
+        for info in db.catalog.iter_tables():
+            print(f"  {info.name:<18} {info.row_count:>7} rows, "
+                  f"{len(info.index_names)} index(es)")
+        print("\nengine metrics:")
+        print(render_snapshot(payload))
     return 0
 
 
@@ -428,10 +426,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     faults = None
     if args.net_seed is not None:
         from .faults import FaultInjector, FaultPlan
-        faults = FaultInjector(FaultPlan.net_only(args.net_seed))
-    collab = CollaborationServer(node=args.node, wal_path=args.wal)
+        faults = FaultInjector(FaultPlan.lossy_delivery(args.net_seed))
+    collab = CollaborationServer(node=args.node, wal_path=args.wal,
+                                 faults=faults)
     net = CollabNetServer(collab, host=args.host, port=args.port,
-                          token=args.token, faults=faults,
+                          token=args.token,
                           telemetry_interval=args.telemetry_interval)
 
     async def run() -> None:
@@ -626,15 +625,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="database statistics")
     stats.add_argument("--docs", type=int, default=24)
     stats.add_argument("--seed", type=int, default=2006)
-    stats.add_argument("--json", action="store_true",
-                       help="emit the raw metrics snapshot as JSON")
     stats.add_argument("--remote", default=None, metavar="HOST:PORT",
                        help="scrape a running server instead of "
                             "generating a local workload")
     stats.add_argument("--format", choices=("text", "json", "prom"),
                        default="text",
-                       help="remote output format (prom = Prometheus "
-                            "text exposition)")
+                       help="output format (json = the raw metrics "
+                            "snapshot; prom = Prometheus text exposition)")
     stats.add_argument("--token", default=None,
                        help="shared secret for the remote scrape")
     stats.set_defaults(fn=_cmd_stats)
@@ -687,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mirror the WAL to this file for durability; "
                             "an existing file is recovered and extended")
     serve.add_argument("--net-seed", type=int, default=None,
-                       help="inject a seeded socket fault plan "
-                            "(drop/delay/reorder on change frames)")
+                       help="inject a seeded delivery fault plan "
+                            "(drop/hold/reorder what readers are handed)")
     serve.add_argument("--telemetry-interval", type=float, default=1.0,
                        help="seconds between telemetry samples "
                             "(0 disables the sampler)")

@@ -1,62 +1,63 @@
-"""Notification delivery: the in-process transport of the collab fan-out.
+"""Delivery: the one hop from the collab fan-out to every reader.
 
-A notice the fan-out hands to an in-process session travels this hop,
-from the operation that made the commit to the session's inbox (a wire
-session's transport is its connection instead: see
-:mod:`repro.net.server`).  By default the hop is instantaneous.  With a
-:class:`~repro.faults.plan.DeliveryFault` in the server's fault plan, the
-:class:`DeliveryBus` holds a seeded fraction of notifications back and
-releases the backlog — optionally out of order — on :meth:`drain`,
-simulating delayed and reordered propagation.  The torture suite's
-convergence property is stated against this bus: once delivery drains,
-every replica must agree.
+Every item the fan-out hands a reader — a commit's notice, or a cursor
+move — goes through :meth:`DeliveryBus.send` to the reader's transport:
+its inbox in process, its connection on the wire (see
+:mod:`repro.net.server`).  By default the hop is instantaneous.  A
+:class:`~repro.faults.plan.DeliveryFault` in the server's fault plan
+makes the bus the LAN party's network, with one seeded schedule for
+both transports: it drops, holds, and releases the backlog — optionally
+shuffled, optionally within a bounded window — on :meth:`drain`.  The
+torture suite's convergence property is stated against this bus.
 
-Delivery is also where the paper's *real-time* claim is measured: every
-notification landing in an inbox observes the end-to-end
-``collab.replication_seconds`` histogram (operation start, carried on
-the envelope, to inbox arrival — held time included), and each delivery
-opens a ``collab.deliver`` span whose parent is the originating
-keystroke's dispatch span (resumed from the envelope's trace context,
-so the causal chain survives holds, reordering and cross-thread drains).
+Inbox delivery is where the paper's *real-time* claim is measured:
+each observes ``collab.replication_seconds`` (operation start, carried
+on the envelope, to inbox arrival — held time included) under a
+``collab.deliver`` span resumed from the envelope's trace context, so
+the causal chain survives holds, reordering and cross-thread drains.
+A wire delivery is measured by the connection that writes it.
 """
 
 from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER
+from .awareness import CursorState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
-    from .session import EditingSession, Notification
+    from .session import EditingSession
 
 
 class DeliveryBus:
-    """Routes notifications to session inboxes, with injectable faults.
+    """Hands fan-out items to readers' transports, with injectable faults.
 
-    The backlog *list* is guarded by a lock: sessions may commit from
-    multiple threads, and a racy ``list.append`` against a concurrent
-    :meth:`drain` could drop a held notification — which would break
-    the convergence property the torture suite asserts.  The counters
-    need no such guard: they live in the (thread-safe) metrics
-    registry, and :attr:`stats` just reads them back out.
+    With no delivery fault planned, :meth:`send` checks one attribute
+    and delivers.  Under a plan one lock covers the roll, the backlog
+    and every hand-off, so no held item is lost and the window bound
+    holds across sending threads.  The counters live in the metrics
+    registry.
     """
 
     def __init__(self, faults: "FaultInjector | None" = None,
                  registry=None, tracer=None) -> None:
         from ..faults.injector import NO_FAULTS
         self.faults = faults if faults is not None else NO_FAULTS
-        #: (session, notification, held_at perf_counter stamp).
-        self._pending: list[tuple["EditingSession", "Notification",
-                                  float]] = []
-        self._lock = threading.Lock()
+        #: The plan's delivery fault; ``None`` is the fast path.
+        self.fault = self.faults.plan.delivery
+        #: (reader, document, item, held_at perf_counter stamp).
+        self._pending: list[tuple["EditingSession", Any, Any, float]] = []
+        self._lock = threading.RLock()
         reg = registry if registry is not None else NULL_REGISTRY
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._m_delivered = reg.counter("collab.deliveries")
         self._m_held = reg.counter("collab.held")
+        self._m_dropped = (reg if self.fault is not None
+                           else NULL_REGISTRY).counter("collab.dropped")
         self._m_drains = reg.counter("collab.drains")
         self._m_depth = reg.gauge("collab.queue_depth")
         self._m_replication = reg.histogram("collab.replication_seconds")
@@ -70,64 +71,89 @@ class DeliveryBus:
         return {
             "delivered": self._m_delivered.value,
             "held": self._m_held.value,
+            "dropped": self._m_dropped.value,
             "drains": self._m_drains.value,
         }
 
-    def send(self, session: "EditingSession",
-             notification: "Notification") -> bool:
-        """Deliver now, or hold per the fault plan.  True if delivered."""
-        if self.faults.delivery_action() == "hold":
-            with self._lock:
-                self._pending.append((session, notification,
-                                      perf_counter()))
-                self._m_held.inc()
-                self._m_depth.set(len(self._pending))
-            return False
-        self._deliver(session, notification)
-        return True
+    def send(self, reader: "EditingSession", doc, item) -> None:
+        """Hand ``item`` — a :class:`~repro.collab.server.Notice` or a
+        :class:`CursorState` — to ``reader`` now, later, or (dropped)
+        never, per the fault plan.  An in-process reader reads cursors
+        from the awareness registry itself: a cursor move for one stops
+        here."""
+        if reader.transport is None and isinstance(item, CursorState):
+            return
+        fault = self.fault
+        if fault is None:
+            self._deliver(reader, doc, item)
+            return
+        with self._lock:
+            action = self.faults.delivery_action()
+            if action == "drop":
+                self._m_dropped.inc()
+                return
+            # With a window, a held item holds everything behind it
+            # until the backlog is ``window`` long.
+            if action == "deliver" and not (fault.window and self._pending):
+                self._deliver(reader, doc, item)
+                return
+            self._pending.append((reader, doc, item, perf_counter()))
+            self._m_held.inc()
+            self._m_depth.set(len(self._pending))
+            if fault.window and len(self._pending) >= fault.window:
+                self.drain()
 
-    def drain(self) -> int:
-        """Deliver every held notification; returns how many.
+    def drain(self, held_before: float | None = None) -> int:
+        """Deliver every held item, in the plan's order; returns how many.
 
-        The fault plan chooses the release order, so replicas can observe
-        out-of-order propagation — but never loss: drain always empties
-        the backlog (the convergence property's precondition).
+        The shuffle lets replicas observe out-of-order propagation, but
+        drain empties the backlog (the convergence property's
+        precondition).  With ``held_before``, a wire server's clock (see
+        :meth:`repro.net.server.CollabNetServer._caught_up`), it releases
+        nothing unless the oldest item was held before that stamp.
         """
         with self._lock:
-            pending, self._pending = self._pending, []
+            pending = self._pending
+            if held_before is not None and not (
+                    pending and pending[0][3] < held_before):
+                return 0
+            self._pending = []
             self._m_depth.set(0)
-        for index in self.faults.drain_order(len(pending)):
-            session, notification, held_at = pending[index]
-            self._deliver(session, notification, held_at=held_at)
-        self._m_drains.inc()
+            for index in self.faults.drain_order(len(pending)):
+                reader, doc, item, held_at = pending[index]
+                self._deliver(reader, doc, item, held_at=held_at)
+            self._m_drains.inc()
         return len(pending)
 
     @property
     def pending(self) -> int:
-        """Held notifications not yet delivered."""
+        """Held items not yet delivered."""
         with self._lock:
             return len(self._pending)
 
-    def _deliver(self, session: "EditingSession",
-                 notification: "Notification",
+    def _deliver(self, reader: "EditingSession", doc, item,
                  held_at: float | None = None) -> None:
+        if held_at is not None:
+            self._m_held_seconds.observe(perf_counter() - held_at)
+        transport = reader.transport
+        if transport is not None:
+            transport(doc, item)
+            return
+        notification = item.notification
         # The deliver span resumes the originating keystroke's trace
         # from the envelope context — explicitly, because a drain may
         # run on another thread long after the dispatch span closed.
         with self._tracer.span("collab.deliver", notification.trace_ctx,
-                               session=session.id, seq=notification.seq,
+                               session=reader.id, seq=notification.seq,
                                held=held_at is not None):
-            now = perf_counter()
-            if held_at is not None:
-                self._m_held_seconds.observe(now - held_at)
             if notification.origin_started is not None:
-                self._m_replication.observe(now -
+                self._m_replication.observe(perf_counter() -
                                             notification.origin_started)
             # Dropping a notification for a session that disconnected
             # while it was in flight mirrors a network send to a closed
             # socket.
-            if session.connected:
-                session._notify(notification)
+            if reader.connected:
+                reader._notify(notification)
         self._m_delivered.inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

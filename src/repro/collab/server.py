@@ -10,12 +10,14 @@ The fan-out is the one delivery model.  Each commit becomes one notice
 per changed document, stamped with that document's next ``rep_seq``; a
 notice leaves when the outermost :meth:`CollaborationServer.operation`
 that committed it exits (at once for a commit made outside any), and
-goes to every other session with the document open through that
-session's transport: the :class:`DeliveryBus` into its inbox for an
-in-process session, its connection for a wire one.  The database commit
-is the serialisation point either way.  A cursor move that no edit
-carries takes the same road: :meth:`CollaborationServer.move_cursor`
-hands the awareness state to every other reader's transport.
+goes to every other session with the document open through the
+:class:`DeliveryBus`, which hands it to the session's transport: its
+inbox for an in-process session, its connection for a wire one.  The
+database commit is the serialisation point either way.  A cursor move
+that no edit carries takes the same road:
+:meth:`CollaborationServer.move_cursor` hands the awareness state to
+the bus for every other reader.  The bus is also where a delivery
+fault plan drops, holds and reorders, for both transports alike.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class CollaborationServer:
             registry.family("collab.op_seconds", "histogram"), "verb")
         self._doc_notifications = SeriesCache(
             registry.family("collab.notifications", "counter"), "doc")
-        #: The "network" between commits and session inboxes.
+        #: The "network" between commits and every reader.
         self.delivery = DeliveryBus(self.faults, registry=registry,
                                     tracer=self._tracer)
         self.documents = DocumentStore(self.db)
@@ -333,7 +335,7 @@ class CollaborationServer:
 
     def _send(self, notices: list[Notice]) -> None:
         """Hand each notice to every session with its document open but
-        the origin, through the session's transport."""
+        the origin, through the delivery bus."""
         for notice in notices:
             notification = notice.notification
             readers = 0
@@ -342,10 +344,7 @@ class CollaborationServer:
                     continue
                 readers += 1
                 try:
-                    if session.transport is None:
-                        self.delivery.send(session, notification)
-                    else:
-                        session.transport(notification.doc, notice)
+                    self.delivery.send(session, notification.doc, notice)
                 except Exception as exc:
                     # One broken reader must not cost the others their
                     # notice, nor the origin its reply.
@@ -361,9 +360,10 @@ class CollaborationServer:
         origin (an in-process call or a wire AWARENESS frame).
 
         The move is placed in the awareness registry and its state, with
-        the new presence ``seq``, handed to the transport of every other
-        session with ``doc`` open; an in-process reader reads the
-        registry itself and needs nothing.  A move to where the cursor
+        the new presence ``seq``, handed through the delivery bus to
+        every other session with ``doc`` open (an in-process reader
+        reads the registry itself, and the bus hands it nothing).  A
+        move to where the cursor
         already is changes nothing.  Returns the cursor's state
         (``None`` if ``session`` does not have ``doc`` open).
         """
@@ -374,9 +374,9 @@ class CollaborationServer:
         state = self.awareness.update_cursor(doc, session.id, anchor,
                                              selection, self.db.now())
         for reader in self.sessions_on(doc):
-            if reader is not session and reader.transport is not None:
+            if reader is not session:
                 try:
-                    reader.transport(doc, state)
+                    self.delivery.send(reader, doc, state)
                 except Exception as exc:
                     self.db.changefeed().consumer_failed(
                         "collab-fanout", exc)

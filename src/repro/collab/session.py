@@ -76,12 +76,12 @@ class EditingSession:
         self.os_name = os_name
         self.clipboard = Clipboard(server.db)
         self.inbox: list[Notification] = []
-        #: How this session is told of other editors' commits and cursor
-        #: moves: ``None`` is the server's
-        #: :class:`~repro.collab.bus.DeliveryBus` into :attr:`inbox` (and
-        #: the shared awareness registry for cursors); a wire connection
-        #: installs a callable taking the document and the fan-out's
-        #: notice or a :class:`~repro.collab.awareness.CursorState`.
+        #: How the server's :class:`~repro.collab.bus.DeliveryBus`
+        #: tells this session of other editors' commits and cursor
+        #: moves: ``None`` is :attr:`inbox` (and the shared awareness
+        #: registry for cursors); a wire connection installs a callable
+        #: taking the document and the fan-out's notice or a
+        #: :class:`~repro.collab.awareness.CursorState`.
         self.transport = None
         self._handles: dict[Oid, DocumentHandle] = {}
         self.connected = True

@@ -114,9 +114,14 @@ class Database:
         # append lock (``last_lsn``), never the other way around — the
         # WAL layer makes no engine calls.
         self._mvcc_lock = threading.Lock()
+        #: On ``_mvcc_lock``: signalled when a checkpoint ends, or when
+        #: the last commit intent clears while one waits to start.
+        self._mvcc_changed = threading.Condition(self._mvcc_lock)
         #: txn_id -> highest LSN snapshots may pin while this commit is
         #: between its COMMIT append and its in-memory apply.
         self._applying: dict[int, int] = {}
+        #: A checkpoint is sweeping: no new commit intent may open.
+        self._checkpointing = False
         #: snapshot LSN -> number of live read-only txns pinned to it.
         self._live_snapshots: dict[int, int] = {}
         #: Version chains are truncated every N write commits (plus on
@@ -435,9 +440,11 @@ class Database:
 
         Until :meth:`raise_commit_floor` learns the record's LSN, cap
         snapshots at the log tail as of now: any LSN the COMMIT record
-        can get is above it.
+        can get is above it.  Waits while a checkpoint is sweeping.
         """
         with self._mvcc_lock:
+            while self._checkpointing:
+                self._mvcc_changed.wait()
             self._applying[txn_id] = self.wal.last_lsn()
 
     def raise_commit_floor(self, txn_id: int, commit_lsn: int) -> None:
@@ -451,6 +458,8 @@ class Database:
         """The commit is fully applied (or dead): stop capping."""
         with self._mvcc_lock:
             self._applying.pop(txn_id, None)
+            if self._checkpointing and not self._applying:
+                self._mvcc_changed.notify_all()
 
     def pin_snapshot(self) -> int:
         """Pin and return the current visible LSN (one reader ref)."""
@@ -510,8 +519,31 @@ class Database:
         crash point fires halfway through the table sweep: a crash there
         must leave recovery falling back to the previous checkpoint (or
         full history) — never a half-snapshot.
+
+        The sweep runs with no commit in flight (new commit intents wait,
+        open ones are waited for): a commit logged before the CHECKPOINT
+        record but applied after the sweep would be lost to recovery.
         """
         started = perf_counter()
+        claimed = False
+        try:
+            with self._mvcc_changed:
+                while self._checkpointing:
+                    self._mvcc_changed.wait()
+                self._checkpointing = claimed = True
+                while self._applying:
+                    self._mvcc_changed.wait()
+            record = self._append_checkpoint()
+        finally:
+            if claimed:
+                with self._mvcc_changed:
+                    self._checkpointing = False
+                    self._mvcc_changed.notify_all()
+        self._m_checkpoints.inc()
+        self._m_checkpoint_seconds.observe(perf_counter() - started)
+        return record.lsn
+
+    def _append_checkpoint(self):
         snapshot = {}
         tables = list(self._tables.items())
         for position, (name, table) in enumerate(tables, start=1):
@@ -536,10 +568,7 @@ class Database:
                     for rowid, row in table.committed_items()
                 },
             }
-        record = self.wal.append(walmod.CHECKPOINT, 0, tables=snapshot)
-        self._m_checkpoints.inc()
-        self._m_checkpoint_seconds.observe(perf_counter() - started)
-        return record.lsn
+        return self.wal.append(walmod.CHECKPOINT, 0, tables=snapshot)
 
     # ------------------------------------------------------------------
     # Observability

@@ -7,10 +7,9 @@ is how the reproduction earns them off the happy path.  It provides:
   (:data:`~repro.faults.plan.CRASH_POINTS`) that a seeded
   :class:`~repro.faults.plan.FaultPlan` turns into simulated process
   death, torn WAL writes, and fsync loss;
-* **lock faults** (forced timeouts, injected latency), **delivery
-  faults** (held / out-of-order collab notifications), and **net
-  faults** (seeded drop / delay / reorder / disconnect on the network
-  server's outbound change frames);
+* **lock faults** (forced timeouts, injected latency) and **delivery
+  faults** (seeded drop / hold / reorder of what the collab fan-out
+  hands every reader, in-process inbox or wire connection alike);
 * a :class:`~repro.faults.scheduler.DeterministicScheduler` replaying
   concurrent-typist interleavings from one seed; and
 * the torture harness (:mod:`repro.faults.harness`) asserting the
@@ -38,7 +37,6 @@ from .plan import (
     DeliveryFault,
     FaultPlan,
     LockFault,
-    NetFault,
 )
 from .scheduler import DeterministicScheduler
 
@@ -53,7 +51,6 @@ __all__ = [
     "FaultPlan",
     "FiredFault",
     "LockFault",
-    "NetFault",
     "NO_FAULTS",
     "NullInjector",
     "REPL_CRASH_POINTS",

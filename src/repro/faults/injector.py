@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FiredFault:
     """One fault the injector actually triggered (for assertions/repro)."""
 
-    kind: str               # "crash" | "lock" | "hold"
+    kind: str               # "crash" | "lock" | "hold" | "drop"
     point: str              # crash point, or "locks.acquire" / "delivery"
     hit: int
     detail: dict
@@ -63,18 +63,6 @@ class NullInjector:
 
     def drain_order(self, n: int) -> list[int]:
         return list(range(n))
-
-    def net_frame_action(self) -> tuple[str, float]:
-        return ("send", 0.0)
-
-    def net_reorder_window(self) -> int:
-        return 0
-
-    def net_reorder_order(self, n: int) -> list[int]:
-        return list(range(n))
-
-    def net_disconnect_after(self) -> int | None:
-        return None
 
 
 #: Shared null injector; safe because it holds no mutable state.
@@ -191,10 +179,20 @@ class FaultInjector:
     # -- delivery faults -----------------------------------------------------
 
     def delivery_action(self) -> str:
-        """``"deliver"`` or ``"hold"`` for the next outgoing notification."""
+        """``"deliver"``, ``"hold"`` or ``"drop"`` for the next item the
+        bus hands a reader.
+
+        The drop roll is drawn only when the plan can drop, so a plan
+        without ``p_drop`` keeps the seed -> schedule mapping it had
+        before drops existed.
+        """
         fault = self.plan.delivery
         if not self.armed or fault is None:
             return "deliver"
+        if fault.p_drop and self._rng.random() < fault.p_drop:
+            self.fired.append(FiredFault(
+                "drop", "delivery", len(self.fired) + 1, {}))
+            return "drop"
         if self._rng.random() < fault.p_hold:
             self.fired.append(FiredFault(
                 "hold", "delivery", len(self.fired) + 1, {}))
@@ -202,58 +200,12 @@ class FaultInjector:
         return "deliver"
 
     def drain_order(self, n: int) -> list[int]:
-        """Delivery order for ``n`` held notifications on drain."""
+        """Delivery order for ``n`` held items on release."""
         order = list(range(n))
         fault = self.plan.delivery
         if fault is not None and fault.reorder and n > 1:
             self._rng.shuffle(order)
         return order
-
-    # -- socket-level faults -------------------------------------------------
-
-    def net_frame_action(self) -> tuple[str, float]:
-        """Fate of the next faultable outbound frame.
-
-        Returns ``("drop", 0)``, ``("delay", seconds)`` or
-        ``("send", 0)``.  Drops and delays are recorded in
-        :attr:`fired` so tests can assert the plan actually bit.
-        """
-        fault = self.plan.net
-        if not self.armed or fault is None:
-            return ("send", 0.0)
-        roll = self._rng.random()
-        if roll < fault.p_drop:
-            self.fired.append(FiredFault(
-                "net_drop", "net.frame", len(self.fired) + 1, {}))
-            return ("drop", 0.0)
-        if roll < fault.p_drop + fault.p_delay:
-            delay = self._rng.uniform(0.0, fault.max_delay)
-            self.fired.append(FiredFault(
-                "net_delay", "net.frame", len(self.fired) + 1,
-                {"delay": delay}))
-            return ("delay", delay)
-        return ("send", 0.0)
-
-    def net_reorder_window(self) -> int:
-        """Frames the sender buffers before a shuffled release (0 = off)."""
-        fault = self.plan.net
-        if not self.armed or fault is None:
-            return 0
-        return fault.reorder_window
-
-    def net_reorder_order(self, n: int) -> list[int]:
-        """Seeded send order for an ``n``-frame reorder window."""
-        order = list(range(n))
-        if n > 1:
-            self._rng.shuffle(order)
-        return order
-
-    def net_disconnect_after(self) -> int | None:
-        """Sever the connection after this many faultable frames."""
-        fault = self.plan.net
-        if not self.armed or fault is None:
-            return None
-        return fault.disconnect_after
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FaultInjector(seed={self.plan.seed}, armed={self.armed}, "

@@ -3,7 +3,8 @@
 A :class:`FaultPlan` is a passive description — which named crash point
 fires on which hit, whether the simulated failure is a process crash or a
 power loss (dropping bytes written but never fsynced), which lock acquires
-are forced to time out, and how collab notification delivery misbehaves.
+are forced to time out, and how the collab delivery bus misbehaves
+towards every reader, in process or on the wire.
 The :class:`~repro.faults.injector.FaultInjector` executes a plan; every
 plan is derivable from a single integer seed (:meth:`FaultPlan.random`),
 so any torture failure reproduces from the seed alone.
@@ -12,7 +13,7 @@ so any torture failure reproduces from the seed alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import CrashSignal
 
@@ -25,7 +26,6 @@ __all__ = [
     "DeliveryFault",
     "FaultPlan",
     "LockFault",
-    "NetFault",
 ]
 
 #: Every named crash point threaded through the engine.  The strings are
@@ -98,40 +98,19 @@ class LockFault:
 
 @dataclass(frozen=True)
 class DeliveryFault:
-    """Misbehave notification delivery on the collab message bus.
+    """Misbehave the collab delivery bus, for every reader alike.
 
-    ``p_hold`` is the probability a notification is held back instead of
-    delivered immediately; held messages sit in the bus until
-    ``drain()``.  ``reorder`` shuffles the held backlog on drain, so
-    replicas observe out-of-order propagation.
+    ``p_drop`` loses an item outright (a wire mirror heals by resync);
+    ``p_hold`` holds it in the bus until ``drain()``; ``reorder``
+    shuffles a released backlog.  With ``window`` > 0 a non-empty
+    backlog holds everything behind it and is released once ``window``
+    long, so nothing overtakes a held item by more than ``window - 1``.
     """
 
     p_hold: float = 0.5
     reorder: bool = True
-
-
-@dataclass(frozen=True)
-class NetFault:
-    """Misbehave the network layer's outbound change frames.
-
-    The socket-level twin of :class:`DeliveryFault`, consulted by a
-    :class:`~repro.net.server.CollabNetServer` connection's sender for
-    every *faultable* frame (NOTIFY and AWARENESS — the RPC control lane
-    is never faulted, as TCP would not lose acknowledged requests
-    either).  ``p_drop`` loses the frame outright (the mirror heals by
-    anti-entropy resync); ``p_delay`` sleeps up to ``max_delay`` seconds
-    *in band*, i.e. subsequent frames on that connection queue behind
-    the delay like packets behind link latency; ``reorder_window`` > 1
-    buffers that many frames and releases them in a seeded shuffle;
-    ``disconnect_after`` severs the connection after that many faultable
-    frames have been sent (clients are expected to reconnect + resync).
-    """
-
     p_drop: float = 0.0
-    p_delay: float = 0.0
-    max_delay: float = 0.05
-    reorder_window: int = 0
-    disconnect_after: int | None = None
+    window: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,12 +120,11 @@ class FaultPlan:
     crashes: tuple[CrashSpec, ...] = ()
     lock_faults: tuple[LockFault, ...] = ()
     delivery: DeliveryFault | None = None
-    net: NetFault | None = None
     seed: int | None = None
 
     def is_empty(self) -> bool:
         return (not self.crashes and not self.lock_faults
-                and self.delivery is None and self.net is None)
+                and self.delivery is None)
 
     # -- constructors --------------------------------------------------------
 
@@ -207,29 +185,15 @@ class FaultPlan:
         )
 
     @classmethod
-    def net_only(cls, seed: int, *, p_drop: float | None = None,
-                 reorder: bool | None = None) -> "FaultPlan":
-        """A plan that only perturbs the socket layer (no crashes).
-
-        The drawn plan always delays (link latency); drop and reorder
-        are drawn from the seed unless pinned by the keyword overrides.
-        """
+    def lossy_delivery(cls, seed: int) -> "FaultPlan":
+        """A plan for a wire server (no crashes): every delivery may be
+        dropped, held or reordered within a window of 2 or 3 items, so
+        reordering alone never outruns a mirror's resync threshold and
+        only a drop costs one."""
         rng = random.Random(seed)
-        drawn_drop = rng.uniform(0.05, 0.3)
-        drawn_reorder = rng.random() < 0.7
         return cls(
-            net=NetFault(
-                p_drop=drawn_drop if p_drop is None else p_drop,
-                p_delay=rng.uniform(0.2, 0.6),
-                max_delay=rng.uniform(0.005, 0.03),
-                reorder_window=rng.randint(2, 4)
-                if (drawn_reorder if reorder is None else reorder) else 0,
-            ),
+            delivery=DeliveryFault(p_hold=rng.uniform(0.2, 0.5),
+                                   p_drop=rng.uniform(0.03, 0.15),
+                                   window=rng.randint(2, 3)),
             seed=seed,
         )
-
-    def with_delivery(self, fault: DeliveryFault) -> "FaultPlan":
-        return replace(self, delivery=fault)
-
-    def with_net(self, fault: NetFault) -> "FaultPlan":
-        return replace(self, net=fault)

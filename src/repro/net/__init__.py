@@ -28,10 +28,11 @@ package is the actual wire:
 * :mod:`repro.net.monitor` — :class:`ScrapeLane`, the STATS/HEALTH
   lane both servers hold.
 
-Socket-level fault injection (seeded latency, reorder, drop and
-disconnect on outbound change frames) rides on the same
-:class:`~repro.faults.plan.FaultPlan` machinery as the in-process
-DeliveryBus — see :class:`~repro.faults.plan.NetFault`.
+There is no socket-level fault model of its own: the NOTIFY and
+AWARENESS frames a wire reader is handed pass the collab
+:class:`~repro.collab.bus.DeliveryBus`, whose seeded
+:class:`~repro.faults.plan.DeliveryFault` drops, holds and reorders them
+as it does in-process deliveries.
 """
 
 from .client import (NetNotification, NetworkClient, RemoteHandle,

@@ -29,8 +29,8 @@ verbs the in-process sessions use.  Design points:
   session's is :meth:`CollabNetServer._hand_off` — one NOTIFY or one
   AWARENESS on its connection.  Remote mirrors apply deltas in order,
   buffer reordered ones, and heal gaps with a ``resync`` snapshot RPC.
-  The originator's own deltas ride its ACK (``echo``) on the
-  unfaultable control lane, never as a NOTIFY.
+  The originator's own deltas ride its ACK (``echo``), never as a
+  NOTIFY.
 * **One delta, rendered once.**  A commit's rows travel as the columns
   it changed, with the cursor it left its author
   (:class:`~repro.net.protocol.Delta`); the one object is the ACK's echo
@@ -38,11 +38,11 @@ verbs the in-process sessions use.  Design points:
   runs as one collab operation, whose notices leave when the verb has
   returned — the session has placed the cursor by then — which makes a
   typed character three frames: OP, ACK, NOTIFY.
-* **Socket-level faults.**  The sender consults the fault injector for
-  every *faultable* frame (NOTIFY/AWARENESS): seeded drop, in-band
-  delay, windowed reorder and forced disconnect — the DeliveryBus fault
-  machinery re-targeted at the wire (see
-  :class:`~repro.faults.plan.NetFault`).
+* **One fault model.**  NOTIFY and AWARENESS frames pass the collab
+  :class:`~repro.collab.bus.DeliveryBus` on their way to a connection,
+  so the server's one :class:`~repro.faults.plan.DeliveryFault` drops,
+  holds and reorders them as it does inbox deliveries.  The sender is a
+  plain writer.
 * **Cross-process traces.**  OP envelopes carry the client's span
   context; the server's ``net.op`` span resumes that trace, and the
   ``net.fanout`` context rides outbound NOTIFYs so the remote apply
@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Any
 from ..collab.awareness import CursorState
 from ..db.wal import render_record
 from ..errors import NetError, ProtocolError, TendaxError
-from ..faults.injector import NO_FAULTS
 from ..obs.labels import SeriesCache
 from ..text import chars as C
 from ..text import dbschema as S
@@ -101,13 +100,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CollabNetServer", "ServerThread"]
 
-#: Queue sentinel that tells a sender task to flush and exit.  A queue
-#: holds ``(envelope, started)`` pairs: ``started`` is a NOTIFY's
-#: replication zero point (see ``collab.replication_seconds``).
+#: Queue sentinel that tells a sender task to exit.  A queue holds
+#: ``(envelope, started)`` pairs: ``started`` is a NOTIFY's replication
+#: zero point (see ``collab.replication_seconds``).
 _CLOSE = object()
-
-#: How long a reorder window may sit before it is force-flushed.
-_REORDER_FLUSH_SECONDS = 0.02
 
 
 class _Connection:
@@ -126,8 +122,6 @@ class _Connection:
         #: (the connection holds the server op lock for its extent).
         self.batch = None
         self.sender_task: asyncio.Task | None = None
-        self.window: list[tuple] = []
-        self.faultable_sent = 0
         #: No more traffic in either direction (shed, or being reaped).
         self.closing = False
         #: ``_close_connection`` has run (it must run once per
@@ -141,7 +135,7 @@ class CollabNetServer:
     def __init__(self, collab: "CollaborationServer", *,
                  host: str = "127.0.0.1", port: int = 0,
                  token: str | None = None, send_queue: int = 256,
-                 handshake_timeout: float = 10.0, faults=None,
+                 handshake_timeout: float = 10.0,
                  telemetry_interval: float = 1.0) -> None:
         self.collab = collab
         self.host = host
@@ -149,7 +143,6 @@ class CollabNetServer:
         self.token = token
         self.send_queue = send_queue
         self.handshake_timeout = handshake_timeout
-        self.faults = faults if faults is not None else NO_FAULTS
         registry = collab.db.obs.registry
         self._tracer = collab.db.obs.tracer
         self.scrape = ScrapeLane(
@@ -169,8 +162,6 @@ class CollabNetServer:
         self._m_notifies = registry.counter("net.notifies")
         self._m_protocol_errors = registry.counter("net.protocol_errors")
         self._m_backpressure = registry.counter("net.backpressure_closes")
-        self._m_dropped = registry.counter("net.frames_dropped")
-        self._m_delayed = registry.counter("net.frames_delayed")
         self._m_resyncs = registry.counter("net.resyncs")
         self._m_missing_base = registry.counter("net.missing_base_rows")
         self._m_scrapes = registry.counter("net.scrapes")
@@ -193,6 +184,7 @@ class CollabNetServer:
         self._loop_thread: int | None = None
         self._handler_tasks: set[asyncio.Task] = set()
         self._repl_conns: set[_Connection] = set()
+        self._caught_up_at = perf_counter()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -250,8 +242,6 @@ class CollabNetServer:
             "notifies": self._m_notifies.value,
             "protocol_errors": self._m_protocol_errors.value,
             "backpressure_closes": self._m_backpressure.value,
-            "frames_dropped": self._m_dropped.value,
-            "frames_delayed": self._m_delayed.value,
             "resyncs": self._m_resyncs.value,
             "missing_base_rows": self._m_missing_base.value,
             "scrapes": self._m_scrapes.value,
@@ -391,10 +381,12 @@ class CollabNetServer:
             if isinstance(envelope, Op):
                 await self._handle_op(conn, envelope)
             elif isinstance(envelope, Awareness):
-                # The collab server decides who hears the move.
+                # The collab server decides who hears the move; no
+                # reply goes out, so the connection may be idle.
                 self.collab.move_cursor(conn.session, envelope.doc,
                                         envelope.anchor,
                                         tuple(envelope.selection))
+                self._caught_up(conn)
             elif isinstance(envelope, Ping):
                 self._enqueue(conn, Pong(nonce=envelope.nonce,
                                          at=envelope.at))
@@ -460,7 +452,7 @@ class CollabNetServer:
             self._op_lock.release()
 
     # ------------------------------------------------------------------
-    # Outbound path (sender task, faults, backpressure)
+    # Outbound path (sender task, backpressure)
     # ------------------------------------------------------------------
 
     def _enqueue(self, conn: _Connection, envelope: Envelope,
@@ -510,7 +502,7 @@ class CollabNetServer:
         self._m_bytes_out.inc(len(frame))
 
     async def _sender(self, conn: _Connection) -> None:
-        """Drain the send queue, applying socket faults to change frames.
+        """Write the send queue to the socket, in order.
 
         However this task ends, the connection ends with it: a live
         connection without a sender would leave its client waiting for
@@ -518,24 +510,16 @@ class CollabNetServer:
         """
         try:
             while True:
-                if conn.window:
-                    try:
-                        item = await asyncio.wait_for(
-                            conn.queue.get(), _REORDER_FLUSH_SECONDS)
-                    except asyncio.TimeoutError:
-                        await self._flush_window(conn)
-                        continue
-                else:
-                    item = await conn.queue.get()
-                envelope = item[0]
+                envelope, started = await conn.queue.get()
                 if envelope is _CLOSE:
-                    await self._flush_window(conn)
                     return
-                if isinstance(envelope, (Notify, Awareness)):
-                    await self._send_faultable(conn, item)
-                else:
-                    self._write(conn, envelope)
-                    await conn.writer.drain()
+                self._write(conn, envelope)
+                if started is not None:
+                    # The notice reached this reader's socket: the end
+                    # of the replication leg this server can see.
+                    self._m_replication.observe(perf_counter() - started)
+                await conn.writer.drain()
+                self._caught_up(conn)
         except ProtocolError:
             # A frame other than an ACK over MAX_FRAME_BYTES (a huge
             # paste's NOTIFY) has no reply slot to fail: drop the
@@ -547,43 +531,16 @@ class CollabNetServer:
             if not conn.closing:
                 self._shed(conn)
 
-    async def _send_faultable(self, conn: _Connection, item: tuple) -> None:
-        """One queued ``(envelope, started)`` through the fault plan."""
-        action, delay = self.faults.net_frame_action()
-        if action == "drop":
-            self._m_dropped.inc()
+    def _caught_up(self, conn: _Connection) -> None:
+        """The bus's clock under a fault plan (no timer): when ``conn``
+        has nothing left to send, the backlog goes out if its oldest item
+        was held before the last time a connection got here — so a hold
+        outlives the reply to its op and ends at the next such point."""
+        delivery = self.collab.delivery
+        if delivery.fault is None or not conn.queue.empty():
             return
-        if action == "delay":
-            self._m_delayed.inc()
-            # In-band: later frames on this connection queue behind the
-            # delay, like packets behind link latency.
-            await asyncio.sleep(delay)
-        window = self.faults.net_reorder_window()
-        if window > 1:
-            conn.window.append(item)
-            if len(conn.window) >= window:
-                await self._flush_window(conn)
-            return
-        await self._deliver_faultable(conn, item)
-
-    async def _flush_window(self, conn: _Connection) -> None:
-        pending, conn.window = conn.window, []
-        for index in self.faults.net_reorder_order(len(pending)):
-            await self._deliver_faultable(conn, pending[index])
-
-    async def _deliver_faultable(self, conn: _Connection,
-                                 item: tuple) -> None:
-        envelope, started = item
-        self._write(conn, envelope)
-        if started is not None:
-            # The notice reached this reader's socket: the end of the
-            # replication leg this server can see.
-            self._m_replication.observe(perf_counter() - started)
-        await conn.writer.drain()
-        conn.faultable_sent += 1
-        limit = self.faults.net_disconnect_after()
-        if limit is not None and conn.faultable_sent >= limit:
-            self._shed(conn)
+        delivery.drain(held_before=self._caught_up_at)
+        self._caught_up_at = perf_counter()
 
     # ------------------------------------------------------------------
     # RPC handling

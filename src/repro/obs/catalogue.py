@@ -95,9 +95,14 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "collab.deliveries": ("counter",
                           "notifications delivered to in-process inboxes "
                           "(never a wire session's)"),
-    "collab.held": ("counter", "notifications held back by the fault plan"),
+    "collab.held": ("counter",
+                    "items (notices, wire cursor moves) held back by the "
+                    "delivery fault plan, any transport"),
+    "collab.dropped": ("counter",
+                       "items lost by the delivery fault plan, any "
+                       "transport (registered only under a plan)"),
     "collab.drains": ("counter", "delivery backlog drains"),
-    "collab.queue_depth": ("gauge", "notifications held, awaiting drain"),
+    "collab.queue_depth": ("gauge", "items held, awaiting release"),
     "collab.sessions": ("gauge", "connected editing sessions"),
     "collab.replication_seconds": (
         "histogram",
@@ -122,20 +127,14 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
                        "server-side OP service time (decode to ACK "
                        "enqueue, durable LSN included)"),
     "net.notifies": ("counter",
-                     "NOTIFY envelopes enqueued for fan-out (before any "
-                     "socket fault)"),
+                     "NOTIFY envelopes enqueued for fan-out (after the "
+                     "delivery bus)"),
     "net.protocol_errors": ("counter",
                             "connections closed for wire-protocol "
                             "violations"),
     "net.backpressure_closes": ("counter",
                                 "slow consumers shed by send-queue "
                                 "overflow"),
-    "net.frames_dropped": ("counter",
-                           "faultable frames lost to the injected net "
-                           "fault plan"),
-    "net.frames_delayed": ("counter",
-                           "faultable frames delayed in band by the "
-                           "injected net fault plan"),
     "net.resyncs": ("counter",
                     "anti-entropy snapshot fetches served (client mirror "
                     "detected a sequence gap)"),

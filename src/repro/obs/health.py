@@ -245,15 +245,15 @@ def evaluate_health(snapshot: Mapping[str, dict], store=None, *,
             add("gc.pause", OK, pause,
                 f"full collections pause {pause * 1e3:.1f} ms")
 
-    # Injected / observed socket faults.
+    # Injected delivery faults: what the bus dropped or held back.
     fault_rate = (
-        _windowed_rate(store, snapshot, "net.frames_dropped", t.window)
-        + _windowed_rate(store, snapshot, "net.frames_delayed", t.window))
+        _windowed_rate(store, snapshot, "collab.dropped", t.window)
+        + _windowed_rate(store, snapshot, "collab.held", t.window))
     if fault_rate > t.fault_rate:
         add("net.faults", DEGRADED, fault_rate,
-            f"{fault_rate:.2f} dropped/delayed frames per second")
+            f"{fault_rate:.2f} dropped/held deliveries per second")
     else:
-        add("net.faults", OK, fault_rate, "no socket faults in window")
+        add("net.faults", OK, fault_rate, "no delivery faults in window")
 
     status = OK
     for check in checks:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baselines import (
+from benchmarks.baselines import (
     FileLockedError,
     FileWordProcessor,
     OffsetDocumentStore,

@@ -71,7 +71,8 @@ class TestCli:
     def test_stats_json_round_trips_metrics_snapshot(self):
         import json
 
-        code, out = run_cli("stats", "--docs", "4", "--seed", "1", "--json")
+        code, out = run_cli("stats", "--docs", "4", "--seed", "1",
+                            "--format", "json")
         assert code == 0
         snapshot = json.loads(out)
         assert snapshot["txn.committed"]["type"] == "counter"
@@ -79,6 +80,12 @@ class TestCli:
         assert "txn.commit_seconds" in snapshot
         # The raw snapshot round-trips: dump → load → identical.
         assert json.loads(json.dumps(snapshot)) == snapshot
+
+    def test_stats_prom_renders_the_local_snapshot(self):
+        code, out = run_cli("stats", "--docs", "4", "--seed", "1",
+                            "--format", "prom")
+        assert code == 0
+        assert "# TYPE tendax_txn_committed counter" in out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,8 @@
 """Tests for the write-ahead log and crash recovery."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.db import Database, column, recover, recover_file
@@ -167,6 +170,80 @@ class TestCheckpoint:
         db.wal.truncate_before(lsn)
         recovered = recover(db.wal.records())
         assert recovered.query("docs").count() == 0
+
+    def test_checkpoint_racing_a_commit_keeps_it(self, tmp_path):
+        """Regression (ROADMAP 7(ii)): a checkpoint taken while another
+        thread's commit sat between its COMMIT record and its apply
+        swept tables without that commit, yet its CHECKPOINT record
+        landed after the COMMIT, so recovery skipped the commit it had
+        acknowledged.  The checkpoint now waits for in-flight commits
+        and keeps new ones out until its record is appended."""
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path)
+        db.insert("docs", {"title": "a", "size": 1})
+        parked, release = threading.Event(), threading.Event()
+        raise_floor = db.raise_commit_floor
+
+        def park_after_commit_record(txn_id, commit_lsn):
+            raise_floor(txn_id, commit_lsn)
+            parked.set()
+            release.wait(10.0)
+
+        db.raise_commit_floor = park_after_commit_record
+        writer = threading.Thread(
+            target=db.insert, args=("docs", {"title": "b", "size": 2}))
+        writer.start()
+        assert parked.wait(10.0)
+        checkpoint = threading.Thread(target=db.checkpoint)
+        checkpoint.start()
+        checkpoint.join(0.2)
+        release.set()
+        writer.join(10.0)
+        checkpoint.join(10.0)
+        assert not writer.is_alive() and not checkpoint.is_alive()
+        assert sorted(titles(db)) == ["a", "b"]
+        db.close()
+        assert sorted(titles(recover_file(path))) == ["a", "b"]
+
+    def test_checkpoints_among_concurrent_writers_lose_nothing(self,
+                                                               tmp_path):
+        """More writer threads than cores commit under a short switch
+        interval while another thread checkpoints over and over:
+        nothing deadlocks, and the recovered log holds every row the
+        live database acknowledged."""
+        path = str(tmp_path / "wal.jsonl")
+        db = make_db(wal_path=path)
+        writers, rows, errors = 6, 40, []
+
+        def write(w):
+            try:
+                for i in range(rows):
+                    db.insert("docs", {"title": f"w{w}-{i}", "size": i})
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        def checkpoint():
+            for _ in range(15):
+                db.checkpoint()
+
+        threads = [threading.Thread(target=write, args=(w,))
+                   for w in range(writers)]
+        threads.append(threading.Thread(target=checkpoint))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        live = titles(db)
+        assert len(live) == writers * rows
+        db.close()
+        assert titles(recover_file(path)) == live
 
 
     def test_truncation_keeps_a_straddling_transactions_early_writes(self):

@@ -1,14 +1,15 @@
 """Socket-level convergence under seeded fault plans + causal traces.
 
 Two real :class:`~repro.net.NetworkClient` editors over loopback TCP,
-a :class:`~repro.net.ServerThread` whose outbound change frames pass
-through a seeded :class:`~repro.faults.plan.NetFault` plan (drop /
-delay / reorder).  After an interleaved editing run both replicas must
-equal the server's authoritative document — text, styled runs and
-chain integrity — with the healing mechanism the plan demands:
+a :class:`~repro.net.ServerThread` whose collab server's delivery bus
+runs a seeded :class:`~repro.faults.plan.DeliveryFault` (drop / hold /
+reorder within a window) — the one fault model every reader shares.
+After an interleaved editing run both replicas must equal the server's
+authoritative document — text, styled runs and chain integrity — with
+the healing mechanism the plan demands:
 
-* delay/reorder-only plans converge on the pure delta path
-  (``mirror.resyncs == 0``);
+* hold/reorder-only plans whose window stays within the mirror's resync
+  threshold converge on the pure delta path (``mirror.resyncs == 0``);
 * drop plans legitimately heal through anti-entropy resync
   (``resyncs >= 1``).
 
@@ -32,21 +33,22 @@ import pytest
 
 from repro.collab import CollaborationServer, EditorClient
 from repro.errors import TendaxError
-from repro.faults import FaultInjector, FaultPlan, NetFault
+from repro.faults import DeliveryFault, FaultInjector, FaultPlan
 from repro.net import NetworkClient, ServerThread
+from repro.net.protocol import Awareness, Notify
 from repro.obs import TraceBuffer, Tracer
 
 SETTLE_SECONDS = 10.0
 
 
-def make_server(net_fault: NetFault | None):
-    collab = CollaborationServer()
+def make_server(plan: FaultPlan | DeliveryFault | None):
+    if isinstance(plan, DeliveryFault):
+        plan = FaultPlan(delivery=plan, seed=0)
+    collab = CollaborationServer(
+        faults=None if plan is None else FaultInjector(plan))
     for user in ("ana", "ben", "judge"):
         collab.register_user(user)
-    faults = None
-    if net_fault is not None:
-        faults = FaultInjector(FaultPlan(seed=0).with_net(net_fault))
-    return collab, ServerThread(collab, faults=faults)
+    return collab, ServerThread(collab)
 
 
 def settle(clients, doc, truth, timeout: float = SETTLE_SECONDS) -> None:
@@ -115,9 +117,8 @@ def interleaved_edit(rng: random.Random, sessions, handles, doc,
 
 @pytest.mark.parametrize("plan_seed", range(5), ids=lambda s: f"seed{s}")
 def test_seeded_fault_plans_converge(plan_seed):
-    """Drop+delay+reorder plans: replicas match the server exactly."""
-    plan = FaultPlan.net_only(plan_seed)
-    collab, thread = make_server(plan.net)
+    """Drop+hold+reorder plans: replicas match the server exactly."""
+    collab, thread = make_server(FaultPlan.lossy_delivery(plan_seed))
     with thread:
         ana = NetworkClient("127.0.0.1", thread.port, "ana")
         ben = NetworkClient("127.0.0.1", thread.port, "ben")
@@ -150,18 +151,18 @@ def test_seeded_fault_plans_converge(plan_seed):
             ben.close()
 
 
-def test_delay_reorder_only_converges_on_the_delta_path():
+def test_hold_reorder_only_converges_on_the_delta_path():
     """A pure receiver heals reordering by buffering, never by resync.
 
     Single writer on purpose: a *writing* replica's ACK echo can race
-    ahead of the delayed NOTIFY lane and legitimately schedule a
-    resync, but a read-only replica under delay+reorder (no drops)
-    sees every sequence number and must converge on buffered in-order
-    application alone.
+    ahead of a held NOTIFY and legitimately schedule a resync, but a
+    read-only replica under hold+reorder (no drops) within a window of
+    3 — nothing overtaken by more than 2, the mirror's threshold — sees
+    every sequence number and must converge on buffered in-order
+    application alone.  The plan did reorder the wire: some NOTIFYs
+    reached the mirror ahead of a predecessor and were buffered.
     """
-    fault = NetFault(p_drop=0.0, p_delay=0.6, max_delay=0.01,
-                     reorder_window=3)
-    collab, thread = make_server(fault)
+    collab, thread = make_server(DeliveryFault(p_hold=0.6, window=3))
     with thread:
         ana = NetworkClient("127.0.0.1", thread.port, "ana")
         ben = NetworkClient("127.0.0.1", thread.port, "ben")
@@ -171,23 +172,29 @@ def test_delay_reorder_only_converges_on_the_delta_path():
             s_ben = ben.session()
             h_ben = s_ben.open(doc)
             rng = random.Random(404)
+            notes = []
             for _ in range(50):
                 pos = rng.randint(0, s_ana.handle(doc).length())
                 s_ana.insert(doc, pos, rng.choice("abcdefghij "))
+                notes += ben.poll()
 
             judge = collab.connect("judge")
             truth = judge.open(doc)
-            # No sync() calls: the delta lane alone must get there.
+            # No sync() calls: the delta lane alone must get there.  The
+            # bus has no timer; once the writer stops, a ping is the
+            # traffic that releases what it still holds.
             deadline = monotonic() + SETTLE_SECONDS
             while h_ben.text() != truth.text():
                 assert monotonic() < deadline, "delta path stalled"
-                ben.poll(timeout=0.02)
+                notes += ben.poll(timeout=0.02)
+                ben.ping()
+            notes += ben.poll()
             assert ben.mirrors[doc].resyncs == 0
             # seq 1 was the create-document commit; 50 inserts follow.
             assert ben.mirrors[doc].last_seq == 51
+            assert sorted(n.rep_seq for n in notes) == list(range(2, 52))
+            assert sum(n.status == "buffered" for n in notes) >= 1
             assert h_ben.check_integrity() == []
-            delayed = ana.server_stats()["net"]["frames_delayed"]
-            assert delayed >= 1  # the plan actually fired
         finally:
             ana.close()
             ben.close()
@@ -195,8 +202,8 @@ def test_delay_reorder_only_converges_on_the_delta_path():
 
 def test_drop_heavy_plan_heals_through_resync():
     """Dropped NOTIFYs leave sequence gaps only resync can close."""
-    fault = NetFault(p_drop=0.5, p_delay=0.0, reorder_window=0)
-    collab, thread = make_server(fault)
+    collab, thread = make_server(
+        DeliveryFault(p_hold=0.0, reorder=False, p_drop=0.5))
     with thread:
         ana = NetworkClient("127.0.0.1", thread.port, "ana")
         ben = NetworkClient("127.0.0.1", thread.port, "ben")
@@ -214,16 +221,15 @@ def test_drop_heavy_plan_heals_through_resync():
             # Half the frames died; ben must have pulled snapshots.
             assert ben.mirrors[doc].resyncs >= 1
             stats = ana.server_stats()
-            assert stats["net"]["frames_dropped"] >= 1
+            assert stats["server"]["delivery"]["dropped"] >= 1
             assert stats["net"]["resyncs"] >= 1
         finally:
             ana.close()
             ben.close()
 
 
-#: Loss, latency and reordering together, on every NOTIFY and AWARENESS.
-PRESENCE_FAULT = NetFault(p_drop=0.2, p_delay=0.4, max_delay=0.004,
-                          reorder_window=3)
+#: Loss, holding and reordering together, on every NOTIFY and AWARENESS.
+PRESENCE_FAULT = DeliveryFault(p_hold=0.4, p_drop=0.2, window=3)
 
 
 def test_typists_cursor_is_never_seen_away_from_its_text():
@@ -266,7 +272,7 @@ def test_typists_cursor_is_never_seen_away_from_its_text():
                 ben.sync(doc)
                 check()
             assert awareness.cursor_positions(h_ben)["ana"] == len(text)
-            assert ana.server_stats()["net"]["frames_dropped"] >= 1
+            assert ana.server_stats()["server"]["delivery"]["dropped"] >= 1
         finally:
             ana.close()
             ben.close()
@@ -274,7 +280,7 @@ def test_typists_cursor_is_never_seen_away_from_its_text():
 
 def test_standalone_cursor_move_survives_the_plan():
     """A cursor move no edit implies is still an AWARENESS frame, and
-    still faultable: delayed or reordered it lands on an anchor the
+    still faultable: held or reordered it lands on an anchor the
     mirror already holds; dropped, the next snapshot carries it."""
     collab, thread = make_server(PRESENCE_FAULT)
     with thread:
@@ -306,15 +312,14 @@ def test_standalone_cursor_move_survives_the_plan():
 
 def test_a_late_edit_cursor_never_overrides_a_newer_move():
     """Every round types a character (its NOTIFY carries the cursor the
-    edit left) and then moves the cursor (an AWARENESS): two faultable
-    frames the plan may delay or swap.  Once both have landed, the
+    edit left) and then moves the cursor (an AWARENESS): two items the
+    bus may hold or swap.  Once both have landed, the
     reader shows the typist's cursor where it was moved — the newer
     presence ``seq`` wins, whichever frame came last.  Without the seq
     a NOTIFY arriving after the move put the typist back after the
-    character it typed, until the next event."""
-    fault = NetFault(p_drop=0.0, p_delay=0.5, max_delay=0.003,
-                     reorder_window=2)
-    collab, thread = make_server(fault)
+    character it typed, until the next event.  Some rounds' NOTIFY did
+    arrive last."""
+    collab, thread = make_server(DeliveryFault(p_hold=0.5, window=2))
     with thread:
         ana = NetworkClient("127.0.0.1", thread.port, "ana")
         ben = NetworkClient("127.0.0.1", thread.port, "ben")
@@ -324,8 +329,18 @@ def test_a_late_edit_cursor_never_overrides_a_newer_move():
             h_ben = ben.session().open(doc)
             typist = EditorClient(s_ana, doc)
             awareness = ben.session().server.awareness
+            arrivals: list[str] = []
+            handle_async = ben._handle_async
+
+            def arrive(envelope) -> None:
+                arrivals.append(envelope.TYPE)
+                handle_async(envelope)
+
+            ben._handle_async = arrive
             rng = random.Random(23)
-            for _ in range(12):
+            notify_last = 0
+            for _ in range(24):
+                arrivals.clear()
                 typist.type("x")
                 target = rng.randint(0, 9)
                 typist.move_to(target)
@@ -338,7 +353,10 @@ def test_a_late_edit_cursor_never_overrides_a_newer_move():
                         f"{awareness.cursor_positions(h_ben).get('ana')},"
                         f" she moved to {target}")
                     ben.poll(timeout=0.01)
+                    ben.ping()  # the traffic that ends a hold
+                notify_last += arrivals == [Awareness.TYPE, Notify.TYPE]
             assert ben.mirrors[doc].resyncs == 0
+            assert notify_last >= 1
         finally:
             ana.close()
             ben.close()

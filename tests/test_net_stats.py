@@ -5,7 +5,7 @@ A real :class:`ServerThread` on loopback TCP, scraped by the blocking
 Prometheus pollers) in miniature.  Covers the pre-auth scrape lane
 (JSON and Prometheus formats, token enforcement), the mid-session
 ``health`` RPC verb, and the health verdict degrading under an armed
-socket fault plan and recovering once the faults stop and the window
+delivery fault plan and recovering once the faults stop and the window
 rolls clear.
 """
 
@@ -22,8 +22,8 @@ from repro.net import NetworkClient, ServerThread, scrape
 from repro.obs import TELEMETRY_SCHEMA, render_dash
 
 
-def make_collab(n_users: int = 2) -> CollaborationServer:
-    collab = CollaborationServer()
+def make_collab(n_users: int = 2, faults=None) -> CollaborationServer:
+    collab = CollaborationServer(faults=faults)
     for i in range(n_users):
         collab.register_user(f"user{i}")
     return collab
@@ -142,11 +142,9 @@ class TestHealthScrape:
         assert health["checks"]
 
     def test_health_degrades_under_faults_and_recovers(self):
-        plan = FaultPlan.net_only(20060101, p_drop=0.5, reorder=False)
-        injector = FaultInjector(plan, armed=True)
-        collab = make_collab()
-        with ServerThread(collab, faults=injector,
-                          telemetry_interval=0.0) as thread:
+        injector = FaultInjector(FaultPlan.lossy_delivery(20060101))
+        collab = make_collab(faults=injector)
+        with ServerThread(collab, telemetry_interval=0.0) as thread:
             telemetry = thread.server.telemetry
             writer = NetworkClient("127.0.0.1", thread.port, "user0")
             watcher = NetworkClient("127.0.0.1", thread.port, "user1")
@@ -157,7 +155,7 @@ class TestHealthScrape:
                 base = telemetry.clock.now()
                 telemetry.sample(now=base)
                 # Type through the armed fault plan: NOTIFY frames to
-                # the watcher get dropped/delayed and counted.
+                # the watcher get dropped/held and counted.
                 typing_burst(session, doc, "x" * 40)
                 telemetry.sample(now=base + 1.0)
                 health = thread.server.health_payload()

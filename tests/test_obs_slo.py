@@ -135,7 +135,7 @@ class TestHealth:
         registry = MetricsRegistry()
         clock = SimulatedClock(start=START, tick=0.0)
         store = TelemetryStore(registry, clock, interval=1.0)
-        dropped = registry.counter("net.frames_dropped")
+        dropped = registry.counter("collab.dropped")
         store.sample(now=START)
         dropped.inc(5)
         store.sample(now=START + 5)
@@ -149,7 +149,7 @@ class TestHealth:
         clock = SimulatedClock(start=START, tick=0.0)
         store = TelemetryStore(registry, clock, interval=1.0,
                                capacity=1024)
-        dropped = registry.counter("net.frames_dropped")
+        dropped = registry.counter("collab.dropped")
         dropped.inc(5)
         for second in range(180):
             store.sample(now=START + second)

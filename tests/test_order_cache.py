@@ -24,11 +24,8 @@ from repro.db import Database, recover_file
 from repro.ids import Oid
 from repro.text import DocumentStore
 from repro.text import chars as C
-from repro.text.ordercache import (
-    ChunkedOrderCache,
-    FlatOrderCache,
-    splice_rows,
-)
+from repro.text.ordercache import ChunkedOrderCache, splice_rows
+from tests.flat_order_cache import FlatOrderCache
 
 
 def _oid(i: int) -> Oid:

@@ -21,7 +21,7 @@ Usage::
 
     PYTHONPATH=src python tools/load_harness.py
     python tools/load_harness.py --procs 4 --typists 3 --rounds 50
-    python tools/load_harness.py --net-seed 7331   # faulted sockets
+    python tools/load_harness.py --net-seed 7331   # faulted delivery
 """
 
 from __future__ import annotations
@@ -233,7 +233,9 @@ def main(argv=None) -> int:
     parser.add_argument("--settle", type=float, default=15.0)
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--net-seed", type=int, default=None,
-                        help="socket fault plan seed for the server")
+                        help="seed of the server's delivery fault plan "
+                             "(drop/hold/reorder what readers are "
+                             "handed)")
     parser.add_argument("--wal", default=None,
                         help="server WAL file (durability on real disk)")
     # worker-role plumbing

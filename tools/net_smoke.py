@@ -12,10 +12,11 @@ CI's guard on the out-of-process collaboration path.  Two legs:
   frame and byte counters, read over the scrape lane before and after
   the typing, must stay within ``FRAMES_PER_KEYSTROKE`` and
   ``BYTES_PER_KEYSTROKE``.
-* **faulted** — same topology with a seeded socket fault plan
-  (``--net-seed``: dropped / delayed / reordered change frames).
+* **faulted** — same topology with a seeded delivery fault plan
+  (``--net-seed``: the collab delivery bus drops, holds and reorders
+  what every reader is handed, NOTIFY and AWARENESS frames included).
   Judged on counters, not on the clock: the plan must have fired
-  (``net.frames_dropped`` and ``net.frames_delayed`` > 0), the mirrors
+  (``collab.dropped`` and ``collab.held`` > 0), the mirrors
   must have healed through a bounded number of resyncs
   (``RESYNC_RANGE``), no protocol error, no patch without a base, both
   replicas the same SHA-256 — and the server must still shut down
@@ -136,12 +137,13 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def net_counters(port: int) -> dict:
-    """The server's ``net.*`` counters, read over the scrape lane."""
+    """The server's ``net.*`` and ``collab.*`` counters, read over the
+    scrape lane."""
     from repro.net import scrape
 
     metrics = scrape("127.0.0.1", port, kind="stats", series=False)["metrics"]
     return {name: metric["value"] for name, metric in metrics.items()
-            if name.startswith("net.") and "value" in metric}
+            if name.startswith(("net.", "collab.")) and "value" in metric}
 
 
 def keystroke_cost(port: int, typing, keystrokes: int) -> tuple:
@@ -204,12 +206,12 @@ def check_fault_counters(label: str, port: int, resyncs: int) -> list[str]:
     """The faulted leg's verdict, from counters only: the plan fired, the
     mirrors noticed and healed, and nothing else went wrong."""
     counters = net_counters(port)
-    print(f"{label}: {counters['net.frames_dropped']} dropped, "
-          f"{counters['net.frames_delayed']} delayed, "
+    print(f"{label}: {counters.get('collab.dropped', 0)} dropped, "
+          f"{counters['collab.held']} held, "
           f"{counters['net.resyncs']} resyncs served")
     problems = []
-    for name in ("net.frames_dropped", "net.frames_delayed"):
-        if counters[name] <= 0:
+    for name in ("collab.dropped", "collab.held"):
+        if counters.get(name, 0) <= 0:
             problems.append(f"{label}: {name} is 0 — the seeded plan "
                             f"never fired")
     low, high = RESYNC_RANGE
