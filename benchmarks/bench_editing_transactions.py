@@ -447,8 +447,19 @@ def test_keystroke_commit_30k(benchmark, server):
     logged = server.db.table(S.ACCESS_LOG).row_count() - logged
     assert logged <= 2
     assert (appended.value - before) == 6 * 305 + logged
-    updates = [r for r in server.db.wal.records() if r.type == "UPDATE"]
-    assert max(len(r.cols) for r in updates[-3:]) <= 3   # deltas
+    # One more keystroke, its block watched on its way into the log.
+    blocks: list = []
+    append = server.db.wal.append
+
+    def watched(type_, txn_id, **kw):
+        blocks.append(kw.get("dml", ()))
+        return append(type_, txn_id, **kw)
+
+    server.db.wal.append = watched
+    keystroke()
+    del server.db.wal.append
+    updates = [op for dml in blocks for op in dml if op[0] == "UPDATE"]
+    assert max(len(op[3]) for op in updates[-3:]) <= 3   # deltas
     assert editors[0].text() == editors[1].text()
     assert sum(s.name.startswith("doc-cache:")
                for s in server.db.changefeed().subscriptions()) == 1
@@ -965,20 +976,20 @@ def test_storage_amplification_report():
     db = Database("bench")
     store = DocumentStore(db, log_reads=False, log_writes=False)
     handle = store.create("doc", "ana")
-    before = len(db.wal)
+    before = db.wal.last_lsn()
     anchor = handle.begin_char
     for __ in range(n):
         (anchor,) = handle.insert_after(anchor, "x", "ana")
-    tendax_records = len(db.wal) - before
+    tendax_records = db.wal.last_lsn() - before
 
     # Offset baseline: mid-document typing (the unfavourable position).
     odb = Database("bench2")
     offsets = OffsetDocumentStore(odb)
     doc = offsets.create("doc", "ana", "x" * 500)
-    before = len(odb.wal)
+    before = odb.wal.last_lsn()
     for i in range(50):  # 50 keystrokes are plenty to see the shape
         offsets.insert(doc, 250, "x", "ana")
-    offset_records = (len(odb.wal) - before) * (n // 50)
+    offset_records = (odb.wal.last_lsn() - before) * (n // 50)
 
     # File baseline: whole-file rewrite per keystroke.
     wp = FileWordProcessor()

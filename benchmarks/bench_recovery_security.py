@@ -15,6 +15,7 @@ import pytest
 
 from repro.collab import CollaborationServer
 from repro.db import Database, recover
+from repro.db.wal import read_log
 from repro.text import DocumentStore
 
 from .conftest import make_text
@@ -22,8 +23,8 @@ from .conftest import make_text
 EDIT_COUNTS = [100, 500, 2000]
 
 
-def _edited_db(n_edits: int):
-    db = Database("bench")
+def _edited_db(n_edits: int, wal_path: str):
+    db = Database("bench", wal_path=wal_path)
     store = DocumentStore(db, log_reads=False, log_writes=False)
     handle = store.create("doc", "ana", text="seed ")
     for i in range(n_edits):
@@ -38,11 +39,11 @@ def _edited_db(n_edits: int):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_edits", EDIT_COUNTS)
-def test_recovery_replay(benchmark, n_edits):
+def test_recovery_replay(benchmark, n_edits, tmp_path):
     """Rebuild the database from the WAL after a crash."""
-    db, store, handle = _edited_db(n_edits)
+    db, store, handle = _edited_db(n_edits, str(tmp_path / "wal.jsonl"))
     expected_text = handle.text()
-    records = list(db.wal.records())
+    records = read_log(db.wal.path)[0]
 
     def replay():
         return recover(records)
@@ -56,15 +57,14 @@ def test_recovery_replay(benchmark, n_edits):
     assert new_handle.check_integrity() == []
 
 
-def test_recovery_from_checkpoint(benchmark):
+def test_recovery_from_checkpoint(benchmark, tmp_path):
     """Checkpoint ablation: replay only the post-checkpoint tail."""
-    db, store, handle = _edited_db(2000)
+    db, store, handle = _edited_db(2000, str(tmp_path / "wal.jsonl"))
     lsn = db.checkpoint()
     for __ in range(50):
         handle.insert_text(handle.length(), "y", "ana")
-    db.wal.truncate_before(lsn)
     expected_text = handle.text()
-    records = list(db.wal.records())
+    records = [r for r in read_log(db.wal.path)[0] if r.lsn >= lsn]
 
     def replay():
         return recover(records)

@@ -164,7 +164,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"total rows    : {db.catalog.total_rows()}")
         print(f"transactions  : {db.stats['transactions']}")
         print(f"commits       : {db.stats['commits']}")
-        print(f"wal records   : {len(db.wal)}")
+        print(f"wal records   : {db.wal.last_lsn()}")
         print("per-table rows:")
         for info in db.catalog.iter_tables():
             print(f"  {info.name:<18} {info.row_count:>7} rows, "

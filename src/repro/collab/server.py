@@ -182,7 +182,7 @@ class CollaborationServer:
             "notifications": self.stats["notifications"],
             "db_commits": self.db.stats["commits"],
             "db_aborts": self.db.stats["aborts"],
-            "wal_records": len(self.db.wal),
+            "wal_records": self.db.wal.last_lsn(),
             "lock_stats": dict(self.db.locks.stats),
             "delivery": dict(self.delivery.stats,
                              pending=self.delivery.pending),

@@ -12,31 +12,34 @@ soon as these objects are stored persistently").  Logs written before
 transactions were blocks (records of concurrent transactions interleaved,
 ABORT records) replay through the same redo core.
 
-The log lives in memory and can optionally be mirrored to a JSON-lines file
-so a "crashed" engine can be rebuilt by a fresh process.  DDL (create table
-/ index) is logged too, so recovery can start from an empty engine.
+The log is its JSON-lines file, and only the file: the engine keeps no
+copy of its records in memory, so recovery, a restarted engine and a
+follower catching up all read the same bytes, and a "crashed" engine is
+rebuilt by a fresh process from them.  A log with no file allocates LSNs
+and keeps nothing.  DDL (create table / index) is logged too, so recovery
+can start from an empty engine.
 
-In memory a record holds stored values as they are: a DML record carries
-the table's own row tuple (or, for an UPDATE, just the changed columns),
-shared with the table, never copied.  The JSON-safe encoding exists only
-at the file/segment boundary, and this module owns it:
+A record being appended holds stored values as they are: a DML record
+carries the table's own row tuple (or, for an UPDATE, just the changed
+columns), shared with the table, never copied.  The JSON-safe encoding
+exists only at the file/segment boundary, and this module owns it:
 :func:`render_record` is the only writer of a WAL line and
-:func:`parse_records` the only reader, for the mirror file, for a tailed
-leader file and for ``WAL_SEGMENT`` frames alike, so all of them agree on
-what a record looks like and what a torn tail is.  An engine with no file
-and no follower never encodes anything.
+:func:`parse_records` the only reader, for a whole file, for the
+segments shipped from it (:func:`read_segment`) and for ``WAL_SEGMENT``
+frames alike, so all of them agree on what a record looks like and what
+a torn tail is.  An engine with no file never encodes anything.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import threading
 import warnings
+from itertools import islice
 from time import perf_counter
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
-                    NamedTuple, Sequence)
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
+                    Sequence)
 
 from ..errors import CrashSignal, WalError
 from ..ids import Oid
@@ -162,10 +165,10 @@ def columns_from_payload(raw_columns: Iterable[dict]) -> list[Column]:
     ]
 
 
-#: Upper bound on the records in one shipped segment (keeps a
-#: WAL_SEGMENT frame far below the wire's frame limit and bounds the
-#: follower's apply batch; a lagging follower acks its way through more
-#: segments).
+#: Upper bound on the records in one segment :func:`read_segment` reads
+#: from a log file (keeps a WAL_SEGMENT frame far below the wire's frame
+#: limit and bounds the follower's apply batch; a lagging follower acks
+#: its way through more segments).
 SEGMENT_RECORDS = 256
 
 
@@ -265,8 +268,30 @@ def read_log(path: str, *, cut_torn_tail: bool = False
     return records, torn
 
 
+def read_segment(path: str, offset: int, end: int
+                 ) -> tuple[list[WalRecord], list[bytes], int]:
+    """The next segment of a log file: ``(records, lines, next_offset)``.
+
+    The one shipping read: at most :data:`SEGMENT_RECORDS` lines of the
+    file at ``path`` from byte ``offset`` on, none past byte ``end``, as
+    :func:`parse_records` reads them — a torn final line stays unread
+    (``next_offset == offset`` means nothing was).  ``lines[i]`` is
+    ``records[i]``'s line as the file holds it, so a segment crosses the
+    wire without being rendered again.  No lock is taken: appends never
+    wait for a reader.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        data = b"".join(islice(handle, SEGMENT_RECORDS))
+    data = data[:max(0, end - offset)]
+    records, valid = parse_records(data, path)
+    lines = [line for line in data[:valid].split(b"\n")
+             if line and not line.isspace()]
+    return records, lines, offset + valid
+
+
 class WriteAheadLog:
-    """Append-only log with optional file mirroring.
+    """Append-only log, optionally written to a file.
 
     Parameters
     ----------
@@ -274,7 +299,7 @@ class WriteAheadLog:
         Optional file path.  When given, every appended record is written
         as one JSON line and flushed on commit boundaries, so a crash loses
         at most the in-flight (uncommitted) tail — never a committed
-        transaction.
+        transaction.  The file is the log: nothing is kept in memory.
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector`.  The WAL
         passes four crash points — ``wal.before_append`` (once per
@@ -305,14 +330,10 @@ class WriteAheadLog:
         from ..faults.injector import NO_FAULTS
         from ..obs.tracing import NULL_TRACER
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._records: list[WalRecord] = []
         self._lock = threading.RLock()
         self._next_lsn = 1
         self._path = path
         self._file = open(path, "a", encoding="utf-8") if path else None
-        #: File size at the last fsync: what survives a power loss.
-        self._durable_size = (os.path.getsize(path)
-                              if path and os.path.exists(path) else 0)
         # Group-commit barrier state, guarded by ``_group_cond`` (never
         # nested inside ``_lock`` acquisition ordering is always
         # ``_lock`` -> ``_group_cond`` or one at a time).
@@ -321,9 +342,14 @@ class WriteAheadLog:
         self._group_cond = threading.Condition()
         self._leader_busy = False
         self._pending_commits = 0
-        #: Highest LSN known durable (covered by an fsync, or flushed on
-        #: a clean close).  Commit waiters block until their LSN is <= it.
-        self._synced_lsn = 0
+        #: ``(lsn, size)``: the highest LSN known durable (covered by an
+        #: fsync, or flushed on a clean close) and the file size that
+        #: holds exactly the records through it — what survives a power
+        #: loss and what may be shipped.  Commit waiters block until
+        #: their LSN is <= it.  Written under ``_lock`` *and*
+        #: ``_group_cond``, so either one reads the pair whole.
+        self._durable = (0, os.path.getsize(path)
+                         if path and os.path.exists(path) else 0)
         self.faults = faults if faults is not None else NO_FAULTS
         self.faults.attach_wal(self)
         reg = registry if registry is not None else NULL_REGISTRY
@@ -347,8 +373,20 @@ class WriteAheadLog:
     @property
     def durable_lsn(self) -> int:
         """Highest LSN acknowledged durable by the commit barrier."""
+        return self._durable[0]
+
+    def durable_prefix(self) -> tuple[int, int]:
+        """``(durable_lsn, size)``, published together: the first
+        ``size`` bytes of the file hold exactly the records through
+        ``durable_lsn``, the most a reader may ship."""
+        return self._durable
+
+    def _publish_durable(self, lsn: int, size: int) -> None:
+        """Raise the durable pair and wake commit waiters (caller holds
+        ``_lock``, so a power loss truncates to a pair it published)."""
         with self._group_cond:
-            return self._synced_lsn
+            self._durable = max(self._durable, (lsn, size))
+            self._group_cond.notify_all()
 
     def append(self, type_: str, txn_id: int, *,
                dml: Sequence[tuple] = (), **payload: Any) -> WalRecord:
@@ -401,6 +439,9 @@ class WriteAheadLog:
             self._write_locked(block)
             needs_sync = self._file is not None \
                 and type_ in (COMMIT, CHECKPOINT)
+            if self._file is not None and not needs_sync:
+                # DDL: a reader of the file sees it at once.
+                self._file.flush()
         if needs_sync:
             # Record is in the file buffer but not yet durable: death
             # here loses the commit without having acknowledged it.
@@ -410,9 +451,9 @@ class WriteAheadLog:
         return record
 
     def _write_locked(self, records: Sequence[WalRecord]) -> None:
-        """The one write path (caller holds ``_lock``): mirror the
-        records' lines to the file, if any, in one write, then log them
-        in memory and move the LSN allocator past them."""
+        """The one write path (caller holds ``_lock``): write the
+        records' lines to the file, if any, in one write, then move the
+        LSN allocator past them."""
         if self._file is not None:
             lines = []
             for record in records:
@@ -431,7 +472,6 @@ class WriteAheadLog:
             data = "".join(lines)
             self._file.write(data)
             self._m_bytes.inc(len(data))
-        self._records.extend(records)
         self._next_lsn = records[-1].lsn + 1
         self._m_appends.inc(len(records))
 
@@ -448,7 +488,6 @@ class WriteAheadLog:
             fsync_started = perf_counter()
             self._file.flush()
             os.fsync(self._file.fileno())
-            self._durable_size = self._file.tell()
             self._m_fsyncs.inc()
             self._m_fsync_seconds.observe(perf_counter() - fsync_started)
             self._m_group_size.observe(group)
@@ -481,7 +520,7 @@ class WriteAheadLog:
                 cond.notify_all()
             try:
                 while True:
-                    if self._synced_lsn >= lsn:
+                    if self._durable[0] >= lsn:
                         self._m_sync_wait.observe(
                             perf_counter() - waited_from)
                         return
@@ -535,8 +574,7 @@ class WriteAheadLog:
                         raise CrashSignal(
                             "WAL died during the group fsync "
                             f"(txn {txn_id}, lsn {lsn})")
-                    if self._durable_size < flush_pos:
-                        self._durable_size = flush_pos
+                    self._publish_durable(flush_upto, flush_pos)
                 self._m_fsyncs.inc()
                 self._m_fsync_seconds.observe(perf_counter() - fsync_started)
                 self._m_group_size.observe(group)
@@ -548,7 +586,6 @@ class WriteAheadLog:
             raise
         with cond:
             self._leader_busy = False
-            self._synced_lsn = max(self._synced_lsn, flush_upto)
             cond.notify_all()
         self._m_sync_wait.observe(perf_counter() - waited_from)
 
@@ -584,62 +621,20 @@ class WriteAheadLog:
 
         Called at shipped-segment boundaries (and on promotion): one
         flush+fsync covers the whole batch of :meth:`append_shipped`
-        writes, mirroring the leader's group-commit economics.  The
-        in-memory log (no path) just advances the durable LSN.
+        writes, mirroring the leader's group-commit economics.  A log
+        with no file just advances the durable LSN.
         """
         with self._lock:
             if self._path is not None and self._file is None:
                 raise CrashSignal("WAL died before the shipped-segment "
                                   "fsync")
             last = self._next_lsn - 1
+            size = 0
             if self._file is not None:
                 self._fsync_locked(1, "SEGMENT", 0)
-        with self._group_cond:
-            self._synced_lsn = max(self._synced_lsn, last)
-            self._group_cond.notify_all()
+                size = self._file.tell()
+            self._publish_durable(last, size)
         return last
-
-    def records(self) -> Iterator[WalRecord]:
-        """Iterate records in LSN order (snapshot)."""
-        with self._lock:
-            return iter(list(self._records))
-
-    def records_from(self, lsn: int, limit: int | None = None
-                     ) -> list[WalRecord]:
-        """Records with LSN >= ``lsn`` in order, up to ``limit`` of them.
-
-        The segment-shipping read path: in-memory records are sorted by
-        LSN, so the start is found by bisection instead of copying the
-        whole log per segment.
-        """
-        with self._lock:
-            lo = bisect.bisect_left(self._records, lsn,
-                                    key=lambda r: r.lsn)
-            hi = len(self._records) if limit is None else lo + limit
-            return self._records[lo:hi]
-
-    def durable_segment(self, from_lsn: int
-                        ) -> tuple[list[WalRecord], int]:
-        """The next shippable segment: ``(records, durable_lsn)``.
-
-        At most :data:`SEGMENT_RECORDS` records from ``from_lsn`` on,
-        none beyond the durable LSN — a power loss on this leader can
-        then never leave a follower *ahead* of what leader recovery
-        would rebuild.  If checkpoint compaction truncated the in-memory
-        log below the cursor, the segment starts at the newest durable
-        CHECKPOINT instead, whose payload carries the full state (the
-        applier's documented mid-stream entry point).
-        """
-        durable = self.durable_lsn
-        with self._lock:
-            start = from_lsn
-            if self._records and self._records[0].lsn > from_lsn:
-                start = next((r.lsn for r in reversed(self._records)
-                              if r.type == CHECKPOINT and r.lsn <= durable),
-                             from_lsn)
-            records = [r for r in self.records_from(start, SEGMENT_RECORDS)
-                       if r.lsn <= durable]
-        return records, durable
 
     def last_lsn(self) -> int:
         """The LSN of the most recently appended record."""
@@ -647,30 +642,18 @@ class WriteAheadLog:
             return self._next_lsn - 1
 
     def advance_lsn(self, lsn: int) -> None:
-        """Keep LSN allocation ahead of ``lsn`` (follower resume).
+        """Keep LSN allocation ahead of ``lsn``: the engine was rebuilt
+        from its own file, which holds the records through ``lsn``.
 
-        A follower rebuilt from its local mirror file starts with an
-        empty in-memory log; advancing the allocator past the recovered
-        prefix keeps shipped and (post-promotion) locally appended
-        records strictly increasing.
+        Advancing the allocator past the recovered prefix keeps shipped
+        and locally appended records strictly increasing; the prefix —
+        the whole file as it was opened — is durable history, so a
+        restarted leader ships it before it commits anything new.
         """
         with self._lock:
             self._next_lsn = max(self._next_lsn, lsn + 1)
-
-    def truncate_before(self, lsn: int) -> int:
-        """Drop in-memory records with LSN < ``lsn`` (after a checkpoint).
-
-        A checkpoint's LSN never lies inside a transaction (a
-        transaction is logged as one block), so the cut splits none.
-        Returns the number of records dropped.  The file, if any, is
-        left untouched (files are append-only; compaction is
-        checkpoint+new file, handled by the engine).
-        """
-        with self._lock:
-            dropped = bisect.bisect_left(self._records, lsn,
-                                         key=lambda r: r.lsn)
-            del self._records[:dropped]
-            return dropped
+            if self._file is not None:
+                self._publish_durable(lsn, self._durable[1])
 
     def close(self) -> None:
         """Flush and close the mirror file, if any.
@@ -682,12 +665,11 @@ class WriteAheadLog:
         with self._lock:
             if self._file is not None:
                 self._file.flush()
+                self._publish_durable(self._next_lsn - 1, self._file.tell())
                 self._file.close()
                 self._file = None
-            last = self._next_lsn - 1
-        with self._group_cond:
-            self._synced_lsn = max(self._synced_lsn, last)
-            self._group_cond.notify_all()
+            elif self._path is None:
+                self._publish_durable(self._next_lsn - 1, 0)
 
     def power_off(self, *, lose_unsynced: bool = False) -> None:
         """Simulate losing the process (or the machine) mid-flight.
@@ -707,15 +689,11 @@ class WriteAheadLog:
             self._file = None
             if lose_unsynced and self._path is not None:
                 with open(self._path, "r+b") as raw:
-                    raw.truncate(self._durable_size)
+                    raw.truncate(self._durable[1])
         # Wake commit waiters: their next barrier check sees the dead
         # file and raises CrashSignal (never a false durability ack).
         with self._group_cond:
             self._group_cond.notify_all()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
 
     @staticmethod
     def load_file(path: str,

@@ -214,7 +214,7 @@ def run_replicated_schedule(
     Returns ``(outcome, promoted)`` where ``promoted`` is the follower's
     now-writable :class:`~repro.db.engine.Database` (caller closes it).
     """
-    from ..repl import FollowerEngine, WalFileTailer
+    from ..repl import FollowerEngine, WalTailer
     from .plan import REPL_CRASH_POINTS
 
     leader = run_engine_schedule(
@@ -229,9 +229,8 @@ def run_replicated_schedule(
     follower = FollowerEngine(follower_wal, node="torture-replica",
                               faults=faults)
     for _ in range(max_follower_restarts + 1):
-        tailer = WalFileTailer(leader_wal, follower)
         try:
-            tailer.drain()
+            WalTailer(leader_wal, follower).poll()
             break
         except CrashSignal:
             outcome.follower_crashes += 1

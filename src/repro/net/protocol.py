@@ -639,9 +639,10 @@ class WalSegment(Envelope):
     """One shipped chunk of the leader's durable WAL prefix.
 
     ``records`` are the WAL lines themselves, exactly as the leader's
-    mirror file holds them (:func:`~repro.db.wal.render_record`), so
-    envelope value tagging never touches record payloads and the
-    follower reads a segment with the file parser (:meth:`parse`).
+    log file holds them (read by :func:`~repro.db.wal.read_segment`,
+    never rendered again), so envelope value tagging never touches
+    record payloads and the follower reads a segment with the file
+    parser (:meth:`parse`).
     ``end_lsn`` is the leader's durable LSN at send time, so the
     follower's lag is ``end_lsn - applied_lsn`` even when the segment is
     empty (a heartbeat).  ``at`` is the leader's send stamp, the zero

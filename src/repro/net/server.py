@@ -61,9 +61,9 @@ from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
 from ..collab.awareness import CursorState
-from ..db.wal import render_record
 from ..errors import NetError, ProtocolError, TendaxError
 from ..obs.labels import SeriesCache
+from ..repl.tailer import WalTailer
 from ..text import chars as C
 from ..text import dbschema as S
 from .monitor import ScrapeLane
@@ -257,13 +257,16 @@ class CollabNetServer:
     # Replication shipping (SUBSCRIBE / WAL_SEGMENT / REPL_ACK)
     # ------------------------------------------------------------------
 
-    def _collect_segment(self, from_lsn: int) -> WalSegment:
-        """One WAL_SEGMENT of the durable prefix starting at ``from_lsn``
-        (see :meth:`~repro.db.wal.WriteAheadLog.durable_segment`)."""
-        records, durable = self.collab.db.wal.durable_segment(from_lsn)
+    async def _collect_segment(self, tailer: WalTailer,
+                               from_lsn: int) -> WalSegment:
+        """One WAL_SEGMENT of the durable prefix starting at ``from_lsn``:
+        the lines as the leader's file holds them, read off the event
+        loop (a fresh subscription scans the file once)."""
+        records, lines, durable = await asyncio.to_thread(
+            tailer.segment, from_lsn)
         if records:
             self._m_segments.inc()
-        return WalSegment(records=tuple(map(render_record, records)),
+        return WalSegment(records=tuple(line.decode() for line in lines),
                           end_lsn=durable, at=time())
 
     async def _serve_subscription(self, conn: _Connection,
@@ -287,10 +290,12 @@ class CollabNetServer:
         # a follower blocked on ``recv`` relies on this close for its
         # leader-death signal.
         self._repl_conns.add(conn)
+        tailer = WalTailer(self.collab.db.wal)
         try:
             cursor = sub.from_lsn
             while True:
-                await self._send_now(conn, self._collect_segment(cursor))
+                await self._send_now(
+                    conn, await self._collect_segment(tailer, cursor))
                 envelope = await self._next_envelope(conn)
                 if envelope is None or isinstance(envelope, Bye):
                     return

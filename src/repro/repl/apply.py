@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..db import wal as walmod
-from ..db.replay import (DDL, WalReplay, apply_ddl, merge_image,
-                         restore_checkpoint)
+from ..db.replay import DDL, WalReplay, apply_ddl, merge_image
 from ..db.table import VERSIONS_PUSHED
 from ..db.transaction import Change
 from ..db.wal import WalRecord
@@ -59,37 +58,27 @@ class ReplicationApplier:
         Records must arrive in LSN order: a duplicate (``lsn <=
         applied_lsn``) is dropped with **no** side effects — not even a
         WAL append — so redelivered segments are invisible.  A gap is a
-        protocol violation except for CHECKPOINT records, which carry
-        the full state needed to start mid-stream (a leader that
-        truncated its shipped history catches followers up from its
-        last checkpoint).
+        protocol violation: the leader's file holds its whole history,
+        so a follower always starts at LSN 1 or where it left off.  A
+        shipped CHECKPOINT is a state no-op — the follower already holds
+        exactly the snapshotted state, and restoring it would collapse
+        version chains under live replica snapshots.
         """
         core = self._core
         if record.lsn <= core.applied_lsn:
             return False
-        contiguous = record.lsn == core.applied_lsn + 1
-        if not contiguous and record.type != walmod.CHECKPOINT:
+        if record.lsn != core.applied_lsn + 1:
             raise ReplicationError(
                 f"gap in replication stream: expected LSN "
                 f"{core.applied_lsn + 1}, got {record.lsn} "
                 f"({record.type})")
-        db = self._db
         if record.type == walmod.COMMIT:
             self._apply_commit(record)
             return True
-        db.wal.append_shipped(record)
+        self._db.wal.append_shipped(record)
         core.feed(record)
         if record.type in DDL:
-            apply_ddl(db, record)
-        elif record.type == walmod.CHECKPOINT and not contiguous:
-            # Starting mid-stream: the checkpoint *is* the state.  (A
-            # contiguously shipped one is a state no-op — the follower
-            # already holds exactly the snapshotted state, and restoring
-            # it would collapse version chains under live replica
-            # snapshots.)
-            core.open.clear()
-            restore_checkpoint(db, record)
-            db.advance_object_ids()
+            apply_ddl(self._db, record)
         return True
 
     def _apply_commit(self, record: WalRecord) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.collab import CollaborationServer
+from repro.db.wal import read_log
 from repro.errors import (
     AccessDenied,
     ClipboardError,
@@ -379,6 +380,21 @@ class TestServerStatistics:
         assert stats["operations"] >= 1
         assert stats["db_commits"] > 0
         assert stats["wal_records"] > 0
+
+    def test_wal_records_counts_the_whole_log_after_a_restart(
+            self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        first = CollaborationServer(wal_path=path)
+        first.register_user("ana")
+        pad = first.connect("ana").create_document("pad", text="before")
+        first.shutdown()
+        server = CollaborationServer(wal_path=path)     # restart
+        session = server.connect("ana")
+        session.open(pad.doc)
+        session.insert(pad.doc, 0, "after ")
+        stats = server.statistics()
+        assert stats["wal_records"] == len(read_log(path)[0])
+        server.shutdown()
 
 
 class TestPasteIntegrity:

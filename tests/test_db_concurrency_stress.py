@@ -11,16 +11,20 @@ import threading
 
 import pytest
 
-from repro.db import Database, col, column, recover
+from repro.db import Database, col, column, recover_file
 from repro.errors import DeadlockError, LockTimeoutError, TransactionError
+
+
+def make_db(wal_path: str | None = None) -> Database:
+    db = Database("stress", lock_timeout=10.0, wal_path=wal_path)
+    db.create_table("counters", [column("name", "str"),
+                                 column("value", "int")], key="name")
+    return db
 
 
 @pytest.fixture
 def db():
-    db = Database("stress", lock_timeout=10.0)
-    db.create_table("counters", [column("name", "str"),
-                                 column("value", "int")], key="name")
-    return db
+    return make_db()
 
 
 def _increment(db: Database, rowid: int, retries: int = 50) -> None:
@@ -63,7 +67,8 @@ class TestNoLostUpdates:
         assert db.get("counters", rowid)["value"] == \
             n_threads * n_increments
 
-    def test_wal_replayable_after_contention(self, db):
+    def test_wal_replayable_after_contention(self, tmp_path):
+        db = make_db(str(tmp_path / "wal.jsonl"))
         rowid = db.insert("counters", {"name": "hits", "value": 0})
         threads = [
             threading.Thread(
@@ -74,7 +79,7 @@ class TestNoLostUpdates:
             t.start()
         for t in threads:
             t.join()
-        recovered = recover(db.wal.records())
+        recovered = recover_file(db.wal.path)
         assert recovered.get("counters", rowid)["value"] == 80
 
 

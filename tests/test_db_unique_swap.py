@@ -20,21 +20,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, col, column, recover
+from repro.db import Database, col, column, recover_file
 from repro.errors import UniqueViolation
 
 ROWS = 4
 KEYS = ("a", "b", "c", "d", "e", "f")
 
 
-def make_db() -> tuple[Database, list[int]]:
-    db = Database("swap")
+def make_db(wal_path: str | None = None) -> tuple[Database, list[int]]:
+    db = Database("swap", wal_path=wal_path)
     db.create_table("t", [column("k", "str"), column("alt", "str"),
                           column("v", "int", default=0)], key="k")
     db.create_index("t", "alt", kind="ordered", unique=True)
     rowids = [db.insert("t", {"k": KEYS[i], "alt": KEYS[i].upper(), "v": i})
               for i in range(ROWS)]
     return db, rowids
+
+
+def fresh_log(tmp_path_factory) -> str:
+    """An empty log file for one generated example."""
+    path = tmp_path_factory.getbasetemp() / "swap.wal"
+    path.unlink(missing_ok=True)
+    return str(path)
 
 
 def state(db: Database) -> dict:
@@ -54,17 +61,17 @@ def assert_indexes_match_rows(db: Database) -> None:
 
 
 class TestSwap:
-    def test_swap_through_a_spare_key_commits(self):
+    def test_swap_through_a_spare_key_commits(self, tmp_path):
         """The regression: staging accepts it, commit used to raise in
         the middle (row 1 filed ``b`` while row 2 still sat on it)."""
-        db, (one, two, *_) = make_db()
+        db, (one, two, *_) = make_db(str(tmp_path / "wal.jsonl"))
         with db.transaction() as txn:
             txn.update("t", one, {"k": "tmp"})
             txn.update("t", two, {"k": "a"})
             txn.update("t", one, {"k": "b"})
         assert state(db)[one][0] == "b" and state(db)[two][0] == "a"
         assert_indexes_match_rows(db)
-        assert state(recover(db.wal.records())) == state(db)
+        assert state(recover_file(db.wal.path)) == state(db)
 
     def test_rotation_over_the_ordered_unique_index(self):
         db, (one, two, three, _) = make_db()
@@ -118,9 +125,10 @@ rotations = st.tuples(
 class TestKeyMoveProgrammes:
     @settings(max_examples=60, deadline=None)
     @given(rotation=rotations)
-    def test_rotations_commit_in_any_staging_order(self, rotation):
+    def test_rotations_commit_in_any_staging_order(self, tmp_path_factory,
+                                                   rotation):
         order, cycle, name = rotation
-        db, rowids = make_db()
+        db, rowids = make_db(fresh_log(tmp_path_factory))
         position = 0 if name == "k" else 1
         before = state(db)
         with db.transaction() as txn:
@@ -138,12 +146,13 @@ class TestKeyMoveProgrammes:
             assert after[rowids[taker]][position] \
                 == before[rowids[giver]][position]
         assert_indexes_match_rows(db)
-        assert state(recover(db.wal.records())) == after
+        assert state(recover_file(db.wal.path)) == after
 
     @settings(max_examples=150, deadline=None)
     @given(programme=moves)
-    def test_commit_is_atomic_or_refused_at_staging(self, programme):
-        db, rowids = make_db()
+    def test_commit_is_atomic_or_refused_at_staging(self, tmp_path_factory,
+                                                    programme):
+        db, rowids = make_db(fresh_log(tmp_path_factory))
         before = state(db)
         model = dict(before)
         txn = db.begin()
@@ -175,7 +184,7 @@ class TestKeyMoveProgrammes:
         txn.commit()
         assert state(db) == model
         assert_indexes_match_rows(db)
-        assert state(recover(db.wal.records())) == model
+        assert state(recover_file(db.wal.path)) == model
         # Freed keys really are free, taken ones really are taken.
         held = {row[0] for row in model.values()}
         spare = next(k for k in KEYS + ("z",) if k not in held)

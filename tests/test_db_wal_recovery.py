@@ -7,7 +7,8 @@ import pytest
 
 from repro.db import Database, column, recover, recover_file
 from repro.db import wal as walmod
-from repro.db.wal import WriteAheadLog, committed_txn_ids, decode_value, encode_value
+from repro.db.wal import (WriteAheadLog, committed_txn_ids, decode_value,
+                          encode_value, read_log)
 from repro.errors import SchemaError, WalError
 from repro.ids import Oid
 
@@ -23,6 +24,18 @@ def make_db(**kwargs) -> Database:
     return db
 
 
+@pytest.fixture
+def db(tmp_path) -> Database:
+    """:func:`make_db` on a log file."""
+    return make_db(wal_path=str(tmp_path / "wal.jsonl"))
+
+
+def logged(db: Database, from_lsn: int = 1) -> list:
+    """The records ``db``'s log file holds from ``from_lsn`` on (a cut
+    there is the log compacted to its checkpoint)."""
+    return [r for r in read_log(db.wal.path)[0] if r.lsn >= from_lsn]
+
+
 class TestWal:
     def test_lsns_are_monotonic(self):
         wal = WriteAheadLog()
@@ -36,31 +49,26 @@ class TestWal:
         with pytest.raises(WalError):
             wal.append("NOT_A_TYPE", 1)
 
-    def test_committed_txn_ids(self):
-        wal = WriteAheadLog()
+    def test_committed_txn_ids(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
         wal.append(walmod.COMMIT, 1)
         wal.append(walmod.BEGIN, 2)           # as logs once recorded an
         wal.append(walmod.ABORT, 2)           # aborted transaction
-        assert committed_txn_ids(wal.records()) == {1}
+        assert committed_txn_ids(read_log(path)[0]) == {1}
 
-    def test_truncate_before(self):
-        wal = WriteAheadLog()
-        for i in range(5):
-            wal.append(walmod.COMMIT, i)      # BEGIN + COMMIT
-        dropped = wal.truncate_before(7)
-        assert dropped == 6
-        assert all(r.lsn >= 7 for r in wal.records())
-
-    def test_commit_appends_its_transaction_as_one_block(self):
-        wal = WriteAheadLog()
+    def test_commit_appends_its_transaction_as_one_block(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
         wal.append(walmod.CREATE_TABLE, 0, table="t")
         commit = wal.append(walmod.COMMIT, 7, dml=[
             (walmod.INSERT, "t", 1, ("k",), ("a",)),
             (walmod.UPDATE, "t", 1, ("k",), ("b",))])
-        assert [(r.lsn, r.type, r.txn_id) for r in wal.records()] == [
+        records = read_log(path)[0]
+        assert [(r.lsn, r.type, r.txn_id) for r in records] == [
             (1, "CREATE_TABLE", 0), (2, "BEGIN", 7), (3, "INSERT", 7),
             (4, "UPDATE", 7), (5, "COMMIT", 7)]
-        assert commit == list(wal.records())[-1]
+        assert commit == records[-1]
         with pytest.raises(WalError):
             wal.append(walmod.INSERT, 7, table="t", rowid=2)
 
@@ -74,101 +82,87 @@ class TestWal:
 
 
 class TestRecoveryInMemory:
-    def test_committed_changes_survive(self):
-        db = make_db()
+    def test_committed_changes_survive(self, db):
         db.insert("docs", {"title": "a", "size": 10})
         db.insert("docs", {"title": "b", "size": 20})
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         assert recovered.query("docs").count() == 2
         assert recovered.query("docs").where(
             __import__("repro.db", fromlist=["col"]).col("title") == "a"
         ).run()[0]["size"] == 10
 
-    def test_uncommitted_changes_lost(self):
-        db = make_db()
+    def test_uncommitted_changes_lost(self, db):
         db.insert("docs", {"title": "a"})
         txn = db.begin()
         txn.insert("docs", {"title": "b"})
         # Crash before commit: recover from the log as-is.
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         assert recovered.query("docs").count() == 1
 
-    def test_aborted_changes_lost(self):
-        db = make_db()
+    def test_aborted_changes_lost(self, db):
         txn = db.begin()
         txn.insert("docs", {"title": "x"})
         txn.abort()
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         assert recovered.query("docs").count() == 0
 
-    def test_updates_and_deletes_replayed(self):
-        db = make_db()
+    def test_updates_and_deletes_replayed(self, db):
         rid = db.insert("docs", {"title": "a", "size": 1})
         db.update("docs", rid, {"size": 5})
         rid2 = db.insert("docs", {"title": "b"})
         db.delete("docs", rid2)
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         rows = recovered.query("docs").run()
         assert len(rows) == 1
         assert rows[0]["size"] == 5
 
-    def test_ddl_replayed(self):
-        db = make_db()
-        recovered = recover(db.wal.records())
+    def test_ddl_replayed(self, db):
+        recovered = recover(logged(db))
         assert recovered.has_table("docs")
         info = recovered.catalog.table_info("docs")
         assert info.key == "title"
         assert "docs_size_ordered" in info.index_names
 
-    def test_drop_table_replayed(self):
-        db = make_db()
+    def test_drop_table_replayed(self, db):
         db.create_table("tmp", [column("x", "int")])
         db.drop_table("tmp")
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         assert not recovered.has_table("tmp")
 
-    def test_recovered_db_accepts_new_writes(self):
-        db = make_db()
+    def test_recovered_db_accepts_new_writes(self, db):
         db.insert("docs", {"title": "a"})
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         recovered.insert("docs", {"title": "b"})
         assert recovered.query("docs").count() == 2
 
-    def test_rowids_not_reused_after_recovery(self):
-        db = make_db()
+    def test_rowids_not_reused_after_recovery(self, db):
         rid = db.insert("docs", {"title": "a"})
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db))
         new_rid = recovered.insert("docs", {"title": "b"})
         assert new_rid != rid
 
 
 class TestCheckpoint:
-    def test_recovery_from_checkpoint(self):
-        db = make_db()
+    def test_recovery_from_checkpoint(self, db):
         db.insert("docs", {"title": "a", "size": 1})
         lsn = db.checkpoint()
         db.insert("docs", {"title": "b", "size": 2})
-        db.wal.truncate_before(lsn)  # pre-checkpoint history gone
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db, lsn))  # pre-checkpoint history gone
         assert recovered.query("docs").count() == 2
 
-    def test_checkpoint_preserves_indexes(self):
-        db = make_db()
+    def test_checkpoint_preserves_indexes(self, db):
         db.insert("docs", {"title": "a", "size": 9})
         lsn = db.checkpoint()
-        db.wal.truncate_before(lsn)
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db, lsn))
         from repro.db import col
         plan = recovered.query("docs").where(col("size") >= 5).plan()
         assert plan.kind == "index"
 
-    def test_post_checkpoint_delete_replayed(self):
-        db = make_db()
+    def test_post_checkpoint_delete_replayed(self, db):
         rid = db.insert("docs", {"title": "a"})
         lsn = db.checkpoint()
         db.delete("docs", rid)
-        db.wal.truncate_before(lsn)
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db, lsn))
         assert recovered.query("docs").count() == 0
 
     def test_checkpoint_racing_a_commit_keeps_it(self, tmp_path):
@@ -246,26 +240,25 @@ class TestCheckpoint:
         assert titles(recover_file(path)) == live
 
 
-    def test_truncation_keeps_a_straddling_transactions_early_writes(self):
+    def test_truncation_keeps_a_straddling_transactions_early_writes(
+            self, db):
         """Regression (ROADMAP 5(ii)): the checkpoint holds none of an
         open transaction's DML, so cutting the in-memory log right at it
         used to lose those writes when the COMMIT arrived later."""
-        db = make_db()
         settled = db.insert("docs", {"title": "settled", "size": 1})
         txn = db.begin()
         txn.insert("docs", {"title": "early", "size": 2})
         txn.update("docs", settled, {"size": 10})      # a delta, pre-cut
         lsn = db.checkpoint()
-        db.wal.truncate_before(lsn)
         txn.insert("docs", {"title": "late", "size": 3})
         txn.commit()
-        recovered = recover(db.wal.records())
+        recovered = recover(logged(db, lsn))
         assert sorted((r["title"], r["size"])
                       for r in recovered.query("docs").run()) \
             == [("early", 2), ("late", 3), ("settled", 10)]
         # Nothing of the transaction lay before the cut to be lost: its
         # whole block follows the checkpoint.
-        assert [r.type for r in db.wal.records()] == [
+        assert [r.type for r in logged(db, lsn)] == [
             "CHECKPOINT", "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT"]
 
 
@@ -285,14 +278,13 @@ class TestNullSurvivesRestore:
     def tag(self, db):
         return db.query("notes").first()["tag"]
 
-    def test_checkpoint_row_keeps_null(self):
-        db = self.make_db()
+    def test_checkpoint_row_keeps_null(self, tmp_path):
+        db = self.make_db(wal_path=str(tmp_path / "wal.jsonl"))
         rid = db.insert("notes", {"k": "a", "tag": "x"})
         db.update("notes", rid, {"tag": None})
         assert self.tag(db) is None
         lsn = db.checkpoint()
-        db.wal.truncate_before(lsn)
-        assert self.tag(recover(db.wal.records())) is None
+        assert self.tag(recover(logged(db, lsn))) is None
 
     def test_checkpoint_row_keeps_null_through_the_file(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -305,9 +297,9 @@ class TestNullSurvivesRestore:
                    if r.type == walmod.CHECKPOINT]
         assert self.tag(recover(records)) is None
 
-    def test_full_image_update_without_base_keeps_null(self):
-        db = self.make_db()
-        records = list(db.wal.records())
+    def test_full_image_update_without_base_keeps_null(self, tmp_path):
+        db = self.make_db(wal_path=str(tmp_path / "wal.jsonl"))
+        records = logged(db)
         lsn = records[-1].lsn
         records += [
             walmod.WalRecord(lsn + 1, walmod.BEGIN, 9),
@@ -317,11 +309,11 @@ class TestNullSurvivesRestore:
         ]
         assert self.tag(recover(records)) is None
 
-    def test_an_inserted_default_is_still_the_default(self):
-        db = self.make_db()
+    def test_an_inserted_default_is_still_the_default(self, tmp_path):
+        db = self.make_db(wal_path=str(tmp_path / "wal.jsonl"))
         db.insert("notes", {"k": "a", "tag": None})
         assert self.tag(db) == "untagged"
-        assert self.tag(recover(db.wal.records())) == "untagged"
+        assert self.tag(recover(logged(db))) == "untagged"
 
     def test_an_image_missing_a_column_is_refused(self):
         schema = self.make_db().table("notes").schema
@@ -380,11 +372,10 @@ class TestRecoveryErrors:
         recovered = recover(records)   # no exception
         assert recovered.tables() == []
 
-    def test_create_index_replay_idempotent(self):
-        db = make_db()
+    def test_create_index_replay_idempotent(self, db):
         # Replaying records twice (e.g. checkpoint overlap) must not
         # fail on the already-present index.
-        records = list(db.wal.records()) + list(db.wal.records())
+        records = logged(db) + logged(db)
         recovered = recover(
             [r for r in records if r.type.startswith("CREATE")]
         )

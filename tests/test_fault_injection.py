@@ -102,17 +102,17 @@ class TestCrashPoints:
         hit = 1 + 3 + 1 + record
         db, path = make_db(tmp_path, FaultPlan.crash_once(point, hit=hit))
         first = db.insert("kv", {"k": "kept", "v": 1})
-        logged = len(db.wal)
+        logged = db.wal.last_lsn()
         txn = db.begin()
         txn.insert("kv", {"k": "b", "v": 2})
         txn.update("kv", first, {"v": 10})
         txn.insert("kv", {"k": "c", "v": 3})
-        assert len(db.wal) == logged          # nothing logged before commit
+        assert db.wal.last_lsn() == logged    # nothing logged before commit
         with pytest.raises(CrashSignal):
             txn.commit()
         assert db.faults.fired[0].detail["type"] == (
             "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT")[record]
-        assert len(db.wal) == logged          # ... nor by a dying one
+        assert db.wal.last_lsn() == logged    # ... nor by a dying one
         with open(path, "rb") as handle:
             data = handle.read()
         if point == "wal.before_append":

@@ -241,15 +241,18 @@ class TestFolderPersistence:
         store.create("d", "ana")
         assert len(dfm2.folder("ana-docs")) == 1
 
-    def test_definitions_survive_recovery(self, db, store):
-        from repro.db import recover
+    def test_definitions_survive_recovery(self, clock, tmp_path):
+        from repro.db import recover_file
+        path = str(tmp_path / "wal.jsonl")
+        db = Database("t", clock=clock, wal_path=path)
+        store = DocumentStore(db)
         dfm = DynamicFolderManager(db)
         dfm.create_folder("finals", StateIs("final"))
         dfm.save_folder("finals", "ana")
         h = store.create("d", "ana")
         store.set_state(h.doc, "final", "ana")
 
-        recovered = recover(db.wal.records())
+        recovered = recover_file(path)
         dfm2 = DynamicFolderManager(recovered)
         assert dfm2.load_folders() == ["finals"]
         assert h.doc in dfm2.folder("finals")

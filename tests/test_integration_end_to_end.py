@@ -20,15 +20,16 @@ from repro import (
     WorkflowManager,
 )
 from repro.clock import SimulatedClock
-from repro.db import recover
+from repro.db import recover_file
 from repro.folders import AccessedBy, DynamicFolderManager, StateIs
 from repro.text import DocumentStore
 
 
 @pytest.fixture
-def world():
+def world(tmp_path):
     clock = SimulatedClock()
-    server = CollaborationServer(clock=clock)
+    server = CollaborationServer(clock=clock,
+                                 wal_path=str(tmp_path / "wal.jsonl"))
     server.register_user("ana")
     server.register_user("ben")
     server.register_user("cleo", roles=("reviewers",))
@@ -117,7 +118,7 @@ def test_full_document_lifecycle(world):
     assert "Summary" not in versions.text_at(v1)
 
     # --- stage 8: crash and recover ---------------------------------------------
-    recovered = recover(server.db.wal.records())
+    recovered = recover_file(server.db.wal.path)
     recovered_store = DocumentStore(recovered)
     recovered_report = recovered_store.handle(report.doc)
     assert recovered_report.text() == report.text()

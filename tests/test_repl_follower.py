@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, column
+from repro.db.wal import read_log
 from repro.errors import CrashSignal, ReplicationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.feed import MaintenanceWorker
-from repro.repl import FollowerEngine, WalFileTailer, WalTailer
+from repro.repl import FollowerEngine, WalTailer
 from repro.search import InvertedIndex
 from repro.text import DocumentStore
 
@@ -37,6 +38,11 @@ def make_leader(wal_path: str, n_txns: int = 20) -> Database:
             txn.update(TABLE, t, {"v": t * 10})
         txn.commit()
     return db
+
+
+def logged(db: Database) -> list:
+    """The records ``db``'s log file holds: what a follower is shipped."""
+    return read_log(db.wal.path)[0]
 
 
 def rows(db: Database) -> dict:
@@ -63,15 +69,15 @@ class TestTailerConvergence:
         path = str(tmp_path / "leader.wal")
         leader = make_leader(path, n_txns=5)
         follower = FollowerEngine(node="replica")
-        tailer = WalFileTailer(path, follower)
-        tailer.drain()
+        tailer = WalTailer(path, follower)
+        tailer.poll()
         first = follower.applied_lsn
         assert first == leader.wal.durable_lsn
         # More leader commits land; the next poll ships only the delta.
         txn = leader.begin()
         txn.insert(TABLE, {"k": "late", "v": 99})
         txn.commit()
-        tailer.drain()
+        tailer.poll()
         assert follower.applied_lsn > first
         assert rows(follower.db) == rows(leader)
         leader.close(); follower.close()
@@ -124,7 +130,7 @@ class TestTheReplicaPublishesItsApplies:
         worker = MaintenanceWorker(follower.db)
         worker.register("search-index", index.ensure_fresh)
         assert handle.text() == "hello"
-        mirrored = len(follower.db.wal)
+        mirrored = follower.db.wal.last_lsn()
 
         def full_scans() -> int:
             return follower.db.metrics_snapshot()["doc.full_scans"]["value"]
@@ -143,8 +149,8 @@ class TestTheReplicaPublishesItsApplies:
         assert index.check() == []
         assert follower.db.changefeed().errors == []
         # Nothing but shipped records reached the replica's log.
-        assert len(follower.db.wal) - mirrored == \
-            follower.applied_lsn - mirrored == len(leader.wal) - mirrored
+        assert follower.db.wal.last_lsn() - mirrored == \
+            follower.applied_lsn - mirrored == leader.wal.last_lsn() - mirrored
         leader.close(); follower.close()
 
     def test_replica_dying_mid_dispatch_resumes_from_its_mirror(
@@ -196,7 +202,7 @@ class TestIdempotence:
     def test_redelivered_segment_is_a_no_op(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"))
         follower = FollowerEngine(node="replica")
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         follower.apply_records(records, leader_lsn=records[-1].lsn)
         state = rows(follower.db)
         cursor = follower.applied_lsn
@@ -226,7 +232,7 @@ class TestIdempotence:
         wal_dir = tmp_path_factory.mktemp("redelivery")
         leader = make_leader(str(wal_dir / "leader.wal"))
         reference = FollowerEngine(node="reference")
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         reference.apply_records(records, leader_lsn=records[-1].lsn)
 
         follower = FollowerEngine(node="replica")
@@ -255,7 +261,7 @@ class TestIdempotence:
     def test_gap_in_the_stream_raises(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"))
         follower = FollowerEngine(node="replica")
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         follower.apply_records(records[:4])
         with pytest.raises(ReplicationError):
             follower.apply_records(records[6:])
@@ -266,7 +272,7 @@ class TestRestartResume:
     def test_resume_from_local_mirror(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"))
         mirror = str(tmp_path / "follower.wal")
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         half = len(records) // 2
         follower = FollowerEngine(mirror, node="replica")
         follower.apply_records(records[:half])
@@ -284,7 +290,7 @@ class TestRestartResume:
     def test_torn_mirror_tail_is_truncated(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"))
         mirror = str(tmp_path / "follower.wal")
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         follower = FollowerEngine(mirror, node="replica")
         follower.apply_records(records[:8])
         applied = follower.applied_lsn
@@ -312,7 +318,7 @@ class TestRestartResume:
         applier its uncommitted-transaction buffers."""
         leader = make_leader(str(tmp_path / "leader.wal"), n_txns=2)
         leader.insert(TABLE, {"k": "spans-the-restart", "v": 7})
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         assert [r.type for r in records[-3:]] == ["BEGIN", "INSERT", "COMMIT"]
         mirror = str(tmp_path / "follower.wal")
         follower = FollowerEngine(mirror, node="replica")
@@ -323,19 +329,6 @@ class TestRestartResume:
         assert follower.status()["pending_txns"] == 1
         follower.apply_records(records[-1:])
         assert follower.status()["pending_txns"] == 0
-        assert rows(follower.db) == rows(leader)
-        leader.close(); follower.close()
-
-    def test_truncated_leader_log_ships_from_its_checkpoint(self, tmp_path):
-        """History compacted away below a new follower's cursor: the
-        segment starts at the newest checkpoint, which carries the full
-        state (the applier's mid-stream entry point)."""
-        leader = make_leader(str(tmp_path / "leader.wal"), n_txns=6)
-        leader.wal.truncate_before(leader.checkpoint())
-        leader.insert(TABLE, {"k": "after-checkpoint", "v": 1})
-        follower = FollowerEngine(node="replica")
-        WalTailer(leader.wal, follower).poll()
-        assert follower.applied_lsn == leader.wal.durable_lsn
         assert rows(follower.db) == rows(leader)
         leader.close(); follower.close()
 
@@ -361,21 +354,18 @@ class TestPromotion:
         # BEGIN/DML arrived, the COMMIT never will.
         leader.insert(TABLE, {"k": "never-committed", "v": -1})
         follower = FollowerEngine(node="replica")
-        follower.apply_records(leader.wal.records_from(1)[:-1])
+        follower.apply_records(logged(leader)[:-1])
         assert follower.status()["pending_txns"] == 1
         db = follower.promote()
         assert follower.status()["pending_txns"] == 0
         assert all(r["k"] != "never-committed" for r in rows(db).values())
         leader.close(); follower.close()
 
-    @pytest.mark.parametrize("compacted", [False, True])
     def test_promotion_under_the_leaders_node_name_mints_fresh_ids(
-            self, tmp_path, compacted):
+            self, tmp_path):
         """A follower that takes over *as* its leader (same node name,
         the CLI default) must not hand out ``node.char:N`` again: the
-        first keystroke after failover used to hit a duplicate key.
-        Shipped row by row, or all at once in a checkpoint when the
-        leader compacted its log first."""
+        first keystroke after failover used to hit a duplicate key."""
         from repro.collab import CollaborationServer
         from repro.ids import Oid
 
@@ -385,8 +375,6 @@ class TestPromotion:
         typist = leader.connect("ana")
         pad = typist.create_document("pad", text="typed on the leader")
         typist.insert(pad.doc, 5, " (and edited)")
-        if compacted:
-            leader.db.wal.truncate_before(leader.db.checkpoint())
         follower = FollowerEngine(node="tendax")
         WalTailer(leader.db.wal, follower).poll()
 
@@ -417,7 +405,7 @@ class TestPromotion:
     def test_promoted_follower_rejects_the_stream(self, tmp_path):
         leader = make_leader(str(tmp_path / "leader.wal"), n_txns=3)
         follower = FollowerEngine(node="replica")
-        records = leader.wal.records_from(1)
+        records = logged(leader)
         follower.apply_records(records)
         first = follower.promote()
         assert follower.promote() is first  # idempotent

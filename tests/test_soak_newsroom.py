@@ -46,13 +46,14 @@ def _typist_seed(master: int, user: str, article: int) -> int:
 
 
 @pytest.fixture(scope="module")
-def newsroom(request):
+def newsroom(request, tmp_path_factory):
     seed = request.config.getoption("--soak-seed")
     # Captured stdout is replayed for failing tests: this line is the
     # reproduction handle.
     print(f"newsroom soak: rerun with --soak-seed {seed}")
     rng = random.Random(seed)
-    server = CollaborationServer()
+    server = CollaborationServer(
+        wal_path=str(tmp_path_factory.mktemp("newsroom") / "wal.jsonl"))
     for user in JOURNALISTS:
         server.register_user(user, roles=("journalists",))
     for user in EDITORS:
@@ -200,10 +201,10 @@ class TestNewsroomInvariants:
             assert sum(prov.values()) == article.length()
 
     def test_recovery_reproduces_the_newsroom(self, newsroom):
-        from repro.db import recover
+        from repro.db import recover_file
         from repro.text import DocumentStore
         server = newsroom["server"]
-        recovered = recover(server.db.wal.records())
+        recovered = recover_file(server.db.wal.path)
         store = DocumentStore(recovered)
         for article in newsroom["articles"]:
             clone = store.handle(article.doc)

@@ -41,7 +41,8 @@ Families of properties over generated logs:
   prefix of a valid log never raises and yields a record prefix ending on
   a line boundary, and corrupting a non-final line raises ``WalError`` —
   the same three assertions against every reader of the line format: the
-  parser itself, ``WriteAheadLog.load_file``, ``WalFileTailer`` and a
+  parser itself, ``WriteAheadLog.load_file``, the shipping reader
+  ``read_segment`` (over a file that grows between reads) and a
   ``WalSegment`` frame round trip.
 
 The nightly arm re-runs this file at a larger budget
@@ -62,13 +63,14 @@ from hypothesis import strategies as st
 
 from repro.db import Database, column, recover
 from repro.db import wal as walmod
-from repro.db.wal import WalRecord, WriteAheadLog, parse_records, render_record
+from repro.db.wal import (WalRecord, WriteAheadLog, parse_records, read_log,
+                          read_segment, render_record)
 from repro.errors import RecoveryError, WalError
 from repro.faults import run_engine_schedule
 from repro.ids import Oid
 from repro.net import DocMirror, FrameDecoder, WalSegment, encode_frame
 from repro.net.protocol import Delta, wire_row
-from repro.repl import FollowerEngine, WalFileTailer
+from repro.repl import FollowerEngine, WalTailer
 from repro.text import DocumentStore
 from repro.text import chars as C
 from repro.text import dbschema as S
@@ -250,7 +252,7 @@ actions = st.lists(
     max_size=MAX_ACTIONS)
 
 
-def build_log(steps: list, wal_path: str | None = None,
+def build_log(steps: list, wal_path: str,
               oracle: PerStatementLog | None = None) -> list:
     """Drive a real engine through ``steps``; returns its WAL records.
 
@@ -264,13 +266,13 @@ def build_log(steps: list, wal_path: str | None = None,
     db = Database("gen", wal_path=wal_path)
     oracle = oracle if oracle is not None else PerStatementLog()
     db.create_table("t", [column("k", "str"), column("v", "int")], key="k")
-    oracle.copy(db.wal.records_from(1)[-1])
+    oracle.copy(read_log(wal_path)[0][-1])
     open_txns: dict = {}          # slot -> (txn, rowids it touched)
     live: set = set()             # committed rowids
     for n, (verb, slot, pick) in enumerate(steps):
         if verb == "checkpoint":
             db.checkpoint()
-            oracle.copy(db.wal.records_from(db.wal.last_lsn())[0])
+            oracle.copy(read_log(wal_path)[0][-1])
             continue
         if verb in ("commit", "abort"):
             if slot in open_txns:
@@ -304,9 +306,8 @@ def build_log(steps: list, wal_path: str | None = None,
             txn.delete("t", rowid)
             touched[rowid] = False
         oracle.statement(txn)
-    records = list(db.wal.records())
     db.close()
-    return records
+    return read_log(wal_path)[0]
 
 
 class TestGeneratedLogs:
@@ -335,7 +336,7 @@ class TestGeneratedLogs:
         oracle = PerStatementLog()
         records = build_log([("insert", 0, 1), ("checkpoint", 0, 0),
                              ("insert", 0, 2), ("commit", 0, 0)],
-                            oracle=oracle)
+                            str(tmp_path / "leader.wal"), oracle)
         # The engine logs the transaction whole, after the checkpoint;
         # logged per statement its first insert lies before it.
         assert [r.type for r in records][1:] == [
@@ -418,7 +419,7 @@ class TestEveryReplicaKind:
         tmp = tmp_path_factory.mktemp("replicas")
         db, live = build_doc_log(steps, str(tmp / "leader.wal"))
         doc, begin, end = live.doc, live.begin_char, live.end_char
-        records = list(db.wal.records())
+        records = read_log(str(tmp / "leader.wal"))[0]
         assert_sinks_agree(records, str(tmp / "mirror.wal"),
                            len(records) // 2)
         recovered = recover(records)
@@ -493,26 +494,27 @@ delta_steps = st.lists(
     max_size=MAX_ACTIONS)
 
 
-def build_delta_log(steps: list, oracle: PerStatementLog | None = None
+def build_delta_log(steps: list, wal_path: str,
+                    oracle: PerStatementLog | None = None
                     ) -> tuple[list, dict]:
     """Like :func:`build_log`, but a transaction keeps working on rows it
     already touched — including ones it inserted or updated itself — so
     one transaction logs chains of deltas on one row.  Returns the WAL
     records and the live database's committed state."""
-    db = Database("gen")
+    db = Database("gen", wal_path=wal_path)
     oracle = oracle if oracle is not None else PerStatementLog()
     db.create_table("d", [
         column("k", "str"), column("v", "int", nullable=True),
         column("ref", "oid", nullable=True),
         column("blob", "bytes", nullable=True),
         column("props", "json", nullable=True)], key="k")
-    oracle.copy(db.wal.records_from(1)[-1])
+    oracle.copy(read_log(wal_path)[0][-1])
     open_txns: dict = {}          # slot -> (txn, {rowid: alive})
     live: set = set()             # committed rowids
     for n, (verb, slot, pick, values) in enumerate(steps):
         if verb == "checkpoint":
             db.checkpoint()
-            oracle.copy(db.wal.records_from(db.wal.last_lsn())[0])
+            oracle.copy(read_log(wal_path)[0][-1])
             continue
         if verb in ("commit", "abort"):
             if slot in open_txns:
@@ -549,8 +551,7 @@ def build_delta_log(steps: list, oracle: PerStatementLog | None = None
             txn.delete("d", rowid)
             touched[rowid] = False
         oracle.statement(txn)
-    records = list(db.wal.records())
-    return records, table_state(db)
+    return read_log(wal_path)[0], table_state(db)
 
 
 def as_lines(records: list) -> list:
@@ -598,22 +599,23 @@ class TestDeltaProgrammes:
     def test_every_replica_equals_the_live_database(
             self, tmp_path_factory, steps, cut):
         oracle = PerStatementLog()
-        records, live = build_delta_log(steps, oracle)
-        assert_block_structured(records)
         tmp = tmp_path_factory.mktemp("delta")
+        records, live = build_delta_log(steps, str(tmp / "leader.wal"),
+                                        oracle)
+        assert_block_structured(records)
         for n, log in enumerate((records, as_lines(records),
                                  oracle.records, as_lines(oracle.records))):
             state = assert_sinks_agree(log, str(tmp / f"mirror{n}.wal"),
                                        int(cut * len(log)))
             assert state == live
 
-    def test_update_records_carry_only_the_columns_set(self):
+    def test_update_records_carry_only_the_columns_set(self, tmp_path):
         records, live = build_delta_log([
             ("insert", 0, 0, {"v": 1, "blob": b"\x01"}),
             ("update", 0, 0, {"v": 2}),
             ("update", 0, 0, {"ref": Oid("n.doc", 3), "v": None}),
             ("commit", 0, 0, {}),
-        ])
+        ], str(tmp_path / "leader.wal"))
         updates = [r for r in records if r.type == walmod.UPDATE]
         assert [(r.cols, r.vals) for r in updates] == [
             (("v",), (2,)), (("ref", "v"), (Oid("n.doc", 3), None))]
@@ -622,11 +624,11 @@ class TestDeltaProgrammes:
             == (None, Oid("n.doc", 3), b"\x01")
         assert '"values":{"v":2}' in render_record(updates[0])
 
-    def test_delete_records_carry_only_the_row_they_name(self):
+    def test_delete_records_carry_only_the_row_they_name(self, tmp_path):
         records, live = build_delta_log([
             ("insert", 0, 0, {"v": 1}), ("commit", 0, 0, {}),
             ("delete", 1, 0, {}), ("commit", 1, 0, {}),
-        ])
+        ], str(tmp_path / "leader.wal"))
         (delete,) = [r for r in records if r.type == walmod.DELETE]
         assert (delete.cols, delete.vals) == ((), ())
         assert json.loads(render_record(delete))["payload"] == {
@@ -640,7 +642,7 @@ class TestDeltaProgrammes:
             ("commit", 0, 0, {}),
             ("update", 1, 0, {"v": None}),          # props not named
             ("commit", 1, 0, {}),
-        ])
+        ], str(tmp_path / "leader.wal"))
         state = assert_sinks_agree(as_lines(records),
                                    str(tmp_path / "mirror.wal"), 5)
         ((_, row),) = state.items()
@@ -659,7 +661,7 @@ class TestDeltaProgrammes:
             ("update", 0, 1, {"v": 20}),
             ("delete", 0, 1, {}),
             ("commit", 0, 0, {}),
-        ])
+        ], str(tmp_path / "leader.wal"))
         state = assert_sinks_agree(records, str(tmp_path / "mirror.wal"),
                                    restart_at=len(records) - 3)
         assert state == live
@@ -673,7 +675,7 @@ class TestDeltaProgrammes:
         records, _ = build_delta_log([
             ("insert", 0, 0, {"v": 1}), ("commit", 0, 0, {}),
             ("update", 0, 0, {"v": 2}), ("commit", 0, 0, {}),
-        ])
+        ], str(tmp_path / "leader.wal"))
         insert = next(r for r in records if r.type == walmod.INSERT)
         update = next(r for r in records if r.type == walmod.UPDATE)
         holed = [r for r in records if r is not insert]
@@ -743,17 +745,15 @@ class TestDeltaProgrammes:
 # ---------------------------------------------------------------------------
 
 class TestJoiningAtACheckpoint:
-    """ROADMAP 5(ii), the hole that was left: a replica that starts from
-    a CHECKPOINT cut while a transaction was open (a follower joining
-    after compaction — ``durable_segment``'s fallback —, a recovery)
-    must end up with that transaction's
+    """ROADMAP 5(ii), the hole that was left: a replica that meets a
+    CHECKPOINT cut while a transaction was open (a follower joining
+    while it is open, a recovery) must end up with that transaction's
     *early* writes once it commits.  The checkpoint holds none of them
     (they were only staged), and when they were logged as they executed
-    they lay before it, out of the newcomer's reach.  Logged at COMMIT
-    they all follow it."""
+    they lay before it.  Logged at COMMIT they all follow it."""
 
     @staticmethod
-    def leader(tmp_path, *, compact: bool):
+    def leader(tmp_path):
         db = Database("leader", wal_path=str(tmp_path / "leader.wal"))
         db.create_table("d", [column("k", "str"), column("v", "int")],
                         key="k")
@@ -762,8 +762,6 @@ class TestJoiningAtACheckpoint:
         txn.insert("d", {"k": "early", "v": 2})
         txn.update("d", settled, {"v": 10})        # a delta, pre-checkpoint
         cut = db.checkpoint()
-        if compact:
-            db.wal.truncate_before(cut)
         return db, txn, cut
 
     EXPECTED = [("early", 2), ("late", 3), ("settled", 10)]
@@ -772,12 +770,9 @@ class TestJoiningAtACheckpoint:
     def rows(db) -> list:
         return sorted((r["k"], r["v"]) for r in db.query("d").run())
 
-    @pytest.mark.parametrize("compact", [True, False],
-                             ids=["compacted-log", "row-by-row"])
     def test_follower_joining_mid_transaction_gets_its_early_writes(
-            self, tmp_path, compact):
-        from repro.repl import WalTailer
-        leader, txn, cut = self.leader(tmp_path, compact=compact)
+            self, tmp_path):
+        leader, txn, cut = self.leader(tmp_path)
         follower = FollowerEngine(str(tmp_path / "follower.wal"))
         tailer = WalTailer(leader.wal, follower)
         tailer.poll()                     # joins while the txn is open
@@ -794,55 +789,10 @@ class TestJoiningAtACheckpoint:
         assert self.rows(restarted.db) == self.EXPECTED
         leader.close(); restarted.close()
 
-    def test_follower_joining_from_the_checkpoint_record_on(self, tmp_path):
-        """The same entry point without the tailer: the first record a
-        newcomer is handed is the CHECKPOINT itself."""
-        leader, txn, cut = self.leader(tmp_path, compact=False)
-        txn.insert("d", {"k": "late", "v": 3})
-        txn.commit()
-        follower = FollowerEngine()
-        follower.apply_records(leader.wal.records_from(cut))
-        assert self.rows(follower.db) == self.EXPECTED
-        leader.close(); follower.close()
-
-    def test_recovery_and_a_joining_followers_feed_from_the_compacted_log(
-            self, tmp_path):
-        leader, txn, cut = self.leader(tmp_path, compact=True)
-        txn.insert("d", {"k": "late", "v": 3})
-        txn.commit()
-        records = list(leader.wal.records())
-        assert records[0].lsn == cut
-        assert self.rows(recover(records)) == self.EXPECTED
-        # A follower joining at the checkpoint publishes the whole
-        # transaction as one batch, the delta finding its base row in it.
-        follower = FollowerEngine()
-        seen = subscribe_fold(follower)
-        follower.apply_records(records)
-        assert [(e.kind, e.row["k"], e.row["v"]) for e in seen[0].events] \
-            == [("insert", "early", 2), ("update", "settled", 10),
-                ("insert", "late", 3)]
-        assert len(seen) == 1 and seen[0].events[1].before["v"] == 1
-        leader.close(); follower.close()
-
 
 # ---------------------------------------------------------------------------
 # Codec: one line format, four readers
 # ---------------------------------------------------------------------------
-
-class _ShippedTo:
-    """Stands in for a follower: keeps what a tailer ships to it."""
-
-    def __init__(self) -> None:
-        self.records: list = []
-        self.db = self
-
-    def now(self) -> float:
-        return 0.0
-
-    def apply_records(self, records, **_) -> int:
-        self.records.extend(records)
-        return len(records)
-
 
 def read_with_parser(data: bytes, tmp) -> list:
     return parse_records(data)[0]
@@ -854,17 +804,25 @@ def read_with_load_file(data: bytes, tmp) -> list:
     return WriteAheadLog.load_file(str(path))
 
 
-def read_with_file_tailer(data: bytes, tmp) -> list:
+def read_with_segment_reader(data: bytes, tmp) -> list:
+    """The shipping reader, segment by segment, over a file that grows
+    between reads."""
     path = tmp / "log.wal"
     half = len(data) // 2
     path.write_bytes(data[:half])
-    sink = _ShippedTo()
-    tailer = WalFileTailer(str(path), sink)
-    tailer.drain()
-    with open(path, "ab") as raw:       # the file grows between polls
-        raw.write(data[half:])
-    tailer.drain()
-    return sink.records
+    records: list = []
+    offset = 0
+    for end in (half, len(data)):
+        if end == len(data):
+            with open(path, "ab") as raw:
+                raw.write(data[half:])
+        while True:
+            segment, _, next_offset = read_segment(str(path), offset, end)
+            if next_offset == offset:
+                break
+            records += segment
+            offset = next_offset
+    return records
 
 
 def read_with_segment(data: bytes, tmp) -> list:
@@ -876,7 +834,7 @@ def read_with_segment(data: bytes, tmp) -> list:
     return segment.parse()
 
 
-READERS = [read_with_parser, read_with_load_file, read_with_file_tailer,
+READERS = [read_with_parser, read_with_load_file, read_with_segment_reader,
            read_with_segment]
 
 json_values = st.recursive(
@@ -941,3 +899,26 @@ class TestCodec:
         lines[where % (len(lines) - 1)] = b'{"lsn": 3, "type": "COMM'
         with pytest.raises(WalError, match="not a torn tail"):
             read(b"\n".join(lines) + b"\n", tmp)
+
+
+def test_segments_stop_at_their_record_bound_and_at_end(tmp_path):
+    """The shipping reader hands out at most ``SEGMENT_RECORDS`` lines at
+    a time, the file's own bytes, and reads nothing past ``end`` — a
+    line that crosses it stays unread, like a torn tail."""
+    records = [WalRecord(n, walmod.BEGIN, n) for n in range(1, 601)]
+    data = as_bytes(records)
+    path = tmp_path / "log.wal"
+    path.write_bytes(data)
+    got, offset, sizes = [], 0, []
+    while True:
+        segment, lines, next_offset = read_segment(str(path), offset,
+                                                   len(data) - 5)
+        if next_offset == offset:
+            break
+        assert lines == [render_record(r).encode() for r in segment]
+        sizes.append(len(segment))
+        got += segment
+        offset = next_offset
+    assert sizes == [walmod.SEGMENT_RECORDS, walmod.SEGMENT_RECORDS, 87]
+    assert got == records[:-1]
+    assert offset == len(as_bytes(records[:-1]))

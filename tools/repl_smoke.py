@@ -28,10 +28,11 @@ A second leg checks the other way out of a leader crash, **restarting
 on the same log**: type through ``repro serve --wal``, SIGKILL it, start
 ``repro serve --wal`` again on the same file and port.  A fresh
 ``repro connect`` must read every ACKed keystroke and type more; the
-file must hold one strictly increasing LSN history; and a follower
-seeded with a copy of the crashed leader's log (a base backup — a
-restarted leader does not serve pre-restart history) must subscribe
-after the restart and converge on the extended log.
+file must hold one strictly increasing LSN history; and two late
+followers must subscribe after the restart and converge on the extended
+log: one seeded with a copy of the crashed leader's log (a base backup)
+and one starting empty, which the restarted leader serves from LSN 1 —
+its file is its whole history.
 
 Usage::
 
@@ -204,7 +205,8 @@ def run_restart(args: argparse.Namespace) -> list:
     serve = ["serve", "--wal", wal, "--node", "leader",
              "--telemetry-interval", "0.2"]
     first = ServerProcess(serve, label="leader")
-    second = follower = None
+    second = None
+    followers: list = []
     try:
         problem = first.wait_listening()
         if problem is not None:
@@ -243,29 +245,35 @@ def run_restart(args: argparse.Namespace) -> list:
                 f"restarted leader lost ACKed text or the new write: "
                 f"{len(text)} chars vs {len(acked)} ACKed + 5 typed")
 
-        follower = ServerProcess(
-            ["serve", "--follow", f"127.0.0.1:{second.port}",
-             "--wal", seed_mirror, "--node", "replica",
-             "--telemetry-interval", "0.2"],
-            label="late follower")
-        problem = follower.wait_listening()
-        if problem is not None:
-            return problems + [problem]
-        deadline = monotonic() + args.settle
-        repl: dict = {}
-        while monotonic() < deadline:
-            repl, _ = scrape_repl(follower.port)
-            if repl.get("lag_lsn") == 0 \
-                    and repl.get("applied_lsn", 0) > pre_crash[-1].lsn:
-                break
-            sleep(0.1)
-        else:
-            problems.append(f"follower subscribed after the restart "
-                            f"never converged: repl={repl}")
-        print(f"late follower: applied_lsn={repl.get('applied_lsn')} "
-              f"(pre-crash tail {pre_crash[-1].lsn})")
+        empty_mirror = os.path.join(tmp, "empty-follower.wal")
+        for mirror, node in ((seed_mirror, "replica"),
+                             (empty_mirror, "empty-replica")):
+            follower = ServerProcess(
+                ["serve", "--follow", f"127.0.0.1:{second.port}",
+                 "--wal", mirror, "--node", node,
+                 "--telemetry-interval", "0.2"],
+                label=f"late follower {node}")
+            followers.append((follower, mirror))
+            problem = follower.wait_listening()
+            if problem is not None:
+                return problems + [problem]
+        for follower, _ in followers:
+            deadline = monotonic() + args.settle
+            repl: dict = {}
+            while monotonic() < deadline:
+                repl, _ = scrape_repl(follower.port)
+                if repl.get("lag_lsn") == 0 \
+                        and repl.get("applied_lsn", 0) > pre_crash[-1].lsn:
+                    break
+                sleep(0.1)
+            else:
+                problems.append(f"{follower.label} subscribed after the "
+                                f"restart never converged: repl={repl}")
+            print(f"{follower.label}: applied_lsn="
+                  f"{repl.get('applied_lsn')} "
+                  f"(pre-crash tail {pre_crash[-1].lsn})")
     finally:
-        for proc in (follower, second):
+        for proc in (*(f for f, _ in followers), second):
             if proc is not None:
                 problem = proc.shutdown()
                 if problem is not None:
@@ -276,11 +284,12 @@ def run_restart(args: argparse.Namespace) -> list:
     if lsns != sorted(set(lsns)):
         problems.append("the restarted leader's log is not one strictly "
                         "increasing LSN history")
-    mirror_lsns = [r.lsn for r in WriteAheadLog.load_file(seed_mirror)]
-    if mirror_lsns != lsns[:len(mirror_lsns)] or len(mirror_lsns) <= \
-            len(pre_crash):
-        problems.append("the late follower's mirror is not a prefix of "
-                        "the restarted leader's log")
+    for follower, mirror in followers:
+        mirror_lsns = [r.lsn for r in WriteAheadLog.load_file(mirror)]
+        if mirror_lsns != lsns[:len(mirror_lsns)] or len(mirror_lsns) <= \
+                len(pre_crash):
+            problems.append(f"the {follower.label}'s mirror is not a "
+                            f"prefix of the restarted leader's log")
     return problems
 
 
