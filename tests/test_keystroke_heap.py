@@ -13,6 +13,9 @@ from __future__ import annotations
 import importlib.util
 import os
 
+from repro.collab import CollaborationServer, EditorClient
+from repro.db import wal as walmod
+from repro.db.wal import read_log
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools", "keystroke_heap.py")
@@ -32,3 +35,36 @@ def test_a_typed_character_retains_at_most_4_kb():
     report = _tool().retained(2000, doc_chars=3000)
     assert report["retained_bytes_per_op"] <= 4040, report
     assert report["retained_objects_per_op"] <= 20.4, report
+
+
+def test_dml_records_hold_no_dict(tmp_path):
+    """A DML record read off the log — what recovery replays and a
+    follower applies — keeps stored tuples, not column mappings."""
+    path = str(tmp_path / "wal.jsonl")
+    server = CollaborationServer(wal_path=path)
+    try:
+        server.register_user("ana")
+        session = server.connect("ana")
+        editor = EditorClient(
+            session, session.create_document("d", text="some text").doc)
+        for ch in "typed":
+            editor.type(ch)
+        editor.select(0, 3)
+        editor.copy()
+        editor.paste()
+        editor.backspace(2)
+        dml = [r for r in read_log(path)[0] if r.type in walmod.DML]
+        assert len(dml) > 30
+        chars = server.db.table("tx_chars")
+        for record in dml:
+            # No mapping of its own: the payload slot is the one shared
+            # empty constant, the row rides as two flat tuples.
+            assert record.payload is walmod._NO_PAYLOAD
+            assert type(record.cols) is tuple and type(record.vals) is tuple
+            assert not any(isinstance(value, dict) for value in record.vals)
+            if record.type == walmod.UPDATE:
+                assert len(record.cols) < len(chars.schema.columns)
+        assert any(r.type == walmod.UPDATE and r.table == "tx_chars"
+                   for r in dml)
+    finally:
+        server.shutdown()

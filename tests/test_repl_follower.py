@@ -361,11 +361,14 @@ class TestPromotion:
         assert all(r["k"] != "never-committed" for r in rows(db).values())
         leader.close(); follower.close()
 
+    @pytest.mark.parametrize("checkpointed", [False, True])
     def test_promotion_under_the_leaders_node_name_mints_fresh_ids(
-            self, tmp_path):
+            self, tmp_path, checkpointed):
         """A follower that takes over *as* its leader (same node name,
         the CLI default) must not hand out ``node.char:N`` again: the
-        first keystroke after failover used to hit a duplicate key."""
+        first keystroke after failover used to hit a duplicate key.
+        Shipped row by row, or with a CHECKPOINT (a state no-op on the
+        follower) as the last record it was shipped."""
         from repro.collab import CollaborationServer
         from repro.ids import Oid
 
@@ -375,8 +378,12 @@ class TestPromotion:
         typist = leader.connect("ana")
         pad = typist.create_document("pad", text="typed on the leader")
         typist.insert(pad.doc, 5, " (and edited)")
+        if checkpointed:
+            leader.db.checkpoint()
         follower = FollowerEngine(node="tendax")
         WalTailer(leader.db.wal, follower).poll()
+        assert follower.applied_lsn == leader.db.wal.durable_lsn
+        assert (logged(leader.db)[-1].type == "CHECKPOINT") is checkpointed
 
         shipped: dict[str, int] = {}
         for name in follower.db.tables():

@@ -65,7 +65,7 @@ from repro.db import Database, column, recover
 from repro.db import wal as walmod
 from repro.db.wal import (WalRecord, WriteAheadLog, parse_records, read_log,
                           read_segment, render_record)
-from repro.errors import RecoveryError, WalError
+from repro.errors import RecoveryError, ReplicationError, WalError
 from repro.faults import run_engine_schedule
 from repro.ids import Oid
 from repro.net import DocMirror, FrameDecoder, WalSegment, encode_frame
@@ -788,6 +788,48 @@ class TestJoiningAtACheckpoint:
         restarted = FollowerEngine(str(tmp_path / "follower.wal"))
         assert self.rows(restarted.db) == self.EXPECTED
         leader.close(); restarted.close()
+
+    def test_follower_joining_from_the_checkpoint_record_on(self, tmp_path):
+        """The same entry point without the tailer: an empty follower
+        handed a stream that starts at the CHECKPOINT refuses it — the
+        leader's file holds its whole history, so the records before the
+        cut are a gap, not a compaction — and keeps nothing of it; fed
+        from LSN 1 it gets every write of the straddling transaction."""
+        leader, txn, cut = self.leader(tmp_path)
+        txn.insert("d", {"k": "late", "v": 3})
+        txn.commit()
+        records = read_log(leader.wal.path)[0]
+        follower = FollowerEngine()
+        with pytest.raises(ReplicationError, match="gap"):
+            follower.apply_records([r for r in records if r.lsn >= cut])
+        assert follower.applied_lsn == 0
+        assert not follower.db.has_table("d")
+        follower.apply_records(records)
+        assert self.rows(follower.db) == self.EXPECTED
+        leader.close(); follower.close()
+
+    def test_recovery_and_a_joining_followers_feed_from_the_compacted_log(
+            self, tmp_path):
+        """Recovery may start at the checkpoint (the log compacted to
+        it); a follower is fed the whole file, CHECKPOINT included, and
+        publishes the straddling transaction as one batch, the delta
+        finding its base row."""
+        leader, txn, cut = self.leader(tmp_path)
+        txn.insert("d", {"k": "late", "v": 3})
+        txn.commit()
+        records = read_log(leader.wal.path)[0]
+        compacted = [r for r in records if r.lsn >= cut]
+        assert compacted[0].type == walmod.CHECKPOINT
+        assert self.rows(recover(compacted)) == self.EXPECTED
+        follower = FollowerEngine()
+        seen = subscribe_fold(follower)
+        follower.apply_records(records)
+        assert self.rows(follower.db) == self.EXPECTED
+        assert [(e.kind, e.row["k"], e.row["v"]) for e in seen[-1].events] \
+            == [("insert", "early", 2), ("update", "settled", 10),
+                ("insert", "late", 3)]
+        assert seen[-1].events[1].before["v"] == 1
+        leader.close(); follower.close()
 
 
 # ---------------------------------------------------------------------------
