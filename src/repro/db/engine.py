@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..clock import Clock, SystemClock
@@ -55,7 +54,7 @@ class Database:
         Default seconds a transaction waits for a contended lock.
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector` threaded
-        through the WAL, transactions, checkpoints and the lock manager
+        through the WAL, transactions and the lock manager
         for deterministic crash/latency torture (see ``docs/FAULTS.md``).
     obs:
         Optional :class:`~repro.obs.Observability` to report metrics and
@@ -106,22 +105,14 @@ class Database:
         self.stats = {"commits": 0, "aborts": 0, "transactions": 0}
         #: Metric handles resolved once; transactions are the hot path.
         self.txn_metrics = TxnMetrics(registry)
-        self._m_checkpoints = registry.counter("db.checkpoints")
-        self._m_checkpoint_seconds = registry.histogram(
-            "db.checkpoint_seconds")
         # -- MVCC snapshot state (see docs/INTERNALS.md, "MVCC") --------
         # Ordering: ``_mvcc_lock`` may be held while taking the WAL's
         # append lock (``last_lsn``), never the other way around — the
         # WAL layer makes no engine calls.
         self._mvcc_lock = threading.Lock()
-        #: On ``_mvcc_lock``: signalled when a checkpoint ends, or when
-        #: the last commit intent clears while one waits to start.
-        self._mvcc_changed = threading.Condition(self._mvcc_lock)
         #: txn_id -> highest LSN snapshots may pin while this commit is
         #: between its COMMIT append and its in-memory apply.
         self._applying: dict[int, int] = {}
-        #: A checkpoint is sweeping: no new commit intent may open.
-        self._checkpointing = False
         #: snapshot LSN -> number of live read-only txns pinned to it.
         self._live_snapshots: dict[int, int] = {}
         #: Version chains are truncated every N write commits (plus on
@@ -158,10 +149,16 @@ class Database:
         return table
 
     def drop_table(self, name: str, *, log: bool = True) -> None:
-        """Remove a table (logged for recovery)."""
+        """Remove a table (logged for recovery).
+
+        Refused while an open transaction has a change staged in it:
+        its COMMIT block would reach the log after the DROP_TABLE and
+        name a table recovery no longer has (see :meth:`Table.drop`).
+        """
         with self._ddl_lock:
             if name not in self._tables:
                 raise UnknownTableError(f"no table {name!r}")
+            self._tables[name].drop()
             del self._tables[name]
         if log:
             self.wal.append(walmod.DROP_TABLE, 0, table=name)
@@ -380,9 +377,9 @@ class Database:
         """Keep object-id allocation ahead of every id in a committed row.
 
         For an engine whose rows were written by another process under
-        this node name and arrived all at once — a restart on its own
-        log, a replica starting from a shipped checkpoint.  Linear in
-        the database; rows that arrive one commit at a time go through
+        this node name and arrived all at once: a restart on its own
+        log.  Linear in the database; rows that arrive one commit at a
+        time (a replica's applier) go through
         :meth:`advance_object_ids_past` instead.
         """
         for name in self.tables():
@@ -440,11 +437,9 @@ class Database:
 
         Until :meth:`raise_commit_floor` learns the record's LSN, cap
         snapshots at the log tail as of now: any LSN the COMMIT record
-        can get is above it.  Waits while a checkpoint is sweeping.
+        can get is above it.
         """
         with self._mvcc_lock:
-            while self._checkpointing:
-                self._mvcc_changed.wait()
             self._applying[txn_id] = self.wal.last_lsn()
 
     def raise_commit_floor(self, txn_id: int, commit_lsn: int) -> None:
@@ -458,8 +453,6 @@ class Database:
         """The commit is fully applied (or dead): stop capping."""
         with self._mvcc_lock:
             self._applying.pop(txn_id, None)
-            if self._checkpointing and not self._applying:
-                self._mvcc_changed.notify_all()
 
     def pin_snapshot(self) -> int:
         """Pin and return the current visible LSN (one reader ref)."""
@@ -506,69 +499,6 @@ class Database:
     def live_versions(self) -> int:
         """Superseded row versions currently retained across all tables."""
         return sum(t.live_versions() for t in self._tables.values())
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def checkpoint(self) -> int:
-        """Write a full snapshot into the WAL; returns the checkpoint LSN.
-
-        Recovery can start from the latest checkpoint instead of replaying
-        history from the beginning.  The ``checkpoint.mid_snapshot``
-        crash point fires halfway through the table sweep: a crash there
-        must leave recovery falling back to the previous checkpoint (or
-        full history) — never a half-snapshot.
-
-        The sweep runs with no commit in flight (new commit intents wait,
-        open ones are waited for): a commit logged before the CHECKPOINT
-        record but applied after the sweep would be lost to recovery.
-        """
-        started = perf_counter()
-        claimed = False
-        try:
-            with self._mvcc_changed:
-                while self._checkpointing:
-                    self._mvcc_changed.wait()
-                self._checkpointing = claimed = True
-                while self._applying:
-                    self._mvcc_changed.wait()
-            record = self._append_checkpoint()
-        finally:
-            if claimed:
-                with self._mvcc_changed:
-                    self._checkpointing = False
-                    self._mvcc_changed.notify_all()
-        self._m_checkpoints.inc()
-        self._m_checkpoint_seconds.observe(perf_counter() - started)
-        return record.lsn
-
-    def _append_checkpoint(self):
-        snapshot = {}
-        tables = list(self._tables.items())
-        for position, (name, table) in enumerate(tables, start=1):
-            if position == (len(tables) + 1) // 2:
-                self.faults.fire("checkpoint.mid_snapshot", table=name)
-            snapshot[name] = {
-                "schema": {
-                    "key": table.schema.key,
-                    "columns": walmod.columns_payload(table.schema),
-                },
-                "indexes": [
-                    {
-                        "name": idx.name,
-                        "column": idx.column,
-                        "kind": idx.kind,
-                        "unique": idx.unique,
-                    }
-                    for idx in table.indexes().values()
-                ],
-                "rows": {
-                    str(rowid): table.schema.row_dict(row)
-                    for rowid, row in table.committed_items()
-                },
-            }
-        return self.wal.append(walmod.CHECKPOINT, 0, tables=snapshot)
 
     # ------------------------------------------------------------------
     # Observability

@@ -1,10 +1,10 @@
 """Crash recovery: rebuild a database from its write-ahead log.
 
-Recovery is redo-only: starting from the latest CHECKPOINT (or from an
-empty engine), records of *committed* transactions are replayed in LSN
-order; records of transactions without a COMMIT are discarded.  This gives
-the paper's promise — a crash mid-keystroke loses at most the uncommitted
-keystroke, never an acknowledged one.  The redo algorithm itself is
+Recovery is redo-only: starting from an empty engine, the whole log is
+read from LSN 1 and records of *committed* transactions are replayed in
+LSN order; records of transactions without a COMMIT are discarded.  This
+gives the paper's promise — a crash mid-keystroke loses at most the
+uncommitted keystroke, never an acknowledged one.  The redo algorithm itself is
 :class:`~repro.db.replay.WalReplay`; this module is its crash-recovery
 sink (collapsed rows) plus the one restart path.
 
@@ -38,7 +38,7 @@ from typing import Iterable
 from ..errors import RecoveryError
 from . import wal as walmod
 from .engine import Database
-from .replay import DDL, WalReplay, apply_ddl, merge_image, restore_checkpoint
+from .replay import DDL, WalReplay, apply_ddl, merge_image
 from .wal import WalRecord, read_log
 
 
@@ -47,23 +47,15 @@ def _rebuild(log: tuple[list[WalRecord], bool],
     """A fresh ``Database(**engine)`` holding what ``log`` committed.
 
     ``log`` is ``(records, torn)`` as :func:`~repro.db.wal.read_log`
-    returns it.  One pass through the replay core.  Table state starts
-    from the last CHECKPOINT; the records before it still pass through
-    the core, but buffer-only — the snapshot already holds their
-    committed effects, while a transaction left open across the
-    checkpoint keeps its early DML for the COMMIT that follows it.
+    returns it.  One pass through the replay core, from the first record
+    to the last; a record type the core does not act on (the table
+    snapshots older logs hold) is passed over.
     """
     records, torn = log
     db = Database(**engine)
     core = WalReplay()
-    start = next((i for i in range(len(records) - 1, -1, -1)
-                  if records[i].type == walmod.CHECKPOINT), 0)
-    for record in records[:start]:
-        core.feed(record)
-    for record in records[start:]:
-        if record.type == walmod.CHECKPOINT:
-            restore_checkpoint(db, record)
-        elif record.type in DDL:
+    for record in records:
+        if record.type in DDL:
             apply_ddl(db, record)
         for op in core.feed(record) or ():
             # Collapsed chains: a fresh process has no live snapshots.

@@ -1,10 +1,12 @@
-"""The redo algorithm: one replay core, one DDL/checkpoint installer.
+"""The redo algorithm: one replay core, one DDL installer.
 
 What a WAL *means* is decided here and nowhere else: DML records buffer
 per transaction id, a COMMIT releases its transaction's buffer, an ABORT
-drops it, DDL takes effect at once and a CHECKPOINT is a full state
-snapshot.  :class:`WalReplay` is that state machine with no database
-attached; its two sinks differ only in where released operations go —
+drops it and DDL takes effect at once.  Any other record type (the
+table snapshots older logs hold) means nothing: every sink reads the
+log from LSN 1, so the records themselves rebuild every state.
+:class:`WalReplay` is that state machine with no database attached;
+its two sinks differ only in where released operations go —
 crash recovery loads collapsed rows (:mod:`repro.db.recovery`) and the
 replication applier installs versioned rows under the commit-intent
 window (:mod:`repro.repl.apply`).  What a released row operation leaves
@@ -91,7 +93,7 @@ def merge_image(schema: TableSchema, base: tuple | None,
 
 def apply_ddl(db: "Database", record: WalRecord) -> None:
     """Re-enact one DDL record; a no-op when its object already exists
-    (checkpoint overlap, redelivery)."""
+    (a log replayed twice)."""
     payload = record.payload
     if record.type == walmod.CREATE_TABLE:
         if not db.has_table(payload["table"]):
@@ -107,19 +109,3 @@ def apply_ddl(db: "Database", record: WalRecord) -> None:
             table.create_index(payload["name"], payload["column"],
                                kind=payload["kind"],
                                unique=payload["unique"])
-
-
-def restore_checkpoint(db: "Database", record: WalRecord) -> None:
-    """Install a CHECKPOINT record's snapshot into an empty engine."""
-    for name, spec in record.payload.get("tables", {}).items():
-        columns = columns_from_payload(spec["schema"]["columns"])
-        table = db.create_table(name, columns, key=spec["schema"]["key"],
-                                log=False)
-        key_index = f"{name}_key"
-        for idx in spec.get("indexes", ()):
-            if idx["name"] == key_index:
-                continue  # created automatically with the table
-            table.create_index(idx["name"], idx["column"], kind=idx["kind"],
-                               unique=idx["unique"])
-        for rowid, values in spec.get("rows", {}).items():
-            table.load_row(int(rowid), table.schema.load_row(values))

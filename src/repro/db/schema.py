@@ -230,8 +230,8 @@ class TableSchema:
         return tuple(row)
 
     def load_row(self, values: Mapping[str, Any]) -> tuple:
-        """A whole stored image (a checkpoint row, a logged INSERT or
-        full-image UPDATE) back into a storage tuple, as stored.
+        """A whole stored image (a logged INSERT or full-image UPDATE)
+        back into a storage tuple, as stored.
 
         Unlike :meth:`make_row` it applies no default: the image already
         went through ``make_row`` / :meth:`merge_row` when it was

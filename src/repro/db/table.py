@@ -32,6 +32,7 @@ from ..errors import (
     RowNotFoundError,
     SchemaError,
     UniqueViolation,
+    UnknownTableError,
 )
 from .index import HashIndex, Index, OrderedIndex
 from .schema import TableSchema
@@ -105,6 +106,8 @@ class Table:
         self._unique: dict[str, tuple[Index, int]] = {}
         self._rowid_counter = itertools.count(1)
         self._lock = threading.RLock()
+        #: Set by :meth:`drop`; nothing may be staged here afterwards.
+        self._dropped = False
         if schema.key is not None:
             self.create_index(f"{schema.name}_key", schema.key,
                               kind="hash", unique=True)
@@ -142,6 +145,21 @@ class Table:
                 raise SchemaError(f"no index {name!r}")
             self._set_indexes({k: v for k, v in self._indexes.items()
                                if k != name})
+
+    def drop(self) -> None:
+        """Retire the table for DROP TABLE.
+
+        Refused while any transaction has a change staged here, so no
+        COMMIT block that names the table can follow its DROP_TABLE in
+        the log; afterwards staging raises, which covers a transaction
+        that looked the table up before the drop.
+        """
+        with self._lock:
+            if self._pending_images:
+                raise SchemaError(
+                    f"table {self.schema.name!r} has uncommitted changes "
+                    f"of transaction(s) {sorted(self._pending_images)}")
+            self._dropped = True
 
     def _set_indexes(self, indexes: dict[str, Index]) -> None:
         self._indexes = indexes
@@ -224,6 +242,8 @@ class Table:
 
     def _stage(self, rowid: int, pending: Pending) -> None:
         """Record a pending image (caller holds ``_lock``)."""
+        if self._dropped:
+            raise UnknownTableError(f"no table {self.schema.name!r}")
         self._pending[rowid] = pending
         self._pending_images.setdefault(pending.owner, {})[rowid] = \
             pending.image
@@ -646,7 +666,7 @@ class Table:
             return len(self._committed)
 
     # ------------------------------------------------------------------
-    # Bulk load (recovery / checkpoint restore; bypasses transactions)
+    # Bulk load (recovery; bypasses transactions)
     # ------------------------------------------------------------------
 
     def load_row(self, rowid: int, row: tuple) -> None:

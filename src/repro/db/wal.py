@@ -59,11 +59,10 @@ DELETE = "DELETE"
 CREATE_TABLE = "CREATE_TABLE"
 DROP_TABLE = "DROP_TABLE"
 CREATE_INDEX = "CREATE_INDEX"
-CHECKPOINT = "CHECKPOINT"
 
 _TYPES = {
     BEGIN, COMMIT, ABORT, INSERT, UPDATE, DELETE,
-    CREATE_TABLE, DROP_TABLE, CREATE_INDEX, CHECKPOINT,
+    CREATE_TABLE, DROP_TABLE, CREATE_INDEX,
 }
 
 #: Record types carrying row changes (they buffer until COMMIT).
@@ -95,7 +94,10 @@ class WalRecord(NamedTuple):
     * CREATE_TABLE: ``table``, ``columns``, ``key``
     * CREATE_INDEX: ``table``, ``name``, ``column``, ``kind``, ``unique``
     * DROP_TABLE: ``table``
-    * CHECKPOINT: ``tables`` (full table snapshots)
+
+    A record of a type this engine no longer writes (older logs hold
+    full table snapshots) parses and renders back the same, and redo
+    passes over it.
     """
 
     lsn: int
@@ -140,7 +142,7 @@ def decode_value(value: Any) -> Any:
 
 
 def columns_payload(schema: TableSchema) -> list[dict]:
-    """A table's columns as CREATE_TABLE / CHECKPOINT payloads carry them."""
+    """A table's columns as a CREATE_TABLE payload carries them."""
     return [
         {
             "name": c.name,
@@ -398,19 +400,18 @@ class WriteAheadLog:
         reference (hand over the stored tuple).  BEGIN, the statements
         and COMMIT get contiguous LSNs and are logged as one block —
         one hold of the append lock, one write to the file — so records
-        of two transactions never interleave and a CHECKPOINT never
-        lands inside one.  The COMMIT record is what comes back.  Every
-        other type is a single record with ``payload`` as its mapping.
+        of two transactions never interleave and no DDL record lands
+        inside one.  The COMMIT record is what comes back.  Every other
+        type is a single record with ``payload`` as its mapping.
 
         The per-record crash points still fire once per record of a
         block; a crash at any of them loses the whole transaction
         (nothing before its COMMIT line is ever redone).
 
-        Commit-boundary records (COMMIT / CHECKPOINT) additionally
-        block until the record is durable: the lines are written to the
-        file buffer under the append lock, then the caller enters the
-        group-commit barrier *outside* it (see :meth:`_sync_to`), so
-        concurrent committers share one fsync.
+        A COMMIT additionally blocks until the record is durable: the
+        lines are written to the file buffer under the append lock, then
+        the caller enters the group-commit barrier *outside* it (see
+        :meth:`_sync_to`), so concurrent committers share one fsync.
         """
         if type_ not in _TYPES:
             raise WalError(f"unknown WAL record type {type_!r}")
@@ -437,8 +438,7 @@ class WriteAheadLog:
                 record = WalRecord(lsn, type_, txn_id, payload)
                 block = (record,)
             self._write_locked(block)
-            needs_sync = self._file is not None \
-                and type_ in (COMMIT, CHECKPOINT)
+            needs_sync = self._file is not None and type_ == COMMIT
             if self._file is not None and not needs_sync:
                 # DDL: a reader of the file sees it at once.
                 self._file.flush()
@@ -600,10 +600,11 @@ class WriteAheadLog:
         entered; durability is batched per shipped segment via
         :meth:`sync_shipped`.  The write goes through the same path as
         :meth:`append`, so torture schedules can tear a record on the
-        follower's disk mid-apply (``wal.mid_record``).
+        follower's disk mid-apply (``wal.mid_record``).  Any record
+        type is mirrored, one this engine no longer writes included: a
+        leader's file is its history as written, and redo passes over
+        what it does not act on, on the follower as in recovery.
         """
-        if record.type not in _TYPES:
-            raise WalError(f"unknown WAL record type {record.type!r}")
         with self._lock:
             if record.lsn < self._next_lsn:
                 raise WalError(

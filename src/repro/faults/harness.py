@@ -42,7 +42,6 @@ class ScheduleOutcome:
     #: Ground truth: rowid -> row for every txn committed *on disk*.
     expected_rows: dict[int, dict] = field(default_factory=dict)
     committed_txns: int = 0
-    checkpoints: int = 0
 
 
 def run_engine_schedule(
@@ -51,7 +50,6 @@ def run_engine_schedule(
     *,
     n_txns: int = 30,
     max_ops_per_txn: int = 4,
-    checkpoint_every: int | None = 7,
     plan: FaultPlan | None = None,
 ) -> ScheduleOutcome:
     """Run one seeded, possibly-crashing workload against a fresh engine.
@@ -74,9 +72,6 @@ def run_engine_schedule(
             key="k",
         )
         for t in range(n_txns):
-            if checkpoint_every and t and t % checkpoint_every == 0:
-                db.checkpoint()
-                outcome.checkpoints += 1
             txn = db.begin()
             ops: list = []
             outcome.attempts[txn.txn_id] = ops
@@ -161,8 +156,7 @@ def check_recovery_equivalence(outcome: ScheduleOutcome) -> Database:
     assert got == outcome.expected_rows, (
         f"recovery-equivalence violated for seed {outcome.seed} "
         f"(crash_point={outcome.crash_point}, "
-        f"committed={outcome.committed_txns}, "
-        f"checkpoints={outcome.checkpoints}): recovered "
+        f"committed={outcome.committed_txns}): recovered "
         f"{len(got)} rows != expected {len(outcome.expected_rows)}; "
         f"reproduce with run_engine_schedule({outcome.seed}, ...)"
     )
@@ -194,7 +188,6 @@ def run_replicated_schedule(
     *,
     n_txns: int = 30,
     max_ops_per_txn: int = 4,
-    checkpoint_every: int | None = 7,
     leader_plan: FaultPlan | None = None,
     follower_plan: FaultPlan | None = None,
     max_follower_restarts: int = 10,
@@ -219,8 +212,7 @@ def run_replicated_schedule(
 
     leader = run_engine_schedule(
         seed, leader_wal, n_txns=n_txns,
-        max_ops_per_txn=max_ops_per_txn,
-        checkpoint_every=checkpoint_every, plan=leader_plan)
+        max_ops_per_txn=max_ops_per_txn, plan=leader_plan)
     if follower_plan is None:
         follower_plan = FaultPlan.random(seed * 31 + 7,
                                          points=REPL_CRASH_POINTS)

@@ -1,7 +1,7 @@
 """The fault injector: executes a :class:`~repro.faults.plan.FaultPlan`.
 
 One injector is threaded through a :class:`~repro.db.engine.Database`
-(WAL, transactions, checkpoints, lock manager) and, optionally, a
+(WAL, transactions, lock manager) and, optionally, a
 :class:`~repro.collab.server.CollaborationServer` delivery bus.
 Instrumented code calls :meth:`FaultInjector.fire` (or :meth:`check` +
 :meth:`crash` when the failure needs site-specific mechanics, e.g. a torn

@@ -38,7 +38,6 @@ CRASH_POINTS = (
     "wal.before_fsync",        # records written, the group's fsync lost
     "txn.pre_commit",          # crash before the COMMIT record is appended
     "txn.post_commit",         # COMMIT durable, in-memory apply interrupted
-    "checkpoint.mid_snapshot", # crash while building the snapshot
 )
 
 #: The crash points a *follower* exercises while applying a shipped
@@ -149,13 +148,9 @@ class FaultPlan:
         suite's reproducibility contract.
         """
         rng = random.Random(seed)
-        point = points[rng.randrange(len(points))]
-        # Checkpoints are rare events; a hit number drawn from the full
-        # range would almost never land, starving that point of coverage.
-        hit_cap = 4 if point == "checkpoint.mid_snapshot" else max_hit
         spec = CrashSpec(
-            point=point,
-            hit=rng.randint(1, hit_cap),
+            point=points[rng.randrange(len(points))],
+            hit=rng.randint(1, max_hit),
             tear=rng.uniform(0.05, 0.95),
             power_loss=rng.random() < p_power_loss,
         )

@@ -67,9 +67,6 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "lock.timeouts": ("counter", "lock waits that timed out"),
     "lock.deadlocks": ("counter", "deadlock victims"),
     "lock.injected": ("counter", "faults injected into lock acquires"),
-    # -- engine (repro/db/engine.py) ----------------------------------------
-    "db.checkpoints": ("counter", "checkpoints written"),
-    "db.checkpoint_seconds": ("histogram", "checkpoint snapshot duration"),
     # -- document order cache (repro/text/document.py) ----------------------
     "doc.cache_splice_seconds": (
         "histogram",

@@ -59,10 +59,7 @@ class ReplicationApplier:
         applied_lsn``) is dropped with **no** side effects — not even a
         WAL append — so redelivered segments are invisible.  A gap is a
         protocol violation: the leader's file holds its whole history,
-        so a follower always starts at LSN 1 or where it left off.  A
-        shipped CHECKPOINT is a state no-op — the follower already holds
-        exactly the snapshotted state, and restoring it would collapse
-        version chains under live replica snapshots.
+        so a follower always starts at LSN 1 or where it left off.
         """
         core = self._core
         if record.lsn <= core.applied_lsn:

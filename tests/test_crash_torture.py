@@ -158,8 +158,6 @@ def _run_snapshot_schedule(seed: int, wal_path: str, plan: FaultPlan):
     crashed = False
     try:
         for t in range(6, 30):
-            if t % 7 == 0:
-                db.checkpoint()
             one_txn(t)
             # The reader keeps reading between writers' transactions;
             # every read must return the pinned state.
@@ -180,8 +178,9 @@ class TestSnapshotCrashTorture:
 
     #: The two points that stress the snapshot machinery hardest: a
     #: commit record written but its group barrier never entered, and a
-    #: crash while the checkpoint walks committed state.
-    POINTS = ("wal.after_write", "checkpoint.mid_snapshot")
+    #: crash inside the commit-intent window (COMMIT durable, its images
+    #: not yet applied).
+    POINTS = ("wal.after_write", "txn.post_commit")
 
     def test_snapshot_frozen_across_crash(self, crash_seed, tmp_path):
         """The pinned view survives the crash signal itself.
@@ -315,8 +314,8 @@ class TestCollabCrashTorture:
         ops_done = sum(t.ops_done for t in run["typists"])
 
         if not run["crashed"]:
-            # Plan never triggered (e.g. a checkpoint point with no
-            # checkpoints): behave exactly like a healthy run.
+            # Plan never triggered (e.g. a hit number past the schedule's
+            # last commit): behave exactly like a healthy run.
             server = run["server"]
             server.delivery.drain()
             for session in run["sessions"]:

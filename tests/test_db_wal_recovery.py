@@ -1,15 +1,17 @@
 """Tests for the write-ahead log and crash recovery."""
 
+import os
+import shutil
 import sys
 import threading
 
 import pytest
 
-from repro.db import Database, column, recover, recover_file
+from repro.db import Database, col, column, recover, recover_file
 from repro.db import wal as walmod
 from repro.db.wal import (WriteAheadLog, committed_txn_ids, decode_value,
                           encode_value, read_log)
-from repro.errors import SchemaError, WalError
+from repro.errors import SchemaError, UnknownTableError, WalError
 from repro.ids import Oid
 
 
@@ -31,8 +33,7 @@ def db(tmp_path) -> Database:
 
 
 def logged(db: Database, from_lsn: int = 1) -> list:
-    """The records ``db``'s log file holds from ``from_lsn`` on (a cut
-    there is the log compacted to its checkpoint)."""
+    """The records ``db``'s log file holds from ``from_lsn`` on."""
     return [r for r in read_log(db.wal.path)[0] if r.lsn >= from_lsn]
 
 
@@ -142,36 +143,116 @@ class TestRecoveryInMemory:
         assert new_rid != rid
 
 
-class TestCheckpoint:
-    def test_recovery_from_checkpoint(self, db):
-        db.insert("docs", {"title": "a", "size": 1})
-        lsn = db.checkpoint()
-        db.insert("docs", {"title": "b", "size": 2})
-        recovered = recover(logged(db, lsn))  # pre-checkpoint history gone
-        assert recovered.query("docs").count() == 2
+#: A log written by the engine of commit 0216407, the last that took
+#: checkpoints: two CHECKPOINT records (full table snapshots) lie in it,
+#: the first still holding a table the log drops after it.
+CHECKPOINT_LOG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "data", "wal_checkpoint_v3.log")
 
-    def test_checkpoint_preserves_indexes(self, db):
-        db.insert("docs", {"title": "a", "size": 9})
-        lsn = db.checkpoint()
-        recovered = recover(logged(db, lsn))
-        from repro.db import col
-        plan = recovered.query("docs").where(col("size") >= 5).plan()
-        assert plan.kind == "index"
 
-    def test_post_checkpoint_delete_replayed(self, db):
-        rid = db.insert("docs", {"title": "a"})
-        lsn = db.checkpoint()
-        db.delete("docs", rid)
-        recovered = recover(logged(db, lsn))
-        assert recovered.query("docs").count() == 0
+class TestDropTableAgainstAnOpenTransaction:
+    """Regression: a table dropped under an open transaction's staged
+    rows used to let that transaction's COMMIT block reach the log after
+    the DROP_TABLE; the apply then failed half way (the transaction
+    stuck ACTIVE with its locks) and recovery refused the log."""
 
-    def test_checkpoint_racing_a_commit_keeps_it(self, tmp_path):
-        """Regression (ROADMAP 7(ii)): a checkpoint taken while another
-        thread's commit sat between its COMMIT record and its apply
-        swept tables without that commit, yet its CHECKPOINT record
-        landed after the COMMIT, so recovery skipped the commit it had
-        acknowledged.  The checkpoint now waits for in-flight commits
-        and keeps new ones out until its record is appended."""
+    def two_tables(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        db = Database("t", wal_path=path)
+        for name in ("t", "u"):
+            db.create_table(name, [column("k", "str")], key="k")
+        return db, path
+
+    @staticmethod
+    def rows(db) -> dict:
+        return {name: sorted(r["k"] for r in db.query(name).run())
+                for name in db.tables()}
+
+    def test_the_drop_is_refused_and_the_commit_recovers(self, tmp_path):
+        db, path = self.two_tables(tmp_path)
+        txn = db.begin()
+        txn.insert("t", {"k": "a"})
+        txn.insert("u", {"k": "b"})
+        with pytest.raises(SchemaError, match="uncommitted changes"):
+            db.drop_table("t")
+        txn.commit()
+        assert self.rows(db) == {"t": ["a"], "u": ["b"]}
+        assert self.rows(recover_file(path)) == self.rows(db)
+        db.drop_table("t")                  # nothing staged any more
+        db.close()
+        assert self.rows(recover_file(path)) == {"u": ["b"]}
+
+    def test_staging_into_a_dropped_table_raises(self, tmp_path):
+        """A transaction that looked the table up before the drop cannot
+        stage into it after: nothing naming it reaches the log."""
+        db, path = self.two_tables(tmp_path)
+        table = db.table("t")
+        db.drop_table("t")
+        txn = db.begin()
+        with pytest.raises(UnknownTableError):
+            table.stage_insert(txn.txn_id, {"k": "a"})
+        txn.insert("u", {"k": "b"})
+        txn.commit()
+        db.close()
+        assert self.rows(recover_file(path)) == {"u": ["b"]}
+
+
+class TestLogsHoldingCheckpoints:
+    """Replay passes over a CHECKPOINT record: the records around it
+    rebuild the same rows from LSN 1."""
+
+    def test_every_committed_row_is_recovered(self):
+        recovered = recover_file(CHECKPOINT_LOG)
+        assert recovered.tables() == ["d", "notes"]
+        assert {r["k"]: (r["v"], r["tag"], r["ref"], r["blob"], r["props"])
+                for r in recovered.query("d").run()} == {
+            "a": (1, None, Oid("v3.doc", 1), None, None),
+            "b": (20, "untagged", Oid("v3.char", 1), b"\x00\xff", None),
+            "e": (50, "untagged", None, None, {"after": True}),
+        }
+        assert sorted(r["body"] for r in recovered.query("notes").run()) \
+            == ["first", "second"]
+
+    def test_indexes_come_from_the_logged_ddl(self):
+        recovered = recover_file(CHECKPOINT_LOG)
+        query = recovered.query("d").where(col("v") >= 5)
+        assert query.plan().kind == "index"
+        assert sorted(r["k"] for r in query.run()) == ["b", "e"]
+
+    def test_deletes_and_drops_after_a_checkpoint_are_replayed(self):
+        records = read_log(CHECKPOINT_LOG)[0]
+        first = next(r for r in records if r.type == "CHECKPOINT")
+        assert "tmp" in first.payload["tables"]
+        recovered = recover_file(CHECKPOINT_LOG)
+        assert recovered.find("d", "k", "c") is None
+        assert not recovered.has_table("tmp")
+
+    def test_a_restart_extends_the_log_past_its_ids(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        shutil.copyfile(CHECKPOINT_LOG, path)
+        last = read_log(path)[0][-1]
+        resumed = recover_file(path, node="v3", wal_path=path)
+        txn = resumed.begin()
+        assert txn.txn_id > last.txn_id
+        note = resumed.new_oid("note")
+        assert note > Oid("v3.note", 2)
+        txn.insert("notes", {"note": note, "body": "third"})
+        txn.commit()
+        resumed.close()
+        records = read_log(path)[0]
+        assert records[-3].lsn == last.lsn + 1      # the new BEGIN
+        assert sorted(r["body"] for r in
+                      recover_file(path).query("notes").run()) \
+            == ["first", "second", "third"]
+
+
+class TestConcurrentCommits:
+    def test_a_commit_parked_before_its_apply_is_already_durable(
+            self, tmp_path):
+        """A commit parked between its COMMIT record and its apply: a
+        snapshot taken meanwhile does not see it, recovery of the file
+        already does, and once the apply finishes the live database and
+        recovery agree."""
         path = str(tmp_path / "wal.jsonl")
         db = make_db(wal_path=path)
         db.insert("docs", {"title": "a", "size": 1})
@@ -188,26 +269,27 @@ class TestCheckpoint:
             target=db.insert, args=("docs", {"title": "b", "size": 2}))
         writer.start()
         assert parked.wait(10.0)
-        checkpoint = threading.Thread(target=db.checkpoint)
-        checkpoint.start()
-        checkpoint.join(0.2)
+        with db.snapshot() as snap:
+            assert sorted(r["title"] for r in snap.query("docs").run()) \
+                == ["a"]
+        assert sorted(titles(recover_file(path))) == ["a", "b"]
         release.set()
         writer.join(10.0)
-        checkpoint.join(10.0)
-        assert not writer.is_alive() and not checkpoint.is_alive()
+        assert not writer.is_alive()
         assert sorted(titles(db)) == ["a", "b"]
         db.close()
         assert sorted(titles(recover_file(path))) == ["a", "b"]
 
-    def test_checkpoints_among_concurrent_writers_lose_nothing(self,
-                                                               tmp_path):
+    def test_concurrent_writers_lose_nothing(self, tmp_path):
         """More writer threads than cores commit under a short switch
-        interval while another thread checkpoints over and over:
-        nothing deadlocks, and the recovered log holds every row the
-        live database acknowledged."""
+        interval while a reader keeps opening snapshots: nothing
+        deadlocks, no snapshot sees fewer rows than one before it, and
+        the recovered log holds every row the live database
+        acknowledged."""
         path = str(tmp_path / "wal.jsonl")
         db = make_db(wal_path=path)
         writers, rows, errors = 6, 40, []
+        done = threading.Event()
 
         def write(w):
             try:
@@ -216,56 +298,60 @@ class TestCheckpoint:
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
-        def checkpoint():
-            for _ in range(15):
-                db.checkpoint()
+        def read():
+            seen = 0
+            while not done.is_set():
+                with db.snapshot() as snap:
+                    count = snap.query("docs").count()
+                if count < seen:  # pragma: no cover - diagnostic
+                    errors.append(AssertionError(f"{count} < {seen}"))
+                seen = count
 
         threads = [threading.Thread(target=write, args=(w,))
                    for w in range(writers)]
-        threads.append(threading.Thread(target=checkpoint))
+        reader = threading.Thread(target=read)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
+            reader.start()
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(30.0)
         finally:
+            done.set()
+            reader.join(30.0)
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(thread.is_alive() for thread in threads + [reader])
         assert errors == []
         live = titles(db)
         assert len(live) == writers * rows
         db.close()
         assert titles(recover_file(path)) == live
 
-
-    def test_truncation_keeps_a_straddling_transactions_early_writes(
-            self, db):
-        """Regression (ROADMAP 5(ii)): the checkpoint holds none of an
-        open transaction's DML, so cutting the in-memory log right at it
-        used to lose those writes when the COMMIT arrived later."""
+    def test_a_transaction_open_across_ddl_is_logged_after_it(self, db):
+        """A transaction is logged whole at COMMIT: DDL logged while it
+        was open lies before all of its records, early ones included."""
         settled = db.insert("docs", {"title": "settled", "size": 1})
         txn = db.begin()
         txn.insert("docs", {"title": "early", "size": 2})
-        txn.update("docs", settled, {"size": 10})      # a delta, pre-cut
-        lsn = db.checkpoint()
+        txn.update("docs", settled, {"size": 10})      # a delta, pre-DDL
+        db.create_index("docs", "title", kind="ordered")
+        lsn = db.wal.last_lsn()
         txn.insert("docs", {"title": "late", "size": 3})
         txn.commit()
-        recovered = recover(logged(db, lsn))
+        recovered = recover(logged(db))
         assert sorted((r["title"], r["size"])
                       for r in recovered.query("docs").run()) \
             == [("early", 2), ("late", 3), ("settled", 10)]
-        # Nothing of the transaction lay before the cut to be lost: its
-        # whole block follows the checkpoint.
         assert [r.type for r in logged(db, lsn)] == [
-            "CHECKPOINT", "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT"]
+            "CREATE_INDEX", "BEGIN", "INSERT", "UPDATE", "INSERT", "COMMIT"]
 
 
 class TestNullSurvivesRestore:
     """Regression (ROADMAP 6(iii)): a nullable column that declares a
     default reads back NULL, not its default, after recovery loads a
-    whole row image — a checkpoint row or a full-image UPDATE."""
+    whole row image — a logged INSERT or a full-image UPDATE."""
 
     def make_db(self, **kwargs) -> Database:
         db = Database("n", **kwargs)
@@ -278,24 +364,24 @@ class TestNullSurvivesRestore:
     def tag(self, db):
         return db.query("notes").first()["tag"]
 
-    def test_checkpoint_row_keeps_null(self, tmp_path):
-        db = self.make_db(wal_path=str(tmp_path / "wal.jsonl"))
-        rid = db.insert("notes", {"k": "a", "tag": "x"})
-        db.update("notes", rid, {"tag": None})
-        assert self.tag(db) is None
-        lsn = db.checkpoint()
-        assert self.tag(recover(logged(db, lsn))) is None
+    def test_null_in_a_log_holding_checkpoints_keeps_null(self):
+        row = recover_file(CHECKPOINT_LOG).find("d", "k", "a")
+        assert row["tag"] is None
 
-    def test_checkpoint_row_keeps_null_through_the_file(self, tmp_path):
+    def test_null_survives_a_restart_on_the_file(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         db = self.make_db(wal_path=path)
         rid = db.insert("notes", {"k": "a", "tag": "x"})
         db.update("notes", rid, {"tag": None})
-        db.checkpoint()
+        assert self.tag(db) is None
         db.close()
-        records = [r for r in walmod.read_log(path)[0]
-                   if r.type == walmod.CHECKPOINT]
-        assert self.tag(recover(records)) is None
+        resumed = recover_file(path, wal_path=path)
+        assert self.tag(resumed) is None
+        resumed.insert("notes", {"k": "b", "tag": None})
+        resumed.close()
+        recovered = recover_file(path)
+        assert [(r["k"], r["tag"]) for r in recovered.query("notes").run()] \
+            == [("a", None), ("b", "untagged")]
 
     def test_full_image_update_without_base_keeps_null(self, tmp_path):
         db = self.make_db(wal_path=str(tmp_path / "wal.jsonl"))
@@ -373,7 +459,7 @@ class TestRecoveryErrors:
         assert recovered.tables() == []
 
     def test_create_index_replay_idempotent(self, db):
-        # Replaying records twice (e.g. checkpoint overlap) must not
+        # Replaying records twice (a log fed twice) must not
         # fail on the already-present index.
         records = logged(db) + logged(db)
         recovered = recover(
@@ -386,21 +472,25 @@ def titles(db) -> dict:
     return {r["title"]: r["size"] for r in db.query("docs").run()}
 
 
-class TestCheckpointInsideOpenTransaction:
-    """A transaction left open across ``db.checkpoint()`` keeps the DML
-    it logged before the snapshot: the snapshot holds committed rows
-    only, so those records are the sole carrier of the early writes."""
+class TestDdlInsideOpenTransaction:
+    """A transaction left open while DDL is logged keeps the writes it
+    staged before it: the DDL record lands before the transaction's
+    whole block, never inside it."""
 
     def crash_and_recover(self, db, path):
         db.close()
         return recover_file(path)
+
+    @staticmethod
+    def ddl(db):
+        db.create_table("other", [column("x", "int")])
 
     def test_early_insert_survives(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         db = make_db(wal_path=path)
         txn = db.begin()
         txn.insert("docs", {"title": "k1", "size": 1})
-        db.checkpoint()
+        self.ddl(db)
         txn.insert("docs", {"title": "k2", "size": 2})
         txn.commit()
         assert titles(self.crash_and_recover(db, path)) == {"k1": 1, "k2": 2}
@@ -411,7 +501,7 @@ class TestCheckpointInsideOpenTransaction:
         rid = db.insert("docs", {"title": "k1", "size": 1})
         txn = db.begin()
         txn.update("docs", rid, {"size": 10})
-        db.checkpoint()
+        self.ddl(db)
         txn.insert("docs", {"title": "k2", "size": 2})
         txn.commit()
         assert titles(self.crash_and_recover(db, path)) == {"k1": 10, "k2": 2}
@@ -422,17 +512,17 @@ class TestCheckpointInsideOpenTransaction:
         rid = db.insert("docs", {"title": "k1", "size": 1})
         txn = db.begin()
         txn.delete("docs", rid)
-        db.checkpoint()
+        self.ddl(db)
         txn.insert("docs", {"title": "k2", "size": 2})
         txn.commit()
         assert titles(self.crash_and_recover(db, path)) == {"k2": 2}
 
-    def test_abort_after_the_checkpoint_leaves_nothing(self, tmp_path):
+    def test_abort_after_the_ddl_leaves_nothing(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         db = make_db(wal_path=path)
         txn = db.begin()
         txn.insert("docs", {"title": "k1", "size": 1})
-        db.checkpoint()
+        self.ddl(db)
         txn.insert("docs", {"title": "k2", "size": 2})
         txn.abort()
         assert titles(self.crash_and_recover(db, path)) == {}

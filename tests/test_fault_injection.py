@@ -157,18 +157,23 @@ class TestCrashPoints:
         recovered = recover_file(path)
         assert not recovered.has_table("kv")
 
-    def test_mid_snapshot_crash_falls_back_to_full_replay(self, tmp_path):
+    def test_ddl_crash_after_commits_replays_the_full_history(
+            self, tmp_path):
         db, path = make_db(tmp_path,
-                           FaultPlan.crash_once("checkpoint.mid_snapshot"))
+                           FaultPlan.crash_once("wal.before_append"),
+                           armed=False)
         for i in range(5):
             db.insert("kv", {"k": f"k{i}", "v": i})
+        db.faults.arm()
         with pytest.raises(CrashSignal):
-            db.checkpoint()
-        # The half-built snapshot never reached the log...
+            db.create_index("kv", "v", kind="ordered")
+        # The index built in the dead process never reached the log...
         records = WriteAheadLog.load_file(path)
-        assert all(r.type != "CHECKPOINT" for r in records)
-        # ...and recovery replays the full history instead.
-        assert kv_rows(recover_file(path)) == {f"k{i}": i for i in range(5)}
+        assert all(r.type != "CREATE_INDEX" for r in records)
+        # ...and recovery replays the full history without it.
+        recovered = recover_file(path)
+        assert kv_rows(recovered) == {f"k{i}": i for i in range(5)}
+        assert "kv_v_ordered" not in recovered.table("kv").indexes()
 
     def test_dead_process_cannot_write_another_byte(self, tmp_path):
         db, path = make_db(tmp_path, FaultPlan.crash_once("txn.pre_commit"))

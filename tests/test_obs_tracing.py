@@ -127,13 +127,15 @@ class TestSpanBalanceUnderCrashes:
         started = db.obs.registry.get("trace.spans_started").value
         assert started == len(finished)
 
-    def test_checkpoint_crash_leaks_no_spans(self, tmp_path):
-        plan = FaultPlan.crash_once("checkpoint.mid_snapshot")
+    def test_ddl_crash_leaks_no_spans(self, tmp_path):
+        # Appends: CREATE_TABLE(1), BEGIN(2) INSERT(3) COMMIT(4), then
+        # the CREATE_INDEX, which dies outside any transaction's span.
+        plan = FaultPlan.crash_once("wal.before_append", hit=5)
         db = make_db(tmp_path, plan)
         finished = recording(db)
         db.insert("kv", {"k": "a", "v": 1})
         with pytest.raises(CrashSignal):
-            db.checkpoint()
+            db.create_index("kv", "v")
         assert db.obs.tracer.open_spans() == []
         assert [s.status for s in finished if s.name == "txn"] == ["commit"]
 
@@ -149,8 +151,6 @@ class TestSpanBalanceUnderCrashes:
                             key="k")
             for i in range(6):
                 db.insert("kv", {"k": f"k{i}", "v": i})
-                if i % 3 == 2:
-                    db.checkpoint()
         except CrashSignal:
             pass
         assert db.obs.tracer.open_spans() == []

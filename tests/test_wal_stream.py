@@ -8,9 +8,9 @@ Families of properties over generated logs:
   core, and the follower's live changefeed, folded by a subscriber, is
   what every consumer reads of it; all of them must rebuild the same
   table state from any log: seeded torture
-  logs from the crash harness (checkpoints and crash plans on) and
-  hypothesis-generated logs of transactions open across one another,
-  across checkpoints and aborts.  The engine logs a transaction as one
+  logs from the crash harness (crash plans on) and
+  hypothesis-generated logs of transactions open across one another's
+  commits and aborts.  The engine logs a transaction as one
   block at COMMIT, so every generated programme is replayed twice: from
   the engine's own log (whose block structure is asserted, in memory
   and read back from its file) and from a **per-statement oracle log**
@@ -23,15 +23,16 @@ Families of properties over generated logs:
   statement set, so the same equality is re-proved on histories built to
   stress the merge: several updates of one row in one transaction,
   update-after-insert, delete-after-update, NULL versus "unchanged",
-  OID / JSON / BYTES columns, aborts, checkpoints mid-transaction and
+  OID / JSON / BYTES columns, aborts and
   shuffled commit orders — for the in-memory records, for the same log
   read back from its lines, and against the live database that wrote
-  it.  Two checked-in logs of older formats replay to the state their
-  writers held: full-image UPDATEs (v1), and delta UPDATEs logged per
-  statement with interleaved transactions and an ABORT (v2).
+  it.  Three checked-in logs of older formats replay to the state their
+  writers held: full-image UPDATEs (v1), delta UPDATEs logged per
+  statement with interleaved transactions and an ABORT (v2), and
+  transaction blocks with CHECKPOINT records among them (v3).
 * **every replica kind of a document** — generated editing programmes
   on one document (typing, pastes, deletes and their undo, restyles,
-  checkpoints, a rolled-back edit): the sinks agree on the tables, and
+  a rolled-back edit): the sinks agree on the tables, and
   five replicas of the document — a handle over the recovered database,
   one over a follower, a wire mirror opened on the follower's folded
   feed, the writer's live handle and a wire mirror fed that feed's
@@ -207,7 +208,7 @@ class PerStatementLog:
                                       **fields))
 
     def copy(self, record: WalRecord) -> None:
-        """A DDL or CHECKPOINT record, as the engine logged it."""
+        """A DDL record, as the engine logged it."""
         self._append(record.type, record.txn_id, payload=record.payload)
 
     def begin(self, txn) -> None:
@@ -246,7 +247,7 @@ class TestSeededTortureLogs:
 actions = st.lists(
     st.tuples(
         st.sampled_from(("insert", "insert", "update", "delete",
-                         "commit", "commit", "abort", "checkpoint")),
+                         "commit", "commit", "abort")),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=10 ** 6)),
     max_size=MAX_ACTIONS)
@@ -257,7 +258,7 @@ def build_log(steps: list, wal_path: str,
     """Drive a real engine through ``steps``; returns its WAL records.
 
     Up to three transactions are open at once, across each other's
-    commits and across checkpoints; whatever is still open at the end
+    commits; whatever is still open at the end
     is what a crash would lose.  Row targets are picked among committed
     rows no open transaction has touched, which keeps the schedule free
     of lock waits.  ``oracle`` receives the same programme statement by
@@ -270,10 +271,6 @@ def build_log(steps: list, wal_path: str,
     open_txns: dict = {}          # slot -> (txn, rowids it touched)
     live: set = set()             # committed rowids
     for n, (verb, slot, pick) in enumerate(steps):
-        if verb == "checkpoint":
-            db.checkpoint()
-            oracle.copy(read_log(wal_path)[0][-1])
-            continue
         if verb in ("commit", "abort"):
             if slot in open_txns:
                 txn, touched = open_txns.pop(slot)
@@ -329,25 +326,29 @@ class TestGeneratedLogs:
         assert assert_sinks_agree(logged, str(tmp / "mirror2.wal"),
                                   int(cut * len(logged))) == state
 
-    def test_transaction_open_across_a_checkpoint_and_a_restart(
+    def test_transaction_open_across_another_commit_and_a_restart(
             self, tmp_path):
-        """The motivating case, pinned: early DML, CHECKPOINT, a follower
-        restart, then the COMMIT — all four replays keep the early row."""
+        """The motivating case, pinned: early DML, another transaction's
+        COMMIT, a follower restart, then the COMMIT — all four replays
+        keep the early row."""
         oracle = PerStatementLog()
-        records = build_log([("insert", 0, 1), ("checkpoint", 0, 0),
-                             ("insert", 0, 2), ("commit", 0, 0)],
+        records = build_log([("insert", 0, 1), ("insert", 1, 5),
+                             ("commit", 1, 0), ("insert", 0, 2),
+                             ("commit", 0, 0)],
                             str(tmp_path / "leader.wal"), oracle)
-        # The engine logs the transaction whole, after the checkpoint;
+        # The engine logs the transaction whole, after the other one;
         # logged per statement its first insert lies before it.
-        assert [r.type for r in records][1:] == [
-            "CHECKPOINT", "BEGIN", "INSERT", "INSERT", "COMMIT"]
-        assert [r.type for r in oracle.records][1:] == [
-            "BEGIN", "INSERT", "CHECKPOINT", "INSERT", "COMMIT"]
+        assert [(r.type, r.txn_id) for r in records][1:] == [
+            ("BEGIN", 2), ("INSERT", 2), ("COMMIT", 2),
+            ("BEGIN", 1), ("INSERT", 1), ("INSERT", 1), ("COMMIT", 1)]
+        assert [(r.type, r.txn_id) for r in oracle.records][1:] == [
+            ("BEGIN", 1), ("INSERT", 1), ("BEGIN", 2), ("INSERT", 2),
+            ("COMMIT", 2), ("INSERT", 1), ("COMMIT", 1)]
         for n, log in enumerate((records, oracle.records)):
             state = assert_sinks_agree(
                 log, str(tmp_path / f"mirror{n}.wal"),
                 restart_at=len(log) - 2)
-            assert sorted(row["v"] for row in state.values()) == [1, 2]
+            assert sorted(row["v"] for row in state.values()) == [1, 2, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,7 @@ class TestGeneratedLogs:
 doc_steps = st.lists(
     st.tuples(
         st.sampled_from(("type", "type", "paste", "delete", "undelete",
-                         "style", "checkpoint", "abort")),
+                         "style", "abort")),
         st.integers(min_value=0, max_value=10 ** 6),
         st.integers(min_value=1, max_value=12),
         st.sampled_from(("ana", "ben"))),
@@ -375,9 +376,7 @@ def build_doc_log(steps: list, wal_path: str):
     deleted: list = []
     for verb, pick, size, user in steps:
         length = handle.length()
-        if verb == "checkpoint":
-            db.checkpoint()
-        elif verb == "abort":
+        if verb == "abort":
             with pytest.raises(RuntimeError):   # an edit that rolls back
                 with db.transaction() as txn:
                     C.insert_chars(txn, db, handle.doc, handle.begin_char,
@@ -487,7 +486,7 @@ delta_updates = st.dictionaries(
 delta_steps = st.lists(
     st.tuples(
         st.sampled_from(("insert", "update", "update", "update", "delete",
-                         "commit", "commit", "abort", "checkpoint")),
+                         "commit", "commit", "abort")),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=10 ** 6),
         delta_updates),
@@ -512,10 +511,6 @@ def build_delta_log(steps: list, wal_path: str,
     open_txns: dict = {}          # slot -> (txn, {rowid: alive})
     live: set = set()             # committed rowids
     for n, (verb, slot, pick, values) in enumerate(steps):
-        if verb == "checkpoint":
-            db.checkpoint()
-            oracle.copy(read_log(wal_path)[0][-1])
-            continue
         if verb in ("commit", "abort"):
             if slot in open_txns:
                 txn, touched = open_txns.pop(slot)
@@ -585,6 +580,15 @@ FULL_IMAGE_SHA = \
     "5bd3b7a7dcd7aa027d539093a370070a3c8a68e9cb9919ef9122270a37dca7e9"
 
 
+CHECKPOINT_LOG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "data", "wal_checkpoint_v3.log")
+#: SHA of the writer's live tables when the fixture was cut (commit
+#: 0216407, the last engine that took checkpoints: transaction blocks,
+#: two CHECKPOINT records among them).
+CHECKPOINT_SHA = \
+    "316d9c22ca946f15878fb8abd1d63af7a440e9a712601defecc4aa710b60a0a3"
+
+
 INTERLEAVED_LOG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                "data", "wal_interleaved_v2.log")
 #: SHA of the writer's live tables when the fixture was cut (commit
@@ -649,14 +653,13 @@ class TestDeltaProgrammes:
         assert row["v"] is None and row["props"] == {"a": 1}
         assert state == live
 
-    def test_chains_on_one_row_across_a_checkpoint(self, tmp_path):
-        """Insert, update, CHECKPOINT, update again, delete another row
-        it updated: one transaction, every replica."""
+    def test_chains_on_one_row_in_one_transaction(self, tmp_path):
+        """Insert, update, update again, delete another row it updated:
+        one transaction, every replica."""
         records, live = build_delta_log([
             ("insert", 1, 0, {"v": 1}), ("insert", 1, 0, {"v": 2}),
             ("commit", 1, 0, {}),
             ("update", 0, 0, {"v": 10}),
-            ("checkpoint", 0, 0, {}),
             ("update", 0, 0, {"blob": b"zz"}),
             ("update", 0, 1, {"v": 20}),
             ("delete", 0, 1, {}),
@@ -713,6 +716,34 @@ class TestDeltaProgrammes:
                 render_record(r) + "\n" for r in records).encode()
 
 
+    def test_checkpoint_log_of_the_previous_format_replays_identically(
+            self, tmp_path):
+        """A log with CHECKPOINT records in it (full table snapshots,
+        one holding a table dropped after it): every sink reads it from
+        LSN 1 and passes over them."""
+        records = WriteAheadLog.load_file(CHECKPOINT_LOG)
+        assert_block_structured(records)
+        checkpoints = [r.lsn for r in records if r.type == "CHECKPOINT"]
+        assert len(checkpoints) == 2
+        state = recovered_state(records)
+        assert state_sha(state) == CHECKPOINT_SHA
+        assert follower_state(records) == state
+        for n, restart_at in enumerate((checkpoints[0] - 1, checkpoints[0],
+                                        checkpoints[1] + 1)):
+            assert follower_state(records, str(tmp_path / f"mirror{n}.wal"),
+                                  restart_at) == state
+        # The feed carries commits, not DDL: a fold keeps the rows of
+        # the table the log drops, and agrees on everything else.
+        assert {key: row for key, row in feed_state(records).items()
+                if key[0] != "tmp"} == state
+        with open(CHECKPOINT_LOG, "rb") as handle:
+            assert handle.read() == "".join(
+                render_record(r) + "\n" for r in records).encode()
+        # A follower's mirror of the old log is that log, byte for byte.
+        with open(tmp_path / "mirror0.wal", "rb") as mirror, \
+                open(CHECKPOINT_LOG, "rb") as handle:
+            assert mirror.read() == handle.read()
+
     def test_per_statement_log_of_the_previous_format_replays_identically(
             self, tmp_path):
         """A log written statement by statement: three transactions
@@ -724,7 +755,7 @@ class TestDeltaProgrammes:
         assert any(r.type == walmod.ABORT for r in records)
         assert all(r.vals for r in records if r.type == walmod.DELETE)
         checkpoint = next(r.lsn for r in records
-                          if r.type == walmod.CHECKPOINT)
+                          if r.type == "CHECKPOINT")
         straddlers = {r.txn_id for r in records
                       if r.type in walmod.DML and r.lsn < checkpoint} \
             & {r.txn_id for r in records
@@ -741,16 +772,15 @@ class TestDeltaProgrammes:
 
 
 # ---------------------------------------------------------------------------
-# Joining at a CHECKPOINT while a leader transaction is open
+# Joining while a leader transaction is open
 # ---------------------------------------------------------------------------
 
-class TestJoiningAtACheckpoint:
-    """ROADMAP 5(ii), the hole that was left: a replica that meets a
-    CHECKPOINT cut while a transaction was open (a follower joining
-    while it is open, a recovery) must end up with that transaction's
-    *early* writes once it commits.  The checkpoint holds none of them
-    (they were only staged), and when they were logged as they executed
-    they lay before it.  Logged at COMMIT they all follow it."""
+class TestJoiningMidTransaction:
+    """ROADMAP 5(ii), the hole that was left: a replica that joins while
+    a transaction is open (a follower catching up, a recovery) must end
+    up with that transaction's *early* writes once it commits.  When
+    statements were logged as they executed those writes lay before the
+    joining point; logged at COMMIT they all follow it."""
 
     @staticmethod
     def leader(tmp_path):
@@ -760,9 +790,8 @@ class TestJoiningAtACheckpoint:
         settled = db.insert("d", {"k": "settled", "v": 1})
         txn = db.begin()
         txn.insert("d", {"k": "early", "v": 2})
-        txn.update("d", settled, {"v": 10})        # a delta, pre-checkpoint
-        cut = db.checkpoint()
-        return db, txn, cut
+        txn.update("d", settled, {"v": 10})        # a delta, pre-join
+        return db, txn, db.wal.last_lsn()
 
     EXPECTED = [("early", 2), ("late", 3), ("settled", 10)]
 
@@ -789,12 +818,12 @@ class TestJoiningAtACheckpoint:
         assert self.rows(restarted.db) == self.EXPECTED
         leader.close(); restarted.close()
 
-    def test_follower_joining_from_the_checkpoint_record_on(self, tmp_path):
+    def test_follower_handed_a_stream_past_lsn_1_refuses_it(self, tmp_path):
         """The same entry point without the tailer: an empty follower
-        handed a stream that starts at the CHECKPOINT refuses it — the
+        handed a stream that starts after LSN 1 refuses it — the
         leader's file holds its whole history, so the records before the
-        cut are a gap, not a compaction — and keeps nothing of it; fed
-        from LSN 1 it gets every write of the straddling transaction."""
+        start are a gap — and keeps nothing of it; fed from LSN 1 it
+        gets every write of the straddling transaction."""
         leader, txn, cut = self.leader(tmp_path)
         txn.insert("d", {"k": "late", "v": 3})
         txn.commit()
@@ -808,19 +837,18 @@ class TestJoiningAtACheckpoint:
         assert self.rows(follower.db) == self.EXPECTED
         leader.close(); follower.close()
 
-    def test_recovery_and_a_joining_followers_feed_from_the_compacted_log(
+    def test_recovery_and_a_joining_followers_feed_from_the_whole_log(
             self, tmp_path):
-        """Recovery may start at the checkpoint (the log compacted to
-        it); a follower is fed the whole file, CHECKPOINT included, and
-        publishes the straddling transaction as one batch, the delta
-        finding its base row."""
+        """Recovery and a follower both read the file from LSN 1; the
+        follower publishes the straddling transaction as one batch, the
+        delta finding its base row."""
         leader, txn, cut = self.leader(tmp_path)
         txn.insert("d", {"k": "late", "v": 3})
         txn.commit()
         records = read_log(leader.wal.path)[0]
-        compacted = [r for r in records if r.lsn >= cut]
-        assert compacted[0].type == walmod.CHECKPOINT
-        assert self.rows(recover(compacted)) == self.EXPECTED
+        assert records[0].lsn == 1
+        assert [r.type for r in records if r.lsn > cut][0] == walmod.BEGIN
+        assert self.rows(recover(records)) == self.EXPECTED
         follower = FollowerEngine()
         seen = subscribe_fold(follower)
         follower.apply_records(records)
