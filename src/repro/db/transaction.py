@@ -27,6 +27,7 @@ from ..errors import (
 from ..obs.metrics import COUNT_BUCKETS
 from . import wal as walmod
 from .locks import SHARED
+from .query import Query, find
 from .table import VERSIONS_PUSHED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -355,13 +356,11 @@ class Transaction:
 
     def query(self, table_name: str):
         """Start a query that sees this transaction's uncommitted writes."""
-        from .query import Query
         return Query(self._db, table_name, txn=self)
 
     def find(self, table_name: str, column: str, key: Any):
         """The first row with ``column == key`` as this transaction sees
         it, or ``None`` (see :func:`repro.db.query.find`)."""
-        from .query import find
         return find(self._db, table_name, column, key, self)
 
     # -- lifecycle ------------------------------------------------------------

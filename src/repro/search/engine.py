@@ -105,10 +105,11 @@ class SearchEngine:
         need_authors = bool({"author", "writer"} & filter_fields)
 
         # The whole query runs inside one snapshot transaction, and the
-        # index refresh is pinned to the *same* snapshot: postings, doc
-        # values and the winners' profile rows all come from one commit
-        # point, so a typist committing halfway through can neither
-        # stall the search (no locks) nor make its parts disagree.
+        # index refresh is pinned to the *same* snapshot: postings and
+        # doc values (the winners' profiles) describe one commit point,
+        # and readers, authors and the copy log are read at it, so a
+        # typist committing halfway through can neither stall the
+        # search (no locks) nor make its parts disagree.
         # Single-term relevance queries without filters take the
         # impact-ordered fast path: the index hands back the exact
         # top-k in the ranker's own total order — cost independent of
@@ -131,17 +132,29 @@ class SearchEngine:
                      query: SearchQuery, started: float, *, txn,
                      need_readers: bool,
                      need_authors: bool) -> list[SearchResult]:
-        """Read the ranked winners' profiles and build result objects."""
+        """Build the ranked winners' results.
+
+        A profile is the winner's doc values — its whole
+        ``tx_documents`` row as of the search snapshot — with derived
+        fields read through ``txn`` only on demand.  (The full
+        consolidated profile scans every character row of a document.)
+        Callers who want the complete creation-process record should use
+        :meth:`~repro.meta.collector.MetadataCollector.document_profile`.
+        """
+        values = self.index.doc_values
         results = []
         for doc, score in scored:
-            profile = self._light_profile(
-                doc, need_readers=need_readers, need_authors=need_authors,
-                txn=txn)
-            if profile is not None:
-                results.append(SearchResult(
-                    doc=doc, name=profile["name"], score=score,
-                    profile=profile,
-                    snippet=self._snippet(doc, query.all_terms)))
+            profile = values[doc]._asdict()
+            profile["props"] = dict(profile["props"] or {})
+            if need_readers:
+                profile["readers"] = sorted(
+                    self.meta.readers_of(doc, txn=txn))
+            if need_authors:
+                profile["authors"] = sorted(
+                    self.meta.author_contributions(doc, txn=txn))
+            results.append(SearchResult(
+                doc=doc, name=profile["name"], score=score, profile=profile,
+                snippet=self._snippet(doc, query.all_terms)))
         self._m_query_seconds.observe(perf_counter() - started)
         return results
 
@@ -344,28 +357,6 @@ class SearchEngine:
             key(doc, values[doc], score)
             for doc, score in zip(survivors, scores)])
         return [entry[-1] for entry in best], len(pool)
-
-    def _light_profile(self, doc: Oid, *, need_readers: bool,
-                       need_authors: bool, txn=None) -> dict | None:
-        """Document-row metadata, with derived fields only on demand.
-
-        (The full consolidated profile scans every character row of a
-        document.)  Callers who want the complete creation-process
-        record should use
-        :meth:`~repro.meta.collector.MetadataCollector.document_profile`.
-        """
-        reader = txn if txn is not None else self.db
-        row = reader.find(S.DOCUMENTS, "doc", doc)
-        if row is None:
-            return None
-        profile = dict(row)
-        profile["props"] = dict(row["props"] or {})
-        if need_readers:
-            profile["readers"] = sorted(self.meta.readers_of(doc, txn=txn))
-        if need_authors:
-            profile["authors"] = sorted(
-                self.meta.author_contributions(doc, txn=txn))
-        return profile
 
     def _snippet(self, doc: Oid, terms: list, *, radius: int = 30) -> str:
         """A text window around the first matching term."""

@@ -28,12 +28,12 @@ filtered one-term queries and, side by side, for multi-term relevance
 sum every score is taken with).
 
 Beside the postings the index keeps *doc values*: one
-:class:`DocValues` tuple per indexed document, cut from the
+:class:`DocValues` tuple per indexed document, the whole
 ``tx_documents`` row image the (re-)index reads anyway.  They travel
 the same changefeed path as the postings — a DOCUMENTS event dirties
 the doc, the refresh replaces both — so ``ensure_fresh(txn=snap)`` pins
-them to the same commit point, and the engine can answer column filters
-and sort keys for every candidate without one snapshot read.
+them to the same commit point, and the engine answers column filters,
+sort keys and the winners' result profiles without one snapshot read.
 
 Two more structures ride the same path, each built lazily on first use
 (a workload that never filters or ranks by them pays no memory) and
@@ -91,18 +91,24 @@ def tf_idf(weights: list[tuple[str, float]], tfs: Mapping[str, float],
 
 
 class DocValues(NamedTuple):
-    """The ``tx_documents`` columns search filters and ranks by.
+    """A document's whole ``tx_documents`` row, in schema order: what
+    search filters and ranks by, and the profile of a result.
 
     ``props`` is the row's own (immutable by convention) JSON value,
     shared with the table — never a per-document copy.
     """
 
+    doc: Oid
     name: str
     creator: str
-    state: str
     created_at: float
-    last_modified: float
+    state: str
+    template: Oid | None
     size: int
+    last_modified: float
+    last_modified_by: str
+    begin_char: Oid | None
+    end_char: Oid | None
     props: Any
 
     @classmethod
@@ -204,7 +210,7 @@ class InvertedIndex:
 
         Every re-index reads document text at one snapshot's commit
         point: ``txn`` (a snapshot transaction, so index candidates and
-        profile rows built inside the same snapshot can never disagree)
+        rows read inside the same snapshot can never disagree)
         or, without it, a snapshot pinned here — the maintenance
         worker's tick.  A document dirtied by a commit *above* that
         snapshot (committed after it opened, or pinned out of it by

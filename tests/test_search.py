@@ -11,6 +11,7 @@ from repro.errors import QuerySyntaxError, SearchError
 from repro.feed import MaintenanceWorker
 from repro.search import InvertedIndex, SearchEngine, parse_query
 from repro.text import DocumentStore, StructureManager
+from tests.test_search_docvalues import _reference_profile
 
 
 @pytest.fixture
@@ -437,25 +438,43 @@ class TestFeedDrivenIndex:
             self, db, store, monkeypatch):
         """A writer committing between the search snapshot opening and
         the index refresh must not leak into the result set (the old
-        code refreshed outside the snapshot and returned a torn view)."""
-        store.create("steady", "ana", text="alpha words")
+        code refreshed outside the snapshot and returned a torn view),
+        nor into a winner's profile: the whole profile is the row at
+        the search's snapshot — size, props, last_modified_by and all."""
+        steady = store.create("steady", "ana", text="alpha words")
         engine = SearchEngine(db)
         engine.search("alpha")  # warm the index
         original = engine.index.ensure_fresh
-        fired = []
+        fired, pinned = [], []
 
         def racy_refresh(txn=None):
             if not fired:
                 fired.append(True)
                 store.create("intruder", "ben", text="alpha words")
+                steady.insert_text(11, " more", "ben")
+                store.set_property(steady.doc, "tier", 2, "ben")
+                pinned.append(_reference_profile(
+                    engine, steady.doc, need_readers=False,
+                    need_authors=False, txn=txn))
             return original(txn=txn)
 
         monkeypatch.setattr(engine.index, "ensure_fresh", racy_refresh)
-        names = [r.name for r in engine.search("alpha")]
-        assert names == ["steady"]
-        # The next search opens a later snapshot and sees the intruder.
-        names = {r.name for r in engine.search("alpha")}
-        assert names == {"steady", "intruder"}
+        during = engine.search("alpha")
+        assert [r.name for r in during] == ["steady"]
+        assert [r.profile for r in during] == pinned
+        assert pinned[0]["last_modified_by"] == "ana"
+        assert pinned[0]["props"] == {} and pinned[0]["size"] == 11
+        # The next search opens a later snapshot and sees the intruder
+        # and the new row.
+        after = {r.name: r.profile for r in engine.search("alpha")}
+        assert after.keys() == {"steady", "intruder"}
+        with db.snapshot() as snap:
+            assert after["steady"] == _reference_profile(
+                engine, steady.doc, need_readers=False, need_authors=False,
+                txn=snap)
+        assert after["steady"]["last_modified_by"] == "ben"
+        assert after["steady"]["props"] == {"tier": 2}
+        assert after["steady"]["size"] == 16
 
     def test_fast_path_matches_slow_path_ranking(self, db, store):
         for i in range(6):

@@ -31,6 +31,7 @@ import math
 import os
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -418,6 +419,20 @@ def test_doc_values_follow_every_documents_column():
     doc = archive.live[0]
     index.ensure_fresh()
     assert index.check() == []
+    # ``last_modified_by``: no filter or ranking reads it, only profiles.
+    stale = f"{doc}: doc values stale in ['last_modified_by']"
+    with archive.db.transaction() as txn:
+        row = txn.find(S.DOCUMENTS, "doc", doc)
+        txn.update(S.DOCUMENTS, row.rowid, {"last_modified_by": "zed"})
+    assert index.check() == ["1 documents still dirty", stale]
+    index.ensure_fresh()
+    assert index.doc_values[doc].last_modified_by == "zed"
+    assert index.check() == []
+    index._doc_values[doc] = index.doc_values[doc]._replace(
+        last_modified_by="ana")
+    assert index.check() == [stale]
+    index.rebuild()
+    assert index.check() == []
     archive.store.set_state(doc, "final", "ben")
     archive.store.set_property(doc, "tier", 2, "ben")
     assert index.doc_values[doc].state == "draft"   # deferred consumer
@@ -453,39 +468,61 @@ def test_doc_values_are_pinned_to_the_search_snapshot():
     archive.close()
 
 
-def test_scan_search_pinned_against_concurrent_writer(monkeypatch):
+@pytest.mark.parametrize("query, ranking, limit, plan", [
+    ("alpha state:review", "relevance", 3, "walk"),
+    ("state:review", "newest", 3, "walk"),
+    ("alpha beta state:review", "relevance", 2, "threshold"),
+    ("alpha state:review", "relevance", 50, "heap"),
+])
+def test_scan_search_pinned_against_concurrent_writer(
+        monkeypatch, query, ranking, limit, plan):
     """The scan-path twin of ``test_search_pinned_against_concurrent_
-    writer``: a state change committed between the search snapshot
-    opening and the index refresh is all-invisible to that search —
-    filter, ranking and returned profiles — and all-visible to the next.
+    writer``, for every scan plan: a state and property change to a
+    winner committed between the search snapshot opening and the index
+    refresh is all-invisible to that search — filter, ranking and the
+    whole returned profile, each ``_reference_profile``'s at the
+    search's snapshot — and all-visible to the next.
     """
     archive = _small_archive()
     engine, store = archive.engine, archive.store
     for doc in archive.live:
         store.set_state(doc, "review", "ana")
-    target = archive.live[1]
-    before = {r.doc for r in engine.search("alpha state:review", limit=50)}
-    assert target in before and len(before) == len(archive.live)
+    before = [r.doc for r in engine.search(query, ranking=ranking,
+                                           limit=limit)]
+    assert 0 < len(before) <= limit
+    target = before[0]
     original = engine.index.ensure_fresh
-    fired = []
+    pinned = {}
 
     def racy_refresh(txn=None):
-        if not fired:
-            fired.append(True)
+        if not pinned:
             store.set_state(target, "final", "ben")
+            store.set_property(target, "tier", 9, "ben")
+            pinned.update(
+                (doc, _reference_profile(engine, doc, need_readers=False,
+                                         need_authors=False, txn=txn))
+                for doc in archive.live)
         return original(txn=txn)
 
     monkeypatch.setattr(engine.index, "ensure_fresh", racy_refresh)
-    during = engine.search("alpha state:review", limit=50)
-    assert {r.doc for r in during} == before
-    assert all(r.profile["state"] == "review" for r in during)
-    assert fired == [True]
-    after = engine.search("alpha state:review", limit=50)
-    assert {r.doc for r in after} == before - {target}
-    final = engine.search("alpha state:final", limit=50)
+    planned = _plan_count(engine, plan)
+    during = engine.search(query, ranking=ranking, limit=limit)
+    assert _plan_count(engine, plan) == planned + 1
+    assert [r.doc for r in during] == before
+    assert [r.profile for r in during] == [pinned[r.doc] for r in during]
+    assert during[0].profile["state"] == "review"
+    assert during[0].profile["last_modified_by"] == "ana"
+    assert "tier" not in during[0].profile["props"]
+    after = engine.search(query, ranking=ranking, limit=limit)
+    assert target not in {r.doc for r in after}
+    final = engine.search("state:final", limit=50)
     assert [r.doc for r in final] == [target]
-    assert final[0].profile["state"] == "final"
+    with archive.db.snapshot() as snap:
+        assert final[0].profile == _reference_profile(
+            engine, target, need_readers=False, need_authors=False,
+            txn=snap)
     assert final[0].profile["last_modified_by"] == "ben"
+    assert final[0].profile["props"]["tier"] == 9
     archive.close()
 
 
