@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
+from collections import defaultdict, namedtuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..db import Database
 from ..ids import Oid
@@ -90,26 +90,17 @@ def tf_idf(weights: list[tuple[str, float]], tfs: Mapping[str, float],
     return score
 
 
-class DocValues(NamedTuple):
-    """A document's whole ``tx_documents`` row, in schema order: what
-    search filters and ranks by, and the profile of a result.
+class DocValues(namedtuple(
+        "DocValues", [c.name for c in S.DOCUMENT_COLUMNS])):
+    """A document's whole ``tx_documents`` row, one field per
+    :data:`~repro.text.dbschema.DOCUMENT_COLUMNS` entry in schema order:
+    what search filters and ranks by, and the profile of a result.
 
     ``props`` is the row's own (immutable by convention) JSON value,
     shared with the table — never a per-document copy.
     """
 
-    doc: Oid
-    name: str
-    creator: str
-    created_at: float
-    state: str
-    template: Oid | None
-    size: int
-    last_modified: float
-    last_modified_by: str
-    begin_char: Oid | None
-    end_char: Oid | None
-    props: Any
+    __slots__ = ()
 
     @classmethod
     def of(cls, row: Mapping[str, Any]) -> "DocValues":

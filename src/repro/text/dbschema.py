@@ -65,6 +65,24 @@ VERSIONS = "tx_versions"
 #: may include one who stopped up to this long before the cut.
 ACCESS_LOG_RESOLUTION = 1.0
 
+#: The columns of one document row.  Named here, outside
+#: :func:`install_text_schema`, because the search index keeps each
+#: document's whole row in these fields (``repro.search.index.DocValues``).
+DOCUMENT_COLUMNS = (
+    column("doc", "oid"),
+    column("name", "str"),
+    column("creator", "str"),
+    column("created_at", "timestamp"),
+    column("state", "str", default="draft"),
+    column("template", "oid", nullable=True),
+    column("size", "int", default=0),
+    column("last_modified", "timestamp"),
+    column("last_modified_by", "str"),
+    column("begin_char", "oid", nullable=True),
+    column("end_char", "oid", nullable=True),
+    column("props", "json", nullable=True),
+)
+
 #: The columns of one character row.  Named here, outside
 #: :func:`install_text_schema`, because the wire protocol sends a row as
 #: the columns that differ from these defaults (``repro.net.protocol``).
@@ -98,20 +116,7 @@ def install_text_schema(db: Database) -> None:
     Idempotent: does nothing for tables that already exist.
     """
     if not db.has_table(DOCUMENTS):
-        db.create_table(DOCUMENTS, [
-            column("doc", "oid"),
-            column("name", "str"),
-            column("creator", "str"),
-            column("created_at", "timestamp"),
-            column("state", "str", default="draft"),
-            column("template", "oid", nullable=True),
-            column("size", "int", default=0),
-            column("last_modified", "timestamp"),
-            column("last_modified_by", "str"),
-            column("begin_char", "oid", nullable=True),
-            column("end_char", "oid", nullable=True),
-            column("props", "json", nullable=True),
-        ], key="doc")
+        db.create_table(DOCUMENTS, DOCUMENT_COLUMNS, key="doc")
         db.create_index(DOCUMENTS, "name")
         db.create_index(DOCUMENTS, "creator")
         db.create_index(DOCUMENTS, "last_modified", kind="ordered")

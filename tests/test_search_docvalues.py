@@ -419,6 +419,10 @@ def test_doc_values_follow_every_documents_column():
     doc = archive.live[0]
     index.ensure_fresh()
     assert index.check() == []
+    # One field per column of the live table, in its order: a column
+    # added to the schema is a doc value, so profiles keep it.
+    assert index.doc_values[doc]._fields == tuple(
+        archive.db.table(S.DOCUMENTS).schema.column_names())
     # ``last_modified_by``: no filter or ranking reads it, only profiles.
     stale = f"{doc}: doc values stale in ['last_modified_by']"
     with archive.db.transaction() as txn:
@@ -490,6 +494,8 @@ def test_scan_search_pinned_against_concurrent_writer(
     before = [r.doc for r in engine.search(query, ranking=ranking,
                                            limit=limit)]
     assert 0 < len(before) <= limit
+    if plan == "heap":
+        assert len(before) == len(archive.live)
     target = before[0]
     original = engine.index.ensure_fresh
     pinned = {}
@@ -515,6 +521,10 @@ def test_scan_search_pinned_against_concurrent_writer(
     assert "tier" not in during[0].profile["props"]
     after = engine.search(query, ranking=ranking, limit=limit)
     assert target not in {r.doc for r in after}
+    if plan == "heap":
+        assert {r.doc for r in after} == set(before) - {target}
+    assert [(r.doc, r.score, r.profile) for r in after] == reference_search(
+        engine, query, ranking=ranking, limit=limit)
     final = engine.search("state:final", limit=50)
     assert [r.doc for r in final] == [target]
     with archive.db.snapshot() as snap:
