@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..db import Database, col
+from ..db import Database, RowView, col
 from ..errors import FolderError
 from ..ids import Oid
 from ..text import dbschema as S
@@ -201,12 +201,17 @@ class FolderContext:
 
     Normally reads committed state directly; :meth:`with_reader` binds a
     copy to a transaction (a snapshot for full rescans), so every
-    condition a pass evaluates sees one commit point.
+    condition a pass evaluates sees one commit point, and
+    :meth:`for_batch` gives one commit batch a copy that reads each
+    document's row once for every folder.
     """
 
     def __init__(self, db: Database, reader=None) -> None:
         self.db = db
         self._reader = reader if reader is not None else db
+        #: doc -> its row (or ``None``) as first read, in a
+        #: :meth:`for_batch` context; ``None`` reads every time.
+        self._rows: dict[Oid, RowView | None] | None = None
 
     def query(self, table_name: str):
         """Start a query through the bound reader (or the database)."""
@@ -216,10 +221,21 @@ class FolderContext:
         """A context whose lookups run inside ``txn``."""
         return FolderContext(self.db, reader=txn)
 
-    def doc_row(self, doc: Oid) -> dict | None:
-        """The document's metadata row, or ``None``."""
-        row = self._reader.find(S.DOCUMENTS, "doc", doc)
-        return None if row is None else dict(row)
+    def for_batch(self) -> "FolderContext":
+        """A context for one commit batch: each document's row is read
+        once, however many folders re-evaluate it."""
+        ctx = FolderContext(self.db, reader=self._reader)
+        ctx._rows = {}
+        return ctx
+
+    def doc_row(self, doc: Oid) -> RowView | None:
+        """The document's metadata row (read-only), or ``None``."""
+        rows = self._rows
+        if rows is None:
+            return self._reader.find(S.DOCUMENTS, "doc", doc)
+        if doc not in rows:
+            rows[doc] = self._reader.find(S.DOCUMENTS, "doc", doc)
+        return rows[doc]
 
     def now(self) -> float:
         """Current time from the database clock."""
@@ -265,13 +281,15 @@ class DynamicFolder:
     def __len__(self) -> int:
         return len(self._members)
 
-    def reevaluate_doc(self, doc: Oid, lsn: int | None = None) -> bool:
-        """Re-check one document (for the commit at ``lsn``, if a rescan
-        could be pinned below it); returns True if membership changed."""
+    def reevaluate_doc(self, doc: Oid, lsn: int | None,
+                       ctx: FolderContext) -> bool:
+        """Re-check one document for the commit at ``lsn`` (``None``
+        when no rescan can be pinned below it), reading through the
+        batch's ``ctx``; returns True if membership changed."""
         self.stats["evaluations"] += 1
         if lsn is not None:
             self._touched[doc] = lsn
-        matches = self.condition.matches(self._ctx, doc)
+        matches = self.condition.matches(ctx, doc)
         if matches and doc not in self._members:
             self._members.add(doc)
             insort(self._ordered, doc)
@@ -387,9 +405,10 @@ class DynamicFolderManager:
         # A rescan can be pinned below this commit only while a snapshot
         # or another commit in flight holds the watermark below it.
         lsn = batch.lsn if batch.lsn > self.db.gc_watermark() else None
+        ctx = self._ctx.for_batch()
         for folder in self._folders.values():
             for doc in docs:
-                changed = folder.reevaluate_doc(doc, lsn)
+                changed = folder.reevaluate_doc(doc, lsn, ctx)
                 if changed:
                     for listener in self._listeners:
                         listener(folder.name, doc, doc in folder)

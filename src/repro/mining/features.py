@@ -9,6 +9,7 @@ text miner and the document-space layout.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from ..db import Database, col
@@ -26,8 +27,14 @@ on or s t that the their there these they this to was were will with
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word tokens, stopwords removed."""
-    return [t for t in _TOKEN_RE.findall(text.lower())
+    """Lowercase word tokens, stopwords removed.
+
+    Each token is the interpreter's interned string for its word
+    (``sys.intern``), so every token of one word, from any text, is one
+    object: an index keyed by tokens holds each vocabulary term once,
+    however many documents contain it.
+    """
+    return [sys.intern(t) for t in _TOKEN_RE.findall(text.lower())
             if t not in STOPWORDS and len(t) > 1]
 
 

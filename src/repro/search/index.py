@@ -12,9 +12,16 @@ corpus size: the refresh does one indexed key lookup per dirty document
 and **zero** full ``tx_documents`` rescans.
 
 The postings are one map, ``term -> {doc: positions}``, updated in
-place by every re-index.  Every refresh reads at one pinned snapshot —
-the caller's, or one it opens — and a document dirtied by a commit the
-snapshot does not cover stays dirty for the next refresh.
+place by every re-index.  A posting is an immutable tuple of the term's
+token positions in the document, replaced whole when the document is
+re-indexed and never mutated, and a term is one string object wherever
+it appears — postings, forward index, impact lists, parsed queries —
+because :func:`~repro.mining.features.tokenize` interns its tokens: the
+vocabulary is held once, not once per document.
+
+Every refresh reads at one pinned snapshot — the caller's, or one it
+opens — and a document dirtied by a commit the snapshot does not cover
+stays dirty for the next refresh.
 
 For single-term relevance queries the index additionally keeps
 *impact-ordered* posting lists (:meth:`top_docs`): per-term entries
@@ -47,6 +54,7 @@ postings* (``creator``, ``state`` and property-key filters -> doc set,
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -90,6 +98,12 @@ def tf_idf(weights: list[tuple[str, float]], tfs: Mapping[str, float],
     return score
 
 
+def _interned(term: str) -> bool:
+    """Whether ``term`` is the interned object for its text: interning a
+    fresh copy returns the interned one, or the copy when none exists."""
+    return sys.intern("".join(term)) is term
+
+
 class DocValues(namedtuple(
         "DocValues", [c.name for c in S.DOCUMENT_COLUMNS])):
     """A document's whole ``tx_documents`` row, one field per
@@ -117,8 +131,9 @@ class DocValues(namedtuple(
 class InvertedIndex:
     """term -> {doc: token positions}, with incremental refresh.
 
-    Postings store token *positions*, so term frequency (their count)
-    and phrase adjacency queries both come from one structure.
+    Postings store token *positions* (a tuple per posting), so term
+    frequency (their count) and phrase adjacency queries both come from
+    one structure.
     """
 
     #: Feed consumer name.
@@ -126,7 +141,8 @@ class InvertedIndex:
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self._postings: dict[str, dict[Oid, list[int]]] = defaultdict(dict)
+        self._postings: dict[str, dict[Oid, tuple[int, ...]]] = \
+            defaultdict(dict)
         self._doc_terms: dict[Oid, dict[str, int]] = {}
         self._doc_len: dict[Oid, int] = {}
         self._doc_values: dict[Oid, DocValues] = {}
@@ -252,15 +268,15 @@ class InvertedIndex:
         else:
             text = C.chain_text(self.db, doc, row["begin_char"], txn=txn)
         self._doc_text[doc] = text
+        tokens = tokenize(text)
         positions: dict[str, list[int]] = defaultdict(list)
-        for i, token in enumerate(tokenize(text)):
+        for i, token in enumerate(tokens):
             positions[token].append(i)
         self._doc_terms[doc] = {t: len(p) for t, p in positions.items()}
-        length = sum(len(p) for p in positions.values())
-        self._doc_len[doc] = length
+        length = self._doc_len[doc] = len(tokens)
         values = self._doc_values[doc] = DocValues.of(row)
         for term, pos_list in positions.items():
-            self._postings[term][doc] = pos_list
+            self._postings[term][doc] = tuple(pos_list)
             entries = self._impact.get(term)
             if entries is not None:
                 insort(entries, self._impact_key(
@@ -310,8 +326,10 @@ class InvertedIndex:
         live document then has doc values equal to its row, every
         per-document structure covers exactly the live documents (a
         deleted document leaves no entry anywhere), the postings agree
-        with the forward index, and every built equality posting and
-        ordered list equals a rebuild from the doc values.
+        with the forward index, every posting is a tuple and every term
+        (posted, forward or impact) its interned string, and every built
+        equality posting and ordered list equals a rebuild from the doc
+        values.
         """
         problems: list[str] = []
         if self._pending:
@@ -335,11 +353,22 @@ class InvertedIndex:
                 problems.append(f"{label} map out of sync with doc values")
         posted: dict[Oid, dict[str, int]] = defaultdict(dict)
         for term, bucket in self._postings.items():
+            if not _interned(term):
+                problems.append(f"posted term {term!r} is not interned")
             for doc, positions in bucket.items():
                 posted[doc][term] = len(positions)
+                if type(positions) is not tuple:
+                    problems.append(f"{doc}: {term!r} posting is a "
+                                    f"{type(positions).__name__}")
         for doc, tfs in self._doc_terms.items():
             if posted.get(doc, {}) != tfs:
                 problems.append(f"{doc}: postings != forward index")
+            for term in tfs:
+                if not _interned(term):
+                    problems.append(f"{doc}: term {term!r} is not interned")
+        for term in self._impact:
+            if not _interned(term):
+                problems.append(f"impact term {term!r} is not interned")
         for doc in posted.keys() - self._doc_terms.keys():
             problems.append(f"{doc}: stale postings")
         for fieldname, postings in self._equal.items():
@@ -388,7 +417,7 @@ class InvertedIndex:
                                  self._doc_values[doc], doc)
                 for doc, pos in self._postings.get(term, {}).items()
             )
-            self._impact[term] = entries
+            self._impact[sys.intern(term)] = entries
         return entries
 
     def doc_frequency(self, term: str) -> int:

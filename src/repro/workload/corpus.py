@@ -9,7 +9,12 @@ and search subsystems real structure to find.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 #: Topic -> characteristic vocabulary.  Shared words live in COMMON.
 TOPICS: dict[str, list[str]] = {
@@ -55,18 +60,29 @@ class CorpusSpec:
     seed: int = 7
 
 
-def zipf_choice(rng: random.Random, words: list[str]) -> str:
-    """Pick a word with a Zipf-ish (rank-weighted) distribution."""
-    n = len(words)
-    # P(rank r) ~ 1/(r+1); sample via inverse CDF on precomputed weights.
-    total = sum(1.0 / (r + 1) for r in range(n))
-    target = rng.random() * total
+@lru_cache(maxsize=16)
+def _zipf_cdf(n: int) -> list[float]:
+    """Running sums of ``1/(rank+1)`` over ranks ``0..n-1``: the
+    unnormalised Zipf CDF, built once per population size (a handful
+    are in use: the topic vocabularies, ``COMMON``, a portal's
+    documents).  Shared by every caller: do not mutate."""
+    cdf: list[float] = []
     acc = 0.0
-    for r in range(n):
-        acc += 1.0 / (r + 1)
-        if acc >= target:
-            return words[r]
-    return words[-1]
+    for rank in range(n):
+        acc += 1.0 / (rank + 1)
+        cdf.append(acc)
+    return cdf
+
+
+def zipf_choice(rng: random.Random, population: Sequence[_T]) -> _T:
+    """Pick an element with a Zipf-ish (rank-weighted) distribution.
+
+    P(rank r) ~ 1/(r+1), rank 0 the first element; one ``rng.random()``
+    per pick, inverted by bisection over :func:`_zipf_cdf`.
+    """
+    cdf = _zipf_cdf(len(population))
+    target = rng.random() * cdf[-1]
+    return population[min(bisect_left(cdf, target), len(cdf) - 1)]
 
 
 def generate_sentence(rng: random.Random, topic: str,

@@ -18,18 +18,18 @@ that no query triggered a full rebuild or folder rescan.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from ..db import Database, col
+from ..db import Database
+from ..errors import UnknownDocumentError
 from ..feed import MaintenanceWorker
 from ..folders import DynamicFolderManager, HasProperty, StateIs
 from ..ids import Oid
 from ..search import SearchEngine
 from ..text import DocumentStore
 from ..text import dbschema as S
-from .corpus import TOPICS, generate_text
+from .corpus import TOPICS, generate_text, zipf_choice
 
 
 @dataclass
@@ -47,21 +47,6 @@ class PortalSpec:
     creators: tuple = ("ana", "ben", "cleo", "dan")
     states: tuple = ("draft", "review", "final")
     seed: int = 9
-
-
-class _ZipfPicker:
-    """O(log n) rank-weighted choice over a fixed population."""
-
-    def __init__(self, n: int) -> None:
-        self._cdf: list[float] = []
-        acc = 0.0
-        for rank in range(n):
-            acc += 1.0 / (rank + 1)
-            self._cdf.append(acc)
-
-    def pick(self, rng: random.Random) -> int:
-        target = rng.random() * self._cdf[-1]
-        return min(bisect_left(self._cdf, target), len(self._cdf) - 1)
 
 
 @dataclass
@@ -159,9 +144,8 @@ def upload_version(portal: Portal, doc: Oid, text: str, user: str) -> int:
     db = portal.db
     now = db.now()
     with db.transaction() as txn:
-        row = txn.query(S.DOCUMENTS).where(col("doc") == doc).first()
+        row = txn.find(S.DOCUMENTS, "doc", doc)
         if row is None:
-            from ..errors import UnknownDocumentError
             raise UnknownDocumentError(f"no document {doc}")
         txn.get_for_update(S.DOCUMENTS, row.rowid)
         props = dict(row["props"] or {})
@@ -225,10 +209,6 @@ def run_portal_traffic(portal: Portal, *, n_ops: int = 300,
     and the full-pass counters observed while traffic ran.
     """
     rng = random.Random(seed)
-    picker = _ZipfPicker(len(portal.docs))
-    #: Zipf over each topic's vocabulary: hot terms repeat, as real
-    #: query logs do, so per-term caches actually amortise.
-    term_pickers = {t: _ZipfPicker(len(TOPICS[t])) for t in TOPICS}
     report = PortalTrafficReport()
     topics = tuple(TOPICS)
     index = portal.search.index
@@ -240,7 +220,9 @@ def run_portal_traffic(portal: Portal, *, n_ops: int = 300,
         roll = rng.random()
         if roll < 0.40:
             topic = rng.choice(topics)
-            term = TOPICS[topic][term_pickers[topic].pick(rng)]
+            # Zipf over the topic's vocabulary: hot terms repeat, as
+            # real query logs do, so per-term caches actually amortise.
+            term = zipf_choice(rng, TOPICS[topic])
             started = perf_counter()
             portal.search.search(term, limit=10)
             report.search_seconds.append(perf_counter() - started)
@@ -252,11 +234,11 @@ def run_portal_traffic(portal: Portal, *, n_ops: int = 300,
             report.listing_seconds.append(perf_counter() - started)
             report.listings += 1
         elif roll < 0.90:
-            doc = portal.docs[picker.pick(rng)]
+            doc = zipf_choice(rng, portal.docs)
             portal.store.meta(doc)
             report.opens += 1
         else:
-            doc = portal.docs[picker.pick(rng)]
+            doc = zipf_choice(rng, portal.docs)
             topic = topics[op_no % len(topics)]
             text = generate_text(rng, topic, rng.randint(10, 30))
             upload_version(portal, doc, text, rng.choice(portal.spec.creators))

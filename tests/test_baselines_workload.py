@@ -1,6 +1,9 @@
 """Tests for the baselines and the workload generators."""
 
+import hashlib
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +16,10 @@ from repro.db import Database
 from repro.errors import InvalidPositionError, TendaxError
 from repro.workload import (
     CorpusSpec,
+    PortalSpec,
+    SimulatedTypist,
     build_knowledge_base,
+    build_portal,
     generate_corpus,
     generate_text,
     load_corpus,
@@ -147,6 +153,51 @@ class TestCorpusGeneration:
         meta = store.meta(handles[0].doc)
         assert meta["props"]["topic"] in ("database", "editing",
                                           "workflow", "business")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGeneratedOutputsArePinned:
+    """The generators' outputs are pinned by SHA: a change to a Zipf
+    pick, to the order of ``rng`` calls or to the text layout shows
+    here."""
+
+    @pytest.mark.parametrize("seed, sha", [
+        (7,
+         "691bb9cadef319abfe8eff1ce1962de81c4413ce12b6c23632bcc09fcb7d891f"),
+        (11,
+         "a2811786b0fd21914cbf8a35df5d5ea82d8057dd8e6ec342b749f3c3e4e85546"),
+        (2006,
+         "6399eaecde404e0f9a7630c4acafaba5a6bb63f7a173e6d1e3f3234e0b85ef29"),
+    ])
+    def test_generate_corpus(self, seed, sha):
+        docs = generate_corpus(CorpusSpec(n_docs=40, seed=seed))
+        assert _sha(json.dumps([asdict(d) for d in docs])) == sha
+
+    def test_portal_archived_texts(self):
+        from repro.text import dbschema as S
+        portal = build_portal(PortalSpec(n_docs=500))
+        try:
+            with portal.db.snapshot() as snap:
+                texts = [snap.find(S.DOCUMENTS, "doc", doc)["props"]
+                         ["archived_text"] for doc in portal.docs[:490]]
+        finally:
+            portal.close()
+        assert _sha("\n".join(texts)) == (
+            "57b2caff1412ffe53dd698b91438d4a9baf63381249af2c7110d63c42f19213c")
+
+    def test_typist_text(self):
+        from repro.collab import CollaborationServer, EditorClient
+        server = CollaborationServer()
+        server.register_user("ana")
+        session = server.connect("ana")
+        handle = session.create_document("pad", text="")
+        editor = EditorClient(session, handle.doc)
+        SimulatedTypist(editor, seed=5).run(300)
+        assert _sha(editor.handle.text()) == (
+            "62221f84e95574743d513b0415bad875bd39c679f1d904c8ca1c6d4690e0fa74")
 
 
 class TestScenarios:

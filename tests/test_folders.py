@@ -18,6 +18,7 @@ from repro.folders import (
     StaticFolderManager,
 )
 from repro.text import DocumentStore
+from repro.text import dbschema as S
 
 DAY = 86400.0
 
@@ -336,3 +337,46 @@ class TestFeedDrivenFolders:
         assert folder.contents(limit=2) == full[:2]
         store.delete_document(docs[0], "ana")
         assert folder.contents(limit=2) == sorted(docs[1:])[:2]
+
+    def test_a_batch_reads_each_document_row_once(self, db, monkeypatch):
+        """One commit touching N documents under F folders reads N
+        document rows, not N x F, and membership equals a rescan."""
+        dfm = DynamicFolderManager(db)
+        conditions = {
+            "finals": StateIs("final"),
+            "ana": CreatorIs("ana"),
+            "shelf": HasProperty("topic", "db"),
+            "ana's finals": StateIs("final") & CreatorIs("ana"),
+        }
+        folders = [dfm.create_folder(name, condition)
+                   for name, condition in conditions.items()]
+        reads = []
+        find = db.find
+
+        def counting_find(table, column, key):
+            if table == S.DOCUMENTS:
+                reads.append(key)
+            return find(table, column, key)
+
+        monkeypatch.setattr(db, "find", counting_find)
+        docs = []
+        with db.transaction() as txn:
+            for i in range(6):
+                doc = db.new_oid("doc")
+                creator = ("ana", "ben")[i % 2]
+                txn.insert(S.DOCUMENTS, {
+                    "doc": doc, "name": f"arch-{i}", "creator": creator,
+                    "created_at": db.now(),
+                    "state": ("draft", "final", "final")[i % 3],
+                    "size": 4, "last_modified": db.now(),
+                    "last_modified_by": creator,
+                    "props": {"archived_text": "blob",
+                              "topic": ("db", "ui")[i % 2]},
+                })
+                docs.append(doc)
+        assert sorted(reads) == sorted(docs)
+        live = [folder.contents() for folder in folders]
+        assert [len(members) for members in live] == [4, 3, 3, 2]
+        for folder, members in zip(folders, live):
+            folder.revalidate()
+            assert folder.contents() == members
