@@ -27,7 +27,14 @@ Quick start::
 
 See ``examples/`` for full scenarios and ``benchmarks/`` for the
 experiment suite documented in EXPERIMENTS.md.
+
+``LineageGraph`` and ``VisualMiner`` are imported on first access: their
+modules load networkx and numpy, which no editing, serving or search
+path needs.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from .clock import SimulatedClock, SystemClock
 from .collab import CollaborationServer, EditingSession, EditorClient
@@ -35,9 +42,7 @@ from .db import Database, col, column, recover, recover_file
 from .errors import TendaxError
 from .folders import DynamicFolderManager, StaticFolderManager
 from .ids import Oid
-from .lineage import LineageGraph
 from .meta import MetadataCollector, PropertyManager
-from .mining import VisualMiner
 from .process import TaskList, WorkflowManager
 from .search import SearchEngine
 from .security import AccessController, PrincipalRegistry
@@ -51,7 +56,23 @@ from .text import (
     VersionManager,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .lineage import LineageGraph
+    from .mining import VisualMiner
+
 __version__ = "1.0.0"
+
+#: Analytics names -> the subpackage that defines them (numpy, networkx).
+_ON_FIRST_USE = {"LineageGraph": ".lineage", "VisualMiner": ".mining"}
+
+
+def __getattr__(name: str) -> object:
+    """Import an analytics name on first access (PEP 562)."""
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_ON_FIRST_USE[name], __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AccessController",

@@ -30,6 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..feed.changefeed import CommitBatch
 
 
+#: A document's live counters before its first edit.
+_ZERO_COUNTERS = {"inserts": 0, "deletes": 0, "style_changes": 0,
+                  "purged_chars": 0, "commits": 0}
+
+
 class MetadataCollector:
     """Aggregates creation-process metadata for all documents in a DB."""
 
@@ -41,9 +46,7 @@ class MetadataCollector:
         S.install_text_schema(db)
         #: doc -> counters maintained live from commits.
         self._counters: dict[Oid, dict[str, int]] = defaultdict(
-            lambda: {"inserts": 0, "deletes": 0, "style_changes": 0,
-                     "purged_chars": 0, "commits": 0}
-        )
+            _ZERO_COUNTERS.copy)
         self._sub = db.changefeed().subscribe(
             self.CONSUMER, self._on_batch, tables=(S.CHARS,))
 
@@ -78,8 +81,9 @@ class MetadataCollector:
             self._counters[doc]["commits"] += 1
 
     def edit_counters(self, doc: Oid) -> dict[str, int]:
-        """Live counters for one document (zeros if never edited here)."""
-        return dict(self._counters[doc])
+        """Live counters for one document (zeros if never edited here);
+        reading adds no entry."""
+        return dict(self._counters.get(doc, _ZERO_COUNTERS))
 
     # ------------------------------------------------------------------
     # Character-level metadata

@@ -25,7 +25,6 @@ from ..db import Database
 from ..errors import SearchError
 from ..ids import Oid
 from ..meta import MetadataCollector
-from ..mining.features import FeatureExtractor
 from ..obs.labels import SeriesCache
 from ..text import dbschema as S
 from .index import EQUALITY_FIELDS, InvertedIndex, tf_idf
@@ -71,7 +70,6 @@ class SearchEngine:
         self.meta = meta or MetadataCollector(db)
         self.index = InvertedIndex(db)
         self.ranker = Ranker(self.meta)
-        self.extractor = FeatureExtractor(db)
         registry = db.obs.registry
         self._m_queries = registry.counter("search.queries")
         self._m_query_seconds = registry.histogram("search.query_seconds")

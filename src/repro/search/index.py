@@ -299,6 +299,8 @@ class InvertedIndex:
                 bucket.pop(doc, None)
                 if not bucket:
                     del self._postings[term]
+                    self._impact.pop(term, None)
+                    continue
             entries = self._impact.get(term)
             if entries is not None:
                 self._sorted_remove(entries, self._impact_key(
@@ -327,9 +329,9 @@ class InvertedIndex:
         per-document structure covers exactly the live documents (a
         deleted document leaves no entry anywhere), the postings agree
         with the forward index, every posting is a tuple and every term
-        (posted, forward or impact) its interned string, and every built
-        equality posting and ordered list equals a rebuild from the doc
-        values.
+        (posted, forward or impact) its interned string, every impact
+        list belongs to a posted term, and every built equality posting
+        and ordered list equals a rebuild from the doc values.
         """
         problems: list[str] = []
         if self._pending:
@@ -369,6 +371,8 @@ class InvertedIndex:
         for term in self._impact:
             if not _interned(term):
                 problems.append(f"impact term {term!r} is not interned")
+            if term not in self._postings:
+                problems.append(f"impact list of unposted term {term!r}")
         for doc in posted.keys() - self._doc_terms.keys():
             problems.append(f"{doc}: stale postings")
         for fieldname, postings in self._equal.items():
@@ -409,13 +413,17 @@ class InvertedIndex:
     def impact_entries(self, term: str) -> list:
         """``term``'s documents in relevance order: ascending
         ``(-tf/len, -last_modified, doc)``, built on first use.  Do not
-        mutate."""
+        mutate.  Only a posted term's list is kept: a term no document
+        contains gets a fresh empty list and leaves nothing behind."""
         entries = self._impact.get(term)
         if entries is None:
+            bucket = self._postings.get(term)
+            if not bucket:
+                return []
             entries = sorted(
                 self._impact_key(len(pos), self._doc_len[doc],
                                  self._doc_values[doc], doc)
-                for doc, pos in self._postings.get(term, {}).items()
+                for doc, pos in bucket.items()
             )
             self._impact[sys.intern(term)] = entries
         return entries

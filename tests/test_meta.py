@@ -37,6 +37,24 @@ class TestCounters:
     def test_counters_zero_for_unedited(self, db, meta):
         assert meta.edit_counters(db.new_oid("doc"))["inserts"] == 0
 
+    def test_reading_counters_and_profiles_adds_no_entry(self, db, store,
+                                                         meta):
+        edited = store.create("d", "ana", text="abc")
+        edited.delete_range(0, 1, "ana")
+        want = meta.edit_counters(edited.doc)
+        archived = [store.import_archived(f"a{i}", "ben", text="old text")
+                    for i in range(20)]
+        size = len(meta._counters)
+        for doc in archived:
+            assert meta.document_profile(doc)["edit_counters"] == \
+                dict.fromkeys(want, 0)
+            meta.edit_counters(doc)["inserts"] = 99
+            assert meta.edit_counters(doc)["inserts"] == 0
+        assert meta.edit_counters(db.new_oid("doc"))["commits"] == 0
+        assert len(meta._counters) == size
+        assert meta.edit_counters(edited.doc) == want
+        assert want["inserts"] == 3 and want["deletes"] == 1
+
     def test_close_stops_counting(self, db, store, meta):
         h = store.create("d", "ana")
         meta.close()

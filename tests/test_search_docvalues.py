@@ -30,6 +30,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -778,6 +779,38 @@ def test_check_names_a_mutable_posting_and_an_uninterned_term():
     assert "impact term 'alpha' is not interned" in problems
     index.rebuild()
     assert index.check() == []
+    archive.close()
+
+
+def test_impact_lists_are_kept_only_for_posted_terms():
+    """A search for a term no document contains leaves no impact list
+    behind, and a warmed term's list goes with its last document; the
+    term re-added ranks exactly like the scan path, and ``check()``
+    names an impact list of a term that is not posted."""
+    archive = _small_archive()
+    engine, index = archive.engine, archive.engine.index
+    assert_same_as_reference(engine, RARE, "relevance", 3)
+    warmed = set(index._impact)
+    assert RARE in warmed
+    for n in range(200):
+        engine.search(f"absent{n}")
+        engine.search(f"absent{n} alpha", ranking="newest")
+        assert index.top_docs(f"absent{n}", 3) == []
+    assert set(index._impact) == warmed
+    for doc in list(index.postings(RARE)):
+        archive.apply(("delete", archive.live.index(doc), "ana"))
+    index.ensure_fresh()
+    assert RARE not in index._impact and index.check() == []
+    archive.apply(("import", "ben", (RARE, "alpha", RARE), "db"))
+    archive.apply(("advance",))
+    archive.apply(("create", "cleo", ("beta", RARE), "ai"))
+    for query in (RARE, f"alpha {RARE}", f"{RARE} state:draft"):
+        for ranking in RANKINGS:
+            for limit in (1, 3, 50):
+                assert_same_as_reference(engine, query, ranking, limit)
+    assert index.check() == []
+    index._impact[sys.intern("nowhere")] = []
+    assert "impact list of unposted term 'nowhere'" in index.check()
     archive.close()
 
 

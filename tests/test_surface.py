@@ -54,3 +54,17 @@ def test_tree_counts_cover_every_module():
     assert totals["lines"] > totals["parameters"] > totals["functions"] > 0
     # The engine is configured by arguments, never by the environment.
     assert totals["env_reads"] == 0
+
+
+def test_third_party_imports_of_a_package(tmp_path):
+    """The footprint names the non-stdlib packages an import loads, not
+    the standard library or the package itself; ``repro`` loads none."""
+    tool = _tool()
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("import json\nimport pytest\n")
+    loaded = tool.third_party_imports(str(package))
+    assert "pytest" in loaded and loaded == sorted(loaded)
+    assert "json" not in loaded and "pkg" not in loaded
+    assert tool.third_party_imports(os.path.join(_REPO, "src", "repro")) \
+        == []

@@ -12,9 +12,13 @@ one per line, so a CI log carries them for every commit:
   PR 18);
 * ``cli_flags`` — ``add_argument`` calls (positionals included);
 * ``env_reads`` — reads of the process environment (``os.environ``,
-  ``os.getenv`` and their bytes forms, or importing them from ``os``).
+  ``os.getenv`` and their bytes forms, or importing them from ``os``);
+* ``third_party`` — the top-level packages outside the standard library
+  that a fresh ``import repro`` loads, or ``none``: the libraries every
+  editor and server process pays for.
 
-Standard library only (``ast``); nothing is imported from the tree.
+Standard library only.  The counts read the tree with ``ast``; the
+import footprint imports the package in a child interpreter.
 
 Usage::
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import ast
 import os
+import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,6 +84,27 @@ def count_tree(root: str) -> dict[str, int]:
     return totals
 
 
+_FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import {package}
+print(" ".join(sorted({{name.partition(".")[0]
+                       for name in set(sys.modules) - before}})))
+"""
+
+
+def third_party_imports(root: str) -> list[str]:
+    """Top-level non-stdlib packages a fresh ``import`` of the package
+    at ``root`` loads (the package itself aside), sorted."""
+    parent, package = os.path.split(os.path.abspath(root))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT.format(package=package)],
+        cwd=parent, env=dict(os.environ, PYTHONPATH=parent),
+        capture_output=True, text=True, check=True)
+    return [name for name in done.stdout.split()
+            if name != package and name not in sys.stdlib_module_names]
+
+
 def main(argv: list[str]) -> int:
     root = argv[1] if len(argv) > 1 else os.path.join(REPO, "src", "repro")
     if not os.path.isdir(root):
@@ -87,6 +113,8 @@ def main(argv: list[str]) -> int:
     print(f"surface of {os.path.relpath(root)}")
     for key, value in count_tree(root).items():
         print(f"  {key:<11}{value:>7}")
+    loaded = " ".join(third_party_imports(root)) or "none"
+    print(f"  {'third_party':<11} {loaded:>6}")
     return 0
 
 
