@@ -29,7 +29,7 @@ from . import wal as walmod
 from .catalog import Catalog
 from .locks import LockManager
 from .query import Query, RowView, find
-from .schema import Column, TableSchema
+from .schema import Column, RowImage, TableSchema
 from .table import Table
 from .transaction import BatchJoin, Change, Transaction, TxnMetrics
 from .wal import WriteAheadLog
@@ -324,8 +324,9 @@ class Database:
             return txn.insert(table_name, values)
 
     def update(self, table_name: str, rowid: int,
-               updates: Mapping[str, Any]) -> dict:
-        """Update one row in its own transaction."""
+               updates: Mapping[str, Any]) -> RowImage:
+        """Update one row in its own transaction; returns the new row,
+        read-only (see :meth:`Transaction.update`)."""
         with self.transaction() as txn:
             return txn.update(table_name, rowid, updates)
 

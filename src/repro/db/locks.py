@@ -15,6 +15,16 @@ checked before every wait so deadlocks are detected immediately and the
 requesting transaction is chosen as the victim (it raises
 :class:`~repro.errors.DeadlockError`).  Single-threaded cooperative callers
 can pass ``timeout=0`` to get immediate ``LockTimeoutError`` on conflict.
+
+A lock costs what it holds.  Nearly every lock in the engine has one
+exclusive holder and nobody waiting — each row an edit writes, each key
+it claims — so such a resource is one slot of the manager's map,
+resource -> holder's txn id.  A resource gets a :class:`_LockState`
+(holders dict, waiters list) only when it needs one: a SHARED holder, a
+second holder, or a waiter.  Each transaction's holdings are one record,
+resource -> mode, which the transaction reads too
+(:meth:`LockManager.held_modes`): a repeat acquire that is already
+strong enough never reaches the manager.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from __future__ import annotations
 import threading
 import time
 from time import perf_counter
-from typing import TYPE_CHECKING, Hashable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from ..errors import DeadlockError, LockTimeoutError
 from ..obs.metrics import MetricsRegistry
@@ -43,8 +54,13 @@ _COMPATIBLE = {
 }
 
 
+#: What a transaction that holds nothing holds.
+_NOTHING: Mapping[Hashable, str] = MappingProxyType({})
+
+
 class _LockState:
-    """Holders and waiters for one lockable resource (born granted)."""
+    """Holders and waiters of a resource that needs more than one slot:
+    a SHARED holder, a second holder or a waiter (born granted)."""
 
     __slots__ = ("holders", "waiters")
 
@@ -62,6 +78,12 @@ class _LockState:
         return True
 
 
+def _granted(txn_id: int, mode: str) -> "int | _LockState":
+    """The entry of a resource nobody held, now granted to ``txn_id``:
+    an exclusive lock is its holder's id, a shared one a state."""
+    return txn_id if mode == EXCLUSIVE else _LockState(txn_id, mode)
+
+
 class LockManager:
     """Grants S/X locks on hashable resource keys to transaction ids.
 
@@ -77,8 +99,11 @@ class LockManager:
         from ..faults.injector import NO_FAULTS
         from ..obs.tracing import NULL_TRACER
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._states: dict[Hashable, _LockState] = {}
-        self._held_by_txn: dict[int, set[Hashable]] = {}
+        #: resource -> its holder's txn id (one exclusive holder, nobody
+        #: waiting) or its :class:`_LockState`.
+        self._states: dict[Hashable, int | _LockState] = {}
+        #: txn id -> {resource: mode}: the one record of what it holds.
+        self._held_by_txn: dict[int, dict[Hashable, str]] = {}
         self._cond = threading.Condition()
         self.default_timeout = default_timeout
         self.faults = faults if faults is not None else NO_FAULTS
@@ -149,31 +174,32 @@ class LockManager:
         with self._cond:
             held = self._held_by_txn.get(txn_id)
             if held is None:
-                held = self._held_by_txn[txn_id] = set()
+                held = self._held_by_txn[txn_id] = {}
             for resource in resources:
+                mine = held.get(resource)
+                if mine == EXCLUSIVE or mine == mode:
+                    continue  # already strong enough
                 state = states.get(resource)
                 if state is None:
-                    states[resource] = _LockState(txn_id, mode)
+                    states[resource] = _granted(txn_id, mode)
+                elif (type(state) is not _LockState
+                      or not state.compatible(txn_id, mode)):
+                    contended.append(resource)
+                    continue
                 else:
-                    mine = state.holders.get(txn_id)
-                    if mine == EXCLUSIVE or mine == mode:
-                        continue  # already strong enough
-                    if not state.compatible(txn_id, mode):
-                        contended.append(resource)
-                        continue
                     state.holders[txn_id] = mode
                     upgrades += mine is not None
-                held.add(resource)
+                held[resource] = mode
             for resource in contended:
                 # Looked up again: an earlier wait of this call may
                 # have seen the resource's last holder leave.
                 state = states.get(resource)
                 if state is None:
-                    states[resource] = _LockState(txn_id, mode)
+                    states[resource] = _granted(txn_id, mode)
                 else:
                     self._wait_for(txn_id, resource, state, mode, timeout)
                     upgrades += resource in held
-                held.add(resource)
+                held[resource] = mode
         if upgrades:
             self._m_acquired.inc(upgrades)
 
@@ -189,12 +215,19 @@ class LockManager:
                 )
             time.sleep(fault.delay)
 
-    def _wait_for(self, txn_id: int, resource: Hashable, state: _LockState,
-                  mode: str, timeout: float | None) -> None:
+    def _wait_for(self, txn_id: int, resource: Hashable,
+                  state: "int | _LockState", mode: str,
+                  timeout: float | None) -> None:
         """Block until ``resource`` can be granted, then grant it (caller
-        holds the condition; ``state`` is the resource's live state)."""
+        holds the condition; ``state`` is the resource's live entry)."""
         deadline_timeout = self.default_timeout if timeout is None else timeout
-        if state.compatible(txn_id, mode):
+        if type(state) is not _LockState:
+            if state == txn_id:
+                return  # its own slot, named twice in one call
+            # Another transaction's exclusive slot: the state it would
+            # have, stored only once a waiter joins it.
+            state = _LockState(state, EXCLUSIVE)
+        elif state.compatible(txn_id, mode):
             state.holders[txn_id] = mode
             return
         if deadline_timeout == 0:
@@ -207,6 +240,7 @@ class LockManager:
             raise DeadlockError(
                 f"txn {txn_id} deadlocks waiting for {resource!r}"
             )
+        self._states[resource] = state
         entry = (txn_id, mode)
         state.waiters.append(entry)
         self._m_waits.inc()
@@ -248,28 +282,44 @@ class LockManager:
     def release_all(self, txn_id: int) -> None:
         """Release every lock held by ``txn_id`` (commit/abort)."""
         with self._cond:
-            resources = self._held_by_txn.pop(txn_id, set())
-            for resource in resources:
-                state = self._states.get(resource)
-                if state is None:
+            held = self._held_by_txn.pop(txn_id, None)
+            if not held:
+                return
+            states = self._states
+            for resource in held:
+                state = states.get(resource)
+                if type(state) is not _LockState:
+                    if state == txn_id:
+                        del states[resource]
                     continue
                 state.holders.pop(txn_id, None)
                 if not state.holders and not state.waiters:
-                    del self._states[resource]
-            if resources:
-                self._cond.notify_all()
-                self._m_acquired.inc(len(resources))
+                    del states[resource]
+            self._cond.notify_all()
+            self._m_acquired.inc(len(held))
 
     def holders(self, resource: Hashable) -> dict[int, str]:
         """Snapshot of current holders of ``resource`` (txn id -> mode)."""
         with self._cond:
             state = self._states.get(resource)
-            return dict(state.holders) if state else {}
+            if state is None:
+                return {}
+            if type(state) is not _LockState:
+                return {state: EXCLUSIVE}
+            return dict(state.holders)
 
     def locks_held(self, txn_id: int) -> set[Hashable]:
         """Snapshot of resources currently held by ``txn_id``."""
         with self._cond:
             return set(self._held_by_txn.get(txn_id, ()))
+
+    def held_modes(self, txn_id: int) -> Mapping[Hashable, str]:
+        """What ``txn_id`` holds, resource -> mode: the live record, not
+        a snapshot — read it, do not write it.  Only that transaction's
+        own acquires and its release change it, so the transaction
+        reads it between its calls to skip a repeat acquire that is
+        already strong enough."""
+        return self._held_by_txn.get(txn_id, _NOTHING)
 
     # -- internals ----------------------------------------------------------
 
@@ -283,6 +333,8 @@ class LockManager:
         # Build txn -> set of txns it waits for, from all resources.
         waits_for: dict[int, set[int]] = {}
         for state in self._states.values():
+            if type(state) is not _LockState:
+                continue  # one holder, nobody waiting
             for waiter, mode in state.waiters:
                 blockers = {
                     holder for holder, held in state.holders.items()

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .index import OrderedIndex
 from .predicate import ALWAYS, Comparison, IndexHint, Predicate
-from .schema import TableSchema
+from .schema import RowImage, TableSchema
 from .table import TOMBSTONE, Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,32 +45,18 @@ class RowView(dict):
         return f"RowView(rowid={self.rowid}, {dict.__repr__(self)})"
 
 
-class _StoredRow(Mapping):
+class _StoredRow(RowImage):
     """A stored tuple read as a column mapping, without building one.
 
-    What a predicate is evaluated against: the executor rebinds ``row``
-    per candidate, so filtering allocates nothing and only the rows that
-    match are ever turned into a real mapping.
+    What a predicate is evaluated against: the executor rebinds the
+    tuple per candidate, so filtering allocates nothing and only the
+    rows that match are ever turned into a real mapping.
     """
 
-    __slots__ = ("_positions", "row")
+    __slots__ = ()
 
     def __init__(self, schema: TableSchema) -> None:
-        self._positions = schema._by_name
-        self.row: tuple = ()
-
-    def get(self, name: str, default: Any = None) -> Any:
-        position = self._positions.get(name)
-        return default if position is None else self.row[position]
-
-    def __getitem__(self, name: str) -> Any:
-        return self.row[self._positions[name]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._positions)
-
-    def __len__(self) -> int:
-        return len(self._positions)
+        super().__init__(schema._by_name, ())
 
 
 def find(db: "Database", table_name: str, column: str, key: Any,
@@ -350,7 +336,7 @@ class Query:
         view = _StoredRow(schema)
         matches = self._predicate.matches
         for candidate in candidates:
-            view.row = candidate[1]
+            view._row = candidate[1]
             if matches(view):
                 yield candidate
 

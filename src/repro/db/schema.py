@@ -9,8 +9,9 @@ bytes, timestamps, OIDs and JSON-ish blobs for user-defined properties.
 from __future__ import annotations
 
 import enum
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..errors import (
     NotNullViolation,
@@ -264,6 +265,10 @@ class TableSchema:
         """Convert a storage tuple into a column-name mapping."""
         return dict(zip(self.names, row))
 
+    def image(self, row: tuple) -> "RowImage":
+        """``row`` read as a column mapping, without building one."""
+        return RowImage(self._by_name, row)
+
     def key_of(self, row: tuple) -> Any:
         """Return the logical key value of ``row`` (requires ``key``)."""
         if self.key is None:
@@ -285,3 +290,54 @@ def column(name: str, type_: ColumnType | str, *, nullable: bool = False,
     if isinstance(type_, str):
         type_ = ColumnType(type_)
     return Column(name, type_, nullable=nullable, default=default)
+
+
+class RowImage(Mapping):
+    """A stored row tuple read as a read-only column mapping.
+
+    It holds the tuple the table stores (immutable, so never copied) and
+    the schema's shared name -> position map: two references, where a
+    dict of the same row costs a hash table.  It is what a commit hands
+    its consumers (``Change.row`` / ``Change.before``) and what
+    ``Transaction.update`` returns.  Item assignment raises
+    ``TypeError``; ``dict(image)`` makes a real dict (for JSON, or to
+    change it).  An image compares equal to a dict of the same items.
+    """
+
+    __slots__ = ("_positions", "_row")
+
+    def __init__(self, positions: dict[str, int], row: tuple) -> None:
+        self._positions = positions
+        self._row = row
+
+    def get(self, name: str, default: Any = None) -> Any:
+        position = self._positions.get(name)
+        return default if position is None else self._row[position]
+
+    def __getitem__(self, name: str) -> Any:
+        return self._row[self._positions[name]]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._positions
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    """A :class:`RowImage`'s items, zipped straight off its tuple."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[str, Any]]:
+        image = self._mapping
+        return zip(image._positions, image._row)

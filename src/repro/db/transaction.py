@@ -26,8 +26,9 @@ from ..errors import (
 )
 from ..obs.metrics import COUNT_BUCKETS
 from . import wal as walmod
-from .locks import SHARED
+from .locks import EXCLUSIVE, SHARED
 from .query import Query, find
+from .schema import RowImage
 from .table import VERSIONS_PUSHED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,15 +79,17 @@ class Change(NamedTuple):
     row a delete removed or an update overwrote (``None`` on insert).
     Delete subscribers must use it — ``row`` is ``None`` for them, and
     without the before-image a consumer cannot even tell which document
-    a vanished row belonged to.  The mappings are built once per changed
-    row and shared by every consumer: read them, do not write them.
+    a vanished row belonged to.  Both are read-only
+    :class:`~repro.db.schema.RowImage` mappings over the stored tuples
+    themselves, shared by every consumer: writing one raises
+    ``TypeError``, and a consumer that needs a dict calls ``dict(row)``.
     """
 
     table: str
-    kind: str                  # "insert" | "update" | "delete"
+    kind: str                     # "insert" | "update" | "delete"
     rowid: int
-    row: dict | None           # column mapping after the change (None=delete)
-    before: dict | None = None  # column mapping before (None=insert)
+    row: RowImage | None          # the row after the change (None=delete)
+    before: RowImage | None = None  # the row before it (None=insert)
 
 
 class Transaction:
@@ -111,12 +114,10 @@ class Transaction:
         #: ``<=`` this LSN from the version chains — zero LockManager
         #: calls on the whole read path (``None`` = read-committed).
         self.snapshot_lsn = snapshot_lsn
-        #: (table_name, rowid) in staging order — commit applies in order.
-        self._ops: list[tuple[str, int]] = []
-        #: The same markers -> ``(staged image, its column mapping)`` for
-        #: rows :meth:`update` already built a mapping of (``None`` for
-        #: the rest): commit hands that very mapping to the change list.
-        self._ops_seen: dict[tuple[str, int], tuple | None] = {}
+        #: (table_name, rowid) of every staged row, once each, in
+        #: staging order — commit applies in order.  A dict is the
+        #: ordered set: a row staged again keeps its first place.
+        self._ops: dict[tuple[str, int], None] = {}
         #: Redo statements in execution order, one ``(type, table,
         #: rowid, cols, vals)`` each: the DML of this transaction's log
         #: block (see :meth:`~repro.db.wal.WriteAheadLog.append`).
@@ -125,11 +126,6 @@ class Transaction:
         #: transaction may move a key between its rows, so commit
         #: un-files every key it changed before filing any.
         self._rekeyed = False
-        #: Resources already locked by this transaction (strict 2PL holds
-        #: them until the end, so a local set is an exact fast path that
-        #: spares repeat acquires the lock-manager round-trip — batched
-        #: bursts touch the same document row once per keystroke).
-        self._held_res: set = set()
         #: Editing operations that joined this transaction via
         #: ``Database.batch()`` (observed as ``txn.batched_ops``).
         self.batched_ops = 0
@@ -209,26 +205,31 @@ class Transaction:
 
     def _lock_all(self, resources: list) -> None:
         """Take the exclusive locks of one statement (group) in a single
-        lock-manager call; resources already held cost nothing."""
-        held = self._held_res
-        fresh = [r for r in resources if r not in held]
+        lock-manager call.  A resource this transaction already holds
+        exclusively costs nothing (strict 2PL holds it to the end, so
+        the manager's record of it is exact — batched bursts touch the
+        same document row once per keystroke); one it holds SHARED is
+        upgraded with the rest."""
+        locks = self._db.locks
+        held = locks.held_modes(self.txn_id)
+        fresh = [r for r in resources if held.get(r) != EXCLUSIVE]
         if fresh:
-            self._db.locks.acquire_many(self.txn_id, fresh,
-                                        timeout=self.lock_timeout)
-            held.update(fresh)
+            locks.acquire_many(self.txn_id, fresh,
+                               timeout=self.lock_timeout)
 
     def lock_shared(self, table: str, rowid: int) -> None:
         """Take a SHARED row lock, held to the end of the transaction.
 
         No read in the engine takes one; a caller that wants a reader
         to block writers (and be blocked by them) — the 2PL-reader arm
-        of the interference benchmark — locks each row it reads."""
+        of the interference benchmark — locks each row it reads.  A
+        later write of the row in the same transaction upgrades it."""
         resource = ("row", table, rowid)
-        if resource in self._held_res:
+        locks = self._db.locks
+        if resource in locks.held_modes(self.txn_id):
             return
-        self._db.locks.acquire(self.txn_id, resource, SHARED,
-                               timeout=self.lock_timeout)
-        self._held_res.add(resource)
+        locks.acquire(self.txn_id, resource, SHARED,
+                      timeout=self.lock_timeout)
 
     def lock_rows(self, table_name: str, rowids: Iterable[int]) -> None:
         """Pre-acquire exclusive locks on a batch of rows at once.
@@ -241,13 +242,6 @@ class Transaction:
         """
         self._require_writable()
         self._lock_all([("row", table_name, rowid) for rowid in rowids])
-
-    def _record_op(self, table: str, rowid: int,
-                   mapped: tuple | None = None) -> None:
-        marker = (table, rowid)
-        if marker not in self._ops_seen:
-            self._ops.append(marker)
-        self._ops_seen[marker] = mapped
 
     # -- DML ----------------------------------------------------------------
 
@@ -274,15 +268,16 @@ class Transaction:
             names = table.schema.names
             for rowid, values in zip(rowids, rows):
                 row = table.stage_insert(self.txn_id, values, rowid)[1]
-                self._record_op(table_name, rowid)
+                self._ops[table_name, rowid] = None
                 # The log keeps the stored tuple itself, by reference.
                 self._log.append((walmod.INSERT, table_name, rowid,
                                   names, row))
             return rowids
 
     def update(self, table_name: str, rowid: int,
-               updates: Mapping[str, Any]) -> dict:
-        """Update a row; returns the new full row mapping."""
+               updates: Mapping[str, Any]) -> RowImage:
+        """Update a row; returns the new full row, read-only (a
+        :class:`~repro.db.schema.RowImage` of the staged tuple)."""
         self._require_writable()
         table = self._db.table(table_name)
         with self._lock:
@@ -296,15 +291,14 @@ class Transaction:
             self._lock_all(wanted)
             row = table.stage_update(self.txn_id, rowid, updates)
             schema = table.schema
-            row_map = schema.row_dict(row)
-            self._record_op(table_name, rowid, (row, row_map))
+            self._ops[table_name, rowid] = None
             # Only the columns this statement set are logged: redo
             # merges them into the row it holds, which under strict
             # 2PL is the very image staged on here.
             cols = tuple(updates)
             self._log.append((walmod.UPDATE, table_name, rowid, cols,
                               schema.project(row, cols)))
-            return row_map
+            return schema.image(row)
 
     def delete(self, table_name: str, rowid: int) -> None:
         """Delete a row."""
@@ -313,7 +307,7 @@ class Transaction:
         with self._lock:
             self._lock_all([("row", table_name, rowid)])
             table.stage_delete(self.txn_id, rowid)
-            self._record_op(table_name, rowid)
+            self._ops[table_name, rowid] = None
             self._log.append((walmod.DELETE, table_name, rowid, (), ()))
 
     # -- reads (own-writes visible; snapshot txns read their pinned LSN) -----
@@ -423,25 +417,18 @@ class Transaction:
                                     txn_id, rowid)
                         changes: list[Change] = []
                         pushed = 0
-                        for marker in self._ops:
-                            table_name, rowid = marker
+                        for table_name, rowid in self._ops:
                             table = db.table(table_name)
                             kind, row, old = table.commit_row(
                                 txn_id, rowid, lsn)
                             if kind == "noop":
                                 continue
                             pushed += VERSIONS_PUSHED[kind]
-                            row_dict = table.schema.row_dict
-                            mapped = self._ops_seen[marker]
-                            if row is None:
-                                row_map = None
-                            elif mapped is not None and mapped[0] is row:
-                                row_map = mapped[1]
-                            else:
-                                row_map = row_dict(row)
+                            image = table.schema.image
                             changes.append(Change(
-                                table_name, kind, rowid, row_map,
-                                None if old is None else row_dict(old)))
+                                table_name, kind, rowid,
+                                None if row is None else image(row),
+                                None if old is None else image(old)))
                         if pushed:
                             self._metrics.versions_live.inc(pushed)
                         self.state = TxnState.COMMITTED

@@ -89,7 +89,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, ClassVar, Iterator, NamedTuple
+from typing import Any, Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 from ..db.wal import WalRecord, encode_value, parse_records
 from ..errors import ProtocolError
@@ -164,7 +164,8 @@ def _require(cond: bool, message: str) -> None:
 BLANK_ROW: dict[str, Any] = {c.name: c.default for c in CHAR_COLUMNS}
 
 
-def wire_row(row: dict, before: dict | None = None) -> dict:
+def wire_row(row: Mapping[str, Any],
+             before: Mapping[str, Any] | None = None) -> dict:
     """One committed character row as it travels.
 
     Without ``before`` (an insert, a snapshot) the whole image: every

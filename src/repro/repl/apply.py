@@ -131,11 +131,11 @@ class ReplicationApplier:
                 pushed += VERSIONS_PUSHED[kind]
                 if not publishing:
                     continue
-                row_dict = table.schema.row_dict
+                image = table.schema.image
                 changes.append(Change(
                     op.table, kind, rowid,
-                    None if row is None else row_dict(row),
-                    None if old is None else row_dict(old)))
+                    None if row is None else image(row),
+                    None if old is None else image(old)))
             if pushed:
                 db.txn_metrics.versions_live.inc(pushed)
         finally:

@@ -79,7 +79,7 @@ Invariants (checked by :meth:`ChunkedOrderCache.check`):
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..ids import Oid
 
@@ -538,7 +538,7 @@ def position_after(cache, anchor: Oid | None, begin: Oid,
     return 0
 
 
-def splice_rows(cache, rows: Sequence[dict], begin: Oid,
+def splice_rows(cache, rows: Sequence[Mapping[str, Any]], begin: Oid,
                 prev_of: Callable[[Oid], Oid | None]) -> bool:
     """Bring ``cache`` in line with the committed ``tx_chars`` rows of
     one transaction, in the order given.
@@ -565,7 +565,7 @@ def splice_rows(cache, rows: Sequence[dict], begin: Oid,
     later-applied character in between slots in before it.
     """
     changed = False
-    run: list[dict] = []
+    run: list[Mapping[str, Any]] = []
     inserting = False
     for row in rows:
         if not row["ch"]:
@@ -595,8 +595,8 @@ def splice_rows(cache, rows: Sequence[dict], begin: Oid,
     return changed
 
 
-def _apply_run(cache, run: list[dict], inserting: bool, begin: Oid,
-               prev_of: Callable[[Oid], Oid | None]) -> None:
+def _apply_run(cache, run: list[Mapping[str, Any]], inserting: bool,
+               begin: Oid, prev_of: Callable[[Oid], Oid | None]) -> None:
     if inserting:
         cache.insert_run(
             position_after(cache, run[0]["prev"], begin, prev_of), run)

@@ -62,6 +62,7 @@ SMOKE_NODES = (
     "benchmarks/bench_editing_transactions.py::test_position_lookup_30k",
     "benchmarks/bench_editing_transactions.py::test_keystroke_commit_30k",
     "benchmarks/bench_editing_transactions.py::test_unique_key_read_30k",
+    "benchmarks/bench_editing_transactions.py::test_create_document_30k",
     "benchmarks/bench_editing_transactions.py::test_snapshot_key_read",
     "benchmarks/bench_undo_redo.py::test_undo_redo_cycle[10]",
     "benchmarks/bench_recovery_security.py::test_recovery_replay[100]",
@@ -113,6 +114,8 @@ TREND_NODES = {
         "c1_keystroke_commit",
     "benchmarks/bench_editing_transactions.py::test_unique_key_read_30k":
         "c1_unique_key_read",
+    "benchmarks/bench_editing_transactions.py::test_create_document_30k":
+        "c1_create_document_30k",
     "benchmarks/bench_editing_transactions.py::test_snapshot_key_read":
         "c1_snapshot_key_read",
     "benchmarks/bench_collaborative_editing.py::test_replication_visibility[2]":
