@@ -18,7 +18,10 @@ that hop over real loopback sockets.  Measurements:
   editor makes around it (length, position→oid, oid→position, cursor
   anchor resolution), at 1k and 64k characters.  The replica is an
   order index, so the cost must stay flat where a per-call chain walk
-  grew 64×.
+  grew 64×;
+* **mirror open** — what opening a document costs the client: one
+  8 000-row snapshot frame through ``FrameDecoder`` into
+  ``DocMirror.from_snapshot`` (decode, merge, chain walk, index build).
 
 All wire benches run the server on its own thread (``ServerThread``)
 with real TCP clients, so the numbers include framing, syscalls and the
@@ -35,8 +38,9 @@ import pytest
 
 from repro.collab import CollaborationServer
 from repro.ids import Oid
-from repro.net import DocMirror, NetworkClient, ServerThread
-from repro.net.protocol import Delta
+from repro.net import (DocMirror, FrameDecoder, NetworkClient, ServerThread,
+                       encode_frame)
+from repro.net.protocol import Ack, Delta
 
 SETTLE_SECONDS = 10.0
 STORM_SIZES = [8]
@@ -46,6 +50,7 @@ SCRAPE_SERIES = [32]
 MIRROR_SIZES = {"1k": 1_000, "64k": 64_000}
 #: How much dearer the 64x larger replica may be per keystroke.
 MIRROR_FLAT_RATIO = 8.0
+OPEN_ROWS = 8_000
 
 
 def _server(n_users: int, wal_path: str | None = None):
@@ -206,17 +211,21 @@ def _char_row(seq: int, ch: str, prev, nxt, *, deleted: bool = False) -> dict:
     return row
 
 
-def _mirror(size: int) -> DocMirror:
-    """A replica of ``size`` characters, every tenth logically deleted
-    (cursor anchors must slide over those)."""
+def _snapshot(size: int) -> dict:
+    """An open snapshot of ``size`` characters, every tenth logically
+    deleted (cursor anchors must slide over those)."""
     last = size + 1
     rows = [_char_row(0, "", None, Oid("char", 1))]
     rows += [_char_row(i, "x", Oid("char", i - 1), Oid("char", i + 1),
                        deleted=i % 10 == 0) for i in range(1, last)]
     rows.append(_char_row(last, "", Oid("char", last - 1), None))
-    return DocMirror.from_snapshot({
-        "doc": _DOC, "begin": rows[0]["char"], "end": rows[-1]["char"],
-        "rep_seq": 0, "rows": rows})
+    return {"doc": _DOC, "begin": rows[0]["char"], "end": rows[-1]["char"],
+            "rep_seq": 0, "rows": rows}
+
+
+def _mirror(size: int) -> DocMirror:
+    """A replica of ``size`` characters (see :func:`_snapshot`)."""
+    return DocMirror.from_snapshot(_snapshot(size))
 
 
 def _keystroke_and_lookups(mirror: DocMirror,
@@ -277,3 +286,21 @@ def test_mirror_lookup_scaling(benchmark, label):
     assert here <= MIRROR_FLAT_RATIO * small, (
         f"mirror lookups not flat: {small * 1e6:.0f}us at 1k -> "
         f"{here * 1e6:.0f}us at {label}")
+
+
+def test_mirror_open_8k(benchmark):
+    """A cold open on the client: one 8 000-row snapshot frame decoded
+    (``FrameDecoder``) and adopted (``DocMirror.from_snapshot``)."""
+    frame = encode_frame(Ack(op_seq=1, result=_snapshot(OPEN_ROWS)))
+
+    def open_once() -> DocMirror:
+        (ack,) = FrameDecoder().feed(frame)
+        return DocMirror.from_snapshot(ack.result)
+
+    benchmark.group = "D7 mirror open (snapshot frame -> replica)"
+    benchmark.extra_info["rows"] = OPEN_ROWS + 2
+    benchmark.extra_info["frame_bytes"] = len(frame)
+    mirror = benchmark.pedantic(open_once, rounds=20, iterations=1,
+                                warmup_rounds=2)
+    assert mirror.length() == OPEN_ROWS - OPEN_ROWS // 10
+    assert mirror.check_integrity() == []

@@ -13,8 +13,12 @@ DDL.
 Blocking waits are supported for multi-threaded use; a wait-for graph is
 checked before every wait so deadlocks are detected immediately and the
 requesting transaction is chosen as the victim (it raises
-:class:`~repro.errors.DeadlockError`).  Single-threaded cooperative callers
-can pass ``timeout=0`` to get immediate ``LockTimeoutError`` on conflict.
+:class:`~repro.errors.DeadlockError`).  The graph is built from the
+resources somebody waits on — a set kept as waits start and end — so a
+check costs what the waiting costs, not what is held.  A wait's timeout
+is a deadline: wake-ups (every release wakes every waiter) do not use
+it up.  Single-threaded cooperative callers can pass ``timeout=0`` to
+get immediate ``LockTimeoutError`` on conflict.
 
 A lock costs what it holds.  Nearly every lock in the engine has one
 exclusive holder and nobody waiting — each row an edit writes, each key
@@ -104,6 +108,8 @@ class LockManager:
         self._states: dict[Hashable, int | _LockState] = {}
         #: txn id -> {resource: mode}: the one record of what it holds.
         self._held_by_txn: dict[int, dict[Hashable, str]] = {}
+        #: The states that have waiters: all the wait-for graph needs.
+        self._waited: set[_LockState] = set()
         self._cond = threading.Condition()
         self.default_timeout = default_timeout
         self.faults = faults if faults is not None else NO_FAULTS
@@ -243,6 +249,7 @@ class LockManager:
         self._states[resource] = state
         entry = (txn_id, mode)
         state.waiters.append(entry)
+        self._waited.add(state)
         self._m_waits.inc()
         wait_started = perf_counter()
         # Contended waits are cold and interesting: traced, so a
@@ -251,18 +258,20 @@ class LockManager:
                                        resource=str(resource),
                                        mode=mode)
         try:
-            remaining = deadline_timeout
+            # A deadline, not a budget of wake-ups: every release wakes
+            # every waiter, so a wait is woken far more often than its
+            # resource frees.
+            deadline = time.monotonic() + deadline_timeout
             step = 0.05
             while not state.compatible(txn_id, mode):
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self._m_timeouts.inc()
                     wait_span.end("timeout")
                     raise LockTimeoutError(
                         f"txn {txn_id} timed out on {resource!r} ({mode})"
                     )
-                wait = min(step, remaining)
-                self._cond.wait(wait)
-                remaining -= wait
+                self._cond.wait(min(step, remaining))
                 if self._would_deadlock(txn_id, state):
                     self._m_deadlocks.inc()
                     wait_span.end("deadlock")
@@ -278,6 +287,8 @@ class LockManager:
             wait_span.end("ok")
             self._m_wait_seconds.observe(perf_counter() - wait_started)
             state.waiters.remove(entry)
+            if not state.waiters:
+                self._waited.discard(state)
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock held by ``txn_id`` (commit/abort)."""
@@ -330,11 +341,10 @@ class LockManager:
         each conflicting holder of the wanted resource; recursively, those
         holders may themselves be waiting.
         """
-        # Build txn -> set of txns it waits for, from all resources.
+        # Build txn -> set of txns it waits for, from the resources
+        # somebody waits on (a lock nobody waits for adds no edge).
         waits_for: dict[int, set[int]] = {}
-        for state in self._states.values():
-            if type(state) is not _LockState:
-                continue  # one holder, nobody waiting
+        for state in self._waited:
             for waiter, mode in state.waiters:
                 blockers = {
                     holder for holder, held in state.holders.items()

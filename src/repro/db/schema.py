@@ -192,10 +192,6 @@ class TableSchema:
         """Column names in storage order."""
         return self.names
 
-    def has_column(self, name: str) -> bool:
-        """Whether the schema defines ``name``."""
-        return name in self._by_name
-
     def column_index(self, name: str) -> int:
         """Return the storage position of ``name`` or raise."""
         try:
@@ -298,10 +294,12 @@ class RowImage(Mapping):
     It holds the tuple the table stores (immutable, so never copied) and
     the schema's shared name -> position map: two references, where a
     dict of the same row costs a hash table.  It is what a commit hands
-    its consumers (``Change.row`` / ``Change.before``) and what
-    ``Transaction.update`` returns.  Item assignment raises
-    ``TypeError``; ``dict(image)`` makes a real dict (for JSON, or to
-    change it).  An image compares equal to a dict of the same items.
+    its consumers (``Change.row`` / ``Change.before``), what
+    ``Transaction.update`` returns and what a wire client's replica
+    holds per character (:func:`repro.net.protocol.merge_row`).  Item
+    assignment raises ``TypeError``; ``dict(image)`` makes a real dict
+    (for JSON, or to change it).  An image compares equal to a dict of
+    the same items.
     """
 
     __slots__ = ("_positions", "_row")

@@ -138,14 +138,6 @@ class Table:
             self._set_indexes({**self._indexes, name: index})
             return index
 
-    def drop_index(self, name: str) -> None:
-        """Remove a secondary index by name."""
-        with self._lock:
-            if name not in self._indexes:
-                raise SchemaError(f"no index {name!r}")
-            self._set_indexes({k: v for k, v in self._indexes.items()
-                               if k != name})
-
     def drop(self) -> None:
         """Retire the table for DROP TABLE.
 

@@ -485,11 +485,6 @@ class BatchJoin:
     def __init__(self, txn: Transaction) -> None:
         self._txn = txn
 
-    @property
-    def batch_txn(self) -> Transaction:
-        """The underlying batch transaction."""
-        return self._txn
-
     def __enter__(self) -> "BatchJoin":
         return self
 

@@ -128,17 +128,27 @@ def encode_value(value: Any) -> Any:
     return value
 
 
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, dict):
-        if set(value) == {"__oid__"}:
-            return Oid.parse(value["__oid__"])
-        if set(value) == {"__bytes__"}:
-            return bytes.fromhex(value["__bytes__"])
-        return {k: decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    return value
+def untag(obj: dict, oids: dict[str, Oid] | None = None) -> Any:
+    """Inverse of :func:`encode_value`'s tagging, as a ``json`` object
+    hook: each object is resolved as it is parsed, so a payload is
+    walked once.  With ``oids`` (oid text -> ``Oid``, filled as it
+    goes) one text yields one ``Oid`` object however often it appears.
+    """
+    if len(obj) == 1:
+        if "__oid__" in obj:
+            text = obj["__oid__"]
+            if oids is None:
+                return Oid.parse(text)
+            oid = oids.get(text)
+            if oid is None:
+                oid = oids[text] = Oid.parse(text)
+            return oid
+        if "__bytes__" in obj:
+            return bytes.fromhex(obj["__bytes__"])
+    return obj
+
+
+_parse_json = json.JSONDecoder(object_hook=untag).decode
 
 
 def columns_payload(schema: TableSchema) -> list[dict]:
@@ -197,15 +207,14 @@ def render_record(record: WalRecord) -> str:
 
 def _parse_line(line: bytes) -> WalRecord:
     """Inverse of :func:`render_record` (values decoded back)."""
-    raw = json.loads(line.decode())
+    raw = _parse_json(line.decode())
     payload = raw.get("payload") or _NO_PAYLOAD
     if raw["type"] in DML:
         values = payload.get("values") or _NO_PAYLOAD
         return WalRecord(raw["lsn"], raw["type"], raw["txn"], _NO_PAYLOAD,
                          payload["table"], payload["rowid"], tuple(values),
-                         tuple(map(decode_value, values.values())))
-    return WalRecord(raw["lsn"], raw["type"], raw["txn"],
-                     decode_value(payload))
+                         tuple(values.values()))
+    return WalRecord(raw["lsn"], raw["type"], raw["txn"], payload)
 
 
 def parse_records(data: bytes, source: str = "WAL"

@@ -413,11 +413,6 @@ class DynamicFolderManager:
                     for listener in self._listeners:
                         listener(folder.name, doc, doc in folder)
 
-    def revalidate_all(self) -> None:
-        """Full rescan of every folder (time-window decay)."""
-        for folder in self._folders.values():
-            folder.revalidate()
-
     # -- persistence --------------------------------------------------------
 
     DEFINITIONS = "tx_dynamic_folders"

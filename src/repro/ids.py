@@ -16,6 +16,7 @@ references.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -43,11 +44,14 @@ class Oid(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Oid":
-        """Parse the ``node:seq`` form produced by :meth:`__str__`."""
+        """Parse the ``node:seq`` form produced by :meth:`__str__`.
+
+        ``node`` is interned: a document's characters share one node
+        string however many of their ids are parsed."""
         node, sep, seq = text.rpartition(":")
         if not sep or not node:
             raise ValueError(f"not a valid oid: {text!r}")
-        return cls(node, int(seq))
+        return cls(sys.intern(node), int(seq))
 
 
 class IdGenerator:
@@ -68,11 +72,6 @@ class IdGenerator:
         """Return a fresh, never-before-issued id."""
         with self._lock:
             return Oid(self._node, next(self._counter))
-
-    def next_int(self) -> int:
-        """Return a fresh integer (for row ids local to one table)."""
-        with self._lock:
-            return next(self._counter)
 
     def advance(self, seen: int) -> None:
         """Keep allocation ahead of ``seen`` (an id found in a replayed

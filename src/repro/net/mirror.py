@@ -9,10 +9,14 @@ What it keeps of its own is the replication state:
   logically deleted rows included (anchors resolve through them, undo
   resurrects them), each the merge of everything the server sent about
   it (:func:`~repro.net.protocol.merge_row`); they answer ``prev_of``
-  and are what ``check_integrity`` walks.  A row is never mutated, only
+  and are what ``check_integrity`` walks.  A row is a read-only
+  :class:`~repro.db.schema.RowImage` — one tuple in ``CHAR_COLUMNS``
+  order, as the server's table stores it — never mutated, only
   replaced by its merged successor, and never padded with defaults: a
   patch with no row to land on leaves its delta unapplied, counted in
-  ``missing_base``, for the transport to resync;
+  ``missing_base``, for the transport to resync.  Each oid is held
+  once: a row's ``prev``/``next`` is the very key object of the row it
+  names;
 * the **pending** deltas: applied strictly in ``rep_seq`` order, an
   early one buffered until its gap fills, a gap that never fills (a
   dropped frame) healed by a ``resync`` snapshot that replaces the
@@ -27,15 +31,22 @@ What it keeps of its own is the replication state:
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from ..db.schema import RowImage
 from ..errors import ProtocolError
 from ..ids import Oid
 from ..obs.metrics import NULL_REGISTRY
 from ..text.chars import walk_chain
 from ..text.ordercache import ChunkedOrderCache, splice_rows
 from ..text.replica import ReplicaReads
-from .protocol import Delta, merge_row
+from .protocol import ROW_POSITIONS, Delta, merge_row
 
 __all__ = ["DocMirror"]
+
+_CHAR = ROW_POSITIONS["char"]
+_PREV = ROW_POSITIONS["prev"]
+_NEXT = ROW_POSITIONS["next"]
 
 
 class DocMirror(ReplicaReads):
@@ -50,7 +61,7 @@ class DocMirror(ReplicaReads):
         self.begin_char = begin
         self.end_char = end
         #: char oid -> full tx_chars row (deleted rows and sentinels too).
-        self.rows: dict[Oid, dict] = {}
+        self.rows: dict[Oid, RowImage] = {}
         #: Visible characters in document order (derived from ``rows``).
         self._cache = ChunkedOrderCache()
         #: Highest rep_seq applied, contiguously, to ``rows``.
@@ -98,12 +109,15 @@ class DocMirror(ReplicaReads):
 
     def _adopt(self, snapshot: dict) -> None:
         """Take a snapshot's rows — whole images, there is no base to
-        patch — and cursors, and index the rows (one chain walk)."""
+        patch — and cursors, and index the rows (one chain walk).
+
+        A snapshot is one frame, whose oids the decoder already shares:
+        its links are the key objects of the rows they name."""
         doc = self.doc
         rows = [merge_row(row, None, doc) for row in snapshot["rows"]]
         if None in rows:
             raise ProtocolError("snapshot holds a row patch, not an image")
-        self.rows = {row["char"]: row for row in rows}
+        self.rows = {row._row[_CHAR]: row for row in rows}
         self._cache.rebuild(
             walk_chain(self.rows, self.begin_char, self.end_char)[1])
         self.cursors = {}
@@ -156,7 +170,8 @@ class DocMirror(ReplicaReads):
         if None in merged:
             return False
         for row in merged:
-            chain[row["char"]] = row
+            chain[row._row[_CHAR]] = row
+        self._share_links(merged)
         splice_rows(self._cache, merged, self.begin_char, self.prev_of)
         if self._held_cursors:
             for cursor in list(self._held_cursors.values()):
@@ -164,6 +179,29 @@ class DocMirror(ReplicaReads):
         if delta.cursor is not None:
             self.place_cursor(delta.cursor)
         return True
+
+    def _share_links(self, rows: Iterable[RowImage]) -> None:
+        """Re-point each landed row's ``prev``/``next`` at the key
+        object of the row it names, so the chain holds each oid once.
+
+        A frame already shares its oids (one object per text); this
+        joins a delta's oids to those of rows that earlier frames
+        brought.
+        """
+        chain = self.rows
+        for row in rows:
+            values = chain[row._row[_CHAR]]._row    # the last row landed
+            prev = values[_PREV]
+            after = values[_NEXT]
+            named = chain.get(prev)
+            held_prev = prev if named is None else named._row[_CHAR]
+            named = chain.get(after)
+            held_next = after if named is None else named._row[_CHAR]
+            if held_prev is not prev or held_next is not after:
+                shared = list(values)
+                shared[_PREV] = held_prev
+                shared[_NEXT] = held_next
+                chain[values[_CHAR]] = RowImage(ROW_POSITIONS, tuple(shared))
 
     def place_cursor(self, cursor: dict) -> None:
         """Record a participant's cursor unless a newer one (higher
@@ -186,7 +224,7 @@ class DocMirror(ReplicaReads):
         row = self.rows.get(oid)
         return None if row is None else row["prev"]
 
-    def _chain_rows(self) -> dict[Oid, dict]:
+    def _chain_rows(self) -> dict[Oid, RowImage]:
         return self.rows
 
     @property

@@ -89,9 +89,11 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any, Callable, ClassVar, Iterator, Mapping, NamedTuple
 
-from ..db.wal import WalRecord, encode_value, parse_records
+from ..db.schema import RowImage
+from ..db.wal import WalRecord, encode_value, parse_records, untag
 from ..errors import ProtocolError
 from ..ids import Oid
 from ..text.dbschema import CHAR_COLUMNS
@@ -99,6 +101,7 @@ from ..text.dbschema import CHAR_COLUMNS
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "ROW_POSITIONS",
     "Ack",
     "Awareness",
     "BLANK_ROW",
@@ -163,6 +166,15 @@ def _require(cond: bool, message: str) -> None:
 #: (and from the document it travels for), and merged back onto it.
 BLANK_ROW: dict[str, Any] = {c.name: c.default for c in CHAR_COLUMNS}
 
+#: Column -> position in a received row's tuple (``CHAR_COLUMNS``
+#: order): the shared half of every :class:`RowImage` :func:`merge_row`
+#: returns.
+ROW_POSITIONS: dict[str, int] = {name: i for i, name in enumerate(BLANK_ROW)}
+
+_BLANK_VALUES = tuple(BLANK_ROW.values())
+_CHAR_AT = ROW_POSITIONS["char"]
+_DOC_AT = ROW_POSITIONS["doc"]
+
 
 def wire_row(row: Mapping[str, Any],
              before: Mapping[str, Any] | None = None) -> dict:
@@ -186,18 +198,35 @@ def wire_row(row: Mapping[str, Any],
     return out
 
 
-def merge_row(row: dict, base: dict | None, doc: Any) -> dict | None:
+def merge_row(row: Mapping[str, Any], base: RowImage | None,
+              doc: Any) -> RowImage | None:
     """The full row a :func:`wire_row` leaves behind at the receiver —
     the wire twin of :func:`repro.db.replay.merge_image`.
 
     A whole image lands on a blank row of ``doc``; a patch lands on
-    ``base``, the row the receiver holds for that character.  A patch
-    without a base returns ``None``: the history that produced the row
-    is missing, and the caller must fetch it rather than invent it.
+    ``base``, the row the receiver holds for that character (an earlier
+    result of this function).  A patch without a base returns ``None``:
+    the history that produced the row is missing, and the caller must
+    fetch it rather than invent it.
+
+    The result is a read-only :class:`RowImage` over
+    :data:`ROW_POSITIONS`, a tuple like the one the server's table
+    stores.  A row that lands on ``base`` keeps ``base``'s ``char``
+    object (the caller found ``base`` by an equal oid), so a replica
+    keyed by its rows' oids holds each oid once.
     """
     if "ch" in row:
-        return {**BLANK_ROW, "doc": doc, **row}
-    return None if base is None else {**base, **row}
+        values = list(_BLANK_VALUES)
+        values[_DOC_AT] = doc
+    elif base is None:
+        return None
+    else:
+        values = list(base._row)
+    for name, value in row.items():
+        values[ROW_POSITIONS[name]] = value
+    if base is not None:
+        values[_CHAR_AT] = base._row[_CHAR_AT]
+    return RowImage(ROW_POSITIONS, tuple(values))
 
 
 def _check_rows(rows: Any, where: str) -> None:
@@ -867,20 +896,6 @@ def open_connection(host: str, port: int,
     return sock
 
 
-def _untag(obj: dict) -> Any:
-    """``json`` object hook: the inverse of ``encode_value``'s tagging,
-    applied as each object is parsed (no second walk of the payload)."""
-    if len(obj) == 1:
-        if "__oid__" in obj:
-            return Oid.parse(obj["__oid__"])
-        if "__bytes__" in obj:
-            return bytes.fromhex(obj["__bytes__"])
-    return obj
-
-
-_parse = json.JSONDecoder(object_hook=_untag).decode
-
-
 def decode_envelope(obj: Any) -> Envelope:
     """Turn a parsed frame payload (tags already resolved) into a typed
     envelope (strict)."""
@@ -903,11 +918,19 @@ class FrameDecoder:
     envelope raises :class:`~repro.errors.ProtocolError` immediately.
     A buffer holding a partial frame at EOF simply never yields — the
     connection died mid-frame.
+
+    Within one frame an oid's text decodes to one ``Oid`` object: a
+    snapshot names each character up to three times (``char``, its
+    neighbours' ``prev``/``next``) and the receiver keeps one.
     """
 
     def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
         self.max_frame = max_frame
         self._buffer = bytearray()
+        #: oid text -> Oid for the frame being parsed (emptied after it).
+        self._oids: dict[str, Oid] = {}
+        self._parse = json.JSONDecoder(
+            object_hook=partial(untag, oids=self._oids)).decode
 
     @property
     def pending_bytes(self) -> int:
@@ -938,10 +961,12 @@ class FrameDecoder:
         payload = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
         del self._buffer[:_HEADER.size + length]
         try:
-            obj = _parse(payload.decode("utf-8"))
+            obj = self._parse(payload.decode("utf-8"))
         except (ValueError, TypeError, AttributeError) as exc:
             # Bad UTF-8 or JSON, or a malformed oid/bytes tag.
             raise ProtocolError(f"undecodable frame payload: {exc}") from None
+        finally:
+            self._oids.clear()
         return decode_envelope(obj)
 
 

@@ -101,10 +101,6 @@ class TelemetryStore:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def last_sample(self) -> float | None:
-        return self._last
-
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._rings)

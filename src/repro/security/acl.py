@@ -99,11 +99,6 @@ class AccessController:
             self.db.delete(ACL, row.rowid)
         return len(rows)
 
-    def grants_for(self, doc: Oid) -> list[dict]:
-        """All ACL entries of a document."""
-        return [dict(r) for r in
-                self.db.query(ACL).where(col("doc") == doc).run()]
-
     def allowed(self, doc: Oid, user: str, perm: str) -> bool:
         """Does ``user`` hold ``perm`` on ``doc``?
 

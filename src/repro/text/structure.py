@@ -93,11 +93,6 @@ class StructureManager:
             "start_char": start_char, "end_char": end_char,
         })
 
-    def relabel(self, node: Oid, label: str) -> None:
-        """Change a node's label."""
-        row = self._node_view(node)
-        self.db.update(S.STRUCTURE, row.rowid, {"label": label})
-
     def move_node(self, node: Oid, new_parent: Oid | None,
                   pos: int) -> None:
         """Re-parent/re-order a node; rejects cycles."""

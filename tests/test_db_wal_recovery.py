@@ -1,5 +1,6 @@
 """Tests for the write-ahead log and crash recovery."""
 
+import json
 import os
 import shutil
 import sys
@@ -9,8 +10,8 @@ import pytest
 
 from repro.db import Database, col, column, recover, recover_file
 from repro.db import wal as walmod
-from repro.db.wal import (WriteAheadLog, committed_txn_ids, decode_value,
-                          encode_value, read_log)
+from repro.db.wal import (WriteAheadLog, committed_txn_ids,
+                          encode_value, read_log, untag)
 from repro.errors import SchemaError, UnknownTableError, WalError
 from repro.ids import Oid
 
@@ -79,7 +80,8 @@ class TestWal:
             "data": b"\x00\xff",
             "nested": [{"k": Oid("c", 1)}, 2, None],
         }
-        assert decode_value(encode_value(values)) == values
+        text = json.dumps(encode_value(values))
+        assert json.loads(text, object_hook=untag) == values
 
 
 class TestRecoveryInMemory:

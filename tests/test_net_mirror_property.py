@@ -45,7 +45,7 @@ from repro.collab import CollaborationServer, EditorClient
 from repro.errors import InvalidPositionError, TendaxError
 from repro.ids import Oid
 from repro.net.mirror import DocMirror
-from repro.net.protocol import BLANK_ROW, Delta, wire_row
+from repro.net.protocol import BLANK_ROW, Delta, merge_row, wire_row
 from repro.text import chars as C
 from repro.text import dbschema as S
 from repro.text.ordercache import ChunkedOrderCache, splice_rows
@@ -399,7 +399,9 @@ def test_check_integrity_catches_an_index_that_left_the_chain():
         "rows": rows}))
     assert mirror.check_integrity() == []
     # The chain says "b" is gone; an index nobody told still shows it.
-    mirror.rows[Oid("char", 3)]["deleted"] = True
+    gone = Oid("char", 3)
+    mirror.rows[gone] = merge_row({"char": gone, "deleted": True},
+                                  mirror.rows[gone], DOC)
     assert any("index" in problem for problem in mirror.check_integrity())
 
 

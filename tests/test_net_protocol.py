@@ -359,6 +359,12 @@ class TestRowForms:
            "prev": Oid("c", 4), "next": Oid("c", 6), "author": "ana",
            "created_at": 12.5}
 
+    @staticmethod
+    def held(row: dict):
+        """``row`` as a receiver holds it: the image a whole row merges
+        to, the only base a patch lands on."""
+        return merge_row(wire_row(row), None, row["doc"])
+
     def test_whole_image_is_the_difference_from_a_blank_row(self):
         image = wire_row(self.ROW)
         assert image == {"char": Oid("c", 5), "ch": "x", "prev": Oid("c", 4),
@@ -379,14 +385,14 @@ class TestRowForms:
         assert patch == {"char": Oid("c", 5), "deleted": True,
                          "deleted_by": "ben", "deleted_at": 13.0,
                          "version": 1}
-        assert merge_row(patch, self.ROW, Oid("d", 1)) == after
+        assert merge_row(patch, self.held(self.ROW), Oid("d", 1)) == after
         assert merge_row(patch, None, Oid("d", 1)) is None
 
     def test_a_column_set_back_to_its_default_is_named(self):
         styled = {**self.ROW, "style": Oid("s", 1)}
         patch = wire_row(self.ROW, styled)
         assert patch == {"char": Oid("c", 5), "style": None}
-        assert merge_row(patch, styled, Oid("d", 1)) == self.ROW
+        assert merge_row(patch, self.held(styled), Oid("d", 1)) == self.ROW
 
     def test_delta_json_is_rendered_once(self, monkeypatch):
         calls = []
