@@ -17,7 +17,13 @@ token positions in the document, replaced whole when the document is
 re-indexed and never mutated, and a term is one string object wherever
 it appears — postings, forward index, impact lists, parsed queries —
 because :func:`~repro.mining.features.tokenize` interns its tokens: the
-vocabulary is held once, not once per document.
+vocabulary is held once, not once per document.  Equal small values are
+held once too: each index keeps a memo of at most
+:attr:`InvertedIndex.MEMO_CAP` entries, emptied when full and by a
+rebuild, through which every posting of at most
+:attr:`~InvertedIndex.SHARED_RUN` positions and every non-zero float of
+a stored ranking key passes, so thousands of documents whose word sits
+at position 3, or that share one timestamp, hold one object.
 
 Every refresh reads at one pinned snapshot — the caller's, or one it
 opens — and a document dirtied by a commit the snapshot does not cover
@@ -104,6 +110,14 @@ def _interned(term: str) -> bool:
     return sys.intern("".join(term)) is term
 
 
+def _sharable(value: Any) -> bool:
+    """Whether a ranking key's element may be swapped for an equal
+    object: a float other than a zero (``0.0 == -0.0`` but their signs
+    differ) or NaN (equal to nothing).  Ints, which compare equal to
+    floats and ``True``, keep their own objects."""
+    return type(value) is float and value != 0.0 and value == value
+
+
 class DocValues(namedtuple(
         "DocValues", [c.name for c in S.DOCUMENT_COLUMNS])):
     """A document's whole ``tx_documents`` row, one field per
@@ -138,6 +152,11 @@ class InvertedIndex:
 
     #: Feed consumer name.
     CONSUMER = "search-index"
+    #: Most entries the value memo holds; it is emptied when full.
+    MEMO_CAP = 4096
+    #: Postings of at most this many positions are shared: a longer run
+    #: is rarely repeated, and would fill the memo with one-off tuples.
+    SHARED_RUN = 2
 
     def __init__(self, db: Database) -> None:
         self.db = db
@@ -156,6 +175,12 @@ class InvertedIndex:
         #: ranking -> every document's ``KEYS[ranking]`` key, ascending;
         #: built lazily per ranking (``ranking.ORDERED``).
         self._orders: dict[str, list[tuple]] = {}
+        #: value -> the one object the index stores for it: short
+        #: postings and key floats (:meth:`_shared`), at most MEMO_CAP.
+        self._memo: dict[Any, Any] = {}
+        #: Whether the memo was emptied for room since the last rebuild
+        #: (values stored before then are no longer the memo's objects).
+        self._memo_spilled = False
         #: doc -> (seq, lsn) of the newest batch that dirtied it.
         self._pending: dict[Oid, tuple[int, int]] = {}
         self._sub = db.changefeed().subscribe(
@@ -205,6 +230,8 @@ class InvertedIndex:
         self._impact.clear()
         self._equal.clear()
         self._orders.clear()
+        self._memo.clear()
+        self._memo_spilled = False
         with self.db.snapshot() as snap:
             for row in snap.query(S.DOCUMENTS).run():
                 self._index_doc(row["doc"], snap, row)
@@ -276,17 +303,47 @@ class InvertedIndex:
         length = self._doc_len[doc] = len(tokens)
         values = self._doc_values[doc] = DocValues.of(row)
         for term, pos_list in positions.items():
-            self._postings[term][doc] = tuple(pos_list)
+            run = tuple(pos_list)
+            if len(run) <= self.SHARED_RUN:
+                run = self._shared(run)
+            self._postings[term][doc] = run
             entries = self._impact.get(term)
             if entries is not None:
-                insort(entries, self._impact_key(
-                    len(pos_list), length, values, doc))
+                insort(entries, self._shared_key(self._impact_key(
+                    len(pos_list), length, values, doc)))
         for fieldname, postings in self._equal.items():
             for value in values.filed_under(fieldname):
                 postings[value].add(doc)
         for ranking, entries in self._orders.items():
-            insort(entries, KEYS[ranking](doc, values, 0.0))
+            insort(entries, self._shared_key(KEYS[ranking](doc, values, 0.0)))
         self.stats["reindexed_docs"] += 1
+
+    def _shared(self, value: Any) -> Any:
+        """The memo's object equal to ``value``, which becomes it on
+        first sight.  Only interchangeable values may come here: position
+        runs (tuples of ints) and :func:`_sharable` floats — never a
+        value equal to one of another type or sign."""
+        memo = self._memo
+        held = memo.get(value)
+        if held is None:
+            if len(memo) >= self.MEMO_CAP:
+                memo.clear()
+                self._memo_spilled = True
+            held = memo[value] = value
+        return held
+
+    def _shared_key(self, key: tuple) -> tuple:
+        """``key`` (built by ``ranking.KEYS``) with each sharable float
+        swapped for the memo's equal object: same values, same order."""
+        memo = self._memo
+        shared = []
+        for x in key:
+            # _sharable(x), inlined: this runs once per stored key.
+            if type(x) is float and x != 0.0 and x == x:
+                held = memo.get(x)
+                x = held if held is not None else self._shared(x)
+            shared.append(x)
+        return tuple(shared)
 
     def _unindex_doc(self, doc: Oid) -> None:
         values = self._doc_values.pop(doc, None)
@@ -330,8 +387,10 @@ class InvertedIndex:
         deleted document leaves no entry anywhere), the postings agree
         with the forward index, every posting is a tuple and every term
         (posted, forward or impact) its interned string, every impact
-        list belongs to a posted term, and every built equality posting
-        and ordered list equals a rebuild from the doc values.
+        list belongs to a posted term, every built equality posting
+        and ordered list equals a rebuild from the doc values, and the
+        value memo keeps to its cap and holds the object of every short
+        posting and key float (:meth:`_sharing_problems`).
         """
         problems: list[str] = []
         if self._pending:
@@ -387,6 +446,33 @@ class InvertedIndex:
                     problems.append(f"{key[-1]}: stale in {ranking} list")
             if entries != self._ordered_entries(ranking):
                 problems.append(f"{ranking} list != sorted doc values")
+        return problems + self._sharing_problems()
+
+    def _sharing_problems(self) -> list[str]:
+        """The memo over its cap, and — unless it was emptied for room
+        since the last rebuild — a short posting or a key float that is
+        not the memo's object."""
+        memo = self._memo
+        if len(memo) > self.MEMO_CAP:
+            return [f"value memo holds {len(memo)} entries, over its cap "
+                    f"of {self.MEMO_CAP}"]
+        if self._memo_spilled:
+            return []
+        problems = []
+        for term, bucket in self._postings.items():
+            for doc, run in bucket.items():
+                if (type(run) is tuple and len(run) <= self.SHARED_RUN
+                        and memo.get(run) is not run):
+                    problems.append(f"{doc}: {term!r} posting {run} is not "
+                                    f"shared")
+        for label, lists in (("impact", self._impact),
+                             ("ordered", self._orders)):
+            for name, entries in lists.items():
+                for key in entries:
+                    if any(_sharable(x) and memo.get(x) is not x
+                           for x in key):
+                        problems.append(f"{label} key {key} of {name!r} "
+                                        f"holds an unshared float")
         return problems
 
     # ------------------------------------------------------------------
@@ -421,8 +507,8 @@ class InvertedIndex:
             if not bucket:
                 return []
             entries = sorted(
-                self._impact_key(len(pos), self._doc_len[doc],
-                                 self._doc_values[doc], doc)
+                self._shared_key(self._impact_key(
+                    len(pos), self._doc_len[doc], self._doc_values[doc], doc))
                 for doc, pos in bucket.items()
             )
             self._impact[sys.intern(term)] = entries
@@ -480,7 +566,9 @@ class InvertedIndex:
         ``ORDERED``.  Do not mutate."""
         entries = self._orders.get(ranking)
         if entries is None:
-            entries = self._orders[ranking] = self._ordered_entries(ranking)
+            entries = self._orders[ranking] = [
+                self._shared_key(key)
+                for key in self._ordered_entries(ranking)]
         return entries
 
     def _idf(self, df: int) -> float:

@@ -88,6 +88,7 @@ SMOKE_NODES = (
     "benchmarks/bench_portal.py::test_portal_folder_listing[100000]",
     "benchmarks/bench_portal.py::test_portal_scan_search[10k]",
     "benchmarks/bench_portal.py::test_index_apply_throughput",
+    "benchmarks/bench_portal.py::test_index_bytes_per_doc",
 )
 
 #: Headline nodes whose medians are tracked in BENCH_trend.json.
@@ -147,6 +148,8 @@ TREND_NODES = {
         "d9_portal_scan_10k",
     "benchmarks/bench_portal.py::test_index_apply_throughput":
         "d9_index_apply",
+    "benchmarks/bench_portal.py::test_index_bytes_per_doc":
+        "d9_index_bytes_per_doc",
 }
 
 TREND_PATH = os.path.join(REPO, "BENCH_trend.json")
