@@ -3,7 +3,9 @@
 Recovery: crash mid-edit, replay the WAL, verify the document (and its
 character chain) come back exactly — committed keystrokes survive, the
 in-flight uncommitted one does not.  Measured against log size: every
-restart replays the whole log from LSN 1.
+restart replays the whole log from LSN 1, so the growing-history arm
+keeps the live document at a constant size while its log grows, and
+reports what recovery holds at its peak beside how long it takes.
 
 Security: the enforcement overhead a keystroke pays when document ACLs
 and character-range protections are switched on.
@@ -11,11 +13,14 @@ and character-range protections are switched on.
 
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import pytest
 
 from repro.collab import CollaborationServer
-from repro.db import Database, recover
-from repro.db.wal import read_log
+from repro.db import Database, recover, recover_file
+from repro.db.wal import WriteAheadLog
 from repro.text import DocumentStore
 
 from .conftest import make_text
@@ -43,7 +48,7 @@ def test_recovery_replay(benchmark, n_edits, tmp_path):
     """Rebuild the database from the WAL after a crash."""
     db, store, handle = _edited_db(n_edits, str(tmp_path / "wal.jsonl"))
     expected_text = handle.text()
-    records = read_log(db.wal.path)[0]
+    records = WriteAheadLog.load_file(db.wal.path)
 
     def replay():
         return recover(records)
@@ -57,9 +62,41 @@ def test_recovery_replay(benchmark, n_edits, tmp_path):
     assert new_handle.check_integrity() == []
 
 
+@pytest.mark.parametrize("pairs", [1000, 4000])
+def test_recovery_growing_history(benchmark, pairs, tmp_path):
+    """Recover a log whose history grows while the document does not:
+    a 500-character document, then ``pairs`` keystrokes each undone by
+    a delete.  ``traced_peak_bytes`` is what ``recover_file`` holds at
+    its peak (tracemalloc, one extra untimed recovery)."""
+    path = str(tmp_path / "wal.jsonl")
+    db = Database("bench", wal_path=path)
+    store = DocumentStore(db, log_reads=False, log_writes=False)
+    handle = store.create("doc", "ana", text="seed text " * 50)
+    for _ in range(pairs):
+        handle.insert_text(250, "x", "ana")
+        handle.delete_range(250, 1, "ana")
+    expected_text = handle.text()
+    db.close()
+
+    tracemalloc.start()
+    try:
+        recover_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    benchmark.group = f"C3 recovery growing history pairs={pairs}"
+    benchmark.extra_info["log_bytes"] = os.path.getsize(path)
+    benchmark.extra_info["traced_peak_bytes"] = peak
+    recovered = benchmark.pedantic(recover_file, args=(path,), rounds=3,
+                                   iterations=1)
+    new_handle = DocumentStore(recovered).handle(handle.doc)
+    assert new_handle.text() == expected_text
+    assert new_handle.check_integrity() == []
+
+
 def test_crash_loses_only_uncommitted(tmp_path):
     """The durability contract, end to end through a file."""
-    from repro.db import recover_file
     path = str(tmp_path / "wal.jsonl")
     db = Database("bench", wal_path=path)
     store = DocumentStore(db, log_reads=False, log_writes=False)
@@ -108,7 +145,6 @@ def test_recovery_with_torn_tail(benchmark, tmp_path, n_edits):
     The cost must track log size exactly like the clean-log replay above:
     detecting and skipping the torn tail is O(1), not a rescan.
     """
-    from repro.db import recover_file
     path = str(tmp_path / "wal.jsonl")
     db = Database("bench", wal_path=path)
     store = DocumentStore(db, log_reads=False, log_writes=False)
@@ -148,8 +184,6 @@ def test_recovery_after_seeded_crash_schedule(benchmark, tmp_path):
         plan=FaultPlan.crash_once("wal.mid_record", hit=40, tear=0.4),
     )
     assert outcome.crashed
-
-    from repro.db import recover_file
 
     def replay():
         return recover_file(outcome.wal_path)

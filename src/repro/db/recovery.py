@@ -21,13 +21,15 @@ snapshots, so :meth:`~repro.db.table.Table.load_row` collapses every row
 back to a single committed version visible to all future snapshots.
 
 Use :func:`recover` with an in-memory record list (tests),
-:func:`recover_file` with a mirrored WAL file (process-crash simulation)
-or :func:`restart` to reopen an engine on its own log and keep writing —
+:func:`recover_file` to read a (crashed) engine's log file, or
+:func:`restart` to reopen an engine on its own log and keep writing —
 "a leader is a follower with nobody to follow": leaders
 (``repro serve --wal``) and replication followers restart through the
-same function.  Every one of them leaves the rebuilt engine's LSN,
-transaction-id and object-id allocators past everything replayed, so the
-log it goes on to extend stays one strictly increasing history.
+same function, the only one that resumes a log.  A file is replayed one
+segment at a time (:func:`~repro.db.wal.log_segments`).  Every path
+leaves the rebuilt engine's LSN, transaction-id and object-id
+allocators past everything replayed, so the log it goes on to extend
+stays one strictly increasing history.
 """
 
 from __future__ import annotations
@@ -39,44 +41,49 @@ from ..errors import RecoveryError
 from . import wal as walmod
 from .engine import Database
 from .replay import DDL, WalReplay, apply_ddl, merge_image
-from .wal import WalRecord, read_log
+from .wal import WalRecord, log_segments
 
 
-def _rebuild(log: tuple[list[WalRecord], bool],
+def _rebuild(segments: Iterable[tuple[list[WalRecord], int, int]],
              **engine) -> tuple[Database, WalReplay]:
-    """A fresh ``Database(**engine)`` holding what ``log`` committed.
+    """A fresh ``Database(**engine)`` holding what ``segments`` (as
+    :func:`~repro.db.wal.log_segments` yields them) committed.
 
-    ``log`` is ``(records, torn)`` as :func:`~repro.db.wal.read_log`
-    returns it.  One pass through the replay core, from the first record
-    to the last; a record type the core does not act on (the table
-    snapshots older logs hold) is passed over.
+    One pass through the replay core, from the first record to the last;
+    a record type the core does not act on (the table snapshots older
+    logs hold) is passed over.
     """
-    records, torn = log
     db = Database(**engine)
     core = WalReplay()
-    for record in records:
-        if record.type in DDL:
-            apply_ddl(db, record)
-        for op in core.feed(record) or ():
-            # Collapsed chains: a fresh process has no live snapshots.
-            name = op.table
-            if op.type == walmod.DELETE:
-                if db.has_table(name):  # else: dropped later in history
-                    db.table(name).load_delete(op.rowid)
-            elif not db.has_table(name):
-                raise RecoveryError(f"WAL references unknown table "
-                                    f"{name!r} at LSN {op.lsn}")
-            else:
-                table = db.table(name)
-                table.load_row(op.rowid, merge_image(
-                    table.schema, table.read(op.rowid), op))
+    valid = size = 0
+    try:
+        for records, valid, size in segments:
+            for record in records:
+                if record.type in DDL:
+                    apply_ddl(db, record)
+                for op in core.feed(record) or ():
+                    # Collapsed chains: a fresh process has no live snapshots.
+                    name = op.table
+                    if op.type == walmod.DELETE:
+                        if db.has_table(name):  # else dropped later on
+                            db.table(name).load_delete(op.rowid)
+                    elif not db.has_table(name):
+                        raise RecoveryError(f"WAL references unknown table"
+                                            f" {name!r} at LSN {op.lsn}")
+                    else:
+                        table = db.table(name)
+                        table.load_row(op.rowid, merge_image(
+                            table.schema, table.read(op.rowid), op))
+    except BaseException:
+        db.close()  # the log file, if any, is left as it was
+        raise
     # Everything the rebuilt engine allocates from now on lies past what
-    # was replayed: LSNs, transaction ids, and the object ids found in
-    # surviving rows (ids are never reused, across restarts included).
-    db.wal.advance_lsn(core.applied_lsn)
+    # was replayed (LSNs, transaction ids, the object ids in surviving
+    # rows: never reused), and a restarted log is cut to what was replayed.
+    db.wal.resume(core.applied_lsn, valid)
     db.advance_txn_ids(core.max_txn_id)
     db.advance_object_ids()
-    if torn:
+    if valid < size:
         db.obs.registry.counter("wal.torn_tail_recoveries").inc()
     return db, core
 
@@ -87,41 +94,32 @@ def recover(records: Iterable[WalRecord], **engine) -> Database:
     Only effects of committed transactions survive.  DDL records
     (txn id 0) are always applied — the engine logs them after the fact,
     so they describe objects that really existed.  ``engine`` keyword
-    arguments go to the :class:`Database` constructor.
+    arguments but ``wal_path`` go to the :class:`Database` constructor.
     """
-    return _rebuild((list(records), False), **engine)[0]
+    return _rebuild([(records, 0, 0)], wal_path=None, **engine)[0]
 
 
-def recover_file(path: str, *, wal_path: str | None = None,
-                 **engine) -> Database:
-    """Recover from a WAL file written by a (crashed) engine.
+def recover_file(path: str, **engine) -> Database:
+    """Recover from a WAL file written by a (crashed) engine; the file
+    is only read (to go on writing it, :func:`restart` it).
 
     A torn trailing record (the signature of a crash mid-append) is
-    skipped with a warning — crash recovery must get past the crash's
-    own debris — and counted on the recovered database as
-    ``wal.torn_tail_recoveries``.  Corruption *before* the tail still
-    raises (see :func:`~repro.db.wal.parse_records`).  When ``wal_path``
-    names the very file being recovered, the engine resumes that log:
-    the torn tail is cut off the file before it is reopened for append.
+    skipped with a warning and counted as ``wal.torn_tail_recoveries``;
+    corruption before it raises (see :func:`~repro.db.wal.log_segments`).
     ``engine`` is as for :func:`recover`.
     """
-    resuming = wal_path is not None and os.path.exists(wal_path) \
-        and os.path.samefile(path, wal_path)
-    return _rebuild(read_log(path, cut_torn_tail=resuming),
-                    wal_path=wal_path, **engine)[0]
+    return _rebuild(log_segments(path), wal_path=None, **engine)[0]
 
 
-def restart(wal_path: str | None,
-            **engine) -> tuple[Database, WalReplay]:
+def restart(wal_path: str | None, **engine) -> tuple[Database, WalReplay]:
     """Open an engine on its own log and return it with the replay core.
 
     The one restart path.  A missing or empty log gives a fresh engine;
-    an existing one has its torn tail cut, is replayed, and is then
+    an existing one is replayed, has its torn tail cut, and is then
     extended in place.  The core's counters and still-open transaction
     buffers are what a replication follower resumes its stream from.
     ``engine`` is as for :func:`recover`.
     """
-    log: tuple[list[WalRecord], bool] = ([], False)
-    if wal_path is not None and os.path.exists(wal_path):
-        log = read_log(wal_path, cut_torn_tail=True)
-    return _rebuild(log, wal_path=wal_path, **engine)
+    exists = wal_path is not None and os.path.exists(wal_path)
+    return _rebuild(log_segments(wal_path) if exists else (),
+                    wal_path=wal_path, **engine)

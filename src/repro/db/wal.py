@@ -24,10 +24,11 @@ carries the table's own row tuple (or, for an UPDATE, just the changed
 columns), shared with the table, never copied.  The JSON-safe encoding
 exists only at the file/segment boundary, and this module owns it:
 :func:`render_record` is the only writer of a WAL line and
-:func:`parse_records` the only reader, for a whole file, for the
-segments shipped from it (:func:`read_segment`) and for ``WAL_SEGMENT``
-frames alike, so all of them agree on what a record looks like and what
-a torn tail is.  An engine with no file never encodes anything.
+:func:`parse_records` the only parser, for the one file read
+(:func:`read_segment`; a whole file is read segment by segment,
+:func:`log_segments`) and for ``WAL_SEGMENT`` frames, so all of them
+agree on what a record and a torn tail are.  An engine with no file
+never encodes anything.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import threading
 import warnings
 from itertools import islice
 from time import perf_counter
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
+from typing import (TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from ..errors import CrashSignal, WalError
@@ -217,7 +218,7 @@ def _parse_line(line: bytes) -> WalRecord:
     return WalRecord(raw["lsn"], raw["type"], raw["txn"], payload)
 
 
-def parse_records(data: bytes, source: str = "WAL"
+def parse_records(data: bytes, source: str = "WAL", start: int = 0
                   ) -> tuple[list[WalRecord], int]:
     """Parse WAL lines; returns ``(records, valid_bytes)``.
 
@@ -227,7 +228,8 @@ def parse_records(data: bytes, source: str = "WAL"
     len(data)`` tells the caller it happened).  A malformed line
     *followed by* any further line is corruption and raises
     :class:`~repro.errors.WalError` rather than silently discarding
-    committed history.  Blank lines are skipped.
+    committed history.  Blank lines are skipped.  ``data`` is at byte
+    ``start`` of ``source`` (error messages name file offsets).
     """
     records: list[WalRecord] = []
     lines = data.split(b"\n")
@@ -242,49 +244,21 @@ def parse_records(data: bytes, source: str = "WAL"
                                 if rest and not rest.isspace())
                 if following:
                     raise WalError(
-                        f"corrupt WAL record in {source!r} at byte {pos} "
-                        f"(not a torn tail — {following} more lines "
-                        f"follow): {exc!r}") from exc
+                        f"corrupt WAL record in {source!r} at byte "
+                        f"{start + pos} (not a torn tail — {following} "
+                        f"more lines follow): {exc!r}") from exc
                 break
             records.append(record)
         pos += len(line) + 1
     return records, pos
 
 
-def read_log(path: str, *, cut_torn_tail: bool = False
-             ) -> tuple[list[WalRecord], bool]:
-    """Read a log file; returns ``(records, torn)``.
-
-    A torn tail (see :func:`parse_records`) is skipped with a warning —
-    crash recovery must get past the crash's own debris.  With
-    ``cut_torn_tail`` it is also truncated off the file, which a caller
-    about to reopen the file for append must ask for: otherwise the next
-    appended line would fuse with the torn prefix into one corrupt
-    record.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    records, valid = parse_records(data, path)
-    torn = valid < len(data)
-    if torn:
-        warnings.warn(
-            f"skipping torn trailing WAL record in {path!r} "
-            f"(crash mid-write) at byte {valid}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        if cut_torn_tail:
-            with open(path, "r+b") as raw:
-                raw.truncate(valid)
-    return records, torn
-
-
 def read_segment(path: str, offset: int, end: int
                  ) -> tuple[list[WalRecord], list[bytes], int]:
     """The next segment of a log file: ``(records, lines, next_offset)``.
 
-    The one shipping read: at most :data:`SEGMENT_RECORDS` lines of the
-    file at ``path`` from byte ``offset`` on, none past byte ``end``, as
+    The one file read: at most :data:`SEGMENT_RECORDS` lines of the file
+    at ``path`` from byte ``offset`` on, none past byte ``end``, as
     :func:`parse_records` reads them — a torn final line stays unread
     (``next_offset == offset`` means nothing was).  ``lines[i]`` is
     ``records[i]``'s line as the file holds it, so a segment crosses the
@@ -295,10 +269,43 @@ def read_segment(path: str, offset: int, end: int
         handle.seek(offset)
         data = b"".join(islice(handle, SEGMENT_RECORDS))
     data = data[:max(0, end - offset)]
-    records, valid = parse_records(data, path)
+    records, valid = parse_records(data, path, offset)
     lines = [line for line in data[:valid].split(b"\n")
              if line and not line.isspace()]
     return records, lines, offset + valid
+
+
+def log_segments(path: str) -> Iterator[tuple[list[WalRecord], int, int]]:
+    """The log file at ``path``, one :func:`read_segment` segment at a
+    time, as ``(records, valid, size)``: the bytes read so far and the
+    file's size when the read began.  The one reader of a whole log.
+
+    The last item has no records; ``valid < size`` there means a torn
+    tail ended the read, skipped with a warning and left in the file.
+    Corruption before it raises, and so does an LSN not greater than the
+    one before it (a second history appended), naming its byte offset.
+    """
+    size = os.path.getsize(path)
+    offset = last = 0
+    while True:
+        records, lines, valid = read_segment(path, offset, size)
+        if valid == offset:
+            break
+        pos = offset
+        for record, line in zip(records, lines):
+            if record.lsn <= last:
+                raise WalError(
+                    f"WAL {path!r} goes back to LSN {record.lsn} after "
+                    f"LSN {last} at byte {pos}: not one history")
+            last = record.lsn
+            pos += len(line) + 1
+        yield records, valid, size
+        offset = valid
+    if offset < size:
+        warnings.warn(f"skipping torn trailing WAL record in {path!r} "
+                      f"(crash mid-write) at byte {offset}", RuntimeWarning,
+                      stacklevel=2)
+    yield [], offset, size
 
 
 class WriteAheadLog:
@@ -651,19 +658,22 @@ class WriteAheadLog:
         with self._lock:
             return self._next_lsn - 1
 
-    def advance_lsn(self, lsn: int) -> None:
-        """Keep LSN allocation ahead of ``lsn``: the engine was rebuilt
-        from its own file, which holds the records through ``lsn``.
+    def resume(self, lsn: int, size: int) -> None:
+        """Go on from a log rebuilt from its file, whose first ``size``
+        bytes hold exactly the records through ``lsn``.
 
-        Advancing the allocator past the recovered prefix keeps shipped
-        and locally appended records strictly increasing; the prefix —
-        the whole file as it was opened — is durable history, so a
-        restarted leader ships it before it commits anything new.
+        LSN allocation moves past ``lsn``.  A log writing that very file
+        (a restart) cuts what follows those bytes — a torn tail the next
+        line would fuse with — and publishes ``(lsn, size)`` durable: the
+        recovered history is shipped, the cut line never.
         """
         with self._lock:
             self._next_lsn = max(self._next_lsn, lsn + 1)
             if self._file is not None:
-                self._publish_durable(lsn, self._durable[1])
+                self._file.truncate(size)
+                self._file.seek(size)
+                with self._group_cond:
+                    self._durable = (lsn, size)
 
     def close(self) -> None:
         """Flush and close the mirror file, if any.
@@ -706,20 +716,11 @@ class WriteAheadLog:
             self._group_cond.notify_all()
 
     @staticmethod
-    def load_file(path: str,
-                  on_torn: Callable[[], None] | None = None,
-                  ) -> list[WalRecord]:
-        """Read a mirrored log file back into records (for recovery).
-
-        A thin wrapper over :func:`read_log`: a torn *trailing* record is
-        skipped with a warning and reported through ``on_torn`` (if
-        given); a malformed record *followed by further ones* raises
-        :class:`~repro.errors.WalError`.  The file is never modified.
-        """
-        records, torn = read_log(path)
-        if torn and on_torn is not None:
-            on_torn()
-        return records
+    def load_file(path: str) -> list[WalRecord]:
+        """A log file's records, as one list: :func:`log_segments`
+        kept whole, under its rules.  The file is never modified."""
+        return [record for records, _, _ in log_segments(path)
+                for record in records]
 
 
 def committed_txn_ids(records: Iterable[WalRecord]) -> set[int]:

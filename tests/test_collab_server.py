@@ -3,7 +3,7 @@
 import pytest
 
 from repro.collab import CollaborationServer
-from repro.db.wal import read_log
+from repro.db.wal import WriteAheadLog
 from repro.errors import (
     AccessDenied,
     ClipboardError,
@@ -393,7 +393,7 @@ class TestServerStatistics:
         session.open(pad.doc)
         session.insert(pad.doc, 0, "after ")
         stats = server.statistics()
-        assert stats["wal_records"] == len(read_log(path)[0])
+        assert stats["wal_records"] == len(WriteAheadLog.load_file(path))
         server.shutdown()
 
 

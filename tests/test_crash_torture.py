@@ -32,7 +32,7 @@ import pytest
 
 from repro.collab import CollaborationServer
 from repro.db import Database, column, recover_file
-from repro.db.wal import WriteAheadLog, committed_txn_ids, read_log
+from repro.db.wal import WriteAheadLog, committed_txn_ids
 from repro.faults import (
     CrashSignal,
     DeterministicScheduler,
@@ -279,7 +279,7 @@ def _run_typist_schedule(seed: int, wal_path: str, plan: FaultPlan,
     for user, typist in zip(USERS, typists):
         sched.add_actor(user, typist.step)
 
-    setup_committed = committed_txn_ids(read_log(wal_path)[0])
+    setup_committed = committed_txn_ids(WriteAheadLog.load_file(wal_path))
     faults.arm()                       # fixture built; open the blast radius
     crashed = False
     try:
@@ -323,7 +323,8 @@ class TestCollabCrashTorture:
                     f"seed {seed}: replica diverged"
             # One editing operation == one transaction: the mapping the
             # crashed branch relies on to count in-flight commits.
-            committed_now = committed_txn_ids(read_log(run["wal_path"])[0])
+            committed_now = committed_txn_ids(
+                WriteAheadLog.load_file(run["wal_path"]))
             assert len(committed_now) - len(run["setup_committed"]) == ops_done
             server.db.close()
             text, __ = _recovered_text(run)

@@ -5,13 +5,15 @@ import os
 import shutil
 import sys
 import threading
+import warnings
 
 import pytest
 
 from repro.db import Database, col, column, recover, recover_file
 from repro.db import wal as walmod
+from repro.db.recovery import restart
 from repro.db.wal import (WriteAheadLog, committed_txn_ids,
-                          encode_value, read_log, untag)
+                          encode_value, untag)
 from repro.errors import SchemaError, UnknownTableError, WalError
 from repro.ids import Oid
 
@@ -35,7 +37,8 @@ def db(tmp_path) -> Database:
 
 def logged(db: Database, from_lsn: int = 1) -> list:
     """The records ``db``'s log file holds from ``from_lsn`` on."""
-    return [r for r in read_log(db.wal.path)[0] if r.lsn >= from_lsn]
+    return [r for r in WriteAheadLog.load_file(db.wal.path)
+            if r.lsn >= from_lsn]
 
 
 class TestWal:
@@ -57,7 +60,7 @@ class TestWal:
         wal.append(walmod.COMMIT, 1)
         wal.append(walmod.BEGIN, 2)           # as logs once recorded an
         wal.append(walmod.ABORT, 2)           # aborted transaction
-        assert committed_txn_ids(read_log(path)[0]) == {1}
+        assert committed_txn_ids(WriteAheadLog.load_file(path)) == {1}
 
     def test_commit_appends_its_transaction_as_one_block(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -66,7 +69,7 @@ class TestWal:
         commit = wal.append(walmod.COMMIT, 7, dml=[
             (walmod.INSERT, "t", 1, ("k",), ("a",)),
             (walmod.UPDATE, "t", 1, ("k",), ("b",))])
-        records = read_log(path)[0]
+        records = WriteAheadLog.load_file(path)
         assert [(r.lsn, r.type, r.txn_id) for r in records] == [
             (1, "CREATE_TABLE", 0), (2, "BEGIN", 7), (3, "INSERT", 7),
             (4, "UPDATE", 7), (5, "COMMIT", 7)]
@@ -222,7 +225,7 @@ class TestLogsHoldingCheckpoints:
         assert sorted(r["k"] for r in query.run()) == ["b", "e"]
 
     def test_deletes_and_drops_after_a_checkpoint_are_replayed(self):
-        records = read_log(CHECKPOINT_LOG)[0]
+        records = WriteAheadLog.load_file(CHECKPOINT_LOG)
         first = next(r for r in records if r.type == "CHECKPOINT")
         assert "tmp" in first.payload["tables"]
         recovered = recover_file(CHECKPOINT_LOG)
@@ -232,8 +235,8 @@ class TestLogsHoldingCheckpoints:
     def test_a_restart_extends_the_log_past_its_ids(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         shutil.copyfile(CHECKPOINT_LOG, path)
-        last = read_log(path)[0][-1]
-        resumed = recover_file(path, node="v3", wal_path=path)
+        last = WriteAheadLog.load_file(path)[-1]
+        resumed = restart(path, node="v3")[0]
         txn = resumed.begin()
         assert txn.txn_id > last.txn_id
         note = resumed.new_oid("note")
@@ -241,7 +244,7 @@ class TestLogsHoldingCheckpoints:
         txn.insert("notes", {"note": note, "body": "third"})
         txn.commit()
         resumed.close()
-        records = read_log(path)[0]
+        records = WriteAheadLog.load_file(path)
         assert records[-3].lsn == last.lsn + 1      # the new BEGIN
         assert sorted(r["body"] for r in
                       recover_file(path).query("notes").run()) \
@@ -377,7 +380,7 @@ class TestNullSurvivesRestore:
         db.update("notes", rid, {"tag": None})
         assert self.tag(db) is None
         db.close()
-        resumed = recover_file(path, wal_path=path)
+        resumed = restart(path)[0]
         assert self.tag(resumed) is None
         resumed.insert("notes", {"k": "b", "tag": None})
         resumed.close()
@@ -532,8 +535,8 @@ class TestDdlInsideOpenTransaction:
 
 @pytest.mark.filterwarnings("ignore:skipping torn trailing WAL record")
 class TestRestartOnTheSameLog:
-    """``recover_file(p, wal_path=p)`` resumes the log it recovered:
-    one strictly increasing history, never a second one from LSN 1."""
+    """``restart(p)`` resumes the log it recovered: one strictly
+    increasing history, never a second one from LSN 1."""
 
     def crashed_log(self, tmp_path, faults=None):
         """One committed transaction, one open one holding an
@@ -550,7 +553,7 @@ class TestRestartOnTheSameLog:
         db.wal.power_off()
         before = WriteAheadLog.load_file(path)
 
-        resumed = recover_file(path, wal_path=path)
+        resumed = restart(path)[0]
         assert resumed.wal.last_lsn() == before[-1].lsn
         for title in ("new-1", "new-2"):
             txn = resumed.begin()
@@ -577,16 +580,17 @@ class TestRestartOnTheSameLog:
         with pytest.raises(CrashSignal):
             db.insert("docs", {"title": "torn", "size": 9})
 
-        resumed = recover_file(path, wal_path=path)
+        resumed = restart(path)[0]
         snapshot = resumed.obs.registry.snapshot()
         assert snapshot["wal.torn_tail_recoveries"]["value"] == 1
         resumed.insert("docs", {"title": "after", "size": 3})
         resumed.close()
 
         # Nothing torn is left behind and nothing fused with the debris.
-        torn = []
-        WriteAheadLog.load_file(path, on_torn=lambda: torn.append(1))
-        assert not torn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            WriteAheadLog.load_file(path)
+        assert not [w for w in caught if w.category is RuntimeWarning]
         assert titles(recover_file(path)) == {"keep": 1, "after": 3}
 
     def test_object_ids_are_not_reissued(self, tmp_path):
@@ -597,5 +601,5 @@ class TestRestartOnTheSameLog:
         for oid in issued:
             db.insert("things", {"oid": oid})
         db.wal.power_off()
-        resumed = recover_file(path, node="t", wal_path=path)
+        resumed = restart(path, node="t")[0]
         assert resumed.new_oid("thing") > max(issued)

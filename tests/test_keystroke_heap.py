@@ -15,7 +15,7 @@ import os
 
 from repro.collab import CollaborationServer, EditorClient
 from repro.db import wal as walmod
-from repro.db.wal import read_log
+from repro.db.wal import WriteAheadLog
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools", "keystroke_heap.py")
@@ -53,7 +53,8 @@ def test_dml_records_hold_no_dict(tmp_path):
         editor.copy()
         editor.paste()
         editor.backspace(2)
-        dml = [r for r in read_log(path)[0] if r.type in walmod.DML]
+        dml = [r for r in WriteAheadLog.load_file(path)
+               if r.type in walmod.DML]
         assert len(dml) > 30
         chars = server.db.table("tx_chars")
         for record in dml:

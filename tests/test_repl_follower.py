@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, column
-from repro.db.wal import read_log
+from repro.db.wal import WriteAheadLog
 from repro.errors import CrashSignal, ReplicationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.feed import MaintenanceWorker
@@ -42,7 +42,7 @@ def make_leader(wal_path: str, n_txns: int = 20) -> Database:
 
 def logged(db: Database) -> list:
     """The records ``db``'s log file holds: what a follower is shipped."""
-    return read_log(db.wal.path)[0]
+    return WriteAheadLog.load_file(db.wal.path)
 
 
 def rows(db: Database) -> dict:

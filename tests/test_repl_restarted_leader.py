@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.collab import CollaborationServer
 from repro.db import Database, column
 from repro.db.recovery import restart
-from repro.db.wal import read_log
+from repro.db.wal import WriteAheadLog
 from repro.net import NetworkClient, ReplicationClient, ServerThread
 from repro.repl import FollowerEngine, WalTailer
 
@@ -31,7 +31,7 @@ def rows(db: Database) -> dict:
 
 
 def logged_lsns(path: str) -> list:
-    return [r.lsn for r in read_log(path)[0]]
+    return [r.lsn for r in WriteAheadLog.load_file(path)]
 
 
 def tables_equal(leader: Database, replica: Database) -> None:

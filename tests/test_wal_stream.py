@@ -57,6 +57,7 @@ import hashlib
 import json
 import os
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +65,7 @@ from hypothesis import strategies as st
 
 from repro.db import Database, column, recover
 from repro.db import wal as walmod
-from repro.db.wal import (WalRecord, WriteAheadLog, parse_records, read_log,
+from repro.db.wal import (WalRecord, WriteAheadLog, parse_records,
                           read_segment, render_record)
 from repro.errors import RecoveryError, ReplicationError, WalError
 from repro.faults import run_engine_schedule
@@ -267,7 +268,7 @@ def build_log(steps: list, wal_path: str,
     db = Database("gen", wal_path=wal_path)
     oracle = oracle if oracle is not None else PerStatementLog()
     db.create_table("t", [column("k", "str"), column("v", "int")], key="k")
-    oracle.copy(read_log(wal_path)[0][-1])
+    oracle.copy(WriteAheadLog.load_file(wal_path)[-1])
     open_txns: dict = {}          # slot -> (txn, rowids it touched)
     live: set = set()             # committed rowids
     for n, (verb, slot, pick) in enumerate(steps):
@@ -304,7 +305,7 @@ def build_log(steps: list, wal_path: str,
             touched[rowid] = False
         oracle.statement(txn)
     db.close()
-    return read_log(wal_path)[0]
+    return WriteAheadLog.load_file(wal_path)
 
 
 class TestGeneratedLogs:
@@ -418,7 +419,7 @@ class TestEveryReplicaKind:
         tmp = tmp_path_factory.mktemp("replicas")
         db, live = build_doc_log(steps, str(tmp / "leader.wal"))
         doc, begin, end = live.doc, live.begin_char, live.end_char
-        records = read_log(str(tmp / "leader.wal"))[0]
+        records = WriteAheadLog.load_file(str(tmp / "leader.wal"))
         assert_sinks_agree(records, str(tmp / "mirror.wal"),
                            len(records) // 2)
         recovered = recover(records)
@@ -507,7 +508,7 @@ def build_delta_log(steps: list, wal_path: str,
         column("ref", "oid", nullable=True),
         column("blob", "bytes", nullable=True),
         column("props", "json", nullable=True)], key="k")
-    oracle.copy(read_log(wal_path)[0][-1])
+    oracle.copy(WriteAheadLog.load_file(wal_path)[-1])
     open_txns: dict = {}          # slot -> (txn, {rowid: alive})
     live: set = set()             # committed rowids
     for n, (verb, slot, pick, values) in enumerate(steps):
@@ -546,7 +547,7 @@ def build_delta_log(steps: list, wal_path: str,
             txn.delete("d", rowid)
             touched[rowid] = False
         oracle.statement(txn)
-    return read_log(wal_path)[0], table_state(db)
+    return WriteAheadLog.load_file(wal_path), table_state(db)
 
 
 def as_lines(records: list) -> list:
@@ -827,7 +828,7 @@ class TestJoiningMidTransaction:
         leader, txn, cut = self.leader(tmp_path)
         txn.insert("d", {"k": "late", "v": 3})
         txn.commit()
-        records = read_log(leader.wal.path)[0]
+        records = WriteAheadLog.load_file(leader.wal.path)
         follower = FollowerEngine()
         with pytest.raises(ReplicationError, match="gap"):
             follower.apply_records([r for r in records if r.lsn >= cut])
@@ -845,7 +846,7 @@ class TestJoiningMidTransaction:
         leader, txn, cut = self.leader(tmp_path)
         txn.insert("d", {"k": "late", "v": 3})
         txn.commit()
-        records = read_log(leader.wal.path)[0]
+        records = WriteAheadLog.load_file(leader.wal.path)
         assert records[0].lsn == 1
         assert [r.type for r in records if r.lsn > cut][0] == walmod.BEGIN
         assert self.rows(recover(records)) == self.EXPECTED
@@ -930,7 +931,16 @@ wal_records = st.builds(
     st.integers(min_value=0, max_value=10 ** 6),
     st.dictionaries(st.text(max_size=6), json_values, max_size=4))
 
-logs = st.lists(wal_records, min_size=1, max_size=12)
+
+
+def in_lsn_order(log: list) -> list:
+    """One history, as every log is: each drawn LSN becomes the gap to
+    the record before (a file reader refuses LSNs that go back)."""
+    return [record._replace(lsn=lsn) for record, lsn
+            in zip(log, accumulate(record.lsn for record in log))]
+
+
+logs = st.lists(wal_records, min_size=1, max_size=12).map(in_lsn_order)
 
 
 def as_bytes(records: list) -> bytes:

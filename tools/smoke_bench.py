@@ -66,6 +66,8 @@ SMOKE_NODES = (
     "benchmarks/bench_editing_transactions.py::test_snapshot_key_read",
     "benchmarks/bench_undo_redo.py::test_undo_redo_cycle[10]",
     "benchmarks/bench_recovery_security.py::test_recovery_replay[100]",
+    "benchmarks/bench_recovery_security.py"
+    "::test_recovery_growing_history[1000]",
     "benchmarks/bench_versioning.py::test_tag_version[500]",
     "benchmarks/bench_collaborative_editing.py::test_party_throughput[1]",
     "benchmarks/bench_collaborative_editing.py::test_replication_visibility[2]",
@@ -120,6 +122,9 @@ TREND_NODES = {
         "c1_create_document_30k",
     "benchmarks/bench_editing_transactions.py::test_snapshot_key_read":
         "c1_snapshot_key_read",
+    "benchmarks/bench_recovery_security.py"
+    "::test_recovery_growing_history[1000]":
+        "c3_recovery_growing_history_1000",
     "benchmarks/bench_collaborative_editing.py::test_replication_visibility[2]":
         "c3_replication_visibility_2",
     "benchmarks/bench_net.py::test_connect_storm[8]":
