@@ -21,7 +21,10 @@ that hop over real loopback sockets.  Measurements:
   grew 64×;
 * **mirror open** — what opening a document costs the client: one
   8 000-row snapshot frame through ``FrameDecoder`` into
-  ``DocMirror.from_snapshot`` (decode, merge, chain walk, index build).
+  ``DocMirror.from_snapshot`` (decode, merge, chain walk, index build);
+* **snapshot render** — what it costs the server: an 8 000-character
+  document's stored rows rendered to that ACK frame, timed, and traced
+  once for its allocation peak.
 
 All wire benches run the server on its own thread (``ServerThread``)
 with real TCP clients, so the numbers include framing, syscalls and the
@@ -30,7 +33,9 @@ event loop — the honest cost of leaving the process.
 
 from __future__ import annotations
 
+import gc
 import statistics
+import tracemalloc
 from time import monotonic, perf_counter
 from typing import Iterator
 
@@ -41,6 +46,7 @@ from repro.ids import Oid
 from repro.net import (DocMirror, FrameDecoder, NetworkClient, ServerThread,
                        encode_frame)
 from repro.net.protocol import Ack, Delta
+from repro.net.server import CollabNetServer
 
 SETTLE_SECONDS = 10.0
 STORM_SIZES = [8]
@@ -51,6 +57,8 @@ MIRROR_SIZES = {"1k": 1_000, "64k": 64_000}
 #: How much dearer the 64x larger replica may be per keystroke.
 MIRROR_FLAT_RATIO = 8.0
 OPEN_ROWS = 8_000
+#: Traced allocation peak an 8 000-character open's render may reach.
+RENDER_PEAK_BYTES = 8 << 20
 
 
 def _server(n_users: int, wal_path: str | None = None):
@@ -304,3 +312,37 @@ def test_mirror_open_8k(benchmark):
                                 warmup_rounds=2)
     assert mirror.length() == OPEN_ROWS - OPEN_ROWS // 10
     assert mirror.check_integrity() == []
+
+
+def test_snapshot_render_8k(benchmark):
+    """A cold open on the server: an 8 000-character document's rows
+    taken from the table and rendered to one ACK frame
+    (``CollabNetServer._doc_snapshot`` + ``encode_frame``).  Timed, then
+    run once under ``tracemalloc``: ``traced_peak_bytes`` is the render's
+    allocation peak (≈3.1 MiB from the stored tuples, 14.3 MiB through a
+    dict per row), gated at ``RENDER_PEAK_BYTES``."""
+    collab = _server(1)
+    handle = collab.connect("user0").create_document(
+        "big", text="x" * OPEN_ROWS)
+    server = CollabNetServer(collab)
+
+    def render() -> bytes:
+        return encode_frame(Ack(op_seq=1,
+                                result=server._doc_snapshot(handle)))
+
+    benchmark.group = "D7 snapshot render (stored rows -> open frame)"
+    benchmark.extra_info["rows"] = OPEN_ROWS + 2
+    frame = benchmark.pedantic(render, rounds=20, iterations=1,
+                               warmup_rounds=2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        render()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["frame_bytes"] = len(frame)
+    benchmark.extra_info["traced_peak_bytes"] = peak
+    assert peak <= RENDER_PEAK_BYTES, peak

@@ -30,7 +30,9 @@ experiment suite documented in EXPERIMENTS.md.
 
 ``LineageGraph`` and ``VisualMiner`` are imported on first access: their
 modules load networkx and numpy, which no editing, serving or search
-path needs.
+path needs.  So are ``SearchEngine``, the folder managers, ``TaskList``,
+``WorkflowManager``, ``MetadataCollector`` and ``PropertyManager``, which
+an editor or a server (``repro serve``, the wire client) never uses.
 """
 
 from importlib import import_module
@@ -40,11 +42,7 @@ from .clock import SimulatedClock, SystemClock
 from .collab import CollaborationServer, EditingSession, EditorClient
 from .db import Database, col, column, recover, recover_file
 from .errors import TendaxError
-from .folders import DynamicFolderManager, StaticFolderManager
 from .ids import Oid
-from .meta import MetadataCollector, PropertyManager
-from .process import TaskList, WorkflowManager
-from .search import SearchEngine
 from .security import AccessController, PrincipalRegistry
 from .text import (
     DocumentHandle,
@@ -57,17 +55,33 @@ from .text import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .folders import DynamicFolderManager, StaticFolderManager
     from .lineage import LineageGraph
+    from .meta import MetadataCollector, PropertyManager
     from .mining import VisualMiner
+    from .process import TaskList, WorkflowManager
+    from .search import SearchEngine
 
 __version__ = "1.0.0"
 
-#: Analytics names -> the subpackage that defines them (numpy, networkx).
-_ON_FIRST_USE = {"LineageGraph": ".lineage", "VisualMiner": ".mining"}
+#: Names no editing or serving process uses -> the subpackage that
+#: defines them: analytics (numpy, networkx), search, folders, workflow
+#: and metadata.
+_ON_FIRST_USE = {
+    "LineageGraph": ".lineage",
+    "VisualMiner": ".mining",
+    "SearchEngine": ".search",
+    "DynamicFolderManager": ".folders",
+    "StaticFolderManager": ".folders",
+    "TaskList": ".process",
+    "WorkflowManager": ".process",
+    "MetadataCollector": ".meta",
+    "PropertyManager": ".meta",
+}
 
 
 def __getattr__(name: str) -> object:
-    """Import an analytics name on first access (PEP 562)."""
+    """Import a name of :data:`_ON_FIRST_USE` on first access (PEP 562)."""
     if name not in _ON_FIRST_USE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(_ON_FIRST_USE[name], __name__), name)

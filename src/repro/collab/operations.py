@@ -29,7 +29,9 @@ class UndoRecord:
     """How to invert one applied operation.
 
     ``kind`` is the operation type; ``oids`` the characters involved;
-    ``prior_styles`` (style ops only) maps char OID -> previous style OID.
+    ``prior_styles`` (style ops only) maps char OID -> previous style OID;
+    ``anchor`` (deletes only) is where the delete leaves its author's
+    cursor, read before the characters went (see :meth:`cursor_anchor`).
     """
 
     #: "insert" | "delete" | "style" | "object_insert" | "object_delete"
@@ -40,6 +42,7 @@ class UndoRecord:
     prior_styles: dict = field(default_factory=dict)
     new_style: Oid | None = None
     undone: bool = False
+    anchor: Oid | None = None
 
     def invert(self, handle: DocumentHandle, user: str) -> None:
         """Apply the inverse of the recorded operation."""
@@ -62,6 +65,7 @@ class UndoRecord:
         if self.kind == "insert":
             handle.undelete_chars(list(self.oids), user)
         elif self.kind == "delete":
+            self.anchor = anchor_before(handle, self.oids)
             handle.delete_chars(list(self.oids), user)
         elif self.kind == "style":
             handle.style_chars(list(self.oids), self.new_style, user)
@@ -84,13 +88,36 @@ class UndoRecord:
         anchor is the visible character in front of it (what an editor
         moving there itself would name).  Anything else (layout,
         objects) moves no cursor: ``None``.
+
+        A delete read that anchor while its first character was still
+        visible (:func:`anchor_before`); only one whose first character
+        was already gone slides left from it now, over every tombstone
+        in between.
         """
         if self.kind == "insert":
             return self.oids[-1]
         if self.kind == "delete":
+            if self.anchor is not None:
+                return self.anchor
             return handle.anchor_for(
                 handle.visible_position_after(self.oids[0]))
         return None
+
+
+def anchor_before(handle: DocumentHandle, oids: Sequence[Oid]) -> Oid | None:
+    """Where deleting ``oids`` will leave its author's cursor, read
+    before the delete: the nearest visible character in front of
+    ``oids[0]`` that is not deleted with it (BEGIN at the front).  One
+    position lookup, not a walk over the tombstones at that spot;
+    ``None`` if ``oids[0]`` is not visible."""
+    pos = handle.position_of(oids[0])
+    if pos is None:
+        return None
+    if len(oids) > 1:
+        going = set(oids)
+        while pos and handle.char_oid_at(pos - 1) in going:
+            pos -= 1
+    return handle.anchor_for(pos)
 
 
 class Operation:
@@ -149,8 +176,10 @@ class DeleteChars(Operation):
         """Logically delete the targeted characters."""
         if not self.oids:
             return None
+        anchor = anchor_before(handle, self.oids)
         handle.delete_chars(list(self.oids), user)
-        return UndoRecord("delete", handle.doc, user, tuple(self.oids))
+        return UndoRecord("delete", handle.doc, user, tuple(self.oids),
+                          anchor=anchor)
 
     def char_oids_touched(self, handle: DocumentHandle) -> Sequence[Oid]:
         """The characters being deleted (range-guard input)."""

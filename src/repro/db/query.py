@@ -242,6 +242,12 @@ class Query:
             ]
         return out
 
+    def tuples(self) -> list[tuple]:
+        """The matching rows as the table stores them: tuples in column
+        order, shared with the table, no mapping built.  Order, limit
+        and projection do not apply."""
+        return [row for __, row in self._matching()]
+
     def first(self) -> RowView | None:
         """Return the first result or ``None``.
 

@@ -45,9 +45,12 @@ from .wal import WalRecord, log_segments
 
 
 def _rebuild(segments: Iterable[tuple[list[WalRecord], int, int]],
+             wal_path: str | None = None,
              **engine) -> tuple[Database, WalReplay]:
     """A fresh ``Database(**engine)`` holding what ``segments`` (as
-    :func:`~repro.db.wal.log_segments` yields them) committed.
+    :func:`~repro.db.wal.log_segments` yields them) committed, going on
+    to write ``wal_path`` (the file they were read from) once they are
+    replayed.
 
     One pass through the replay core, from the first record to the last;
     a record type the core does not act on (the table snapshots older
@@ -75,12 +78,12 @@ def _rebuild(segments: Iterable[tuple[list[WalRecord], int, int]],
                         table.load_row(op.rowid, merge_image(
                             table.schema, table.read(op.rowid), op))
     except BaseException:
-        db.close()  # the log file, if any, is left as it was
+        db.close()  # the log file is not open yet: it is left as it was
         raise
     # Everything the rebuilt engine allocates from now on lies past what
     # was replayed (LSNs, transaction ids, the object ids in surviving
     # rows: never reused), and a restarted log is cut to what was replayed.
-    db.wal.resume(core.applied_lsn, valid)
+    db.wal.resume(core.applied_lsn, valid, wal_path)
     db.advance_txn_ids(core.max_txn_id)
     db.advance_object_ids()
     if valid < size:

@@ -317,7 +317,12 @@ class WriteAheadLog:
         Optional file path.  When given, every appended record is written
         as one JSON line and flushed on commit boundaries, so a crash loses
         at most the in-flight (uncommitted) tail — never a committed
-        transaction.  The file is the log: nothing is kept in memory.
+        transaction.  The file is the log: nothing is kept in memory.  It
+        must be missing or empty: a file that holds a log is one history,
+        which only :func:`repro.db.recovery.restart` goes on writing
+        (through :meth:`resume`); a second history from LSN 1 behind it
+        would make the file unrecoverable, so it raises
+        :class:`~repro.errors.WalError` before a byte is written.
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector`.  The WAL
         passes four crash points — ``wal.before_append`` (once per
@@ -350,6 +355,10 @@ class WriteAheadLog:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._lock = threading.RLock()
         self._next_lsn = 1
+        if path and os.path.exists(path) and os.path.getsize(path):
+            raise WalError(
+                f"{path!r} already holds a log; open it with "
+                f"repro.db.recovery.restart, which resumes it")
         self._path = path
         self._file = open(path, "a", encoding="utf-8") if path else None
         # Group-commit barrier state, guarded by ``_group_cond`` (never
@@ -366,8 +375,7 @@ class WriteAheadLog:
         #: loss and what may be shipped.  Commit waiters block until
         #: their LSN is <= it.  Written under ``_lock`` *and*
         #: ``_group_cond``, so either one reads the pair whole.
-        self._durable = (0, os.path.getsize(path)
-                         if path and os.path.exists(path) else 0)
+        self._durable = (0, 0)
         self.faults = faults if faults is not None else NO_FAULTS
         self.faults.attach_wal(self)
         reg = registry if registry is not None else NULL_REGISTRY
@@ -658,18 +666,21 @@ class WriteAheadLog:
         with self._lock:
             return self._next_lsn - 1
 
-    def resume(self, lsn: int, size: int) -> None:
+    def resume(self, lsn: int, size: int, path: str | None = None) -> None:
         """Go on from a log rebuilt from its file, whose first ``size``
         bytes hold exactly the records through ``lsn``.
 
-        LSN allocation moves past ``lsn``.  A log writing that very file
-        (a restart) cuts what follows those bytes — a torn tail the next
-        line would fuse with — and publishes ``(lsn, size)`` durable: the
+        LSN allocation moves past ``lsn``.  With ``path`` (a restart)
+        this log, which has no file yet, goes on writing that very one:
+        it cuts what follows those bytes — a torn tail the next line
+        would fuse with — and publishes ``(lsn, size)`` durable: the
         recovered history is shipped, the cut line never.
         """
         with self._lock:
             self._next_lsn = max(self._next_lsn, lsn + 1)
-            if self._file is not None:
+            if path is not None:
+                self._path = path
+                self._file = open(path, "a", encoding="utf-8")
                 self._file.truncate(size)
                 self._file.seek(size)
                 with self._group_cond:

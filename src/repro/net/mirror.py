@@ -112,12 +112,20 @@ class DocMirror(ReplicaReads):
         patch — and cursors, and index the rows (one chain walk).
 
         A snapshot is one frame, whose oids the decoder already shares:
-        its links are the key objects of the rows they name."""
+        its links are the key objects of the rows they name.  The
+        snapshot's row list is consumed: each row's dict is let go as
+        soon as its image is built, so the two never all coexist."""
         doc = self.doc
-        rows = [merge_row(row, None, doc) for row in snapshot["rows"]]
-        if None in rows:
-            raise ProtocolError("snapshot holds a row patch, not an image")
-        self.rows = {row._row[_CHAR]: row for row in rows}
+        received = snapshot["rows"]
+        rows = {}
+        for at, row in enumerate(received):
+            image = merge_row(row, None, doc)
+            if image is None:
+                raise ProtocolError("snapshot holds a row patch, not an image")
+            received[at] = None
+            rows[image._row[_CHAR]] = image
+        received.clear()
+        self.rows = rows
         self._cache.rebuild(
             walk_chain(self.rows, self.begin_char, self.end_char)[1])
         self.cursors = {}

@@ -71,8 +71,11 @@ Rows travel as deltas under one merge rule (:func:`wire_row` /
 its columns that differ from a blank row, always including ``ch`` — and
 a changed row is a *patch* — ``char`` plus the columns the commit
 changed, never ``ch``.  An ``open``/``resync`` snapshot is whole images
-only.  A patch whose base the receiver does not hold is a gap, healed
-by resync; it is never padded with defaults.
+only: a :class:`Snapshot` holds the stored row tuples and renders each
+one's whole image straight to text (:func:`image_json`, the bytes
+:func:`wire_row` would give) when its ACK is written.  A patch whose
+base the receiver does not hold is a gap, healed by resync; it is never
+padded with defaults.
 
 The protocol is deliberately strict: unknown envelope types, missing or
 mistyped required fields, oversized or malformed frames all raise
@@ -86,6 +89,7 @@ a non-fatal ERROR for its ``op_seq`` instead.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from dataclasses import dataclass, field, fields
@@ -120,6 +124,7 @@ __all__ = [
     "Pong",
     "ProtocolError",
     "ReplAck",
+    "Snapshot",
     "Stats",
     "StatsReply",
     "Subscribe",
@@ -130,6 +135,7 @@ __all__ = [
     "decode_envelope",
     "encode_frame",
     "error_class",
+    "image_json",
     "merge_row",
     "open_connection",
     "wire_cursor",
@@ -150,6 +156,8 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 _HEADER = struct.Struct("!I")
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+#: A string as :data:`_dumps` writes it (quoted, non-ASCII escaped).
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _require(cond: bool, message: str) -> None:
@@ -227,6 +235,47 @@ def merge_row(row: Mapping[str, Any], base: RowImage | None,
     if base is not None:
         values[_CHAR_AT] = base._row[_CHAR_AT]
     return RowImage(ROW_POSITIONS, tuple(values))
+
+
+def _json_oid(oid: Oid) -> str:
+    return '{"__oid__":%s}' % _json_str("%s:%d" % oid)
+
+
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else _dumps(value)
+
+
+def _json_any(value: Any) -> str:
+    return _dumps(encode_value(value))
+
+
+#: Value class -> its JSON text exactly as ``_dumps(encode_value(v))``
+#: writes it, for the classes a stored character row holds; anything
+#: else (a ``props`` object) goes through :func:`_json_any`.
+_JSON_OF: dict[type, Callable[[Any], str]] = {
+    str: _json_str,
+    Oid: _json_oid,
+    float: _json_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+#: ``(position, '"name":', blank value)`` of every column a whole image
+#: may name, in ``CHAR_COLUMNS`` order: all but ``doc``.
+_IMAGE_COLUMNS = tuple((at, f'"{name}":', BLANK_ROW[name])
+                       for name, at in ROW_POSITIONS.items() if at != _DOC_AT)
+
+
+def image_json(row: tuple) -> str:
+    """A stored character row (its tuple, ``CHAR_COLUMNS`` order) as
+    the JSON text of its whole image — the bytes ``wire_row(row)``
+    renders to, written straight from the tuple: no mapping, no tagged
+    copy."""
+    return "{%s}" % ",".join([
+        name + _JSON_OF.get(value.__class__, _json_any)(value)
+        for at, name, blank in _IMAGE_COLUMNS
+        if (value := row[at]) != blank])
 
 
 def _check_rows(rows: Any, where: str) -> None:
@@ -319,6 +368,35 @@ class Delta:
             _check_cursor(obj["cursor"], f"{where}.cursor")
         return cls(obj["doc"], obj["rep_seq"], tuple(obj["rows"]),
                    obj["cursor"])
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A document as an ``open``/``resync`` ACK carries it: every
+    character row as a whole image, everyone's cursor and the
+    ``rep_seq`` its rows are not behind — a delta with no base.
+
+    ``rows`` are the stored tuples themselves (``CHAR_COLUMNS`` order),
+    shared with the table, so holding a snapshot until its frame is
+    written costs a list of references.  :meth:`to_json` renders each
+    row with :func:`image_json`; the receiver decodes a plain object
+    ``{doc, begin, end, rep_seq, rows, cursors}``.
+    """
+
+    doc: Any
+    begin: Any
+    end: Any
+    rep_seq: int
+    rows: list
+    cursors: list
+
+    def to_json(self) -> str:
+        head = _dumps(encode_value({"doc": self.doc, "begin": self.begin,
+                                    "end": self.end,
+                                    "rep_seq": self.rep_seq}))
+        return '%s,"rows":[%s],"cursors":%s}' % (
+            head[:-1], ",".join(map(image_json, self.rows)),
+            _json_any(self.cursors))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +520,9 @@ class Ack(Envelope):
     ``echo`` carries the :class:`Delta` of every commit the op made: the
     originator never gets a NOTIFY for its own keystroke (no echo over
     the faultable lane), so its mirror is updated synchronously from the
-    ACK instead — rows and the cursor the server placed for it.
+    ACK instead — rows and the cursor the server placed for it.  A
+    ``result`` that is a :class:`Snapshot` is rendered by the snapshot
+    itself, when the frame is written.
     """
 
     TYPE: ClassVar[str] = "ack"
@@ -458,8 +538,12 @@ class Ack(Envelope):
         return out
 
     def to_json(self) -> str:
-        return self._json_with(
-            "echo", "[%s]" % ",".join(d.to_json() for d in self.echo))
+        echo = "[%s]" % ",".join(d.to_json() for d in self.echo)
+        if not isinstance(self.result, Snapshot):
+            return self._json_with("echo", echo)
+        # The fields in declaration order, as ``_json_with`` writes them.
+        return '{"t":"%s","op_seq":%d,"result":%s,"lsn":%d,"echo":%s}' % (
+            self.TYPE, self.op_seq, self.result.to_json(), self.lsn, echo)
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Ack":
@@ -956,18 +1040,28 @@ class FrameDecoder:
             raise ProtocolError(
                 f"declared frame length {length} exceeds the "
                 f"{self.max_frame}-byte limit")
-        if len(self._buffer) < _HEADER.size + length:
+        end = _HEADER.size + length
+        if len(self._buffer) < end:
             return None
-        payload = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
-        del self._buffer[:_HEADER.size + length]
         try:
-            obj = self._parse(payload.decode("utf-8"))
+            obj = self._parse(self._take(end))
         except (ValueError, TypeError, AttributeError) as exc:
             # Bad UTF-8 or JSON, or a malformed oid/bytes tag.
             raise ProtocolError(f"undecodable frame payload: {exc}") from None
         finally:
             self._oids.clear()
         return decode_envelope(obj)
+
+    def _take(self, end: int) -> str:
+        """The text of the frame that ends at ``end``, decoded from the
+        buffer in place; its bytes leave the buffer before it is parsed,
+        whether or not they decode."""
+        view = memoryview(self._buffer)[_HEADER.size:end]
+        try:
+            return str(view, "utf-8")
+        finally:
+            view.release()
+            del self._buffer[:end]
 
 
 def error_class(code: str) -> type[Exception]:

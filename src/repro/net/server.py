@@ -83,6 +83,7 @@ from .protocol import (
     Ping,
     Pong,
     ReplAck,
+    Snapshot,
     Stats,
     Subscribe,
     VERBS,
@@ -666,10 +667,11 @@ class CollabNetServer:
     def _verb_health(self, conn: _Connection) -> dict:
         return self.scrape.health_payload()
 
-    def _doc_snapshot(self, handle) -> dict:
+    def _doc_snapshot(self, handle) -> Snapshot:
         """Every character row of ``handle``'s document as a whole image,
         everyone's cursor and the current rep_seq (open/resync): a delta
-        with no base.
+        with no base.  The rows are the stored tuples, taken in one scan;
+        the ACK's frame renders them (:meth:`Snapshot.to_json`).
 
         The op lock keeps other wire OPs out, but a commit by an
         in-process session on another thread can land at any point.  So
@@ -681,16 +683,10 @@ class CollabNetServer:
         """
         doc = handle.doc
         rep_seq = self.collab.rep_seqs.get(doc, 0)
-        rows = C.doc_char_rows(self.collab.db, doc)
-        return {
-            "doc": doc,
-            "begin": handle.begin_char,
-            "end": handle.end_char,
-            "rep_seq": rep_seq,
-            "rows": [wire_row(row) for row in rows.values()],
-            "cursors": [_wire_cursor(state) for state
-                        in self.collab.awareness.cursors(doc)],
-        }
+        rows = C.doc_char_tuples(self.collab.db, doc)
+        return Snapshot(doc, handle.begin_char, handle.end_char, rep_seq,
+                        rows, [_wire_cursor(state) for state
+                               in self.collab.awareness.cursors(doc)])
 
     # ------------------------------------------------------------------
     # The wire transport

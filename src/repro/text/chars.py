@@ -193,6 +193,13 @@ def doc_char_rows(db: Database, doc: Oid,
     return {row["char"]: row for row in rows}
 
 
+def doc_char_tuples(db: Database, doc: Oid) -> list[tuple]:
+    """All committed character rows of a document as the table stores
+    them: tuples in ``CHAR_COLUMNS`` order, shared with the table, in
+    the order :func:`doc_char_rows` holds them."""
+    return db.query(S.CHARS).where(col("doc") == doc).tuples()
+
+
 def traverse(
     db: Database,
     doc: Oid,

@@ -13,6 +13,12 @@ document costs there.  Two things are pinned:
   object of the row it names, and each row's ``char`` is its own key —
   after an open, and after typing and deleting from both ends of the
   wire (the author's ACK echo and a NOTIFY are other frames).
+
+The open's frame is the one the server sends: rendered from the stored
+row tuples by the server's snapshot renderer
+(``CollabNetServer._doc_snapshot``).  What the open costs while it is in
+flight — the render's and the read's allocation peaks — is gated in
+``tests/test_net_snapshot.py``; this file gates what stays.
 """
 
 from __future__ import annotations
@@ -24,24 +30,20 @@ from time import monotonic
 from repro.collab import CollaborationServer
 from repro.net import DocMirror, FrameDecoder, NetworkClient, ServerThread
 from repro.net import encode_frame
-from repro.net.protocol import Ack, wire_row
-from repro.text import chars as C
+from repro.net.protocol import Ack
+from repro.net.server import CollabNetServer
 
 ROWS = 8_000
 BYTES_PER_ROW = 800
 
 
 def _open_frame(size: int) -> bytes:
-    """The ACK of an ``open`` of a ``size``-character document, built
-    from the stored rows the way the server builds it."""
+    """The ACK of an ``open`` of a ``size``-character document, rendered
+    by the server's one snapshot renderer."""
     collab = CollaborationServer()
     collab.register_user("ana")
     handle = collab.connect("ana").create_document("big", text="x" * size)
-    rows = C.doc_char_rows(collab.db, handle.doc)
-    snapshot = {"doc": handle.doc, "begin": handle.begin_char,
-                "end": handle.end_char, "rep_seq": 0,
-                "rows": [wire_row(row) for row in rows.values()],
-                "cursors": []}
+    snapshot = CollabNetServer(collab)._doc_snapshot(handle)
     return encode_frame(Ack(op_seq=1, result=snapshot))
 
 

@@ -486,7 +486,7 @@ class TestMixedTopology:
         after the next delta, without a resync."""
         local = collab.connect("ana")
         doc = local.create_document("mixed", text="hello").doc
-        scan = C.doc_char_rows
+        scan = C.doc_char_tuples
         landed = []
 
         def scan_then_commit(db, of, *args):
@@ -500,7 +500,7 @@ class TestMixedTopology:
                 landed.append(True)
             return rows
 
-        monkeypatch.setattr(C, "doc_char_rows", scan_then_commit)
+        monkeypatch.setattr(C, "doc_char_tuples", scan_then_commit)
         client = NetworkClient("127.0.0.1", thread.port, "ben")
         try:
             handle = client.session().open(doc)

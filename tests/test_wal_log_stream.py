@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -142,21 +143,50 @@ def test_restart_publishes_the_cut_size_and_ships_none_of_the_tail(
 
 
 def test_a_second_history_in_one_file_is_refused(tmp_path):
-    """An engine opened on a log without restarting it starts again at
-    LSN 1 behind the first history; replay would let the second
-    history's rows overwrite the first's committed ones."""
+    """Two logs, each written from LSN 1, joined in one file (what an
+    engine opened on a log without restarting it used to write); replay
+    would let the second history's rows overwrite the first's committed
+    ones."""
     path = str(tmp_path / "wal.jsonl")
+    logs = []
     for key in ("one", "two"):
-        db = Database("twice", wal_path=path)
+        part = str(tmp_path / f"{key}.jsonl")
+        db = Database("twice", wal_path=part)
         db.create_table("kv", [column("k", "str")], key="k")
         db.insert("kv", {"k": key})
         db.close()
-        if key == "one":
-            first = os.path.getsize(path)
+        with open(part, "rb") as handle:
+            logs.append(handle.read())
+    first = len(logs[0])
+    with open(path, "wb") as handle:
+        handle.write(b"".join(logs))
     for read in READERS.values():
         with pytest.raises(WalError,
                            match=f"back to LSN 1 after LSN 4 at byte {first}"):
             read(path)
+
+
+def test_an_engine_refuses_a_file_that_holds_a_log(tmp_path):
+    """Only ``restart`` goes on writing a log: ``Database(wal_path=p)``
+    on a file that holds any byte raises before writing one, so the
+    file still recovers what it held; restarting it extends it."""
+    path = str(tmp_path / "wal.jsonl")
+    db = Database("once", wal_path=path)
+    db.create_table("kv", [column("k", "str")], key="k")
+    db.insert("kv", {"k": "one"})
+    db.close()
+    size = os.path.getsize(path)
+    with pytest.raises(WalError, match=f"{re.escape(repr(path))} already "
+                                       f"holds a log.*restart"):
+        Database("twice", wal_path=path)
+    assert os.path.getsize(path) == size
+    assert [row["k"] for row in recover_file(path).query("kv").run()] \
+        == ["one"]
+    db = restart(path)[0]
+    db.insert("kv", {"k": "two"})
+    db.close()
+    assert sorted(row["k"] for row in recover_file(path).query("kv").run()) \
+        == ["one", "two"]
 
 
 def test_recovery_holds_the_state_not_the_history(tmp_path):
