@@ -204,6 +204,11 @@ SECURITY_ROUNDS = 500
 
 
 def _party(protections: int):
+    """ana's 2 000-character document open for ben.  With protections,
+    ben may write it and ``protections`` ranges of 10 characters are
+    guarded against him — all below position 200, where his deletes
+    (always at 200) never reach, so each delete is checked against them
+    and none is refused."""
     server = CollaborationServer()
     server.register_user("ana")
     server.register_user("ben")
@@ -212,8 +217,9 @@ def _party(protections: int):
     if protections:
         server.acl.grant(handle.doc, "ben", "write", "ana")
         for i in range(protections):
-            server.acl.protect_range(handle, i * 50, 10, "ana",
-                                     exempt=("ben",))
+            server.acl.protect_range(handle, i * 20, 10, "ana")
+        assert len(server.acl.protected_oids(handle.doc, "ben")) \
+            == 10 * protections
     ben = server.connect("ben")
     ben.open(handle.doc)
     return server, ben, handle
@@ -226,13 +232,17 @@ def _delete_keystrokes(benchmark, protections: int, config: str) -> None:
     against them."""
     server, ben, handle = _party(protections)
 
+    deletes = []
+
     def keystroke():
         ben.delete(handle.doc, 200, 1)
+        deletes.append(1)
 
     benchmark.group = "C3 security overhead"
     benchmark.extra_info["config"] = config
     benchmark.pedantic(keystroke, rounds=SECURITY_ROUNDS, iterations=1,
                        warmup_rounds=5)
+    assert deletes and handle.length() == 2000 - len(deletes)
 
 
 def test_keystroke_no_security(benchmark):
@@ -256,4 +266,6 @@ def test_security_overhead_is_bounded():
 
     open_cost = measure(0)
     guarded_cost = measure(10)
-    assert guarded_cost < open_cost * 6  # same order of magnitude
+    # 24 alternated pairs read 1.26-2.62x (median 1.7x) with ben
+    # guarded by all ten ranges; 4x leaves room for a busy box.
+    assert guarded_cost < open_cost * 4

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping
 
 from ..errors import (
     DatabaseError,
@@ -55,24 +55,25 @@ TOMBSTONE = _Tombstone()
 VERSIONS_PUSHED = {"insert": 0, "update": 1, "delete": 2, "noop": 0}
 
 
-class Pending(NamedTuple):
-    """A staged, uncommitted change to one row."""
-
-    owner: int                 # transaction id
-    image: Any                 # tuple (new row) or TOMBSTONE
-    was_insert: bool           # row did not exist in committed state
-
-
 class Table:
-    """One table: schema, rows, and secondary indexes."""
+    """One table: schema, rows, and secondary indexes.
+
+    A staged row is two entries here: its owner in ``_pending`` (rowid
+    -> txn id) and its image in ``_pending_images[owner]``, plus one
+    entry in ``_pending_keys[column]`` per unique key it claims.  The
+    staging transaction keeps nothing else per row but its redo
+    statement (see :class:`~repro.db.transaction.Transaction`).
+    """
 
     def __init__(self, schema: TableSchema, metrics=None) -> None:
         self.schema = schema
         self._committed: dict[int, tuple] = {}
-        self._pending: dict[int, Pending] = {}
-        #: txn id -> {rowid: image-or-TOMBSTONE} of that transaction's
-        #: entries in ``_pending``: a query's overlay costs its own
-        #: writes, however many other writers have rows staged.
+        #: rowid -> id of the transaction holding its pending image.
+        self._pending: dict[int, int] = {}
+        #: txn id -> {rowid: image-or-TOMBSTONE}: the pending images
+        #: themselves, one per staged row, grouped by owner so a query's
+        #: overlay costs its own writes, however many other writers have
+        #: rows staged.
         self._pending_images: dict[int, dict[int, Any]] = {}
         #: rowid -> commit LSN of the *current* committed image.  Absent
         #: means "since before version tracking" and compares as 0, so
@@ -93,10 +94,11 @@ class Table:
         #: reloads drop (appliers add, see :data:`VERSIONS_PUSHED`).
         #: None when unobserved.
         self._metrics = metrics
-        #: (unique column, value) -> rowid of the pending row claiming it.
-        #: Keeps uniqueness checks O(1) instead of scanning all pending
-        #: rows (which made bulk loads quadratic).
-        self._pending_keys: dict[tuple, int] = {}
+        #: unique column -> {value: rowid of the pending row claiming
+        #: it}, one map per column of ``_unique``.  Keeps uniqueness
+        #: checks O(1) instead of scanning all pending rows (which made
+        #: bulk loads quadratic).
+        self._pending_keys: dict[str, dict[Any, int]] = {}
         #: Replaced, never mutated, on DDL: readers take the reference
         #: without copying or locking (see :meth:`indexes`).
         self._indexes: dict[str, Index] = {}
@@ -161,6 +163,8 @@ class Table:
         self._unique = {index.column: (index, pos)
                         for index, pos in self._index_positions
                         if index.unique}
+        self._pending_keys = {column: self._pending_keys.get(column, {})
+                              for column in self._unique}
 
     def indexes(self) -> dict[str, Index]:
         """The table's indexes by name (a snapshot: DDL replaces the
@@ -203,7 +207,7 @@ class Table:
             elif rowid in self._committed or rowid in self._pending:
                 raise DatabaseError(f"rowid {rowid} already in use")
             self._check_unique(txn_id, row, exclude_rowid=rowid)
-            self._stage(rowid, Pending(txn_id, row, was_insert=True))
+            self._stage(txn_id, rowid, row)
             self._register_pending_keys(rowid, row)
         return rowid, row
 
@@ -214,54 +218,62 @@ class Table:
             base = self._visible_for_write(txn_id, rowid)
             row = self.schema.merge_row(base, updates)
             self._check_unique(txn_id, row, exclude_rowid=rowid)
-            pending = self._pending.get(rowid)
-            was_insert = pending.was_insert if pending else False
-            if pending is not None and pending.image is not TOMBSTONE:
-                self._unregister_pending_keys(rowid, pending.image)
-            self._stage(rowid, Pending(txn_id, row, was_insert))
+            if rowid in self._pending:   # then ``base`` is its image
+                self._unregister_pending_keys(rowid, base)
+            self._stage(txn_id, rowid, row)
             self._register_pending_keys(rowid, row)
         return row
 
     def stage_delete(self, txn_id: int, rowid: int) -> None:
         """Stage a delete of a row ``txn_id`` can see."""
         with self._lock:
-            self._visible_for_write(txn_id, rowid)
-            pending = self._pending.get(rowid)
-            was_insert = pending.was_insert if pending else False
-            if pending is not None and pending.image is not TOMBSTONE:
-                self._unregister_pending_keys(rowid, pending.image)
-            self._stage(rowid, Pending(txn_id, TOMBSTONE, was_insert))
+            base = self._visible_for_write(txn_id, rowid)
+            if rowid in self._pending:   # then ``base`` is its image
+                self._unregister_pending_keys(rowid, base)
+            self._stage(txn_id, rowid, TOMBSTONE)
 
-    def _stage(self, rowid: int, pending: Pending) -> None:
-        """Record a pending image (caller holds ``_lock``)."""
+    def _stage(self, txn_id: int, rowid: int, image: Any) -> None:
+        """Record ``txn_id``'s pending image of ``rowid`` (caller holds
+        ``_lock``)."""
         if self._dropped:
             raise UnknownTableError(f"no table {self.schema.name!r}")
-        self._pending[rowid] = pending
-        self._pending_images.setdefault(pending.owner, {})[rowid] = \
-            pending.image
+        self._pending[rowid] = txn_id
+        # Not setdefault: that would build a throwaway dict per row.
+        images = self._pending_images.get(txn_id)
+        if images is None:
+            images = self._pending_images[txn_id] = {}
+        images[rowid] = image
 
-    def _unstage(self, rowid: int, owner: int) -> None:
-        """Forget a pending image (caller holds ``_lock``)."""
+    def _unstage(self, rowid: int, owner: int) -> Any:
+        """Forget ``owner``'s pending image of ``rowid`` and return it
+        (caller holds ``_lock``)."""
         del self._pending[rowid]
         images = self._pending_images[owner]
-        del images[rowid]
+        image = images.pop(rowid)
         if not images:
             del self._pending_images[owner]
+        return image
+
+    def owns(self, txn_id: int, rowid: int) -> bool:
+        """Whether transaction ``txn_id`` holds a pending image of
+        ``rowid`` (what its commit still has to apply)."""
+        return self._pending.get(rowid) == txn_id
 
     def _visible_for_write(self, txn_id: int, rowid: int) -> tuple:
-        pending = self._pending.get(rowid)
-        if pending is not None:
-            if pending.owner != txn_id:
+        owner = self._pending.get(rowid)
+        if owner is not None:
+            if owner != txn_id:
                 # The transaction layer should have blocked on the lock.
                 raise DatabaseError(
                     f"row {rowid} has a pending change from txn "
-                    f"{pending.owner}; lock protocol violated"
+                    f"{owner}; lock protocol violated"
                 )
-            if pending.image is TOMBSTONE:
+            image = self._pending_images[owner][rowid]
+            if image is TOMBSTONE:
                 raise RowNotFoundError(
                     f"row {rowid} deleted in this transaction"
                 )
-            return pending.image
+            return image
         try:
             return self._committed[rowid]
         except KeyError:
@@ -282,7 +294,7 @@ class Table:
                 key = row[pos]
                 if key is None:
                     continue
-                claimer = self._pending_keys.get((column, key))
+                claimer = self._pending_keys[column].get(key)
                 if claimer is not None and claimer != exclude_rowid:
                     raise UniqueViolation(
                         f"table {self.schema.name!r}: duplicate value "
@@ -291,14 +303,14 @@ class Table:
                 for rowid in index.probe_eq(key):
                     if rowid == exclude_rowid:
                         continue
-                    pending = self._pending.get(rowid)
-                    if pending is not None and pending.owner == txn_id and (
-                            pending.image is TOMBSTONE
-                            or pending.image[pos] != key):
-                        # Deleted / moved away by this transaction: the
-                        # key is free to it.  Another writer's pending
-                        # delete frees nothing — it may yet abort.
-                        continue
+                    if self._pending.get(rowid) == txn_id:
+                        image = self._pending_images[txn_id][rowid]
+                        if image is TOMBSTONE or image[pos] != key:
+                            # Deleted / moved away by this transaction:
+                            # the key is free to it.  Another writer's
+                            # pending delete frees nothing — it may yet
+                            # abort.
+                            continue
                     raise UniqueViolation(
                         f"table {self.schema.name!r}: duplicate value "
                         f"{key!r} for unique column {column!r}"
@@ -308,15 +320,15 @@ class Table:
         for column, (__, pos) in self._unique.items():
             key = row[pos]
             if key is not None:
-                self._pending_keys[(column, key)] = rowid
+                self._pending_keys[column][key] = rowid
 
     def _unregister_pending_keys(self, rowid: int, row: tuple) -> None:
         for column, (__, pos) in self._unique.items():
             key = row[pos]
             if key is not None:
-                entry = (column, key)
-                if self._pending_keys.get(entry) == rowid:
-                    del self._pending_keys[entry]
+                claims = self._pending_keys[column]
+                if claims.get(key) == rowid:
+                    del claims[key]
 
     # ------------------------------------------------------------------
     # Commit / rollback (called by Transaction)
@@ -333,11 +345,10 @@ class Table:
         already gone (index removal skips an absent entry).
         """
         with self._lock:
-            pending = self._pending.get(rowid)
             old = self._committed.get(rowid)
-            if pending is None or pending.owner != txn_id or old is None:
+            if old is None or self._pending.get(rowid) != txn_id:
                 return
-            image = pending.image
+            image = self._pending_images[txn_id][rowid]
             for index, pos in self._unique.values():
                 if image is TOMBSTONE or image[pos] != old[pos]:
                     index.remove(old[pos], rowid)
@@ -357,16 +368,13 @@ class Table:
         events), ``None`` on insert.
         """
         with self._lock:
-            pending = self._pending.get(rowid)
-            if pending is None or pending.owner != txn_id:
+            if self._pending.get(rowid) != txn_id:
                 raise DatabaseError(
                     f"txn {txn_id} has no pending change on row {rowid}"
                 )
-            self._unstage(rowid, txn_id)
-            if pending.image is not TOMBSTONE:
-                self._unregister_pending_keys(rowid, pending.image)
+            image = self._unstage(rowid, txn_id)
             old = self._committed.get(rowid)
-            if pending.image is TOMBSTONE:
+            if image is TOMBSTONE:
                 if old is not None:
                     self._unindex_row(rowid, old)
                     del self._committed[rowid]
@@ -375,9 +383,9 @@ class Table:
                     self._push_version(rowid, commit_lsn, TOMBSTONE)
                     return "delete", None, old
                 return "noop", None, None  # insert+delete inside one txn
-            self._install(rowid, pending.image, old, commit_lsn)
-            return ("insert" if old is None else "update",
-                    pending.image, old)
+            self._unregister_pending_keys(rowid, image)
+            self._install(rowid, image, old, commit_lsn)
+            return "insert" if old is None else "update", image, old
 
     def _install(self, rowid: int, row: tuple, old: tuple | None,
                  commit_lsn: int) -> None:
@@ -444,11 +452,10 @@ class Table:
     def rollback_row(self, txn_id: int, rowid: int) -> None:
         """Discard the pending image of ``rowid`` (abort path)."""
         with self._lock:
-            pending = self._pending.get(rowid)
-            if pending is not None and pending.owner == txn_id:
-                if pending.image is not TOMBSTONE:
-                    self._unregister_pending_keys(rowid, pending.image)
-                self._unstage(rowid, txn_id)
+            if self._pending.get(rowid) == txn_id:
+                image = self._unstage(rowid, txn_id)
+                if image is not TOMBSTONE:
+                    self._unregister_pending_keys(rowid, image)
 
     def _index_row(self, rowid: int, row: tuple) -> None:
         for index, pos in self._index_positions:
@@ -465,9 +472,9 @@ class Table:
     def read(self, rowid: int, txn_id: int | None = None) -> tuple | None:
         """Return the row visible to ``txn_id`` (or committed state)."""
         with self._lock:
-            pending = self._pending.get(rowid)
-            if pending is not None and pending.owner == txn_id:
-                return None if pending.image is TOMBSTONE else pending.image
+            if txn_id is not None and self._pending.get(rowid) == txn_id:
+                image = self._pending_images[txn_id][rowid]
+                return None if image is TOMBSTONE else image
             return self._committed.get(rowid)
 
     def get(self, rowid: int, txn_id: int | None = None) -> tuple:
@@ -510,16 +517,14 @@ class Table:
                 out.extend(self.snapshot_history_by(
                     snapshot_lsn, unique[1]).get(key, ()))
                 return out
-            if rowid is not None:
-                pending = self._pending.get(rowid)
-                if pending is None or pending.owner != txn_id:
-                    out.append((rowid, self._committed[rowid]))
+            if rowid is not None and (
+                    txn_id is None or self._pending.get(rowid) != txn_id):
+                out.append((rowid, self._committed[rowid]))
             if txn_id is not None:
-                claimer = self._pending_keys.get((column, key))
-                if claimer is not None:
-                    pending = self._pending[claimer]
-                    if pending.owner == txn_id:
-                        out.append((claimer, pending.image))
+                claimer = self._pending_keys[column].get(key)
+                if claimer is not None and self._pending[claimer] == txn_id:
+                    out.append((claimer,
+                                self._pending_images[txn_id][claimer]))
         return out
 
     def committed_items(self) -> Iterator[tuple[int, tuple]]:

@@ -97,6 +97,10 @@ class Transaction:
 
     Usually obtained via ``db.transaction()`` (a context manager that
     commits on clean exit and aborts on exception) or ``db.begin()``.
+
+    The one thing it keeps per staged row is that row's redo statements
+    in ``_log``; the tables hold the pending images.  Commit applies the
+    rows in the order of their first statement.
     """
 
     def __init__(self, db: "Database", txn_id: int, *,
@@ -114,13 +118,12 @@ class Transaction:
         #: ``<=`` this LSN from the version chains — zero LockManager
         #: calls on the whole read path (``None`` = read-committed).
         self.snapshot_lsn = snapshot_lsn
-        #: (table_name, rowid) of every staged row, once each, in
-        #: staging order — commit applies in order.  A dict is the
-        #: ordered set: a row staged again keeps its first place.
-        self._ops: dict[tuple[str, int], None] = {}
         #: Redo statements in execution order, one ``(type, table,
         #: rowid, cols, vals)`` each: the DML of this transaction's log
-        #: block (see :meth:`~repro.db.wal.WriteAheadLog.append`).
+        #: block (see :meth:`~repro.db.wal.WriteAheadLog.append`), and
+        #: the transaction's only record of the rows it staged — commit
+        #: applies each row at its first statement here, abort rolls
+        #: back every row named.
         self._log: list[tuple] = []
         #: Whether an UPDATE named a uniquely indexed column: such a
         #: transaction may move a key between its rows, so commit
@@ -268,7 +271,6 @@ class Transaction:
             names = table.schema.names
             for rowid, values in zip(rowids, rows):
                 row = table.stage_insert(self.txn_id, values, rowid)[1]
-                self._ops[table_name, rowid] = None
                 # The log keeps the stored tuple itself, by reference.
                 self._log.append((walmod.INSERT, table_name, rowid,
                                   names, row))
@@ -291,7 +293,6 @@ class Transaction:
             self._lock_all(wanted)
             row = table.stage_update(self.txn_id, rowid, updates)
             schema = table.schema
-            self._ops[table_name, rowid] = None
             # Only the columns this statement set are logged: redo
             # merges them into the row it holds, which under strict
             # 2PL is the very image staged on here.
@@ -307,7 +308,6 @@ class Transaction:
         with self._lock:
             self._lock_all([("row", table_name, rowid)])
             table.stage_delete(self.txn_id, rowid)
-            self._ops[table_name, rowid] = None
             self._log.append((walmod.DELETE, table_name, rowid, (), ()))
 
     # -- reads (own-writes visible; snapshot txns read their pinned LSN) -----
@@ -412,13 +412,19 @@ class Transaction:
                         db.raise_commit_floor(txn_id, lsn)
                         db.faults.fire("txn.post_commit", txn=txn_id)
                         if self._rekeyed:
-                            for table_name, rowid in self._ops:
+                            for __, table_name, rowid, __, __ in self._log:
                                 db.table(table_name).unfile_changed_keys(
                                     txn_id, rowid)
                         changes: list[Change] = []
-                        pushed = 0
-                        for table_name, rowid in self._ops:
+                        pushed = applied = 0
+                        # A row is applied at its first statement; once
+                        # applied it is no longer pending here, so its
+                        # later statements are skipped.
+                        for __, table_name, rowid, __, __ in self._log:
                             table = db.table(table_name)
+                            if not table.owns(txn_id, rowid):
+                                continue
+                            applied += 1
                             kind, row, old = table.commit_row(
                                 txn_id, rowid, lsn)
                             if kind == "noop":
@@ -443,7 +449,7 @@ class Transaction:
             db.locks.release_all(txn_id)
             db.on_commit(txn_id, lsn, changes)
         self._metrics.commit_seconds.observe(perf_counter() - started)
-        self._metrics.ops.observe(len(self._ops))
+        self._metrics.ops.observe(applied)
         self._finish("commit")
         return changes
 
@@ -454,7 +460,7 @@ class Transaction:
         self._require_active()
         if not self.read_only:
             with self._lock:
-                for table_name, rowid in reversed(self._ops):
+                for __, table_name, rowid, __, __ in reversed(self._log):
                     self._db.table(table_name).rollback_row(self.txn_id,
                                                             rowid)
         self.state = TxnState.ABORTED
