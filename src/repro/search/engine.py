@@ -208,11 +208,10 @@ class SearchEngine:
             checks = [docs.__contains__ for docs in sets] + tests
             if plan == "threshold" or (terms and ranking in ORDERED):
                 # A ranking's list holds every document, an impact list
-                # only its term's.
-                needed = set(terms)
-                term_counts = index.term_counts
-                checks.insert(
-                    0, lambda doc: term_counts[doc].keys() >= needed)
+                # only its term's: a document must be in each term's
+                # posting, the rarest asked first.
+                postings = sorted(map(index.positions, set(terms)), key=len)
+                checks[:0] = [posting.__contains__ for posting in postings]
             if plan == "threshold":
                 winners, examined = self._threshold(terms, limit, checks)
             else:

@@ -15,15 +15,18 @@ The postings are one map, ``term -> {doc: positions}``, updated in
 place by every re-index.  A posting is an immutable tuple of the term's
 token positions in the document, replaced whole when the document is
 re-indexed and never mutated, and a term is one string object wherever
-it appears — postings, forward index, impact lists, parsed queries —
-because :func:`~repro.mining.features.tokenize` interns its tokens: the
-vocabulary is held once, not once per document.  Equal small values are
-held once too: each index keeps a memo of at most
-:attr:`InvertedIndex.MEMO_CAP` entries, emptied when full and by a
-rebuild, through which every posting of at most
-:attr:`~InvertedIndex.SHARED_RUN` positions and every non-zero float of
-a stored ranking key passes, so thousands of documents whose word sits
-at position 3, or that share one timestamp, hold one object.
+it appears — postings, impact lists, parsed queries — because
+:func:`~repro.mining.features.tokenize` interns its tokens: the
+vocabulary is held once, not once per document.  No per-document term
+map is kept: a document's frequency of a term is the length of its
+posting, and its terms are the tokens of its cached text, which
+un-indexing tokenizes again.  Equal small values are held once too:
+each index keeps a memo of at most :attr:`InvertedIndex.MEMO_CAP`
+entries, emptied when full and by a rebuild, through which every
+posting of at most :attr:`~InvertedIndex.SHARED_RUN` positions and
+every non-zero float of a stored ranking key passes, so thousands of
+documents whose word sits at position 3, or that share one timestamp,
+hold one object.
 
 Every refresh reads at one pinned snapshot — the caller's, or one it
 opens — and a document dirtied by a commit the snapshot does not cover
@@ -89,12 +92,12 @@ def tf_idf(weights: list[tuple[str, float]], tfs: Mapping[str, float],
     in their order, a term listed twice counted twice, a term missing
     from ``tfs`` adding nothing.
 
-    :meth:`InvertedIndex.score` passes a document's term frequencies
-    and ``max(len, 1)``; the threshold walk passes each impact list's
-    current ``tf/len`` and ``1`` for its bound (``x / 1`` is ``x``
-    exactly).  IEEE rounding is monotone, so two sums taken this way
-    keep the order of their terms: no document scores above the bound
-    of impacts at least its own.
+    :meth:`InvertedIndex.score` takes it over a document's posting
+    lengths and ``max(len, 1)``; the threshold walk passes each impact
+    list's current ``tf/len`` and ``1`` for its bound (``x / 1`` is
+    ``x`` exactly).  IEEE rounding is monotone, so two sums taken this
+    way keep the order of their terms: no document scores above the
+    bound of impacts at least its own.
     """
     score = 0.0
     for term, idf in weights:
@@ -162,7 +165,6 @@ class InvertedIndex:
         self.db = db
         self._postings: dict[str, dict[Oid, tuple[int, ...]]] = \
             defaultdict(dict)
-        self._doc_terms: dict[Oid, dict[str, int]] = {}
         self._doc_len: dict[Oid, int] = {}
         self._doc_values: dict[Oid, DocValues] = {}
         self._doc_text: dict[Oid, str] = {}
@@ -223,7 +225,6 @@ class InvertedIndex:
     def rebuild(self) -> None:
         """Index every document from scratch (the only full scan)."""
         self._postings.clear()
-        self._doc_terms.clear()
         self._doc_len.clear()
         self._doc_values.clear()
         self._doc_text.clear()
@@ -299,7 +300,6 @@ class InvertedIndex:
         positions: dict[str, list[int]] = defaultdict(list)
         for i, token in enumerate(tokens):
             positions[token].append(i)
-        self._doc_terms[doc] = {t: len(p) for t, p in positions.items()}
         length = self._doc_len[doc] = len(tokens)
         values = self._doc_values[doc] = DocValues.of(row)
         for term, pos_list in positions.items():
@@ -350,14 +350,13 @@ class InvertedIndex:
         if values is None:
             return  # never indexed: no per-document structure holds it
         length = self._doc_len.pop(doc)
-        for term, tf in self._doc_terms.pop(doc).items():
-            bucket = self._postings.get(term)
-            if bucket is not None:
-                bucket.pop(doc, None)
-                if not bucket:
-                    del self._postings[term]
-                    self._impact.pop(term, None)
-                    continue
+        for term in set(tokenize(self._doc_text.pop(doc))):
+            bucket = self._postings[term]
+            tf = len(bucket.pop(doc))
+            if not bucket:
+                del self._postings[term]
+                self._impact.pop(term, None)
+                continue
             entries = self._impact.get(term)
             if entries is not None:
                 self._sorted_remove(entries, self._impact_key(
@@ -371,7 +370,6 @@ class InvertedIndex:
                         del postings[value]
         for ranking, entries in self._orders.items():
             self._sorted_remove(entries, KEYS[ranking](doc, values, 0.0))
-        self._doc_text.pop(doc, None)
 
     # ------------------------------------------------------------------
     # Self-check (tests, debugging)
@@ -384,13 +382,15 @@ class InvertedIndex:
         Meaningful once the feed is drained (nothing pending): every
         live document then has doc values equal to its row, every
         per-document structure covers exactly the live documents (a
-        deleted document leaves no entry anywhere), the postings agree
-        with the forward index, every posting is a tuple and every term
-        (posted, forward or impact) its interned string, every impact
-        list belongs to a posted term, every built equality posting
-        and ordered list equals a rebuild from the doc values, and the
-        value memo keeps to its cap and holds the object of every short
-        posting and key float (:meth:`_sharing_problems`).
+        deleted document leaves no entry anywhere), each document's
+        postings and length equal a re-tokenization of its cached text
+        (so a text cache edited without a re-index shows too), every
+        posting is a tuple and every term (posted or impact) its
+        interned string, every impact list belongs to a posted term,
+        every built equality posting and ordered list equals a rebuild
+        from the doc values, and the value memo keeps to its cap and
+        holds the object of every short posting and key float
+        (:meth:`_sharing_problems`).
         """
         problems: list[str] = []
         if self._pending:
@@ -407,33 +407,38 @@ class InvertedIndex:
                 stale = [name for name, have, want in zip(
                     DocValues._fields, values, rows[doc]) if have != want]
                 problems.append(f"{doc}: doc values stale in {stale}")
-        for label, per_doc in (("terms", self._doc_terms),
-                               ("length", self._doc_len),
+        for label, per_doc in (("length", self._doc_len),
                                ("text", self._doc_text)):
             if per_doc.keys() != self._doc_values.keys():
                 problems.append(f"{label} map out of sync with doc values")
-        posted: dict[Oid, dict[str, int]] = defaultdict(dict)
+        posted: dict[Oid, set[tuple[int, str]]] = defaultdict(set)
         for term, bucket in self._postings.items():
             if not _interned(term):
                 problems.append(f"posted term {term!r} is not interned")
-            for doc, positions in bucket.items():
-                posted[doc][term] = len(positions)
-                if type(positions) is not tuple:
+            for doc, run in bucket.items():
+                posted[doc].update((i, term) for i in run)
+                if type(run) is not tuple:
                     problems.append(f"{doc}: {term!r} posting is a "
-                                    f"{type(positions).__name__}")
-        for doc, tfs in self._doc_terms.items():
-            if posted.get(doc, {}) != tfs:
-                problems.append(f"{doc}: postings != forward index")
-            for term in tfs:
-                if not _interned(term):
-                    problems.append(f"{doc}: term {term!r} is not interned")
+                                    f"{type(run).__name__}")
+        for doc in posted.keys() - self._doc_text.keys():
+            problems.append(f"{doc}: stale postings")
+        for doc, text in self._doc_text.items():
+            want = set(enumerate(tokenize(text)))
+            if self._doc_len.get(doc) != len(want):
+                problems.append(f"{doc}: length {self._doc_len.get(doc)} "
+                                f"!= {len(want)} tokens in its text")
+            have = posted.get(doc, set())
+            for i, term in sorted(have - want):
+                problems.append(f"{doc}: {term!r} posted at {i}, where "
+                                f"its text does not have it")
+            for i, term in sorted(want - have):
+                problems.append(f"{doc}: {term!r} at {i} of its text is "
+                                f"not posted")
         for term in self._impact:
             if not _interned(term):
                 problems.append(f"impact term {term!r} is not interned")
             if term not in self._postings:
                 problems.append(f"impact list of unposted term {term!r}")
-        for doc in posted.keys() - self._doc_terms.keys():
-            problems.append(f"{doc}: stale postings")
         for fieldname, postings in self._equal.items():
             for docs in postings.values():
                 for doc in docs - self._doc_values.keys():
@@ -583,11 +588,17 @@ class InvertedIndex:
     def score(self, doc: Oid, weights: list[tuple[str, float]]) -> float:
         """tf-idf of ``doc`` under :meth:`weights` of the query terms.
 
-        Read from the forward index (``doc -> term -> tf``), so the cost
-        does not follow the terms' document frequencies.
+        :func:`tf_idf`'s sum, in its order and by its expression, with
+        each term's tf the length of ``doc``'s posting: one dict lookup
+        per term, so the cost does not follow the terms' document
+        frequencies.  Every weighted term is posted (:meth:`weights`).
         """
-        return tf_idf(weights, self._doc_terms[doc],
-                      max(self._doc_len[doc], 1))
+        postings, length = self._postings, max(self._doc_len[doc], 1)
+        score = 0.0
+        for term, idf in weights:
+            if run := postings[term].get(doc):
+                score += (len(run) / length) * idf
+        return score
 
     def scores(self, terms: list[str], docs: list[Oid]) -> list[float]:
         """tf-idf of each of ``docs`` against the query ``terms``."""
@@ -600,10 +611,14 @@ class InvertedIndex:
     # Lookups
     # ------------------------------------------------------------------
 
+    def positions(self, term: str) -> Mapping[Oid, tuple[int, ...]]:
+        """doc -> ``term``'s token positions in it: the live posting
+        (empty when no document holds ``term``).  Do not mutate."""
+        return self._postings.get(term, {})
+
     def postings(self, term: str) -> dict[Oid, int]:
         """Documents containing ``term`` with term frequencies."""
-        return {doc: len(positions)
-                for doc, positions in self._postings.get(term, {}).items()}
+        return {doc: len(run) for doc, run in self.positions(term).items()}
 
     def has_phrase(self, doc: Oid, phrase_terms: list[str]) -> bool:
         """Whether ``doc`` holds the terms *adjacently, in order*.
@@ -613,8 +628,8 @@ class InvertedIndex:
         """
         starts = self._postings[phrase_terms[0]][doc]
         for offset, term in enumerate(phrase_terms[1:], start=1):
-            following = set(self._postings[term][doc])
-            starts = [s for s in starts if s + offset in following]
+            run = self._postings[term][doc]
+            starts = [s for s in starts if s + offset in run]
             if not starts:
                 return False
         return True
@@ -631,22 +646,17 @@ class InvertedIndex:
         """doc -> :class:`DocValues` as of the last refresh (read-only)."""
         return self._doc_values
 
-    @property
-    def term_counts(self) -> Mapping[Oid, Mapping[str, int]]:
-        """doc -> term -> tf, the forward index (read-only)."""
-        return self._doc_terms
-
     def cached_text(self, doc: Oid) -> str:
         """The document text as of the last (re)index — snippet source."""
         return self._doc_text.get(doc, "")
 
     def all_docs(self) -> set[Oid]:
         """Every indexed document (the corpus, post-refresh)."""
-        return set(self._doc_terms)
+        return set(self._doc_len)
 
     def doc_count(self) -> int:
         """Number of indexed documents."""
-        return len(self._doc_terms)
+        return len(self._doc_len)
 
     def doc_length(self, doc: Oid) -> int:
         """Token count of one document (0 if unindexed)."""
@@ -659,7 +669,7 @@ class InvertedIndex:
     def matching_docs(self, terms: list[str]) -> set[Oid]:
         """Documents containing all of the terms."""
         if not terms:
-            return set(self._doc_terms)
+            return set(self._doc_len)
         result = set(self._postings.get(terms[0], ()))
         for term in terms[1:]:
             result.intersection_update(self._postings.get(term, ()))

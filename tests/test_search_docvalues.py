@@ -759,8 +759,8 @@ def test_check_names_corrupt_postings_and_ordered_lists():
 
 def test_check_names_a_mutable_posting_and_an_uninterned_term():
     """A posting is a tuple and a term is its interned string in the
-    postings, the forward index and the impact lists; ``check()`` names
-    each departure, so every programme that calls it guards both."""
+    postings and the impact lists; ``check()`` names each departure, so
+    every programme that calls it guards both."""
     archive = _small_archive()
     index = archive.engine.index
     index.ensure_fresh()
@@ -769,16 +769,59 @@ def test_check_names_a_mutable_posting_and_an_uninterned_term():
     doc = next(iter(index.postings("alpha")))
     bucket = index._postings["alpha"]
     bucket[doc] = list(bucket[doc])
-    tfs = index._doc_terms[doc]
-    copy = "".join("beta")
-    tfs[copy] = tfs.pop("beta")
+    index._postings["".join("beta")] = index._postings.pop("beta")
     index._impact["".join("alpha")] = index._impact.pop("alpha")
     problems = index.check()
     assert f"{doc}: 'alpha' posting is a list" in problems
-    assert f"{doc}: term 'beta' is not interned" in problems
+    assert "posted term 'beta' is not interned" in problems
     assert "impact term 'alpha' is not interned" in problems
     index.rebuild()
     assert index.check() == []
+    archive.close()
+
+
+def test_check_retokenizes_every_cached_text():
+    """The postings and lengths are checked against a re-tokenization
+    of each document's cached text, the only record of its terms:
+    ``check()`` names a text edited without a re-index, a posting for a
+    term the text lacks, a term of the text with no posting and a wrong
+    length, each on its own."""
+    archive = _small_archive()
+    index = archive.engine.index
+    index.ensure_fresh()
+    doc = archive.live[0]
+    assert index.cached_text(doc) == "alpha beta gamma"
+    assert index.check() == []
+
+    def planted(fault) -> list[str]:
+        fault()
+        problems = index.check()
+        index.rebuild()
+        assert index.check() == []
+        return problems
+
+    def edit_text():
+        index._doc_text[doc] = "alpha gamma beta"
+
+    def post_absent_term():
+        index._postings["delta"][doc] = (7,)
+
+    def unpost_term():
+        del index._postings["gamma"][doc]
+
+    def miscount():
+        index._doc_len[doc] += 1
+
+    assert planted(edit_text) == [
+        f"{doc}: 'beta' posted at 1, where its text does not have it",
+        f"{doc}: 'gamma' posted at 2, where its text does not have it",
+        f"{doc}: 'gamma' at 1 of its text is not posted",
+        f"{doc}: 'beta' at 2 of its text is not posted"]
+    assert f"{doc}: 'delta' posted at 7, where its text does not have it" \
+        in planted(post_absent_term)
+    assert f"{doc}: 'gamma' at 2 of its text is not posted" \
+        in planted(unpost_term)
+    assert f"{doc}: length 4 != 3 tokens in its text" in planted(miscount)
     archive.close()
 
 
