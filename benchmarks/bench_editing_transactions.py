@@ -759,10 +759,11 @@ def _percentile(samples: list[float], q: float) -> float:
 def _locking_sweep(db: Database) -> int:
     """The pre-MVCC 2PL reader: every CHARS row read under a SHARED lock
     held to the end of the sweep, and re-read once the lock is granted
-    (the unlocked image may predate a writer that committed meanwhile)."""
+    (the unlocked image may predate a writer that committed meanwhile).
+    A plain transaction: a snapshot transaction takes no locks."""
     table = db.table(S.CHARS)
     visible = 0
-    with db.begin(read_only=True) as txn:
+    with db.begin() as txn:
         for rowid, _ in table.committed_items():
             txn.lock_shared(S.CHARS, rowid)
             row = table.read(rowid)

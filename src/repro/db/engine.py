@@ -232,17 +232,19 @@ class Database:
         """Alias of :meth:`begin`; reads well in ``with`` statements."""
         return self.begin(lock_timeout=lock_timeout)
 
-    @contextmanager
-    def snapshot(self):
-        """A read-only snapshot transaction as a context manager.
+    def snapshot(self) -> Transaction:
+        """A read-only snapshot transaction: ``db.begin(read_only=True)``.
 
-        Everything read inside the block observes one consistent commit
-        point — a multi-query analytics pass (search profiling, lineage
-        walks, folder evaluation) cannot see a commit land between its
-        queries.  Exiting releases the snapshot pin so GC can advance.
+        Use it as a context manager (a transaction is its own): everything
+        read inside the block observes one consistent commit point — a
+        multi-query analytics pass (search profiling, lineage walks,
+        folder evaluation) cannot see a commit land between its queries.
+        The pin is taken here, not on entering the block; leaving the
+        block commits the snapshot (aborts it on an exception), which
+        releases the pin so GC can advance.  No lock is taken or
+        released on the way.
         """
-        with self.begin(read_only=True) as txn:
-            yield txn
+        return self.begin(read_only=True)
 
     def current_batch(self) -> Transaction | None:
         """The batch transaction open on this thread, if any."""

@@ -226,7 +226,15 @@ class Transaction:
         No read in the engine takes one; a caller that wants a reader
         to block writers (and be blocked by them) — the 2PL-reader arm
         of the interference benchmark — locks each row it reads.  A
-        later write of the row in the same transaction upgrades it."""
+        later write of the row in the same transaction upgrades it.
+
+        A snapshot transaction raises
+        :class:`~repro.errors.ReadOnlyTransactionError`: it reads its
+        pinned versions and never takes a lock, so its commit and abort
+        never call the lock manager."""
+        if self.snapshot_lsn is not None:
+            raise ReadOnlyTransactionError(
+                f"snapshot transaction {self.txn_id} takes no locks")
         resource = ("row", table, rowid)
         locks = self._db.locks
         if resource in locks.held_modes(self.txn_id):
@@ -377,16 +385,19 @@ class Transaction:
         in-memory apply).
 
         A read-only transaction has nothing to log or apply: commit just
-        settles its lifecycle (and releases its snapshot pin / shared
-        locks).  No crash points fire and nothing is published, so
-        snapshot readers are invisible to torture schedules and feed
-        consumers alike.
+        settles its lifecycle and releases its snapshot pin.  A snapshot
+        holds no lock (:meth:`lock_shared` refuses it one), so only a
+        read-only transaction without a ``snapshot_lsn`` reaches the
+        lock manager here.  No crash points fire and nothing is
+        published, so snapshot readers are invisible to torture
+        schedules and feed consumers alike.
         """
         self._require_active()
         db = self._db
         if self.read_only:
             self.state = TxnState.COMMITTED
-            db.locks.release_all(self.txn_id)
+            if self.snapshot_lsn is None:
+                db.locks.release_all(self.txn_id)
             self._finish("commit")
             return []
         started = perf_counter()
@@ -456,7 +467,7 @@ class Transaction:
     def abort(self) -> None:
         """Roll back every staged change and release locks (the log
         never heard of the transaction, so there is nothing to undo
-        there)."""
+        there).  A snapshot holds no lock: it only drops its pin."""
         self._require_active()
         if not self.read_only:
             with self._lock:
@@ -464,7 +475,8 @@ class Transaction:
                     self._db.table(table_name).rollback_row(self.txn_id,
                                                             rowid)
         self.state = TxnState.ABORTED
-        self._db.locks.release_all(self.txn_id)
+        if self.snapshot_lsn is None:
+            self._db.locks.release_all(self.txn_id)
         if not self.read_only:
             self._db.stats["aborts"] += 1
         self._finish("abort")

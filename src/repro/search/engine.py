@@ -27,12 +27,12 @@ from ..ids import Oid
 from ..meta import MetadataCollector
 from ..obs.labels import SeriesCache
 from ..text import dbschema as S
-from .index import EQUALITY_FIELDS, InvertedIndex, tf_idf
+from .index import EQUALITY_FIELDS, DocValues, InvertedIndex, tf_idf
 from .query import SearchQuery, parse_query
 from .ranking import KEYS, ORDERED, RANKINGS, Ranker
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     """One hit."""
 
@@ -59,6 +59,44 @@ def _passing(docs: Iterable[Oid], tests: list[Callable[[Oid], bool]],
         else:
             kept.append(doc)
     return kept, examined
+
+
+#: A fresh ``{column: value}`` dict of a :class:`DocValues` row: one dict
+#: display with the columns as constant keys, compiled once from
+#: ``DocValues._fields``.  It is faster than ``dict(zip(DocValues._fields,
+#: row))`` or ``_asdict()``, which pair every value with its name first.
+_profile = eval("lambda row: {%s}" % ", ".join(
+    f"{name!r}: row[{at}]" for at, name in enumerate(DocValues._fields)))
+
+
+def _snippet(text: str, terms: list, radius: int = 30) -> str:
+    """A window of ``text`` around the first match of any of ``terms``
+    (lowercase) in the lowercased text.
+
+    The match is found in ``text.lower()``, which is longer than
+    ``text`` when a character lowers to more than one (``'İ'`` lowers to
+    two code points); only then is the match's offset mapped back to the
+    character of ``text`` it lies in."""
+    lowered = text.lower()
+    if len(terms) == 1:
+        best = lowered.find(terms[0])
+    else:
+        best = min([pos for pos in map(lowered.find, terms) if pos >= 0],
+                   default=-1)
+    if best < 0:
+        return text[: 2 * radius].strip()
+    if len(lowered) != len(text):
+        for at, ch in enumerate(text):
+            best -= len(ch.lower())
+            if best < 0:
+                best = at
+                break
+    start = best - radius
+    end = best + radius
+    suffix = "..." if end < len(text) else ""
+    if start > 0:
+        return "..." + text[start:end].strip() + suffix
+    return text[:end].strip() + suffix
 
 
 class SearchEngine:
@@ -138,12 +176,20 @@ class SearchEngine:
         consolidated profile scans every character row of a document.)
         Callers who want the complete creation-process record should use
         :meth:`~repro.meta.collector.MetadataCollector.document_profile`.
+
+        One pass per winner: its profile is a fresh dict (``props`` a
+        fresh copy too, so a caller editing it reaches neither the index
+        nor the table) and its snippet is cut from the index's cached
+        text.
         """
+        terms = query.all_terms
         values = self.index.doc_values
+        texts = self.index.doc_texts
         results = []
         for doc, score in scored:
-            profile = values[doc]._asdict()
-            profile["props"] = dict(profile["props"] or {})
+            row = values[doc]
+            profile = _profile(row)
+            profile["props"] = dict(row.props or {})
             if need_readers:
                 profile["readers"] = sorted(
                     self.meta.readers_of(doc, txn=txn))
@@ -151,8 +197,8 @@ class SearchEngine:
                 profile["authors"] = sorted(
                     self.meta.author_contributions(doc, txn=txn))
             results.append(SearchResult(
-                doc=doc, name=profile["name"], score=score, profile=profile,
-                snippet=self._snippet(doc, query.all_terms)))
+                doc, row.name, score, profile,
+                _snippet(texts[doc], terms)))
         self._m_query_seconds.observe(perf_counter() - started)
         return results
 
@@ -354,25 +400,6 @@ class SearchEngine:
             key(doc, values[doc], score)
             for doc, score in zip(survivors, scores)])
         return [entry[-1] for entry in best], len(pool)
-
-    def _snippet(self, doc: Oid, terms: list, *, radius: int = 30) -> str:
-        """A text window around the first matching term."""
-        text = self.index.cached_text(doc)
-        if not text:
-            return ""
-        lowered = text.lower()
-        best = -1
-        for term in terms:
-            pos = lowered.find(term)
-            if pos >= 0 and (best < 0 or pos < best):
-                best = pos
-        if best < 0:
-            return text[: 2 * radius].strip()
-        start = max(0, best - radius)
-        end = min(len(text), best + radius)
-        prefix = "..." if start > 0 else ""
-        suffix = "..." if end < len(text) else ""
-        return f"{prefix}{text[start:end].strip()}{suffix}"
 
     # ------------------------------------------------------------------
     # Structure search

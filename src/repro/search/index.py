@@ -646,9 +646,11 @@ class InvertedIndex:
         """doc -> :class:`DocValues` as of the last refresh (read-only)."""
         return self._doc_values
 
-    def cached_text(self, doc: Oid) -> str:
-        """The document text as of the last (re)index — snippet source."""
-        return self._doc_text.get(doc, "")
+    @property
+    def doc_texts(self) -> Mapping[Oid, str]:
+        """doc -> its text as of the last (re)index, the snippet source
+        (read-only)."""
+        return self._doc_text
 
     def all_docs(self) -> set[Oid]:
         """Every indexed document (the corpus, post-refresh)."""

@@ -178,30 +178,25 @@ class AccessController:
                 .where(col("doc") == doc).run())
         return [dict(r) for r in rows if r["active"]]
 
+    def _binding(self, doc: Oid, user: str) -> list[dict]:
+        """The document's active protections that ``user`` (or a role
+        they hold) is not exempt from."""
+        principals = self.principals.principals_of(user)
+        return [row for row in self.protections_for(doc)
+                if principals.isdisjoint(row["exempt"])]
+
     def protected_oids(self, doc: Oid, user: str) -> set[Oid]:
         """Character OIDs ``user`` may *not* edit in ``doc``.
 
         Read protection implies write protection.
         """
-        principals = self.principals.principals_of(user)
-        locked: set[Oid] = set()
-        for row in self.protections_for(doc):
-            if principals & set(row["exempt"]):
-                continue
-            locked.update(Oid.parse(s) for s in row["char_oids"])
-        return locked
+        return {Oid.parse(s) for row in self._binding(doc, user)
+                for s in row["char_oids"]}
 
     def hidden_oids(self, doc: Oid, user: str) -> set[Oid]:
         """Character OIDs ``user`` may not even *see* (mode="read")."""
-        principals = self.principals.principals_of(user)
-        hidden: set[Oid] = set()
-        for row in self.protections_for(doc):
-            if row["mode"] != "read":
-                continue
-            if principals & set(row["exempt"]):
-                continue
-            hidden.update(Oid.parse(s) for s in row["char_oids"])
-        return hidden
+        return {Oid.parse(s) for row in self._binding(doc, user)
+                if row["mode"] == "read" for s in row["char_oids"]}
 
     def redacted_text(self, handle: DocumentHandle, user: str,
                       mask: str = "\u2588") -> str:
@@ -222,12 +217,19 @@ class AccessController:
 
     def check_chars_editable(self, doc: Oid, user: str,
                              char_oids: Sequence[Oid]) -> None:
-        """Raise if any of ``char_oids`` is protected against ``user``."""
-        locked = self.protected_oids(doc, user)
+        """Raise if any of ``char_oids`` is protected against ``user``.
+
+        The few touched oids are matched, as the strings a protection
+        row stores, against each binding row: no row's oids are parsed.
+        """
+        texts = [str(oid) for oid in char_oids]
+        wanted = set(texts)
+        locked: set[str] = set()
+        for row in self._binding(doc, user):
+            locked.update(wanted.intersection(row["char_oids"]))
         if locked:
-            blocked = [oid for oid in char_oids if oid in locked]
-            if blocked:
-                raise AccessDenied(
-                    f"user {user!r} may not edit {len(blocked)} protected "
-                    f"character(s) in document {doc}"
-                )
+            blocked = sum(text in locked for text in texts)
+            raise AccessDenied(
+                f"user {user!r} may not edit {blocked} protected "
+                f"character(s) in document {doc}"
+            )

@@ -116,8 +116,8 @@ class TestSearchIndexEquivalence:
             assert fresh.postings(term) == postings, term
         assert fresh.doc_count() == index.doc_count()
         for handle in handles:
-            assert fresh.cached_text(handle.doc) == \
-                index.cached_text(handle.doc)
+            assert fresh.doc_texts.get(handle.doc) == \
+                index.doc_texts.get(handle.doc)
 
     @settings(max_examples=25, deadline=None)
     @given(events, st.text(alphabet="abcdef xyz", min_size=1, max_size=6))

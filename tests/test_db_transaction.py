@@ -1,12 +1,15 @@
 """Tests for transaction semantics: isolation, atomicity, locking."""
 
 import threading
+from contextlib import nullcontext
 
 import pytest
 
 from repro.db import Database, column
+from repro.db.transaction import Transaction
 from repro.errors import (
     LockTimeoutError,
+    ReadOnlyTransactionError,
     RowNotFoundError,
     TransactionStateError,
     UniqueViolation,
@@ -250,3 +253,76 @@ class TestSelectForUpdate:
         with pytest.raises(RowNotFoundError):
             txn.get_for_update("kv", 999)
         txn.abort()
+
+
+class CountingLocks:
+    """Stands in for ``db.locks`` and records every method called on
+    the lock manager behind it."""
+
+    def __init__(self, locks) -> None:
+        self._locks = locks
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._locks, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestSnapshot:
+    """A snapshot never takes a lock, so it never releases one either;
+    its only shared state is its pin, dropped however the block ends."""
+
+    @pytest.fixture
+    def counted(self, db, monkeypatch):
+        counting = CountingLocks(db.locks)
+        monkeypatch.setattr(db, "locks", counting)
+        return counting
+
+    def test_snapshot_makes_no_lock_manager_call(self, db, counted):
+        rid = db.insert("kv", {"k": "a", "v": 1})
+        counted.calls.clear()
+        with db.snapshot() as snap:
+            assert snap.get("kv", rid)["v"] == 1
+            assert [r["k"] for r in snap.query("kv").run()] == ["a"]
+            assert snap.find("kv", "k", "a")["v"] == 1
+        assert counted.calls == []
+        with pytest.raises(RuntimeError):
+            with db.snapshot() as snap:
+                snap.get("kv", rid)
+                raise RuntimeError("boom")
+        assert counted.calls == []
+
+    def test_snapshot_refuses_a_shared_lock(self, db, counted):
+        rid = db.insert("kv", {"k": "a", "v": 1})
+        counted.calls.clear()
+        with db.snapshot() as snap:
+            with pytest.raises(ReadOnlyTransactionError):
+                snap.lock_shared("kv", rid)
+        assert counted.calls == []
+
+    def test_read_only_transaction_without_a_snapshot_releases(self, db):
+        rid = db.insert("kv", {"k": "a", "v": 1})
+        txn = Transaction(db, 10_000, read_only=True)
+        txn.lock_shared("kv", rid)
+        assert db.locks.locks_held(txn.txn_id) == {("row", "kv", rid)}
+        txn.commit()
+        assert db.locks.locks_held(txn.txn_id) == set()
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_pin_is_released_however_the_block_ends(self, db, raises):
+        db.insert("kv", {"k": "a", "v": 1})
+        with pytest.raises(RuntimeError) if raises else nullcontext():
+            with db.snapshot() as snap:
+                pinned = snap.snapshot_lsn
+                db.insert("kv", {"k": "b", "v": 2})
+                assert db.gc_watermark() == pinned < db.visible_lsn()
+                if raises:
+                    raise RuntimeError("boom")
+        assert not snap.is_active
+        assert db.gc_watermark() == db.visible_lsn()

@@ -121,6 +121,16 @@ class TestContentSearch:
         (hit,) = [r for r in engine.search("databases")]
         assert "databases" in hit.snippet
 
+    def test_snippet_window_when_lowercasing_lengthens_the_text(
+            self, db, store):
+        """``'İ'`` lowers to two code points: the window is cut around
+        the term in the text itself, not at its offset in the lowered
+        text (40 such characters put it at ``'...rchive'``)."""
+        store.import_archived("dotted", "ana",
+                              text="İ" * 40 + " database archive")
+        (hit,) = SearchEngine(db).search("database")
+        assert hit.snippet == "..." + "İ" * 29 + " database archive"
+
     def test_live_index(self, db, store):
         engine = SearchEngine(db)
         h = store.create("d", "ana", text="start")

@@ -27,6 +27,7 @@ The nightly CI arm re-runs this file at a larger examples budget
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
 import os
@@ -124,7 +125,7 @@ def _reference_passes(profile, filters):
 
 
 def _reference_has_phrase(index, doc, phrase):
-    tokens = tokenize(index.cached_text(doc))
+    tokens = tokenize(index.doc_texts[doc])
     width = len(phrase)
     return any(tokens[i:i + width] == phrase
                for i in range(len(tokens) - width + 1))
@@ -199,12 +200,38 @@ def reference_search(engine, query, *, ranking, limit):
             for p in ordered[:limit]]
 
 
+def reference_snippet(text, terms, radius=30):
+    """The window the engine cut before results were built in one pass,
+    but cut at the match's own character: ``owner`` maps each code
+    point of ``text.lower()`` back to the character of ``text`` it came
+    from (``'İ'`` lowers to two)."""
+    if not text:
+        return ""
+    lowered = text.lower()
+    owner = [at for at, ch in enumerate(text) for _ in ch.lower()]
+    assert len(owner) == len(lowered)
+    found = [lowered.find(term) for term in terms]
+    found = [pos for pos in found if pos >= 0]
+    if not found:
+        return text[: 2 * radius].strip()
+    best = owner[min(found)]
+    start = max(0, best - radius)
+    end = min(len(text), best + radius)
+    prefix = "..." if start > 0 else ""
+    suffix = "..." if end < len(text) else ""
+    return f"{prefix}{text[start:end].strip()}{suffix}"
+
+
 def assert_same_as_reference(engine, query, ranking, limit):
     results = engine.search(query, ranking=ranking, limit=limit)
     want = reference_search(engine, query, ranking=ranking, limit=limit)
     assert [(r.doc, r.score, r.profile) for r in results] == want, \
         (query, ranking, limit)
     assert all(r.name == r.profile["name"] for r in results)
+    terms = parse_query(query).all_terms
+    assert [r.snippet for r in results] == [
+        reference_snippet(engine.index.doc_texts[r.doc], terms)
+        for r in results], (query, ranking, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +386,7 @@ def test_scan_search_matches_per_candidate_reference(ops, limit):
         for doc in archive.deleted:
             assert doc not in index.doc_values
             assert doc not in index.all_docs()
-            assert index.cached_text(doc) == ""
+            assert doc not in index.doc_texts
     finally:
         archive.close()
 
@@ -472,6 +499,32 @@ def test_doc_values_are_pinned_to_the_search_snapshot():
         assert index.dirty_count() == 1
     index.ensure_fresh()
     assert index.doc_values[doc].state == "final"
+    archive.close()
+
+
+def test_editing_a_returned_profile_reaches_neither_index_nor_rows():
+    """A result's profile and its ``props`` are the caller's own: edits
+    to them change neither the index's doc values nor what the next
+    search (or the table behind it) returns."""
+    archive = _small_archive()
+    archive.apply(("set_property", 0, "tier", 2, "ana"))
+    engine = archive.engine
+    index = engine.index
+    query = "alpha creator:ana"
+    first = engine.search(query, limit=50)
+    before = copy.deepcopy(dict(index.doc_values))
+    want = copy.deepcopy([(r.doc, r.score, r.profile, r.snippet)
+                          for r in first])
+    assert any(r.profile["props"] for r in first)
+    for r in first:
+        r.profile["props"]["tier"] = 99
+        r.profile["props"]["added"] = "x"
+        r.profile["state"] = "edited"
+        del r.profile["name"]
+    assert dict(index.doc_values) == before
+    again = engine.search(query, limit=50)
+    assert [(r.doc, r.score, r.profile, r.snippet) for r in again] == want
+    assert_same_as_reference(engine, query, "relevance", 50)
     archive.close()
 
 
@@ -790,7 +843,7 @@ def test_check_retokenizes_every_cached_text():
     index = archive.engine.index
     index.ensure_fresh()
     doc = archive.live[0]
-    assert index.cached_text(doc) == "alpha beta gamma"
+    assert index.doc_texts[doc] == "alpha beta gamma"
     assert index.check() == []
 
     def planted(fault) -> list[str]:

@@ -268,6 +268,6 @@ def test_scores_from_postings_equal_a_forward_map(ops, queries):
         index = programme.index
         assert index.check() == []
         for doc, text in programme.texts.items():
-            assert index.cached_text(doc) == text
+            assert index.doc_texts.get(doc, "") == text
     finally:
         programme.close()
