@@ -151,7 +151,8 @@ def test_durable_keystroke_throughput(benchmark, tmp_path):
             assert collab.db.wal.durable_lsn > 0
             stats = client.server_stats()
             benchmark.extra_info["durable_lsn"] = collab.db.wal.durable_lsn
-            benchmark.extra_info["net_ops"] = stats["net"]["ops"]
+            benchmark.extra_info["net_ops"] = \
+                stats["metrics"]["net.ops"]["value"]
         finally:
             client.close()
 

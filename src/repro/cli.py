@@ -14,20 +14,20 @@ code:
 * ``trace`` — run a traced two-editor scenario and inspect the causal
   keystroke→remote-visibility traces (ASCII tree, JSONL or Chrome
   trace-event output);
-* ``top`` — hottest metrics and slowest traces of a traced workload;
 * ``serve`` — run the out-of-process collaboration server on a TCP
   port (prints ``LISTENING <port>`` once bound, for scripts);
 * ``connect`` — connect to a running server, type into a named
   document and print what the replica sees;
-* ``dash`` — scrape STATS + HEALTH from a running server and render
-  a one-screen dashboard (health verdict + windowed trend table);
-* ``feed-status`` — changefeed consumer lag and drain behaviour over
-  a generated workload (``--json`` for the raw payload).
+* ``top HOST:PORT`` — scrape STATS + HEALTH from a running node (a
+  leader or a follower) and render one frame: health verdict, hot
+  paths, replication role and lag, changefeed consumer lag and the
+  windowed trend table (``--format json`` for the raw STATS payload,
+  ``prom`` for the Prometheus text).
 
-``top --watch``, ``connect --watch`` and ``dash --watch`` pace their
-refresh loops through :data:`WATCH_CLOCK` (a :class:`~repro.clock.Clock`)
-so tests can swap in a :class:`~repro.clock.SimulatedClock` and drive
-the loops deterministically.
+``top --watch`` and ``connect --watch`` pace their refresh loops
+through :data:`WATCH_CLOCK` (a :class:`~repro.clock.Clock`) so tests
+can swap in a :class:`~repro.clock.SimulatedClock` and drive the loops
+deterministically.
 """
 
 from __future__ import annotations
@@ -115,49 +115,30 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _parse_hostport(spec: str) -> tuple[str, int]:
-    """``HOST:PORT`` (or bare ``PORT``) -> (host, port)."""
-    host, sep, port = spec.rpartition(":")
-    if not sep:
-        host, port = "127.0.0.1", spec
+    """``HOST:PORT`` (or bare ``PORT``) -> (host, port), for argparse."""
+    host, __, port = spec.rpartition(":")
     try:
-        return host or "127.0.0.1", int(port)
+        number = int(port)
     except ValueError:
-        raise SystemExit(f"bad --remote address {spec!r}: want HOST:PORT")
+        number = 0
+    if not 1 <= number <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not HOST:PORT with a port in 1-65535")
+    return host or "127.0.0.1", number
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from .obs import prometheus_text, render_snapshot, render_trends
+    from .obs import prometheus_text, render_snapshot
     from .workload import build_knowledge_base
 
-    db = None
-    if args.remote is not None:
-        from .net import scrape
-
-        host, port = _parse_hostport(args.remote)
-        payload = scrape(host, port, kind="stats", token=args.token,
-                         fmt="prom" if args.format == "prom" else "json")
-    else:
-        db = build_knowledge_base(n_docs=args.docs, seed=args.seed).server.db
-        payload = db.metrics_snapshot()
-        if args.format == "prom":
-            payload = prometheus_text(payload)
+    db = build_knowledge_base(n_docs=args.docs, seed=args.seed).server.db
+    payload = db.metrics_snapshot()
     if args.format == "prom":
-        sys.stdout.write(payload)
+        sys.stdout.write(prometheus_text(payload))
     elif args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif db is None:
-        print(f"node          : {payload.get('node')}")
-        server_stats = payload.get("server", {})
-        for key in sorted(server_stats):
-            print(f"{key:<14}: {server_stats[key]}")
-        print("\nengine metrics:")
-        print(render_snapshot(payload.get("metrics", {})))
-        windows = (payload.get("telemetry") or {}).get("windows")
-        if windows:
-            print("\ntrends:")
-            print(render_trends(windows))
     else:
         print(f"node          : {db.node}")
         print(f"tables        : {len(db.tables())}")
@@ -174,16 +155,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_traced_workload(args: argparse.Namespace, server=None):
-    """Run the traced duet (with optional held delivery) for trace/top.
-
-    ``server`` re-runs the workload against an existing server so
-    ``top --watch`` accumulates history in one registry across
-    refreshes instead of starting from zero each frame.
-    """
+def _cmd_trace(args: argparse.Namespace) -> int:
+    import json
     import os
     import tempfile
 
+    from .obs import chrome_trace, render_trace, spans_to_jsonl
     from .workload import run_traced_duet
 
     faults = None
@@ -191,27 +168,14 @@ def _run_traced_workload(args: argparse.Namespace, server=None):
         from .faults import FaultInjector, FaultPlan
         faults = FaultInjector(FaultPlan.delivery_only(args.hold_seed))
     slow = args.slow_ms / 1000.0 if args.slow_ms is not None else None
-    if server is not None:
-        return run_traced_duet(text=args.text, faults=faults,
-                               slow_threshold=slow, server=server)
     # A real WAL file makes the fsync leg show up in every trace.
     fd, wal_path = tempfile.mkstemp(suffix=".wal")
     os.close(fd)
     try:
-        server, buffer = run_traced_duet(text=args.text, faults=faults,
-                                         slow_threshold=slow,
-                                         wal_path=wal_path)
+        __, buffer = run_traced_duet(text=args.text, faults=faults,
+                                     slow_threshold=slow, wal_path=wal_path)
     finally:
         os.unlink(wal_path)
-    return server, buffer
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs import chrome_trace, render_trace, spans_to_jsonl
-
-    server, buffer = _run_traced_workload(args)
     traces = buffer.traces()
     if args.slow_ms is not None:
         traces = buffer.slow_ops()
@@ -233,44 +197,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         print(out)
     return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs import TelemetryStore, render_top, render_trends
-
-    refreshes = max(1, args.watch)
-    server = None
-    telemetry = None
-    for round_no in range(refreshes):
-        server, buffer = _run_traced_workload(args, server=server)
-        if telemetry is None:
-            telemetry = TelemetryStore(server.db.obs.registry,
-                                       server.db.clock, interval=0.0)
-        telemetry.sample()
-        gc_watch = server.db.obs.gc
-        view = render_top(server.db.metrics_snapshot(), buffer.traces(),
-                          limit=args.limit,
-                          gc=gc_watch.summary() if gc_watch else None)
-        if refreshes > 1:
-            print(f"-- refresh {round_no + 1}/{refreshes} --")
-        print(view)
-        if refreshes > 1:
-            print("\ntrends:")
-            print(render_trends(telemetry.snapshot()["windows"],
-                                limit=args.limit))
-        if round_no + 1 < refreshes:
-            _watch_sleep(args.interval)
-    return 0
-
-
-def _add_traced_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--text", default="causal trace",
-                        help="characters the two editors alternate typing")
-    parser.add_argument("--hold-seed", type=int, default=None,
-                        help="run with a seeded held/reordered delivery "
-                             "fault plan")
-    parser.add_argument("--slow-ms", type=float, default=None,
-                        help="slow-op threshold in milliseconds")
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
@@ -328,7 +254,7 @@ def _serve_follower(args: argparse.Namespace) -> int:
     from .net.replica import ReplicaStatusServer, ReplicationClient
     from .repl import FollowerEngine
 
-    leader_host, leader_port = _parse_hostport(args.follow)
+    leader_host, leader_port = args.follow
     follower = FollowerEngine(args.wal, node=args.node)
     client = ReplicationClient(leader_host, leader_port, follower,
                                token=args.token)
@@ -502,94 +428,32 @@ def _cmd_connect(args: argparse.Namespace) -> int:
         client.close()
 
 
-def _cmd_repl_status(args: argparse.Namespace) -> int:
-    """Replication status of a running node (leader or follower)."""
+def _cmd_top(args: argparse.Namespace) -> int:
+    """One frame per refresh over a running node's STATS + HEALTH."""
     import json
 
+    from .errors import TendaxError
     from .net import scrape
+    from .obs import render_top
 
-    host, port = _parse_hostport(args.remote)
-    payload = scrape(host, port, kind="stats", series=False,
-                     token=args.token)
-    metrics = payload.get("metrics", {})
-
-    def metric(name: str, default=0):
-        return metrics.get(name, {}).get("value", default)
-
-    repl = payload.get("repl")
-    if repl is None:
-        # A leader (or a promoted follower already fronting editors):
-        # synthesise the view from its repl.* metrics.
-        repl = {
-            "node": payload.get("node"),
-            "role": "leader",
-            "durable_lsn": payload.get("wal", {}).get("durable_lsn"),
-            "segments_shipped": metric("repl.segments_shipped"),
-            "promotions": metric("repl.promotions"),
-        }
-    else:
-        repl = dict(repl)
-        repl["role"] = "promoted" if repl.get("promoted") else "follower"
-    if args.json:
-        print(json.dumps(repl, indent=2, sort_keys=True))
-        return 0
-    for key in sorted(repl):
-        print(f"{key:<16}: {repl[key]}")
-    return 0
-
-
-def _cmd_feed_status(args: argparse.Namespace) -> int:
-    """Changefeed freshness of a generated workload's derived data."""
-    import json
-
-    from .feed import MaintenanceWorker
-    from .folders import DynamicFolderManager, StateIs
-    from .search import SearchEngine
-    from .workload import build_knowledge_base
-
-    kb = build_knowledge_base(n_docs=args.docs, seed=args.seed)
-    db = kb.server.db
-    engine = SearchEngine(db)
-    folders = DynamicFolderManager(db)
-    folders.create_folder("finals", StateIs("final"))
-    # Edit after the consumers attach so the feed has work to absorb.
-    for handle in kb.handles[:3]:
-        handle.insert_text(0, "fresh edit ", kb.users[0])
-    worker = MaintenanceWorker(db)
-    worker.register("search-index", engine.index.ensure_fresh)
-    rounds = worker.drain()
-    status = db.changefeed().status()
-    status["drain_rounds"] = rounds
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    print(f"feed seq      : {status['seq']}")
-    print(f"feed lsn      : {status['lsn']}")
-    print(f"drain rounds  : {rounds}")
-    print(f"errors        : {status['errors']}")
-    print("consumers:")
-    for consumer in status["consumers"]:
-        tables = ",".join(consumer["tables"] or []) or "*"
-        mode = "deferred" if consumer["deferred"] else "sync"
-        print(f"  {consumer['name']:<22} {mode:<8} lag {consumer['lag']:>3}"
-              f"  acked {consumer['acked_seq']}/{status['seq']}"
-              f"  [{tables}]")
-    return 0
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from .net import scrape
-    from .obs import render_dash
-
+    host, port = args.address
     refreshes = max(1, args.watch)
     for round_no in range(refreshes):
-        stats = scrape(args.host, args.port, kind="stats",
-                       token=args.token)
-        health = scrape(args.host, args.port, kind="health",
-                        token=args.token)
+        try:
+            if args.format == "prom":
+                frame = scrape(host, port, fmt="prom", token=args.token)
+            elif args.format == "json":
+                frame = json.dumps(scrape(host, port, token=args.token),
+                                   indent=2, sort_keys=True) + "\n"
+            else:
+                stats = scrape(host, port, token=args.token)
+                health = scrape(host, port, kind="health", token=args.token)
+                frame = render_top(stats, health, limit=args.limit) + "\n"
+        except (OSError, TendaxError) as exc:
+            raise SystemExit(f"repro top: {host}:{port}: {exc}") from None
         if refreshes > 1:
             print(f"-- refresh {round_no + 1}/{refreshes} --")
-        print(render_dash(stats, health, limit=args.limit))
+        sys.stdout.write(frame)
         if round_no + 1 < refreshes:
             _watch_sleep(args.interval)
     return 0
@@ -625,20 +489,21 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="database statistics")
     stats.add_argument("--docs", type=int, default=24)
     stats.add_argument("--seed", type=int, default=2006)
-    stats.add_argument("--remote", default=None, metavar="HOST:PORT",
-                       help="scrape a running server instead of "
-                            "generating a local workload")
     stats.add_argument("--format", choices=("text", "json", "prom"),
                        default="text",
                        help="output format (json = the raw metrics "
                             "snapshot; prom = Prometheus text exposition)")
-    stats.add_argument("--token", default=None,
-                       help="shared secret for the remote scrape")
     stats.set_defaults(fn=_cmd_stats)
 
     trace = sub.add_parser(
         "trace", help="trace a two-editor session keystroke by keystroke")
-    _add_traced_options(trace)
+    trace.add_argument("--text", default="causal trace",
+                       help="characters the two editors alternate typing")
+    trace.add_argument("--hold-seed", type=int, default=None,
+                       help="run with a seeded held/reordered delivery "
+                            "fault plan")
+    trace.add_argument("--slow-ms", type=float, default=None,
+                       help="slow-op threshold in milliseconds")
     trace.add_argument("--format", choices=("tree", "jsonl", "chrome"),
                        default="tree")
     trace.add_argument("--trace", type=int, default=None,
@@ -646,18 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default=None,
                        help="write output to a file instead of stdout")
     trace.set_defaults(fn=_cmd_trace)
-
-    top = sub.add_parser(
-        "top", help="hottest metrics + slowest traces of a traced workload")
-    _add_traced_options(top)
-    top.add_argument("--watch", type=int, default=1,
-                     help="re-run and re-render this many times")
-    top.add_argument("--interval", type=float, default=1.0,
-                     help="seconds between refreshes (paced on the "
-                          "watch clock)")
-    top.add_argument("--limit", type=int, default=8,
-                     help="rows per section")
-    top.set_defaults(fn=_cmd_top)
 
     dump = sub.add_parser(
         "dump", help="export a generated corpus as .tendax.json files")
@@ -690,28 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between telemetry samples "
                             "(0 disables the sampler)")
     serve.add_argument("--follow", default=None, metavar="HOST:PORT",
+                       type=_parse_hostport,
                        help="tail this leader's WAL as a read replica; "
                             "when the leader dies, promote in place and "
                             "serve writes on the same port")
     serve.set_defaults(fn=_cmd_serve)
-
-    repl_status = sub.add_parser(
-        "repl-status", help="replication role and lag of a running node")
-    repl_status.add_argument("remote", metavar="HOST:PORT",
-                             help="leader or follower scrape endpoint")
-    repl_status.add_argument("--token", default=None)
-    repl_status.add_argument("--json", action="store_true",
-                             help="emit the raw status dict as JSON")
-    repl_status.set_defaults(fn=_cmd_repl_status)
-
-    feed_status = sub.add_parser(
-        "feed-status",
-        help="changefeed consumer lag / staleness of a generated workload")
-    feed_status.add_argument("--docs", type=int, default=24)
-    feed_status.add_argument("--seed", type=int, default=2006)
-    feed_status.add_argument("--json", action="store_true",
-                             help="emit the raw status payload as JSON")
-    feed_status.set_defaults(fn=_cmd_feed_status)
 
     connect = sub.add_parser(
         "connect", help="connect to a running server and edit a document")
@@ -727,19 +563,25 @@ def build_parser() -> argparse.ArgumentParser:
                          help="poll for remote changes this many seconds")
     connect.set_defaults(fn=_cmd_connect)
 
-    dash = sub.add_parser(
-        "dash", help="live dashboard scraped from a running server")
-    dash.add_argument("--host", default="127.0.0.1")
-    dash.add_argument("--port", type=int, required=True)
-    dash.add_argument("--token", default=None)
-    dash.add_argument("--watch", type=int, default=1,
-                      help="scrape and re-render this many times")
-    dash.add_argument("--interval", type=float, default=2.0,
-                      help="seconds between refreshes (paced on the "
-                           "watch clock)")
-    dash.add_argument("--limit", type=int, default=12,
-                      help="trend rows to show")
-    dash.set_defaults(fn=_cmd_dash)
+    top = sub.add_parser(
+        "top", help="health, hot paths, replication and changefeed lag "
+                    "of a running node")
+    top.add_argument("address", metavar="HOST:PORT", type=_parse_hostport,
+                     help="a leader's or a follower's port")
+    top.add_argument("--token", default=None,
+                     help="the node's shared secret")
+    top.add_argument("--watch", type=int, default=1,
+                     help="scrape and re-render this many times")
+    top.add_argument("--interval", type=float, default=2.0,
+                     help="seconds between refreshes (paced on the "
+                          "watch clock)")
+    top.add_argument("--limit", type=int, default=8,
+                     help="rows per section")
+    top.add_argument("--format", choices=("text", "json", "prom"),
+                     default="text",
+                     help="output format (json = the raw STATS payload; "
+                          "prom = Prometheus text exposition)")
+    top.set_defaults(fn=_cmd_top)
     return parser
 
 

@@ -156,20 +156,6 @@ class CollaborationServer:
         self._subscription = self.db.changefeed().subscribe(
             "collab-fanout", self._on_commit, tables=WATCHED_TABLES)
 
-    @property
-    def stats(self) -> dict:
-        """Operation/notification counts, read from the obs registry.
-
-        Historically a plain dict mutated with ``+=`` — which silently
-        lost updates when sessions operated from multiple threads.  The
-        counters now live in the (thread-safe) metrics registry; this
-        property keeps the old read shape.
-        """
-        return {
-            "notifications": self._m_notifications.value,
-            "operations": self._m_op_seconds.count,
-        }
-
     def statistics(self) -> dict:
         """A live snapshot of the whole server's state (monitoring)."""
         return {
@@ -178,8 +164,8 @@ class CollaborationServer:
             if self.db.has_table(S.DOCUMENTS) else 0,
             "characters": self.db.table(S.CHARS).row_count()
             if self.db.has_table(S.CHARS) else 0,
-            "operations": self.stats["operations"],
-            "notifications": self.stats["notifications"],
+            "operations": self._m_op_seconds.count,
+            "notifications": self._m_notifications.value,
             "db_commits": self.db.stats["commits"],
             "db_aborts": self.db.stats["aborts"],
             "wal_records": self.db.wal.last_lsn(),

@@ -192,7 +192,9 @@ class Changefeed:
             return max((s.lag for s in self._subs), default=0)
 
     def status(self) -> dict:
-        """JSON-friendly summary (the ``repro feed-status`` payload)."""
+        """JSON-friendly summary of the feed head and every consumer's
+        cursors (a running node publishes the lags as ``feed.lag``
+        gauges, which ``repro top`` lists)."""
         with self._lock:
             return {
                 "seq": self._last_seq,

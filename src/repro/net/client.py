@@ -84,11 +84,11 @@ def scrape(host: str, port: int, *, kind: str = "stats",
            token: str | None = None, timeout: float = 5.0):
     """One-shot STATS/HEALTH scrape — no HELLO, no editor session.
 
-    The monitoring path ``repro stats --remote`` and ``repro dash`` ride
-    on: opens a TCP connection, sends a single :class:`Stats` (``kind=
-    "stats"``, honouring ``fmt``/``series``) or :class:`Health` request
-    as the first frame, and returns the reply payload — the structured
-    stats dict, the Prometheus text, or the health-verdict dict.
+    The monitoring path ``repro top HOST:PORT`` rides on: opens a TCP
+    connection, sends a single :class:`Stats` (``kind="stats"``,
+    honouring ``fmt``/``series``) or :class:`Health` request as the
+    first frame, and returns the reply payload — the structured stats
+    dict, the Prometheus text, or the health-verdict dict.
     """
     if kind == "stats":
         request = Stats(format=fmt, series=series, token=token)

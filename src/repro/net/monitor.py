@@ -39,7 +39,7 @@ class ScrapeLane:
     """STATS/HEALTH over one database's registry.
 
     ``extras`` returns the node's own payload entries (a leader's server,
-    net, WAL and collector stats; a follower's replication status);
+    WAL and collector stats; a follower's replication status);
     ``context`` is handed to :func:`~repro.obs.health.evaluate_health`.
     ``interval`` is the sampler's cadence in seconds (0: the rings are
     sampled only when someone calls ``telemetry.sample()``).
@@ -54,7 +54,7 @@ class ScrapeLane:
         self._extras = extras
         self._context = context
         registry = db.obs.registry
-        #: The live telemetry rings behind STATS/HEALTH and repro dash,
+        #: The live telemetry rings behind STATS/HEALTH and repro top,
         #: sampled on the database clock by the sampler task.
         self.telemetry = TelemetryStore(registry, db.clock,
                                         interval=max(interval, 0.05))

@@ -165,7 +165,6 @@ class CollabNetServer:
         self._m_backpressure = registry.counter("net.backpressure_closes")
         self._m_resyncs = registry.counter("net.resyncs")
         self._m_missing_base = registry.counter("net.missing_base_rows")
-        self._m_scrapes = registry.counter("net.scrapes")
         self._m_segments = registry.counter("repl.segments_shipped")
         self._m_replication = registry.histogram(
             "collab.replication_seconds")
@@ -230,24 +229,11 @@ class CollabNetServer:
             await self._server.serve_forever()
 
     def _payload_extras(self) -> dict:
-        """What a leader's STATS payload (and the ``stats`` verb) adds
-        to the scrape lane's: collab, wire-level (names match the metric
-        catalogue), WAL and collector stats."""
+        """What a leader's STATS payload adds to the scrape lane's:
+        collab, WAL and collector stats (wire-level counts are the
+        ``net.*`` entries of its ``metrics``)."""
         db = self.collab.db
-        net = {
-            "connections": self._m_connections.value,
-            "connects": self._m_connects.value,
-            "frames_in": self._m_frames_in.value,
-            "frames_out": self._m_frames_out.value,
-            "ops": self._m_ops.value,
-            "notifies": self._m_notifies.value,
-            "protocol_errors": self._m_protocol_errors.value,
-            "backpressure_closes": self._m_backpressure.value,
-            "resyncs": self._m_resyncs.value,
-            "missing_base_rows": self._m_missing_base.value,
-            "scrapes": self._m_scrapes.value,
-        }
-        extras = {"server": self.collab.statistics(), "net": net,
+        extras = {"server": self.collab.statistics(),
                   "wal": {"durable_lsn": db.wal.durable_lsn,
                           "last_lsn": db.wal.last_lsn()}}
         if db.obs.gc is not None:
@@ -662,7 +648,7 @@ class CollabNetServer:
             batch.__exit__(type(exc), exc, None)
 
     def _verb_stats(self, conn: _Connection) -> dict:
-        return self._payload_extras()
+        return self.scrape.stats_payload(series=False)
 
     def _verb_health(self, conn: _Connection) -> dict:
         return self.scrape.health_payload()

@@ -11,8 +11,9 @@ into:
   explicit cross-session trace contexts) and a no-op fast path when
   nobody listens;
 * :mod:`repro.obs.export` — bounded trace buffer, JSONL / Chrome
-  trace-event export, slow-op log, and the ``repro trace`` /
-  ``repro top`` renderings;
+  trace-event export, slow-op log, and the ``repro trace`` rendering;
+* :mod:`repro.obs.render` — the ``repro stats`` table and the
+  ``repro top`` frame over one node's STATS/HEALTH scrape;
 * :mod:`repro.obs.runtime` — the interpreter's own cost: cyclic-GC
   pauses and collection counts from one ``gc.callbacks`` hook;
 * :mod:`repro.obs.catalogue` — the closed set of metric names, the
@@ -62,7 +63,6 @@ from .export import (
     TraceBuffer,
     chrome_trace,
     prometheus_text,
-    render_top,
     render_trace,
     span_to_dict,
     spans_to_jsonl,
@@ -75,9 +75,9 @@ from .health import (
 )
 from .render import (
     describe,
-    render_dash,
     render_health,
     render_snapshot,
+    render_top,
     render_trends,
 )
 from .runtime import GcWatch, render_gc
@@ -130,7 +130,6 @@ __all__ = [
     "merge_snapshots",
     "missing_required",
     "prometheus_text",
-    "render_dash",
     "render_gc",
     "render_health",
     "render_snapshot",

@@ -1,4 +1,4 @@
-"""Trace collection and export: buffer, JSONL, Chrome trace-event, top.
+"""Trace collection and export: buffer, JSONL, Chrome trace-event.
 
 The tracer (:mod:`repro.obs.tracing`) fans finished spans to sinks; this
 module is the sink that turns them into something a human or a tool can
@@ -15,9 +15,7 @@ look at:
   so a keystroke's editor-op → txn → fsync → dispatch → remote-apply
   cascade reads left to right);
 * :func:`render_trace` — one trace as an ASCII span tree
-  (``repro trace``);
-* :func:`render_top` — hottest metrics + slowest recent traces
-  (``repro top``).
+  (``repro trace``).
 
 Everything here consumes *finished* spans only and never touches the
 hot paths: with no sink registered the tracer short-circuits to
@@ -33,7 +31,6 @@ from typing import Iterable, Mapping
 
 from .metrics import NULL_REGISTRY
 from .render import _fmt_seconds
-from .runtime import render_gc
 from .tracing import Span
 
 
@@ -351,68 +348,6 @@ def _is_last_sibling(tree: list[tuple[Span, int]], index: int) -> bool:
         if d == depth:
             return False
     return True
-
-
-def render_top(snapshot: Mapping[str, dict],
-               traces: list[Trace] | None = None,
-               *, limit: int = 8, gc: Mapping | None = None) -> str:
-    """The ``repro top`` view: hottest metrics + slowest recent traces.
-
-    ``gc`` is a :meth:`~repro.obs.runtime.GcWatch.summary`: the
-    collector's share of wall time and its longest pause get a row of
-    their own, because no hot path below contains them.
-
-    Histograms rank by total recorded time (``sum``) — where the engine
-    actually spends it — counters/gauges by value.  Count-shaped
-    histograms (``txn.ops``, ``wal.group_commit_size``) sort below the
-    ``*_seconds`` ones: their sums are incommensurable with time.
-    """
-    lines: list[str] = []
-    hists = [(name, m) for name, m in snapshot.items()
-             if m.get("type") == "histogram" and m.get("count")]
-    hists.sort(key=lambda kv: (kv[0].endswith("_seconds"),
-                               kv[1].get("sum", 0.0)), reverse=True)
-    lines.append("hot paths (by total recorded time)")
-    if not hists:
-        lines.append("  (no histogram samples recorded)")
-    for name, m in hists[:limit]:
-        fmt = _fmt_seconds if name.endswith("_seconds") \
-            else lambda v: f"{v:,.1f}"
-        lines.append(
-            f"  {name:<28} n={m.get('count', 0):<7} "
-            f"sum={fmt(m.get('sum', 0.0)):>9} "
-            f"p50={fmt(m.get('p50')) if m.get('p50') is not None else '-':>9} "
-            f"p95={fmt(m.get('p95')) if m.get('p95') is not None else '-':>9}")
-    counters = [(name, m) for name, m in snapshot.items()
-                if m.get("type") in ("counter", "gauge") and m.get("value")]
-    counters.sort(key=lambda kv: kv[1]["value"], reverse=True)
-    lines.append("")
-    lines.append("busiest counters")
-    if not counters:
-        lines.append("  (no counts recorded)")
-    for name, m in counters[:limit]:
-        lines.append(f"  {name:<28} {m['value']:,.0f}".rstrip())
-    if gc is not None:
-        lines.append("")
-        lines.append(render_gc(gc))
-    if traces is not None:
-        lines.append("")
-        lines.append("slowest recent traces (keystroke → remote visibility)")
-        slowest = sorted(traces, key=lambda t: t.duration,
-                         reverse=True)[:limit]
-        if not slowest:
-            lines.append("  (no traces recorded)")
-        for trace in slowest:
-            root = trace.root
-            label = root.name if root else "?"
-            detail = " ".join(f"{k}={_plain(v)}" for k, v in
-                              sorted(root.attrs.items())) if root else ""
-            lines.append(
-                f"  trace {trace.trace_id:<6} "
-                f"{_fmt_seconds(trace.duration):>9}  "
-                f"{len(trace):>2} spans  {label}"
-                + (f"  {detail}" if detail else ""))
-    return "\n".join(lines)
 
 
 def _prom_escape(value: str) -> str:

@@ -4,7 +4,7 @@
 the windowed rates of a :class:`~repro.obs.timeseries.TelemetryStore`)
 into a single ``ok`` / ``degraded`` / ``unhealthy`` verdict with
 per-check detail — the payload behind the ``HEALTH`` wire verb and the
-``repro dash`` status line.
+``repro top`` status line.
 
 Checks prefer *windowed* rates over cumulative counters so the verdict
 recovers once a fault clears: a burst of dropped frames degrades the

@@ -1,10 +1,12 @@
-"""Human-readable rendering of metrics snapshots (``repro stats``)."""
+"""Human-readable rendering of metrics snapshots (``repro stats``) and
+of one node's scrape (``repro top``)."""
 
 from __future__ import annotations
 
 from typing import Mapping
 
 from .catalogue import METRIC_CATALOGUE
+from .labels import split_labelled
 from .runtime import render_gc
 
 
@@ -28,6 +30,11 @@ def _fmt_value(value: float | None) -> str:
     return f"{int(value):,}"
 
 
+def _timed(name: str) -> bool:
+    """Does the (possibly labelled) metric ``name`` record seconds?"""
+    return split_labelled(name)[0].endswith("_seconds")
+
+
 def render_snapshot(snapshot: Mapping[str, dict]) -> str:
     """Render a registry snapshot as an aligned, prefix-grouped table.
 
@@ -43,7 +50,7 @@ def render_snapshot(snapshot: Mapping[str, dict]) -> str:
         if kind in ("counter", "gauge"):
             rows.append((name, _fmt_value(entry.get("value"))))
         elif kind == "histogram":
-            fmt = _fmt_seconds if name.endswith("_seconds") else _fmt_value
+            fmt = _fmt_seconds if _timed(name) else _fmt_value
             rows.append((
                 name,
                 f"n={entry.get('count', 0)}  "
@@ -68,8 +75,6 @@ def render_snapshot(snapshot: Mapping[str, dict]) -> str:
 
 def describe(name: str) -> str:
     """One-line description of a catalogued metric name."""
-    from .labels import split_labelled
-
     base, __ = split_labelled(name)
     kind, text = METRIC_CATALOGUE.get(base, ("?", "(uncatalogued)"))
     return f"{name} ({kind}): {text}"
@@ -122,30 +127,90 @@ def render_trends(windows: Mapping[str, Mapping], *,
     lines = [head]
     for name in names:
         aggs = windows[name]
-        fmt = _fmt_seconds if "_seconds" in name else _fmt_value
+        fmt = _fmt_seconds if _timed(name) else _fmt_value
         row = "  " + name.ljust(width) + "".join(
             f"  {cell(aggs.get(label), fmt):>22}" for label in labels)
         lines.append(row)
     return "\n".join(lines)
 
 
-def render_dash(stats: Mapping, health: Mapping | None = None, *,
-                limit: int = 12) -> str:
-    """The ``repro dash`` frame: health verdict + windowed trend table."""
-    lines = []
-    node = stats.get("node")
-    at = stats.get("at")
-    header = "== repro dash =="
-    if node is not None:
-        header += f"  node={node}"
-    if at is not None:
-        header += f"  at={at:.3f}"
-    lines.append(header)
+def render_top(stats: Mapping, health: Mapping | None = None, *,
+               limit: int = 8) -> str:
+    """The ``repro top`` frame over one node's STATS (and HEALTH) reply.
+
+    The node's health verdict and ``gc:`` row, then its hot paths:
+    histograms rank by total recorded time (``sum``) — where the engine
+    actually spends it — counters/gauges by value.  Count-shaped
+    histograms (``txn.ops``, ``wal.group_commit_size``) sort below the
+    ``*_seconds`` ones: their sums are incommensurable with time.  Then
+    the replication role (a follower's ``repl`` status, else the
+    leader's from its metrics), each changefeed consumer's lag and the
+    windowed trend table.
+    """
+    metrics = stats.get("metrics") or {}
+    header = "== repro top =="
+    if stats.get("node") is not None:
+        header += f"  node={stats['node']}"
+    if stats.get("at") is not None:
+        header += f"  at={stats['at']:.3f}"
+    lines = [header]
     if health is not None:
         lines.append(render_health(health))
     if stats.get("gc") is not None:
         lines.append(render_gc(stats["gc"]))
+
+    hists = [(name, m) for name, m in metrics.items()
+             if m.get("type") == "histogram" and m.get("count")]
+    hists.sort(key=lambda kv: (_timed(kv[0]), kv[1].get("sum", 0.0)),
+               reverse=True)
+    lines += ["", "hot paths (by total recorded time)"]
+    if not hists:
+        lines.append("  (no histogram samples recorded)")
+    for name, m in hists[:limit]:
+        fmt = _fmt_seconds if _timed(name) else lambda v: f"{v:,.1f}"
+        lines.append(
+            f"  {name:<28} n={m.get('count', 0):<7} "
+            f"sum={fmt(m.get('sum', 0.0)):>9} "
+            f"p50={fmt(m.get('p50')) if m.get('p50') is not None else '-':>9} "
+            f"p95={fmt(m.get('p95')) if m.get('p95') is not None else '-':>9}")
+    counters = [(name, m) for name, m in metrics.items()
+                if m.get("type") in ("counter", "gauge") and m.get("value")]
+    counters.sort(key=lambda kv: kv[1]["value"], reverse=True)
+    lines += ["", "busiest counters"]
+    if not counters:
+        lines.append("  (no counts recorded)")
+    for name, m in counters[:limit]:
+        lines.append(f"  {name:<28} {m['value']:,.0f}".rstrip())
+
+    repl = stats.get("repl")
+    if repl is None:
+        # A leader (or a promoted follower fronting editors): its role
+        # comes from its repl.* metrics.
+        repl = {"role": "leader",
+                "durable_lsn": (stats.get("wal") or {}).get("durable_lsn"),
+                "segments_shipped": metrics.get(
+                    "repl.segments_shipped", {}).get("value", 0),
+                "promotions": metrics.get(
+                    "repl.promotions", {}).get("value", 0)}
+    else:
+        repl = dict(repl, role="promoted" if repl.get("promoted")
+                    else "follower")
+    lines += ["", "replication"]
+    lines += [f"  {key:<18} {repl[key]}" for key in sorted(repl)
+              if key != "node"]
+
+    lines += ["", "changefeed consumers (lag in batches)"]
+    consumers = []
+    for name, m in metrics.items():
+        base, labels = split_labelled(name)
+        if base == "feed.lag" and labels:
+            consumers.append((labels.get("consumer", "?"), m.get("value", 0)))
+    if not consumers:
+        lines.append("  (no changefeed consumers)")
+    for consumer, lag in sorted(consumers):
+        lines.append(f"  {consumer:<28} {lag:,.0f}")
+
     telemetry = stats.get("telemetry") or {}
-    lines.append("")
+    lines += ["", "trends"]
     lines.append(render_trends(telemetry.get("windows", {}), limit=limit))
     return "\n".join(lines)

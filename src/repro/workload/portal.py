@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from ..db import Database
+from ..db import Database, col
 from ..errors import UnknownDocumentError
 from ..feed import MaintenanceWorker
 from ..folders import DynamicFolderManager, HasProperty, StateIs
@@ -135,11 +135,14 @@ def build_portal(spec: PortalSpec | None = None) -> Portal:
 
 
 def upload_version(portal: Portal, doc: Oid, text: str, user: str) -> int:
-    """Re-upload an archived document: new blob + a VERSIONS row.
+    """Re-upload a document as an archived one: new blob + a VERSIONS row.
 
     One transaction updates the archived text (which re-dirties the
     index through the feed) and appends the denormalised version
-    snapshot; returns the document's new upload count.
+    snapshot; returns the document's new upload count.  An upload to a
+    chain-backed (live-tail) document archives it: the row drops its
+    chain ends and the chain's rows are deleted, so every reader takes
+    the uploaded text (and no old author) from the props.
     """
     db = portal.db
     now = db.now()
@@ -155,7 +158,11 @@ def upload_version(portal: Portal, doc: Oid, text: str, user: str) -> int:
         txn.update(S.DOCUMENTS, row.rowid, {
             "props": props, "size": len(text),
             "last_modified": now, "last_modified_by": user,
+            "begin_char": None, "end_char": None,
         })
+        if row["begin_char"] is not None:
+            for char in txn.query(S.CHARS).where(col("doc") == doc).run():
+                txn.delete(S.CHARS, char.rowid)
         txn.insert(S.VERSIONS, {
             "version": db.new_oid("ver"), "doc": doc,
             "name": f"upload-{count}", "author": user, "created_at": now,

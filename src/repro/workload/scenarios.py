@@ -121,7 +121,6 @@ def run_traced_duet(
     slow_threshold: float | None = None,
     max_traces: int = 1024,
     wal_path: str | None = None,
-    server: CollaborationServer | None = None,
 ):
     """Two editors alternating keystrokes on one document, fully traced.
 
@@ -138,8 +137,7 @@ def run_traced_duet(
     """
     from ..obs.export import TraceBuffer
 
-    server = server or CollaborationServer(faults=faults,
-                                           wal_path=wal_path)
+    server = CollaborationServer(faults=faults, wal_path=wal_path)
     buffer = TraceBuffer(max_traces=max_traces,
                          slow_threshold=slow_threshold,
                          registry=server.db.obs.registry)

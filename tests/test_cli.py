@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
+import re
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,22 +31,6 @@ class TestCli:
         assert "# Data lineage (Fig. 1)" in out
         assert "# Document space (Fig. 2)" in out
 
-    def test_feed_status(self):
-        code, out = run_cli("feed-status", "--docs", "8", "--seed", "1")
-        assert code == 0
-        assert "feed seq" in out
-        assert "search-index" in out
-        assert "lag   0" in out
-
-    def test_feed_status_json(self):
-        import json
-        code, out = run_cli("feed-status", "--docs", "8", "--seed", "1",
-                            "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["seq"] > 0
-        assert all(c["lag"] == 0 for c in payload["consumers"])
-
     def test_search(self):
         code, out = run_cli("search", "database", "--docs", "8",
                             "--seed", "1", "--limit", "2")
@@ -67,6 +54,9 @@ class TestCli:
         assert code == 0
         assert "tx_documents" in out
         assert "total rows" in out
+        # A labelled latency histogram still reads as a latency.
+        assert re.search(r"collab\.op_seconds\{verb=\w+\} +n=\d+ +"
+                         r"p50=[\d.]+(ns|us|ms|s) ", out)
 
     def test_stats_json_round_trips_metrics_snapshot(self):
         import json
@@ -155,38 +145,6 @@ def watch_clock(monkeypatch):
     return clock
 
 
-class TestTopCommand:
-    def test_one_shot(self):
-        code, out = run_cli("top", "--text", "hello")
-        assert code == 0
-        assert "hot paths" in out
-        assert "slowest recent traces" in out
-        assert "collab.replication_seconds" in out
-
-    def test_watch_renders_each_refresh(self, watch_clock):
-        code, out = run_cli("top", "--text", "ab", "--watch", "2")
-        assert code == 0
-        assert out.count("-- refresh") == 2
-
-    def test_watch_pacing_rides_the_watch_clock(self, watch_clock):
-        start = watch_clock.peek()
-        code, out = run_cli("top", "--text", "ab", "--watch", "3",
-                            "--interval", "30")
-        assert code == 0
-        # Two sleeps of 30 simulated seconds, zero real ones.
-        assert watch_clock.peek() >= start + 60.0
-
-    def test_watch_shows_trend_table(self, watch_clock):
-        code, out = run_cli("top", "--text", "ab", "--watch", "2",
-                            "--interval", "0")
-        assert code == 0
-        assert "trends:" in out
-        assert "10s" in out and "5m" in out
-        # The second refresh reuses the same server, so labelled series
-        # from the first round are still in the registry.
-        assert "collab.op_seconds{verb=InsertText}" in out
-
-
 class TestRemoteCommands:
     @pytest.fixture
     def server(self):
@@ -213,45 +171,6 @@ class TestRemoteCommands:
         finally:
             client.close()
 
-    def test_stats_remote_text(self, busy_server):
-        code, out = run_cli("stats", "--remote",
-                            f"127.0.0.1:{busy_server.port}")
-        assert code == 0
-        assert "engine metrics" in out
-        assert "trends:" in out
-        assert "net.ops" in out
-
-    def test_stats_remote_json(self, busy_server):
-        import json
-
-        code, out = run_cli("stats", "--remote",
-                            f"127.0.0.1:{busy_server.port}",
-                            "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["metrics"]["net.ops"]["value"] >= 5
-        assert payload["telemetry"]["series"]
-
-    def test_stats_remote_prom(self, busy_server):
-        code, out = run_cli("stats", "--remote",
-                            f"127.0.0.1:{busy_server.port}",
-                            "--format", "prom")
-        assert code == 0
-        assert "# TYPE tendax_net_ops counter" in out
-
-    def test_stats_remote_bad_address(self):
-        with pytest.raises(SystemExit):
-            run_cli("stats", "--remote", "nonsense")
-
-    def test_dash_renders_health_and_trends(self, busy_server,
-                                            watch_clock):
-        code, out = run_cli("dash", "--port", str(busy_server.port),
-                            "--watch", "2", "--interval", "60")
-        assert code == 0
-        assert out.count("== repro dash ==") == 2
-        assert "health: OK" in out
-        assert "-- refresh 2/2 --" in out
-
     def test_connect_watch_terminates_on_the_clock(self, busy_server,
                                                    watch_clock):
         # watch=1.0 simulated seconds tick away in a handful of polls;
@@ -261,6 +180,156 @@ class TestRemoteCommands:
                             "--watch", "1.0")
         assert code == 0
         assert "document     : cli" in out
+
+
+@contextlib.contextmanager
+def follower_endpoint(follower):
+    """A follower's STATS/HEALTH endpoint on a background event loop:
+    the scrape side of ``repro serve --follow``."""
+    import asyncio
+    import threading
+
+    from repro.net import ReplicaStatusServer
+
+    loop = asyncio.new_event_loop()
+    status = ReplicaStatusServer(follower, telemetry_interval=0.0)
+    loop.run_until_complete(status.start())
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        yield status.port
+    finally:
+        asyncio.run_coroutine_threadsafe(status.stop(), loop).result(10.0)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10.0)
+        loop.close()
+
+
+class TestTopCommand:
+    """``repro top HOST:PORT`` over a live leader and its follower."""
+
+    @pytest.fixture
+    def cluster(self, tmp_path):
+        from repro.collab import CollaborationServer
+        from repro.net import NetworkClient, ReplicationClient, ServerThread
+        from repro.repl import FollowerEngine
+
+        collab = CollaborationServer(wal_path=str(tmp_path / "leader.wal"))
+        collab.register_user("typist")
+        with ServerThread(collab, telemetry_interval=0.0) as leader:
+            client = NetworkClient("127.0.0.1", leader.port, "typist")
+            session = client.session()
+            doc = session.create_document("top").doc
+            for char in "hello":
+                session.insert(doc, 0, char)
+            follower = FollowerEngine(node="replica")
+            stream = ReplicationClient("127.0.0.1", leader.port, follower)
+            while follower.applied_lsn < collab.db.wal.durable_lsn:
+                stream.step()
+            leader.server.telemetry.sample()
+            try:
+                with follower_endpoint(follower) as follower_port:
+                    yield SimpleNamespace(
+                        collab=collab, leader=f"127.0.0.1:{leader.port}",
+                        follower=follower,
+                        replica=f"127.0.0.1:{follower_port}",
+                        session=session, doc=doc)
+            finally:
+                client.close()
+                follower.close()
+
+    def test_leader_frame(self, cluster):
+        code, out = run_cli("top", cluster.leader)
+        assert code == 0
+        assert "== repro top ==  node=tendax" in out
+        assert "health: OK" in out
+        assert "hot paths" in out
+        assert "net.op_seconds" in out
+        assert re.search(r"role\s+leader", out)
+        assert re.search(r"segments_shipped\s+[1-9]", out)
+        assert re.search(r"collab-fanout\s+0$", out, re.M)
+        assert re.search(r"^  metric .*10s .*1m .*5m$", out, re.M)
+
+    def test_follower_frame(self, cluster):
+        code, out = run_cli("top", cluster.replica)
+        assert code == 0
+        assert "node=replica" in out
+        assert re.search(r"role\s+follower", out)
+        assert re.search(r"lag_lsn\s+0$", out, re.M)
+        assert re.search(r"\[ \] repl.lag", out)
+
+    def test_follower_stall_shows_in_its_frame(self, cluster):
+        follower = cluster.follower
+        follower.note_leader_lsn(follower.applied_lsn + 20_000)
+        code, out = run_cli("top", cluster.replica)
+        assert code == 0
+        assert "health: DEGRADED" in out
+        assert re.search(r"\[!\] repl.lag .*apply lag 20000 LSNs", out)
+        assert re.search(r"lag_lsn\s+20000$", out, re.M)
+
+    def test_consumer_stall_shows_in_the_leader_frame(self, cluster):
+        cluster.collab.db.changefeed().subscribe(
+            "stalled", lambda batch: None, deferred=True)
+        for __ in range(70):
+            cluster.session.insert(cluster.doc, 0, "x")
+        code, out = run_cli("top", cluster.leader)
+        assert code == 0
+        assert re.search(r"\[!\] feed.lag .*consumer .*stalled", out)
+        lag = int(re.search(r"^  stalled\s+(\d+)$", out, re.M).group(1))
+        assert lag >= 70
+        assert re.search(r"collab-fanout\s+0$", out, re.M)
+
+    def test_watch_rides_the_watch_clock(self, cluster, watch_clock):
+        start = watch_clock.peek()
+        code, out = run_cli("top", cluster.leader, "--watch", "2",
+                            "--interval", "30")
+        assert code == 0
+        assert out.count("== repro top ==") == 2
+        assert "-- refresh 2/2 --" in out
+        # One sleep of 30 simulated seconds, zero real ones.
+        assert watch_clock.peek() >= start + 30.0
+
+    def test_json_is_the_raw_stats_payload(self, cluster):
+        import json
+
+        code, out = run_cli("top", cluster.leader, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metrics"]["net.ops"]["value"] >= 5
+        assert payload["telemetry"]["series"]
+        code, out = run_cli("top", cluster.replica, "--format", "json")
+        assert json.loads(out)["repl"]["lag_lsn"] == 0
+
+    def test_prom_is_the_text_exposition(self, cluster):
+        code, out = run_cli("top", cluster.leader, "--format", "prom")
+        assert code == 0
+        assert "# TYPE tendax_net_ops counter" in out
+
+    @pytest.mark.parametrize("address", (":", "nonsense", "host:",
+                                         "127.0.0.1:0", "127.0.0.1:65536",
+                                         "127.0.0.1:-1"))
+    def test_bad_address_is_refused(self, address, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("top", address)
+        err = capsys.readouterr().err
+        assert "argument HOST:PORT" in err and "1-65535" in err
+
+    def test_unreachable_node_is_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(SystemExit, match=f"repro top: 127.0.0.1:{port}"):
+            run_cli("top", f"127.0.0.1:{port}")
+
+    @pytest.mark.parametrize("argv", (
+        ("dash", "--port", "1"), ("repl-status", "127.0.0.1:1"),
+        ("feed-status",), ("stats", "--remote", "127.0.0.1:1"),
+        ("top", "--text", "hi")))
+    def test_retired_commands_are_refused(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(list(argv))
 
 
 class TestDumpLoad:

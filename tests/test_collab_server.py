@@ -445,10 +445,11 @@ class TestNoteVerbs:
 
 
 class TestStatisticsThreadSafety:
-    """Regression: ``server.stats`` was a plain dict mutated with ``+=``,
-    which silently lost increments when sessions operated from multiple
-    threads.  The counters now live in the obs registry; operation counts
-    must be exact however many threads drive the server."""
+    """Regression: the operation counts were a plain dict mutated with
+    ``+=``, which silently lost increments when sessions operated from
+    multiple threads.  The counters now live in the obs registry;
+    operation counts must be exact however many threads drive the
+    server."""
 
     def test_operation_count_exact_under_concurrent_sessions(self, server):
         import threading
@@ -461,7 +462,7 @@ class TestStatisticsThreadSafety:
             session = server.connect(user)
             handle = session.create_document(f"pad-{i}", text="seed ")
             workers.append((session, handle.doc))
-        base_ops = server.stats["operations"]
+        base_ops = server.statistics()["operations"]
         barrier = threading.Barrier(n_threads)
         errors = []
 
@@ -480,10 +481,8 @@ class TestStatisticsThreadSafety:
         for t in threads:
             t.join()
         assert errors == []
-        assert server.stats["operations"] - base_ops \
-            == n_threads * ops_each
         stats = server.statistics()
-        assert stats["operations"] == server.stats["operations"]
+        assert stats["operations"] - base_ops == n_threads * ops_each
         assert stats["sessions"] == n_threads
 
     def test_statistics_merge_into_the_obs_registry(self, server):
@@ -492,7 +491,7 @@ class TestStatisticsThreadSafety:
         session.insert(handle.doc, 0, "x")
         snapshot = server.db.metrics_snapshot()
         assert snapshot["collab.op_seconds"]["count"] \
-            == server.stats["operations"]
+            == server.statistics()["operations"]
         assert snapshot["collab.sessions"]["value"] == len(server.sessions())
         session.disconnect()
         assert server.db.metrics_snapshot()["collab.sessions"]["value"] \

@@ -384,7 +384,7 @@ class TestCollabCrashTorture:
         received = set()
         for session in run["sessions"]:
             received.update(n.seq for n in session.inbox)
-        sent = server.stats["notifications"]
+        sent = server.statistics()["notifications"]
         held = server.delivery.stats["held"]
         assert server.delivery.stats["delivered"] >= held
         assert len(received) > 0 and sent > 0

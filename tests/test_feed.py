@@ -57,8 +57,15 @@ class TestDispatch:
                                         tables=("kv",), deferred=True)
         db.insert("kv", {"k": "a", "v": 1})
         assert len(seen) == 1 and sub.lag == 1
+        # The lag is published where a running node's scrape reads it.
+        (probe,) = db.changefeed().status()["consumers"]
+        assert (probe["name"], probe["deferred"], probe["lag"]) \
+            == ("probe", True, 1)
+        assert db.metrics_snapshot()["feed.lag{consumer=probe}"]["value"] \
+            == 1
         sub.ack(seen[-1].seq)
         assert sub.lag == 0
+        assert db.changefeed().status()["consumers"][0]["lag"] == 0
 
     def test_close_unsubscribes_and_is_idempotent(self):
         db = make_db()

@@ -222,7 +222,7 @@ def test_drop_heavy_plan_heals_through_resync():
             assert ben.mirrors[doc].resyncs >= 1
             stats = ana.server_stats()
             assert stats["server"]["delivery"]["dropped"] >= 1
-            assert stats["net"]["resyncs"] >= 1
+            assert stats["metrics"]["net.resyncs"]["value"] >= 1
         finally:
             ana.close()
             ben.close()
@@ -384,8 +384,9 @@ def test_a_patch_without_its_base_costs_exactly_one_resync():
                 ben.poll(timeout=0.02)
             assert (mirror.missing_base, mirror.resyncs) == (1, 1)
             assert h_ben.check_integrity() == []
-            stats = ana.server_stats()["net"]
-            assert (stats["missing_base_rows"], stats["resyncs"]) == (1, 1)
+            metrics = ana.server_stats()["metrics"]
+            assert (metrics["net.missing_base_rows"]["value"],
+                    metrics["net.resyncs"]["value"]) == (1, 1)
         finally:
             ana.close()
             ben.close()

@@ -574,8 +574,8 @@ class TestLiveFuzz:
         client = NetworkClient("127.0.0.1", net_server.port, "ana")
         try:
             assert client.ping() < 5.0
-            stats = client.server_stats()
-            assert stats["net"]["protocol_errors"] > 0
+            metrics = client.server_stats()["metrics"]
+            assert metrics["net.protocol_errors"]["value"] > 0
         finally:
             client.close()
 

@@ -537,8 +537,8 @@ class TestBackpressure:
                 deadline = monotonic() + SETTLE_SECONDS
                 while True:
                     s_ana.insert(doc, 0, payload)
-                    stats = ana.server_stats()["net"]
-                    if stats["backpressure_closes"] >= 1:
+                    metrics = ana.server_stats()["metrics"]
+                    if metrics["net.backpressure_closes"]["value"] >= 1:
                         break
                     assert monotonic() < deadline, \
                         "flood never triggered a shed"

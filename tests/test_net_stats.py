@@ -1,7 +1,7 @@
 """The wire scrape lane: STATS / HEALTH envelopes end to end.
 
 A real :class:`ServerThread` on loopback TCP, scraped by the blocking
-:func:`repro.net.scrape` helper — the monitoring topology (`repro dash`,
+:func:`repro.net.scrape` helper — the monitoring topology (`repro top`,
 Prometheus pollers) in miniature.  Covers the pre-auth scrape lane
 (JSON and Prometheus formats, token enforcement), the mid-session
 ``health`` RPC verb, and the health verdict degrading under an armed
@@ -19,7 +19,7 @@ from repro.collab import CollaborationServer
 from repro.errors import AccessDenied
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import NetworkClient, ServerThread, scrape
-from repro.obs import TELEMETRY_SCHEMA, render_dash
+from repro.obs import TELEMETRY_SCHEMA, render_top
 
 
 def make_collab(n_users: int = 2, faults=None) -> CollaborationServer:
@@ -54,12 +54,12 @@ class TestStatsScrape:
         assert telemetry["schema"] == TELEMETRY_SCHEMA
         labelled = [n for n in telemetry["series"] if "{" in n]
         assert any(n.startswith("net.op_seconds{verb=") for n in labelled)
-        assert payload["net"]["scrapes"] >= 1
-        # The collector's share and worst pause ride along (repro dash
+        assert payload["metrics"]["net.scrapes"]["value"] >= 1
+        # The collector's share and worst pause ride along (repro top
         # renders them as the "gc:" row).
         assert 0.0 <= payload["gc"]["share"] < 1.0
         assert set(payload["gc"]["generations"]) == {"0", "1", "2"}
-        assert "gc: " in render_dash(payload)
+        assert "gc: " in render_top(payload)
 
     def test_prom_scrape_is_text_exposition(self):
         collab = make_collab()
@@ -95,7 +95,8 @@ class TestStatsScrape:
         with ServerThread(collab, telemetry_interval=0.0) as thread:
             first = scrape("127.0.0.1", thread.port, kind="stats")
             second = scrape("127.0.0.1", thread.port, kind="stats")
-        assert second["net"]["scrapes"] > first["net"]["scrapes"]
+        assert second["metrics"]["net.scrapes"]["value"] \
+            > first["metrics"]["net.scrapes"]["value"]
 
     def test_token_enforced_on_the_scrape_lane(self):
         collab = make_collab()

@@ -93,9 +93,9 @@ class TestOversizedFrames:
             small = session.create_document("small", text="fits")
             assert small.text() == "fits"
             assert ben.session().open(small.doc).text() == "fits"
-            stats = ana.server_stats()["net"]
-            assert stats["protocol_errors"] == 1
-            assert stats["connections"] == 2
+            metrics = ana.server_stats()["metrics"]
+            assert metrics["net.protocol_errors"]["value"] == 1
+            assert metrics["net.connections"]["value"] == 2
 
     def test_oversized_notify_sheds_the_reader_and_reaps_it(
             self, collab, thread):
@@ -114,7 +114,8 @@ class TestOversizedFrames:
                     assert monotonic() < deadline, "ben was never shed"
             # Shed means cleaned up, not just cut off: the gauge drops
             # and ben's server-side session is disconnected.
-            wait_until(lambda: ana.server_stats()["net"]["connections"] == 1)
+            wait_until(lambda: ana.server_stats()["metrics"][
+                "net.connections"]["value"] == 1)
             assert [s.user for s in collab.sessions() if s.connected] \
                 == ["ana"]
             assert ana.ping() < PROMPT_SECONDS

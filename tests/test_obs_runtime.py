@@ -101,5 +101,6 @@ class TestGcWatch:
             summary["generations"]["2"]["max_pause_seconds"] > 0.0
         row = render_gc(summary)
         assert row.startswith("gc: ") and "1 full collections" in row
-        assert row in render_top(db.metrics_snapshot(), gc=summary)
-        assert "gc:" not in render_top(db.metrics_snapshot())
+        metrics = db.metrics_snapshot()
+        assert row in render_top({"metrics": metrics, "gc": summary})
+        assert "gc:" not in render_top({"metrics": metrics})

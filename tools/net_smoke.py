@@ -25,7 +25,9 @@ CI's guard on the out-of-process collaboration path.  Two legs:
 Both legs also scrape STATS and HEALTH from this (separate) process
 while the server is still running: a telemetry snapshot, valid
 Prometheus text and the ``net.faults`` health check must be there; the
-clean leg must report ``ok``.  (That the verdict *degrades* under
+clean leg must report ``ok``.  Then ``repro top 127.0.0.1:<port>`` runs
+once as its own process and must exit 0 with the node's name and a
+``health:`` line in its frame.  (That the verdict *degrades* under
 faults and recovers is a windowed, clock-driven property: it is tested
 on a controlled clock in ``tests/test_net_stats.py``, not here.)
 
@@ -50,7 +52,7 @@ import tempfile
 from time import monotonic
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from proclib import REPO, ServerProcess, repro_env  # noqa: E402
+from proclib import REPO, ServerProcess, repro_env, top_frame  # noqa: E402
 
 sys.path.insert(0, os.path.join(REPO, "src"))
 
@@ -359,6 +361,8 @@ def run_leg(label: str, *, rounds: int, settle: float,
                                      expect_ok=net_seed is None)
         except Exception as exc:  # noqa: BLE001 - any scrape crash fails
             problems.append(f"{label}: scrape failed: {exc!r}")
+        # The operator's view of the same node, from a third process.
+        problems += top_frame(label, port, r"node=tendax\b", r"^health: ")
     finally:
         problem = server.shutdown()
         if problem is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import queue
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +25,8 @@ import threading
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-__all__ = ["REPO", "ServerProcess", "repro_command", "repro_env"]
+__all__ = ["REPO", "ServerProcess", "repro_command", "repro_env",
+           "top_frame"]
 
 
 def repro_env() -> dict:
@@ -38,6 +40,30 @@ def repro_env() -> dict:
 def repro_command(*args: str) -> list:
     """Argv for ``python -m repro <args...>`` under this interpreter."""
     return [sys.executable, "-m", "repro", *args]
+
+
+def top_frame(label: str, port: int, *patterns: str) -> list:
+    """Run ``repro top 127.0.0.1:PORT`` once, as an operator would.
+
+    Returns problem strings: a non-zero exit, or each regex of
+    ``patterns`` (matched per line) that the frame does not match.
+    """
+    try:
+        done = subprocess.run(
+            repro_command("top", f"127.0.0.1:{port}"), capture_output=True,
+            text=True, env=repro_env(), timeout=30.0)
+    except subprocess.TimeoutExpired:
+        return [f"{label}: repro top hung"]
+    if done.returncode != 0:
+        tail = done.stderr.strip().splitlines()[-1:] or [""]
+        return [f"{label}: repro top exited {done.returncode} ({tail[0]})"]
+    problems = [f"{label}: repro top frame lacks {pattern!r}"
+                for pattern in patterns
+                if not re.search(pattern, done.stdout, re.M)]
+    if not problems:
+        print(f"{label}: repro top frame ok "
+              f"({len(done.stdout.splitlines())} lines)")
+    return problems
 
 
 class ServerProcess:

@@ -8,7 +8,8 @@ assertions:
    ``repro serve --follow`` read replica, both real OS processes over
    loopback TCP.  Two typist clients interleave edits on one shared
    document through the leader; the follower must catch up to the
-   leader's durable LSN (``repl.apply_lag_lsn`` scraped to 0).
+   leader's durable LSN (``repl.apply_lag_lsn`` scraped to 0), and
+   ``repro top`` pointed at the follower shows its role and lag.
 2. **bounded lag** — while following, the replica's
    ``repl.apply_lag_seconds`` p99 (leader send stamp to follower apply)
    must stay under ``--lag-budget`` seconds.
@@ -56,6 +57,7 @@ from proclib import (  # noqa: E402
     ServerProcess,
     repro_command,
     repro_env,
+    top_frame,
 )
 
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -151,6 +153,9 @@ def run(args: argparse.Namespace) -> list:
         else:
             print(f"apply lag: p99 {p99 * 1000:.1f} ms over "
                   f"{lag['count']} segments")
+        problems += top_frame("follower", follower.port, r"node=replica\b",
+                              r"^health: ", r"^  role\s+follower$",
+                              r"^  lag_lsn\s+0$")
 
         # 3: kill the leader dead; the follower must promote.
         leader.kill()
