@@ -24,7 +24,10 @@ that hop over real loopback sockets.  Measurements:
   ``DocMirror.from_snapshot`` (decode, merge, chain walk, index build);
 * **snapshot render** — what it costs the server: an 8 000-character
   document's stored rows rendered to that ACK frame, timed, and traced
-  once for its allocation peak.
+  once for its allocation peak;
+* **client import** — what a wire editor's process holds before it
+  connects: a fresh interpreter imports the client names and reports
+  its peak resident set (only a server loads asyncio and ssl).
 
 All wire benches run the server on its own thread (``ServerThread``)
 with real TCP clients, so the numbers include framing, syscalls and the
@@ -34,7 +37,10 @@ event loop — the honest cost of leaving the process.
 from __future__ import annotations
 
 import gc
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from time import monotonic, perf_counter
 from typing import Iterator
@@ -59,6 +65,20 @@ MIRROR_FLAT_RATIO = 8.0
 OPEN_ROWS = 8_000
 #: Traced allocation peak an 8 000-character open's render may reach.
 RENDER_PEAK_BYTES = 8 << 20
+#: A wire editor's imports, run in a fresh interpreter that prints its
+#: peak resident set in KiB.  ``VmHWM`` is read, not ``ru_maxrss``: a
+#: child's ``ru_maxrss`` starts at its parent's (the pytest process's)
+#: peak, while the high-water mark of the memory it exec'd into does not.
+CLIENT_IMPORTS = """
+from repro.collab import EditorClient
+from repro.net import NetworkClient, RemoteSession, scrape
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
+"""
+#: Peak KiB those imports may reach: halfway between ≈27 030 with
+#: asyncio and ssl loaded and ≈20 190 without (CPython 3.11, Linux).
+CLIENT_MAXRSS_KIB = 23_600
 
 
 def _server(n_users: int, wal_path: str | None = None):
@@ -347,3 +367,23 @@ def test_snapshot_render_8k(benchmark):
     benchmark.extra_info["frame_bytes"] = len(frame)
     benchmark.extra_info["traced_peak_bytes"] = peak
     assert peak <= RENDER_PEAK_BYTES, peak
+
+
+def test_client_import_rss(benchmark):
+    """A fresh wire-editor interpreter: timed from spawn to exit, and
+    its peak resident set after the client imports gated at
+    ``CLIENT_MAXRSS_KIB``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(sys.modules["repro"].__file__)))
+    peaks: list[int] = []
+
+    def spawn() -> None:
+        done = subprocess.run([sys.executable, "-c", CLIENT_IMPORTS],
+                              env=env, capture_output=True, text=True,
+                              check=True, timeout=60)
+        peaks.append(int(done.stdout.split()[-1]))
+
+    benchmark.group = "D7 client import (fresh interpreter)"
+    benchmark.pedantic(spawn, rounds=3, iterations=1)
+    benchmark.extra_info["client_peak_rss_kib"] = max(peaks)
+    assert max(peaks) <= CLIENT_MAXRSS_KIB, peaks

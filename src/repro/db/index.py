@@ -64,11 +64,15 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality-only index: ``value -> set of row ids``.
+    """Equality-only index: ``value -> row id(s)``.
 
-    A *unique* index stores the bare row id instead of a one-element
-    set — one entry per character on the keystroke path, so the set
-    would be the largest thing the index holds.
+    The bucket rule: a key with one row maps to the bare row id, and
+    only a key with two or more rows maps to a ``set`` of them.  A key
+    becomes a set when its second row arrives and goes back to a bare id
+    when it is left with one.  Most keys hold one row — every character
+    id on the keystroke path, every document name in an archive — so a
+    one-element set (216 B) would be the largest thing the index holds.
+    A *unique* index never holds a set.
 
     ``None`` keys are never indexed (NULL never matches an equality probe
     with a non-null constant, and explicit IS NULL queries fall back to a
@@ -79,7 +83,7 @@ class HashIndex(Index):
 
     def __init__(self, name: str, column: str, *, unique: bool = False) -> None:
         super().__init__(name, column, unique=unique)
-        #: key -> rowid (unique) or key -> set of rowids (otherwise).
+        #: key -> rowid, or key -> set of two or more rowids.
         self._map: dict[Any, Any] = {}
         self._size = 0
 
@@ -96,42 +100,46 @@ class HashIndex(Index):
             return
         bucket = self._map.get(key)
         if bucket is None:
-            self._map[key] = {rowid}
-            self._size += 1
-        elif rowid not in bucket:
+            self._map[key] = rowid
+        elif type(bucket) is set:
+            if rowid in bucket:
+                return
             bucket.add(rowid)
-            self._size += 1
+        elif bucket == rowid:
+            return
+        else:
+            self._map[key] = {bucket, rowid}
+        self._size += 1
 
     def remove(self, key: Any, rowid: int) -> None:
         """Drop the entry if present (absent entries are a no-op)."""
         if key is None:
             return
-        if self.unique:
-            if self._map.get(key) == rowid:
-                del self._map[key]
-                self._size = len(self._map)
-            return
         bucket = self._map.get(key)
-        if bucket is not None and rowid in bucket:
+        if type(bucket) is set:
+            if rowid not in bucket:
+                return
             bucket.remove(rowid)
-            self._size -= 1
-            if not bucket:
-                del self._map[key]
+            if len(bucket) == 1:
+                (self._map[key],) = bucket
+        elif bucket == rowid:
+            del self._map[key]
+        else:
+            return
+        self._size -= 1
 
     def probe_eq(self, key: Any) -> Iterator[int]:
         """Row ids stored under exactly ``key``."""
-        if key is None:
+        bucket = self._map.get(key)
+        if bucket is None:
             return iter(())
-        if self.unique:
-            rowid = self._map.get(key)
-            return iter(()) if rowid is None else iter((rowid,))
-        return iter(self._map.get(key, ()))
+        return iter(bucket) if type(bucket) is set else iter((bucket,))
 
     def find(self, key: Any) -> int | None:
         """The one row id a unique index holds under ``key``, if any."""
-        if not self.unique:
-            return super().find(key)
-        return None if key is None else self._map.get(key)
+        if self.unique:
+            return self._map.get(key)
+        return super().find(key)
 
     def keys(self) -> Iterator[Any]:
         """Iterate the distinct indexed keys."""

@@ -26,7 +26,17 @@ package is the actual wire:
   :class:`ReplicaStatusServer` (the STATS/HEALTH scrape endpoint a
   following replica exposes before promotion);
 * :mod:`repro.net.monitor` — :class:`ScrapeLane`, the STATS/HEALTH
-  lane both servers hold.
+  lane both servers hold;
+* :mod:`repro.net.thread` — :class:`ServerThread`, a server on a
+  background event loop for tests and benchmarks.
+
+Only a process that builds a server runs an event loop.  The three
+names whose modules import asyncio (and, through it, ssl) —
+:class:`CollabNetServer`, :class:`ReplicaStatusServer` and
+:class:`ReplicationClient` — are imported on first access (PEP 562),
+and :class:`ServerThread` imports the server when one is constructed,
+so an editor, a scraper or a portal that imports this package loads
+neither library.
 
 There is no socket-level fault model of its own: the NOTIFY and
 AWARENESS frames a wire reader is handed pass the collab
@@ -34,6 +44,9 @@ AWARENESS frames a wire reader is handed pass the collab
 :class:`~repro.faults.plan.DeliveryFault` drops, holds and reorders them
 as it does in-process deliveries.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from .client import (NetNotification, NetworkClient, RemoteHandle,
                      RemoteSession, scrape)
@@ -65,8 +78,28 @@ from .protocol import (
     encode_frame,
     error_class,
 )
-from .replica import ReplicaStatusServer, ReplicationClient
-from .server import CollabNetServer, ServerThread
+from .thread import ServerThread
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .replica import ReplicaStatusServer, ReplicationClient
+    from .server import CollabNetServer
+
+#: Names only a server process uses -> the module that defines them.
+_ON_FIRST_USE = {
+    "CollabNetServer": ".server",
+    "ReplicaStatusServer": ".replica",
+    "ReplicationClient": ".replica",
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import a name of :data:`_ON_FIRST_USE` on first access (PEP 562)."""
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_ON_FIRST_USE[name], __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "MAX_FRAME_BYTES",

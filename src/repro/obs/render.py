@@ -91,13 +91,37 @@ def render_health(health: Mapping) -> str:
     return "\n".join(lines)
 
 
+def _trend_rank(name: str, aggs: Mapping[str, Mapping]) -> tuple:
+    """Sort key of one trend row, busiest first.
+
+    Read from the shortest window that has a value: rows that moved
+    rank above idle ones; among them, ``*_seconds`` histograms come
+    first by time recorded per second (rate x mean — the windowed
+    ``sum``, as the hot paths rank), then counters and count-shaped
+    histograms by rate, then gauges by the size of their mean.
+    """
+    for agg in aggs.values():
+        if agg.get("kind") == "gauge":
+            tier, value = 0, agg.get("mean")
+        else:
+            tier, value = 1, agg.get("rate")
+            if value is not None and _timed(name) \
+                    and agg.get("kind") == "histogram":
+                tier, value = 2, value * (agg.get("mean") or 0.0)
+        if value is not None:
+            return (value != 0, tier, abs(value))
+    return (False, 0, 0.0)
+
+
 def render_trends(windows: Mapping[str, Mapping], *,
                   limit: int = 12) -> str:
     """Windowed aggregates as one row per metric (10s / 1m / 5m columns).
 
     ``windows`` is ``TelemetryStore.snapshot()["windows"]``: metric name
     -> window label -> aggregate dict.  Histograms show rate + p99 per
-    window; counters show rate; gauges show the in-window mean.
+    window; counters show rate; gauges show the in-window mean.  The
+    ``limit`` busiest rows are shown (:func:`_trend_rank`), ties by
+    name.
     """
     if not windows:
         return "(no telemetry sampled)"
@@ -120,7 +144,8 @@ def render_trends(windows: Mapping[str, Mapping], *,
         for label in aggs:
             if label not in labels:
                 labels.append(label)
-    names = sorted(windows)[:limit]
+    names = sorted(sorted(windows), reverse=True,
+                   key=lambda n: _trend_rank(n, windows[n]))[:limit]
     width = max(len(n) for n in names)
     head = "  " + "metric".ljust(width) + "".join(
         f"  {label:>22}" for label in labels)

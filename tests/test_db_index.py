@@ -3,7 +3,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.db.index import HashIndex, OrderedIndex
@@ -90,8 +90,8 @@ class TestHashIndex:
 
 
 class TestUniqueHashIndexParity:
-    """A unique index stores the bare rowid, a plain one a set per key:
-    on any history a unique index accepts, both answer alike."""
+    """A unique index never holds a set, a plain one does for a key of
+    two rows: on any history a unique index accepts, both answer alike."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(),
@@ -123,6 +123,109 @@ class TestUniqueHashIndexParity:
         for n in range(100):
             idx.add(f"k{n}", n)
         assert not any(gc.is_tracked(v) for v in idx._map.values())
+
+
+class SetBucketIndex:
+    """The plain hash index as it was before the bucket rule: a set per
+    key, however many rows it holds.  The oracle of the property below."""
+
+    def __init__(self) -> None:
+        self._map: dict = {}
+
+    def add(self, key, rowid) -> None:
+        if key is not None:
+            self._map.setdefault(key, set()).add(rowid)
+
+    def remove(self, key, rowid) -> None:
+        bucket = self._map.get(key)
+        if bucket is not None and rowid in bucket:
+            bucket.remove(rowid)
+            if not bucket:
+                del self._map[key]
+
+    def probe_eq(self, key):
+        return iter(self._map.get(key, ()))
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self._map.values())
+
+
+KEYS = (None, 0, 1, 2, "a")
+ROWIDS = (0, 1, 2, 3)
+
+
+def same_answers(idx: HashIndex, oracle: SetBucketIndex) -> None:
+    """Every answer of ``idx`` equals the oracle's, and its map keeps the
+    bucket rule: a bare row id for one row, a set for two or more."""
+    assert len(idx) == len(oracle)
+    assert set(idx.keys()) == set(oracle._map)
+    for key in KEYS:
+        rows = sorted(oracle.probe_eq(key))
+        assert sorted(idx.probe_eq(key)) == rows
+        found = idx.find(key)
+        assert found is None if not rows else found in rows
+    for keys in ((0, 1), (1, "a", 0), (None, 2, 2), ()):
+        assert sorted(idx.probe_in(keys)) \
+            == sorted(set().union(*(oracle.probe_eq(k) for k in keys)))
+    for key, rows in oracle._map.items():
+        held = idx._map[key]
+        if len(rows) == 1:
+            assert held == next(iter(rows)) and not gc.is_tracked(held)
+        else:
+            assert type(held) is set and held == rows
+
+
+def run_programme(idx: HashIndex, ops) -> None:
+    oracle = SetBucketIndex()
+    for add, key, rowid in ops:
+        for target in (idx, oracle):
+            (target.add if add else target.remove)(key, rowid)
+        same_answers(idx, oracle)
+
+
+#: One key through 0 -> 1 -> 2 -> 1 -> 0 rows, with a duplicate add, an
+#: absent remove at each size, and a ``None`` key on the way.
+THROUGH_EVERY_SIZE = [
+    (False, 1, 0), (True, 1, 0), (True, 1, 0), (False, 1, 3),
+    (True, None, 0), (True, 1, 2), (True, 1, 2), (False, 1, 3),
+    (False, 1, 0), (False, 1, 0), (False, None, 0), (False, 1, 2),
+    (False, 1, 2), (True, 1, 2),
+]
+
+
+class TestHashIndexBuckets:
+    """A plain hash index keeps a bare row id for a key of one row and
+    answers every probe as the set-per-key index did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from(KEYS),
+                              st.sampled_from(ROWIDS)), max_size=60))
+    @example(THROUGH_EVERY_SIZE)
+    def test_same_answers_as_a_set_per_key(self, ops):
+        run_programme(HashIndex("p", "c"), ops)
+
+    def test_a_key_moves_between_a_bare_id_and_a_set(self):
+        idx = HashIndex("p", "c")
+        held = []
+        for add, rowid in ((True, 5), (True, 6), (False, 5), (False, 6)):
+            (idx.add if add else idx.remove)("k", rowid)
+            bucket = idx._map.get("k")
+            held.append(set(bucket) if type(bucket) is set else bucket)
+        assert held == [5, {5, 6}, 6, None]
+
+    def test_the_check_catches_an_index_that_never_shrinks(self):
+        class NeverShrinks(HashIndex):
+            def remove(self, key, rowid):
+                bucket = self._map.get(key)
+                if type(bucket) is set and rowid in bucket \
+                        and len(bucket) == 2:
+                    bucket.remove(rowid)
+                    self._size -= 1
+                else:
+                    super().remove(key, rowid)
+
+        with pytest.raises(AssertionError):
+            run_programme(NeverShrinks("p", "c"), THROUGH_EVERY_SIZE)
 
 
 class TestOrderedIndex:

@@ -17,6 +17,7 @@ from repro.obs import (
     TELEMETRY_SCHEMA,
     MetricsRegistry,
     TelemetryStore,
+    render_trends,
     window_label,
 )
 
@@ -173,6 +174,47 @@ class TestSnapshot:
         store.sample(now=START + 1)
         snap = store.snapshot()
         assert json.loads(json.dumps(snap)) == snap
+
+
+class TestTrendTable:
+    """``repro top``'s trend table shows the busiest rows, not the
+    alphabetically first."""
+
+    def busy_leader(self) -> dict:
+        registry, store = make_store()
+        for name in ("collab.deliveries", "collab.drains", "collab.held"):
+            registry.counter(name)
+        registry.gauge("collab.sessions").set(2)
+        frames = registry.counter("net.frames_in")
+        fsync = registry.histogram("wal.fsync_seconds")
+        op = registry.histogram("net.op_seconds")
+        group = registry.histogram("wal.group_commit_size")
+        for second in range(20):
+            frames.inc(30)
+            for __ in range(10):
+                fsync.observe(0.004)
+                op.observe(0.001)
+                group.observe(3)
+            store.sample(now=START + second)
+        return store.snapshot()["windows"]
+
+    def rows(self, windows: dict, limit: int) -> list[str]:
+        return [line.split()[0] for line in
+                render_trends(windows, limit=limit).splitlines()[1:]]
+
+    def test_rows_rank_by_time_then_rate_then_gauge(self):
+        windows = self.busy_leader()
+        # obs.samples is the store's own counter: one per second.
+        assert self.rows(windows, 6) == [
+            "wal.fsync_seconds", "net.op_seconds", "net.frames_in",
+            "wal.group_commit_size", "obs.samples", "collab.sessions"]
+
+    def test_idle_rows_come_last_in_name_order(self):
+        windows = self.busy_leader()
+        assert self.rows(windows, 3) == [
+            "wal.fsync_seconds", "net.op_seconds", "net.frames_in"]
+        assert self.rows(windows, 99)[-3:] == [
+            "collab.deliveries", "collab.drains", "collab.held"]
 
 
 class TestWindowLabel:

@@ -83,6 +83,7 @@ SMOKE_NODES = (
     "benchmarks/bench_net.py::test_mirror_lookup_scaling[64k]",
     "benchmarks/bench_net.py::test_mirror_open_8k",
     "benchmarks/bench_net.py::test_snapshot_render_8k",
+    "benchmarks/bench_net.py::test_client_import_rss",
     "benchmarks/bench_repl.py::test_follower_apply_throughput[300]",
     "benchmarks/bench_repl.py::test_replica_scan_offload[leader]",
     "benchmarks/bench_repl.py::test_replica_scan_offload[replica]",
@@ -142,6 +143,8 @@ TREND_NODES = {
         "d7_mirror_open_8k",
     "benchmarks/bench_net.py::test_snapshot_render_8k":
         "d7_snapshot_render_8k",
+    "benchmarks/bench_net.py::test_client_import_rss":
+        "d7_client_import_rss",
     "benchmarks/bench_repl.py::test_follower_apply_throughput[300]":
         "d8_follower_apply_300",
     "benchmarks/bench_repl.py::test_replica_scan_offload[replica]":
